@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import print_header, print_row, run_once
-from repro.core import ErrorBound, roundtrip
+from repro.core import ErrorBound, inceptionn_profile, roundtrip
 from repro.distributed import ring_exchange
 from repro.transport import ClusterComm, ClusterConfig
 
@@ -24,15 +24,14 @@ def _ring_error(n, seed=0):
     vectors = [
         (rng.standard_normal(4096) * 0.05).astype(np.float32) for _ in range(n)
     ]
-    comm = ClusterComm(
-        ClusterConfig(num_nodes=n, compression=True, bound=BOUND)
-    )
+    stream = inceptionn_profile(BOUND)
+    comm = ClusterComm(ClusterConfig(num_nodes=n, profile=stream, bound=BOUND))
     results = {}
 
     def node(i):
         def proc():
             results[i] = yield from ring_exchange(
-                comm.endpoints[i], vectors[i], n, compressible=True
+                comm.endpoints[i], vectors[i], n, stream=stream
             )
 
         return proc

@@ -10,7 +10,8 @@ compression to confirm the "small extra epochs" effect.
 import pytest
 
 from conftest import print_header, print_row, run_once
-from repro.distributed import train_distributed
+from repro.core import inceptionn_profile
+from repro.distributed import run_strategy
 from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
 from repro.perfmodel import FIG13_EPOCHS, equal_accuracy_speedup
 from repro.transport import ClusterConfig
@@ -63,16 +64,17 @@ def test_fig13_functional_epochs_to_accuracy(benchmark):
         target = 0.90
         out = {}
         for compressed in (False, True):
-            result = train_distributed(
-                algorithm="ring",
+            stream = inceptionn_profile() if compressed else None
+            result = run_strategy(
+                "ring",
                 build_net=lambda s: build_hdc(seed=s),
                 make_optimizer=lambda: SGD(LRSchedule(0.02), momentum=0.9),
                 dataset=hdc_dataset(train_size=600, test_size=150, seed=0),
                 num_workers=4,
                 iterations=60,
                 batch_size=25,
-                cluster=ClusterConfig(num_nodes=4, compression=compressed),
-                compress_gradients=compressed,
+                cluster=ClusterConfig(num_nodes=4, profile=stream),
+                stream=stream,
                 eval_every=5,
             )
             reached = next(

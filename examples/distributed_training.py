@@ -7,7 +7,8 @@ Fig 12 configurations, and prints accuracy plus simulated wall-clock.
 Run:  python examples/distributed_training.py
 """
 
-from repro.distributed import train_distributed
+from repro.core import inceptionn_profile
+from repro.distributed import run_strategy
 from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
 from repro.perfmodel import compute_profile_for
 from repro.transport import ClusterConfig
@@ -30,17 +31,18 @@ def main() -> None:
     baseline_time = None
     for label, algorithm, compressed in CONFIGS:
         num_nodes = 5 if algorithm == "wa" else 4
-        result = train_distributed(
-            algorithm=algorithm,
+        stream = inceptionn_profile() if compressed else None
+        result = run_strategy(
+            algorithm,
             build_net=lambda s: build_hdc(seed=s),
             make_optimizer=lambda: SGD(LRSchedule(0.02), momentum=0.9),
             dataset=dataset,
             num_workers=4,
             iterations=iterations,
             batch_size=25,
-            cluster=ClusterConfig(num_nodes=num_nodes, compression=compressed),
+            cluster=ClusterConfig(num_nodes=num_nodes, profile=stream),
             profile=profile,
-            compress_gradients=compressed,
+            stream=stream,
         )
         if baseline_time is None:
             baseline_time = result.virtual_time_s

@@ -6,6 +6,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro import ErrorBound, compress, decompress
+from repro.core import inceptionn_profile
 from repro.distributed import ring_exchange
 from repro.transport import ClusterComm, ClusterConfig
 
@@ -34,9 +35,8 @@ def main() -> None:
 
     # --- 2. The gradient-centric ring (Algorithm 1) ------------------------
     num_workers = 4
-    comm = ClusterComm(
-        ClusterConfig(num_nodes=num_workers, compression=True)
-    )
+    stream = inceptionn_profile()
+    comm = ClusterComm(ClusterConfig(num_nodes=num_workers, profile=stream))
     locals_ = [
         (rng.standard_normal(100_000) * 0.01).astype(np.float32)
         for _ in range(num_workers)
@@ -46,7 +46,7 @@ def main() -> None:
     def node(i):
         def proc():
             results[i] = yield from ring_exchange(
-                comm.endpoints[i], locals_[i], num_workers, compressible=True
+                comm.endpoints[i], locals_[i], num_workers, stream=stream
             )
 
         return proc

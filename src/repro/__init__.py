@@ -45,7 +45,7 @@ from .core import (
     decompress,
     roundtrip,
 )
-from .distributed import ring_exchange, train_distributed
+from .distributed import ring_exchange, run_strategy
 from .dnn import PAPER_MODELS, build_hdc, build_mini_cnn
 from .hardware import CompressionEngine, DecompressionEngine, InceptionnNic
 from .perfmodel import (
@@ -69,7 +69,7 @@ __all__ = [
     "decompress",
     "roundtrip",
     "ring_exchange",
-    "train_distributed",
+    "run_strategy",
     "PAPER_MODELS",
     "build_hdc",
     "build_mini_cnn",

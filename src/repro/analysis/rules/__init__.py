@@ -14,24 +14,21 @@ from .agg_site import AggregationSiteRule
 from .annotations import AnnotationsRule
 from .base import Rule
 from .bits import BitAccountingRule
-from .deprecated import DeprecatedApiRule
 from .dtype import DtypeDisciplineRule
 from .mutable_defaults import MutableDefaultsRule
 from .ordering import IterationOrderRule
 from .registry_tos import RegistryTosRule
-from .retired import RetiredApiRule
 from .rng import SeededRngRule
 from .strategy_calls import StrategyCallsRule
 from .wallclock import WallClockRule
 
-#: Every registered rule class, in code order.
+#: Every registered rule class, in code order.  R2 and R6 are retired
+#: numbers (docs and suppression comments cite codes): do not reuse them.
 ALL_RULES: Sequence[Type[Rule]] = (
     DtypeDisciplineRule,
-    DeprecatedApiRule,
     RegistryTosRule,
     BitAccountingRule,
     AnnotationsRule,
-    RetiredApiRule,
     StrategyCallsRule,
     WallClockRule,
     SeededRngRule,
@@ -79,12 +76,10 @@ __all__ = [
     "AggregationSiteRule",
     "AnnotationsRule",
     "BitAccountingRule",
-    "DeprecatedApiRule",
     "DtypeDisciplineRule",
     "IterationOrderRule",
     "MutableDefaultsRule",
     "RegistryTosRule",
-    "RetiredApiRule",
     "Rule",
     "SeededRngRule",
     "StrategyCallsRule",

@@ -16,12 +16,11 @@ Flags calls to:
 * ``datetime.now`` / ``datetime.utcnow`` / ``datetime.today`` /
   ``date.today`` (including the ``datetime.datetime.now()`` spelling).
 
-The legitimate consumers are artifact export and benchmarking: a trace
-file may stamp *when it was written* because that metadata never feeds
-back into simulation state, and the benchmark harness exists to measure
-host wall-clock throughput.  ``repro.obs.export`` and ``repro.bench``
-are therefore exempt; everything else must thread ``sim.now`` or go
-without a timestamp.
+The one legitimate consumer is artifact export: a trace file may stamp
+*when it was written* because that metadata never feeds back into
+simulation state.  ``repro.obs.export`` is therefore exempt; everything
+else must thread ``sim.now`` or go without a timestamp.  (Host-clock
+benchmarking lives outside the package, in ``perfbench/``.)
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ TIME_FUNCTIONS = frozenset(
 DATETIME_FUNCTIONS = frozenset({"now", "utcnow", "today"})
 
 #: Modules allowed to read the host clock: artifact export (timestamps
-#: on trace files) and the wall-clock benchmark harness.
-EXEMPT_MODULES = frozenset({"repro.obs.export", "repro.bench"})
+#: on trace files).
+EXEMPT_MODULES = frozenset({"repro.obs.export"})
 
 
 class WallClockRule(Rule):

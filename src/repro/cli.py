@@ -8,7 +8,6 @@ Subcommands
 ``simulate``    per-iteration time of a Fig 12 configuration at paper scale
 ``train``       run the simulated-cluster training demo (any --strategy)
 ``exchange``    paper-scale gradient-exchange timing under any codec
-``bench``       wall-clock benchmark suite, written as BENCH_*.json
 ``codecs``      list registered gradient codecs and their measured ratios
 ``strategies``  list registered gradient strategies (ring, wa, async_ps, ...)
 ``trace``       run / validate / summarize / convert execution traces
@@ -99,11 +98,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _stream_for(args: argparse.Namespace):
-    """Resolve the --codec flag into a StreamProfile (or None)."""
-    from repro.core import profile_for
+    """Resolve --codec (or the --compress shorthand) into a StreamProfile."""
+    from repro.core import inceptionn_profile, profile_for
 
     if getattr(args, "codec", None) is None:
-        return None
+        return inceptionn_profile() if getattr(args, "compress", False) else None
     try:
         return profile_for(args.codec)
     except KeyError as exc:
@@ -217,19 +216,17 @@ def _retransmit_for(args: argparse.Namespace):
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from repro.core import inceptionn_profile
     from repro.distributed import available_strategies, get_strategy, run_strategy
     from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
     from repro.transport import ClusterConfig
 
-    # --strategy is the registry-backed selector; --algorithm survives
-    # as the legacy alias for its two original values.
-    name = args.strategy or args.algorithm or "ring"
     try:
-        strategy = get_strategy(name)
+        strategy = get_strategy(args.strategy)
     except ValueError:
         known = ", ".join(available_strategies())
-        raise SystemExit(f"--strategy: unknown strategy {name!r} ({known})")
+        raise SystemExit(
+            f"--strategy: unknown strategy {args.strategy!r} ({known})"
+        )
     options = {
         "sync_period": args.sync_period,
         "max_staleness": args.staleness,
@@ -239,8 +236,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     }
 
     stream = _stream_for(args)
-    if stream is None and args.compress:
-        stream = inceptionn_profile()
     tracer = _tracer_for(args)
     num_nodes = args.workers + strategy.extra_nodes(args.workers, options)
     try:
@@ -308,11 +303,8 @@ def _cmd_strategies(args: argparse.Namespace) -> int:
 
 
 def _cmd_exchange(args: argparse.Namespace) -> int:
-    from repro.perfmodel import (
-        measure_profile_ratio,
-        simulate_ring_exchange,
-        simulate_wa_exchange,
-    )
+    from repro.perfmodel import simulate_ring_exchange, simulate_wa_exchange
+    from repro.transport.wire import measure_stream_ratio
 
     stream = _stream_for(args)
     tracer = _tracer_for(args)
@@ -349,7 +341,7 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
         f"{args.mbytes:g} MB gradients{fabric}:"
     )
     if stream is not None:
-        print(f"  measured ratio {measure_profile_ratio(stream):10.2f}x")
+        print(f"  measured ratio {measure_stream_ratio(stream):10.2f}x")
     print(f"  per iteration  {result.per_iteration_s * 1e3:10.2f} ms")
     print(f"  total          {result.total_s * 1e3:10.2f} ms")
     print(f"  wire ratio     {result.wire_ratio:10.2f}x")
@@ -378,57 +370,9 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench import (
-        DEFAULT_OUTPUT,
-        compare_bench,
-        find_prior,
-        render_comparison,
-        run_bench,
-        validate_bench,
-    )
-    from repro.report import dumps_strict
-
-    if args.validate is not None:
-        path = Path(args.validate)
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            validate_bench(doc)
-        except (OSError, ValueError) as exc:
-            print(f"{path}: INVALID: {exc}")
-            return 1
-        print(
-            f"{path}: valid {doc['schema']} v{doc['version']}, "
-            f"{len(doc['results'])} entries"
-        )
-        return 0
-
-    doc = run_bench(quick=args.quick)
-    validate_bench(doc)
-    output = Path(args.out) if args.out else Path(DEFAULT_OUTPUT)
-    output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(dumps_strict(doc, indent=2) + "\n", encoding="utf-8")
-    mode = "quick" if args.quick else "full"
-    print(f"wrote {output} ({mode} suite, {len(doc['results'])} entries)")
-    for entry in doc["results"]:
-        print(f"  {entry['name']:<32} {entry['wall_s'] * 1e3:10.2f} ms")
-    prior_path = find_prior(output)
-    if prior_path is not None:
-        try:
-            prior = json.loads(prior_path.read_text(encoding="utf-8"))
-            validate_bench(prior)
-        except ValueError as exc:
-            print(f"prior {prior_path} skipped: {exc}")
-            return 0
-        print(render_comparison(compare_bench(doc, prior), prior_path.name))
-    return 0
-
-
 def _cmd_codecs(args: argparse.Namespace) -> int:
     from repro.core import available_codecs, codec_tos, get_codec, profile_for
-    from repro.perfmodel import measure_profile_ratio
+    from repro.transport.wire import measure_stream_ratio
 
     rng = np.random.default_rng(args.seed)
     sample = (rng.standard_normal(1 << 14) * 0.004).astype(np.float32)
@@ -438,7 +382,7 @@ def _cmd_codecs(args: argparse.Namespace) -> int:
     )
     for name in available_codecs():
         codec = get_codec(name)
-        ratio = measure_profile_ratio(profile_for(name), sample=sample)
+        ratio = measure_stream_ratio(profile_for(name), sample=sample)
         params = ", ".join(
             f"{k}={v}" for k, v in codec.default_params().items()
         ) or "-"
@@ -467,7 +411,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             nbytes=int(args.mbytes * 1e6),
             iterations=args.iterations,
             bandwidth_bps=args.gbps * 1e9,
-            compress_gradients=args.compress,
+            stream=_stream_for(args),
             tracer=tracer,
         )
         write_trace(
@@ -658,12 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="simulated-cluster training demo")
     p.add_argument(
-        "--strategy", default=None, metavar="NAME",
+        "--strategy", default="ring", metavar="NAME",
         help="gradient strategy from the registry (see `repro strategies`)",
-    )
-    p.add_argument(
-        "--algorithm", default=None, choices=("ring", "wa"),
-        help="legacy alias for --strategy (ring/wa only)",
     )
     p.add_argument("--workers", type=int, default=4)
     p.add_argument("--iterations", type=int, default=40)
@@ -729,23 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_loss_arguments(p)
     _add_trace_arguments(p)
     p.set_defaults(func=_cmd_exchange)
-
-    p = sub.add_parser(
-        "bench", help="wall-clock benchmark suite (BENCH_*.json artifact)"
-    )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="smaller sample sizes and scales (the CI configuration)",
-    )
-    p.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="output artifact path (default: BENCH_10.json)",
-    )
-    p.add_argument(
-        "--validate", default=None, metavar="FILE",
-        help="validate an existing bench artifact and exit",
-    )
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("codecs", help="list registered gradient codecs")
     p.add_argument("--seed", type=int, default=0)

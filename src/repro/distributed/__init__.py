@@ -8,6 +8,7 @@ LocalSGD — in :data:`~repro.distributed.strategy.STRATEGIES`.
 """
 
 from .strategy import (
+    DistributedRunResult,
     GradientStrategy,
     NodeContext,
     PHASE_NAMES,
@@ -22,19 +23,9 @@ from .strategy import (
     register_strategy,
     run_strategy,
 )
-from .cluster import (
-    DistributedRunResult,
-    RingStrategy,
-    WorkerAggregatorStrategy,
-    train_distributed,
-)
-from .async_ps import AsyncPSStrategy, AsyncRunResult, train_async_ps
-from .hierarchy import (
-    GroupLayout,
-    HierarchyStrategy,
-    hierarchical_exchange,
-    train_hierarchical,
-)
+from .cluster import RingStrategy, WorkerAggregatorStrategy
+from .async_ps import AsyncPSStrategy
+from .hierarchy import GroupLayout, HierarchyStrategy, hierarchical_exchange
 from .local_sgd import LocalSGDStrategy
 from .stale_async import StaleAsyncStrategy
 from .node import (
@@ -64,14 +55,10 @@ __all__ = [
     "DistributedRunResult",
     "RingStrategy",
     "WorkerAggregatorStrategy",
-    "train_distributed",
     "AsyncPSStrategy",
-    "AsyncRunResult",
-    "train_async_ps",
     "GroupLayout",
     "HierarchyStrategy",
     "hierarchical_exchange",
-    "train_hierarchical",
     "LocalSGDStrategy",
     "StaleAsyncStrategy",
     "ComputeProfile",

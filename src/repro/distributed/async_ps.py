@@ -11,71 +11,42 @@ synchronous WA baseline and the INCEPTIONN ring:
 * an optional SSP-style ``max_staleness`` bound blocks a worker whose
   iteration count runs more than ``s`` ahead of the slowest worker.
 
-The schedule is the ``"async_ps"`` :class:`GradientStrategy` plugin;
-``train_async_ps`` wraps the shared driver and repackages the result.
+The schedule is the ``"async_ps"`` :class:`GradientStrategy` plugin.
 For the *server-side* bounded-staleness variant with per-worker version
 tracking, see :mod:`repro.distributed.stale_async`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, List, Mapping, Optional
+from typing import Any, Generator, List, Mapping, Optional
 
 import numpy as np
 
-from repro.core import StreamProfile
-from repro.dnn.data import Dataset
-from repro.network import Event
-from repro.obs import CAT_ASYNC, Tracer
 from repro.dnn.network import Sequential
-from repro.dnn.optim import SGD
-from repro.transport.endpoint import (
-    ClusterConfig,
-    TransferSummary,
-)
+from repro.network import Event
+from repro.obs import CAT_ASYNC
 
-from .node import ComputeProfile, ZERO_COMPUTE
 from .strategy import (
     GradientStrategy,
     NodeContext,
     StrategyRun,
     StrategyUpdate,
     register_strategy,
-    run_strategy,
 )
-
-
-@dataclass
-class AsyncRunResult:
-    """Outcome of an asynchronous parameter-server run."""
-
-    num_workers: int
-    iterations_per_worker: int
-    final_top1: float
-    final_top5: float
-    virtual_time_s: float
-    #: Staleness (server updates between a worker's pull and its push)
-    #: observed for every applied gradient.
-    staleness: List[int] = field(default_factory=list)
-    losses: List[float] = field(default_factory=list)
-    #: Wire-level accounting from the WireMessage pipeline.
-    transfers: Optional[TransferSummary] = None
-    #: The server's final parameter vector (parity pinning).
-    final_weights: Optional[np.ndarray] = None
-
-    @property
-    def mean_staleness(self) -> float:
-        return float(np.mean(self.staleness)) if self.staleness else 0.0
-
-    @property
-    def max_observed_staleness(self) -> int:
-        return max(self.staleness) if self.staleness else 0
 
 
 @register_strategy
 class AsyncPSStrategy(GradientStrategy):
-    """Fully asynchronous parameter server with an optional SSP bound."""
+    """Fully asynchronous parameter server with an optional SSP bound.
+
+    Options: ``max_staleness`` enables the SSP bound (``None`` is fully
+    asynchronous — HogWild-style, but with the server serializing
+    updates, since the simulated cluster has no shared memory to race
+    on); the driver's ``compute_jitter`` perturbs each worker's compute
+    time so workers actually drift.  Per-gradient staleness samples land
+    in ``result.report.extras["staleness"]`` and the completion-ordered
+    losses in ``result.loss_order``.
+    """
 
     name = "async_ps"
     description = (
@@ -184,70 +155,3 @@ class AsyncPSStrategy(GradientStrategy):
             self._worker_pull_version[src] = self._server_version
             ep.isend(src, self._server_net.parameter_vector())
 
-
-def train_async_ps(
-    build_net: Callable[[int], Sequential],
-    make_optimizer: Callable[[], SGD],
-    dataset: Dataset,
-    num_workers: int,
-    iterations_per_worker: int,
-    batch_size: int,
-    cluster: Optional[ClusterConfig] = None,
-    profile: ComputeProfile = ZERO_COMPUTE,
-    compress_gradients: bool = False,
-    stream: Optional[StreamProfile] = None,
-    max_staleness: Optional[int] = None,
-    compute_jitter: float = 0.0,
-    tracer: Optional[Tracer] = None,
-    seed: int = 0,
-) -> AsyncRunResult:
-    """Asynchronous training: workers push g, server replies with w.
-
-    ``stream`` selects the codec profile of the gradient (push) leg;
-    ``compress_gradients`` is the deprecated boolean alias for the
-    cluster's default profile.
-
-    ``compute_jitter`` adds a uniform(+/- fraction) perturbation to each
-    worker's compute time so workers actually drift (the phenomenon
-    async systems exist to exploit).  ``max_staleness`` enables the SSP
-    bound; ``None`` is fully asynchronous (HogWild-style, but with the
-    server serializing updates — the simulated cluster has no shared
-    memory to race on).
-
-    Compatibility wrapper over the ``"async_ps"`` strategy plugin.
-    """
-    result = run_strategy(
-        "async_ps",
-        build_net=build_net,
-        make_optimizer=make_optimizer,
-        dataset=dataset,
-        num_workers=num_workers,
-        iterations=iterations_per_worker,
-        batch_size=batch_size,
-        cluster=cluster,
-        profile=profile,
-        compress_gradients=compress_gradients,
-        stream=stream,
-        tracer=tracer,
-        seed=seed,
-        options={
-            "max_staleness": max_staleness,
-            "compute_jitter": compute_jitter,
-        },
-    )
-    staleness = (
-        list(result.report.extras.get("staleness", []))
-        if result.report is not None
-        else []
-    )
-    return AsyncRunResult(
-        num_workers=num_workers,
-        iterations_per_worker=iterations_per_worker,
-        final_top1=result.final_top1,
-        final_top5=result.final_top5,
-        virtual_time_s=result.virtual_time_s,
-        staleness=staleness,
-        losses=list(result.loss_order),
-        transfers=result.transfers,
-        final_weights=result.final_weights,
-    )

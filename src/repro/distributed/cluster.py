@@ -1,99 +1,36 @@
-"""End-to-end distributed training runs in simulated time.
+"""The paper's two exchange algorithms as strategy plugins.
 
-``train_distributed`` trains *real* model replicas under either the
-worker-aggregator baseline or the INCEPTIONN ring, over the simulated
-cluster fabric.  Gradient values move through the real codec when
-compression is on, and every phase of the iteration advances the
-virtual clock, so one run yields both the learning curve (accuracy
-claims) and the Table II-style time breakdown (performance claims).
+The worker-aggregator baseline and the INCEPTIONN ring train *real*
+model replicas over the simulated cluster fabric.  Gradient values move
+through the real codec when compression is on, and every phase of the
+iteration advances the virtual clock, so one run yields both the
+learning curve (accuracy claims) and the Table II-style time breakdown
+(performance claims).
 
-Both algorithms are :class:`~repro.distributed.strategy.GradientStrategy`
-plugins driven by :func:`~repro.distributed.strategy.run_strategy`;
-``train_distributed`` survives as the thin compatibility wrapper.
+Both are :class:`~repro.distributed.strategy.GradientStrategy` plugins
+driven by :func:`~repro.distributed.strategy.run_strategy`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Mapping, Optional
+from typing import Any, Generator, Mapping, Optional
 
 import numpy as np
 
-from repro.core import StreamProfile
-from repro.dnn.data import Dataset
-from repro.dnn.network import Sequential
-from repro.dnn.optim import SGD
 from repro.network import Event
-from repro.obs import Tracer
 from repro.transport.aggregation import AGG_SWITCH, SwitchGather
-from repro.transport.endpoint import ClusterConfig, TransferSummary
 
-from .node import ComputeProfile, ZERO_COMPUTE
 from .ring import ring_exchange
 from .strategy import (
     GradientStrategy,
     NodeContext,
-    PHASE_NAMES,
-    StrategyReport,
     StrategyRun,
     StrategyUpdate,
-    phase_seconds_from_trace,
     register_strategy,
-    run_strategy,
 )
 from .worker_aggregator import aggregator_exchange, worker_exchange
 
-__all__ = [
-    "DistributedRunResult",
-    "PHASE_NAMES",
-    "RingStrategy",
-    "WorkerAggregatorStrategy",
-    "phase_seconds_from_trace",
-    "train_distributed",
-]
-
-
-@dataclass
-class DistributedRunResult:
-    """Outcome of one simulated distributed training run."""
-
-    algorithm: str
-    num_workers: int
-    iterations: int
-    losses: List[float]
-    final_top1: float
-    final_top5: float
-    virtual_time_s: float
-    phase_seconds: Dict[str, float]
-    eval_top1: List[float] = field(default_factory=list)
-    #: Wire-level accounting folded from the cluster's transfer log
-    #: (every message of the run went through one WireMessage build).
-    transfers: Optional[TransferSummary] = None
-    #: Node 0's final parameter vector — the replicated model state the
-    #: strategy-parity suite pins bit-exactly across refactors.
-    final_weights: Optional[np.ndarray] = None
-    #: Strategy-specific summary (staleness samples, sync rounds, ...).
-    report: Optional[StrategyReport] = None
-    #: Every worker's per-iteration losses flattened in completion
-    #: order — meaningful for asynchronous strategies where ``losses``'
-    #: per-iteration means average across drifting workers.
-    loss_order: List[float] = field(default_factory=list)
-
-    @property
-    def communication_fraction(self) -> float:
-        """Fraction of total virtual time spent communicating (Fig 3b)."""
-        if self.virtual_time_s <= 0:
-            return 0.0
-        return self.phase_seconds["communicate"] / self.virtual_time_s
-
-    def normalized_phases(self) -> Dict[str, float]:
-        """Phase fractions of total time (Table II's 'Norm.' columns)."""
-        total = sum(self.phase_seconds.values())
-        # Explicit zero check — a falsy ``or`` default here is the same
-        # bug class as the retired sized-send API's zero-ratio collapse.
-        if total == 0.0:
-            return {name: 0.0 for name in self.phase_seconds}
-        return {name: t / total for name, t in self.phase_seconds.items()}
+__all__ = ["RingStrategy", "WorkerAggregatorStrategy"]
 
 
 @register_strategy
@@ -202,54 +139,3 @@ class WorkerAggregatorStrategy(GradientStrategy):
         # aggregator's LR schedule.
         return StrategyUpdate(weights=weights, sync_optimizer_iteration=True)
 
-
-def train_distributed(
-    algorithm: str,
-    build_net: Callable[[int], Sequential],
-    make_optimizer: Callable[[], SGD],
-    dataset: Dataset,
-    num_workers: int,
-    iterations: int,
-    batch_size: int,
-    cluster: Optional[ClusterConfig] = None,
-    profile: ComputeProfile = ZERO_COMPUTE,
-    compress_gradients: bool = False,
-    stream: Optional[StreamProfile] = None,
-    eval_every: Optional[int] = None,
-    tracer: Optional[Tracer] = None,
-    seed: int = 0,
-) -> DistributedRunResult:
-    """Train replicas of ``build_net(seed)`` across a simulated cluster.
-
-    ``algorithm`` is ``"wa"`` (worker-aggregator; one extra node hosts
-    the aggregator) or ``"ring"`` (INCEPTIONN, Algorithm 1).  ``stream``
-    selects the codec profile of the gradient traffic (any registered
-    codec — INCEPTIONN, truncation, quantization, ...); the convenience
-    ``compress_gradients`` flag resolves to the cluster's default
-    profile (ToS 0x28) instead.  Either only takes effect when the NIC
-    engines are enabled (a cluster profile).
-    In the WA baseline only the gradient (up) leg can compress — weights
-    are loss-intolerant (paper Fig 4) — while the ring compresses every
-    hop.
-
-    Compatibility wrapper over :func:`repro.distributed.strategy.run_strategy`
-    with the two original algorithm names.
-    """
-    if algorithm not in ("wa", "ring"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return run_strategy(
-        algorithm,
-        build_net=build_net,
-        make_optimizer=make_optimizer,
-        dataset=dataset,
-        num_workers=num_workers,
-        iterations=iterations,
-        batch_size=batch_size,
-        cluster=cluster,
-        profile=profile,
-        compress_gradients=compress_gradients,
-        stream=stream,
-        eval_every=eval_every,
-        tracer=tracer,
-        seed=seed,
-    )

@@ -8,20 +8,19 @@ broadcast the global aggregate back into their groups.  Every leg is a
 *gradient* leg, so everything stays compressible.
 
 The schedule is a :class:`~repro.distributed.strategy.GradientStrategy`
-plugin (``"hierarchy"``); ``train_hierarchical`` wraps the shared
-driver.
+plugin (``"hierarchy"``, configured through ``options={"layout": ...}``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Generator, List, Sequence
+from typing import Any, Generator, List, Sequence
 
 import numpy as np
 
 from repro.core import StreamProfile
 from repro.network import Event
-from repro.obs import CAT_HIER, Tracer
+from repro.obs import CAT_HIER
 from repro.transport.endpoint import ClusterComm
 
 from .node import ComputeProfile
@@ -32,16 +31,7 @@ from .strategy import (
     StrategyRun,
     StrategyUpdate,
     register_strategy,
-    run_strategy,
 )
-
-if TYPE_CHECKING:
-    from repro.dnn.data import Dataset
-    from repro.dnn.network import Sequential
-    from repro.dnn.optim import SGD
-    from repro.transport.endpoint import ClusterConfig
-
-    from .cluster import DistributedRunResult
 
 
 @dataclass(frozen=True)
@@ -228,45 +218,3 @@ class HierarchyStrategy(GradientStrategy):
         )
         return StrategyUpdate(gradient=aggregate)
 
-
-def train_hierarchical(
-    build_net: "Callable[[int], Sequential]",
-    make_optimizer: "Callable[[], SGD]",
-    dataset: "Dataset",
-    layout: GroupLayout,
-    iterations: int,
-    batch_size: int,
-    cluster: "ClusterConfig | None" = None,
-    profile: "ComputeProfile | None" = None,
-    compress_gradients: bool = False,
-    stream: "StreamProfile | None" = None,
-    tracer: "Tracer | None" = None,
-    seed: int = 0,
-) -> "DistributedRunResult":
-    """End-to-end training with the two-level exchange (Fig 1c).
-
-    Mirrors :func:`repro.distributed.cluster.train_distributed` for the
-    hierarchical organization; returns the same result type with
-    ``algorithm == "hierarchy"``.  ``compress_gradients`` resolves to
-    the cluster's default profile when no explicit ``stream`` is given.
-
-    Compatibility wrapper over the ``"hierarchy"`` strategy plugin.
-    """
-    from .node import ZERO_COMPUTE
-
-    return run_strategy(
-        "hierarchy",
-        build_net=build_net,
-        make_optimizer=make_optimizer,
-        dataset=dataset,
-        num_workers=layout.num_nodes,
-        iterations=iterations,
-        batch_size=batch_size,
-        cluster=cluster,
-        profile=profile or ZERO_COMPUTE,
-        compress_gradients=compress_gradients,
-        stream=stream,
-        tracer=tracer,
-        seed=seed,
-        options={"layout": layout},
-    )

@@ -22,8 +22,9 @@ the outer loop exactly once:
 
 The driver's per-iteration event sequence is bit-compatible with the
 four hand-rolled spawn loops it replaced — the strategy-parity suite
-pins final weights (sha256) and wire bytes against recordings of the
-pre-refactor implementations.
+pins the schedule (messages, bytes, virtual time) exactly, and the
+float sums to a tolerance, against recordings of the pre-refactor
+implementations.
 """
 
 from __future__ import annotations
@@ -54,7 +55,12 @@ from repro.dnn.training import LocalTrainer
 from repro.network import Event
 from repro.obs import CAT_PHASE, CAT_STRATEGY, Tracer
 from repro.transport.aggregation import AGG_SWITCH
-from repro.transport.endpoint import ClusterComm, ClusterConfig, Endpoint
+from repro.transport.endpoint import (
+    ClusterComm,
+    ClusterConfig,
+    Endpoint,
+    TransferSummary,
+)
 
 from .node import (
     ComputeProfile,
@@ -129,6 +135,49 @@ class StrategyReport:
     #: Free-form per-strategy results (staleness samples, sync rounds,
     #: ...) accumulated in :attr:`StrategyRun.extras` during the run.
     extras: Dict[str, Any] = field(default_factory=dict)
+
+
+@dataclass
+class DistributedRunResult:
+    """Outcome of one simulated distributed training run."""
+
+    algorithm: str
+    num_workers: int
+    iterations: int
+    losses: List[float]
+    final_top1: float
+    final_top5: float
+    virtual_time_s: float
+    phase_seconds: Dict[str, float]
+    eval_top1: List[float] = field(default_factory=list)
+    #: Wire-level accounting folded from the cluster's transfer log
+    #: (every message of the run went through one WireMessage build).
+    transfers: Optional[TransferSummary] = None
+    #: Node 0's final parameter vector — the replicated model state the
+    #: strategy-parity and replay checks compare.
+    final_weights: Optional[np.ndarray] = None
+    #: Strategy-specific summary (staleness samples, sync rounds, ...).
+    report: Optional[StrategyReport] = None
+    #: Every worker's per-iteration losses flattened in completion
+    #: order — meaningful for asynchronous strategies where ``losses``'
+    #: per-iteration means average across drifting workers.
+    loss_order: List[float] = field(default_factory=list)
+
+    @property
+    def communication_fraction(self) -> float:
+        """Fraction of total virtual time spent communicating (Fig 3b)."""
+        if self.virtual_time_s <= 0:
+            return 0.0
+        return self.phase_seconds["communicate"] / self.virtual_time_s
+
+    def normalized_phases(self) -> Dict[str, float]:
+        """Phase fractions of total time (Table II's 'Norm.' columns)."""
+        total = sum(self.phase_seconds.values())
+        # Explicit zero check — a falsy ``or`` default here is the same
+        # bug class as the retired sized-send API's zero-ratio collapse.
+        if total == 0.0:
+            return {name: 0.0 for name in self.phase_seconds}
+        return {name: t / total for name, t in self.phase_seconds.items()}
 
 
 @dataclass
@@ -414,30 +463,28 @@ def run_strategy(
     batch_size: int,
     cluster: Optional[ClusterConfig] = None,
     profile: ComputeProfile = ZERO_COMPUTE,
-    compress_gradients: bool = False,
     stream: Optional[StreamProfile] = None,
     eval_every: Optional[int] = None,
     tracer: Optional[Tracer] = None,
     seed: int = 0,
     options: Optional[Mapping[str, Any]] = None,
-) -> "DistributedRunResult":
+) -> DistributedRunResult:
     """Train replicas of ``build_net(seed)`` under any registered strategy.
 
-    The single entry point behind ``train_distributed``,
-    ``train_hierarchical`` and ``train_async_ps``: builds the cluster,
-    seeds the trainers (collision-free spawn keys), drives one
+    The single training entry point: builds the cluster, seeds the
+    trainers (collision-free spawn keys), drives one
     :func:`_worker_process` per worker plus whatever service processes
     the strategy spawns, and assembles the result — phase breakdown,
     wire accounting, final weights — exactly once.
 
-    ``stream`` selects the codec profile of the gradient traffic;
-    ``compress_gradients`` is the deprecated boolean alias for the
-    cluster's default profile.  ``options`` is the strategy's keyword
-    namespace (``sync_period``, ``staleness_bound``, ``layout``,
-    ``compute_jitter``, ...).
+    ``stream`` selects the codec profile of the gradient traffic; a
+    compressing stream needs NIC engines, i.e. a ``cluster`` built with
+    ``ClusterConfig(profile=stream)``.  In the WA family only the
+    gradient (up) leg can compress — weights are loss-intolerant (paper
+    Fig 4) — while the ring compresses every hop.  ``options`` is the
+    strategy's keyword namespace (``sync_period``, ``staleness_bound``,
+    ``layout``, ``max_staleness``, ``compute_jitter``, ...).
     """
-    from .cluster import DistributedRunResult
-
     strat = get_strategy(strategy) if isinstance(strategy, str) else strategy
     opts: Mapping[str, Any] = dict(options or {})
     if num_workers < 2:
@@ -457,8 +504,11 @@ def run_strategy(
             "agg_site='switch' only applies to the worker-aggregator "
             "family"
         )
-    if stream is None and compress_gradients:
-        stream = comm.default_profile
+    if stream is not None and stream.compressing and not comm.compression_active():
+        raise ValueError(
+            f"stream codec {stream.codec!r} compresses but the cluster has no NIC "
+            "engines; pass cluster=ClusterConfig(..., profile=stream)"
+        )
 
     # Identical replicas: every worker builds from the same seed; data
     # streams derive from collision-free spawn keys.

@@ -7,8 +7,8 @@ compressed gradient payloads into a running partial sum held in SRAM.
 Operand bursts stream in one 256-bit beat per cycle per lane, so one
 reduction costs one beat per input burst (divided across ``lanes``)
 plus the adder pipeline drain — the same burst/pipeline accounting
-shape as the compression engines, which keeps engine comparisons in
-``repro bench`` apples-to-apples.
+shape as the compression engines, which keeps engine comparisons
+apples-to-apples.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ bandwidth-bound) and inference-style serving (request/response pairs,
 latency-bound).  Each tenant's flows carry a dedicated ToS byte, so
 per-ToS prioritization at :class:`~repro.network.priority.PriorityLink`
 queues can protect (or not) the foreground stream — the Fig 15-style
-contention sweep in ``repro bench``.
+contention sweep of the ``exchange_packet`` perfbench workload.
 
 Invariants this module maintains:
 

@@ -27,7 +27,6 @@ from .estimator import (
 from .exchange import (
     ExchangeResult,
     measure_compression_ratio,
-    measure_profile_ratio,
     simulate_ring_exchange,
     simulate_wa_exchange,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "fig12_estimates",
     "ExchangeResult",
     "measure_compression_ratio",
-    "measure_profile_ratio",
     "simulate_ring_exchange",
     "simulate_wa_exchange",
     "FlowFabric",

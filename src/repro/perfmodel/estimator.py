@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core import ErrorBound
+from repro.core import ErrorBound, inceptionn_profile
 from repro.core.bounds import DEFAULT_BOUND
 from repro.dnn.models import PAPER_MODELS
 
@@ -55,10 +55,10 @@ def estimate_iteration_time(
         )
     spec = PAPER_MODELS[model_name]
     profile = compute_profile_for(model_name)
-    compressed = configuration.endswith("+C")
-    ratio = (
-        measure_compression_ratio(spec, bound) if compressed else None
-    )
+    stream = ratio = None
+    if configuration.endswith("+C"):
+        stream = inceptionn_profile(bound)
+        ratio = measure_compression_ratio(spec, bound)
     simulate = (
         simulate_wa_exchange
         if configuration.startswith("WA")
@@ -70,7 +70,7 @@ def estimate_iteration_time(
         iterations=sim_iterations,
         bandwidth_bps=bandwidth_bps,
         profile=profile,
-        compress_gradients=compressed,
+        stream=stream,
         gradient_ratio=ratio,
         bound=bound,
         include_local_compute=True,

@@ -18,12 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core import (
-    ErrorBound,
-    StreamProfile,
-    compression_ratio,
-    inceptionn_profile,
-)
+from repro.core import ErrorBound, StreamProfile, compression_ratio
 from repro.core.bounds import DEFAULT_BOUND
 from repro.distributed.node import (
     ComputeProfile,
@@ -55,20 +50,6 @@ def measure_compression_ratio(
     rng = np.random.default_rng(seed)
     sample = spec.synthetic_gradients(rng, size=RATIO_SAMPLE_VALUES)
     return compression_ratio(sample, bound)
-
-
-def measure_profile_ratio(
-    stream: StreamProfile,
-    sample: Optional[np.ndarray] = None,
-    seed: int = 0,
-) -> float:
-    """Compression ratio of a stream profile's codec on sampled gradients.
-
-    Thin alias of :func:`repro.transport.wire.measure_stream_ratio`,
-    kept here because perfmodel callers historically import it from this
-    module.
-    """
-    return measure_stream_ratio(stream, sample=sample, seed=seed)
 
 
 @dataclass
@@ -207,7 +188,6 @@ def simulate_wa_exchange(
     iterations: int = 1,
     bandwidth_bps: float = 10e9,
     profile: ComputeProfile = ZERO_COMPUTE,
-    compress_gradients: bool = False,
     stream: Optional[StreamProfile] = None,
     gradient_ratio: Optional[float] = None,
     bound: ErrorBound = DEFAULT_BOUND,
@@ -226,13 +206,10 @@ def simulate_wa_exchange(
 ) -> ExchangeResult:
     """Worker-aggregator iterations: gather g up, sum, update, scatter w.
 
-    Only the gradient leg may compress (``stream``, or the convenience
-    ``compress_gradients`` flag which resolves to the INCEPTIONN
-    profile at ``bound``); the weight leg is always raw.  With a
-    compressing stream and no ``gradient_ratio``, the codec's ratio is
-    measured on a sampled gradient — including when the stream came
-    from ``compress_gradients=True`` (historically that path silently
-    simulated uncompressed traffic).  ``include_local_compute``
+    Only the gradient leg may compress (``stream``); the weight leg is
+    always raw.  With a compressing stream and no ``gradient_ratio``,
+    the codec's ratio is measured on a sampled gradient.
+    ``include_local_compute``
     prepends each iteration's forward/backward/copy time (for
     full-iteration studies like Table II); exchange-only studies
     (Fig 15) leave it off.  ``fidelity="flow"`` switches to the
@@ -254,10 +231,8 @@ def simulate_wa_exchange(
     if num_workers < 2:
         raise ValueError("need at least two workers")
     aggregator = num_workers
-    if stream is None and compress_gradients:
-        stream = inceptionn_profile(bound)
     if stream is not None and gradient_ratio is None:
-        gradient_ratio = measure_profile_ratio(stream)
+        gradient_ratio = measure_stream_ratio(stream)
     if fidelity == "flow":
         _check_flow_supported(
             tracer,
@@ -405,7 +380,6 @@ def simulate_ring_exchange(
     iterations: int = 1,
     bandwidth_bps: float = 10e9,
     profile: ComputeProfile = ZERO_COMPUTE,
-    compress_gradients: bool = False,
     stream: Optional[StreamProfile] = None,
     gradient_ratio: Optional[float] = None,
     bound: ErrorBound = DEFAULT_BOUND,
@@ -425,8 +399,7 @@ def simulate_ring_exchange(
     """Ring iterations at paper scale (every hop on the gradient stream).
 
     ``stream`` selects the codec profile (any registered codec); with no
-    ``gradient_ratio`` its ratio is measured on a sampled gradient —
-    including the stream ``compress_gradients=True`` resolves to.
+    ``gradient_ratio`` its ratio is measured on a sampled gradient.
     ``fidelity="flow"`` switches to the vectorized flow-level model
     (:mod:`repro.perfmodel.flowsim`), which on the ring's
     contention-free star fabric reproduces packet timing to
@@ -445,10 +418,8 @@ def simulate_ring_exchange(
         )
     if num_workers < 2:
         raise ValueError("need at least two workers")
-    if stream is None and compress_gradients:
-        stream = inceptionn_profile(bound)
     if stream is not None and gradient_ratio is None:
-        gradient_ratio = measure_profile_ratio(stream)
+        gradient_ratio = measure_stream_ratio(stream)
     if fidelity == "flow":
         _check_flow_supported(
             tracer, loss_rate, retransmit, topology, tenants, prioritize

@@ -266,8 +266,7 @@ def simulate_ring_exchange_flow(
     """Flow-level replica of :func:`repro.perfmodel.exchange.simulate_ring_exchange`.
 
     ``stream`` and ``gradient_ratio`` arrive already resolved (the
-    packet-mode wrapper owns the ``compress_gradients`` convenience flag
-    and the ratio measurement).
+    packet-mode wrapper owns the ratio measurement).
     """
     from .exchange import ExchangeResult
 

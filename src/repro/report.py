@@ -34,7 +34,7 @@ def json_safe(obj: Any) -> Any:
 
     ``wire_ratio`` (and friends) legitimately evaluate to ``inf`` on
     zero-byte transfers, but ``json.dumps`` would emit the non-standard
-    ``Infinity`` token that strict parsers reject.  All report/bench
+    ``Infinity`` token that strict parsers reject.  All report
     JSON is routed through here so non-finite values become ``null``.
     Numpy scalars are converted to native Python numbers on the way.
     """

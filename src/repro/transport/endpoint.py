@@ -9,20 +9,17 @@ the stream's codec reconstructs (lossy when compression is on), and the
 sizes — the functional and timing domains stay coupled.
 
 Which codec (and ToS byte) a message uses is a per-stream property: a
-:class:`repro.core.StreamProfile` passed to ``isend``.  The historical
-``compressible`` boolean survives only as a deprecated keyword alias
-that maps to the cluster's default profile.
+:class:`repro.core.StreamProfile` passed to ``isend``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import ErrorBound, RAW_STREAM, StreamProfile, inceptionn_profile
+from repro.core import ErrorBound, RAW_STREAM, StreamProfile
 from repro.core.bounds import DEFAULT_BOUND
 from repro.hardware.nic import InceptionnNic
 from repro.hardware.timing import engine_latency_s, engine_throughput_bps
@@ -36,7 +33,6 @@ from repro.network import (
     RetransmitPolicy,
     Simulation,
     Store,
-    SwitchedStar,
     TenantSpec,
     TieBreak,
     build_topology,
@@ -123,14 +119,11 @@ class ClusterConfig:
     """Knobs of a simulated training cluster's communication plane.
 
     ``profile`` selects the default stream profile applied to gradient
-    traffic (and implies NIC engines on every node).  ``compression`` is
-    the deprecated boolean shim: ``True`` maps to the default INCEPTIONN
-    profile at ``bound``, exactly the paper's ToS-0x28 contract.
+    traffic (and implies NIC engines on every node).
     """
 
     num_nodes: int
     bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS
-    compression: bool = False
     bound: ErrorBound = DEFAULT_BOUND
     engine_blocks: int = 8
     engine_clock_hz: float = 100e6
@@ -149,8 +142,7 @@ class ClusterConfig:
     #: :class:`~repro.network.SeededTieBreak` to surface order races.
     tie_break: Optional[TieBreak] = None
     #: Fabric spec for :func:`repro.network.build_topology`
-    #: (e.g. ``"fat-tree:k=4"``); ``None`` keeps the paper's switched
-    #: star on exactly the historical construction path (bit-exact).
+    #: (e.g. ``"fat-tree:k=4"``); ``None`` is the paper's switched star.
     topology: Optional[str] = None
     #: Background tenants placed on the fabric's spare host ports
     #: (empty = the training job has the network to itself).
@@ -171,21 +163,10 @@ class ClusterConfig:
 
     def __post_init__(self) -> None:
         validate_agg_site(self.agg_site)
-        if self.compression:
-            warnings.warn(
-                "ClusterConfig(compression=True) is deprecated; pass "
-                "profile=inceptionn_profile(bound) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
 
     def default_profile(self) -> StreamProfile:
-        """The profile ``compressible``-style callers resolve to."""
-        if self.profile is not None:
-            return self.profile
-        if self.compression:
-            return inceptionn_profile(self.bound)
-        return RAW_STREAM
+        """The gradient-stream profile (raw when none is configured)."""
+        return self.profile if self.profile is not None else RAW_STREAM
 
 
 class ClusterComm:
@@ -198,28 +179,16 @@ class ClusterComm:
         self.tracer = tracer
         self.default_profile = config.default_profile()
         self.sim = Simulation(tie_break=config.tie_break)
-        self.topology: Topology
-        if config.topology is None:
-            # The historical construction path, kept verbatim so the
-            # default star fabric stays bit-exact.
-            self.topology = SwitchedStar(
-                self.sim,
-                config.num_nodes,
-                bandwidth_bps=config.bandwidth_bps,
-                link_latency_s=config.link_latency_s,
-                switch_delay_s=config.switch_delay_s,
-            )
-        else:
-            self.topology = build_topology(
-                config.topology,
-                self.sim,
-                config.num_nodes,
-                bandwidth_bps=config.bandwidth_bps,
-                link_latency_s=config.link_latency_s,
-                switch_delay_s=config.switch_delay_s,
-            )
+        self.topology: Topology = build_topology(
+            config.topology,
+            self.sim,
+            config.num_nodes,
+            bandwidth_bps=config.bandwidth_bps,
+            link_latency_s=config.link_latency_s,
+            switch_delay_s=config.switch_delay_s,
+        )
         nic = NicTimingModel(
-            compression=config.compression or config.profile is not None,
+            compression=config.profile is not None,
             engine_latency_s=engine_latency_s(config.engine_clock_hz),
             engine_throughput_bps=engine_throughput_bps(
                 config.engine_blocks, config.engine_clock_hz
@@ -329,7 +298,7 @@ class ClusterComm:
 
     def compression_active(self) -> bool:
         """Engines present on (all) NICs?"""
-        return self.config.compression or self.config.profile is not None
+        return self.config.profile is not None
 
     def transfer_summary(self) -> TransferSummary:
         """Aggregate wire statistics of every message sent so far."""
@@ -399,30 +368,6 @@ class Endpoint:
             expected += 1
         self._next_seq[src] = expected
 
-    def _resolve_profile(
-        self,
-        profile: Optional[StreamProfile],
-        compressible: Optional[bool],
-    ) -> StreamProfile:
-        """Map the caller's stream selection to a concrete profile.
-
-        An explicit ``profile`` wins; the deprecated ``compressible``
-        flag resolves to the cluster's default profile (the INCEPTIONN
-        ToS-0x28 stream under the legacy ``compression`` shim).
-        """
-        if compressible is not None:
-            warnings.warn(
-                "the compressible= keyword is deprecated; pass a "
-                "StreamProfile via profile= instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        if profile is not None:
-            return profile
-        if compressible:
-            return self.comm.default_profile
-        return RAW_STREAM
-
     def _trace_codec(
         self,
         tracer: Tracer,
@@ -466,7 +411,6 @@ class Endpoint:
         nbytes: Optional[int] = None,
         profile: Optional[StreamProfile] = None,
         ratio: Optional[float] = None,
-        compressible: Optional[bool] = None,
     ) -> WireMessage:
         """Build this node's wire representation of one send.
 
@@ -475,11 +419,10 @@ class Endpoint:
         Functional sends pass ``array``; paper-scale timing sends pass
         ``nbytes`` plus an optional measured ``ratio``.
         """
-        stream = self._resolve_profile(profile, compressible)
         return build_wire_message(
             self.node_id,
             dst,
-            stream=stream,
+            stream=profile if profile is not None else RAW_STREAM,
             array=array,
             nbytes=nbytes,
             nic=self.comm.nics[self.node_id],
@@ -545,21 +488,15 @@ class Endpoint:
         dst: int,
         array: np.ndarray,
         profile: Optional[StreamProfile] = None,
-        compressible: Optional[bool] = None,
     ) -> Event:
         """Non-blocking send; returns the delivery event.
 
         With a compressing ``profile`` and engines present, the array is
         passed through the profile's codec: the receiver sees the lossy
         reconstruction and the wire carries the measured compressed
-        bytes under the codec's ToS byte.  ``compressible`` is the
-        deprecated boolean alias for the cluster default profile.
+        bytes under the codec's ToS byte.
         """
-        return self.isend_message(
-            self.build_message(
-                dst, array, profile=profile, compressible=compressible
-            )
-        )
+        return self.isend_message(self.build_message(dst, array, profile=profile))
 
     def recv(self, src: int) -> Event:
         """Event yielding the next array sent by ``src`` to this node."""

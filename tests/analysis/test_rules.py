@@ -7,10 +7,8 @@ import pytest
 from repro.analysis.rules.agg_site import AggregationSiteRule
 from repro.analysis.rules.annotations import AnnotationsRule
 from repro.analysis.rules.bits import BitAccountingRule
-from repro.analysis.rules.deprecated import DeprecatedApiRule
 from repro.analysis.rules.dtype import DtypeDisciplineRule
 from repro.analysis.rules.registry_tos import RegistryTosRule
-from repro.analysis.rules.retired import RetiredApiRule
 from repro.analysis.rules.strategy_calls import StrategyCallsRule
 
 
@@ -84,65 +82,6 @@ class TestDtypeDiscipline:
             g = np.zeros(10)
             """,
             rules=[DtypeDisciplineRule()],
-        )
-        assert findings == []
-
-
-class TestDeprecatedApi:
-    def test_flags_compressible_kwarg(self, lint_snippet):
-        findings = lint_snippet(
-            "distributed/x.py",
-            """
-            def go(ep):
-                ep.isend(1, data, compressible=True)
-            """,
-            rules=[DeprecatedApiRule()],
-        )
-        assert codes(findings) == ["R2"]
-        assert "compressible" in findings[0].message
-
-    def test_flags_cluster_config_compression(self, lint_snippet):
-        findings = lint_snippet(
-            "perfmodel/x.py",
-            """
-            config = ClusterConfig(num_nodes=4, compression=True)
-            """,
-            rules=[DeprecatedApiRule()],
-        )
-        assert codes(findings) == ["R2"]
-
-    def test_other_compression_kwargs_allowed(self, lint_snippet):
-        # NicTimingModel(compression=...) is a live hardware flag, not
-        # the deprecated shim.
-        findings = lint_snippet(
-            "network/x.py",
-            """
-            nic = NicTimingModel(compression=True)
-            nics = uniform_nics(4, compression=False)
-            """,
-            rules=[DeprecatedApiRule()],
-        )
-        assert findings == []
-
-    def test_shim_module_is_exempt(self, lint_snippet):
-        findings = lint_snippet(
-            "transport/endpoint.py",
-            """
-            def isend(self, dst, array, compressible=None):
-                return self._send(dst, array, compressible=compressible)
-            """,
-            rules=[DeprecatedApiRule()],
-        )
-        assert findings == []
-
-    def test_profile_api_not_flagged(self, lint_snippet):
-        findings = lint_snippet(
-            "distributed/x.py",
-            """
-            def go(ep, stream):
-                ep.isend(1, data, profile=stream)
-            """,
-            rules=[DeprecatedApiRule()],
         )
         assert findings == []
 
@@ -486,70 +425,6 @@ class TestAnnotations:
         )
         assert codes(findings) == ["R5"]
         assert "docstring" in findings[0].message
-
-
-class TestRetiredApi:
-    def test_flags_isend_sized_call(self, lint_snippet):
-        findings = lint_snippet(
-            "distributed/x.py",
-            """
-            def go(ep):
-                ep.isend_sized(1, 1000)
-            """,
-            rules=[RetiredApiRule()],
-        )
-        assert codes(findings) == ["R6"]
-        assert "WireMessage" in findings[0].message
-
-    def test_flags_bare_name_call(self, lint_snippet):
-        findings = lint_snippet(
-            "perfmodel/x.py",
-            """
-            def go(isend_sized):
-                isend_sized(1, 1000)
-            """,
-            rules=[RetiredApiRule()],
-        )
-        assert codes(findings) == ["R6"]
-
-    def test_flags_compression_ratio_keyword(self, lint_snippet):
-        findings = lint_snippet(
-            "perfmodel/x.py",
-            """
-            def go(ep, stream):
-                ep.build_message(1, nbytes=100, compression_ratio=4.0)
-            """,
-            rules=[RetiredApiRule()],
-        )
-        assert codes(findings) == ["R6"]
-        assert "ratio=" in findings[0].message
-
-    def test_positional_compression_ratio_function_allowed(self, lint_snippet):
-        # The statistics helper takes positional args; only the retired
-        # keyword form is banned.
-        findings = lint_snippet(
-            "core/x.py",
-            """
-            from repro.core import compression_ratio
-
-            def stats(values, bound):
-                return compression_ratio(values, bound)
-            """,
-            rules=[RetiredApiRule()],
-        )
-        assert findings == []
-
-    def test_new_builder_api_allowed(self, lint_snippet):
-        findings = lint_snippet(
-            "distributed/x.py",
-            """
-            def go(ep, stream):
-                msg = ep.build_message(1, nbytes=1000, profile=stream, ratio=4.0)
-                return ep.isend_message(msg)
-            """,
-            rules=[RetiredApiRule()],
-        )
-        assert findings == []
 
 
 STRATEGY_PLUGIN = """

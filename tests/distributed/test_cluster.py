@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from repro.core import inceptionn_profile
-from repro.distributed import ComputeProfile, train_distributed
+from repro.distributed import ComputeProfile, run_strategy
 from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
 from repro.transport import ClusterConfig
 
 
-def _run(algorithm, iterations=12, compression=False, compress_gradients=False,
+def _run(algorithm, iterations=12, compression=False, engines=True,
          num_workers=4, profile=None, seed=0, bandwidth=10e9):
     num_nodes = num_workers + 1 if algorithm == "wa" else num_workers
     stream = inceptionn_profile() if compression else None
-    return train_distributed(
-        algorithm=algorithm,
+    return run_strategy(
+        algorithm,
         build_net=lambda s: build_hdc(seed=s),
         make_optimizer=lambda: SGD(LRSchedule(0.02), momentum=0.9),
         dataset=hdc_dataset(train_size=400, test_size=100, seed=0),
@@ -22,10 +22,12 @@ def _run(algorithm, iterations=12, compression=False, compress_gradients=False,
         iterations=iterations,
         batch_size=16,
         cluster=ClusterConfig(
-            num_nodes=num_nodes, bandwidth_bps=bandwidth, profile=stream
+            num_nodes=num_nodes,
+            bandwidth_bps=bandwidth,
+            profile=stream if engines else None,
         ),
         profile=profile or ComputeProfile(),
-        compress_gradients=compress_gradients,
+        stream=stream,
         seed=seed,
     )
 
@@ -53,17 +55,17 @@ def test_ring_faster_than_wa_same_iterations():
 
 def test_compression_reduces_ring_time():
     plain = _run("ring", iterations=6, bandwidth=1e9)
-    comp = _run(
-        "ring", iterations=6, bandwidth=1e9,
-        compression=True, compress_gradients=True,
-    )
+    comp = _run("ring", iterations=6, bandwidth=1e9, compression=True)
     assert comp.virtual_time_s < plain.virtual_time_s
+    assert comp.transfers.wire_ratio > 1.5
+    # The same stream on a cluster without NIC engines used to train
+    # uncompressed without a word; it must name the fix instead.
+    with pytest.raises(ValueError, match=r"ClusterConfig\(.*profile=stream\)"):
+        _run("ring", iterations=1, compression=True, engines=False)
 
 
 def test_compressed_training_still_learns():
-    result = _run(
-        "ring", iterations=40, compression=True, compress_gradients=True
-    )
+    result = _run("ring", iterations=40, compression=True)
     baseline = _run("ring", iterations=40)
     assert result.losses[-1] < result.losses[0]
     assert result.final_top1 > baseline.final_top1 - 0.1
@@ -71,10 +73,7 @@ def test_compressed_training_still_learns():
 
 def test_wa_compression_only_helps_gradient_leg():
     plain = _run("wa", iterations=6, bandwidth=1e9)
-    comp = _run(
-        "wa", iterations=6, bandwidth=1e9,
-        compression=True, compress_gradients=True,
-    )
+    comp = _run("wa", iterations=6, bandwidth=1e9, compression=True)
     # Some gain (the up leg shrinks) but bounded: the weight leg is
     # incompressible, so less than half the traffic can shrink.
     assert comp.virtual_time_s < plain.virtual_time_s
@@ -111,8 +110,8 @@ def test_too_few_workers_rejected():
 
 
 def test_eval_checkpoints_recorded():
-    result = train_distributed(
-        algorithm="ring",
+    result = run_strategy(
+        "ring",
         build_net=lambda s: build_hdc(seed=s),
         make_optimizer=lambda: SGD(LRSchedule(0.02), momentum=0.9),
         dataset=hdc_dataset(train_size=200, test_size=50, seed=0),

@@ -6,7 +6,6 @@ import numpy as np
 from repro.distributed import (
     ComputeProfile,
     run_strategy,
-    train_distributed,
 )
 from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
 from repro.transport import ClusterConfig
@@ -50,8 +49,8 @@ def test_h1_is_the_synchronous_ring():
     # by momentum linearity the trajectories coincide, so the final
     # weights agree to float reordering noise.
     iterations = 10
-    ring = train_distributed(
-        algorithm="ring",
+    ring = run_strategy(
+        "ring",
         iterations=iterations,
         cluster=ClusterConfig(num_nodes=WORKERS),
         **_common(),
@@ -86,8 +85,8 @@ def test_h4_learns_and_syncs_every_fourth_iteration():
 
 def test_h4_moves_a_quarter_of_the_ring_wire_bytes():
     iterations = 8
-    ring = train_distributed(
-        algorithm="ring",
+    ring = run_strategy(
+        "ring",
         iterations=iterations,
         cluster=ClusterConfig(num_nodes=WORKERS),
         **_common(),

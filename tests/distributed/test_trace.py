@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from repro.core import inceptionn_profile
-from repro.distributed import ComputeProfile, GroupLayout, train_distributed
-from repro.distributed.async_ps import train_async_ps
-from repro.distributed.cluster import PHASE_NAMES
-from repro.distributed.hierarchy import train_hierarchical
+from repro.distributed import (
+    PHASE_NAMES,
+    ComputeProfile,
+    GroupLayout,
+    run_strategy,
+)
 from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
 from repro.obs import CAT_ASYNC, CAT_HIER, CAT_MESSAGE, CAT_RING, Tracer
 from repro.transport import ClusterConfig
@@ -29,8 +31,8 @@ PROFILE = ComputeProfile(
 def _run(algorithm, tracer=None, iterations=6, compression=False, workers=4):
     num_nodes = workers + 1 if algorithm == "wa" else workers
     stream = inceptionn_profile() if compression else None
-    return train_distributed(
-        algorithm=algorithm,
+    return run_strategy(
+        algorithm,
         build_net=lambda s: build_hdc(seed=s),
         make_optimizer=lambda: SGD(LRSchedule(0.02), momentum=0.9),
         dataset=hdc_dataset(train_size=200, test_size=50, seed=0),
@@ -86,16 +88,18 @@ def test_compressed_run_traces_compressed_messages():
 
 def test_hierarchical_run_records_levels():
     tracer = Tracer()
-    result = train_hierarchical(
+    result = run_strategy(
+        "hierarchy",
         build_net=lambda s: build_hdc(seed=s),
         make_optimizer=lambda: SGD(LRSchedule(0.02), momentum=0.9),
         dataset=hdc_dataset(train_size=200, test_size=50, seed=0),
-        layout=GroupLayout.even(4, 2),
+        num_workers=4,
         iterations=2,
         batch_size=16,
         profile=PROFILE,
         tracer=tracer,
         seed=0,
+        options={"layout": GroupLayout.even(4, 2)},
     )
     assert result.virtual_time_s > 0
     assert tracer.count(CAT_HIER, "hier.group_ring") > 0
@@ -106,21 +110,23 @@ def test_hierarchical_run_records_levels():
 def test_async_run_records_rounds_and_staleness():
     tracer = Tracer()
     workers, iterations = 3, 4
-    result = train_async_ps(
+    result = run_strategy(
+        "async_ps",
         build_net=lambda s: build_hdc(seed=s),
         make_optimizer=lambda: SGD(LRSchedule(0.02), momentum=0.9),
         dataset=hdc_dataset(train_size=200, test_size=50, seed=0),
         num_workers=workers,
-        iterations_per_worker=iterations,
+        iterations=iterations,
         batch_size=16,
         profile=PROFILE,
-        compute_jitter=0.3,
         tracer=tracer,
         seed=0,
+        options={"compute_jitter": 0.3},
     )
+    staleness = result.report.extras["staleness"]
     assert tracer.count(CAT_ASYNC, "async.round") == workers * iterations
     applies = list(tracer.events_in(CAT_ASYNC, "async.apply"))
     assert len(applies) == workers * iterations
-    assert [e.args["staleness"] for e in applies] == result.staleness
+    assert [e.args["staleness"] for e in applies] == staleness
     hist = tracer.metrics.snapshot()["histograms"]["staleness"]
-    assert hist["count"] == len(result.staleness)
+    assert hist["count"] == len(staleness)

@@ -3,22 +3,24 @@
 import pytest
 
 from repro.core import inceptionn_profile
-from repro.distributed import GroupLayout, train_distributed, train_hierarchical
+from repro.distributed import GroupLayout, run_strategy
 from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
 from repro.transport import ClusterConfig
 
 
 def _run_hier(num_nodes=4, group_size=2, iterations=15, compression=False):
     stream = inceptionn_profile() if compression else None
-    return train_hierarchical(
+    return run_strategy(
+        "hierarchy",
         build_net=lambda s: build_hdc(seed=s),
         make_optimizer=lambda: SGD(LRSchedule(0.02), momentum=0.9),
         dataset=hdc_dataset(train_size=400, test_size=100, seed=0),
-        layout=GroupLayout.even(num_nodes, group_size),
+        num_workers=num_nodes,
         iterations=iterations,
         batch_size=16,
         cluster=ClusterConfig(num_nodes=num_nodes, profile=stream),
         stream=stream,
+        options={"layout": GroupLayout.even(num_nodes, group_size)},
     )
 
 
@@ -31,8 +33,8 @@ def test_hierarchical_training_learns():
 
 def test_matches_flat_ring_learning_curve():
     hier = _run_hier(num_nodes=4, group_size=2, iterations=20)
-    flat = train_distributed(
-        algorithm="ring",
+    flat = run_strategy(
+        "ring",
         build_net=lambda s: build_hdc(seed=s),
         make_optimizer=lambda: SGD(LRSchedule(0.02), momentum=0.9),
         dataset=hdc_dataset(train_size=400, test_size=100, seed=0),
@@ -59,12 +61,14 @@ def test_eight_nodes_two_groups():
 
 def test_layout_mismatch_rejected():
     with pytest.raises(ValueError):
-        train_hierarchical(
+        run_strategy(
+            "hierarchy",
             build_net=lambda s: build_hdc(seed=s),
             make_optimizer=lambda: SGD(LRSchedule(0.02)),
             dataset=hdc_dataset(train_size=100, test_size=20, seed=0),
-            layout=GroupLayout.even(4, 2),
+            num_workers=4,
             iterations=2,
             batch_size=8,
             cluster=ClusterConfig(num_nodes=6),
+            options={"layout": GroupLayout.even(4, 2)},
         )

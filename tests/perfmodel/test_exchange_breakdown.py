@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ErrorBound
+from repro.core import ErrorBound, inceptionn_profile
 from repro.perfmodel import (
     CONFIGURATIONS,
     CostParameters,
@@ -82,13 +82,14 @@ class TestExchangeSimulation:
     def test_compression_helps_ring_more_than_wa(self):
         n = 98 * MB
         ratio = 10.0
+        stream = inceptionn_profile()
         wa_plain = simulate_wa_exchange(4, n).total_s
         wa_comp = simulate_wa_exchange(
-            4, n, compress_gradients=True, gradient_ratio=ratio
+            4, n, stream=stream, gradient_ratio=ratio
         ).total_s
         ring_plain = simulate_ring_exchange(4, n).total_s
         ring_comp = simulate_ring_exchange(
-            4, n, compress_gradients=True, gradient_ratio=ratio
+            4, n, stream=stream, gradient_ratio=ratio
         ).total_s
         wa_gain = wa_plain / wa_comp
         ring_gain = ring_plain / ring_comp

@@ -59,7 +59,7 @@ def test_per_iteration_property():
 
 def test_ring_compression_needs_engines_to_matter():
     plain = simulate_ring_exchange(4, 16 * MB).total_s
-    # compress_gradients=False ignores the ratio entirely.
+    # Without a compressing stream the ratio is ignored entirely.
     same = simulate_ring_exchange(4, 16 * MB, gradient_ratio=10.0).total_s
     assert same == pytest.approx(plain, rel=1e-6)
 

@@ -40,7 +40,7 @@ class TestFlowPacketParity:
             workers,
             2_000_000,
             iterations=2,
-            compress_gradients=compress,
+            stream=inceptionn_profile() if compress else None,
         )
         assert flow.total_s == pytest.approx(packet.total_s, rel=TOL)
         assert flow.sent_nbytes == packet.sent_nbytes
@@ -52,7 +52,7 @@ class TestFlowPacketParity:
         # > ~6.4 MB splits messages into several 4400-packet trains,
         # exercising the cut-through pipelining arithmetic.
         packet, flow = _both(
-            simulate, 3, 20_000_000, compress_gradients=True
+            simulate, 3, 20_000_000, stream=inceptionn_profile()
         )
         assert flow.total_s == pytest.approx(packet.total_s, rel=TOL)
         assert flow.wire_payload_nbytes == packet.wire_payload_nbytes
@@ -63,16 +63,6 @@ class TestFlowPacketParity:
         assert flow.total_s == pytest.approx(packet.total_s, rel=TOL)
         assert flow.wire_ratio == pytest.approx(packet.wire_ratio, rel=TOL)
 
-    def test_flow_compress_flag_equals_stream(self):
-        flagged = simulate_ring_exchange(
-            4, 2_000_000, compress_gradients=True, fidelity="flow"
-        )
-        streamed = simulate_ring_exchange(
-            4, 2_000_000, stream=inceptionn_profile(), fidelity="flow"
-        )
-        assert flagged.total_s == streamed.total_s
-        assert flagged.wire_payload_nbytes == streamed.wire_payload_nbytes
-
 
 class TestFlowScaling:
     def test_1024_worker_ring_sweep_is_fast(self):
@@ -80,7 +70,7 @@ class TestFlowScaling:
         # completes in seconds, not hours.
         t0 = time.perf_counter()
         result = simulate_ring_exchange(
-            1024, 100_000_000, compress_gradients=True, fidelity="flow"
+            1024, 100_000_000, stream=inceptionn_profile(), fidelity="flow"
         )
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0
@@ -90,7 +80,7 @@ class TestFlowScaling:
     def test_flow_scaling_is_monotonic_in_workers(self):
         totals = [
             simulate_wa_exchange(
-                p, 10_000_000, compress_gradients=True, fidelity="flow"
+                p, 10_000_000, stream=inceptionn_profile(), fidelity="flow"
             ).total_s
             for p in (4, 8, 16)
         ]

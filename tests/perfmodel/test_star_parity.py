@@ -10,6 +10,7 @@ bit-for-bit — any drift means the refactor changed single-tier timing.
 
 import pytest
 
+from repro.core import inceptionn_profile
 from repro.perfmodel import simulate_ring_exchange, simulate_wa_exchange
 
 NBYTES = 2_000_000
@@ -36,7 +37,7 @@ def test_star_path_is_bit_exact(algo, workers, compress, topology):
         workers,
         NBYTES,
         iterations=1,
-        compress_gradients=compress,
+        stream=inceptionn_profile() if compress else None,
         topology=topology,
     )
     assert result.total_s.hex() == pin_hex
@@ -46,9 +47,8 @@ def test_star_path_is_bit_exact(algo, workers, compress, topology):
 
 
 def test_default_and_explicit_star_identical_with_codec():
-    implicit = simulate_ring_exchange(4, NBYTES, compress_gradients=True)
-    explicit = simulate_ring_exchange(
-        4, NBYTES, compress_gradients=True, topology="star"
-    )
+    stream = inceptionn_profile()
+    implicit = simulate_ring_exchange(4, NBYTES, stream=stream)
+    explicit = simulate_ring_exchange(4, NBYTES, stream=stream, topology="star")
     assert implicit.total_s == explicit.total_s
     assert implicit.wire_payload_nbytes == explicit.wire_payload_nbytes

@@ -58,7 +58,7 @@ def test_simulate_prints_times(capsys):
 
 def test_train_smoke(capsys):
     assert main(
-        ["train", "--algorithm", "ring", "--iterations", "5", "--workers", "2"]
+        ["train", "--strategy", "ring", "--iterations", "5", "--workers", "2"]
     ) == 0
     out = capsys.readouterr().out
     assert "top-1" in out
@@ -173,11 +173,15 @@ def test_train_unknown_strategy_rejected():
         main(["train", "--strategy", "bogus", "--iterations", "2"])
 
 
-def test_train_legacy_algorithm_alias_still_works(capsys):
+def test_train_strategy_is_the_only_selector(capsys):
     assert main([
-        "train", "--algorithm", "wa", "--iterations", "3", "--workers", "2",
+        "train", "--strategy", "wa", "--iterations", "3", "--workers", "2",
     ]) == 0
     assert capsys.readouterr().out.startswith("wa")
+    for removed in (["train", "--algorithm", "wa"], ["bench"]):
+        with pytest.raises(SystemExit) as usage:
+            main(removed)
+        assert usage.value.code == 2
 
 
 def test_train_lossy_run_defaults_to_retransmission(capsys):

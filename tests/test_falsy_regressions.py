@@ -9,7 +9,7 @@ traffic.
 
 import numpy as np
 
-from repro.distributed.cluster import DistributedRunResult
+from repro.distributed import DistributedRunResult
 from repro.perfmodel.breakdown import Breakdown
 from repro.transport import (
     ClusterComm,

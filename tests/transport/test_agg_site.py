@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import profile_for
-from repro.distributed import train_distributed
+from repro.distributed import run_strategy
 from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
 from repro.transport import (
     AGG_ENDPOINT,
@@ -25,8 +25,8 @@ from repro.transport import (
 def _run(agg_site, codec="lossless_hc", topology="fat-tree:k=4",
          iterations=2, workers=4):
     stream = profile_for(codec) if codec else None
-    return train_distributed(
-        algorithm="wa",
+    return run_strategy(
+        "wa",
         build_net=lambda s: build_hdc(seed=s),
         make_optimizer=lambda: SGD(LRSchedule(0.02), momentum=0.9),
         dataset=hdc_dataset(train_size=120, test_size=40, seed=0),
@@ -100,8 +100,8 @@ class TestRejections:
     def test_ring_strategy_has_no_root(self):
         stream = profile_for("lossless_hc")
         with pytest.raises(ValueError, match="reduction root"):
-            train_distributed(
-                algorithm="ring",
+            run_strategy(
+                "ring",
                 build_net=lambda s: build_hdc(seed=s),
                 make_optimizer=lambda: SGD(LRSchedule(0.02), momentum=0.9),
                 dataset=hdc_dataset(train_size=120, test_size=40, seed=0),

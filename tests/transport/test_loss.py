@@ -136,11 +136,11 @@ class TestOrderedDelivery:
         # End-to-end: a synchronous ring over a dropping fabric must
         # still converge on the exact summed gradients (retransmission
         # is transparent above the transport).
-        from repro.distributed import train_distributed
+        from repro.distributed import run_strategy
         from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
 
-        result = train_distributed(
-            algorithm="ring",
+        result = run_strategy(
+            "ring",
             build_net=lambda s: build_hdc(seed=s),
             make_optimizer=lambda: SGD(LRSchedule(0.02), momentum=0.9),
             dataset=hdc_dataset(train_size=200, test_size=50, seed=0),

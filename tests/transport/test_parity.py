@@ -16,12 +16,9 @@ import pytest
 from repro.core import inceptionn_profile
 from repro.distributed.ring import ring_exchange
 from repro.obs import Tracer
-from repro.perfmodel.exchange import (
-    measure_profile_ratio,
-    simulate_ring_exchange,
-    simulate_wa_exchange,
-)
+from repro.perfmodel.exchange import simulate_ring_exchange, simulate_wa_exchange
 from repro.transport import ClusterComm, ClusterConfig
+from repro.transport.wire import measure_stream_ratio
 
 REL = 1e-6
 
@@ -50,17 +47,11 @@ FUNCTIONAL_PINS = {
     },
 }
 
-#: Sized 4-worker exchanges of a 2 MB gradient at defaults.  The
-#: ``*_compress_flag`` pins equal the ``*_stream`` pins: passing
-#: ``compress_gradients=True`` is defined as shorthand for
-#: ``stream=inceptionn_profile(bound)``, including the measured wire
-#: ratio.  (The original flag pins encoded a bug where the flag path
-#: skipped the ratio measurement and shipped uncompressed bytes.)
+#: Sized 4-worker exchanges of a 2 MB gradient at defaults; the
+#: ``*_stream`` runs include the measured wire ratio.
 SIZED_NBYTES = 2_000_000
 SIZED_PINS = {
-    "ring_compress_flag": 0.0010200819000000007,
     "ring_raw": 0.0025261727999999995,
-    "wa_compress_flag": 0.009243397725000001,
     "wa_raw": 0.013285894399999998,
     "ring_stream": 0.0010200819000000007,
     "wa_stream": 0.009243397725000001,
@@ -127,18 +118,14 @@ class TestFunctionalRingParity:
 
 class TestSizedExchangeParity:
     def test_measured_ratio_pinned(self):
-        assert measure_profile_ratio(inceptionn_profile()) == pytest.approx(
+        assert measure_stream_ratio(inceptionn_profile()) == pytest.approx(
             MEASURED_RATIO, rel=REL
         )
 
     @pytest.mark.parametrize(
         "key, simulate, kwargs",
         [
-            ("ring_compress_flag", simulate_ring_exchange,
-             {"compress_gradients": True}),
             ("ring_raw", simulate_ring_exchange, {}),
-            ("wa_compress_flag", simulate_wa_exchange,
-             {"compress_gradients": True}),
             ("wa_raw", simulate_wa_exchange, {}),
             ("ring_stream", simulate_ring_exchange, {"stream": "INC"}),
             ("wa_stream", simulate_wa_exchange, {"stream": "INC"}),
@@ -150,25 +137,12 @@ class TestSizedExchangeParity:
         result = simulate(4, SIZED_NBYTES, **kwargs)
         assert result.total_s == pytest.approx(SIZED_PINS[key], rel=REL)
 
-    @pytest.mark.parametrize(
-        "simulate", [simulate_ring_exchange, simulate_wa_exchange]
-    )
-    def test_compress_flag_equals_explicit_stream(self, simulate):
-        # Regression: the flag path used to skip the stream-ratio
-        # measurement (it only ran for explicitly passed streams), so
-        # compress_gradients=True silently sent uncompressed bytes.
-        flagged = simulate(4, SIZED_NBYTES, compress_gradients=True)
-        streamed = simulate(4, SIZED_NBYTES, stream=inceptionn_profile())
-        assert flagged.total_s == streamed.total_s
-        assert flagged.sent_nbytes == streamed.sent_nbytes
-        assert flagged.wire_payload_nbytes == streamed.wire_payload_nbytes
-        # Compression actually reached the wire (WA stays below the
-        # codec ratio because its scatter phase ships raw floats).
-        assert flagged.wire_ratio == streamed.wire_ratio > 1.5
-
     def test_stream_exchange_reports_wire_compression(self):
         result = simulate_ring_exchange(
             4, SIZED_NBYTES, stream=inceptionn_profile()
         )
         assert result.wire_ratio == pytest.approx(MEASURED_RATIO, rel=1e-4)
         assert result.wire_payload_nbytes < result.sent_nbytes
+        # WA stays below the codec ratio: its scatter phase ships raw floats.
+        wa = simulate_wa_exchange(4, SIZED_NBYTES, stream=inceptionn_profile())
+        assert 1.5 < wa.wire_ratio < MEASURED_RATIO

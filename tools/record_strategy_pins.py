@@ -1,26 +1,27 @@
 """Record strategy-parity pins from the current tree.
 
-Run this against the *pre-refactor* implementations (the four
-hand-rolled spawn loops) to capture the constants that
-``tests/distributed/test_strategy_parity.py`` asserts the ported
-registry plugins reproduce: final weights (sha256 of node 0's parameter
-vector, bit-exact), wire bytes (exact), and virtual time (1e-6).
+Prints the constants ``tests/distributed/test_strategy_parity.py``
+compares against — wire accounting and virtual time (the exact half),
+weights sum and final loss (the numerical half) — together with the
+python/numpy/BLAS versions they were produced under, so a drift in the
+numerical half can be traced to its environment in one line.
 
 Usage: PYTHONPATH=src python tools/record_strategy_pins.py
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import platform
+
+import numpy as np
 
 from repro.core import inceptionn_profile
 from repro.distributed import (
     ComputeProfile,
+    DistributedRunResult,
     GroupLayout,
-    train_async_ps,
-    train_distributed,
-    train_hierarchical,
+    run_strategy,
 )
 from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
 from repro.transport import ClusterConfig
@@ -35,30 +36,48 @@ PROFILE = ComputeProfile(
 ITERATIONS = 8
 WORKERS = 4
 
+#: strategy -> (service nodes, ``run_strategy`` options).
+SCENARIOS = {
+    "ring": (0, {}),
+    "wa": (1, {}),
+    "hierarchy": (0, {"layout": GroupLayout.even(WORKERS, 2)}),
+    "async_ps": (1, {"compute_jitter": 0.5, "max_staleness": 2}),
+}
 
-def _dataset():
-    return hdc_dataset(train_size=400, test_size=100, seed=0)
 
-
-def _common(compressed: bool):
+def run_scenario(strategy: str, compressed: bool) -> DistributedRunResult:
+    """The pinned scenario — the parity test runs exactly this."""
     stream = inceptionn_profile() if compressed else None
-    return dict(
+    extra_nodes, options = SCENARIOS[strategy]
+    return run_strategy(
+        strategy,
         build_net=lambda s: build_hdc(seed=s),
         make_optimizer=lambda: SGD(LRSchedule(0.02), momentum=0.9),
-        dataset=_dataset(),
+        dataset=hdc_dataset(train_size=400, test_size=100, seed=0),
+        num_workers=WORKERS,
+        iterations=ITERATIONS,
         batch_size=16,
+        cluster=ClusterConfig(num_nodes=WORKERS + extra_nodes, profile=stream),
+        profile=PROFILE,
         stream=stream,
         seed=0,
-    ), stream
+        options=options,
+    )
 
 
-def _pin(result) -> dict:
-    weights = result.final_weights
+def final_loss(strategy: str, result: DistributedRunResult) -> float:
+    # Asynchronous workers drift, so the async pin is the last loss in
+    # completion order rather than a per-iteration mean.
+    losses = result.loss_order if strategy == "async_ps" else result.losses
+    return float(losses[-1])
+
+
+def _pin(strategy: str, compressed: bool) -> dict:
+    result = run_scenario(strategy, compressed)
     summary = result.transfers
     return {
-        "weights_sha256": hashlib.sha256(weights.tobytes()).hexdigest(),
-        "weights_sum": float(weights.sum()),
-        "final_loss": float(result.losses[-1]),
+        "weights_sum": float(result.final_weights.sum()),
+        "final_loss": final_loss(strategy, result),
         "virtual_time_s": result.virtual_time_s,
         "messages": summary.messages,
         "nbytes": summary.nbytes,
@@ -66,52 +85,26 @@ def _pin(result) -> dict:
     }
 
 
+def environment() -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_vendor = f"{blas.get('name')} {blas.get('version')}"
+    except (KeyError, TypeError):
+        blas_vendor = "unknown"
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas_vendor,
+    }
+
+
 def record() -> dict:
-    pins: dict = {}
-    for mode, compressed in (("raw", False), ("compressed", True)):
-        common, stream = _common(compressed)
-        pins[f"ring_{mode}"] = _pin(
-            train_distributed(
-                algorithm="ring",
-                num_workers=WORKERS,
-                iterations=ITERATIONS,
-                cluster=ClusterConfig(num_nodes=WORKERS, profile=stream),
-                profile=PROFILE,
-                **common,
-            )
-        )
-        pins[f"wa_{mode}"] = _pin(
-            train_distributed(
-                algorithm="wa",
-                num_workers=WORKERS,
-                iterations=ITERATIONS,
-                cluster=ClusterConfig(num_nodes=WORKERS + 1, profile=stream),
-                profile=PROFILE,
-                **common,
-            )
-        )
-        pins[f"hierarchy_{mode}"] = _pin(
-            train_hierarchical(
-                layout=GroupLayout.even(WORKERS, 2),
-                iterations=ITERATIONS,
-                cluster=ClusterConfig(num_nodes=WORKERS, profile=stream),
-                profile=PROFILE,
-                **common,
-            )
-        )
-        pins[f"async_ps_{mode}"] = _pin(
-            train_async_ps(
-                num_workers=WORKERS,
-                iterations_per_worker=ITERATIONS,
-                cluster=ClusterConfig(num_nodes=WORKERS + 1, profile=stream),
-                profile=PROFILE,
-                compute_jitter=0.5,
-                max_staleness=2,
-                **common,
-            )
-        )
-    return pins
+    return {
+        f"{strategy}_{mode}": _pin(strategy, mode == "compressed")
+        for mode in ("raw", "compressed")
+        for strategy in SCENARIOS
+    }
 
 
 if __name__ == "__main__":
-    print(json.dumps(record(), indent=2))
+    print(json.dumps({"environment": environment(), "pins": record()}, indent=2))
