@@ -406,14 +406,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             if args.algorithm == "ring"
             else simulate_wa_exchange
         )
-        result = simulate(
-            num_workers=args.workers,
-            nbytes=int(args.mbytes * 1e6),
-            iterations=args.iterations,
-            bandwidth_bps=args.gbps * 1e9,
-            stream=_stream_for(args),
-            tracer=tracer,
-        )
+        try:
+            result = simulate(
+                num_workers=args.workers,
+                nbytes=int(args.mbytes * 1e6),
+                iterations=args.iterations,
+                bandwidth_bps=args.gbps * 1e9,
+                stream=_stream_for(args),
+                tracer=tracer,
+            )
+        except ValueError as exc:
+            raise SystemExit(str(exc))
         write_trace(
             tracer,
             args.output,

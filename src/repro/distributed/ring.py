@@ -6,16 +6,16 @@ ring all-gather ("P2", steps N..2N-2).  Both legs carry *gradients*, so
 when the endpoints' NICs have compression engines every hop is
 compressed — the property the whole co-design exists to create.
 
-One index arithmetic covers both phases: at step ``s`` node ``i`` sends
-block ``(i - s + 1) mod N`` and receives block ``(i - s) mod N``,
-reducing during P1 and overwriting during P2.  (The paper's Fig 6
-walkthrough fixes the intent of Algorithm 1's printed indices, which are
-internally inconsistent by one step in the P2 loop.)
+One index arithmetic (:func:`ring_step_blocks`) covers both phases: at
+step ``s`` node ``i`` sends block ``(i - s + 1) mod N`` and receives
+block ``(i - s) mod N``, reducing during P1 and overwriting during P2.
+(The paper's Fig 6 walkthrough fixes the intent of Algorithm 1's printed
+indices, which are internally inconsistent by one step in the P2 loop.)
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -30,6 +30,21 @@ from .node import (
     concatenate_blocks,
     partition_blocks,
 )
+
+#: A node id, or an array of them (the flow evaluator steps every node
+#: of the ring at once).
+NodeIds = TypeVar("NodeIds", int, np.ndarray)
+
+
+def ring_step_blocks(
+    node: NodeIds, step: int, num_workers: int
+) -> Tuple[NodeIds, NodeIds]:
+    """``(send, recv)`` block indices of ``node`` at exchange step ``step``.
+
+    Steps run ``1 .. 2N-2``; the functional exchange below and both
+    timing evaluators of :mod:`repro.perfmodel.exchange` read this.
+    """
+    return (node - step + 1) % num_workers, (node - step) % num_workers
 
 
 def ring_exchange(
@@ -60,8 +75,7 @@ def ring_exchange(
     tracer = ep.comm.tracer
     for step in range(1, 2 * n - 1):
         step_start = ep.comm.sim.now
-        send_idx = (i - step + 1) % n
-        recv_idx = (i - step) % n
+        send_idx, recv_idx = ring_step_blocks(i, step, n)
         ep.isend(successor, blocks[send_idx], profile=stream)
         received = yield ep.recv(predecessor)
         if step < n:

@@ -191,5 +191,6 @@ class CompressionEngine:
 
     def throughput_bps(self) -> float:
         """Uncompressed-side streaming throughput in bytes/second."""
-        beats_per_burst = -(-WORDS_PER_BURST // self.num_blocks)
-        return (BURST_BITS / 8) * self.clock_hz / beats_per_burst
+        from .timing import engine_throughput_bps  # timing imports this module
+
+        return engine_throughput_bps(self.num_blocks, self.clock_hz)

@@ -64,6 +64,7 @@ from .packet import (
     register_compressible_tos,
     segment_bytes,
     segment_size,
+    split_trains,
 )
 from .simulator import (
     ENGINE_THROUGHPUT_BPS,
@@ -127,6 +128,7 @@ __all__ = [
     "packet_count",
     "segment_bytes",
     "segment_size",
+    "split_trains",
     "ENGINE_THROUGHPUT_BPS",
     "MessageReceipt",
     "Network",

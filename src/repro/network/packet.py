@@ -23,7 +23,7 @@ background flows never enter the NIC engines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 #: The reserved ToS value marking a packet for NIC (de)compression.
 TOS_COMPRESS = 0x28
@@ -168,3 +168,32 @@ def distribute_payload(nbytes: int, num_packets: int) -> List[int]:
         sizes.append(cur - prev)
         prev = cur
     return sizes
+
+
+def split_trains(
+    num_packets: int, wire_payload: int, raw_payload: int, train_packets: int
+) -> List[Tuple[int, int, int]]:
+    """Divide a message into packet trains with proportional bytes.
+
+    Returns ``(packets, wire_bytes, raw_bytes)`` per train, byte counts
+    including per-packet headers.  The one definition both exchange
+    evaluators segment with: the event kernel spawns a process per
+    train, the flow evaluator tabulates them per message size.
+    """
+    trains: List[Tuple[int, int, int]] = []
+    remaining_packets = num_packets
+    wire_left, raw_left = wire_payload, raw_payload
+    while remaining_packets > 0:
+        pkts = min(train_packets, remaining_packets)
+        frac = pkts / num_packets
+        wire = min(wire_left, round(wire_payload * frac))
+        raw = min(raw_left, round(raw_payload * frac))
+        remaining_packets -= pkts
+        if remaining_packets == 0:  # last train absorbs rounding
+            wire, raw = wire_left, raw_left
+        wire_left -= wire
+        raw_left -= raw
+        trains.append(
+            (pkts, pkts * HEADER_BYTES + wire, pkts * HEADER_BYTES + raw)
+        )
+    return trains

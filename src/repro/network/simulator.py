@@ -38,8 +38,6 @@ from typing import (
     Callable,
     Dict,
     Generator,
-    Iterable,
-    List,
     Optional,
     Tuple,
 )
@@ -49,7 +47,13 @@ from repro.obs import CAT_MESSAGE, Tracer
 from .events import Event, Simulation
 from .link import Link
 from .loss import DeliveryFailure, LossModel, RetransmitPolicy
-from .packet import HEADER_BYTES, TOS_DEFAULT, is_compressible_tos, packet_count
+from .packet import (
+    HEADER_BYTES,
+    TOS_DEFAULT,
+    is_compressible_tos,
+    packet_count,
+    split_trains,
+)
 from .priority import PRIORITY_DEFAULT
 from .topology import Route, Topology
 
@@ -400,7 +404,7 @@ class Network:
             self._pair_seq[pair] = pair_seq + 1
             arb_base = (src, dst, pair_seq)
 
-        trains = list(self._split_trains(num_packets, wire_payload, nbytes))
+        trains = split_trains(num_packets, wire_payload, nbytes, self.train_packets)
         procs = [
             self.sim.process(
                 self._train_process(
@@ -448,32 +452,6 @@ class Network:
 
         self.sim.all_of(procs).add_callback(finish)
         return done
-
-    def _split_trains(
-        self, num_packets: int, wire_payload: int, raw_payload: int
-    ) -> Iterable[Tuple[int, int, int]]:
-        """Divide the message into packet trains with proportional bytes.
-
-        Yields ``(packets, wire_bytes, raw_bytes)`` per train, byte
-        counts including per-packet headers.
-        """
-        trains: List[Tuple[int, int, int]] = []
-        remaining_packets = num_packets
-        wire_left, raw_left = wire_payload, raw_payload
-        while remaining_packets > 0:
-            pkts = min(self.train_packets, remaining_packets)
-            frac = pkts / num_packets
-            wire = min(wire_left, round(wire_payload * frac))
-            raw = min(raw_left, round(raw_payload * frac))
-            remaining_packets -= pkts
-            if remaining_packets == 0:  # last train absorbs rounding
-                wire, raw = wire_left, raw_left
-            wire_left -= wire
-            raw_left -= raw
-            trains.append(
-                (pkts, pkts * HEADER_BYTES + wire, pkts * HEADER_BYTES + raw)
-            )
-        return trains
 
     def _train_process(
         self,

@@ -30,11 +30,6 @@ from .exchange import (
     simulate_ring_exchange,
     simulate_wa_exchange,
 )
-from .flowsim import (
-    FlowFabric,
-    simulate_ring_exchange_flow,
-    simulate_wa_exchange_flow,
-)
 
 __all__ = [
     "CostParameters",
@@ -61,7 +56,4 @@ __all__ = [
     "measure_compression_ratio",
     "simulate_ring_exchange",
     "simulate_wa_exchange",
-    "FlowFabric",
-    "simulate_ring_exchange_flow",
-    "simulate_wa_exchange_flow",
 ]

@@ -9,12 +9,19 @@ Table II, Fig 12 and Fig 15.
 Wire sizes come from the same :func:`repro.transport.wire.build_wire_message`
 builder the functional ``Endpoint.isend`` path uses, so the timing and
 functional domains cannot drift apart.
+
+One exchange description, two evaluators: :func:`simulate_ring_exchange`
+and :func:`simulate_wa_exchange` share one front (validation, ratio
+measurement, the :class:`ClusterConfig`) and hand it either to the event
+kernel (``fidelity="packet"``, the generator processes below) or to the
+closed-form evaluator in :mod:`repro.perfmodel.flowsim`
+(``fidelity="flow"``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +32,7 @@ from repro.distributed.node import (
     ZERO_COMPUTE,
     record_compute_phases,
 )
-from repro.distributed.ring import ring_exchange_sizes
+from repro.distributed.ring import ring_exchange_sizes, ring_step_blocks
 from repro.dnn.models import ModelSpec
 from repro.network import Event, RetransmitPolicy, TenantSpec
 from repro.obs import CAT_PHASE, Tracer
@@ -35,8 +42,10 @@ from repro.transport.aggregation import (
     SwitchGather,
     validate_agg_site,
 )
-from repro.transport.endpoint import ClusterComm, ClusterConfig
+from repro.transport.endpoint import ClusterComm, ClusterConfig, TransferSummary
 from repro.transport.wire import measure_stream_ratio
+
+from .flowsim import flow_ring_exchange, flow_wa_exchange
 
 #: Sample size for measuring a model's compression ratio; large enough
 #: for the ratio to be stable to three digits.
@@ -97,24 +106,42 @@ class ExchangeResult:
         return self.sent_nbytes / self.wire_payload_nbytes
 
 
-def _check_flow_supported(
-    tracer: Optional[Tracer],
-    loss_rate: float,
-    retransmit: Optional[RetransmitPolicy],
-    topology: Optional[str] = None,
-    tenants: Sequence[TenantSpec] = (),
-    prioritize: bool = False,
-    agg_site: str = AGG_ENDPOINT,
-) -> None:
+@dataclass(frozen=True)
+class Exchange:
+    """One exchange description; either evaluator consumes it.
+
+    An evaluator returns :data:`Measured` — ``(total_s, gradient_sum_s,
+    update_s, transfers)``.
+    """
+
+    algorithm: str
+    num_workers: int
+    nbytes: int
+    iterations: int
+    profile: ComputeProfile
+    stream: Optional[StreamProfile]
+    #: Measured compression ratio of ``stream`` (``None`` when raw).
+    ratio: Optional[float]
+    include_local_compute: bool
+    #: The cluster both evaluators model; worker-aggregator runs host
+    #: the aggregator as its last node (``num_workers``).
+    config: ClusterConfig
+
+
+Measured = Tuple[float, float, float, TransferSummary]
+Process = Generator[Event, Any, Any]
+
+
+def _check_flow_supported(tracer: Optional[Tracer], config: ClusterConfig) -> None:
     """Flow fidelity models dedicated, lossless, untraced stars only."""
     if (
         tracer is not None
-        or loss_rate != 0.0
-        or retransmit is not None
-        or (topology is not None and topology != "star")
-        or tenants
-        or prioritize
-        or agg_site != AGG_ENDPOINT
+        or config.loss_rate != 0.0
+        or config.retransmit is not None
+        or (config.topology is not None and config.topology != "star")
+        or config.tenants
+        or config.prioritize
+        or config.agg_site != AGG_ENDPOINT
     ):
         raise ValueError(
             "fidelity='flow' does not model tracing, loss, retransmission, "
@@ -123,40 +150,109 @@ def _check_flow_supported(
         )
 
 
-def _make_comm(
-    num_nodes: int,
-    bandwidth_bps: float,
-    bound: ErrorBound,
-    train_packets: int,
-    stream: Optional[StreamProfile] = None,
-    tracer: Optional[Tracer] = None,
-    loss_rate: float = 0.0,
-    loss_seed: int = 0,
-    retransmit: Optional[RetransmitPolicy] = None,
-    topology: Optional[str] = None,
-    tenants: Sequence[TenantSpec] = (),
-    prioritize: bool = False,
-    tenant_seed: int = 0,
-    agg_site: str = AGG_ENDPOINT,
-) -> ClusterComm:
-    return ClusterComm(
-        ClusterConfig(
-            num_nodes=num_nodes,
-            bandwidth_bps=bandwidth_bps,
-            bound=bound,
-            train_packets=train_packets,
-            profile=stream,
-            loss_rate=loss_rate,
-            loss_seed=loss_seed,
-            retransmit=retransmit,
-            topology=topology,
-            tenants=tuple(tenants),
-            prioritize=prioritize,
-            tenant_seed=tenant_seed,
-            agg_site=agg_site,
-        ),
-        tracer=tracer,
-    )
+class _PacketRun:
+    """What the packet evaluator's processes share: cluster, job, phases.
+
+    Every compute phase is the same three things — a simulated timeout,
+    a trace span, a running total — spelled once in :meth:`spend`.  Ring
+    nodes all spend identical phases, so only a ``record``-ing caller
+    (node 0, or the aggregator) feeds the totals and the tracer.
+    """
+
+    def __init__(self, job: Exchange, tracer: Optional[Tracer]) -> None:
+        self.job = job
+        self.comm = ClusterComm(job.config, tracer=tracer)
+        self.totals = {"gradient_sum": 0.0, "update": 0.0}
+
+    def spend(self, name: str, dt: float, node: int, record: bool = True) -> Process:
+        """Spend ``dt`` of simulated time at ``node`` as phase ``name``."""
+        if record:
+            self.totals[name] += dt
+        if dt:
+            start = self.comm.sim.now
+            yield self.comm.sim.timeout(dt)
+            if record and self.comm.tracer is not None:
+                self.comm.tracer.span(
+                    name, cat=CAT_PHASE, ts=start, dur=dt, node=node
+                )
+
+    def local_compute(self, node: int) -> Process:
+        """Forward/backward/copy before the exchange (full-iteration studies)."""
+        profile = self.job.profile
+        if self.job.include_local_compute and profile.local_compute_s:
+            start = self.comm.sim.now
+            yield self.comm.sim.timeout(profile.local_compute_s)
+            if self.comm.tracer is not None and node == 0:
+                record_compute_phases(self.comm.tracer, profile, start, node)
+
+    def send_gradient(self, src: int, dst: int, nbytes: int) -> Event:
+        """One hop on the gradient stream — the only traffic that may compress."""
+        ep = self.comm.endpoints[src]
+        return ep.isend_message(
+            ep.build_message(
+                dst, nbytes=nbytes, profile=self.job.stream, ratio=self.job.ratio
+            )
+        )
+
+
+def _ring_processes(run: _PacketRun) -> List[Process]:
+    """One process per ring node: every hop rides the gradient stream."""
+    job = run.job
+    n = job.num_workers
+    block_bytes = [s * 4 for s in ring_exchange_sizes(n, job.nbytes // 4)]
+
+    def worker(i: int) -> Process:
+        ep = run.comm.endpoints[i]
+        successor, predecessor = (i + 1) % n, (i - 1) % n
+        for _ in range(job.iterations):
+            yield from run.local_compute(i)
+            for step in range(1, 2 * n - 1):
+                send_idx, recv_idx = ring_step_blocks(i, step, n)
+                run.send_gradient(i, successor, block_bytes[send_idx])
+                yield ep.recv(predecessor)
+                if step < n:
+                    dt = job.profile.sum_time(block_bytes[recv_idx])
+                    yield from run.spend("gradient_sum", dt, i, record=i == 0)
+            yield from run.spend("update", job.profile.update_s, i, record=i == 0)
+
+    return [worker(i) for i in range(n)]
+
+
+def _wa_processes(run: _PacketRun, gather: Optional[SwitchGather]) -> List[Process]:
+    """Worker processes plus the aggregator's gather/sum/update/scatter."""
+    job, comm = run.job, run.comm
+    aggregator = job.num_workers
+
+    def worker(i: int) -> Process:
+        for _ in range(job.iterations):
+            yield from run.local_compute(i)
+            if gather is not None:
+                gather.offer(i, nbytes=job.nbytes, ratio=job.ratio)
+            else:
+                run.send_gradient(i, aggregator, job.nbytes)
+            yield comm.endpoints[i].recv(aggregator)
+
+    def agg() -> Process:
+        ep = comm.endpoints[aggregator]
+        dt_sum = job.profile.sum_time(job.nbytes)
+        for _ in range(job.iterations):
+            if gather is not None:
+                # The sum rides the reduction tree; its engine time is
+                # inside collect()'s critical path.
+                yield from gather.collect()
+            else:
+                for src in range(job.num_workers):
+                    yield ep.recv(src)
+                    if src > 0:
+                        yield from run.spend("gradient_sum", dt_sum, aggregator)
+            yield from run.spend("update", job.profile.update_s, aggregator)
+            events = [
+                ep.isend_message(ep.build_message(dst, nbytes=job.nbytes))
+                for dst in range(job.num_workers)
+            ]
+            yield comm.sim.all_of(events)
+
+    return [worker(i) for i in range(job.num_workers)] + [agg()]
 
 
 def _run_with_background(comm: ClusterComm, procs: List[Event]) -> float:
@@ -182,7 +278,42 @@ def _run_with_background(comm: ClusterComm, procs: List[Event]) -> float:
     return finish["t"]
 
 
-def simulate_wa_exchange(
+def _packet_exchange(
+    job: Exchange, tracer: Optional[Tracer]
+) -> Tuple[Measured, Dict[str, int]]:
+    """Evaluate on the event kernel; also returns the packet-only counters."""
+    run = _PacketRun(job, tracer)
+    comm = run.comm
+    gather: Optional[SwitchGather] = None
+    if job.algorithm == "ring":
+        processes = _ring_processes(run)
+    else:
+        if job.config.agg_site == AGG_SWITCH:
+            gather = SwitchGather(
+                comm,
+                root=job.num_workers,
+                sources=range(job.num_workers),
+                stream=job.stream,
+            )
+        processes = _wa_processes(run, gather)
+    total_s = _run_with_background(comm, [comm.sim.process(p) for p in processes])
+    background = comm.start_background()
+    counters = {
+        "trains_retransmitted": comm.network.trains_retransmitted,
+        "background_messages": background.total_messages if background else 0,
+        "background_nbytes": background.total_bytes if background else 0,
+        "agg_engine_cycles": gather.engine_cycles() if gather else 0,
+        "switch_reductions": gather.switch_reductions if gather else 0,
+    }
+    sum_s, update_s = run.totals["gradient_sum"], run.totals["update"]
+    return (total_s, sum_s, update_s, comm.transfer_summary()), counters
+
+
+_FLOW = {"ring": flow_ring_exchange, "wa": flow_wa_exchange}
+
+
+def _simulate_exchange(
+    algorithm: str,
     num_workers: int,
     nbytes: int,
     iterations: int = 1,
@@ -204,17 +335,19 @@ def simulate_wa_exchange(
     tenant_seed: int = 0,
     agg_site: str = AGG_ENDPOINT,
 ) -> ExchangeResult:
-    """Worker-aggregator iterations: gather g up, sum, update, scatter w.
+    """The one exchange front: every option of both public simulators.
 
-    Only the gradient leg may compress (``stream``); the weight leg is
-    always raw.  With a compressing stream and no ``gradient_ratio``,
-    the codec's ratio is measured on a sampled gradient.
-    ``include_local_compute``
-    prepends each iteration's forward/backward/copy time (for
-    full-iteration studies like Table II); exchange-only studies
-    (Fig 15) leave it off.  ``fidelity="flow"`` switches to the
-    vectorized flow-level model (:mod:`repro.perfmodel.flowsim`) for
-    large sweeps; it rejects tracing/loss/retransmission.
+    ``stream`` selects the codec profile of the gradient stream (any
+    registered codec); with a compressing stream and no
+    ``gradient_ratio``, the codec's ratio is measured on a sampled
+    gradient.  ``include_local_compute`` prepends each iteration's
+    forward/backward/copy time (for full-iteration studies like
+    Table II); exchange-only studies (Fig 15) leave it off.
+
+    ``fidelity="flow"`` evaluates the same description in closed form
+    (:mod:`repro.perfmodel.flowsim`) for 1024-4096-worker sweeps; it
+    models dedicated, lossless, untraced stars only and rejects
+    everything else.
 
     ``topology`` selects the fabric (default: the historical switched
     star); ``tenants`` adds background traffic competing for it, and
@@ -222,311 +355,96 @@ def simulate_wa_exchange(
     the exchange.  With tenants present the reported ``total_s`` is the
     foreground completion time (the fabric itself never idles).
 
-    ``agg_site="switch"`` moves the gradient sum in-network: sized
-    payloads ride the fabric's reduction tree and every merge vertex
-    folds its fan-in through an aggregation engine (needs a multi-tier
-    ``topology``, a homomorphic ``stream``, and packet fidelity).
+    ``agg_site="switch"`` (worker-aggregator only) moves the gradient
+    sum in-network: sized payloads ride the fabric's reduction tree and
+    every merge vertex folds its fan-in through an aggregation engine
+    (needs a multi-tier ``topology``, a homomorphic ``stream``, and
+    packet fidelity).
     """
     validate_agg_site(agg_site)
-    if num_workers < 2:
-        raise ValueError("need at least two workers")
-    aggregator = num_workers
-    if stream is not None and gradient_ratio is None:
-        gradient_ratio = measure_stream_ratio(stream)
-    if fidelity == "flow":
-        _check_flow_supported(
-            tracer,
-            loss_rate,
-            retransmit,
-            topology,
-            tenants,
-            prioritize,
-            agg_site,
-        )
-        from .flowsim import simulate_wa_exchange_flow
-
-        return simulate_wa_exchange_flow(
-            num_workers,
-            nbytes,
-            iterations=iterations,
-            bandwidth_bps=bandwidth_bps,
-            profile=profile,
-            stream=stream,
-            gradient_ratio=gradient_ratio,
-            bound=bound,
-            include_local_compute=include_local_compute,
-            train_packets=train_packets,
-        )
-    if fidelity != "packet":
-        raise ValueError(
-            f"fidelity must be 'packet' or 'flow', got {fidelity!r}"
-        )
-    comm = _make_comm(
-        num_workers + 1,
-        bandwidth_bps,
-        bound,
-        train_packets,
-        stream,
-        tracer,
-        loss_rate=loss_rate,
-        loss_seed=loss_seed,
-        retransmit=retransmit,
-        topology=topology,
-        tenants=tenants,
-        prioritize=prioritize,
-        tenant_seed=tenant_seed,
-        agg_site=agg_site,
-    )
-    gather: Optional[SwitchGather] = None
-    if agg_site == AGG_SWITCH:
-        gather = SwitchGather(
-            comm,
-            root=aggregator,
-            sources=range(num_workers),
-            stream=stream,
-        )
-    sums = {"sum_s": 0.0, "update_s": 0.0}
-
-    def worker(i: int):
-        ep = comm.endpoints[i]
-        for _ in range(iterations):
-            if include_local_compute and profile.local_compute_s:
-                compute_start = comm.sim.now
-                yield comm.sim.timeout(profile.local_compute_s)
-                if tracer is not None and i == 0:
-                    record_compute_phases(tracer, profile, compute_start, i)
-            if gather is not None:
-                gather.offer(i, nbytes=nbytes, ratio=gradient_ratio)
-            else:
-                ep.isend_message(
-                    ep.build_message(
-                        aggregator,
-                        nbytes=nbytes,
-                        profile=stream,
-                        ratio=gradient_ratio,
-                    )
-                )
-            yield ep.recv(aggregator)
-
-    def agg():
-        ep = comm.endpoints[aggregator]
-        for _ in range(iterations):
-            if gather is not None:
-                # The sum rides the reduction tree; its engine time is
-                # inside collect()'s critical path.
-                yield from gather.collect()
-            else:
-                for count, src in enumerate(range(num_workers)):
-                    yield ep.recv(src)
-                    if count > 0:
-                        dt = profile.sum_time(nbytes)
-                        sums["sum_s"] += dt
-                        if dt:
-                            sum_start = comm.sim.now
-                            yield comm.sim.timeout(dt)
-                            if tracer is not None:
-                                tracer.span(
-                                    "gradient_sum",
-                                    cat=CAT_PHASE,
-                                    ts=sum_start,
-                                    dur=dt,
-                                    node=aggregator,
-                                )
-            if profile.update_s:
-                sums["update_s"] += profile.update_s
-                update_start = comm.sim.now
-                yield comm.sim.timeout(profile.update_s)
-                if tracer is not None:
-                    tracer.span(
-                        "update",
-                        cat=CAT_PHASE,
-                        ts=update_start,
-                        dur=profile.update_s,
-                        node=aggregator,
-                    )
-            events = [
-                ep.isend_message(ep.build_message(dst, nbytes=nbytes))
-                for dst in range(num_workers)
-            ]
-            yield comm.sim.all_of(events)
-
-    procs: List[Event] = [comm.sim.process(worker(i)) for i in range(num_workers)]
-    procs.append(comm.sim.process(agg()))
-    total = _run_with_background(comm, procs)
-    background = comm.start_background()
-    summary = comm.transfer_summary()
-    return ExchangeResult(
-        algorithm="wa",
-        num_workers=num_workers,
-        nbytes=nbytes,
-        iterations=iterations,
-        total_s=total,
-        gradient_sum_s=sums["sum_s"],
-        update_s=sums["update_s"],
-        sent_nbytes=summary.nbytes,
-        wire_payload_nbytes=summary.wire_payload_nbytes,
-        trains_retransmitted=comm.network.trains_retransmitted,
-        background_messages=background.total_messages if background else 0,
-        background_nbytes=background.total_bytes if background else 0,
-        link_payload_nbytes=summary.link_payload_nbytes,
-        agg_engine_cycles=gather.engine_cycles() if gather else 0,
-        switch_reductions=gather.switch_reductions if gather else 0,
-    )
-
-
-def simulate_ring_exchange(
-    num_workers: int,
-    nbytes: int,
-    iterations: int = 1,
-    bandwidth_bps: float = 10e9,
-    profile: ComputeProfile = ZERO_COMPUTE,
-    stream: Optional[StreamProfile] = None,
-    gradient_ratio: Optional[float] = None,
-    bound: ErrorBound = DEFAULT_BOUND,
-    include_local_compute: bool = False,
-    train_packets: int = 4400,
-    tracer: Optional[Tracer] = None,
-    loss_rate: float = 0.0,
-    loss_seed: int = 0,
-    retransmit: Optional[RetransmitPolicy] = None,
-    fidelity: str = "packet",
-    topology: Optional[str] = None,
-    tenants: Sequence[TenantSpec] = (),
-    prioritize: bool = False,
-    tenant_seed: int = 0,
-    agg_site: str = AGG_ENDPOINT,
-) -> ExchangeResult:
-    """Ring iterations at paper scale (every hop on the gradient stream).
-
-    ``stream`` selects the codec profile (any registered codec); with no
-    ``gradient_ratio`` its ratio is measured on a sampled gradient.
-    ``fidelity="flow"`` switches to the vectorized flow-level model
-    (:mod:`repro.perfmodel.flowsim`), which on the ring's
-    contention-free star fabric reproduces packet timing to
-    floating-point noise while reaching 1024-4096 workers in seconds.
-
-    ``topology``, ``tenants``, ``prioritize`` and ``tenant_seed`` model
-    a shared multi-tier fabric exactly as in
-    :func:`simulate_wa_exchange`; with tenants present ``total_s`` is
-    the foreground completion time.
-    """
-    validate_agg_site(agg_site)
-    if agg_site != AGG_ENDPOINT:
+    if algorithm == "ring" and agg_site != AGG_ENDPOINT:
         raise ValueError(
             "the ring has no single reduction root; agg_site='switch' "
             "only applies to the worker-aggregator exchange"
         )
     if num_workers < 2:
         raise ValueError("need at least two workers")
+    if iterations < 1:
+        raise ValueError(f"need at least one iteration, got {iterations}")
     if stream is not None and gradient_ratio is None:
         gradient_ratio = measure_stream_ratio(stream)
-    if fidelity == "flow":
-        _check_flow_supported(
-            tracer, loss_rate, retransmit, topology, tenants, prioritize
-        )
-        from .flowsim import simulate_ring_exchange_flow
-
-        return simulate_ring_exchange_flow(
-            num_workers,
-            nbytes,
-            iterations=iterations,
-            bandwidth_bps=bandwidth_bps,
-            profile=profile,
-            stream=stream,
-            gradient_ratio=gradient_ratio,
-            bound=bound,
-            include_local_compute=include_local_compute,
-            train_packets=train_packets,
-        )
-    if fidelity != "packet":
-        raise ValueError(
-            f"fidelity must be 'packet' or 'flow', got {fidelity!r}"
-        )
-    comm = _make_comm(
-        num_workers,
-        bandwidth_bps,
-        bound,
-        train_packets,
-        stream,
-        tracer,
+    config = ClusterConfig(
+        num_nodes=num_workers + (algorithm == "wa"),
+        bandwidth_bps=bandwidth_bps,
+        bound=bound,
+        train_packets=train_packets,
+        profile=stream,
         loss_rate=loss_rate,
         loss_seed=loss_seed,
         retransmit=retransmit,
         topology=topology,
-        tenants=tenants,
+        tenants=tuple(tenants),
         prioritize=prioritize,
         tenant_seed=tenant_seed,
+        agg_site=agg_site,
     )
-    block_bytes = [s * 4 for s in ring_exchange_sizes(num_workers, nbytes // 4)]
-    sums = {"sum_s": 0.0, "update_s": 0.0}
-
-    def worker(i: int):
-        ep = comm.endpoints[i]
-        n = num_workers
-        successor, predecessor = (i + 1) % n, (i - 1) % n
-        for _ in range(iterations):
-            if include_local_compute and profile.local_compute_s:
-                compute_start = comm.sim.now
-                yield comm.sim.timeout(profile.local_compute_s)
-                if tracer is not None and i == 0:
-                    record_compute_phases(tracer, profile, compute_start, i)
-            for step in range(1, 2 * n - 1):
-                send_idx = (i - step + 1) % n
-                recv_idx = (i - step) % n
-                ep.isend_message(
-                    ep.build_message(
-                        successor,
-                        nbytes=block_bytes[send_idx],
-                        profile=stream,
-                        ratio=gradient_ratio,
-                    )
-                )
-                yield ep.recv(predecessor)
-                if step < n:
-                    dt = profile.sum_time(block_bytes[recv_idx])
-                    if i == 0:
-                        sums["sum_s"] += dt
-                    if dt:
-                        sum_start = comm.sim.now
-                        yield comm.sim.timeout(dt)
-                        if tracer is not None and i == 0:
-                            tracer.span(
-                                "gradient_sum",
-                                cat=CAT_PHASE,
-                                ts=sum_start,
-                                dur=dt,
-                                node=i,
-                            )
-            if profile.update_s:
-                if i == 0:
-                    sums["update_s"] += profile.update_s
-                update_start = comm.sim.now
-                yield comm.sim.timeout(profile.update_s)
-                if tracer is not None and i == 0:
-                    tracer.span(
-                        "update",
-                        cat=CAT_PHASE,
-                        ts=update_start,
-                        dur=profile.update_s,
-                        node=i,
-                    )
-
-    procs: List[Event] = [comm.sim.process(worker(i)) for i in range(num_workers)]
-    total = _run_with_background(comm, procs)
-    background = comm.start_background()
-    summary = comm.transfer_summary()
-    return ExchangeResult(
-        algorithm="ring",
+    if fidelity == "flow":
+        _check_flow_supported(tracer, config)
+    elif fidelity != "packet":
+        raise ValueError(
+            f"fidelity must be 'packet' or 'flow', got {fidelity!r}"
+        )
+    job = Exchange(
+        algorithm=algorithm,
         num_workers=num_workers,
         nbytes=nbytes,
         iterations=iterations,
-        total_s=total,
-        gradient_sum_s=sums["sum_s"],
-        update_s=sums["update_s"],
-        sent_nbytes=summary.nbytes,
-        wire_payload_nbytes=summary.wire_payload_nbytes,
-        trains_retransmitted=comm.network.trains_retransmitted,
-        background_messages=background.total_messages if background else 0,
-        background_nbytes=background.total_bytes if background else 0,
-        link_payload_nbytes=summary.link_payload_nbytes,
+        profile=profile,
+        stream=stream,
+        ratio=gradient_ratio,
+        include_local_compute=include_local_compute,
+        config=config,
     )
+    counters: Dict[str, int] = {}
+    if fidelity == "flow":
+        measured = _FLOW[algorithm](job)
+    else:
+        measured, counters = _packet_exchange(job, tracer)
+    total_s, gradient_sum_s, update_s, transfers = measured
+    return ExchangeResult(
+        algorithm=algorithm,
+        num_workers=num_workers,
+        nbytes=nbytes,
+        iterations=iterations,
+        total_s=total_s,
+        gradient_sum_s=gradient_sum_s,
+        update_s=update_s,
+        sent_nbytes=transfers.nbytes,
+        wire_payload_nbytes=transfers.wire_payload_nbytes,
+        link_payload_nbytes=transfers.link_payload_nbytes,
+        **counters,
+    )
+
+
+def simulate_wa_exchange(
+    num_workers: int, nbytes: int, **options: Any
+) -> ExchangeResult:
+    """Worker-aggregator iterations: gather g up, sum, update, scatter w.
+
+    Only the gradient leg may compress (``stream``); the weight leg is
+    always raw.  Keyword options and their defaults are
+    :func:`_simulate_exchange`'s.
+    """
+    return _simulate_exchange("wa", num_workers, nbytes, **options)
+
+
+def simulate_ring_exchange(
+    num_workers: int, nbytes: int, **options: Any
+) -> ExchangeResult:
+    """Ring iterations at paper scale (every hop on the gradient stream).
+
+    On the ring's contention-free star fabric ``fidelity="flow"``
+    reproduces packet timing to floating-point noise.  Keyword options
+    and their defaults are :func:`_simulate_exchange`'s.
+    """
+    return _simulate_exchange("ring", num_workers, nbytes, **options)

@@ -56,6 +56,8 @@ from repro.network.reduction import (
 )
 from repro.obs import CAT_ENGINE
 
+from .wire import sized_wire_payload
+
 if TYPE_CHECKING:
     from .endpoint import ClusterComm
 
@@ -275,7 +277,7 @@ class SwitchGather:
             raw = int(nbytes)  # type: ignore[arg-type]
             if raw < 0:
                 raise ValueError("nbytes cannot be negative")
-            wire = int(round(raw / (1.0 if ratio is None else ratio)))
+            wire = sized_wire_payload(raw, ratio)
             part = GatherPart(
                 raw_nbytes=raw, payload_nbytes=wire, fan_in=1, result=None
             )

@@ -22,7 +22,7 @@ import numpy as np
 from repro.core import ErrorBound, RAW_STREAM, StreamProfile
 from repro.core.bounds import DEFAULT_BOUND
 from repro.hardware.nic import InceptionnNic
-from repro.hardware.timing import engine_latency_s, engine_throughput_bps
+from repro.hardware.timing import timing_model_for
 from repro.network import (
     BackgroundTraffic,
     Event,
@@ -168,6 +168,28 @@ class ClusterConfig:
         """The gradient-stream profile (raw when none is configured)."""
         return self.profile if self.profile is not None else RAW_STREAM
 
+    def build_nic(self, node: int) -> InceptionnNic:
+        """One node's functional NIC — the engine dispatch every
+        WireMessage is built through (paper Fig 8's comparator).
+
+        Engines are present exactly when a profile is configured.
+        """
+        return InceptionnNic(
+            node,
+            self.bound,
+            enabled=self.profile is not None,
+            num_blocks=self.engine_blocks,
+            clock_hz=self.engine_clock_hz,
+        )
+
+    def nic_timing(self) -> NicTimingModel:
+        """The timing view of those NICs: engine rate and fill latency.
+
+        The one config-to-engine-timing conversion; the event kernel's
+        engine stages and the flow evaluator's both read it.
+        """
+        return timing_model_for(self.build_nic(0))
+
 
 class ClusterComm:
     """A simulated cluster's communication fabric with one endpoint per node."""
@@ -187,13 +209,7 @@ class ClusterComm:
             link_latency_s=config.link_latency_s,
             switch_delay_s=config.switch_delay_s,
         )
-        nic = NicTimingModel(
-            compression=config.profile is not None,
-            engine_latency_s=engine_latency_s(config.engine_clock_hz),
-            engine_throughput_bps=engine_throughput_bps(
-                config.engine_blocks, config.engine_clock_hz
-            ),
-        )
+        nic = config.nic_timing()
         loss = (
             LossModel(config.loss_rate, seed=config.loss_seed)
             if config.loss_rate > 0.0
@@ -211,17 +227,9 @@ class ClusterComm:
             tos_priority=self._tos_priority(),
         )
         self._background: Optional[BackgroundTraffic] = None
-        #: Functional NICs, one per node — the engine dispatch every
-        #: WireMessage is built through (paper Fig 8's comparator).
+        #: Functional NICs, one per node.
         self.nics: List[InceptionnNic] = [
-            InceptionnNic(
-                node,
-                config.bound,
-                enabled=self.compression_active(),
-                num_blocks=config.engine_blocks,
-                clock_hz=config.engine_clock_hz,
-            )
-            for node in range(config.num_nodes)
+            config.build_nic(node) for node in range(config.num_nodes)
         ]
         self.endpoints: List[Endpoint] = [
             Endpoint(self, node) for node in range(config.num_nodes)

@@ -148,6 +148,16 @@ class WireMessage:
         return self.values
 
 
+def sized_wire_payload(nbytes: int, ratio: Optional[float]) -> int:
+    """On-wire payload of a size-only message compressed at ``ratio``.
+
+    ``None`` means the caller did not measure a ratio: the payload
+    ships at its raw size.  Every size-only consumer (endpoint sends,
+    the switch gather's leaf offers, the flow evaluator) rounds here.
+    """
+    return int(round(nbytes / (1.0 if ratio is None else ratio)))
+
+
 def build_wire_message(
     src: int,
     dst: int,
@@ -214,7 +224,7 @@ def build_wire_message(
     else:
         raw_nbytes = int(nbytes)  # type: ignore[arg-type]
         if dispatched:
-            wire_payload = int(round(raw_nbytes / (1.0 if ratio is None else ratio)))
+            wire_payload = sized_wire_payload(raw_nbytes, ratio)
             tos = stream.resolved_tos
             codec_name = stream.codec
         else:
@@ -290,4 +300,5 @@ __all__ = [
     "account_tx_traversal",
     "build_wire_message",
     "measure_stream_ratio",
+    "sized_wire_payload",
 ]

@@ -12,6 +12,7 @@ from repro.network import (
     Simulation,
     SwitchedStar,
     packet_count,
+    split_trains,
 )
 
 
@@ -57,11 +58,10 @@ def test_invalid_constructor_args():
 )
 @settings(max_examples=60, deadline=None)
 def test_train_splitting_conserves_bytes(nbytes, wire, train_packets):
-    sim = Simulation()
-    net = Network(sim, SwitchedStar(sim, 2), train_packets=train_packets)
-    num_packets = packet_count(nbytes, net.mss)
+    # The one segmentation both exchange evaluators read.
+    num_packets = packet_count(nbytes)
     wire = min(wire, nbytes)  # compressed payload never exceeds raw
-    trains = list(net._split_trains(num_packets, wire, nbytes))
+    trains = split_trains(num_packets, wire, nbytes, train_packets)
     total_pkts = sum(p for p, _, _ in trains)
     total_wire = sum(w for _, w, _ in trains)
     total_raw = sum(r for _, _, r in trains)

@@ -87,6 +87,18 @@ def test_exchange_with_trace_writes_valid_file(tmp_path, capsys):
     assert json.loads(chrome.read_text())["traceEvents"]
 
 
+@pytest.mark.parametrize("fidelity", ["packet", "flow"])
+def test_exchange_rejects_zero_iterations(fidelity):
+    # Used to die with a ZeroDivisionError traceback in per_iteration_s.
+    with pytest.raises(SystemExit, match="at least one iteration"):
+        main(["exchange", "--iterations", "0", "--fidelity", fidelity])
+
+
+def test_trace_run_rejects_zero_iterations(tmp_path):
+    with pytest.raises(SystemExit, match="at least one iteration"):
+        main(["trace", "run", str(tmp_path / "t.json"), "--iterations", "0"])
+
+
 def test_train_with_trace_writes_valid_file(tmp_path, capsys):
     from repro.obs import load_trace
 
