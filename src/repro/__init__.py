@@ -11,7 +11,7 @@ Subpackages
 ``repro.network``
     Discrete-event network substrate: packets, links, topologies.
 ``repro.transport``
-    MPI-style endpoints and collectives with ToS-0x28 tagging (Fig 11).
+    MPI-style endpoints and wire messages with ToS-0x28 tagging (Fig 11).
 ``repro.dnn``
     From-scratch NumPy DNN training framework and model zoo.
 ``repro.distributed``

@@ -42,6 +42,7 @@ import numpy as np
 from repro.network.packet import (
     TOS_COMPRESS,
     TOS_DEFAULT,
+    payload_ratio,
     register_compressible_tos,
 )
 
@@ -82,9 +83,7 @@ class CodecResult:
 
     @property
     def compression_ratio(self) -> float:
-        if self.payload_nbytes == 0:
-            return float("inf")
-        return self.values.size * 4 / self.payload_nbytes
+        return payload_ratio(self.values.size * 4, self.payload_nbytes)
 
 
 def _flat32(values: np.ndarray) -> np.ndarray:

@@ -2,33 +2,24 @@
 
 Substitutes for the paper's Xilinx VC709 implementation: the same burst
 structure (8 compression/decompression blocks over a 256-bit AXI
-stream), ToS-based packet classification, and a 100 MHz clock driving
+stream), a ToS-``0x28`` packet comparator, and a 100 MHz clock driving
 the timing figures the network simulator consumes.
+
+One cycle rule (:class:`BurstEngine`) charges all three engines — the
+NIC's compressor/decompressor pair and the switch-side aggregation
+engine — and each engine has one production path, the vectorized bulk
+one.  The burst-by-burst behavioural model of Figs 9–10 (CB/DB lanes,
+Alignment Unit, Tag Decoder, Burst Buffer) is the reference oracle
+those paths are pinned against; it lives with the tests, in
+``tests/hardware/structural_model.py``.
 """
 
 from .aggregation_engine import AggregationEngine, AggregationStats
 from .axi import BURST_BITS, BURST_BYTES, WORDS_PER_BURST, BurstError, burst_count
-from .blocks import CompressionBlock, DecompressionBlock
-from .compression_engine import (
-    DEFAULT_CLOCK_HZ,
-    PIPELINE_DEPTH,
-    AlignmentUnit,
-    CompressionEngine,
-    EngineStats,
-)
-from .decompression_engine import (
-    BurstBuffer,
-    DecompressionEngine,
-    DecompressionError,
-    TagDecoder,
-)
-from .nic import (
-    InceptionnNic,
-    NicCounters,
-    PacketEngine,
-    snappy_engine,
-    sz_engine,
-)
+from .compression_engine import CompressionEngine, EngineStats
+from .decompression_engine import DecompressionEngine, DecompressionError
+from .engine import DEFAULT_CLOCK_HZ, PIPELINE_DEPTH, BurstEngine
+from .nic import InceptionnNic, NicCounters
 from .timing import engine_latency_s, engine_throughput_bps, timing_model_for
 
 __all__ = [
@@ -39,22 +30,15 @@ __all__ = [
     "WORDS_PER_BURST",
     "BurstError",
     "burst_count",
-    "CompressionBlock",
-    "DecompressionBlock",
-    "DEFAULT_CLOCK_HZ",
-    "PIPELINE_DEPTH",
-    "AlignmentUnit",
     "CompressionEngine",
     "EngineStats",
-    "BurstBuffer",
     "DecompressionEngine",
     "DecompressionError",
-    "TagDecoder",
+    "DEFAULT_CLOCK_HZ",
+    "PIPELINE_DEPTH",
+    "BurstEngine",
     "InceptionnNic",
     "NicCounters",
-    "PacketEngine",
-    "snappy_engine",
-    "sz_engine",
     "engine_latency_s",
     "engine_throughput_bps",
     "timing_model_for",

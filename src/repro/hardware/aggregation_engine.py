@@ -6,9 +6,9 @@ switch egress port (or the aggregating endpoint's NIC) that folds
 compressed gradient payloads into a running partial sum held in SRAM.
 Operand bursts stream in one 256-bit beat per cycle per lane, so one
 reduction costs one beat per input burst (divided across ``lanes``)
-plus the adder pipeline drain — the same burst/pipeline accounting
-shape as the compression engines, which keeps engine comparisons
-apples-to-apples.
+plus the adder pipeline drain — charged by the same
+:class:`~repro.hardware.engine.BurstEngine` rule as the compression
+engines, which keeps engine comparisons apples-to-apples.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .axi import BURST_BITS
-from .compression_engine import DEFAULT_CLOCK_HZ, PIPELINE_DEPTH
+from .axi import burst_count
+from .engine import DEFAULT_CLOCK_HZ, BurstEngine
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class AggregationStats:
         return self.cycles / clock_hz
 
 
-class AggregationEngine:
+class AggregationEngine(BurstEngine):
     """Folds compressed gradient streams burst-by-burst.
 
     ``lanes`` scales how many input beats fold per cycle (a wider adder
@@ -45,20 +45,10 @@ class AggregationEngine:
     def __init__(
         self, lanes: int = 1, clock_hz: float = DEFAULT_CLOCK_HZ
     ) -> None:
-        if lanes < 1:
-            raise ValueError("aggregation engine needs at least one lane")
-        if clock_hz <= 0:
-            raise ValueError("clock_hz must be positive")
-        self.lanes = lanes
-        self.clock_hz = clock_hz
-        self.total_cycles = 0
+        super().__init__(clock_hz, lanes=lanes)
         self.total_reductions = 0
         self.total_bytes_in = 0
         self.total_bytes_out = 0
-
-    @staticmethod
-    def _bursts(nbytes: int) -> int:
-        return -(-(nbytes * 8) // BURST_BITS)
 
     def reduce(
         self, payload_nbytes: Sequence[int], output_nbytes: int
@@ -73,26 +63,13 @@ class AggregationEngine:
             raise ValueError("a reduction needs at least one input")
         if any(n < 0 for n in payload_nbytes) or output_nbytes < 0:
             raise ValueError("payload sizes cannot be negative")
-        bursts_in = sum(self._bursts(n) for n in payload_nbytes)
-        cycles = -(-bursts_in // self.lanes) + PIPELINE_DEPTH
         stats = AggregationStats(
             fan_in=len(payload_nbytes),
             bytes_in=sum(payload_nbytes),
             bytes_out=output_nbytes,
-            cycles=cycles,
+            cycles=self.charge(sum(burst_count(n) for n in payload_nbytes)),
         )
-        self.total_cycles += stats.cycles
         self.total_reductions += 1
         self.total_bytes_in += stats.bytes_in
         self.total_bytes_out += stats.bytes_out
         return stats
-
-    def elapsed_s(self) -> float:
-        """Total engine-busy time across all reductions so far."""
-        return self.total_cycles / self.clock_hz
-
-    def throughput_bps(self) -> float:
-        """Achieved input throughput (bits/s) across all reductions."""
-        if self.total_cycles == 0:
-            return 0.0
-        return self.total_bytes_in * 8 * self.clock_hz / self.total_cycles

@@ -2,13 +2,10 @@
 
 Both engines exchange data with the rest of the NIC over a standard
 256-bit AXI-stream bus (paper Sec. VI-A): every beat carries 8 float32
-words.  These helpers slice byte payloads into bursts and back.
+words.
 """
 
 from __future__ import annotations
-
-import struct
-from typing import Iterator, List, Sequence
 
 #: AXI-stream data width used by the reference design.
 BURST_BITS = 256
@@ -19,27 +16,6 @@ WORDS_PER_BURST = BURST_BYTES // 4
 
 class BurstError(ValueError):
     """Raised for payloads that cannot form whole float32 words."""
-
-
-def iter_word_bursts(data: bytes) -> Iterator[List[int]]:
-    """Yield bursts of up to 8 little-endian 32-bit words.
-
-    The final burst may be partial (fewer than 8 words); compressible
-    packet payloads must hold whole float32 values.
-    """
-    if len(data) % 4:
-        raise BurstError(
-            f"compressible payload must be whole float32 words, got {len(data)} bytes"
-        )
-    num_words = len(data) // 4
-    words = list(struct.unpack(f"<{num_words}I", data)) if num_words else []
-    for start in range(0, num_words, WORDS_PER_BURST):
-        yield words[start : start + WORDS_PER_BURST]
-
-
-def words_to_bytes(words: Sequence[int]) -> bytes:
-    """Pack 32-bit words back into little-endian bytes."""
-    return struct.pack(f"<{len(words)}I", *[w & 0xFFFFFFFF for w in words])
 
 
 def burst_count(nbytes: int) -> int:

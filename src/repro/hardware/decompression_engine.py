@@ -13,82 +13,30 @@ software codec and is validated bit-exact against ``repro.core``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.core.bitstream import BitReader
 from repro.core.bounds import ErrorBound
 from repro.core.codec import decompress as codec_decompress
 from repro.core.container import (
     GROUP_SIZE,
-    GROUP_TAG_BITS,
     CompressedGradients,
     TruncatedRecordError,
     scan_group_offsets,
     unpack_group_records,
 )
-from repro.core.tags import PAYLOAD_BITS
 
-from .axi import BURST_BITS, WORDS_PER_BURST, words_to_bytes
-from .blocks import DecompressionBlock
-from .compression_engine import DEFAULT_CLOCK_HZ, PIPELINE_DEPTH, EngineStats
+from .axi import WORDS_PER_BURST, burst_count
+from .compression_engine import EngineStats
+from .engine import DEFAULT_CLOCK_HZ, BurstEngine
 
 
 class DecompressionError(ValueError):
     """Raised when a compressed stream is truncated or malformed."""
 
 
-class TagDecoder:
-    """Computes the eight payload sizes from a 16-bit tag vector."""
-
-    @staticmethod
-    def decode(tag_word: int) -> List[int]:
-        """Return the per-lane tags of one group."""
-        return [(tag_word >> (2 * lane)) & 0b11 for lane in range(GROUP_SIZE)]
-
-    @staticmethod
-    def group_payload_bits(tag_word: int) -> int:
-        """Total payload bits following this tag vector (0–256)."""
-        return sum(PAYLOAD_BITS[t] for t in TagDecoder.decode(tag_word))
-
-
-class BurstBuffer:
-    """Double-beat staging buffer in front of the Decompression Unit.
-
-    Behaviourally a bit FIFO: the hardware's shift-and-refill is modeled
-    by a reader over the whole stream plus a high-water accounting of how
-    many beats had to be fetched before each group could decode.
-    """
-
-    def __init__(self, data: bytes) -> None:
-        self._reader = BitReader(data)
-        self._total_bits = len(data) * 8
-        self.beats_fetched = 0
-
-    def bits_consumed(self) -> int:
-        return self._total_bits - self._reader.bits_remaining
-
-    def has_group(self) -> bool:
-        """True while at least a tag vector remains.
-
-        The final byte of a stream may carry up to 7 padding bits; a
-        whole 16-bit tag vector can never be padding, so requiring 16
-        readable bits cleanly terminates parsing.
-        """
-        return self._reader.bits_remaining >= GROUP_TAG_BITS
-
-    def read(self, nbits: int) -> int:
-        value = self._reader.read(nbits)
-        # Account beats as the stream high-water mark crosses 256-bit lines.
-        consumed = self.bits_consumed()
-        needed_beats = -(-consumed // BURST_BITS)
-        self.beats_fetched = max(self.beats_fetched, needed_beats)
-        return value
-
-
-class DecompressionEngine:
+class DecompressionEngine(BurstEngine):
     """Reconstructs float32 payloads from the compressed bitstream."""
 
     def __init__(
@@ -97,17 +45,9 @@ class DecompressionEngine:
         num_blocks: int = WORDS_PER_BURST,
         clock_hz: float = DEFAULT_CLOCK_HZ,
     ) -> None:
-        if num_blocks < 1:
-            raise ValueError("need at least one decompression block")
+        super().__init__(clock_hz, num_blocks=num_blocks)
         self.bound = bound
-        self.clock_hz = clock_hz
-        self.blocks = [DecompressionBlock(bound) for _ in range(num_blocks)]
-        self.total_cycles = 0
         self.total_groups = 0
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
 
     def decompress(
         self, data: bytes, num_values: Optional[int] = None
@@ -118,11 +58,11 @@ class DecompressionEngine:
         the output length is rounded up to a whole group (the hardware
         behaviour — the host's receive buffer length does the trimming).
 
-        This is the bulk path: the group records are located and decoded
-        with the vectorized container kernels and the stats computed in
-        closed form.  It is pinned byte- and stats-identical to the
-        burst-by-burst behavioural model, which remains available as
-        :meth:`decompress_structural`.
+        The group records are located and decoded with the vectorized
+        container kernels and the stats computed in closed form; both
+        are pinned identical to the burst-by-burst behavioural model
+        kept as the test-side oracle
+        (``tests/hardware/structural_model.py``).
         """
         stats = EngineStats()
         try:
@@ -133,81 +73,23 @@ class DecompressionEngine:
             ) from exc
         tags, payloads = unpack_group_records(data, offsets)
         groups = int(offsets.shape[0]) - 1
-        consumed = int(offsets[-1])
         compressed = CompressedGradients(
             tags=tags, payloads=payloads, bound=self.bound
         )
         values = codec_decompress(compressed)
-        word_bits = values.view(np.uint32)
         if num_values is not None:
             if num_values > groups * GROUP_SIZE:
                 raise DecompressionError(
                     f"stream holds {groups * GROUP_SIZE} values, "
                     f"caller expected {num_values}"
                 )
-            if np.any(word_bits[num_values:]):
+            if np.any(values.view(np.uint32)[num_values:]):
                 raise DecompressionError("non-zero padding lanes in final group")
             values = values[:num_values]
         stats.bursts_out = groups
-        stats.bursts_in = -(-consumed * 8 // BURST_BITS)
+        stats.bursts_in = burst_count(int(offsets[-1]))
         stats.bits_out = int(values.shape[0]) * 32
-        stats.cycles = self._cycles_for(groups)
-        self._count_lane_words(groups)
-        self.total_cycles += stats.cycles
+        # An empty stream never enters the pipeline: no drain to pay.
+        stats.cycles = self.charge(groups) if groups else 0
         self.total_groups += groups
         return values.tobytes(), stats
-
-    def decompress_structural(
-        self, data: bytes, num_values: Optional[int] = None
-    ) -> "tuple[bytes, EngineStats]":
-        """Burst-by-burst behavioural model (one DB lane per word).
-
-        Drop-in equivalent of :meth:`decompress`; kept as the structural
-        reference the bulk path is validated against.
-        """
-        stats = EngineStats()
-        buffer = BurstBuffer(data)
-        words: List[int] = []
-        groups = 0
-        while buffer.has_group():
-            try:
-                tag_word = buffer.read(GROUP_TAG_BITS)
-                tags = TagDecoder.decode(tag_word)
-                for lane, tag in enumerate(tags):
-                    nbits = PAYLOAD_BITS[tag]
-                    payload = buffer.read(nbits) if nbits else 0
-                    block = self.blocks[lane % self.num_blocks]
-                    words.append(block.process(tag, payload))
-            except EOFError as exc:
-                raise DecompressionError(
-                    f"compressed stream truncated inside group {groups}"
-                ) from exc
-            groups += 1
-            stats.bursts_out += 1
-        if num_values is not None:
-            if num_values > len(words):
-                raise DecompressionError(
-                    f"stream holds {len(words)} values, caller expected {num_values}"
-                )
-            extra = words[num_values:]
-            if any(w != 0 for w in extra):
-                raise DecompressionError("non-zero padding lanes in final group")
-            words = words[:num_values]
-        stats.bursts_in = buffer.beats_fetched
-        stats.bits_out = len(words) * 32
-        stats.cycles = self._cycles_for(groups)
-        self.total_cycles += stats.cycles
-        self.total_groups += groups
-        return words_to_bytes(words), stats
-
-    def _count_lane_words(self, groups: int) -> None:
-        """Attribute ``groups`` full groups of words to the DB lanes."""
-        lanes = np.arange(WORDS_PER_BURST, dtype=np.int64) % self.num_blocks
-        for lane in lanes:
-            self.blocks[int(lane)].words_produced += groups
-
-    def _cycles_for(self, groups: int) -> int:
-        if groups == 0:
-            return 0
-        beats_per_group = -(-WORDS_PER_BURST // self.num_blocks)
-        return groups * beats_per_group + PIPELINE_DEPTH

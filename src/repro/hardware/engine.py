@@ -1,0 +1,63 @@
+"""The one burst/pipeline cycle model every hardware engine is charged by.
+
+The NIC's compression and decompression engines (paper Figs 9–10) and
+the switch-side aggregation engine are the same machine to the timing
+model: operand bursts of 256 bits stream through a fixed-depth pipeline
+at the engine clock.  A burst occupies the pipeline for
+``ceil(8 / num_blocks)`` beats (an engine with fewer than eight blocks
+revisits the burst — the width ablation), ``lanes`` bursts fold per
+beat (a wider adder tree), and every pass pays the pipeline drain once.
+Charging all three by this rule is what makes NIC-engine and in-switch
+aggregation timings comparable.
+"""
+
+from __future__ import annotations
+
+from .axi import BURST_BYTES, WORDS_PER_BURST
+
+#: Reference-design clock (paper Sec. VII-C: 100 MHz, bandwidth-neutral).
+DEFAULT_CLOCK_HZ = 100e6
+#: Cycles for a burst to traverse the block + alignment pipeline.
+PIPELINE_DEPTH = 4
+
+
+class BurstEngine:
+    """Cycle accounting shared by the NIC and switch engines."""
+
+    def __init__(
+        self,
+        clock_hz: float = DEFAULT_CLOCK_HZ,
+        num_blocks: int = WORDS_PER_BURST,
+        lanes: int = 1,
+    ) -> None:
+        if num_blocks < 1:
+            raise ValueError("an engine needs at least one block")
+        if lanes < 1:
+            raise ValueError("an engine needs at least one lane")
+        if clock_hz <= 0:
+            raise ValueError("clock_hz must be positive")
+        self.clock_hz = clock_hz
+        self.num_blocks = num_blocks
+        self.lanes = lanes
+        #: With 8 blocks one burst retires per beat; narrower engines
+        #: need several beats per burst.
+        self.beats_per_burst = -(-WORDS_PER_BURST // num_blocks)
+        self.total_cycles = 0
+
+    def charge(self, bursts: int) -> int:
+        """Occupy the engine for one pass over ``bursts``; returns its cycles."""
+        cycles = -(-bursts * self.beats_per_burst // self.lanes) + PIPELINE_DEPTH
+        self.total_cycles += cycles
+        return cycles
+
+    def elapsed_s(self) -> float:
+        """Total engine-busy time across every pass so far."""
+        return self.total_cycles / self.clock_hz
+
+    def throughput_bps(self) -> float:
+        """Nominal operand-side streaming rate in bytes/second."""
+        return BURST_BYTES * self.clock_hz * self.lanes / self.beats_per_burst
+
+    def latency_s(self) -> float:
+        """Pipeline-fill latency through the engine."""
+        return PIPELINE_DEPTH / self.clock_hz

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from repro.network.simulator import NicTimingModel
 
-from .axi import BURST_BITS, WORDS_PER_BURST
-from .compression_engine import DEFAULT_CLOCK_HZ, PIPELINE_DEPTH, CompressionEngine
+from .axi import WORDS_PER_BURST
+from .engine import DEFAULT_CLOCK_HZ, BurstEngine
 from .nic import InceptionnNic
 
 
@@ -20,22 +20,19 @@ def engine_throughput_bps(
     num_blocks: int = WORDS_PER_BURST, clock_hz: float = DEFAULT_CLOCK_HZ
 ) -> float:
     """Bytes/second of uncompressed data an engine can stream."""
-    beats_per_burst = -(-WORDS_PER_BURST // num_blocks)
-    return (BURST_BITS / 8) * clock_hz / beats_per_burst
+    return BurstEngine(clock_hz, num_blocks=num_blocks).throughput_bps()
 
 
 def engine_latency_s(clock_hz: float = DEFAULT_CLOCK_HZ) -> float:
     """Pipeline-fill latency through the engine."""
-    return PIPELINE_DEPTH / clock_hz
+    return BurstEngine(clock_hz).latency_s()
 
 
 def timing_model_for(nic: InceptionnNic) -> NicTimingModel:
     """The network-simulator view of a functional NIC instance."""
-    engine: CompressionEngine = nic.compressor
+    engine = nic.compressor
     return NicTimingModel(
         compression=nic.enabled,
-        engine_latency_s=engine_latency_s(engine.clock_hz),
-        engine_throughput_bps=engine_throughput_bps(
-            engine.num_blocks, engine.clock_hz
-        ),
+        engine_latency_s=engine.latency_s(),
+        engine_throughput_bps=engine.throughput_bps(),
     )

@@ -148,6 +148,17 @@ def packet_count(nbytes: int, mss: int = DEFAULT_MSS) -> int:
     return max(1, -(-nbytes // mss))
 
 
+def payload_ratio(raw_nbytes: int, wire_nbytes: int) -> float:
+    """Raw payload bytes per wire payload byte — the one ratio rule.
+
+    Zero handling is explicit (``0`` is a value, not "unset"): nothing
+    sent as nothing is ratio 1.0, something sent as nothing is infinite.
+    """
+    if wire_nbytes:
+        return raw_nbytes / wire_nbytes
+    return float("inf") if raw_nbytes else 1.0
+
+
 def distribute_payload(nbytes: int, num_packets: int) -> List[int]:
     """Spread ``nbytes`` of payload over ``num_packets`` packets.
 

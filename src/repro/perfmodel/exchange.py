@@ -35,6 +35,7 @@ from repro.distributed.node import (
 from repro.distributed.ring import ring_exchange_sizes, ring_step_blocks
 from repro.dnn.models import ModelSpec
 from repro.network import Event, RetransmitPolicy, TenantSpec
+from repro.network.packet import payload_ratio
 from repro.obs import CAT_PHASE, Tracer
 from repro.transport.aggregation import (
     AGG_ENDPOINT,
@@ -101,9 +102,7 @@ class ExchangeResult:
     @property
     def wire_ratio(self) -> float:
         """Achieved wire-level compression across the whole exchange."""
-        if self.wire_payload_nbytes == 0:
-            return 1.0 if self.sent_nbytes == 0 else float("inf")
-        return self.sent_nbytes / self.wire_payload_nbytes
+        return payload_ratio(self.sent_nbytes, self.wire_payload_nbytes)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Transport layer: endpoints, collectives, ToS tagging over the simulator."""
+"""Transport layer: endpoints, wire messages, ToS tagging over the simulator."""
 
 from .aggregation import (
     AGG_ENDPOINT,
@@ -9,12 +9,6 @@ from .aggregation import (
     aggregate_endpoint,
     combine_parts,
     validate_agg_site,
-)
-from .collectives import (
-    broadcast_from_root,
-    recv_from,
-    reduce_to_root,
-    send_to,
 )
 from .endpoint import (
     ClusterComm,
@@ -40,10 +34,6 @@ __all__ = [
     "aggregate_endpoint",
     "combine_parts",
     "validate_agg_site",
-    "broadcast_from_root",
-    "recv_from",
-    "reduce_to_root",
-    "send_to",
     "ClusterComm",
     "ClusterConfig",
     "Endpoint",

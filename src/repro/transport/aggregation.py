@@ -174,7 +174,6 @@ class SwitchGather:
         root: int,
         sources: Sequence[int],
         stream: Optional[StreamProfile],
-        lanes: int = 1,
     ) -> None:
         fabric = comm.topology
         if not isinstance(fabric, MultiTierFabric):
@@ -201,8 +200,6 @@ class SwitchGather:
         self.stream = stream
         self.root = root
         self.plan: ReductionPlan = build_reduction_plan(fabric, sources, root)
-        self._lanes = lanes
-        self._clock_hz = comm.config.engine_clock_hz
         self._root_vertex = fabric.host_id(root)
         #: One FIFO store per tree edge, keyed by plan segment index.
         self._stores: Dict[int, Store] = {}
@@ -227,9 +224,7 @@ class SwitchGather:
         """The (shared) aggregation engine hosted at a fabric vertex."""
         return self.fabric.aggregation_engine(
             vertex,
-            lambda: AggregationEngine(
-                lanes=self._lanes, clock_hz=self._clock_hz
-            ),
+            lambda: AggregationEngine(clock_hz=self.comm.config.engine_clock_hz),
         )
 
     def engine_cycles(self) -> int:
@@ -312,10 +307,11 @@ class SwitchGather:
         """Fold one stage's operands, charging its engine."""
         start = self.comm.sim.now
         combined = combine_parts(self.stream, parts)
-        stats = self.engine(stage.vertex).reduce(
+        engine = self.engine(stage.vertex)
+        stats = engine.reduce(
             [p.payload_nbytes for p in parts], combined.payload_nbytes
         )
-        dt = stats.elapsed_s(self._clock_hz)
+        dt = stats.elapsed_s(engine.clock_hz)
         tracer = self.comm.tracer
         if tracer is not None:
             tracer.span(

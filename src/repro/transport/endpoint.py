@@ -22,7 +22,7 @@ import numpy as np
 from repro.core import ErrorBound, RAW_STREAM, StreamProfile
 from repro.core.bounds import DEFAULT_BOUND
 from repro.hardware.nic import InceptionnNic
-from repro.hardware.timing import timing_model_for
+from repro.hardware.timing import engine_latency_s, engine_throughput_bps
 from repro.network import (
     BackgroundTraffic,
     Event,
@@ -37,7 +37,7 @@ from repro.network import (
     TieBreak,
     build_topology,
 )
-from repro.network.packet import TOS_DEFAULT
+from repro.network.packet import TOS_DEFAULT, payload_ratio
 from repro.network.topology import DEFAULT_BANDWIDTH_BPS, Topology
 from repro.obs import CAT_CODEC, Tracer
 
@@ -86,9 +86,7 @@ class TransferSummary:
         are different things here (the zero-ratio bug's
         falsy-check cousin), so no ``or``-style default is used.
         """
-        if self.wire_payload_nbytes == 0:
-            return 1.0 if self.nbytes == 0 else float("inf")
-        return self.nbytes / self.wire_payload_nbytes
+        return payload_ratio(self.nbytes, self.wire_payload_nbytes)
 
 
 def summarize_transfers(transfers: Sequence[TransferLog]) -> TransferSummary:
@@ -188,7 +186,13 @@ class ClusterConfig:
         The one config-to-engine-timing conversion; the event kernel's
         engine stages and the flow evaluator's both read it.
         """
-        return timing_model_for(self.build_nic(0))
+        return NicTimingModel(
+            compression=self.profile is not None,
+            engine_latency_s=engine_latency_s(self.engine_clock_hz),
+            engine_throughput_bps=engine_throughput_bps(
+                self.engine_blocks, self.engine_clock_hz
+            ),
+        )
 
 
 class ClusterComm:
@@ -385,14 +389,7 @@ class Endpoint:
         estimated: bool,
     ) -> None:
         """Record one compress call and its achieved (or assumed) ratio."""
-        # Explicit zero handling: an empty message is ratio 1.0, not
-        # infinity (and 0 compressed bytes of a non-empty message is).
-        if compressed_nbytes:
-            ratio = nbytes / compressed_nbytes
-        elif nbytes:
-            ratio = float("inf")
-        else:
-            ratio = 1.0
+        ratio = payload_ratio(nbytes, compressed_nbytes)
         tracer.instant(
             "codec.compress",
             cat=CAT_CODEC,

@@ -39,6 +39,7 @@ from repro.network.packet import (
     TOS_DEFAULT,
     distribute_payload,
     packet_count,
+    payload_ratio,
 )
 
 if TYPE_CHECKING:
@@ -104,9 +105,7 @@ class WireMessage:
     @property
     def ratio(self) -> float:
         """Achieved payload compression ratio (1.0 for empty messages)."""
-        if self.wire_payload_nbytes:
-            return self.nbytes / self.wire_payload_nbytes
-        return float("inf") if self.nbytes else 1.0
+        return payload_ratio(self.nbytes, self.wire_payload_nbytes)
 
     def segments(self) -> Iterator[WireSegment]:
         """The packet train, generated lazily in sequence order.

@@ -2,11 +2,14 @@
 
 import pytest
 
-from repro.hardware import AggregationEngine, AggregationStats
-from repro.hardware.axi import BURST_BITS
-from repro.hardware.compression_engine import (
+from repro.core import ErrorBound
+from repro.hardware import (
+    BURST_BITS,
     DEFAULT_CLOCK_HZ,
     PIPELINE_DEPTH,
+    AggregationEngine,
+    AggregationStats,
+    CompressionEngine,
 )
 
 
@@ -51,15 +54,21 @@ def test_totals_accumulate_across_reductions():
 
 def test_elapsed_and_throughput_follow_the_clock():
     engine = AggregationEngine(clock_hz=1e6)
+    nominal = engine.throughput_bps()
     stats = engine.reduce([BURST_BITS // 8] * 2, BURST_BITS // 8)
     assert stats.elapsed_s(1e6) == stats.cycles / 1e6
     assert engine.elapsed_s() == engine.total_cycles / 1e6
-    expected_bps = engine.total_bytes_in * 8 * 1e6 / engine.total_cycles
-    assert engine.throughput_bps() == pytest.approx(expected_bps)
+    assert engine.throughput_bps() == nominal == 32 * 1e6
 
 
-def test_idle_engine_reports_zero_throughput():
-    assert AggregationEngine().throughput_bps() == 0.0
+@pytest.mark.parametrize("lanes", [1, 4])
+def test_throughput_unit_is_nominal_bytes_per_s(lanes):
+    # One unit for one name: bytes/s of operand data, idle or busy.
+    engine = AggregationEngine(lanes=lanes)
+    assert engine.throughput_bps() == lanes * 32 * DEFAULT_CLOCK_HZ
+    if lanes == 1:
+        nic_engine = CompressionEngine(ErrorBound(10))
+        assert engine.throughput_bps() == nic_engine.throughput_bps()
 
 
 def test_default_clock_matches_compression_engines():

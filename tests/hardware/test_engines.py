@@ -5,11 +5,18 @@ import pytest
 
 from repro.core import ErrorBound, compress, decompress
 from repro.hardware import (
+    AggregationEngine,
+    BurstEngine,
     BurstError,
     CompressionEngine,
     DecompressionEngine,
     DecompressionError,
+)
+
+from .structural_model import (
     TagDecoder,
+    compress_structural,
+    decompress_structural,
 )
 
 BOUND = ErrorBound(10)
@@ -134,27 +141,39 @@ def test_extreme_values_survive_hardware_path():
     assert out[6] == 1.0 and out[7] == -1.0
 
 
+def test_burst_engine_charge_reproduces_every_engines_cycles():
+    """One rule: ceil(bursts * beats / lanes) + pipeline, accumulated."""
+    assert BurstEngine().charge(100) == 100 + 4
+    assert BurstEngine(num_blocks=2).charge(100) == 100 * 4 + 4
+    wide = BurstEngine(lanes=4)
+    assert wide.charge(513) == -(-513 // 4) + 4
+    assert wide.charge(0) == 4  # a pass always pays the pipeline drain
+    assert wide.total_cycles == -(-513 // 4) + 4 + 4
+    # ...and the subclasses are charged by it, not by private copies.
+    _, payload = _gradient_bytes(8 * 100)
+    assert CompressionEngine(BOUND, num_blocks=2).compress(payload)[1].cycles == 404
+    stream, _ = CompressionEngine(BOUND).compress(payload)
+    assert DecompressionEngine(BOUND).decompress(stream, 800)[1].cycles == 104
+    assert AggregationEngine(lanes=4).reduce([32 * 513], 32).cycles == 129 + 4
+
+
 class TestBulkStructuralEquivalence:
-    """The vectorized fast paths are pinned to the burst-level models."""
+    """The vectorized production paths are pinned to the burst-level oracle."""
 
     @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 100, 1000])
     @pytest.mark.parametrize("num_blocks", [8, 3])
     def test_compress_paths_agree(self, n, num_blocks):
         _, payload = _gradient_bytes(n, seed=n)
         bulk = CompressionEngine(BOUND, num_blocks=num_blocks)
-        structural = CompressionEngine(BOUND, num_blocks=num_blocks)
         data_b, stats_b = bulk.compress(payload)
-        data_s, stats_s = structural.compress_structural(payload)
+        data_s, stats_s = compress_structural(payload, BOUND, num_blocks)
         assert data_b == data_s
         assert stats_b.bursts_in == stats_s.bursts_in
         assert stats_b.bursts_out == stats_s.bursts_out
         assert stats_b.bits_out == stats_s.bits_out
         assert stats_b.cycles == stats_s.cycles
-        assert bulk.total_cycles == structural.total_cycles
-        assert bulk.total_bursts == structural.total_bursts
-        assert [b.words_processed for b in bulk.blocks] == [
-            b.words_processed for b in structural.blocks
-        ]
+        assert bulk.total_cycles == stats_s.cycles
+        assert bulk.total_bursts == stats_s.bursts_in
 
     @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 100, 1000])
     @pytest.mark.parametrize("num_blocks", [8, 3])
@@ -162,21 +181,23 @@ class TestBulkStructuralEquivalence:
         values, payload = _gradient_bytes(n, seed=n + 50)
         stream = compress(values, BOUND).to_bytes()
         bulk = DecompressionEngine(BOUND, num_blocks=num_blocks)
-        structural = DecompressionEngine(BOUND, num_blocks=num_blocks)
         data_b, stats_b = bulk.decompress(stream, num_values=n)
-        data_s, stats_s = structural.decompress_structural(
-            stream, num_values=n
-        )
+        data_s, stats_s = decompress_structural(stream, BOUND, n, num_blocks)
         assert data_b == data_s
         assert stats_b.bursts_in == stats_s.bursts_in
         assert stats_b.bursts_out == stats_s.bursts_out
         assert stats_b.bits_out == stats_s.bits_out
         assert stats_b.cycles == stats_s.cycles
-        assert bulk.total_cycles == structural.total_cycles
-        assert bulk.total_groups == structural.total_groups
-        assert [b.words_produced for b in bulk.blocks] == [
-            b.words_produced for b in structural.blocks
-        ]
+        assert bulk.total_cycles == stats_s.cycles
+        assert bulk.total_groups == stats_s.bursts_out
+
+    def test_both_reject_nonzero_padding_lanes(self):
+        values = np.full(8, 0.25, dtype=np.float32)
+        stream = compress(values, BOUND).to_bytes()
+        with pytest.raises(DecompressionError, match="padding"):
+            DecompressionEngine(BOUND).decompress(stream, num_values=3)
+        with pytest.raises(DecompressionError, match="padding"):
+            decompress_structural(stream, BOUND, 3)
 
     def test_bulk_compress_rejects_ragged_payload(self):
         with pytest.raises(BurstError):

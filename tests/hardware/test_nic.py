@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import ErrorBound
+from repro.core import ErrorBound, profile_for
 from repro.hardware import InceptionnNic, timing_model_for
 from repro.network import TOS_COMPRESS, TOS_DEFAULT, Packet
+from repro.transport import ClusterConfig
 
 BOUND = ErrorBound(10)
 
@@ -119,3 +120,19 @@ def test_timing_model_export():
     assert model.engine_throughput_bps == pytest.approx(3.2e9)
     narrow = _nic(num_blocks=2)
     assert timing_model_for(narrow).engine_throughput_bps == pytest.approx(0.8e9)
+
+
+@pytest.mark.parametrize("blocks", [2, 8])
+@pytest.mark.parametrize("codec", [None, "inceptionn"])
+def test_cluster_config_timing_equals_the_functional_nics(blocks, codec):
+    # ClusterConfig.nic_timing() skips building a NIC; same numbers.
+    config = ClusterConfig(
+        num_nodes=2,
+        engine_blocks=blocks,
+        engine_clock_hz=125e6,
+        profile=profile_for(codec) if codec else None,
+    )
+    assert config.nic_timing() == timing_model_for(config.build_nic(0))
+    if codec and blocks == 8:
+        default = ClusterConfig(num_nodes=2, profile=profile_for(codec))
+        assert default.nic_timing() == timing_model_for(InceptionnNic(0, BOUND))

@@ -1,98 +1,78 @@
-"""NIC engine dispatch: ToS byte -> engine table (tentpole hardware leg)."""
+"""NIC dispatch: the codec registry is the one table of engine-eligible ToS.
+
+Message granularity (``dispatches``) follows the registry; the
+per-packet datapath engages only the INCEPTIONN pair at ``0x28`` and
+bypasses every other byte, registered or not.
+"""
 
 import numpy as np
-import pytest
 
-from repro.core import ErrorBound
-from repro.hardware import (
-    InceptionnNic,
-    PacketEngine,
-    snappy_engine,
-    sz_engine,
-)
+from repro.core import ErrorBound, profile_for
+from repro.hardware import InceptionnNic
 from repro.network.packet import TOS_COMPRESS, TOS_DEFAULT, Packet
 
 BOUND = ErrorBound(10)
-SNAPPY_TOS = 0x40
-SZ_TOS = 0x3C
+SNAPPY_TOS = profile_for("snappy_like").resolved_tos
 
 
 def _nic(enabled=True):
     return InceptionnNic(node_id=0, bound=BOUND, enabled=enabled)
 
 
+def _assert_bypasses(nic, tos):
+    pkt = Packet(src=0, dst=1, seq=0, tos=tos, payload=b"\x00" * 64)
+    before = (nic.counters.tx_bypassed, nic.counters.rx_bypassed)
+    assert nic.process_tx(pkt) is pkt
+    assert nic.process_rx(pkt) is pkt
+    after = (nic.counters.tx_bypassed, nic.counters.rx_bypassed)
+    assert after == (before[0] + 1, before[1] + 1)
+
+
 def test_inceptionn_engine_preinstalled_at_0x28():
     nic = _nic()
-    engine = nic.engine_for(TOS_COMPRESS)
-    assert engine is not None and engine.name == "inceptionn"
-    assert nic.engine_for(TOS_DEFAULT) is None
+    assert nic.dispatches(TOS_COMPRESS)
+    assert not nic.dispatches(TOS_DEFAULT)
+    pkt = Packet(src=0, dst=1, seq=0, tos=TOS_COMPRESS, payload=b"\x00" * 64)
+    assert nic.process_tx(pkt) is not pkt
+    assert nic.counters.tx_compressed == 1
+
+
+def test_registered_codec_tos_dispatches_at_message_granularity():
+    assert SNAPPY_TOS != TOS_COMPRESS
+    assert _nic().dispatches(SNAPPY_TOS)
+    assert not _nic().dispatches(0x77)
+
+
+def test_disabled_nic_dispatches_nothing():
+    nic = _nic(enabled=False)
+    assert not nic.dispatches(TOS_COMPRESS)
+    assert not nic.dispatches(SNAPPY_TOS)
 
 
 def test_unregistered_tos_bypasses_identically():
+    _assert_bypasses(_nic(), 0x77)
+
+
+def test_registered_non_inceptionn_tos_bypasses_per_packet():
+    # The stream's own codec does that byte work in transport.wire;
+    # the packet engines never see it.
     nic = _nic()
-    pkt = Packet(src=0, dst=1, seq=0, tos=0x77, payload=b"\x00" * 64)
-    out = nic.process_tx(pkt)
-    assert out is pkt
-    assert nic.counters.tx_bypassed == 1
-    out = nic.process_rx(pkt)
-    assert out is pkt
-    assert nic.counters.rx_bypassed == 1
+    _assert_bypasses(nic, SNAPPY_TOS)
+    assert nic.counters.tx_compressed == nic.counters.rx_decompressed == 0
 
 
 def test_disabled_nic_bypasses_registered_tos():
     nic = _nic(enabled=False)
-    nic.register_engine(SNAPPY_TOS, snappy_engine())
-    pkt = Packet(src=0, dst=1, seq=0, tos=SNAPPY_TOS, payload=b"abc" * 40)
-    assert nic.process_tx(pkt) is pkt
-
-
-def test_snappy_engine_round_trips_bit_exact():
-    tx = _nic()
-    rx = _nic()
-    for nic in (tx, rx):
-        nic.register_engine(SNAPPY_TOS, snappy_engine())
-    data = (b"gradient stream " * 400)[:6000]
-    packets = tx.transmit_message(data, dst=1, tos=SNAPPY_TOS)
-    assert tx.counters.tx_compressed == len(packets)
-    assert tx.counters.tx_payload_bytes_out < tx.counters.tx_payload_bytes_in
-    assert rx.receive_message(packets) == data
-
-
-def test_sz_engine_round_trips_within_bound():
-    tx = _nic()
-    rx = _nic()
-    bound = 2.0**-10
-    for nic in (tx, rx):
-        nic.register_engine(SZ_TOS, sz_engine(bound))
-    rng = np.random.default_rng(5)
-    values = (rng.standard_normal(730) * 0.004).astype(np.float32)
-    packets = tx.transmit_message(values.tobytes(), dst=1, tos=SZ_TOS, mss=1460)
-    restored = np.frombuffer(rx.receive_message(packets), dtype=np.float32)
-    assert restored.size == values.size
-    assert float(np.max(np.abs(restored - values))) <= bound
+    _assert_bypasses(nic, TOS_COMPRESS)
+    _assert_bypasses(nic, SNAPPY_TOS)
 
 
 def test_inceptionn_path_still_works_alongside():
     tx = _nic()
     rx = _nic()
-    for nic in (tx, rx):
-        nic.register_engine(SNAPPY_TOS, snappy_engine())
     rng = np.random.default_rng(2)
     values = (rng.standard_normal(365) * 0.004).astype(np.float32)
     packets = tx.transmit_message(values.tobytes(), dst=1, tos=TOS_COMPRESS)
+    assert tx.counters.tx_compressed == len(packets)
     restored = np.frombuffer(rx.receive_message(packets), dtype=np.float32)
     assert float(np.max(np.abs(restored - values))) <= BOUND.bound
-
-
-def test_register_engine_rejects_out_of_range_tos():
-    nic = _nic()
-    engine = PacketEngine(
-        name="noop",
-        compress=lambda b: b,
-        decompress=lambda b, n: b,
-    )
-    with pytest.raises(ValueError):
-        nic.register_engine(0x1FF, engine)
-    # Re-registration at a valid ToS replaces the previous engine.
-    nic.register_engine(0x50, engine)
-    assert nic.engine_for(0x50).name == "noop"

@@ -9,7 +9,10 @@ traffic.
 
 import numpy as np
 
+from repro.core import profile_for
 from repro.distributed import DistributedRunResult
+from repro.hardware import NicCounters
+from repro.network.packet import payload_ratio
 from repro.perfmodel.breakdown import Breakdown
 from repro.transport import (
     ClusterComm,
@@ -102,3 +105,22 @@ class TestZeroByteWireAccounting:
             sent_at=0.0,
         )
         assert summarize_transfers([log]).wire_ratio == float("inf")
+
+
+class TestOneRatioRule:
+    """Every ratio property answers through ``packet.payload_ratio``."""
+
+    def test_rule_corners(self):
+        assert payload_ratio(0, 0) == 1.0
+        assert payload_ratio(100, 0) == float("inf")
+        assert payload_ratio(100, 25) == 4.0
+
+    def test_empty_codec_result_is_ratio_one_not_inf(self):
+        result = profile_for("identity").compress(np.zeros(0, np.float32))
+        assert result.payload_nbytes == 0
+        assert result.compression_ratio == 1.0
+
+    def test_nic_counters_nonzero_in_zero_out_is_infinite_not_one(self):
+        counters = NicCounters(tx_payload_bytes_in=64, tx_payload_bytes_out=0)
+        assert counters.tx_compression_ratio == float("inf")
+        assert NicCounters().tx_compression_ratio == 1.0
