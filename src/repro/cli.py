@@ -10,7 +10,7 @@ Subcommands
 ``exchange``    paper-scale gradient-exchange timing under any codec
 ``codecs``      list registered gradient codecs and their measured ratios
 ``strategies``  list registered gradient strategies (ring, wa, async_ps, ...)
-``trace``       run / validate / summarize / convert execution traces
+``trace``       validate / summarize / convert execution traces
 ``lint``        repo-aware static analysis (see ``repro lint --list-rules``)
 ``sanitize``    determinism sanitizer: replay + event-order race detection
 
@@ -396,45 +396,6 @@ def _cmd_codecs(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    if args.action == "run":
-        from repro.obs import Tracer, write_trace
-        from repro.perfmodel import simulate_ring_exchange, simulate_wa_exchange
-
-        tracer = Tracer()
-        simulate = (
-            simulate_ring_exchange
-            if args.algorithm == "ring"
-            else simulate_wa_exchange
-        )
-        try:
-            result = simulate(
-                num_workers=args.workers,
-                nbytes=int(args.mbytes * 1e6),
-                iterations=args.iterations,
-                bandwidth_bps=args.gbps * 1e9,
-                stream=_stream_for(args),
-                tracer=tracer,
-            )
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        write_trace(
-            tracer,
-            args.output,
-            meta={
-                "command": "trace run",
-                "algorithm": args.algorithm,
-                "workers": args.workers,
-                "iterations": args.iterations,
-                "compress": args.compress,
-                "total_s": result.total_s,
-            },
-        )
-        print(
-            f"{args.algorithm} x{args.workers}: {result.total_s * 1e3:.2f} ms, "
-            f"{len(tracer.events)} events -> {args.output}"
-        )
-        return 0
-
     if args.action == "validate":
         import json
 
@@ -679,16 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="execution-trace tooling")
     trace_sub = p.add_subparsers(dest="action", required=True)
-
-    t = trace_sub.add_parser("run", help="run a traced exchange")
-    t.add_argument("output", help="output trace JSON path")
-    t.add_argument("--algorithm", default="ring", choices=("ring", "wa"))
-    t.add_argument("--workers", type=int, default=4)
-    t.add_argument("--iterations", type=int, default=1)
-    t.add_argument("--mbytes", type=float, default=1.0, help="gradient MB")
-    t.add_argument("--gbps", type=float, default=10.0)
-    t.add_argument("--compress", action="store_true")
-    t.set_defaults(func=_cmd_trace)
 
     t = trace_sub.add_parser("validate", help="validate a trace JSON")
     t.add_argument("input")

@@ -19,20 +19,8 @@ from .events import (
     TieBreak,
     flow_hash,
 )
-from .fabric import (
-    TwoTierFabric,
-    rack_aligned_ring_order,
-    rack_interleaved_ring_order,
-)
 from .loss import DeliveryFailure, LossModel, RetransmitPolicy
 from .link import Link
-from .multitier import (
-    FatTree,
-    LeafSpine,
-    MultiTierFabric,
-    build_topology,
-    parse_topology_spec,
-)
 from .reduction import (
     ReduceInput,
     ReduceStage,
@@ -78,9 +66,17 @@ from .topology import (
     DEFAULT_LINK_LATENCY_S,
     DEFAULT_SWITCH_DELAY_S,
     DirectRing,
+    FatTree,
+    LeafSpine,
+    MultiTierFabric,
     Route,
     SwitchedStar,
     Topology,
+    TwoTierFabric,
+    build_topology,
+    parse_topology_spec,
+    rack_aligned_ring_order,
+    rack_interleaved_ring_order,
 )
 
 __all__ = [

@@ -48,7 +48,7 @@ def flow_hash(*fields: int) -> int:
     Chains one splitmix64 round per field, so the result is a pure
     function of the field values — independent of ``PYTHONHASHSEED``,
     process, and platform.  ECMP route selection
-    (:mod:`repro.network.multitier`) hashes ``(src, dst, tos, hop)``
+    (:mod:`repro.network.topology`) hashes ``(src, dst, tos, hop)``
     through this to pick among equal-cost next hops: the same flow
     always takes the same path, which is exactly the property the
     determinism sanitizer's replay check needs.

@@ -10,11 +10,11 @@ precisely the FIFO queue on the switch-to-aggregator link.
 Requests issued at the *same simulated instant* are a special case: with
 naive immediate reservation their FIFO order would be whatever order the
 kernel happened to run the requesting callbacks in — an accident of
-event-queue insertion, not a modeling decision.  Callers that pass an
-arbitration ``key`` instead get deterministic same-instant arbitration:
-requests are collected until the instant drains (see
-:meth:`Simulation.at_instant_end`) and granted in key order, the way a
-hardware arbiter resolves simultaneous port requests by fixed priority.
+event-queue insertion, not a modeling decision.  So every request is
+*staged*: requests are collected until the instant drains (see
+:meth:`Simulation.at_instant_end`) and granted in arbitration-``key``
+order, the way a hardware arbiter resolves simultaneous port requests by
+fixed priority (requests without a key sort first, in call order).
 This makes contention outcomes a pure function of the workload, invariant
 under equal-timestamp event reordering.
 
@@ -69,7 +69,8 @@ class Link:
         #: Nullable tracer; ``None`` keeps the hot path allocation-free.
         self.tracer: Optional[Tracer] = None
         self._inflight: Optional[Deque[float]] = None
-        #: Same-instant reservation requests awaiting arbitration.
+        #: Same-instant requests awaiting arbitration:
+        #: ``(sort key, nbytes, head_nbytes, first, second)``.
         self._pending: List[Tuple] = []
         self._arbitrating = False
 
@@ -148,13 +149,19 @@ class Link:
             self._trace_transfer(now, start, finish, nbytes)
         return start, finish
 
-    def _defer(
-        self, key: Tuple, nbytes: int, head_nbytes: Optional[int]
+    def _stage(
+        self,
+        nbytes: int,
+        head_nbytes: Optional[int],
+        key: Optional[Tuple],
+        priority: Optional[int],
     ) -> Tuple[Event, Event]:
-        """Queue an arbitrated reservation; grant happens at instant end."""
+        """Stage one request; the grant happens when this instant drains."""
+        del priority  # a plain link is a cable, not a scheduler
         first = Event(self.sim)
         second = Event(self.sim)
-        self._pending.append((key, nbytes, head_nbytes, first, second))
+        arb_key = key if key is not None else ()
+        self._pending.append((arb_key, nbytes, head_nbytes, first, second))
         if not self._arbitrating:
             self._arbitrating = True
             self.sim.at_instant_end(self._grant_pending)
@@ -189,22 +196,14 @@ class Link:
         Returns ``(sent, delivered)``: ``sent`` fires when the last bit
         leaves the sender (the link becomes free), ``delivered`` fires one
         propagation delay later at the receiver.  Calls made while the
-        link is busy are served FIFO.  With a ``key``, same-instant
-        requests are granted in key order instead of call order (see the
-        module docstring).  ``priority`` is ignored here — a plain link
-        is a cable, not a scheduler; only
+        link is busy are served FIFO; same-instant requests are granted
+        in ``key`` order, not call order (see the module docstring).
+        ``priority`` is ignored by a plain link; only
         :class:`~repro.network.priority.PriorityLink` honors it.
         """
-        del priority  # FIFO links serve in arrival order regardless of class
         if nbytes < 0:
             raise ValueError("cannot transmit a negative number of bytes")
-        if key is not None:
-            return self._defer(key, nbytes, None)
-        now = self.sim.now
-        start, finish = self._reserve(nbytes)
-        sent = self.sim.timeout(finish - now)
-        delivered = self.sim.timeout(finish + self.latency_s - now)
-        return sent, delivered
+        return self._stage(nbytes, None, key, priority)
 
     def transmit_cut_through(
         self,
@@ -220,22 +219,13 @@ class Link:
         cut-through/pipelined next hop may begin forwarding — and
         ``delivered`` when the whole train has.  With homogeneous link
         rates (our topologies) forwarding on head arrival never outruns
-        the incoming stream.  With a ``key``, same-instant requests are
-        granted in key order instead of call order (see the module
-        docstring).  ``priority`` is ignored here (see :meth:`transmit`).
+        the incoming stream.  ``key`` and ``priority`` are as for
+        :meth:`transmit`.
         """
-        del priority  # FIFO links serve in arrival order regardless of class
         if nbytes < 0:
             raise ValueError("cannot transmit a negative number of bytes")
         head_nbytes = min(max(head_nbytes, 0), nbytes)
-        if key is not None:
-            return self._defer(key, nbytes, head_nbytes)
-        now = self.sim.now
-        start, finish = self._reserve(nbytes)
-        head_arrival = start + self.serialization_time(head_nbytes) + self.latency_s
-        head_arrived = self.sim.timeout(head_arrival - now)
-        delivered = self.sim.timeout(finish + self.latency_s - now)
-        return head_arrived, delivered
+        return self._stage(nbytes, head_nbytes, key, priority)
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` the link spent busy."""

@@ -46,19 +46,19 @@ PRIORITY_LOW = 7
 #: One admitted queue entry:
 #: ``(priority, admission seq, nbytes, head_nbytes, first, second)``.
 _QueueEntry = Tuple[int, int, int, Optional[int], Event, Event]
-#: One not-yet-admitted request:
-#: ``(priority, arbitration key, nbytes, head_nbytes, first, second)``.
-_Request = Tuple[int, Tuple[int, ...], int, Optional[int], Event, Event]
 
 
 class PriorityLink(Link):
     """A switch egress port with per-class output queues.
 
-    Drop-in :class:`~repro.network.link.Link` replacement used by
-    :mod:`repro.network.multitier`: ``transmit``/``transmit_cut_through``
-    keep their contract (``(sent|head_arrived, delivered)`` event pairs)
-    but honor the ``priority`` argument — lower values are served first,
-    ``None`` maps to :data:`PRIORITY_DEFAULT`.  With every request in
+    Drop-in :class:`~repro.network.link.Link` replacement used by the
+    Clos fabrics of :mod:`repro.network.topology`:
+    ``transmit``/``transmit_cut_through`` are the inherited request
+    path (same ``(sent|head_arrived, delivered)`` event pairs); this
+    class overrides only *admission* — the ``priority`` argument is
+    honored, lower values are served first, ``None`` maps to
+    :data:`PRIORITY_DEFAULT` — and *service*, one train at a time from
+    the class queues whenever the port frees.  With every request in
     the same class the port degenerates to the plain link's FIFO
     discipline.
     """
@@ -74,50 +74,19 @@ class PriorityLink(Link):
         #: Admitted trains waiting for the port, ordered by
         #: ``(priority, admission seq)``.
         self._queue: List[_QueueEntry] = []
-        #: Same-instant requests awaiting deterministic admission.
-        self._requests: List[_Request] = []
         self._admission = itertools.count()
-        self._sync_armed = False
         self._serving = False
         #: Peak queue length observed (for reports and tests).
         self.max_queue_depth = 0
 
-    # -- public API (Link contract) ----------------------------------------
-
-    def transmit(
-        self,
-        nbytes: int,
-        key: Optional[Tuple] = None,
-        priority: Optional[int] = None,
-    ) -> Tuple[Event, Event]:
-        """Queue a frame; returns ``(sent, delivered)`` (see ``Link``)."""
-        if nbytes < 0:
-            raise ValueError("cannot transmit a negative number of bytes")
-        return self._enqueue(nbytes, None, key, priority)
-
-    def transmit_cut_through(
-        self,
-        nbytes: int,
-        head_nbytes: int,
-        key: Optional[Tuple] = None,
-        priority: Optional[int] = None,
-    ) -> Tuple[Event, Event]:
-        """Queue a train; returns ``(head_arrived, delivered)`` (see ``Link``)."""
-        if nbytes < 0:
-            raise ValueError("cannot transmit a negative number of bytes")
-        head_nbytes = min(max(head_nbytes, 0), nbytes)
-        return self._enqueue(nbytes, head_nbytes, key, priority)
-
-    # -- internals ----------------------------------------------------------
-
-    def _enqueue(
+    def _stage(
         self,
         nbytes: int,
         head_nbytes: Optional[int],
         key: Optional[Tuple],
         priority: Optional[int],
     ) -> Tuple[Event, Event]:
-        """Stage a request for admission at the end of this instant."""
+        """Stage a request under sort key ``(priority class, key)``."""
         cls = PRIORITY_DEFAULT if priority is None else priority
         if not 0 <= cls < PRIORITY_CLASSES:
             raise ValueError(
@@ -125,23 +94,19 @@ class PriorityLink(Link):
             )
         first = Event(self.sim)
         second = Event(self.sim)
-        arb_key = tuple(key) if key is not None else ()
-        self._requests.append((cls, arb_key, nbytes, head_nbytes, first, second))
-        self._arm_sync()
+        arb_key = (cls, tuple(key) if key is not None else ())
+        self._pending.append((arb_key, nbytes, head_nbytes, first, second))
+        if not self._arbitrating:
+            self._arbitrating = True
+            self.sim.at_instant_end(self._grant_pending)
         return first, second
 
-    def _arm_sync(self) -> None:
-        """Schedule one admission pass when the current instant drains."""
-        if not self._sync_armed:
-            self._sync_armed = True
-            self.sim.at_instant_end(self._instant_sync)
-
-    def _instant_sync(self) -> None:
+    def _grant_pending(self) -> None:
         """Admit this instant's requests in (priority, key) order, then serve."""
-        self._sync_armed = False
-        requests, self._requests = self._requests, []
-        requests.sort(key=lambda request: (request[0], request[1]))
-        for cls, _, nbytes, head_nbytes, first, second in requests:
+        self._arbitrating = False
+        pending, self._pending = self._pending, []
+        pending.sort(key=lambda request: request[0])
+        for (cls, _), nbytes, head_nbytes, first, second in pending:
             heapq.heappush(
                 self._queue,
                 (cls, next(self._admission), nbytes, head_nbytes, first, second),
@@ -175,4 +140,6 @@ class PriorityLink(Link):
     def _finish_service(self) -> None:
         """Free the port; same-instant arrivals compete for the next slot."""
         self._serving = False
-        self._arm_sync()
+        if not self._arbitrating:
+            self._arbitrating = True
+            self.sim.at_instant_end(self._grant_pending)

@@ -2,7 +2,7 @@
 
 A switch-site gather does not route every gradient stream end-to-end;
 it moves payloads along the *spanning tree* that
-:meth:`~repro.network.multitier.MultiTierFabric.tree_path` induces
+:meth:`~repro.network.topology.MultiTierFabric.tree_path` induces
 toward the aggregation root, folding streams together wherever the tree
 merges.  This module turns that tree into an explicit, deterministic
 :class:`ReductionPlan`:
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .multitier import MultiTierFabric
+from .topology import MultiTierFabric
 
 
 @dataclass(frozen=True)

@@ -141,12 +141,7 @@ class Network:
         self.tos_priority = dict(tos_priority) if tos_priority is not None else None
         self.retransmit = retransmit or RetransmitPolicy()
         if loss is not None:
-            links = getattr(topology, "all_links", lambda: [])()
-            if not links:
-                raise ValueError(
-                    "loss modeling requires a topology exposing all_links()"
-                )
-            for salt, link in enumerate(links):
+            for salt, link in enumerate(topology.all_links()):
                 link.attach_loss(loss, salt)
         self.trains_retransmitted = 0
         self.packets_retransmitted = 0
@@ -177,7 +172,7 @@ class Network:
         if tracer is not None:
             for engine in (*self._tx_engines.values(), *self._rx_engines.values()):
                 engine.attach_tracer(tracer, kind="engine")
-            for link in getattr(topology, "all_links", lambda: [])():
+            for link in topology.all_links():
                 link.attach_tracer(tracer)
         self.total_wire_bytes = 0
         #: Link-level traffic: wire bytes weighted by hop count.  Unlike
@@ -226,8 +221,16 @@ class Network:
         wire_payload = nbytes
         if compress and compressed_nbytes is not None:
             wire_payload = compressed_nbytes
-        return self._launch(
-            src, dst, nbytes, wire_payload, tos, compress, payload, None
+        return self._dispatch(
+            self.topology.route(src, dst, tos=tos),
+            src,
+            dst,
+            nbytes,
+            wire_payload,
+            tos,
+            src if compress else None,
+            dst if compress else None,
+            payload,
         )
 
     def send_wire(
@@ -250,13 +253,15 @@ class Network:
             and self.nics[msg.src].compression
             and self.nics[msg.dst].compression
         )
-        return self._launch(
+        return self._dispatch(
+            self.topology.route(msg.src, msg.dst, tos=msg.tos),
             msg.src,
             msg.dst,
             msg.nbytes,
             msg.wire_payload_nbytes,
             msg.tos,
-            compress,
+            msg.src if compress else None,
+            msg.dst if compress else None,
             msg,
             on_retransmit,
         )
@@ -287,16 +292,6 @@ class Network:
         arbitration never depends on callback order.  Returns an event
         firing at segment delivery with value ``(payload, receipt)``.
         """
-        tx_engine = (
-            self._tx_engines.get(tx_engine_node)
-            if tx_engine_node is not None
-            else None
-        )
-        rx_engine = (
-            self._rx_engines.get(rx_engine_node)
-            if rx_engine_node is not None
-            else None
-        )
         return self._dispatch(
             route,
             src,
@@ -304,41 +299,14 @@ class Network:
             nbytes,
             wire_payload,
             tos,
-            tx_engine,
-            rx_engine,
+            tx_engine_node,
+            rx_engine_node,
             payload,
             None,
             arb_base,
         )
 
     # -- internals --------------------------------------------------------------
-
-    def _launch(
-        self,
-        src: int,
-        dst: int,
-        nbytes: int,
-        wire_payload: int,
-        tos: int,
-        compress: bool,
-        payload: object,
-        on_retransmit: Optional[RetransmitHook],
-    ) -> Event:
-        """Common send path: trace, segment into trains, spawn processes."""
-        route = self.topology.route(src, dst, tos=tos)
-        return self._dispatch(
-            route,
-            src,
-            dst,
-            nbytes,
-            wire_payload,
-            tos,
-            self._tx_engines[src] if compress else None,
-            self._rx_engines[dst] if compress else None,
-            payload,
-            on_retransmit,
-            None,
-        )
 
     def _dispatch(
         self,
@@ -348,13 +316,20 @@ class Network:
         nbytes: int,
         wire_payload: int,
         tos: int,
-        tx_engine: Optional[Link],
-        rx_engine: Optional[Link],
+        tx_engine_node: Optional[int],
+        rx_engine_node: Optional[int],
         payload: object,
-        on_retransmit: Optional[RetransmitHook],
-        arb_base: Optional[Tuple[int, int, int]],
+        on_retransmit: Optional[RetransmitHook] = None,
+        arb_base: Optional[Tuple[int, int, int]] = None,
     ) -> Event:
-        """Trace, segment into trains, spawn train processes."""
+        """The one send path: trace, segment into trains, spawn processes.
+
+        The engine nodes name the endpoints whose compression engines
+        bracket ``route`` (``None``, or a node without engines: no
+        engine stage on that side).
+        """
+        tx_engine = self._tx_engines.get(tx_engine_node)
+        rx_engine = self._rx_engines.get(rx_engine_node)
         priority: Optional[int] = None
         if self.tos_priority is not None:
             priority = self.tos_priority.get(tos, PRIORITY_DEFAULT)
@@ -377,9 +352,6 @@ class Network:
         tracer = self.tracer
         msg_id = self.messages_sent
         if tracer is not None:
-            for link in route.links:
-                if link.tracer is None:
-                    link.attach_tracer(tracer)
             tracer.instant(
                 "msg.send",
                 cat=CAT_MESSAGE,

@@ -47,7 +47,7 @@ import numpy as np
 from repro.core import CodecResult, StreamProfile
 from repro.hardware.aggregation_engine import AggregationEngine
 from repro.network import Event, Store
-from repro.network.multitier import MultiTierFabric
+from repro.network.topology import MultiTierFabric
 from repro.network.reduction import (
     ReduceInput,
     ReduceStage,
@@ -152,7 +152,7 @@ class SwitchGather:
     """In-network reduction of one gather tree over a multi-tier fabric.
 
     Construction validates the co-design triangle — a
-    :class:`~repro.network.multitier.MultiTierFabric` to host engines,
+    :class:`~repro.network.topology.MultiTierFabric` to host engines,
     a homomorphic stream codec to fold payloads, active NIC engines to
     mark the ToS class — builds the :class:`ReductionPlan`, and spawns
     one persistent reduce process per switch stage.  Per round:

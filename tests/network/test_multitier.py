@@ -158,3 +158,29 @@ def test_build_topology_rejects_undersized_fabric():
     sim = Simulation()
     with pytest.raises(ValueError, match="host ports"):
         build_topology("fat-tree:k=4", sim, 20, 10e9, 1e-6, 1e-6)
+
+
+@pytest.mark.parametrize(
+    "spec,param",
+    [
+        ("leaf-spine:hosts=0", "hosts"),
+        ("two-tier:hosts=0", "hosts"),
+        ("two-tier:racks=2.9", "racks"),
+        ("fat-tree:k=4.7", "k"),
+        ("fat-tree:k=inf", "k"),
+        ("fat-tree:k=nan", "k"),
+        ("fat-tree:k=-2", "k"),
+        ("leaf-spine:spines=0", "spines"),
+        ("leaf-spine:leaves=1.5", "leaves"),
+        ("two-tier:oversub=inf", "oversub"),
+    ],
+)
+def test_build_topology_rejects_non_count_parameters(spec, param):
+    # Used to raise ZeroDivisionError / OverflowError, or silently truncate.
+    with pytest.raises(ValueError, match=f"'{param}'"):
+        build_topology(spec, Simulation(), 4)
+
+
+def test_build_topology_accepts_integral_float_counts():
+    topo = build_topology("two-tier:racks=2.0,hosts=2,oversub=2.5", Simulation(), 4)
+    assert topo.num_nodes == 4

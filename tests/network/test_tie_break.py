@@ -154,7 +154,7 @@ class TestLinkArbitration:
         for seed in (1, 2, 3):
             assert self.make_contention(SeededTieBreak(seed), keys) == baseline
 
-    def test_unkeyed_transmit_is_immediate_legacy_fifo(self):
+    def test_unkeyed_transmits_are_granted_in_call_order(self):
         sim = Simulation()
         link = Link(sim, bandwidth_bps=8e6, latency_s=0.0)
         _, first = link.transmit_cut_through(1000, 100)
@@ -163,7 +163,7 @@ class TestLinkArbitration:
         first.add_callback(lambda _: times.setdefault("first", sim.now))
         second.add_callback(lambda _: times.setdefault("second", sim.now))
         sim.run()
-        # immediate reservation: call order is grant order
+        # unkeyed requests share the empty key: call order is grant order
         assert times["first"] == pytest.approx(1e-3)
         assert times["second"] == pytest.approx(2e-3)
 

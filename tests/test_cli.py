@@ -94,9 +94,11 @@ def test_exchange_rejects_zero_iterations(fidelity):
         main(["exchange", "--iterations", "0", "--fidelity", fidelity])
 
 
-def test_trace_run_rejects_zero_iterations(tmp_path):
-    with pytest.raises(SystemExit, match="at least one iteration"):
-        main(["trace", "run", str(tmp_path / "t.json"), "--iterations", "0"])
+@pytest.mark.parametrize("spec", ["leaf-spine:hosts=0", "fat-tree:k=inf"])
+def test_exchange_rejects_bad_topology_counts(spec):
+    # Used to escape as ZeroDivisionError / OverflowError tracebacks.
+    with pytest.raises(SystemExit, match="topology parameter"):
+        main(["exchange", "--topology", spec])
 
 
 def test_train_with_trace_writes_valid_file(tmp_path, capsys):
@@ -115,11 +117,11 @@ def test_train_with_trace_writes_valid_file(tmp_path, capsys):
     assert sends and all(e["args"]["compressed"] for e in sends)
 
 
-def test_trace_run_validate_summary_chrome(tmp_path, capsys):
+def test_exchange_trace_validate_summary_chrome(tmp_path, capsys):
     out = tmp_path / "trace.json"
     assert main([
-        "trace", "run", str(out), "--workers", "4", "--mbytes", "1",
-        "--compress",
+        "exchange", "--workers", "4", "--mbytes", "1",
+        "--codec", "inceptionn", "--trace", str(out),
     ]) == 0
     assert main(["trace", "validate", str(out)]) == 0
     assert "valid repro.trace v1" in capsys.readouterr().out
