@@ -3,7 +3,8 @@
 Public surface:
 
 - :class:`ErrorBound` and the paper's :data:`PAPER_BOUNDS`.
-- :func:`compress` / :func:`decompress` — vectorized codec.
+- :func:`compress` / :func:`decompress` — vectorized codec (wire bytes);
+  :func:`quantize` — its fused size + reconstruction (the send path).
 - :class:`CompressedGradients` — unpacked + wire representations.
 - :mod:`repro.core.reference` — the bit-exact scalar specification.
 - Statistics helpers reproducing Table III / Fig 14 metrics.
@@ -13,7 +14,7 @@ Public surface:
 """
 
 from .bounds import DEFAULT_BOUND, ErrorBound, PAPER_BOUNDS
-from .codec import classify, compress, compressed_nbits, decompress, roundtrip
+from .codec import classify, compress, compressed_nbits, decompress, quantize, roundtrip
 from .container import CompressedGradients, GROUP_SIZE
 from .error_feedback import ErrorFeedbackCompressor, feedback_hook
 from . import gradient_file
@@ -86,6 +87,7 @@ __all__ = [
     "compress",
     "compressed_nbits",
     "decompress",
+    "quantize",
     "roundtrip",
     "CompressedGradients",
     "GROUP_SIZE",

@@ -25,6 +25,12 @@ GROUP_TAG_BITS = 2 * GROUP_SIZE
 #: Per-tag payload width in whole bytes (the wire format is byte-aligned).
 PAYLOAD_NBYTES_LUT = PAYLOAD_BITS_LUT.astype(np.int64) // 8
 
+
+def wire_nbits(num_values: int, payload_bits: int) -> int:
+    """Exact wire size: a 16-bit tag vector per group of 8, plus payloads."""
+    return -(-num_values // GROUP_SIZE) * GROUP_TAG_BITS + payload_bits
+
+
 #: Lazily built 65536-entry table: group record size in bytes (tag vector
 #: plus all eight lane payloads) indexed by the 16-bit tag word.
 _GROUP_RECORD_NBYTES_LUT: Optional[np.ndarray] = None
@@ -223,13 +229,12 @@ class CompressedGradients:
     @property
     def payload_bits(self) -> int:
         """Total payload bits across all values (excludes tags)."""
-        return int(PAYLOAD_BITS_LUT[self.tags].astype(np.int64).sum())
+        return int(np.bincount(self.tags, minlength=4) @ PAYLOAD_BITS_LUT)
 
     @property
     def compressed_bits(self) -> int:
         """Exact wire-format size in bits (tags + payloads)."""
-        num_groups = -(-len(self) // GROUP_SIZE)
-        return num_groups * GROUP_TAG_BITS + self.payload_bits
+        return wire_nbits(len(self), self.payload_bits)
 
     @property
     def compressed_nbytes(self) -> int:

@@ -34,6 +34,7 @@ keys off it.
 from __future__ import annotations
 
 import abc
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
@@ -47,8 +48,7 @@ from repro.network.packet import (
 )
 
 from .bounds import DEFAULT_BOUND, ErrorBound
-from .codec import compress as _inc_compress
-from .codec import decompress as _inc_decompress
+from .codec import quantize as _inc_quantize
 
 #: Capability flags reported by :meth:`GradientCodec.capabilities`.
 #: ``CAP_HOMOMORPHIC`` marks codecs whose payloads form a monoid under
@@ -199,14 +199,21 @@ class InceptionnCodec(GradientCodec):
         bound = params.get("bound", DEFAULT_BOUND)
         if isinstance(bound, ErrorBound):
             return bound
+        if isinstance(bound, float) and 0.0 < bound < 1.0:
+            return ErrorBound.from_bound(bound)  # 2**-b, sz_like's unit
+        integral = isinstance(bound, numbers.Integral) or (
+            isinstance(bound, float) and bound.is_integer()
+        )
+        if isinstance(bound, bool) or not integral:
+            raise ValueError(
+                "inceptionn bound must be an ErrorBound, an integral exponent "
+                f"b (bound 2^-b) or the float 2**-b itself, got {bound!r}"
+            )
         return ErrorBound(int(bound))
 
     def compress(self, values: np.ndarray, **params: object) -> CodecResult:
-        arr = _flat32(values)
-        cg = _inc_compress(arr, self._bound(params))
-        return CodecResult(
-            payload_nbytes=cg.compressed_nbytes, values=_inc_decompress(cg)
-        )
+        nbits, reconstruction = _inc_quantize(values, self._bound(params))
+        return CodecResult(payload_nbytes=-(-nbits // 8), values=reconstruction)
 
     def error_bound(self, values: np.ndarray, **params: object) -> Optional[float]:
         return self._bound(params).bound

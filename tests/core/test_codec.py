@@ -5,14 +5,19 @@ import pytest
 
 from repro.core import (
     ErrorBound,
+    TAG_BIT8,
+    TAG_BIT16,
     TAG_NO_COMPRESS,
     TAG_ZERO,
     classify,
     compress,
     compressed_nbits,
     decompress,
+    quantize,
     roundtrip,
 )
+from repro.core.bounds import FLOAT32_EXP_BIAS
+from repro.core.codec import _exponent_table
 from repro.core.reference import compress_value, decompress_value
 
 
@@ -114,3 +119,71 @@ def test_accepts_float64_input():
     recon = roundtrip(values, bound)
     assert abs(recon[0] - 0.5) < bound.bound
     assert recon[2] == 2.0
+
+
+@pytest.mark.parametrize("exp", range(1, 16))
+def test_exponent_table_is_the_threshold_rule(exp):
+    # Exhaustive over the table's whole domain: Algorithm 2 decides on
+    # the 8-bit exponent alone, so 15 bounds x 256 exponents is all of it.
+    bound = ErrorBound(exp)
+    table = _exponent_table(bound)
+    for exponent in range(256):
+        if exponent >= FLOAT32_EXP_BIAS:  # precedence over a relaxed BIT8
+            expected = TAG_NO_COMPRESS
+        elif exponent < bound.zero_exponent_threshold:
+            expected = TAG_ZERO
+        elif exponent < bound.bit8_exponent_threshold:
+            expected = TAG_BIT8
+        else:
+            expected = TAG_BIT16
+        assert table.tag[exponent] == expected, exponent
+        # classify() reads the same entry whatever the sign and mantissa.
+        words = np.array(
+            [
+                (sign << 31) | (exponent << 23) | mantissa
+                for sign in (0, 1)
+                for mantissa in (0, 1, 0x7FFFFF)
+            ],
+            dtype=np.uint32,
+        )
+        assert (classify(words.view(np.float32), bound) == expected).all()
+
+
+def test_exponent_table_is_cached_typed_and_read_only():
+    table = _exponent_table(ErrorBound(10))
+    assert _exponent_table(ErrorBound(10)) is table
+    dtypes = {name: column.dtype for name, column in table._asdict().items()}
+    assert dtypes == {
+        "tag": np.uint8,
+        "nbits": np.int64,
+        "shift": np.uint32,
+        "signpos": np.uint32,
+        "mask": np.uint32,
+    }
+    for column in table:
+        assert column.shape == (256,)
+        with pytest.raises(ValueError):
+            column[0] = 1
+
+
+@pytest.mark.parametrize("exp", [1, 6, 8, 10, 15])
+def test_quantize_is_size_plus_reconstruction(exp):
+    bound = ErrorBound(exp)
+    values = np.concatenate(
+        [
+            _sample_gradients(1003, seed=exp),
+            np.array(
+                [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-40, 1.0, -1.0],
+                dtype=np.float32,
+            ),
+        ]
+    )
+    cg = compress(values, bound)
+    nbits, reconstruction = quantize(values, bound)
+    assert nbits == cg.compressed_bits
+    assert reconstruction.dtype == np.float32
+    # Bit view: -0.0 must come back +0.0 and NaN payloads must survive.
+    assert np.array_equal(
+        reconstruction.view(np.uint32), decompress(cg).view(np.uint32)
+    )
+    assert not np.shares_memory(reconstruction, values)

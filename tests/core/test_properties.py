@@ -7,7 +7,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CompressedGradients, ErrorBound, compress, decompress
+from repro.core import (
+    CompressedGradients,
+    ErrorBound,
+    classify,
+    compress,
+    decompress,
+    quantize,
+)
 from repro.core.reference import compress_value, decompress_value, roundtrip_value
 
 bounds = st.integers(min_value=1, max_value=15).map(ErrorBound)
@@ -87,3 +94,36 @@ def test_compressed_never_larger_than_34_bits_per_value(values, bound):
     arr = np.array(values, dtype=np.float32)
     cg = compress(arr, bound)
     assert cg.compressed_bits <= 34 * len(arr) + 16
+
+
+# Lengths 0..200 cover the empty vector and partial final groups.
+bit_pattern_vectors = st.lists(all_float_bits, min_size=0, max_size=200).map(
+    lambda words: np.array(words, dtype=np.uint32).view(np.float32)
+)
+
+
+@given(bit_pattern_vectors, bounds)
+def test_quantize_equals_compress_then_decompress(values, bound):
+    cg = compress(values, bound)
+    nbits, reconstruction = quantize(values, bound)
+    assert nbits == cg.compressed_bits
+    # On the uint32 view, so -0.0 vs +0.0 and NaN payloads count.
+    assert np.array_equal(
+        reconstruction.view(np.uint32), decompress(cg).view(np.uint32)
+    )
+
+
+@given(bit_pattern_vectors, bounds)
+@settings(max_examples=50)
+def test_table_kernel_matches_scalar_on_any_bit_pattern(values, bound):
+    cg = compress(values, bound)
+    assert np.array_equal(classify(values, bound), cg.tags)
+    for i, word in enumerate(values.view(np.uint32)):
+        tag, payload = compress_value(float(values[i]), bound)
+        assert int(cg.tags[i]) == tag
+        if math.isnan(values[i]):
+            # float32 -> Python float may quiet a signalling NaN; the
+            # vectorized pass-through must keep the word untouched.
+            assert int(cg.payloads[i]) == int(word)
+        else:
+            assert int(cg.payloads[i]) == payload

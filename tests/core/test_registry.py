@@ -86,6 +86,33 @@ def test_inceptionn_profile_matches_direct_codec():
     assert profile.resolved_tos == codec_tos("inceptionn") == 0x28
 
 
+@pytest.mark.parametrize("spelling", [10, 10.0, np.int64(10), 2**-10, 2.0**-10])
+def test_inceptionn_bound_accepts_exponent_or_literal_bound(spelling):
+    # sz_like takes the same parameter name as the float 2**-b.
+    from repro.core import ErrorBound
+
+    values = _sample()
+    expected = inceptionn_profile(ErrorBound(10)).compress(values)
+    got = profile_for("inceptionn", bound=spelling).compress(values)
+    assert got.payload_nbytes == expected.payload_nbytes
+    np.testing.assert_array_equal(got.values, expected.values)
+    assert profile_for("inceptionn", bound=spelling).error_bound(values) == 2**-10
+
+
+@pytest.mark.parametrize(
+    "bad", [True, False, 10.7, 0.3, 0, 16, -3, float("nan"), float("inf"), "10", None]
+)
+def test_inceptionn_bound_rejects_everything_else(bad):
+    # 10.7 used to truncate to 10 and True became exponent 1.
+    with pytest.raises(ValueError):
+        profile_for("inceptionn", bound=bad).compress(_sample())
+
+
+def test_inceptionn_bound_error_names_both_spellings():
+    with pytest.raises(ValueError, match=r"exponent.*2\*\*-b"):
+        profile_for("inceptionn", bound=10.7).compress(_sample())
+
+
 def test_compression_ratio_property():
     values = _sample(size=1024)
     result = profile_for("truncation").compress(values)

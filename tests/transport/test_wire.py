@@ -105,6 +105,40 @@ class TestFunctionalBuild:
         bound = comm.config.bound.bound
         assert float(np.max(np.abs(msg.values - values))) <= bound * 6
 
+    def test_functional_build_is_one_kernel_call(self, monkeypatch):
+        # wire.py promises "the codec runs exactly once": one fused
+        # quantize, no compress + size gather + decompress, no container.
+        from repro.core import codec, container, registry
+
+        calls = []
+
+        def counting_quantize(values, bound):
+            calls.append(values.size)
+            return codec.quantize(values, bound)
+
+        def no_container(self):
+            raise AssertionError("send path built a CompressedGradients")
+
+        monkeypatch.setattr(registry, "_inc_quantize", counting_quantize)
+        monkeypatch.setattr(
+            container.CompressedGradients, "__post_init__", no_container
+        )
+        stream = inceptionn_profile()
+        comm = _comm(profile=stream)
+        values = (
+            np.random.default_rng(7).standard_normal(4099) * 0.004
+        ).astype(np.float32)
+        msg = build_wire_message(
+            0, 1, stream=stream, array=values, nic=comm.nics[0]
+        )
+        assert calls == [values.size]
+        assert msg.compressed
+        nbits, reconstruction = codec.quantize(values, comm.config.bound)
+        assert msg.wire_payload_nbytes == -(-nbits // 8)
+        assert np.array_equal(
+            msg.values.view(np.uint32), reconstruction.view(np.uint32)
+        )
+
     def test_raw_build_without_engines(self):
         comm = _comm(profile=None)
         values = np.ones(100, dtype=np.float32)
