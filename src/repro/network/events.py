@@ -11,25 +11,37 @@ events, timeouts, processes, and FIFO stores (used as message queues).
 
 Equal-timestamp ordering is an explicit, pluggable policy.  The kernel
 totally orders simultaneous entries by a :class:`TieBreak` key (FIFO by
-default, matching the historical behaviour bit-for-bit); the
-determinism sanitizer re-runs scenarios under :class:`SeededTieBreak`
-to perturb exactly that ordering — any outcome that changes was racing
-on event order all along.
+default); the determinism sanitizer re-runs scenarios under
+:class:`SeededTieBreak` to perturb exactly that ordering — any outcome
+that changes was racing on event order all along.
 
-Invariants: the clock only moves forward, and only between instants —
-callbacks scheduled at ``now`` (including :meth:`Simulation.at_instant_end`
-hooks) run before time advances, which is what same-instant resource
-arbitration builds on; simulated time is the sole time source (no
-wall-clock reads); all hashing is explicit splitmix64, independent of
-``PYTHONHASHSEED``; events fire exactly once.
+Per-instant order, the contract resource arbitration builds on: first
+the entries scheduled for ``now`` before the instant began, then those
+the instant itself appends, then the :meth:`Simulation.at_instant_end`
+hooks (whose same-instant work runs the same way), and only then the
+clock.  An entry is ``(time, order, fn, arg)`` run as ``fn(arg)`` — no
+closure per wake-up.  Under FIFO an entry for ``time == now`` skips the
+heap for a deque: every heap entry stamped ``now`` predates the instant,
+so its sequence number is below anything the instant appends, and
+heap-then-deque *is* ``(time, seq)`` order.  A policy that overrides
+``key`` reorders within the instant, so it keeps every entry on the heap.
+
+A run ends when the last *reserved transfer* has landed, observed or
+not: a resource whose transfer nobody awaits reports the landing time
+(:meth:`Simulation.extend_horizon`) instead of queueing an event without
+waiters, and ``run()`` returns the later of last entry and horizon.
+
+Invariants: the clock only moves forward, and only between instants;
+simulated time is the sole time source (no wall-clock reads); all
+hashing is explicit splitmix64, independent of ``PYTHONHASHSEED``;
+events fire exactly once, and their waiters are queued, never run inline.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import deque
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 _MASK64 = (1 << 64) - 1
 
@@ -99,6 +111,8 @@ class SeededTieBreak(TieBreak):
 class Event:
     """A one-shot occurrence processes can wait on."""
 
+    __slots__ = ("sim", "triggered", "value", "_callbacks")
+
     def __init__(self, sim: "Simulation") -> None:
         self.sim = sim
         self.triggered = False
@@ -106,12 +120,15 @@ class Event:
         self._callbacks: List[Callable[["Event"], None]] = []
 
     def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event now, delivering ``value`` to waiters."""
+        """Trigger the event now; waiters run as queue entries, never inline."""
         if self.triggered:
             raise RuntimeError("event already triggered")
         self.triggered = True
         self.value = value
-        self.sim._schedule_callbacks(self)
+        sim = self.sim
+        for fn in self._callbacks:
+            sim.schedule(sim.now, fn, self)
+        self._callbacks.clear()
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -125,14 +142,17 @@ class Event:
 class Process(Event):
     """A running generator; itself an event that fires on completion."""
 
+    __slots__ = ("_generator",)
+
     def __init__(self, sim: "Simulation", generator: Generator) -> None:
         super().__init__(sim)
         self._generator = generator
-        sim._immediate(lambda: self._resume(None))
+        # Started by "resuming" from itself: untriggered, so it sends None.
+        sim.schedule(sim.now, self._resume, self)
 
-    def _resume(self, value: Any) -> None:
+    def _resume(self, fired: Event) -> None:
         try:
-            target = self._generator.send(value)
+            target = self._generator.send(fired.value)
         except StopIteration as stop:
             self.succeed(getattr(stop, "value", None))
             return
@@ -140,7 +160,11 @@ class Process(Event):
             raise TypeError(
                 f"processes must yield Event objects, got {type(target).__name__}"
             )
-        target.add_callback(lambda ev: self._resume(ev.value))
+        target.add_callback(self._resume)
+
+
+def _call(fn: Callable[[], None]) -> None:
+    fn()
 
 
 class Simulation:
@@ -153,9 +177,13 @@ class Simulation:
     def __init__(self, tie_break: Optional[TieBreak] = None) -> None:
         self.now = 0.0
         self.tie_break = tie_break if tie_break is not None else FIFO_TIE_BREAK
-        self._heap: List = []
-        self._counter = itertools.count()
+        self._heap: List[Tuple] = []  # (time, order, fn, arg)
+        self._ready: Deque[Tuple] = deque()  # (fn, arg) appended at ``now``
+        #: Only a policy that inherits the constant key may bypass the heap.
+        self._fifo = type(self.tie_break).key is TieBreak.key
+        self._seq = 0
         self._epilogue: List[Callable[[], None]] = []
+        self._horizon = 0.0
 
     # -- event construction -------------------------------------------------
 
@@ -165,10 +193,10 @@ class Simulation:
 
     def timeout(self, delay: float, value: Any = None) -> Event:
         """An event that fires ``delay`` simulated seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which would corrupt the heap
             raise ValueError(f"negative delay: {delay}")
         ev = Event(self)
-        self._at(self.now + delay, lambda: ev.succeed(value))
+        self.schedule(self.now + delay, ev.succeed, value)
         return ev
 
     def process(self, generator: Generator) -> Process:
@@ -180,35 +208,36 @@ class Simulation:
         gate = Event(self)
         remaining = [len(events)]
         if not events:
-            self._immediate(lambda: gate.succeed([]))
+            self.schedule(self.now, gate.succeed, [])
             return gate
 
-        def arm(ev: Event) -> None:
-            def on_fire(_: Event) -> None:
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    gate.succeed([e.value for e in events])
-
-            ev.add_callback(on_fire)
+        def on_fire(_: Event) -> None:
+            remaining[0] -= 1
+            if remaining[0] == 0:
+                gate.succeed([e.value for e in events])
 
         for ev in events:
-            arm(ev)
+            ev.add_callback(on_fire)
         return gate
 
     # -- scheduling ----------------------------------------------------------
 
-    def _at(self, time: float, fn: Callable[[], None]) -> None:
-        seq = next(self._counter)
-        heapq.heappush(self._heap, (time, self.tie_break.key(seq), seq, fn))
-
-    def _immediate(self, fn: Callable[[], None]) -> None:
-        self._at(self.now, fn)
+    def schedule(self, time: float, fn: Callable[[Any], Any], arg: Any) -> None:
+        """Queue ``fn(arg)`` for absolute ``time``, unchecked: for resources
+        whose times derive from ``now``; :meth:`call_at` is the checked form."""
+        if self._fifo and time == self.now:
+            self._ready.append((fn, arg))
+            return
+        seq = self._seq
+        self._seq = seq + 1
+        order = seq if self._fifo else (self.tie_break.key(seq), seq)
+        heapq.heappush(self._heap, (time, order, fn, arg))
 
     def call_at(self, time: float, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` to run at absolute simulated ``time``."""
-        if time < self.now:
+        if not time >= self.now:  # also rejects NaN
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        self._at(time, fn)
+        self.schedule(time, _call, fn)
 
     def at_instant_end(self, fn: Callable[[], None]) -> None:
         """Run ``fn`` once every event at the *current* instant has run.
@@ -216,43 +245,48 @@ class Simulation:
         The hook fires after the queue holds no further entries at
         ``now`` and before the clock advances — the point where all
         simultaneous requests are known, which is what deterministic
-        resource arbitration (see :meth:`Link.transmit_cut_through
+        resource arbitration (see :meth:`Link.request
         <repro.network.link.Link>`) needs.  Hooks may schedule new
         same-instant work; it is processed before time moves on.
         """
         self._epilogue.append(fn)
 
-    def _schedule_callbacks(self, event: Event) -> None:
-        callbacks, event._callbacks = event._callbacks, []
-        for fn in callbacks:
-            self._at(self.now, lambda fn=fn: fn(event))
+    def extend_horizon(self, time: float) -> None:
+        """Keep :meth:`run` from ending before ``time``: how a resource
+        accounts for a reserved transfer whose landing nobody awaits,
+        without a queue entry firing into an empty callback list."""
+        if time > self._horizon:
+            self._horizon = time
 
     # -- execution -----------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> float:
         """Execute events until the queue drains (or ``until`` is reached).
 
-        Returns the final simulation time.
+        Returns the final simulation time: the later of the last entry
+        and the horizon (:meth:`extend_horizon`), clamped by ``until``.
         """
-        while self._heap or self._epilogue:
-            next_time = self._heap[0][0] if self._heap else None
-            if self._epilogue and (next_time is None or next_time > self.now):
-                # The current instant has drained: run instant-end hooks
-                # (which may schedule more work at ``now``) before the
-                # clock moves.
+        heap, ready, pop = self._heap, self._ready, heapq.heappop
+        while True:
+            now = self.now
+            while heap and heap[0][0] == now:  # scheduled before this instant
+                _, _, fn, arg = pop(heap)
+                fn(arg)
+            while ready:  # appended during it, in append order
+                fn, arg = ready.popleft()
+                fn(arg)
+            if self._epilogue:  # may schedule more work at ``now``
                 hooks, self._epilogue = self._epilogue, []
                 for hook in hooks:
                     hook()
                 continue
-            if next_time is None:
-                break
+            next_time = heap[0][0] if heap else max(now, self._horizon)
+            if next_time == now:
+                return now
             if until is not None and next_time > until:
                 self.now = until
-                return self.now
-            _, _, _, fn = heapq.heappop(self._heap)
+                return until
             self.now = next_time
-            fn()
-        return self.now
 
 
 class Store:

@@ -30,12 +30,15 @@ overtake itself; all timing derives from simulated time
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import Deque, List, Optional, Tuple
 
 from repro.obs import Tracer
 
 from .events import Event, Simulation
 from .loss import LossModel, LossyLinkMixin
+
+_ARB_KEY = itemgetter(0)
 
 
 class Link:
@@ -48,9 +51,10 @@ class Link:
         latency_s: float,
         name: str = "",
     ) -> None:
-        if bandwidth_bps <= 0:
+        # Negated, so NaN is rejected too: as a time it breaks the heap order.
+        if not bandwidth_bps > 0:
             raise ValueError("bandwidth must be positive")
-        if latency_s < 0:
+        if not latency_s >= 0:
             raise ValueError("latency cannot be negative")
         self.sim = sim
         self.bandwidth_bps = bandwidth_bps
@@ -70,7 +74,7 @@ class Link:
         self.tracer: Optional[Tracer] = None
         self._inflight: Optional[Deque[float]] = None
         #: Same-instant requests awaiting arbitration:
-        #: ``(sort key, nbytes, head_nbytes, first, second)``.
+        #: ``(sort key, nbytes, head_nbytes, delay, first, second)``.
         self._pending: List[Tuple] = []
         self._arbitrating = False
 
@@ -149,41 +153,83 @@ class Link:
             self._trace_transfer(now, start, finish, nbytes)
         return start, finish
 
+    def _arb_key(self, key: Optional[Tuple], priority: Optional[int]) -> Tuple:
+        """Same-instant sort key; a plain link is a cable, not a scheduler."""
+        return key if key is not None else ()
+
     def _stage(
         self,
         nbytes: int,
         head_nbytes: Optional[int],
+        delay: float,
+        first: Event,
+        second: Optional[Event],
         key: Optional[Tuple],
         priority: Optional[int],
-    ) -> Tuple[Event, Event]:
+    ) -> None:
         """Stage one request; the grant happens when this instant drains."""
-        del priority  # a plain link is a cable, not a scheduler
-        first = Event(self.sim)
-        second = Event(self.sim)
-        arb_key = key if key is not None else ()
-        self._pending.append((arb_key, nbytes, head_nbytes, first, second))
+        if nbytes < 0:
+            raise ValueError("cannot transmit a negative number of bytes")
+        if head_nbytes is not None:
+            head_nbytes = min(max(head_nbytes, 0), nbytes)
+        self._pending.append(
+            (self._arb_key(key, priority), nbytes, head_nbytes, delay, first, second)
+        )
         if not self._arbitrating:
             self._arbitrating = True
             self.sim.at_instant_end(self._grant_pending)
-        return first, second
+
+    def _take_pending(self) -> List[Tuple]:
+        """This instant's requests in arbitration order; re-arms staging."""
+        self._arbitrating = False
+        pending, self._pending = self._pending, []
+        pending.sort(key=_ARB_KEY)
+        return pending
 
     def _grant_pending(self) -> None:
         """Grant every reservation requested this instant, in key order."""
-        self._arbitrating = False
-        pending, self._pending = self._pending, []
-        pending.sort(key=lambda request: request[0])
-        for _, nbytes, head_nbytes, first, second in pending:
-            start, finish = self._reserve(nbytes)
-            if head_nbytes is None:  # plain transmit: (sent, delivered)
-                first_at = finish
-            else:  # cut-through: (head_arrived, delivered)
-                first_at = (
-                    start + self.serialization_time(head_nbytes) + self.latency_s
-                )
-            self.sim.call_at(first_at, lambda ev=first: ev.succeed())
-            self.sim.call_at(
-                finish + self.latency_s, lambda ev=second: ev.succeed()
-            )
+        for request in self._take_pending():
+            start, finish = self._reserve(request[1])
+            self._complete(request, start, finish)
+
+    def _complete(self, request: Tuple, start: float, finish: float) -> None:
+        """Schedule a granted request's events from its wire times.
+
+        A landing nobody awaits (``second is None``) costs no queue
+        entry; it extends the run horizon, so the run still ends no
+        earlier than the reserved transfer has landed.
+        """
+        _, _, head_nbytes, delay, first, second = request
+        if head_nbytes is None:  # plain transmit: the last bit left
+            first_at = finish
+        else:  # cut-through: the head landed (and crossed the switch)
+            head_s = self.serialization_time(head_nbytes)
+            first_at = start + head_s + self.latency_s + delay
+        self.sim.schedule(first_at, first.succeed, None)
+        if second is None:
+            self.sim.extend_horizon(finish + self.latency_s)
+        else:
+            self.sim.schedule(finish + self.latency_s, second.succeed, None)
+
+    def request(
+        self,
+        nbytes: int,
+        head_nbytes: int,
+        delay: float = 0.0,
+        key: Optional[Tuple] = None,
+        priority: Optional[int] = None,
+    ) -> Event:
+        """Queue a packet train; returns the one event its sender awaits.
+
+        It fires ``delay`` after the train's first ``head_nbytes`` have
+        reached the far end: the moment a pipelined next hop behind a
+        switch with that forwarding delay may start, or — with
+        ``head_nbytes=nbytes`` — delivery of the whole train.  ``key``
+        and ``priority`` are as for :meth:`transmit`.
+        """
+        event = Event(self.sim)
+        self._stage(nbytes, head_nbytes, delay, event, None, key, priority)
+        return event
 
     def transmit(
         self,
@@ -201,9 +247,9 @@ class Link:
         ``priority`` is ignored by a plain link; only
         :class:`~repro.network.priority.PriorityLink` honors it.
         """
-        if nbytes < 0:
-            raise ValueError("cannot transmit a negative number of bytes")
-        return self._stage(nbytes, None, key, priority)
+        sent, delivered = Event(self.sim), Event(self.sim)
+        self._stage(nbytes, None, 0.0, sent, delivered, key, priority)
+        return sent, delivered
 
     def transmit_cut_through(
         self,
@@ -222,10 +268,9 @@ class Link:
         the incoming stream.  ``key`` and ``priority`` are as for
         :meth:`transmit`.
         """
-        if nbytes < 0:
-            raise ValueError("cannot transmit a negative number of bytes")
-        head_nbytes = min(max(head_nbytes, 0), nbytes)
-        return self._stage(nbytes, head_nbytes, key, priority)
+        head_arrived, delivered = Event(self.sim), Event(self.sim)
+        self._stage(nbytes, head_nbytes, 0.0, head_arrived, delivered, key, priority)
+        return head_arrived, delivered
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` the link spent busy."""

@@ -28,10 +28,9 @@ ports honor it.
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import List, Optional, Tuple
 
-from .events import Event, Simulation
+from .events import Simulation
 from .link import Link
 
 #: Number of priority classes (IEEE 802.1p-style 3-bit code space).
@@ -43,9 +42,8 @@ PRIORITY_DEFAULT = 4
 #: Served last — scavenger-class background traffic.
 PRIORITY_LOW = 7
 
-#: One admitted queue entry:
-#: ``(priority, admission seq, nbytes, head_nbytes, first, second)``.
-_QueueEntry = Tuple[int, int, int, Optional[int], Event, Event]
+#: One admitted queue entry: ``(priority, admission seq, staged request)``.
+_QueueEntry = Tuple[int, int, Tuple]
 
 
 class PriorityLink(Link):
@@ -74,43 +72,25 @@ class PriorityLink(Link):
         #: Admitted trains waiting for the port, ordered by
         #: ``(priority, admission seq)``.
         self._queue: List[_QueueEntry] = []
-        self._admission = itertools.count()
+        self._admitted = 0
         self._serving = False
         #: Peak queue length observed (for reports and tests).
         self.max_queue_depth = 0
 
-    def _stage(
-        self,
-        nbytes: int,
-        head_nbytes: Optional[int],
-        key: Optional[Tuple],
-        priority: Optional[int],
-    ) -> Tuple[Event, Event]:
-        """Stage a request under sort key ``(priority class, key)``."""
+    def _arb_key(self, key: Optional[Tuple], priority: Optional[int]) -> Tuple:
+        """Sort key ``(priority class, key)``."""
         cls = PRIORITY_DEFAULT if priority is None else priority
         if not 0 <= cls < PRIORITY_CLASSES:
             raise ValueError(
                 f"priority must be in [0, {PRIORITY_CLASSES}), got {cls}"
             )
-        first = Event(self.sim)
-        second = Event(self.sim)
-        arb_key = (cls, tuple(key) if key is not None else ())
-        self._pending.append((arb_key, nbytes, head_nbytes, first, second))
-        if not self._arbitrating:
-            self._arbitrating = True
-            self.sim.at_instant_end(self._grant_pending)
-        return first, second
+        return (cls, tuple(key) if key is not None else ())
 
     def _grant_pending(self) -> None:
         """Admit this instant's requests in (priority, key) order, then serve."""
-        self._arbitrating = False
-        pending, self._pending = self._pending, []
-        pending.sort(key=lambda request: request[0])
-        for (cls, _), nbytes, head_nbytes, first, second in pending:
-            heapq.heappush(
-                self._queue,
-                (cls, next(self._admission), nbytes, head_nbytes, first, second),
-            )
+        for request in self._take_pending():
+            self._admitted += 1
+            heapq.heappush(self._queue, (request[0][0], self._admitted, request))
         if len(self._queue) > self.max_queue_depth:
             self.max_queue_depth = len(self._queue)
         self._maybe_start()
@@ -120,21 +100,10 @@ class PriorityLink(Link):
         if self._serving or not self._queue:
             return
         self._serving = True
-        _, _, nbytes, head_nbytes, first, second = heapq.heappop(self._queue)
-        now = self.sim.now
-        serialization = self.serialization_time(nbytes)
-        finish = now + serialization
-        self._free_at = finish
-        self.bytes_carried += nbytes
-        self.busy_time += serialization
-        if self.tracer is not None:
-            self._trace_transfer(now, now, finish, nbytes)
-        if head_nbytes is None:  # plain transmit: (sent, delivered)
-            first_at = finish
-        else:  # cut-through: (head_arrived, delivered)
-            first_at = now + self.serialization_time(head_nbytes) + self.latency_s
-        self.sim.call_at(first_at, lambda ev=first: ev.succeed())
-        self.sim.call_at(finish + self.latency_s, lambda ev=second: ev.succeed())
+        request = heapq.heappop(self._queue)[2]
+        # The port is idle, so the reservation starts now.
+        start, finish = self._reserve(request[1])
+        self._complete(request, start, finish)
         self.sim.call_at(finish, self._finish_service)
 
     def _finish_service(self) -> None:

@@ -1,8 +1,10 @@
 """Message-level network simulator gluing topology, links and NIC timing.
 
 Messages are segmented into packet trains; each train is a process that
-store-and-forwards across the route's links, so bandwidth sharing, FIFO
-queueing and pipelining across hops all emerge from the event kernel.
+pipelines across the route's links, awaiting one event per stage (see
+:meth:`Link.request <repro.network.link.Link.request>`), so bandwidth
+sharing, FIFO queueing and pipelining across hops all emerge from the
+event kernel.
 
 The NIC compression engines influence timing in two ways, mirroring the
 hardware integration of Sec. VI-A:
@@ -442,10 +444,11 @@ class Network:
         """Pipeline one packet train through engines and links.
 
         Stages hand off with virtual cut-through: the next stage starts
-        when the train's head packet arrives, not when the whole train
-        has been stored — so results do not depend on the simulation's
-        train granularity.  The final stage completes store-and-forward
-        (delivery means the last byte arrived).
+        when the train's head packet arrives (plus the hop's forwarding
+        delay), not when the whole train has been stored — so results do
+        not depend on the simulation's train granularity.  The final
+        stage completes store-and-forward (delivery means the last byte
+        arrived).  Either way the process wakes once per stage.
 
         ``arb_key`` — ``(src, dst, flow seq, train index)`` — arbitrates
         same-instant contention on every stage: when several trains hit
@@ -459,7 +462,7 @@ class Network:
         head_wire = min(wire_bytes, HEADER_BYTES + self.mss)
         head_raw = min(raw_bytes, HEADER_BYTES + self.mss)
 
-        # (resource, bytes, head bytes, post-stage delay)
+        # (resource, bytes, bytes awaited before hand-off, hand-off delay)
         stages = []
         if tx_engine is not None:
             stages.append((tx_engine, raw_bytes, head_raw, 0.0))
@@ -469,29 +472,26 @@ class Network:
             stages.append((link, wire_bytes, head_wire, delay))
         if rx_engine is not None:
             stages.append((rx_engine, raw_bytes, head_raw, 0.0))
+        # Inner stages hand off on head arrival; the final one completes
+        # store-and-forward, i.e. awaits the whole train.
+        resource, nbytes, _, delay = stages[-1]
+        stages[-1] = (resource, nbytes, nbytes, delay)
 
         attempts = 0
         while True:
             attempts += 1
             dropped = False
-            for index, (resource, nbytes, head, post_delay) in enumerate(stages):
-                drop_here = resource.should_drop(packets)
-                head_arrived, delivered = resource.transmit_cut_through(
-                    nbytes, head, key=arb_key, priority=priority
-                )
-                if drop_here:
+            for resource, nbytes, head, delay in stages:
+                if resource.should_drop(packets):
                     # The wire time is spent; the loss is discovered at
                     # the sender one RTO after the expected delivery.
-                    yield delivered
-                    yield self.sim.timeout(self.retransmit.rto_s)
-                    dropped = True
+                    head, delay, dropped = nbytes, self.retransmit.rto_s, True
+                # The one event this stage waits on.
+                yield resource.request(
+                    nbytes, head, delay, key=arb_key, priority=priority
+                )
+                if dropped:
                     break
-                if index < len(stages) - 1:
-                    yield head_arrived
-                    if post_delay:
-                        yield self.sim.timeout(post_delay)
-                else:
-                    yield delivered
             if not dropped:
                 return
             self.trains_retransmitted += 1

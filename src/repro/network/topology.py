@@ -100,6 +100,9 @@ class Topology:
         self.links: Dict[Tuple[str, str], Link] = {}
         #: vertex -> destination host -> sorted equal-cost next hops.
         self._next_hops: Dict[str, Dict[str, Tuple[str, ...]]] = {}
+        #: (src, dst, tos) -> resolved route.  The graph is immutable
+        #: once built, so a flow's route is resolved once.
+        self._routes: Dict[Tuple[int, int, int], Route] = {}
 
     @staticmethod
     def host_id(node: int) -> str:
@@ -152,8 +155,12 @@ class Topology:
         Hop-by-hop shortest path; ``tos`` identifies the flow's traffic
         class and is hashed into the pick among equal-cost next hops, so
         distinct streams between the same hosts can spread over
-        equal-cost paths (see the module docstring).
+        equal-cost paths (see the module docstring).  Resolved once per
+        ``(src, dst, tos)``: later calls return the same :class:`Route`.
         """
+        cached = self._routes.get((src, dst, tos))
+        if cached is not None:
+            return cached
         self._check_endpoints(src, dst)
         target = self.host_id(dst)
         current = self.host_id(src)
@@ -168,7 +175,9 @@ class Topology:
             pick = choices[flow_hash(src, dst, tos, len(links)) % len(choices)]
             links.append(self.links[(current, pick)])
             current = pick
-        return Route(links=tuple(links), forwarding_delay_s=self.switch_delay_s)
+        route = Route(links=tuple(links), forwarding_delay_s=self.switch_delay_s)
+        self._routes[(src, dst, tos)] = route
+        return route
 
     def all_links(self) -> List[Link]:
         """Every link in the fabric, in wiring order."""

@@ -174,3 +174,59 @@ def test_store_fifo_order():
         store.put(item)
     sim.run()
     assert got == ["a", "b", "c"]
+
+
+def test_nan_times_rejected():
+    """NaN compares false with everything, so ``delay < 0`` let it through
+    and a NaN heap key silently broke the heap order."""
+    sim = Simulation()
+    with pytest.raises(ValueError):
+        sim.timeout(float("nan"))
+    with pytest.raises(ValueError):
+        sim.call_at(float("nan"), lambda: None)
+    sim.timeout(1.0)
+    assert sim.run() == 1.0  # nothing was queued by the rejected calls
+
+
+def test_clock_never_goes_backwards_around_a_rejected_nan():
+    sim = Simulation()
+    fired = []
+    for delay in (3.0, float("nan"), 1.0, 2.0, 0.5):
+        try:
+            sim.timeout(delay).add_callback(lambda ev: fired.append(sim.now))
+        except ValueError:
+            assert delay != delay
+    assert sim.run() == 3.0
+    assert fired == [0.5, 1.0, 2.0, 3.0]
+
+
+def test_infinite_delay_stays_legal():
+    sim = Simulation()
+    fired = []
+    sim.timeout(float("inf")).add_callback(lambda ev: fired.append(sim.now))
+    sim.call_at(float("inf"), lambda: fired.append("call_at"))
+    assert sim.run(until=10.0) == 10.0 and not fired
+    assert sim.run() == float("inf")
+    assert fired == ["call_at", float("inf")]  # the callback is deferred
+
+
+def test_callbacks_are_deferred_never_inline():
+    sim = Simulation()
+    order = []
+    ev = sim.event()
+    ev.add_callback(lambda e: order.append(("callback", e.value)))
+    ev.succeed("v")
+    order.append("after succeed")
+    sim.run()
+    assert order == ["after succeed", ("callback", "v")]
+
+
+def test_horizon_extends_the_run_without_a_queue_entry():
+    sim = Simulation()
+    sim.timeout(1.0)
+    sim.extend_horizon(2.5)
+    sim.extend_horizon(2.0)  # a maximum: never shrinks
+    assert sim.run(until=0.5) == 0.5
+    assert sim.run(until=2.0) == 2.0  # the entry at 1.0 ran; horizon clamped
+    assert sim.run() == 2.5 and sim.now == 2.5
+    assert sim.run() == 2.5

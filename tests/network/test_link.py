@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network import Link, Simulation
+from repro.network import Link, PriorityLink, Simulation
 
 
 def test_serialization_time():
@@ -92,9 +92,9 @@ def test_zero_byte_keyed_transmit_fires_at_instant_end():
     """Regression: a keyed zero-byte transmit on a zero-latency link.
 
     Arbitrated grants run at instant end, and ``_grant_pending``
-    schedules the completion callbacks with ``call_at(now)`` — events
-    landing on the *current* instant must still fire instead of being
-    skipped by the drained-instant bookkeeping.
+    schedules the completion events for ``now`` — entries landing on
+    the *current* instant from inside a hook must still fire instead of
+    being skipped by the drained-instant bookkeeping.
     """
     sim = Simulation()
     link = Link(sim, bandwidth_bps=8e9, latency_s=0.0)
@@ -133,3 +133,111 @@ def test_same_instant_zero_byte_grants_follow_key_order():
     sim.run()
     assert [k for k, _ in order] == [0, 1, 2]
     assert all(t == pytest.approx(1e-6) for _, t in order)
+
+
+def test_nan_parameters_rejected():
+    sim = Simulation()
+    with pytest.raises(ValueError):
+        Link(sim, bandwidth_bps=float("nan"), latency_s=0.0)
+    with pytest.raises(ValueError):
+        Link(sim, bandwidth_bps=1e9, latency_s=float("nan"))
+    Link(sim, bandwidth_bps=float("inf"), latency_s=float("inf"))  # legal
+
+
+NBYTES, HEAD, DELAY = 64_000, 1_500, 1e-6
+
+
+def _busy_link(cls=Link):
+    """A link with one train already on the wire, so ``start > 0``."""
+    sim = Simulation()
+    link = cls(sim, bandwidth_bps=10e9, latency_s=2e-6)
+    link.transmit(10_000)
+    return sim, link
+
+
+def _times(sim, event):
+    fired = []
+    event.add_callback(lambda ev: fired.append(sim.now))
+    return fired
+
+
+@pytest.mark.parametrize("cls", [Link, PriorityLink])
+def test_inner_stage_request_fires_once_at_head_arrival_plus_delay(cls):
+    """Exactly (``==``) when ``transmit_cut_through`` + ``timeout(delay)``
+    wake the sender on a twin link, in one event instead of three."""
+    twin_sim, twin = _busy_link(cls)
+
+    def two_wakeups():
+        head_arrived, _ = twin.transmit_cut_through(NBYTES, HEAD)
+        yield head_arrived
+        yield twin_sim.timeout(DELAY)
+        return twin_sim.now
+
+    expected = twin_sim.process(two_wakeups())
+    twin_end = twin_sim.run()
+
+    sim, link = _busy_link(cls)
+    fired = _times(sim, link.request(NBYTES, HEAD, DELAY))
+    end = sim.run()
+    start = link.serialization_time(10_000)
+    assert fired == [expected.value]
+    assert fired == [start + link.serialization_time(HEAD) + 2e-6 + DELAY]
+    # Nobody awaited the landing, yet it still bounds the run.
+    assert end == twin_end == start + link.serialization_time(NBYTES) + 2e-6
+    assert end > fired[0]
+
+
+@pytest.mark.parametrize("cls", [Link, PriorityLink])
+def test_final_stage_request_fires_at_delivery(cls):
+    twin_sim, twin = _busy_link(cls)
+    _, delivered = twin.transmit_cut_through(NBYTES, HEAD)
+    expected = _times(twin_sim, delivered)
+    twin_sim.run()
+
+    sim, link = _busy_link(cls)
+    fired = _times(sim, link.request(NBYTES, NBYTES))
+    assert sim.run() == fired[0]
+    assert fired == expected
+    finish = link.serialization_time(10_000) + link.serialization_time(NBYTES)
+    assert fired == [finish + 2e-6]
+
+
+def test_dropped_stage_request_adds_the_delay_to_delivery():
+    twin_sim, twin = _busy_link()
+
+    def deliver_then_rto():
+        yield twin.transmit_cut_through(NBYTES, HEAD)[1]
+        yield twin_sim.timeout(3e-3)
+        return twin_sim.now
+
+    expected = twin_sim.process(deliver_then_rto())
+    twin_sim.run()
+    sim, link = _busy_link()
+    fired = _times(sim, link.request(NBYTES, NBYTES, 3e-3))
+    sim.run()
+    assert fired == [expected.value]
+
+
+def test_run_until_below_the_horizon_returns_until():
+    sim = Simulation()
+    link = Link(sim, bandwidth_bps=8e9, latency_s=1e-6)
+    fired = _times(sim, link.request(8_000, 1_000))  # head 1 us, train 8 us
+    assert sim.run(until=4e-6) == 4e-6
+    assert fired == [pytest.approx(2e-6)]
+    assert sim.run() == pytest.approx(9e-6)  # finish + latency, unobserved
+    assert sim.now == sim.run()
+
+
+def test_same_instant_requests_granted_in_key_order():
+    sim = Simulation()
+    link = Link(sim, bandwidth_bps=8e9, latency_s=0.0)
+    order = []
+    for key in (2, 0, 1):  # issued out of key order
+        link.request(1000, 1000, key=(key,)).add_callback(
+            lambda ev, k=key: order.append((k, sim.now))
+        )
+    with pytest.raises(ValueError):
+        link.request(-1, 0)
+    sim.run()
+    assert [k for k, _ in order] == [0, 1, 2]
+    assert [t for _, t in order] == [pytest.approx(n * 1e-6) for n in (1, 2, 3)]

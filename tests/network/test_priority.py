@@ -1,5 +1,7 @@
 """PriorityLink tests: strict priority, FIFO within class, starvation bound."""
 
+import pytest
+
 from repro.network import (
     PRIORITY_DEFAULT,
     PRIORITY_HIGH,
@@ -109,3 +111,29 @@ def test_accounting_and_queue_depth():
     sim.run()
     assert link.bytes_carried == 300_000
     assert link.max_queue_depth >= 2
+
+
+def test_stage_requests_are_admitted_in_priority_then_key_order():
+    # The single-event request path shares admission with transmit():
+    # issued worst-first at one instant, served by (priority, key).
+    sim, link = _link()
+    order = []
+    for priority, key in (
+        (PRIORITY_LOW, (0,)),
+        (PRIORITY_DEFAULT, (2,)),
+        (None, (1,)),  # None rides the default class
+        (PRIORITY_HIGH, (9,)),
+    ):
+        head = 1_000 if key == (2,) else 100_000  # one inner stage among finals
+        link.request(100_000, head, key=key, priority=priority).add_callback(
+            lambda e, key=key: order.append(key)
+        )
+    sim.run()
+    assert order == [(9,), (1,), (2,), (0,)]
+    assert link.bytes_carried == 400_000
+
+
+def test_stage_request_rejects_unknown_priority_class():
+    _, link = _link()
+    with pytest.raises(ValueError, match="priority"):
+        link.request(1_000, 1_000, priority=8)

@@ -1,6 +1,5 @@
 """Simulator detail tests: receipts, train splitting, cut-through edges."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +10,7 @@ from repro.network import (
     Network,
     Simulation,
     SwitchedStar,
+    TwoTierFabric,
     packet_count,
     split_trains,
 )
@@ -112,3 +112,36 @@ def test_many_small_messages_interleave():
     sim.all_of(events).add_callback(lambda e: done.append(sim.now))
     sim.run()
     assert done and done[0] > 0
+
+
+def test_makespan_is_the_last_landing_not_the_last_wakeup():
+    """On an oversubscribed two-tier fabric the fast downlink outruns the
+    slow uplink's stream: the message is "delivered" before the uplink's
+    train has landed, and ``run()`` must still return that landing time —
+    exactly what the two-events-per-stage pipeline returned."""
+    nbytes = 40_000  # one train
+    wire = nbytes + packet_count(nbytes, 1460) * HEADER_BYTES
+    head = HEADER_BYTES + 1460
+
+    twin_sim = Simulation()
+    route = TwoTierFabric(twin_sim, 2, 2).route(0, 3)
+
+    def two_events_per_stage():
+        for link in route.links[:-1]:
+            yield link.transmit_cut_through(wire, head)[0]
+            yield twin_sim.timeout(route.forwarding_delay_s)
+        yield route.links[-1].transmit_cut_through(wire, head)[1]
+        return twin_sim.now
+
+    twin = twin_sim.process(two_events_per_stage())
+    twin_end = twin_sim.run()
+
+    sim = Simulation()
+    net = Network(sim, TwoTierFabric(sim, 2, 2))
+    done = net.send(0, 3, nbytes)
+    end = sim.run()
+    _, receipt = done.value
+    assert receipt.delivered_at == twin.value
+    assert end == twin_end
+    assert end > receipt.delivered_at  # set by the unobserved uplink landing
+    assert sim.run(until=end + 1.0) == end

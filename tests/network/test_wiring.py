@@ -9,7 +9,7 @@ recorded before the routing graphs were folded into one (PR 15).
 
 import pytest
 
-from repro.network import Simulation, build_topology
+from repro.network import MultiTierFabric, Simulation, build_topology
 
 #: spec -> (all_links() names, {(src, dst, tos): route link names}),
 #: built for 4 nodes.  Fat-tree link order is pinned by rule (sorted
@@ -88,3 +88,30 @@ def test_link_order_and_routes(spec):
             route = fabric.route(src, dst, tos=tos)
             assert [link.name for link in route.links] == expected
             assert route.forwarding_delay_s == (0.0 if spec == "ring" else 1e-6)
+
+
+@pytest.mark.parametrize("spec", sorted(WIRINGS))
+def test_routes_are_resolved_once_and_failures_are_not_cached(spec):
+    """``route()`` memoises per ``(src, dst, tos)``: the second call is the
+    first call's ``Route`` object, the pinned picks are what it holds, and
+    a lookup that raised raises again (nothing is cached for it)."""
+    _, routes = WIRINGS[spec]
+    fabric = build_topology(spec, Simulation(), 4)
+    for (src, dst, tos), expected in routes.items():
+        if expected is None:
+            for _ in range(2):
+                with pytest.raises(ValueError, match=f"no route {src} -> {dst}"):
+                    fabric.route(src, dst, tos=tos)
+            continue
+        first = fabric.route(src, dst, tos=tos)
+        assert fabric.route(src, dst, tos=tos) is first
+        assert [link.name for link in first.links] == expected
+        if tos == 0x00:
+            assert fabric.route(src, dst) is first
+            if isinstance(fabric, MultiTierFabric):  # goes through route()
+                assert fabric.path_length(src, dst) == len(expected)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="outside"):
+            fabric.route(0, fabric.num_nodes)
+        with pytest.raises(ValueError, match="must differ"):
+            fabric.route(1, 1)
