@@ -40,8 +40,8 @@ from .fftsparse import FftSparsificationCodec
 from .homomorphic import (
     LosslessHomomorphicCodec,
     ThcCodec,
-    floats_from_scaled,
-    scaled_ints,
+    encode_limbs,
+    render_limbs,
 )
 from .stats import (
     BitwidthDistribution,
@@ -73,8 +73,8 @@ __all__ = [
     "RAW_STREAM",
     "CodecResult",
     "ThcCodec",
-    "floats_from_scaled",
-    "scaled_ints",
+    "encode_limbs",
+    "render_limbs",
     "GradientCodec",
     "StreamProfile",
     "available_codecs",

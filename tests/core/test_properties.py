@@ -6,16 +6,21 @@ import struct
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core import (
+    CodecResult,
     CompressedGradients,
     ErrorBound,
     classify,
     compress,
     decompress,
+    profile_for,
     quantize,
 )
 from repro.core.reference import compress_value, decompress_value, roundtrip_value
+
+from . import reference_homomorphic
 
 bounds = st.integers(min_value=1, max_value=15).map(ErrorBound)
 
@@ -127,3 +132,74 @@ def test_table_kernel_matches_scalar_on_any_bit_pattern(values, bound):
             assert int(cg.payloads[i]) == int(word)
         else:
             assert int(cg.payloads[i]) == payload
+
+
+# -- lossless_hc: limb-window accumulator vs. the big-int oracle -------------
+
+
+@st.composite
+def hc_fold_programs(draw):
+    """Finite parts, which of them lose their state, and a fold order."""
+    fan_in = draw(st.integers(min_value=1, max_value=8))
+    size = draw(st.integers(min_value=0, max_value=300))
+    # Signed powers of two spaced so that column sums land on float32
+    # ties (24 bits down), float64 ties (53) and just past either --
+    # where the render's two roundings and its sticky bit decide.
+    anchor = draw(st.integers(min_value=111, max_value=254))
+    near_ties = st.builds(
+        lambda sign, down: (sign << 31) | ((anchor - down) << 23),
+        st.integers(0, 1),
+        st.sampled_from([0, 23, 24, 53, 80, 110]),
+    )
+    elements = draw(st.sampled_from([all_float_bits, near_ties]))
+    # No fill: every element is its own draw, so columns differ.
+    words = draw(
+        hnp.arrays(np.uint32, (fan_in, size), elements=elements, fill=st.nothing())
+    )
+    # inf/NaN patterns drop to exponent 0xFE: finite, next to FLT_MAX.
+    non_finite = (words & 0x7F800000) == 0x7F800000
+    words = np.where(non_finite, words & 0xFF7FFFFF, words).astype(np.uint32)
+    for k in range(1, fan_in):
+        # Independent bit patterns almost never cancel; a negated copy
+        # with a few low fraction bits flipped does, at equal exponent.
+        mirror = draw(
+            st.none()
+            | st.tuples(st.integers(0, k - 1), st.integers(min_value=0, max_value=7))
+        )
+        if mirror is not None:
+            words[k] = words[mirror[0]] ^ np.uint32(0x80000000 | mirror[1])
+    stripped = draw(st.lists(st.booleans(), min_size=fan_in, max_size=fan_in))
+    # A binary tree: fold two neighbours until one part is left.
+    merges = [draw(st.integers(0, left - 2)) for left in range(fan_in, 1, -1)]
+    return words.view(np.float32), stripped, merges
+
+
+@given(hc_fold_programs())
+@settings(max_examples=60, deadline=None)
+def test_limb_window_fold_matches_big_int_oracle(program):
+    values, stripped, merges = program
+    stream = profile_for("lossless_hc")
+
+    def parts_from(compress):
+        parts = [compress(v) for v in values]
+        return [
+            CodecResult(p.payload_nbytes, p.values, p.fan_in) if strip else p
+            for p, strip in zip(parts, stripped)
+        ]
+
+    with np.errstate(over="ignore"):  # sums past FLT_MAX render inf
+        want = reference_homomorphic.aggregate_compressed(
+            parts_from(reference_homomorphic.compress)
+        )
+        tree = parts_from(stream.compress)
+        flat = stream.aggregate_compressed(tree)
+        for at in merges:
+            tree[at : at + 2] = [stream.aggregate_compressed(tree[at : at + 2])]
+        (root,) = tree
+        # Folding the root alone re-renders it (and renders a lone part).
+        root = stream.aggregate_compressed([root])
+    for got in (flat, root):
+        # On the uint32 view, so -0.0 vs +0.0 counts.
+        assert np.array_equal(got.values.view(np.uint32), want.values.view(np.uint32))
+        assert got.payload_nbytes == want.payload_nbytes
+        assert got.fan_in == want.fan_in == len(values)
