@@ -14,6 +14,8 @@ from .tags import ENCODED_BITS, TAG_BIT8, TAG_BIT16, TAG_NO_COMPRESS, TAG_ZERO
 #: Tag order used for reporting, matching Table III's column order
 #: (2-bit, 10-bit, 18-bit, 34-bit encodings).
 REPORT_TAG_ORDER = (TAG_ZERO, TAG_BIT8, TAG_BIT16, TAG_NO_COMPRESS)
+#: Elements :func:`max_abs_error` widens to float64 at a time (512 KiB).
+_ERROR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,8 @@ def average_compression_ratio(
 
 def max_abs_error(original: np.ndarray, reconstructed: np.ndarray) -> float:
     """Largest absolute elementwise deviation (the codec's bound metric)."""
-    orig = np.asarray(original, dtype=np.float64).reshape(-1)  # repro-lint: disable=R1 -- error metric needs full precision
-    recon = np.asarray(reconstructed, dtype=np.float64).reshape(-1)  # repro-lint: disable=R1 -- error metric needs full precision
+    orig = np.asarray(original).reshape(-1)  # repro-lint: disable=R1 -- keeps the caller's dtype
+    recon = np.asarray(reconstructed).reshape(-1)  # repro-lint: disable=R1 -- keeps the caller's dtype
     if orig.shape != recon.shape:
         raise ValueError("arrays must have the same number of elements")
     finite = np.isfinite(orig)
@@ -102,7 +104,16 @@ def max_abs_error(original: np.ndarray, reconstructed: np.ndarray) -> float:
         orig, recon = orig[finite], recon[finite]
     if orig.size == 0:
         return 0.0
-    return float(np.max(np.abs(orig - recon)))
+    # Double precision only ever exists one cache-sized block at a time:
+    # widened operands, difference and magnitude share one buffer.
+    block = np.empty(min(orig.size, _ERROR_BLOCK), dtype=np.float64)  # repro-lint: disable=R1 -- error metric needs full precision
+    peaks = []
+    for at in range(0, orig.size, _ERROR_BLOCK):
+        stop = at + _ERROR_BLOCK
+        part = block[: orig.size - at]
+        np.subtract(orig[at:stop], recon[at:stop], out=part, dtype=np.float64)  # repro-lint: disable=R1 -- error metric needs full precision
+        peaks.append(np.abs(part, out=part).max())
+    return float(np.max(peaks))
 
 
 def value_histogram(

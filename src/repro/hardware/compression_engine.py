@@ -13,19 +13,21 @@ the wire format, the engine is validated against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.core.bounds import ErrorBound
 from repro.core.codec import compress as codec_compress
+from repro.core.container import pack_group_records
 
-from .axi import BURST_BITS, WORDS_PER_BURST, BurstError, burst_count
+from .axi import BURST_BYTES, WORDS_PER_BURST, BurstError
 from .engine import DEFAULT_CLOCK_HZ, BurstEngine
 
 
 @dataclass
 class EngineStats:
-    """Operation counters for one engine pass."""
+    """Operation counters for one engine call (a pass per payload)."""
 
     bursts_in: int = 0
     bursts_out: int = 0
@@ -55,25 +57,46 @@ class CompressionEngine(BurstEngine):
 
         Returns the compressed bitstream (the NIC reattaches it as the
         packet's new payload) and the pass statistics.
+        """
+        streams, stats = self.compress_packets([payload])
+        return streams[0], stats
 
-        The vectorized software codec produces the stream and the stats
-        are computed in closed form; both are pinned identical to the
+    def compress_packets(
+        self, payloads: Sequence[bytes]
+    ) -> "tuple[List[bytes], EngineStats]":
+        """One engine pass per payload; returns their streams and summed stats.
+
+        Every payload is padded to whole groups in one lane array, so the
+        vectorized software codec and one container pack produce all the
+        streams at once, cut apart at group boundaries; the stats are
+        computed in closed form.  Both are pinned identical to the
         burst-by-burst behavioural model kept as the test-side oracle
         (``tests/hardware/structural_model.py``).
         """
-        if len(payload) % 4:
+        lengths = np.array([len(payload) for payload in payloads], dtype=np.int64)
+        if (lengths % 4).any():
             raise BurstError(
                 "compressible payload must be whole float32 words, "
-                f"got {len(payload)} bytes"
+                f"got {lengths[lengths % 4 > 0][0]} bytes"
             )
-        stats = EngineStats()
-        values = np.frombuffer(payload, dtype="<f4")
+        words = lengths // 4
+        bursts = -(-words // WORDS_PER_BURST)
+        values = np.frombuffer(b"".join(payloads), dtype="<f4")
+        pads = bursts * WORDS_PER_BURST - words
+        if pads.any():
+            # Partial final bursts fill up with +0.0, which the codec tags ZERO.
+            values = np.insert(values, np.repeat(np.cumsum(words), pads), 0.0)
         compressed = codec_compress(values, self.bound)
-        data = compressed.to_bytes()
-        stats.bursts_in = burst_count(len(payload))
-        stats.bits_out = compressed.compressed_bits
-        stats.bursts_out = stats.bits_out // BURST_BITS
+        data, offsets = pack_group_records(compressed.tags, compressed.payloads)
+        cuts = offsets[np.cumsum(bursts)]
+        nbytes = np.diff(cuts, prepend=0)
         # An empty payload never enters the pipeline: no drain to pay.
-        stats.cycles = self.charge(stats.bursts_in) if stats.bursts_in else 0
+        stats = EngineStats(
+            bursts_in=int(bursts.sum()),
+            bursts_out=int((nbytes // BURST_BYTES).sum()),
+            bits_out=int(nbytes.sum()) * 8,
+            cycles=self.charge(bursts[bursts > 0]),
+        )
         self.total_bursts += stats.bursts_in
-        return data, stats
+        spans = zip((cuts - nbytes).tolist(), cuts.tolist())
+        return [data[start:stop] for start, stop in spans], stats

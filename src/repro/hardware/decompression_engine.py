@@ -13,7 +13,7 @@ software codec and is validated bit-exact against ``repro.core``.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -24,10 +24,11 @@ from repro.core.container import (
     CompressedGradients,
     TruncatedRecordError,
     scan_group_offsets,
+    stray_padding_lanes,
     unpack_group_records,
 )
 
-from .axi import WORDS_PER_BURST, burst_count
+from .axi import BURST_BYTES, WORDS_PER_BURST
 from .compression_engine import EngineStats
 from .engine import DEFAULT_CLOCK_HZ, BurstEngine
 
@@ -57,39 +58,69 @@ class DecompressionEngine(BurstEngine):
         ``num_values`` trims the final group's padding lanes; without it
         the output length is rounded up to a whole group (the hardware
         behaviour — the host's receive buffer length does the trimming).
-
-        The group records are located and decoded with the vectorized
-        container kernels and the stats computed in closed form; both
-        are pinned identical to the burst-by-burst behavioural model
-        kept as the test-side oracle
-        (``tests/hardware/structural_model.py``).
         """
-        stats = EngineStats()
+        restored, stats = self.decompress_packets([data], [num_values])
+        return restored[0], stats
+
+    def decompress_packets(
+        self, streams: Sequence[bytes], num_values: Sequence[Optional[int]]
+    ) -> "tuple[List[bytes], EngineStats]":
+        """One engine pass per stream; returns their payloads and summed stats.
+
+        The streams are laid end to end, so one container scan locates
+        every group record, one unpack and one codec call decode them,
+        and the float32 bytes are cut apart per stream; the stats are
+        computed in closed form.  Both are pinned identical to the
+        burst-by-burst behavioural model kept as the test-side oracle
+        (``tests/hardware/structural_model.py``).  Nothing is charged to
+        the engine when any stream is malformed.
+        """
+        lengths = np.array([len(stream) for stream in streams], dtype=np.int64)
+        starts = np.cumsum(lengths) - lengths
+        joined = b"".join(streams)
         try:
-            offsets = scan_group_offsets(data)
+            offsets, groups = scan_group_offsets(joined, starts=starts)
         except TruncatedRecordError as exc:
             raise DecompressionError(
-                f"compressed stream truncated inside group {exc.group}"
+                f"compressed stream {exc.stream} truncated inside group {exc.group}"
             ) from exc
-        tags, payloads = unpack_group_records(data, offsets)
-        groups = int(offsets.shape[0]) - 1
-        compressed = CompressedGradients(
-            tags=tags, payloads=payloads, bound=self.bound
+        closing = np.cumsum(groups + 1) - 1
+        consumed = offsets[closing] - starts
+        if (consumed != lengths).any():
+            # A stream may end on one byte of bit padding; drop it, since
+            # records unpack only when they lie back to back.
+            trimmed = [s[:size] for s, size in zip(streams, consumed.tolist())]
+            return self.decompress_packets(trimmed, num_values)
+        tags, payloads = unpack_group_records(
+            joined, np.delete(offsets, closing[:-1])
         )
-        values = codec_decompress(compressed)
-        if num_values is not None:
-            if num_values > groups * GROUP_SIZE:
-                raise DecompressionError(
-                    f"stream holds {groups * GROUP_SIZE} values, "
-                    f"caller expected {num_values}"
-                )
-            if np.any(values.view(np.uint32)[num_values:]):
-                raise DecompressionError("non-zero padding lanes in final group")
-            values = values[:num_values]
-        stats.bursts_out = groups
-        stats.bursts_in = burst_count(int(offsets[-1]))
-        stats.bits_out = int(values.shape[0]) * 32
+        lanes = groups * GROUP_SIZE
+        wanted = np.array(
+            [held if n is None else n for n, held in zip(num_values, lanes.tolist())],
+            dtype=np.int64,
+        )
+        misfit = np.flatnonzero((wanted < 0) | (wanted > lanes))
+        if misfit.size:
+            raise DecompressionError(
+                f"stream holds {lanes[misfit[0]]} values, "
+                f"caller expected {wanted[misfit[0]]}"
+            )
+        lane_stops = np.cumsum(lanes)
+        if stray_padding_lanes(tags, lane_stops, wanted).size:
+            raise DecompressionError(
+                "padding lanes of a final group are not ZERO-tagged"
+            )
+        values = codec_decompress(
+            CompressedGradients(tags=tags, payloads=payloads, bound=self.bound)
+        )
+        raw = values.astype("<f4", copy=False).tobytes()
         # An empty stream never enters the pipeline: no drain to pay.
-        stats.cycles = self.charge(groups) if groups else 0
-        self.total_groups += groups
-        return values.tobytes(), stats
+        stats = EngineStats(
+            bursts_in=int((-(-consumed // BURST_BYTES)).sum()),
+            bursts_out=int(groups.sum()),
+            bits_out=int(wanted.sum()) * 32,
+            cycles=self.charge(groups[groups > 0]),
+        )
+        self.total_groups += stats.bursts_out
+        spans = zip((lane_stops - lanes).tolist(), wanted.tolist())
+        return [raw[4 * start : 4 * (start + size)] for start, size in spans], stats

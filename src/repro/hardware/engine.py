@@ -13,6 +13,10 @@ aggregation timings comparable.
 
 from __future__ import annotations
 
+from typing import Union
+
+import numpy as np
+
 from .axi import BURST_BYTES, WORDS_PER_BURST
 
 #: Reference-design clock (paper Sec. VII-C: 100 MHz, bandwidth-neutral).
@@ -44,9 +48,14 @@ class BurstEngine:
         self.beats_per_burst = -(-WORDS_PER_BURST // num_blocks)
         self.total_cycles = 0
 
-    def charge(self, bursts: int) -> int:
-        """Occupy the engine for one pass over ``bursts``; returns its cycles."""
-        cycles = -(-bursts * self.beats_per_burst // self.lanes) + PIPELINE_DEPTH
+    def charge(self, bursts: Union[int, np.ndarray]) -> int:
+        """Occupy the engine for one pass over ``bursts``; returns its cycles.
+
+        An array of burst counts is one pass per entry, each paying its
+        own drain; the return value is their total.
+        """
+        per_pass = -(-bursts * self.beats_per_burst // self.lanes) + PIPELINE_DEPTH
+        cycles = int(np.sum(per_pass))
         self.total_cycles += cycles
         return cycles
 

@@ -6,8 +6,9 @@ stream through the Compression Engine before entering the MAC FIFOs;
 everything else bypasses.  Receive side mirrors this with the paired
 Decompression Engine.
 
-Only the INCEPTIONN pair does byte work per packet.  Streams of the
-other registered codecs are engine-eligible at message granularity
+Only the INCEPTIONN pair does byte work on packets, a whole packet
+train per engine call (a single packet is a train of one).  Streams of
+the other registered codecs are engine-eligible at message granularity
 (:meth:`InceptionnNic.dispatches` — the codec registry is the one table
 of such ToS bytes) and their own codec transforms them in
 :mod:`repro.transport.wire`.
@@ -70,6 +71,18 @@ class _CompressionContext:
 
     num_values: int
     original_context: object = None
+
+
+def _reframed(packet: Packet, payload: bytes, context: object) -> Packet:
+    """``packet``'s headers around an engine's output."""
+    return Packet(
+        src=packet.src,
+        dst=packet.dst,
+        seq=packet.seq,
+        tos=packet.tos,
+        payload=payload,
+        context=context,
+    )
 
 
 class InceptionnNic:
@@ -135,7 +148,7 @@ class InceptionnNic:
         self.counters.rx_decompressed += engine_packets
         self.counters.rx_bypassed += packets - engine_packets
 
-    # -- per-packet datapath -----------------------------------------------------
+    # -- bit-exact datapath ------------------------------------------------------
 
     def _engages(self, packet: Packet) -> bool:
         """The per-packet comparator: does this packet enter the engines?"""
@@ -186,67 +199,75 @@ class InceptionnNic:
 
     def process_tx(self, packet: Packet) -> Packet:
         """Transmit-side classification + compression of one packet."""
-        self.counters.tx_packets += 1
-        if not self._engages(packet):
-            self.counters.tx_bypassed += 1
-            return packet
-        compressed, _ = self.compressor.compress(packet.payload)
-        self.counters.tx_compressed += 1
-        self.counters.tx_payload_bytes_in += len(packet.payload)
-        self.counters.tx_payload_bytes_out += len(compressed)
-        if self.tracer is not None:
-            self._trace_engine_call("nic.compress", packet, len(compressed))
-        return Packet(
-            src=packet.src,
-            dst=packet.dst,
-            seq=packet.seq,
-            tos=packet.tos,
-            payload=compressed,
-            context=_CompressionContext(
-                num_values=len(packet.payload) // 4,
-                original_context=packet.context,
-            ),
-        )
+        return self._transmit([packet])[0]
 
     def process_rx(self, packet: Packet) -> Packet:
         """Receive-side classification + decompression of one packet."""
-        self.counters.rx_packets += 1
-        if not self._engages(packet):
-            self.counters.rx_bypassed += 1
-            return packet
-        context = packet.context
-        num_values = (
-            context.num_values if isinstance(context, _CompressionContext) else None
+        return self._receive([packet])[0]
+
+    def _transmit(self, packets: List[Packet]) -> List[Packet]:
+        """TX datapath over a packet train: one engine call for all it engages."""
+        engaged = [slot for slot, pkt in enumerate(packets) if self._engages(pkt)]
+        streams, _ = self.compressor.compress_packets(
+            [packets[slot].payload for slot in engaged]
         )
-        restored, _ = self.decompressor.decompress(packet.payload, num_values)
-        self.counters.rx_decompressed += 1
-        if self.tracer is not None:
-            self._trace_engine_call("nic.decompress", packet, len(restored))
-        original_context = (
-            context.original_context
-            if isinstance(context, _CompressionContext)
-            else context
+        out = list(packets)
+        for slot, stream in zip(engaged, streams):
+            pkt = packets[slot]
+            out[slot] = _reframed(
+                pkt, stream, _CompressionContext(pkt.payload_nbytes // 4, pkt.context)
+            )
+            if self.tracer is not None:
+                self._trace_engine_call("nic.compress", pkt, len(stream))
+        self.account_tx(
+            len(packets),
+            len(engaged),
+            sum(packets[slot].payload_nbytes for slot in engaged),
+            sum(map(len, streams)),
         )
-        return Packet(
-            src=packet.src,
-            dst=packet.dst,
-            seq=packet.seq,
-            tos=packet.tos,
-            payload=restored,
-            context=original_context,
+        return out
+
+    def _receive(self, packets: List[Packet]) -> List[Packet]:
+        """RX datapath over a packet train: one engine call for all it engages.
+
+        A malformed stream raises before any counter or engine total moves.
+        """
+        engaged = [slot for slot, pkt in enumerate(packets) if self._engages(pkt)]
+        # Only a compressing NIC's sidecar says how many values a stream
+        # holds; without one it decodes to whole groups.
+        contexts = [packets[slot].context for slot in engaged]
+        sidecars = [
+            context if isinstance(context, _CompressionContext) else None
+            for context in contexts
+        ]
+        payloads, _ = self.decompressor.decompress_packets(
+            [packets[slot].payload for slot in engaged],
+            [None if sidecar is None else sidecar.num_values for sidecar in sidecars],
         )
+        out = list(packets)
+        for slot, sidecar, payload in zip(engaged, sidecars, payloads):
+            pkt = packets[slot]
+            out[slot] = _reframed(
+                pkt,
+                payload,
+                pkt.context if sidecar is None else sidecar.original_context,
+            )
+            if self.tracer is not None:
+                self._trace_engine_call("nic.decompress", pkt, len(payload))
+        self.account_rx(len(packets), len(engaged))
+        return out
 
     # -- message-level convenience -------------------------------------------------
 
     def transmit_message(
         self, data: bytes, dst: int, tos: int, mss: int = 1460
     ) -> List[Packet]:
-        """Segment a byte stream and run every packet through TX."""
-        packets = segment_bytes(data, src=self.node_id, dst=dst, tos=tos, mss=mss)
-        return [self.process_tx(pkt) for pkt in packets]
+        """Segment a byte stream and run the packet train through TX."""
+        return self._transmit(
+            segment_bytes(data, src=self.node_id, dst=dst, tos=tos, mss=mss)
+        )
 
     def receive_message(self, packets: List[Packet]) -> bytes:
-        """Run packets through RX in sequence order and reassemble."""
-        restored = [self.process_rx(pkt) for pkt in packets]
-        restored.sort(key=lambda p: p.seq)
+        """Run a packet train through RX and reassemble in sequence order."""
+        restored = sorted(self._receive(packets), key=lambda p: p.seq)
         return b"".join(p.payload for p in restored)

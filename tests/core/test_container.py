@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import CompressedGradients, ErrorBound, compress, decompress
-from repro.core.bitstream import BitWriter
-from repro.core.container import GROUP_SIZE, GROUP_TAG_BITS
-from repro.core.tags import PAYLOAD_BITS
+
+from . import reference_wire
 
 BOUND = ErrorBound(10)
 
@@ -19,22 +18,7 @@ def _compress_random(n, seed=0, scale=0.3):
 
 def _scalar_to_bytes(cg):
     """Per-lane BitWriter reference the bulk serializer is pinned to."""
-    writer = BitWriter()
-    n = len(cg)
-    for g in range(-(-n // GROUP_SIZE)):
-        tag_word = 0
-        for lane in range(GROUP_SIZE):
-            i = g * GROUP_SIZE + lane
-            tag = int(cg.tags[i]) if i < n else 0
-            tag_word |= (tag & 0b11) << (2 * lane)
-        writer.write(tag_word, GROUP_TAG_BITS)
-        for lane in range(GROUP_SIZE):
-            i = g * GROUP_SIZE + lane
-            if i < n:
-                nbits = PAYLOAD_BITS[int(cg.tags[i])]
-                if nbits:
-                    writer.write(int(cg.payloads[i]), nbits)
-    return writer.getvalue()
+    return reference_wire.pack(cg.tags, cg.payloads)[0]
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 1000])

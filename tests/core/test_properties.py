@@ -72,7 +72,7 @@ def test_every_bit_pattern_classifies(bits, bound):
     st.lists(finite_floats, min_size=0, max_size=200),
     bounds,
 )
-@settings(max_examples=50)
+@settings(max_examples=50, deadline=None)
 def test_vectorized_matches_scalar(values, bound):
     arr = np.array(values, dtype=np.float32)
     cg = compress(arr, bound)
@@ -84,7 +84,7 @@ def test_vectorized_matches_scalar(values, bound):
 
 
 @given(st.lists(finite_floats, min_size=0, max_size=100), bounds)
-@settings(max_examples=50)
+@settings(max_examples=50, deadline=None)
 def test_wire_format_roundtrip(values, bound):
     arr = np.array(values, dtype=np.float32)
     cg = compress(arr, bound)
@@ -94,7 +94,7 @@ def test_wire_format_roundtrip(values, bound):
 
 
 @given(st.lists(finite_floats, min_size=1, max_size=100), bounds)
-@settings(max_examples=50)
+@settings(max_examples=50, deadline=None)
 def test_compressed_never_larger_than_34_bits_per_value(values, bound):
     arr = np.array(values, dtype=np.float32)
     cg = compress(arr, bound)
@@ -119,7 +119,7 @@ def test_quantize_equals_compress_then_decompress(values, bound):
 
 
 @given(bit_pattern_vectors, bounds)
-@settings(max_examples=50)
+@settings(max_examples=50, deadline=None)
 def test_table_kernel_matches_scalar_on_any_bit_pattern(values, bound):
     cg = compress(values, bound)
     assert np.array_equal(classify(values, bound), cg.tags)

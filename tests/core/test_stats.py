@@ -94,6 +94,22 @@ def test_max_abs_error_ignores_nonfinite():
     assert max_abs_error(a, b) == 0.0
 
 
+@pytest.mark.parametrize("n", [2, 1 << 16, (1 << 16) + 1, 200_001])
+def test_max_abs_error_is_the_float64_formula_block_by_block(n):
+    # Sizes straddle the internal block; the result must equal widening
+    # both whole arrays to float64 first, bit for bit.
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n).astype(np.float32)
+    b = (a + rng.standard_normal(n).astype(np.float32) * 1e-3).astype(np.float32)
+    a[n // 2] = np.inf  # skipped, wherever it falls
+    finite = np.isfinite(a)
+    want = np.max(np.abs(a[finite].astype(np.float64) - b[finite].astype(np.float64)))
+    assert max_abs_error(a, b) == want
+    assert max_abs_error(a.reshape(1, -1), b.tolist()) == want
+    b[0] = np.nan  # a NaN reconstruction of a finite value is not hidden
+    assert np.isnan(max_abs_error(a, b))
+
+
 def test_max_abs_error_shape_mismatch():
     with pytest.raises(ValueError):
         max_abs_error(np.zeros(3), np.zeros(4))

@@ -191,11 +191,13 @@ def decompress_structural(
     stats = EngineStats()
     buffer = BurstBuffer(data)
     words: List[int] = []
+    lane_tags: List[int] = []
     groups = 0
     while buffer.has_group():
         try:
             tag_word = buffer.read(GROUP_TAG_BITS)
-            for lane, tag in enumerate(TagDecoder.decode(tag_word)):
+            lane_tags += TagDecoder.decode(tag_word)
+            for lane, tag in enumerate(lane_tags[-GROUP_SIZE:]):
                 nbits = PAYLOAD_BITS[tag]
                 payload = buffer.read(nbits) if nbits else 0
                 words.append(blocks[lane % num_blocks].process(tag, payload))
@@ -209,8 +211,10 @@ def decompress_structural(
             raise DecompressionError(
                 f"stream holds {len(words)} values, caller expected {num_values}"
             )
-        if any(w != 0 for w in words[num_values:]):
-            raise DecompressionError("non-zero padding lanes in final group")
+        # The one padding rule (repro.core.container.stray_padding_lanes):
+        # lanes past num_values carry TAG_ZERO, whatever they decode to.
+        if num_values < 0 or any(tag != 0 for tag in lane_tags[num_values:]):
+            raise DecompressionError("padding lanes of a final group are not ZERO-tagged")
         words = words[:num_values]
     stats.bursts_in = buffer.beats_fetched
     stats.bursts_out = groups

@@ -208,3 +208,64 @@ class TestBulkStructuralEquivalence:
         stream = compress(values, BOUND).to_bytes()
         with pytest.raises(DecompressionError, match="group"):
             DecompressionEngine(BOUND).decompress(stream[:-3], num_values=64)
+
+
+class TestPacketBatches:
+    """A batch of payloads is one engine pass each, computed together."""
+
+    SIZES = [0, 3, 8, 365, 0, 1000, 1]
+
+    def _payloads(self):
+        return [_gradient_bytes(n, seed=n)[1] for n in self.SIZES]
+
+    @pytest.mark.parametrize("num_blocks", [8, 3])
+    def test_compress_packets_equals_one_call_per_payload(self, num_blocks):
+        batch = CompressionEngine(BOUND, num_blocks=num_blocks)
+        single = CompressionEngine(BOUND, num_blocks=num_blocks)
+        streams, stats = batch.compress_packets(self._payloads())
+        passes = [single.compress(payload) for payload in self._payloads()]
+        assert streams == [stream for stream, _ in passes]
+        for field in ("bursts_in", "bursts_out", "bits_out", "cycles"):
+            assert getattr(stats, field) == sum(getattr(s, field) for _, s in passes)
+        assert batch.total_cycles == single.total_cycles
+        assert batch.total_bursts == single.total_bursts
+
+    @pytest.mark.parametrize("num_blocks", [8, 3])
+    @pytest.mark.parametrize("slack", [b"", b"\xa5"])
+    def test_decompress_packets_equals_one_call_per_stream(self, num_blocks, slack):
+        streams, _ = CompressionEngine(BOUND).compress_packets(self._payloads())
+        # Every other stream ends on a byte of bit padding, and every
+        # third is decoded to whole groups (no value count).
+        streams = [s + slack * (k % 2) for k, s in enumerate(streams)]
+        wanted = [None if k % 3 == 0 else n for k, n in enumerate(self.SIZES)]
+        batch = DecompressionEngine(BOUND, num_blocks=num_blocks)
+        single = DecompressionEngine(BOUND, num_blocks=num_blocks)
+        restored, stats = batch.decompress_packets(streams, wanted)
+        passes = [single.decompress(s, n) for s, n in zip(streams, wanted)]
+        assert restored == [payload for payload, _ in passes]
+        for field in ("bursts_in", "bursts_out", "bits_out", "cycles"):
+            assert getattr(stats, field) == sum(getattr(s, field) for _, s in passes)
+        assert batch.total_cycles == single.total_cycles
+        assert batch.total_groups == single.total_groups
+
+    def test_empty_batches(self):
+        assert CompressionEngine(BOUND).compress_packets([])[0] == []
+        assert DecompressionEngine(BOUND).decompress_packets([], [])[0] == []
+
+    def test_a_ragged_payload_fails_the_whole_batch(self):
+        engine = CompressionEngine(BOUND)
+        with pytest.raises(BurstError, match="7 bytes"):
+            engine.compress_packets([b"\x00" * 8, b"\x00" * 7])
+        assert engine.total_cycles == engine.total_bursts == 0
+
+    @pytest.mark.parametrize("num_values", [-1, 4])
+    def test_both_reject_a_tagged_padding_lane_and_negative_counts(self, num_values):
+        # 0.001 is BIT8 at this bound: as lane 4 of 5 it decodes fine, as
+        # a padding lane it is a framing error even if it decoded to 0.
+        values = np.array([0.5, 0.5, 0.5, 0.5, 0.001], dtype=np.float32)
+        stream = compress(values, BOUND).to_bytes()
+        assert len(DecompressionEngine(BOUND).decompress(stream, 5)[0]) == 20
+        with pytest.raises(DecompressionError):
+            DecompressionEngine(BOUND).decompress(stream, num_values)
+        with pytest.raises(DecompressionError):
+            decompress_structural(stream, BOUND, num_values)

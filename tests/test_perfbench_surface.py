@@ -38,3 +38,14 @@ def test_workloads_match_the_benchmark_contract(harness):
     contract = json.loads((REPO_ROOT / "BENCHMARK.json").read_text("utf-8"))
     declared = {entry["name"] for entry in contract["workloads"]}
     assert set(harness("workloads").WORKLOADS) == declared
+
+
+def test_wire_datapath_operation_passes_its_own_gates(harness):
+    # The op reads a dozen public names directly (EngineStats.elapsed_s,
+    # compressor.total_cycles, counters.tx_payload_bytes_out, ...) that
+    # PATCH_POINTS does not list; run it once so a rename fails here.
+    workload = harness("workloads").WireDatapath()
+    workload.setup(0)
+    obs = workload.op(harness("spans").Recorder())
+    assert workload.check(obs, obs) == []
+    assert workload.counts(obs, {})["hardware.nic.tx_compressed_share"] == 1.0
