@@ -315,7 +315,7 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
     try:
         result = simulate(
             num_workers=args.workers,
-            nbytes=int(args.mbytes * 1e6),
+            nbytes=round(args.mbytes * 1e6),
             iterations=args.iterations,
             bandwidth_bps=args.gbps * 1e9,
             stream=stream,

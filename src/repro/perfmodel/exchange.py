@@ -133,19 +133,20 @@ Process = Generator[Event, Any, Any]
 
 def _check_flow_supported(tracer: Optional[Tracer], config: ClusterConfig) -> None:
     """Flow fidelity models dedicated, lossless, untraced stars only."""
-    if (
-        tracer is not None
-        or config.loss_rate != 0.0
-        or config.retransmit is not None
-        or (config.topology is not None and config.topology != "star")
-        or config.tenants
-        or config.prioritize
-        or config.agg_site != AGG_ENDPOINT
-    ):
+    rejected = {
+        "tracing (tracer)": tracer is not None,
+        "loss (loss_rate)": config.loss_rate != 0.0,
+        "retransmission (retransmit)": config.retransmit is not None,
+        "topology": config.topology not in (None, "star"),
+        "tenants": bool(config.tenants),
+        "prioritize": config.prioritize,
+        "agg_site": config.agg_site != AGG_ENDPOINT,
+    }
+    if any(rejected.values()):
+        names = ", ".join(name for name, hit in rejected.items() if hit)
         raise ValueError(
-            "fidelity='flow' does not model tracing, loss, retransmission, "
-            "multi-tier topologies, background tenants or in-network "
-            "aggregation; use fidelity='packet' for those studies"
+            f"fidelity='flow' does not model: {names}; "
+            "use fidelity='packet' for those studies"
         )
 
 
@@ -344,9 +345,9 @@ def _simulate_exchange(
     Table II); exchange-only studies (Fig 15) leave it off.
 
     ``fidelity="flow"`` evaluates the same description in closed form
-    (:mod:`repro.perfmodel.flowsim`) for 1024-4096-worker sweeps; it
+    (:mod:`repro.perfmodel.flowsim`) for 1024-65536-worker sweeps; it
     models dedicated, lossless, untraced stars only and rejects
-    everything else.
+    everything else, naming what it rejected.
 
     ``topology`` selects the fabric (default: the historical switched
     star); ``tenants`` adds background traffic competing for it, and
@@ -370,6 +371,11 @@ def _simulate_exchange(
         raise ValueError("need at least two workers")
     if iterations < 1:
         raise ValueError(f"need at least one iteration, got {iterations}")
+    if algorithm == "ring" and nbytes % 4:
+        raise ValueError(
+            f"the ring exchanges blocks of float32 values; nbytes={nbytes} "
+            "is not a whole number of them"
+        )
     if stream is not None and gradient_ratio is None:
         gradient_ratio = measure_stream_ratio(stream)
     config = ClusterConfig(

@@ -1,16 +1,20 @@
 """Flow-level evaluator of the exchange model (Sec. VIII-D).
 
 The packet-granular pipeline is O(packets) in events and cannot reach
-Fig-15-style sweeps at 1024-4096 nodes.  This module evaluates the
-*same* exchange description in closed form, one numpy entry per
-concurrent message, generalizing the paper's per-hop
-``alpha + nbytes / beta`` cost to every stage a train crosses.
+Fig-15-style sweeps at 1024-65536 nodes.  This module evaluates the
+*same* exchange description in closed form, generalizing the paper's
+per-hop ``alpha + nbytes / beta`` cost to every stage a train crosses.
+A batch carries one numpy entry per *distinct* concurrent message: a
+worker-aggregator leg one per worker, the ring one per run of
+consecutive blocks whose whole state is equal (one on an evenly
+divisible ring, four on an uneven one) — O(steps x runs) of host time.
 
 What is shared with the packet path by construction: message wire sizes
 and the engine-dispatch decision (``build_wire_message`` through the
 config's own NIC), train segmentation (``split_trains``), engine timing
 (``ClusterConfig.nic_timing``) and the ring's block schedule
-(``ring_step_blocks``).  What is evaluated here instead of by the event
+(``ring_step_blocks``, read here in the frame of the block a message
+carries).  What is evaluated here instead of by the event
 kernel: the per-train stage chain of :meth:`Star.stages` — cut-through
 chaining and FIFO reservation per resource, with same-instant arrivals
 served in message order (the kernel's arbitration-key order).
@@ -36,7 +40,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core import StreamProfile
-from repro.distributed.ring import ring_exchange_sizes, ring_step_blocks
+from repro.distributed.ring import ring_exchange_sizes
 from repro.network.packet import HEADER_BYTES, split_trains
 from repro.transport.endpoint import ClusterConfig, TransferSummary
 from repro.transport.wire import WireMessage, build_wire_message
@@ -44,10 +48,11 @@ from repro.transport.wire import WireMessage, build_wire_message
 if TYPE_CHECKING:
     from .exchange import Exchange, Measured
 
-#: Where a batch of messages meets a resource class: an array gives
-#: every message its own node's resource, an ``int`` one node's resource
-#: shared by the whole batch and served in message order.
-Nodes = Union[np.ndarray, int]
+#: Where a batch of messages meets a resource class: an array (or a
+#: slice, without the copy) gives every message its own entry, an
+#: ``int`` one node's resource shared by the whole batch and served in
+#: message order.
+Nodes = Union[np.ndarray, slice, int]
 
 
 @dataclass
@@ -71,8 +76,8 @@ class Stage:
 class Star:
     """The switched star's per-node FIFO resources and its stage chain."""
 
-    def __init__(self, config: ClusterConfig) -> None:
-        nodes = config.num_nodes
+    def __init__(self, config: ClusterConfig, nodes: Optional[int] = None) -> None:
+        nodes = config.num_nodes if nodes is None else nodes
         self.tx_engine = np.zeros(nodes)
         self.uplink = np.zeros(nodes)
         self.downlink = np.zeros(nodes)
@@ -111,7 +116,7 @@ class Trains:
 
     def rows(self, index: np.ndarray) -> "Trains":
         """The tables of messages ``index`` (one row per entry)."""
-        return Trains(self.times[:, index], self.active[index])
+        return Trains(self.times.take(index, axis=1), self.active.take(index, axis=0))
 
 
 def sized_trains(
@@ -124,7 +129,7 @@ def sized_trains(
 
     Sizes, engine dispatch and segmentation come from the packet path's
     own builders, once per distinct size (a ring has at most two block
-    sizes, WA one per leg); the evaluators index the tables per step
+    sizes, WA one per leg); the evaluators take rows of the tables
     instead of rebuilding them.
     """
     nic = config.build_nic(0)
@@ -227,41 +232,111 @@ def _summarize(
     return TransferSummary(messages, nbytes, wire_payload, compressed, link_payload)
 
 
+def _shift_runs(
+    first: np.ndarray, state: np.ndarray, n: int, class_start: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Hand every block the free-at times its ``j + 1`` neighbour left.
+
+    ``state`` is ``(ready, free-at per stage) x run`` after a step and
+    ``first`` each run's first block.  Inside a run the neighbour is the
+    run itself; only a run's last block inherits from the next run
+    (cyclically).  So the new state changes at ``first[r + 1]`` where
+    ready time or size class do and at ``first[r + 1] - 1`` where a
+    free-at time does — two neighbour-difference masks — and every
+    other boundary coalesces.  Slot ``2r`` is run ``r``'s first block,
+    slot ``2r + 1`` its last; a one-block run uses the even slot only.
+    """
+    differs = state != np.concatenate((state[:, 1:], state[:, :1]), axis=1)
+    last = np.concatenate((first[1:], (n,))) - 1
+    single = last == first
+    inherits = differs[1:].any(axis=0)
+    keep = np.empty((first.size, 2), dtype=bool)
+    keep[0, 0] = True
+    keep[1:, 0] = differs[0, :-1] | class_start[first[1:]]
+    keep[:, 0] |= single & inherits
+    np.greater(inherits, single, out=keep[:, 1])  # inherits and not single
+    slot = np.flatnonzero(keep)
+    run, is_last = slot >> 1, slot & 1
+    neighbour = run + (is_last | single[run])
+    if neighbour[-1] == first.size:
+        neighbour[-1] = 0
+    shifted = state.take(neighbour, axis=1)
+    shifted[0] = state[0].take(run)
+    return np.where(is_last, last.take(run), first.take(run)), shifted
+
+
+def _turn_runs(
+    first: np.ndarray, state: np.ndarray, n: int, class_start: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The runs of the next iteration: block ``j`` takes over ``j + 2``'s state.
+
+    Step 1 sends block ``node`` again, two diagonals on from where step
+    ``2n - 2`` left the frame; the size classes stay with their blocks.
+    """
+    starts = np.union1d((first - 2) % n, np.flatnonzero(class_start))
+    source = np.searchsorted(first, (starts + 2) % n, side="right") - 1
+    return starts, state[:, source]
+
+
 def flow_ring_exchange(job: Exchange) -> Measured:
-    """Ring iterations on the job's star, every node stepped at once."""
+    """Ring iterations on the job's star, stepped on runs of equal blocks.
+
+    Indexed by the block a message carries, ``j = (node - step + 1) mod
+    n``: a block rides one diagonal, so a step hands block ``j`` its own
+    delivery time and the free-at times block ``j + 1`` left on the same
+    sender and receiver.  All nodes start equal and ``block_sizes`` has
+    two runs, so that state is piecewise constant over runs of
+    consecutive blocks and ``deliver`` evaluates one entry per run: one
+    on an evenly divisible ring, four on an uneven one.  Runs merge only
+    where their float state *is* equal — a link-bound ring with uneven
+    blocks really does grow hundreds of them.
+    """
     n, profile = job.num_workers, job.profile
     block_bytes = [s * 4 for s in ring_exchange_sizes(n, job.nbytes // 4)]
     sizes, size_of_block = np.unique(block_bytes, return_inverse=True)
     messages, trains = sized_trains(job.config, sizes.tolist(), job.stream, job.ratio)
-    block_trains = trains.rows(size_of_block)
-    block_sum_s = np.array([profile.sum_time(b) for b in block_bytes])
+    size_sum_s = np.array([profile.sum_time(b) for b in sizes.tolist()])
+    class_start = size_of_block != np.roll(size_of_block, 1)
+    class_start[0] = True
 
-    workers = np.arange(n)
-    successor, predecessor = (workers + 1) % n, (workers - 1) % n
-    stages = Star(job.config).stages(workers, successor, messages[0].compressed)
-    t_ready = np.zeros(n)
+    # No per-node arrays (a 0-node star): entry k of a stage's ``free`` is
+    # run k's, and ``free`` is rebound to a row of ``state`` when runs move.
+    every = slice(None)
+    stages = Star(job.config, 0).stages(every, every, messages[0].compressed)
+    first = np.flatnonzero(class_start)
+    state = np.zeros((1 + len(stages), first.size))  # ready, free-at per stage
     sum_s = 0.0
     update_s = 0.0
 
-    for _ in range(job.iterations):
+    for iteration in range(job.iterations):
+        if iteration:
+            first, state = _turn_runs(first, state, n, class_start)
         if job.include_local_compute and profile.local_compute_s:
-            t_ready = t_ready + profile.local_compute_s
+            state[0] = state[0] + profile.local_compute_s
+        moved = True
         for step in range(1, 2 * n - 1):
-            send_idx, recv_idx = ring_step_blocks(workers, step, n)
-            delivered = deliver(t_ready, block_trains.rows(send_idx), stages)
-            t_ready = delivered[predecessor]
+            if moved:
+                sizes_of_run = size_of_block.take(first)
+                run_trains = trains.rows(sizes_of_run)
+                run_sum_s = size_sum_s.take(sizes_of_run)
+                for stage, free in zip(stages, state[1:]):
+                    stage.free = free
+            state[0] = deliver(state[0], run_trains, stages)
             if step < n:
-                dt = block_sum_s[recv_idx]
-                t_ready = t_ready + dt
-                sum_s += float(dt[0])
+                state[0] = state[0] + run_sum_s
+                # What node 0 sums: the block it received, ``-step mod n``.
+                sum_s += float(size_sum_s[size_of_block[-step]])
+            moved = first.size > 1  # one run is its own neighbour
+            if moved:
+                first, state = _shift_runs(first, state, n, class_start)
         if profile.update_s:
             update_s += profile.update_s
-            t_ready = t_ready + profile.update_s
+            state[0] = state[0] + profile.update_s
 
     # Every block is sent by exactly one node per step.
     sends = np.bincount(size_of_block) * (2 * n - 2) * job.iterations
     legs = [(msg, count, stages) for msg, count in zip(messages, sends.tolist())]
-    return float(t_ready.max()), sum_s, update_s, _summarize(legs)
+    return float(state[0].max()), sum_s, update_s, _summarize(legs)
 
 
 def flow_wa_exchange(job: Exchange) -> Measured:

@@ -1,0 +1,60 @@
+"""The per-node ring flow evaluator, kept verbatim as the test-side oracle.
+
+This is ``repro.perfmodel.flowsim.flow_ring_exchange`` as it stood
+before the ring was stepped on runs of equal blocks: one array entry
+per node, the step's send blocks gathered through ``ring_step_blocks``
+and every node's delivery handed to its successor.  Host time grows
+with workers squared and it is obviously the ring of Algorithm 1 —
+which is what makes it a reference: ``test_flow_runs`` evaluates the
+same :class:`~repro.perfmodel.exchange.Exchange` through both and
+requires the same floats, bit for bit.
+
+It shares ``deliver``, ``sized_trains``, ``Star`` and ``_summarize``
+with the production evaluator on purpose: those did not change, and the
+parity suite pins them against the packet kernel.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.distributed.ring import ring_exchange_sizes, ring_step_blocks
+from repro.perfmodel.exchange import Exchange, Measured
+from repro.perfmodel.flowsim import Star, _summarize, deliver, sized_trains
+
+
+def flow_ring_exchange(job: Exchange) -> Measured:
+    """Ring iterations on the job's star, every node stepped at once."""
+    n, profile = job.num_workers, job.profile
+    block_bytes = [s * 4 for s in ring_exchange_sizes(n, job.nbytes // 4)]
+    sizes, size_of_block = np.unique(block_bytes, return_inverse=True)
+    messages, trains = sized_trains(job.config, sizes.tolist(), job.stream, job.ratio)
+    block_trains = trains.rows(size_of_block)
+    block_sum_s = np.array([profile.sum_time(b) for b in block_bytes])
+
+    workers = np.arange(n)
+    successor, predecessor = (workers + 1) % n, (workers - 1) % n
+    stages = Star(job.config).stages(workers, successor, messages[0].compressed)
+    t_ready = np.zeros(n)
+    sum_s = 0.0
+    update_s = 0.0
+
+    for _ in range(job.iterations):
+        if job.include_local_compute and profile.local_compute_s:
+            t_ready = t_ready + profile.local_compute_s
+        for step in range(1, 2 * n - 1):
+            send_idx, recv_idx = ring_step_blocks(workers, step, n)
+            delivered = deliver(t_ready, block_trains.rows(send_idx), stages)
+            t_ready = delivered[predecessor]
+            if step < n:
+                dt = block_sum_s[recv_idx]
+                t_ready = t_ready + dt
+                sum_s += float(dt[0])
+        if profile.update_s:
+            update_s += profile.update_s
+            t_ready = t_ready + profile.update_s
+
+    # Every block is sent by exactly one node per step.
+    sends = np.bincount(size_of_block) * (2 * n - 2) * job.iterations
+    legs = [(msg, count, stages) for msg, count in zip(messages, sends.tolist())]
+    return float(t_ready.max()), sum_s, update_s, _summarize(legs)

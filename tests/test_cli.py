@@ -94,6 +94,15 @@ def test_exchange_rejects_zero_iterations(fidelity):
         main(["exchange", "--iterations", "0", "--fidelity", fidelity])
 
 
+def test_exchange_simulates_the_bytes_it_was_asked_for(capsys):
+    # int(8.2 * 1e6) is 8 199 999: the request was silently one byte
+    # short and the ring dropped three more to reach whole float32s.
+    assert main(["exchange", "--mbytes", "8.2", "--fidelity", "flow"]) == 0
+    assert "8.2 MB gradients" in capsys.readouterr().out
+    with pytest.raises(SystemExit, match="whole number"):
+        main(["exchange", "--mbytes", "1.000001", "--fidelity", "flow"])
+
+
 @pytest.mark.parametrize("spec", ["leaf-spine:hosts=0", "fat-tree:k=inf"])
 def test_exchange_rejects_bad_topology_counts(spec):
     # Used to escape as ZeroDivisionError / OverflowError tracebacks.

@@ -49,3 +49,13 @@ def test_wire_datapath_operation_passes_its_own_gates(harness):
     obs = workload.op(harness("spans").Recorder())
     assert workload.check(obs, obs) == []
     assert workload.counts(obs, {})["hardware.nic.tx_compressed_share"] == 1.0
+
+
+def test_exchange_flow_operation_passes_its_own_gates(harness):
+    # Set-up runs the packet kernel once at 32 workers and the op every
+    # flow scenario, so a change that breaks flow/packet parity or a
+    # name the sweep reads fails here and not only in the benchmark.
+    workload = harness("workloads").ExchangeFlow()
+    workload.setup(0)
+    obs = workload.op(harness("spans").Recorder())
+    assert workload.check(obs, obs) == []
