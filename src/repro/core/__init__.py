@@ -45,7 +45,6 @@ from .homomorphic import (
 )
 from .stats import (
     BitwidthDistribution,
-    average_compression_ratio,
     bitwidth_distribution,
     compression_ratio,
     max_abs_error,
@@ -95,7 +94,6 @@ __all__ = [
     "feedback_hook",
     "gradient_file",
     "BitwidthDistribution",
-    "average_compression_ratio",
     "bitwidth_distribution",
     "compression_ratio",
     "max_abs_error",

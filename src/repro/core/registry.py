@@ -170,13 +170,6 @@ class GradientCodec(abc.ABC):
             "(not homomorphic); aggregate at the endpoint instead"
         )
 
-    def measured_ratio(self, values: np.ndarray, **params: object) -> float:
-        """Compression ratio achieved on ``values``."""
-        arr = _flat32(values)
-        if arr.size == 0:
-            return 1.0
-        return arr.nbytes / max(1, self.compress(arr, **params).payload_nbytes)
-
 
 # -- built-in codecs ---------------------------------------------------------
 
@@ -481,12 +474,6 @@ class StreamProfile:
 
     def error_bound(self, values: np.ndarray) -> Optional[float]:
         return self.resolve().error_bound(values, **dict(self.params))
-
-    def describe(self) -> str:
-        if self.codec is None:
-            return "raw"
-        params = ", ".join(f"{k}={v}" for k, v in self.params.items())
-        return f"{self.codec}({params})" if params else self.codec
 
 
 #: The ordinary-traffic profile: no codec, ToS 0x00.

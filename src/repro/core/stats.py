@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -76,21 +76,6 @@ def compression_ratio(values: np.ndarray, bound: ErrorBound) -> float:
     if n == 0:
         raise ValueError("cannot compute a compression ratio over zero values")
     return (n * 32) / compressed_nbits(values, bound)
-
-
-def average_compression_ratio(
-    vectors: Iterable[np.ndarray], bound: ErrorBound
-) -> float:
-    """Mean per-vector compression ratio over an iteration trace.
-
-    The paper reports *average* compression ratios across training
-    iterations (Fig 14), i.e. the mean of per-snapshot ratios rather than
-    the ratio of summed sizes.
-    """
-    ratios = [compression_ratio(vec, bound) for vec in vectors]
-    if not ratios:
-        raise ValueError("no gradient vectors supplied")
-    return float(np.mean(ratios))
 
 
 def max_abs_error(original: np.ndarray, reconstructed: np.ndarray) -> float:

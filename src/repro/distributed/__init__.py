@@ -11,15 +11,12 @@ from .strategy import (
     DistributedRunResult,
     GradientStrategy,
     NodeContext,
-    PHASE_NAMES,
     STRATEGIES,
     StrategyReport,
     StrategyRun,
     StrategyUpdate,
     available_strategies,
     get_strategy,
-    phase_seconds_from_trace,
-    phases_with_residual,
     register_strategy,
     run_strategy,
 )
@@ -30,6 +27,9 @@ from .local_sgd import LocalSGDStrategy
 from .stale_async import StaleAsyncStrategy
 from .node import (
     ComputeProfile,
+    PHASE_NAMES,
+    PhaseLedger,
+    PhaseTimes,
     ZERO_COMPUTE,
     concatenate_blocks,
     partition_blocks,
@@ -48,8 +48,6 @@ __all__ = [
     "StrategyUpdate",
     "available_strategies",
     "get_strategy",
-    "phase_seconds_from_trace",
-    "phases_with_residual",
     "register_strategy",
     "run_strategy",
     "DistributedRunResult",
@@ -62,6 +60,8 @@ __all__ = [
     "LocalSGDStrategy",
     "StaleAsyncStrategy",
     "ComputeProfile",
+    "PhaseLedger",
+    "PhaseTimes",
     "ZERO_COMPUTE",
     "concatenate_blocks",
     "partition_blocks",

@@ -59,7 +59,9 @@ class RingStrategy(GradientStrategy):
             sum_dt = node.profile.sum_time(
                 int(gradient.nbytes * (n - 1) / n)
             )
-            node.run.account("gradient_sum", sum_dt, node=node.node_id)
+            node.run.ledger.add(
+                "gradient_sum", sum_dt, node.node_id, node.comm.now
+            )
         return StrategyUpdate(gradient=aggregate)
 
 
@@ -122,8 +124,8 @@ class WorkerAggregatorStrategy(GradientStrategy):
                 sum_dt = run.profile.sum_time(
                     agg_net.nbytes * (run.num_workers - 1)
                 )
-                run.account("gradient_sum", sum_dt, node=agg_id)
-            run.account("update", run.profile.update_s, node=agg_id)
+                run.ledger.add("gradient_sum", sum_dt, agg_id, run.comm.now)
+            run.ledger.add("update", run.profile.update_s, agg_id, run.comm.now)
 
     def exchange(
         self, node: NodeContext, iteration: int, gradient: np.ndarray

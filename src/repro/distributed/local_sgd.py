@@ -87,7 +87,9 @@ class LocalSGDStrategy(GradientStrategy):
         if node.node_id == 0:
             n = node.num_workers
             sum_dt = node.profile.sum_time(int(delta.nbytes * (n - 1) / n))
-            node.run.account("gradient_sum", sum_dt, node=node.node_id)
+            node.run.ledger.add(
+                "gradient_sum", sum_dt, node.node_id, node.comm.now
+            )
             node.run.extras["sync_rounds"] += 1
             if node.tracer is not None:
                 node.tracer.span(

@@ -16,9 +16,9 @@ the outer loop exactly once:
   :mod:`repro.core.registry`; plugins self-register at import time with
   :func:`register_strategy`.
 * :func:`run_strategy` — the one driver that owns process spawning,
-  :class:`~repro.distributed.node.ComputeProfile` accounting, tracing
-  spans, and :class:`~repro.transport.endpoint.TransferSummary`
-  assembly.  Strategy plugins never touch those concerns.
+  the :class:`~repro.distributed.node.PhaseLedger`, tracing spans, and
+  :class:`~repro.transport.endpoint.TransferSummary` assembly.
+  Strategy plugins only ``add`` the sums they pay to the ledger.
 
 The driver's per-iteration event sequence is bit-compatible with the
 four hand-rolled spawn loops it replaced — the strategy-parity suite
@@ -53,7 +53,7 @@ from repro.dnn.network import Sequential
 from repro.dnn.optim import SGD
 from repro.dnn.training import LocalTrainer
 from repro.network import Event
-from repro.obs import CAT_PHASE, CAT_STRATEGY, Tracer
+from repro.obs import CAT_STRATEGY, Tracer
 from repro.transport.aggregation import AGG_SWITCH
 from repro.transport.endpoint import (
     ClusterComm,
@@ -65,50 +65,11 @@ from repro.transport.endpoint import (
 from .node import (
     ComputeProfile,
     JITTER_STREAM,
+    PhaseLedger,
+    PhaseTimes,
     ZERO_COMPUTE,
-    record_compute_phases,
     spawn_key,
 )
-
-#: The Table II phase names, in the paper's row order.
-PHASE_NAMES = (
-    "forward",
-    "backward",
-    "gpu_copy",
-    "gradient_sum",
-    "communicate",
-    "update",
-)
-
-
-def phases_with_residual(
-    totals: Mapping[str, float], total_s: float
-) -> Dict[str, float]:
-    """Fold attributed phase totals into the Table II dict.
-
-    Every named compute phase keeps its attributed total; whatever part
-    of ``total_s`` is left is ``communicate`` — the same residual
-    accounting the paper's harness uses.  Shared by the driver and
-    :mod:`repro.perfmodel.breakdown` so the two never drift.
-    """
-    phases = {name: float(totals.get(name, 0.0)) for name in PHASE_NAMES}
-    attributed = sum(
-        phases[name] for name in PHASE_NAMES if name != "communicate"
-    )
-    phases["communicate"] = max(0.0, total_s - attributed)
-    return phases
-
-
-def phase_seconds_from_trace(
-    tracer: Tracer, total_s: float
-) -> Dict[str, float]:
-    """Rebuild the Table II phase dict from recorded ``phase`` spans.
-
-    Every attributed phase is the sum of its span durations; the
-    residual of the run's total time is ``communicate`` — with a tracer
-    attached, the trace is the authoritative record.
-    """
-    return phases_with_residual(tracer.phase_totals(), total_s)
 
 
 @dataclass(frozen=True)
@@ -148,7 +109,9 @@ class DistributedRunResult:
     final_top1: float
     final_top5: float
     virtual_time_s: float
-    phase_seconds: Dict[str, float]
+    #: Table II attribution on node 0's critical path (Communicate is
+    #: the residual of ``virtual_time_s``).
+    phases: PhaseTimes
     eval_top1: List[float] = field(default_factory=list)
     #: Wire-level accounting folded from the cluster's transfer log
     #: (every message of the run went through one WireMessage build).
@@ -164,20 +127,16 @@ class DistributedRunResult:
     loss_order: List[float] = field(default_factory=list)
 
     @property
+    def phase_seconds(self) -> Dict[str, float]:
+        """``phases`` keyed by phase name."""
+        return self.phases.as_dict()
+
+    @property
     def communication_fraction(self) -> float:
         """Fraction of total virtual time spent communicating (Fig 3b)."""
         if self.virtual_time_s <= 0:
             return 0.0
-        return self.phase_seconds["communicate"] / self.virtual_time_s
-
-    def normalized_phases(self) -> Dict[str, float]:
-        """Phase fractions of total time (Table II's 'Norm.' columns)."""
-        total = sum(self.phase_seconds.values())
-        # Explicit zero check — a falsy ``or`` default here is the same
-        # bug class as the retired sized-send API's zero-ratio collapse.
-        if total == 0.0:
-            return {name: 0.0 for name in self.phase_seconds}
-        return {name: t / total for name, t in self.phase_seconds.items()}
+        return self.phases.communicate / self.virtual_time_s
 
 
 @dataclass
@@ -195,6 +154,8 @@ class StrategyRun:
     profile: ComputeProfile
     stream: Optional[StreamProfile]
     tracer: Optional[Tracer]
+    #: Table II attribution; driver and strategies ``add`` to it.
+    ledger: PhaseLedger
     seed: int
     options: Mapping[str, Any]
     eval_every: Optional[int] = None
@@ -204,7 +165,6 @@ class StrategyRun:
     #: report, where "iteration i" means different times per worker.
     loss_order: List[float] = field(default_factory=list)
     eval_top1: List[float] = field(default_factory=list)
-    phase: Dict[str, float] = field(default_factory=dict)
     #: Scratch space for strategy results, folded into StrategyReport.
     extras: Dict[str, Any] = field(default_factory=dict)
 
@@ -219,44 +179,6 @@ class StrategyRun:
     def record_loss(self, iteration: int, loss: float) -> None:
         self.losses[iteration].append(loss)
         self.loss_order.append(loss)
-
-    def account(
-        self,
-        name: str,
-        seconds: float,
-        node: int,
-        ts: Optional[float] = None,
-    ) -> None:
-        """Attribute ``seconds`` to a Table II phase (and span it).
-
-        The one accounting entry point for driver and strategies alike:
-        updates the inline phase dict and, with a tracer attached, emits
-        the matching ``phase`` span so trace-derived breakdowns agree
-        with the inline sums exactly.
-        """
-        self.phase[name] = self.phase.get(name, 0.0) + seconds
-        if self.tracer is not None and seconds:
-            self.tracer.span(
-                name,
-                cat=CAT_PHASE,
-                ts=self.comm.now if ts is None else ts,
-                dur=seconds,
-                node=node,
-            )
-
-    def account_local_compute(self, ts: float, node: int) -> None:
-        """Attribute one forward/backward/gpu_copy block (nominal times)."""
-        self.phase["forward"] = (
-            self.phase.get("forward", 0.0) + self.profile.forward_s
-        )
-        self.phase["backward"] = (
-            self.phase.get("backward", 0.0) + self.profile.backward_s
-        )
-        self.phase["gpu_copy"] = (
-            self.phase.get("gpu_copy", 0.0) + self.profile.gpu_copy_s
-        )
-        if self.tracer is not None:
-            record_compute_phases(self.tracer, self.profile, ts, node)
 
 
 @dataclass
@@ -413,7 +335,7 @@ def _worker_process(
         if compute:
             yield comm.timeout(compute)
         if node_id == 0:
-            run.account_local_compute(compute_start, node_id)
+            run.ledger.add_local_compute(profile, compute_start, node_id)
         loss, grad = trainer.local_gradient()
         run.record_loss(iteration, loss)
 
@@ -435,9 +357,7 @@ def _worker_process(
             if profile.update_s:
                 yield comm.timeout(profile.update_s)
             if node_id == 0:
-                run.account(
-                    "update", profile.update_s, node=node_id, ts=update_start
-                )
+                run.ledger.add("update", profile.update_s, node_id, update_start)
         if update.gradient is not None:
             trainer.apply_gradient(update.gradient)
         if update.weights is not None:
@@ -535,26 +455,16 @@ def run_strategy(
         profile=profile,
         stream=stream,
         tracer=tracer,
+        ledger=PhaseLedger(tracer),
         seed=seed,
         options=opts,
         eval_every=eval_every,
         losses=[[] for _ in range(iterations)],
-        phase={name: 0.0 for name in PHASE_NAMES},
     )
     strat.setup(run)
     for i in range(num_workers):
         comm.spawn(_worker_process(run, strat, i))
     total_time = comm.run()
-
-    # Residual accounting: everything not attributed to a compute phase
-    # on the per-iteration critical path is communication (Table II's
-    # "Communicate" row is exactly this residual in the paper's
-    # harness).  With a tracer attached the breakdown is rebuilt from
-    # the recorded phase spans — the trace is the authoritative record.
-    if tracer is not None:
-        phase = phase_seconds_from_trace(tracer, total_time)
-    else:
-        phase = phases_with_residual(run.phase, total_time)
 
     net = strat.final_model(run)
     logits = net.predict(dataset.test_x)
@@ -570,7 +480,7 @@ def run_strategy(
         final_top1=top1,
         final_top5=top5,
         virtual_time_s=total_time,
-        phase_seconds=phase,
+        phases=run.ledger.close(total_time),
         eval_top1=run.eval_top1,
         transfers=comm.transfer_summary(),
         final_weights=net.parameter_vector(),

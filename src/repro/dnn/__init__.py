@@ -15,12 +15,6 @@ from .models import (
 from .network import Sequential
 from .residual import BatchNorm2D, ResidualBlock, build_mini_resnet
 from .optim import Adam, LRSchedule, SGD
-from .checkpoint import (
-    load_checkpoint,
-    load_compressed_checkpoint,
-    save_checkpoint,
-    save_compressed_checkpoint,
-)
 from .training import (
     LocalTrainer,
     TrainResult,
@@ -57,10 +51,6 @@ __all__ = [
     "Adam",
     "LRSchedule",
     "SGD",
-    "load_checkpoint",
-    "load_compressed_checkpoint",
-    "save_checkpoint",
-    "save_compressed_checkpoint",
     "LocalTrainer",
     "TrainResult",
     "capture_gradient_trace",

@@ -51,7 +51,6 @@ from .packet import (
     packet_count,
     register_compressible_tos,
     segment_bytes,
-    segment_size,
     split_trains,
 )
 from .simulator import (
@@ -123,7 +122,6 @@ __all__ = [
     "register_compressible_tos",
     "packet_count",
     "segment_bytes",
-    "segment_size",
     "split_trains",
     "ENGINE_THROUGHPUT_BPS",
     "MessageReceipt",

@@ -23,7 +23,7 @@ background flows never enter the NIC engines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 #: The reserved ToS value marking a packet for NIC (de)compression.
 TOS_COMPRESS = 0x28
@@ -119,28 +119,6 @@ def segment_bytes(
     if not packets:  # zero-length send still emits one empty packet
         packets = [Packet(src=src, dst=dst, seq=0, tos=tos, payload=b"")]
     return packets
-
-
-def segment_size(
-    nbytes: int,
-    src: int,
-    dst: int,
-    tos: int = TOS_DEFAULT,
-    mss: int = DEFAULT_MSS,
-) -> Iterator[Packet]:
-    """Size-only segmentation for timing simulations (no payload bytes)."""
-    if mss <= 0:
-        raise ValueError("mss must be positive")
-    if nbytes < 0:
-        raise ValueError("nbytes cannot be negative")
-    if nbytes == 0:
-        yield Packet(src=src, dst=dst, seq=0, tos=tos, payload_nbytes=0)
-        return
-    full, rem = divmod(nbytes, mss)
-    for seq in range(full):
-        yield Packet(src=src, dst=dst, seq=seq, tos=tos, payload_nbytes=mss)
-    if rem:
-        yield Packet(src=src, dst=dst, seq=full, tos=tos, payload_nbytes=rem)
 
 
 def packet_count(nbytes: int, mss: int = DEFAULT_MSS) -> int:

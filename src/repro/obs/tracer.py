@@ -18,7 +18,8 @@ Categories partition the stack's layers:
 ``async``     asynchronous parameter-server rounds and updates
 ``codec``     compress/decompress calls with the achieved ratio
 ``phase``     Table II phase attribution (forward, backward, gpu_copy,
-              gradient_sum, update) — the spans ``report.py`` sums
+              gradient_sum, update) — one span per non-zero add of the
+              run's :class:`~repro.distributed.node.PhaseLedger`
 """
 
 from __future__ import annotations
@@ -149,10 +150,10 @@ class Tracer:
     def phase_totals(self, node: Optional[int] = None) -> Dict[str, float]:
         """Summed durations of ``phase``-category spans, keyed by name.
 
-        This is the query ``report.py``'s Table II breakdown is built
-        on: each phase's total is the sum of its span durations, in
-        record order (so the floating-point accumulation is identical
-        to an inline ``+=`` at the instrumentation site).
+        A view of the run's :class:`~repro.distributed.node.PhaseLedger`,
+        which emitted the spans: each phase's total is the sum of its
+        span durations in record order, so the floating-point
+        accumulation repeats the ledger's ``+=`` exactly.
         """
         totals: Dict[str, float] = {}
         for event in self.events:

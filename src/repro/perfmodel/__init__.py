@@ -6,13 +6,12 @@ from .analytical import (
     ring_exchange_time,
     wa_exchange_time,
 )
-from .breakdown import Breakdown, paper_breakdown, simulated_breakdown
+from .breakdown import paper_breakdown, simulated_breakdown
 from .calibration import (
     FIG13_EPOCHS,
     TABLE2,
     TABLE2_ITERATIONS,
     TABLE2_NUM_WORKERS,
-    Table2Row,
     compute_profile_for,
     iterations_per_epoch,
 )
@@ -36,14 +35,12 @@ __all__ = [
     "exchange_speedup",
     "ring_exchange_time",
     "wa_exchange_time",
-    "Breakdown",
     "paper_breakdown",
     "simulated_breakdown",
     "FIG13_EPOCHS",
     "TABLE2",
     "TABLE2_ITERATIONS",
     "TABLE2_NUM_WORKERS",
-    "Table2Row",
     "compute_profile_for",
     "iterations_per_epoch",
     "CONFIGURATIONS",

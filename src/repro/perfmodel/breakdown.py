@@ -8,56 +8,14 @@ Communicate row is *simulated* and validated against the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.distributed.strategy import phases_with_residual
+from repro.distributed.node import PhaseTimes
 from repro.dnn.models import PAPER_MODELS
 from repro.obs import Tracer
 
 from .calibration import TABLE2, TABLE2_ITERATIONS, compute_profile_for
 from .exchange import simulate_wa_exchange
-
-
-@dataclass(frozen=True)
-class Breakdown:
-    """Seconds per phase over ``iterations`` iterations."""
-
-    model: str
-    iterations: int
-    forward: float
-    backward: float
-    gpu_copy: float
-    gradient_sum: float
-    communicate: float
-    update: float
-
-    @property
-    def total(self) -> float:
-        return (
-            self.forward
-            + self.backward
-            + self.gpu_copy
-            + self.gradient_sum
-            + self.communicate
-            + self.update
-        )
-
-    def normalized(self) -> Dict[str, float]:
-        # Explicit zero check instead of a falsy ``or`` default (the
-        # zero-ratio bug's cousin): an empty breakdown is all-zero
-        # fractions, not divided by a fabricated 1.0 total.
-        total = self.total
-        if total == 0.0:
-            total = 1.0
-        return {
-            "forward": self.forward / total,
-            "backward": self.backward / total,
-            "gpu_copy": self.gpu_copy / total,
-            "gradient_sum": self.gradient_sum / total,
-            "communicate": self.communicate / total,
-            "update": self.update / total,
-        }
 
 
 def simulated_breakdown(
@@ -66,55 +24,25 @@ def simulated_breakdown(
     iterations: int = TABLE2_ITERATIONS,
     bandwidth_bps: float = 10e9,
     tracer: Optional[Tracer] = None,
-) -> Breakdown:
+) -> PhaseTimes:
     """Regenerate one Table II column on the simulated cluster.
 
-    The breakdown is read back from the recorded ``phase`` spans (one
-    span per phase occurrence, emitted at the simulation sites), not
-    from a parallel set of accumulators — the trace is the single
-    source of the attribution.  Pass a ``tracer`` to also capture the
-    run's message/link/codec events; otherwise a private one is used.
+    The row is the exchange's closed phase ledger: compute, sum and
+    update as attributed at the simulation sites, Communicate the
+    residual of the run's total.  A ``tracer`` only observes the run
+    (message/link/codec events and the ledger's ``phase`` spans).
     """
-    spec = PAPER_MODELS[model_name]
-    profile = compute_profile_for(model_name)
-    if tracer is None:
-        tracer = Tracer()
-    result = simulate_wa_exchange(
+    return simulate_wa_exchange(
         num_workers=num_workers,
-        nbytes=spec.nbytes,
+        nbytes=PAPER_MODELS[model_name].nbytes,
         iterations=iterations,
         bandwidth_bps=bandwidth_bps,
-        profile=profile,
+        profile=compute_profile_for(model_name),
         include_local_compute=True,
         tracer=tracer,
-    )
-    # Exchange simulation interleaves compute/sum/update with transfers;
-    # the attributed phases come from the recorded spans and the
-    # residual is Communicate — the same fold the strategy driver uses,
-    # shared so the two accountings can never drift.
-    phases = phases_with_residual(tracer.phase_totals(), result.total_s)
-    return Breakdown(
-        model=model_name,
-        iterations=iterations,
-        forward=phases["forward"],
-        backward=phases["backward"],
-        gpu_copy=phases["gpu_copy"],
-        gradient_sum=phases["gradient_sum"],
-        communicate=phases["communicate"],
-        update=phases["update"],
-    )
+    ).phases
 
 
-def paper_breakdown(model_name: str) -> Breakdown:
-    """Table II verbatim, as a Breakdown for side-by-side reporting."""
-    row = TABLE2[model_name]
-    return Breakdown(
-        model=model_name,
-        iterations=TABLE2_ITERATIONS,
-        forward=row.forward,
-        backward=row.backward,
-        gpu_copy=row.gpu_copy,
-        gradient_sum=row.gradient_sum,
-        communicate=row.communicate,
-        update=row.update,
-    )
+def paper_breakdown(model_name: str) -> PhaseTimes:
+    """Table II verbatim (seconds per ``TABLE2_ITERATIONS`` iterations)."""
+    return TABLE2[model_name]

@@ -11,10 +11,9 @@ Table II's "Communicate" row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
-from repro.distributed.node import ComputeProfile
+from repro.distributed.node import ComputeProfile, PhaseTimes
 
 #: Workers in the paper's measurement cluster (plus one aggregator).
 TABLE2_NUM_WORKERS = 4
@@ -22,39 +21,12 @@ TABLE2_NUM_WORKERS = 4
 TABLE2_ITERATIONS = 100
 
 
-@dataclass(frozen=True)
-class Table2Row:
-    """One column of Table II: absolute seconds per 100 iterations."""
-
-    forward: float
-    backward: float
-    gpu_copy: float
-    gradient_sum: float
-    communicate: float
-    update: float
-
-    @property
-    def total(self) -> float:
-        return (
-            self.forward
-            + self.backward
-            + self.gpu_copy
-            + self.gradient_sum
-            + self.communicate
-            + self.update
-        )
-
-    @property
-    def communication_fraction(self) -> float:
-        return self.communicate / self.total
-
-
 #: Table II verbatim (seconds per 100 iterations, 4 workers + aggregator).
-TABLE2: Dict[str, Table2Row] = {
-    "AlexNet": Table2Row(3.13, 16.22, 5.68, 8.94, 148.71, 13.67),
-    "HDC": Table2Row(0.08, 0.07, 0.0, 0.09, 1.36, 0.09),
-    "ResNet-50": Table2Row(2.63, 4.87, 2.24, 3.68, 60.58, 1.55),
-    "VGG-16": Table2Row(32.25, 142.34, 12.09, 19.89, 583.58, 30.50),
+TABLE2: Dict[str, PhaseTimes] = {
+    "AlexNet": PhaseTimes(3.13, 16.22, 5.68, 8.94, 148.71, 13.67),
+    "HDC": PhaseTimes(0.08, 0.07, 0.0, 0.09, 1.36, 0.09),
+    "ResNet-50": PhaseTimes(2.63, 4.87, 2.24, 3.68, 60.58, 1.55),
+    "VGG-16": PhaseTimes(32.25, 142.34, 12.09, 19.89, 583.58, 30.50),
 }
 
 

@@ -75,16 +75,11 @@ def estimate_iteration_time(
         bound=bound,
         include_local_compute=True,
     )
-    computation = (
-        profile.local_compute_s
-        + result.gradient_sum_s / sim_iterations
-        + profile.update_s
-    )
     return SystemEstimate(
         model=model_name,
         configuration=configuration,
         iteration_s=result.per_iteration_s,
-        computation_s=computation,
+        computation_s=(result.total_s - result.communicate_s) / sim_iterations,
     )
 
 

@@ -29,14 +29,15 @@ from repro.core import ErrorBound, StreamProfile, compression_ratio
 from repro.core.bounds import DEFAULT_BOUND
 from repro.distributed.node import (
     ComputeProfile,
+    PhaseLedger,
+    PhaseTimes,
     ZERO_COMPUTE,
-    record_compute_phases,
 )
 from repro.distributed.ring import ring_exchange_sizes, ring_step_blocks
 from repro.dnn.models import ModelSpec
 from repro.network import Event, RetransmitPolicy, TenantSpec
 from repro.network.packet import payload_ratio
-from repro.obs import CAT_PHASE, Tracer
+from repro.obs import Tracer
 from repro.transport.aggregation import (
     AGG_ENDPOINT,
     AGG_SWITCH,
@@ -71,8 +72,9 @@ class ExchangeResult:
     nbytes: int
     iterations: int
     total_s: float
-    gradient_sum_s: float
-    update_s: float
+    #: Table II attribution of ``total_s`` (node 0 on the ring, worker 0
+    #: and the aggregator under WA), at either fidelity.
+    phases: PhaseTimes
     #: Application bytes sent and their on-wire payload (from the
     #: cluster's transfer log — the WireMessage pipeline's accounting).
     sent_nbytes: int = 0
@@ -95,9 +97,17 @@ class ExchangeResult:
         return self.total_s / self.iterations
 
     @property
+    def gradient_sum_s(self) -> float:
+        return self.phases.gradient_sum
+
+    @property
+    def update_s(self) -> float:
+        return self.phases.update
+
+    @property
     def communicate_s(self) -> float:
-        """Total time minus the attributed non-communication phases."""
-        return max(0.0, self.total_s - self.gradient_sum_s - self.update_s)
+        """Total time minus every attributed phase (the ledger's residual)."""
+        return self.phases.communicate
 
     @property
     def wire_ratio(self) -> float:
@@ -109,8 +119,8 @@ class ExchangeResult:
 class Exchange:
     """One exchange description; either evaluator consumes it.
 
-    An evaluator returns :data:`Measured` — ``(total_s, gradient_sum_s,
-    update_s, transfers)``.
+    An evaluator returns :data:`Measured` — ``(total_s, ledger,
+    transfers)``.
     """
 
     algorithm: str
@@ -127,7 +137,7 @@ class Exchange:
     config: ClusterConfig
 
 
-Measured = Tuple[float, float, float, TransferSummary]
+Measured = Tuple[float, PhaseLedger, TransferSummary]
 Process = Generator[Event, Any, Any]
 
 
@@ -151,30 +161,26 @@ def _check_flow_supported(tracer: Optional[Tracer], config: ClusterConfig) -> No
 
 
 class _PacketRun:
-    """What the packet evaluator's processes share: cluster, job, phases.
+    """What the packet evaluator's processes share: cluster, job, ledger.
 
-    Every compute phase is the same three things — a simulated timeout,
-    a trace span, a running total — spelled once in :meth:`spend`.  Ring
-    nodes all spend identical phases, so only a ``record``-ing caller
-    (node 0, or the aggregator) feeds the totals and the tracer.
+    Every compute phase is a simulated timeout and a ledger entry,
+    spelled once in :meth:`spend`.  Ring nodes all spend identical
+    phases, so only a ``record``-ing caller (node 0, or the aggregator)
+    feeds the ledger.
     """
 
     def __init__(self, job: Exchange, tracer: Optional[Tracer]) -> None:
         self.job = job
         self.comm = ClusterComm(job.config, tracer=tracer)
-        self.totals = {"gradient_sum": 0.0, "update": 0.0}
+        self.ledger = PhaseLedger(tracer)
 
     def spend(self, name: str, dt: float, node: int, record: bool = True) -> Process:
         """Spend ``dt`` of simulated time at ``node`` as phase ``name``."""
-        if record:
-            self.totals[name] += dt
+        start = self.comm.sim.now
         if dt:
-            start = self.comm.sim.now
             yield self.comm.sim.timeout(dt)
-            if record and self.comm.tracer is not None:
-                self.comm.tracer.span(
-                    name, cat=CAT_PHASE, ts=start, dur=dt, node=node
-                )
+        if record:
+            self.ledger.add(name, dt, node, start)
 
     def local_compute(self, node: int) -> Process:
         """Forward/backward/copy before the exchange (full-iteration studies)."""
@@ -182,8 +188,8 @@ class _PacketRun:
         if self.job.include_local_compute and profile.local_compute_s:
             start = self.comm.sim.now
             yield self.comm.sim.timeout(profile.local_compute_s)
-            if self.comm.tracer is not None and node == 0:
-                record_compute_phases(self.comm.tracer, profile, start, node)
+            if node == 0:
+                self.ledger.add_local_compute(profile, start, node)
 
     def send_gradient(self, src: int, dst: int, nbytes: int) -> Event:
         """One hop on the gradient stream — the only traffic that may compress."""
@@ -305,8 +311,7 @@ def _packet_exchange(
         "agg_engine_cycles": gather.engine_cycles() if gather else 0,
         "switch_reductions": gather.switch_reductions if gather else 0,
     }
-    sum_s, update_s = run.totals["gradient_sum"], run.totals["update"]
-    return (total_s, sum_s, update_s, comm.transfer_summary()), counters
+    return (total_s, run.ledger, comm.transfer_summary()), counters
 
 
 _FLOW = {"ring": flow_ring_exchange, "wa": flow_wa_exchange}
@@ -415,15 +420,14 @@ def _simulate_exchange(
         measured = _FLOW[algorithm](job)
     else:
         measured, counters = _packet_exchange(job, tracer)
-    total_s, gradient_sum_s, update_s, transfers = measured
+    total_s, ledger, transfers = measured
     return ExchangeResult(
         algorithm=algorithm,
         num_workers=num_workers,
         nbytes=nbytes,
         iterations=iterations,
         total_s=total_s,
-        gradient_sum_s=gradient_sum_s,
-        update_s=update_s,
+        phases=ledger.close(total_s),
         sent_nbytes=transfers.nbytes,
         wire_payload_nbytes=transfers.wire_payload_nbytes,
         link_payload_nbytes=transfers.link_payload_nbytes,

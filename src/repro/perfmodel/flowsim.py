@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core import StreamProfile
+from repro.distributed.node import PhaseLedger
 from repro.distributed.ring import ring_exchange_sizes
 from repro.network.packet import HEADER_BYTES, split_trains
 from repro.transport.endpoint import ClusterConfig, TransferSummary
@@ -305,13 +306,13 @@ def flow_ring_exchange(job: Exchange) -> Measured:
     stages = Star(job.config, 0).stages(every, every, messages[0].compressed)
     first = np.flatnonzero(class_start)
     state = np.zeros((1 + len(stages), first.size))  # ready, free-at per stage
-    sum_s = 0.0
-    update_s = 0.0
+    ledger = PhaseLedger()
 
     for iteration in range(job.iterations):
         if iteration:
             first, state = _turn_runs(first, state, n, class_start)
         if job.include_local_compute and profile.local_compute_s:
+            ledger.add_local_compute(profile)
             state[0] = state[0] + profile.local_compute_s
         moved = True
         for step in range(1, 2 * n - 1):
@@ -325,18 +326,18 @@ def flow_ring_exchange(job: Exchange) -> Measured:
             if step < n:
                 state[0] = state[0] + run_sum_s
                 # What node 0 sums: the block it received, ``-step mod n``.
-                sum_s += float(size_sum_s[size_of_block[-step]])
+                ledger.add("gradient_sum", float(size_sum_s[size_of_block[-step]]))
             moved = first.size > 1  # one run is its own neighbour
             if moved:
                 first, state = _shift_runs(first, state, n, class_start)
+        ledger.add("update", profile.update_s)
         if profile.update_s:
-            update_s += profile.update_s
             state[0] = state[0] + profile.update_s
 
     # Every block is sent by exactly one node per step.
     sends = np.bincount(size_of_block) * (2 * n - 2) * job.iterations
     legs = [(msg, count, stages) for msg, count in zip(messages, sends.tolist())]
-    return float(state[0].max()), sum_s, update_s, _summarize(legs)
+    return float(state[0].max()), ledger, _summarize(legs)
 
 
 def flow_wa_exchange(job: Exchange) -> Measured:
@@ -361,12 +362,12 @@ def flow_wa_exchange(job: Exchange) -> Measured:
 
     t_workers = np.zeros(p)
     agg_free = 0.0
-    sum_s = 0.0
-    update_s = 0.0
+    ledger = PhaseLedger()
     dt_sum = profile.sum_time(job.nbytes)
 
     for _ in range(job.iterations):
         if job.include_local_compute and profile.local_compute_s:
+            ledger.add_local_compute(profile)
             t_workers = t_workers + profile.local_compute_s
         gathered = deliver(t_workers, gather_trains, gather)
 
@@ -374,9 +375,9 @@ def flow_wa_exchange(job: Exchange) -> Measured:
         t_agg = max(agg_free, float(gathered[0]))
         for i in range(1, p):
             t_agg = max(t_agg, float(gathered[i])) + dt_sum
-            sum_s += dt_sum
+            ledger.add("gradient_sum", dt_sum)
+        ledger.add("update", profile.update_s)
         if profile.update_s:
-            update_s += profile.update_s
             t_agg += profile.update_s
 
         # All scatter sends spawn at the same instant.
@@ -385,4 +386,4 @@ def flow_wa_exchange(job: Exchange) -> Measured:
 
     sends = p * job.iterations
     legs = [(gradient, sends, gather), (weight, sends, scatter)]
-    return agg_free, sum_s, update_s, _summarize(legs)
+    return agg_free, ledger, _summarize(legs)

@@ -69,14 +69,15 @@ def fig12_report(num_workers: int = 4) -> Dict:
 
 def fig13_report() -> Dict:
     """Equal-accuracy speedups."""
-    return {
-        model: {
-            "speedup": equal_accuracy_speedup(model).speedup,
-            "wa_epochs": equal_accuracy_speedup(model).wa_epochs,
-            "inc_epochs": equal_accuracy_speedup(model).inc_epochs,
+    out: Dict = {}
+    for model in TIMING_MODELS:
+        est = equal_accuracy_speedup(model)
+        out[model] = {
+            "speedup": est.speedup,
+            "wa_epochs": est.wa_epochs,
+            "inc_epochs": est.inc_epochs,
         }
-        for model in TIMING_MODELS
-    }
+    return out
 
 
 def fig15_report(node_counts: Sequence[int] = (4, 6, 8)) -> Dict:

@@ -9,7 +9,6 @@ from repro.core import (
     TAG_BIT16,
     TAG_NO_COMPRESS,
     TAG_ZERO,
-    average_compression_ratio,
     bitwidth_distribution,
     compression_ratio,
     max_abs_error,
@@ -66,18 +65,6 @@ def test_sharper_bound_never_increases_ratio():
     r8 = compression_ratio(values, ErrorBound(8))
     r6 = compression_ratio(values, ErrorBound(6))
     assert r10 <= r8 <= r6
-
-
-def test_average_compression_ratio_is_mean_of_snapshots():
-    a = np.zeros(800, dtype=np.float32)  # ratio 16
-    b = np.full(800, 0.5, dtype=np.float32)  # ratio 32/18
-    avg = average_compression_ratio([a, b], BOUND)
-    assert avg == pytest.approx((16.0 + 32.0 / 18.0) / 2)
-
-
-def test_average_compression_ratio_rejects_empty():
-    with pytest.raises(ValueError):
-        average_compression_ratio([], BOUND)
 
 
 def test_max_abs_error_roundtrip():

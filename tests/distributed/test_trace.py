@@ -1,8 +1,9 @@
 """Tracing through the distributed algorithms: parity + coverage.
 
-The acceptance bar for the observability layer is twofold: a traced
-run's phase breakdown must match the untraced run's inline accounting
-to 1e-6, and attaching the tracer must not change any simulated time.
+The acceptance bar for the observability layer is twofold: the phase
+ledger feeds the tracer its spans, so a traced run's breakdown and span
+sums equal the untraced run's exactly, and attaching the tracer must
+not change any simulated time.
 """
 
 import numpy as np
@@ -10,14 +11,13 @@ import pytest
 
 from repro.core import inceptionn_profile
 from repro.distributed import (
-    PHASE_NAMES,
     ComputeProfile,
     GroupLayout,
+    available_strategies,
     run_strategy,
 )
 from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
 from repro.obs import CAT_ASYNC, CAT_HIER, CAT_MESSAGE, CAT_RING, Tracer
-from repro.transport import ClusterConfig
 
 PROFILE = ComputeProfile(
     forward_s=1e-4,
@@ -29,7 +29,6 @@ PROFILE = ComputeProfile(
 
 
 def _run(algorithm, tracer=None, iterations=6, compression=False, workers=4):
-    num_nodes = workers + 1 if algorithm == "wa" else workers
     stream = inceptionn_profile() if compression else None
     return run_strategy(
         algorithm,
@@ -39,7 +38,6 @@ def _run(algorithm, tracer=None, iterations=6, compression=False, workers=4):
         num_workers=workers,
         iterations=iterations,
         batch_size=16,
-        cluster=ClusterConfig(num_nodes=num_nodes, profile=stream),
         profile=PROFILE,
         stream=stream,
         tracer=tracer,
@@ -47,17 +45,19 @@ def _run(algorithm, tracer=None, iterations=6, compression=False, workers=4):
     )
 
 
-@pytest.mark.parametrize("algorithm", ["ring", "wa"])
+@pytest.mark.parametrize("algorithm", available_strategies())
 def test_traced_run_matches_untraced_breakdown(algorithm):
     untraced = _run(algorithm)
     tracer = Tracer()
     traced = _run(algorithm, tracer=tracer)
     assert traced.virtual_time_s == untraced.virtual_time_s
     np.testing.assert_allclose(traced.losses, untraced.losses)
-    for name in PHASE_NAMES:
-        assert traced.phase_seconds[name] == pytest.approx(
-            untraced.phase_seconds[name], abs=1e-6
-        ), name
+    assert traced.phase_seconds == untraced.phase_seconds
+    # The spans are the ledger's own adds: same floats, same order.
+    attributed = traced.phases.as_dict()
+    del attributed["communicate"]
+    spans = tracer.phase_totals()
+    assert {name: spans.get(name, 0.0) for name in attributed} == attributed
 
 
 def test_ring_records_p1_and_p2_steps():

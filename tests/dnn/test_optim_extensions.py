@@ -1,19 +1,14 @@
-"""Adam, warm-up schedule, and checkpointing tests."""
+"""Adam and warm-up schedule tests."""
 
 import numpy as np
 import pytest
 
-from repro.core import ErrorBound
 from repro.dnn import (
     Adam,
     LRSchedule,
     SGD,
     build_hdc,
     hdc_dataset,
-    load_checkpoint,
-    load_compressed_checkpoint,
-    save_checkpoint,
-    save_compressed_checkpoint,
     train_single_node,
 )
 
@@ -84,46 +79,3 @@ class TestAdam:
         net = self._net()
         with pytest.raises(RuntimeError):
             Adam(LRSchedule(0.01)).step(net)
-
-
-class TestCheckpointing:
-    def test_roundtrip(self, tmp_path):
-        net = build_hdc(seed=0)
-        path = tmp_path / "model.npz"
-        save_checkpoint(path, net)
-        other = build_hdc(seed=99)
-        load_checkpoint(path, other)
-        np.testing.assert_array_equal(
-            other.parameter_vector(), net.parameter_vector()
-        )
-
-    def test_size_mismatch_rejected(self, tmp_path):
-        net = build_hdc(seed=0)
-        path = tmp_path / "model.npz"
-        save_checkpoint(path, net)
-        from repro.dnn import build_mini_cnn
-
-        with pytest.raises(ValueError):
-            load_checkpoint(path, build_mini_cnn(seed=0))
-
-    def test_compressed_checkpoint_requires_opt_in(self, tmp_path):
-        net = build_hdc(seed=1)
-        with pytest.raises(ValueError):
-            save_compressed_checkpoint(
-                tmp_path / "w.incgrad", net, ErrorBound(10)
-            )
-
-    def test_compressed_roundtrip_with_opt_in(self, tmp_path):
-        net = build_hdc(seed=2)
-        path = tmp_path / "w.incgrad"
-        written = save_compressed_checkpoint(
-            path, net, ErrorBound(10), allow_lossy_weights=True
-        )
-        assert written < net.nbytes
-        other = build_hdc(seed=3)
-        load_compressed_checkpoint(path, other)
-        err = np.max(
-            np.abs(other.parameter_vector() - net.parameter_vector())
-        )
-        # Weights >= 1 pass through uncompressed; small ones are bounded.
-        assert err < 2**-10

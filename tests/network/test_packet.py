@@ -8,7 +8,6 @@ from repro.network import (
     Packet,
     packet_count,
     segment_bytes,
-    segment_size,
 )
 
 
@@ -57,20 +56,6 @@ def test_segment_bytes_empty_message_is_one_packet():
     assert packets[0].payload == b""
 
 
-def test_segment_size_matches_segment_bytes():
-    nbytes = 5120
-    by_size = list(segment_size(nbytes, src=0, dst=1, mss=1460))
-    by_data = segment_bytes(b"\0" * nbytes, src=0, dst=1, mss=1460)
-    assert [p.payload_nbytes for p in by_size] == [
-        p.payload_nbytes for p in by_data
-    ]
-
-
-def test_segment_size_exact_multiple():
-    sizes = [p.payload_nbytes for p in segment_size(2920, src=0, dst=1, mss=1460)]
-    assert sizes == [1460, 1460]
-
-
 def test_packet_count():
     assert packet_count(0) == 1
     assert packet_count(1) == 1
@@ -82,5 +67,3 @@ def test_packet_count():
 def test_bad_mss_rejected():
     with pytest.raises(ValueError):
         segment_bytes(b"x", src=0, dst=1, mss=0)
-    with pytest.raises(ValueError):
-        list(segment_size(10, src=0, dst=1, mss=-5))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.distributed.node import PhaseLedger
 from repro.distributed.ring import ring_exchange_sizes, ring_step_blocks
 from repro.perfmodel.exchange import Exchange, Measured
 from repro.perfmodel.flowsim import Star, _summarize, deliver, sized_trains
@@ -57,4 +58,8 @@ def flow_ring_exchange(job: Exchange) -> Measured:
     # Every block is sent by exactly one node per step.
     sends = np.bincount(size_of_block) * (2 * n - 2) * job.iterations
     legs = [(msg, count, stages) for msg, count in zip(messages, sends.tolist())]
-    return float(t_ready.max()), sum_s, update_s, _summarize(legs)
+    # The evaluator contract carries a ledger; the sums stay this file's own.
+    ledger = PhaseLedger()
+    ledger.add("gradient_sum", sum_s)
+    ledger.add("update", update_s)
+    return float(t_ready.max()), ledger, _summarize(legs)

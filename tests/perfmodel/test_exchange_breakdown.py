@@ -7,6 +7,7 @@ from repro.perfmodel import (
     CONFIGURATIONS,
     CostParameters,
     TABLE2,
+    TABLE2_ITERATIONS,
     compute_profile_for,
     equal_accuracy_speedup,
     estimate_iteration_time,
@@ -126,7 +127,7 @@ class TestBreakdown:
     def test_compute_rows_are_calibrated_exactly(self):
         bd = simulated_breakdown("ResNet-50", iterations=5)
         paper = paper_breakdown("ResNet-50")
-        scale = 5 / paper.iterations
+        scale = 5 / TABLE2_ITERATIONS
         assert bd.forward == pytest.approx(paper.forward * scale)
         assert bd.backward == pytest.approx(paper.backward * scale)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.distributed import ComputeProfile
 from repro.perfmodel import (
+    compute_profile_for,
     measure_compression_ratio,
     simulate_ring_exchange,
     simulate_wa_exchange,
@@ -49,6 +50,26 @@ def test_communicate_is_residual():
     result = simulate_wa_exchange(4, 10 * MB, profile=profile)
     assert result.communicate_s == pytest.approx(
         result.total_s - result.gradient_sum_s - result.update_s
+    )
+
+
+def test_communicate_excludes_local_compute():
+    # Forward/backward/copy seconds are compute, not communication.
+    result = simulate_wa_exchange(
+        4,
+        PAPER_MODELS["AlexNet"].nbytes,
+        profile=compute_profile_for("AlexNet"),
+        include_local_compute=True,
+    )
+    others = sum(
+        seconds
+        for name, seconds in result.phases.as_dict().items()
+        if name != "communicate"
+    )
+    assert result.communicate_s + others == pytest.approx(result.total_s)
+    assert (
+        result.communicate_s
+        < result.total_s - result.gradient_sum_s - result.update_s
     )
 
 

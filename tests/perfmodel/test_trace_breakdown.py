@@ -1,8 +1,9 @@
-"""Trace-driven Table II breakdown: parity with the inline accounting."""
+"""Table II breakdown: the phase ledger, its spans, and both fidelities agree."""
 
 import pytest
 
 from repro.distributed.node import ComputeProfile
+from repro.dnn.models import PAPER_MODELS
 from repro.obs import CAT_PHASE, Tracer
 from repro.perfmodel import (
     compute_profile_for,
@@ -42,71 +43,59 @@ def test_tracer_does_not_change_timing(simulate):
 
 @pytest.mark.parametrize("simulate", [simulate_wa_exchange, simulate_ring_exchange])
 def test_phase_spans_reproduce_inline_sums(simulate):
-    tracer = Tracer()
-    iterations = 3
-    result = simulate(
+    kwargs = dict(
         num_workers=4,
         nbytes=8 * MB,
-        iterations=iterations,
+        iterations=3,
         profile=PROFILE,
         include_local_compute=True,
-        tracer=tracer,
     )
-    totals = tracer.phase_totals()
-    # The span sums are the same float accumulation as the inline +=,
-    # so this parity is exact, not approximate.
-    assert totals["gradient_sum"] == result.gradient_sum_s
-    assert totals["update"] == result.update_s
-    assert totals["forward"] == pytest.approx(
-        PROFILE.forward_s * iterations, abs=1e-6
-    )
-    assert totals["backward"] == pytest.approx(
-        PROFILE.backward_s * iterations, abs=1e-6
-    )
-    assert totals["gpu_copy"] == pytest.approx(
-        PROFILE.gpu_copy_s * iterations, abs=1e-6
-    )
+    tracer = Tracer()
+    phases = simulate(tracer=tracer, **kwargs).phases
+    # The spans are the ledger's own adds — the same floats in the same
+    # order — so every attributed row equals its span sum exactly.
+    attributed = phases.as_dict()
+    del attributed["communicate"]
+    assert tracer.phase_totals() == attributed
+    for name in ("forward", "backward", "gpu_copy"):
+        assert attributed[name] == pytest.approx(3 * getattr(PROFILE, name + "_s"))
+    # Flow fidelity keeps the same ledger: the compute rows are equal,
+    # and the sum too where both evaluators attribute it per hop.
+    flow = simulate(fidelity="flow", **kwargs).phases
+    rows = ["forward", "backward", "gpu_copy", "update"]
+    if simulate is simulate_ring_exchange:
+        rows.append("gradient_sum")
+    for name in rows:
+        assert getattr(flow, name) == getattr(phases, name), name
 
 
 def test_breakdown_from_trace_matches_legacy_arithmetic():
-    # The trace-backed simulated_breakdown must agree with the retired
-    # parallel bookkeeping (profile * iterations + ExchangeResult sums)
-    # to 1e-6 — the acceptance bar for rebuilding report.py on spans.
+    # simulated_breakdown is the packet exchange's closed ledger; the
+    # hand arithmetic it must equal is per-iteration repeated adds
+    # (never ``iterations * x``) and Communicate as the residual.
     model, iterations = "AlexNet", 2
     profile = compute_profile_for(model)
     breakdown = simulated_breakdown(model, iterations=iterations)
-    from repro.dnn.models import PAPER_MODELS
-
-    legacy = simulate_wa_exchange(
+    exchange = simulate_wa_exchange(
         num_workers=4,
         nbytes=PAPER_MODELS[model].nbytes,
         iterations=iterations,
         profile=profile,
         include_local_compute=True,
     )
-    assert breakdown.forward == pytest.approx(
-        profile.forward_s * iterations, abs=1e-6
+    assert breakdown == exchange.phases
+    assert breakdown.forward == profile.forward_s + profile.forward_s
+    assert breakdown.backward == profile.backward_s + profile.backward_s
+    assert breakdown.gpu_copy == profile.gpu_copy_s + profile.gpu_copy_s
+    assert breakdown.communicate == exchange.total_s - sum(
+        (
+            breakdown.forward,
+            breakdown.backward,
+            breakdown.gpu_copy,
+            breakdown.gradient_sum,
+            breakdown.update,
+        )
     )
-    assert breakdown.backward == pytest.approx(
-        profile.backward_s * iterations, abs=1e-6
-    )
-    assert breakdown.gpu_copy == pytest.approx(
-        profile.gpu_copy_s * iterations, abs=1e-6
-    )
-    assert breakdown.gradient_sum == pytest.approx(
-        legacy.gradient_sum_s, abs=1e-6
-    )
-    assert breakdown.update == pytest.approx(legacy.update_s, abs=1e-6)
-    legacy_communicate = max(
-        0.0,
-        legacy.total_s
-        - profile.forward_s * iterations
-        - profile.backward_s * iterations
-        - profile.gpu_copy_s * iterations
-        - legacy.gradient_sum_s
-        - legacy.update_s,
-    )
-    assert breakdown.communicate == pytest.approx(legacy_communicate, abs=1e-6)
 
 
 def test_breakdown_accepts_external_tracer():
@@ -115,3 +104,11 @@ def test_breakdown_accepts_external_tracer():
     assert tracer.count(CAT_PHASE) > 0
     totals = tracer.phase_totals()
     assert totals.get("forward", 0.0) == breakdown.forward
+
+
+def test_breakdown_builds_no_private_tracer(monkeypatch):
+    def no_tracer(self, metrics=None):
+        raise AssertionError("simulated_breakdown constructed a Tracer")
+
+    monkeypatch.setattr(Tracer, "__init__", no_tracer)
+    assert simulated_breakdown("HDC", iterations=1).total > 0

@@ -10,10 +10,9 @@ traffic.
 import numpy as np
 
 from repro.core import profile_for
-from repro.distributed import DistributedRunResult
+from repro.distributed import DistributedRunResult, PhaseTimes
 from repro.hardware import NicCounters
 from repro.network.packet import payload_ratio
-from repro.perfmodel.breakdown import Breakdown
 from repro.transport import (
     ClusterComm,
     ClusterConfig,
@@ -32,27 +31,19 @@ def _zero_run():
         final_top1=0.0,
         final_top5=0.0,
         virtual_time_s=0.0,
-        phase_seconds={"forward": 0.0, "communicate": 0.0},
+        phases=PhaseTimes(),
     )
 
 
 class TestZeroTotals:
     def test_all_zero_phases_normalize_to_zero(self):
-        normalized = _zero_run().normalized_phases()
-        assert normalized == {"forward": 0.0, "communicate": 0.0}
+        run = _zero_run()
+        assert run.communication_fraction == 0.0
+        assert set(run.phases.normalized().values()) == {0.0}
 
     def test_zero_breakdown_normalizes_without_nan(self):
-        fractions = Breakdown(
-            model="AlexNet",
-            iterations=0,
-            forward=0.0,
-            backward=0.0,
-            gpu_copy=0.0,
-            gradient_sum=0.0,
-            communicate=0.0,
-            update=0.0,
-        ).normalized()
-        assert all(v == 0.0 for v in fractions.values())
+        assert all(v == 0.0 for v in PhaseTimes().normalized().values())
+        assert PhaseTimes().communication_fraction == 0.0
 
 
 class TestZeroByteWireAccounting:
