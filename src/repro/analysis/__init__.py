@@ -1,19 +1,26 @@
 """Repo-aware static analysis for the INCEPTIONN reproduction.
 
-The runtime cannot cheaply police the invariants the codebase rests on:
-gradients staying float32, every codec owning exactly one ToS byte, wire
-sizes counted without allocating per-value containers, public APIs
-carrying type annotations.  This package is an AST-based linter that
-checks them *before* tests run:
+An AST linter for the invariants nothing else in the build container
+checks before a run: gradients staying float32 on the gradient path
+(R1), public APIs carrying type annotations (R5, the dependency-free
+mirror of the CI mypy gate), the determinism contract that ``repro
+sanitize`` checks dynamically — no wall clock, seeded RNGs, sorted
+iteration over sets and registries, no mutable defaults (R8-R11) — and
+compressed-domain summing staying in the aggregation layer (R12).
+Invariants the running program already enforces (the codec registry
+raises at import on a ToS or name collision) are deliberately not
+re-derived here; :data:`repro.analysis.rules.RETIRED` says what took
+over each retired code.
 
 * :mod:`repro.analysis.engine` — rule engine: file walking, suppression
-  comments (``# repro-lint: disable=R1``), finding collection, JSON and
-  human output.
-* :mod:`repro.analysis.project` — whole-program facts (codec
-  registrations, reserved ToS constants) gathered in a pre-pass so rules
-  can cross-check files against each other.
-* :mod:`repro.analysis.rules` — the rule set (R1..R5); each rule is a
-  class with ``visit_*`` hooks, so later PRs add rules cheaply.
+  comments (``# repro-lint: disable=R1``), finding collection.
+* :mod:`repro.analysis.output` — human lines and the versioned JSON
+  document.
+* :mod:`repro.analysis.project` — the cross-file facts two rules need,
+  gathered in a pre-pass: which names are sets or registry dicts (R10),
+  and which modules are the aggregation layer or a codec (R12).
+* :mod:`repro.analysis.rules` — the seven rules; each is a
+  :class:`Rule` subclass with ``visit_*`` hooks.
 
 Run it as ``repro lint [paths]`` or ``python -m repro.analysis``.
 """

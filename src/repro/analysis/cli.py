@@ -44,8 +44,9 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 def run_lint(args: argparse.Namespace) -> int:
     """Execute a lint invocation; returns the process exit code."""
     if args.list_rules:
+        width = max(len(cls.code) for cls in ALL_RULES)
         for cls in ALL_RULES:
-            print(f"{cls.code}  {cls.name:<22} {cls.description}")
+            print(f"{cls.code:<{width}}  {cls.name:<22} {cls.description}")
         return 0
     rules = None
     if args.select:

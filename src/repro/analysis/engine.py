@@ -2,9 +2,9 @@
 
 The engine owns everything rule-agnostic — discovering files, parsing
 them, building parent links, reading ``# repro-lint:`` suppression
-comments, dispatching AST nodes to each rule's ``visit_*`` hooks, and
-running the whole-program ``finish`` phase against the collected
-:class:`~repro.analysis.project.ProjectFacts`.
+comments, and dispatching AST nodes to each rule's ``visit_*`` hooks
+with the collected :class:`~repro.analysis.project.ProjectFacts` at
+hand.
 
 Suppression comments
 --------------------
@@ -23,9 +23,21 @@ import re
 import tokenize
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from .project import ProjectFacts, collect_project_facts
+
+if TYPE_CHECKING:
+    from .rules.base import Rule
 
 _SUPPRESS_RE = re.compile(
     r"repro-lint:\s*disable(?P<next>-next-line)?=(?P<codes>[A-Za-z0-9_,-]+)"
@@ -179,53 +191,20 @@ def discover_files(paths: Sequence[Path]) -> List[Path]:
     return unique
 
 
-class Reporter:
-    """Collects findings, applying per-line suppressions."""
-
-    def __init__(self) -> None:
-        self.findings: List[Finding] = []
-        self._contexts: Dict[str, FileContext] = {}
-
-    def add_context(self, ctx: FileContext) -> None:
-        self._contexts[ctx.display_path] = ctx
-
-    def report(
-        self,
-        rule: "RuleProtocol",
-        path: str,
-        line: int,
-        col: int,
-        message: str,
-    ) -> None:
-        ctx = self._contexts.get(path)
-        if ctx is not None and ctx.suppressed(line, rule.code, rule.name):
-            return
-        self.findings.append(
-            Finding(
-                rule=rule.code,
-                name=rule.name,
-                path=path,
-                line=line,
-                col=col,
-                message=message,
-            )
-        )
-
-
 class RuleContext:
     """Per-file view handed to rule ``visit_*`` hooks."""
 
     def __init__(
         self,
         file: FileContext,
-        rule: "RuleProtocol",
-        reporter: Reporter,
+        rule: Rule,
+        findings: List[Finding],
         project: ProjectFacts,
     ) -> None:
         self.file = file
         self.project = project
         self._rule = rule
-        self._reporter = reporter
+        self._findings = findings
 
     @property
     def module(self) -> str:
@@ -239,64 +218,53 @@ class RuleContext:
         return parent_of(node)
 
     def report(self, node: ast.AST, message: str) -> None:
-        self._reporter.report(
-            self._rule,
-            self.file.display_path,
-            getattr(node, "lineno", 1),
-            getattr(node, "col_offset", 0) + 1,
-            message,
+        """Record a finding at ``node`` unless its line suppresses it."""
+        line = getattr(node, "lineno", 1)
+        if self.file.suppressed(line, self._rule.code, self._rule.name):
+            return
+        self._findings.append(
+            Finding(
+                rule=self._rule.code,
+                name=self._rule.name,
+                path=self.file.display_path,
+                line=line,
+                col=getattr(node, "col_offset", 0) + 1,
+                message=message,
+            )
         )
-
-
-class RuleProtocol:
-    """Structural interface the engine expects of a rule (see rules.base)."""
-
-    code: str = "R?"
-    name: str = "?"
-
-    def applies_to(self, ctx: RuleContext) -> bool:  # pragma: no cover
-        return True
-
-    def begin_file(self, ctx: RuleContext) -> None:
-        return None
-
-    def finish(self, project: ProjectFacts, reporter: Reporter) -> None:
-        return None
 
 
 class LintRun:
     """One lint invocation over a set of files with a set of rules."""
 
-    def __init__(self, rules: Optional[Sequence[RuleProtocol]] = None) -> None:
+    def __init__(self, rules: Optional[Sequence[Rule]] = None) -> None:
         if rules is None:
             from .rules import default_rules
 
             rules = default_rules()
-        self.rules: List[RuleProtocol] = list(rules)
+        self.rules: List[Rule] = list(rules)
         self.files_checked = 0
 
     def run(self, paths: Sequence[Path]) -> List[Finding]:
         files = discover_files([Path(p) for p in paths])
         contexts: List[FileContext] = []
-        reporter = Reporter()
         for path in files:
             display = _display_path(path)
             try:
                 source = path.read_text(encoding="utf-8")
             except (OSError, UnicodeDecodeError) as exc:
                 raise FileNotFoundError(f"cannot read {display}: {exc}")
-            ctx = FileContext(path, display, source)
-            contexts.append(ctx)
-            reporter.add_context(ctx)
+            contexts.append(FileContext(path, display, source))
         self.files_checked = len(contexts)
 
         project = collect_project_facts(
-            [(c.module, c.display_path, c.tree) for c in contexts if c.tree]
+            [(c.module, c.tree) for c in contexts if c.tree]
         )
 
+        findings: List[Finding] = []
         for ctx in contexts:
             if ctx.syntax_error is not None:
-                reporter.findings.append(
+                findings.append(
                     Finding(
                         rule=SYNTAX_ERROR_CODE,
                         name="syntax-error",
@@ -307,20 +275,20 @@ class LintRun:
                     )
                 )
                 continue
-            self._check_file(ctx, reporter, project)
+            self._check_file(ctx, findings, project)
 
-        for rule in self.rules:
-            rule.finish(project, reporter)
-
-        return sorted(reporter.findings, key=_sort_key)
+        return sorted(findings, key=_sort_key)
 
     def _check_file(
-        self, ctx: FileContext, reporter: Reporter, project: ProjectFacts
+        self,
+        ctx: FileContext,
+        findings: List[Finding],
+        project: ProjectFacts,
     ) -> None:
         assert ctx.tree is not None
-        active: List[Tuple[RuleProtocol, RuleContext]] = []
+        active: List[Tuple[Rule, RuleContext]] = []
         for rule in self.rules:
-            rule_ctx = RuleContext(ctx, rule, reporter, project)
+            rule_ctx = RuleContext(ctx, rule, findings, project)
             if rule.applies_to(rule_ctx):
                 active.append((rule, rule_ctx))
         if not active:
@@ -344,7 +312,7 @@ def _display_path(path: Path) -> str:
 
 def lint_paths(
     paths: Iterable[object],
-    rules: Optional[Sequence[RuleProtocol]] = None,
+    rules: Optional[Sequence[Rule]] = None,
 ) -> Tuple[List[Finding], int]:
     """Lint ``paths``; returns ``(findings, files_checked)``."""
     run = LintRun(rules=rules)

@@ -1,34 +1,20 @@
 """Whole-program facts gathered before per-file rules run.
 
-Registry/ToS consistency (rule R3) is not a single-file property: codec
-classes declare their wire name in one module, ``register_codec`` calls
-claim ToS bytes in another, and ``network.packet`` owns the reserved
-constants.  This pre-pass walks every parsed file once and records the
-cross-file facts rules need, resolving simple constant references
-(``tos=TOS_COMPRESS``) statically.
+Two rules check properties no single file decides.  R10 needs to know
+which names are sets: module-level set globals, attribute names
+annotated ``Set[...]`` anywhere in the project, and module-level dicts
+mutated by subscript store (registries, whose listing order is import
+order).  R12 needs to know which modules *are* the aggregation layer
+(they define an aggregation entry point) or a codec implementation
+(they define both ``compress`` and ``decompress``), because those are
+exempt.  This pre-pass walks every parsed file once and records both.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-#: Fallbacks when the linted file set does not include network/packet.py
-#: (e.g. fixture trees in tests); values mirror the paper's contract.
-DEFAULT_TOS_DEFAULT = 0x00
-DEFAULT_TOS_COMPRESS = 0x28
-
-#: The gradient-exchange primitives owned by the strategy layer.  Rule
-#: R7 confines direct calls to these to strategy-plugin modules (ones
-#: that register a :class:`GradientStrategy`) and to the modules that
-#: define the primitives themselves.
-EXCHANGE_FUNCTIONS = (
-    "ring_exchange",
-    "hierarchical_exchange",
-    "worker_exchange",
-    "aggregator_exchange",
-)
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 #: The compressed-domain aggregation entry points owned by the
 #: aggregation-site layer.  Rule R12 confines inline
@@ -41,33 +27,10 @@ AGGREGATION_FUNCTIONS = (
 )
 
 
-@dataclass(frozen=True)
-class CodecRegistration:
-    """One ``register_codec(SomeCodec(), tos=...)`` call site."""
-
-    codec_class: Optional[str]
-    codec_name: Optional[str]
-    tos: Optional[int]
-    tos_resolvable: bool
-    path: str
-    line: int
-    col: int
-
-
 @dataclass
 class ProjectFacts:
-    """Cross-file facts available to every rule's ``finish`` phase."""
+    """Cross-file facts, read by rules through ``ctx.project``."""
 
-    tos_default: int = DEFAULT_TOS_DEFAULT
-    tos_compress: int = DEFAULT_TOS_COMPRESS
-    registrations: List[CodecRegistration] = field(default_factory=list)
-    #: ClassName -> wire name, for classes declaring ``name = "<str>"``.
-    codec_class_names: Dict[str, str] = field(default_factory=dict)
-    #: Modules that register a GradientStrategy (decorator or call).
-    strategy_registrars: Set[str] = field(default_factory=set)
-    #: Exchange-primitive name -> modules defining a function of that
-    #: name (the primitive layer itself, exempt from R7).
-    exchange_definers: Dict[str, Set[str]] = field(default_factory=dict)
     #: Modules defining a compressed-domain aggregation entry point
     #: (the aggregation-site layer itself, exempt from R12).
     aggregation_definers: Set[str] = field(default_factory=set)
@@ -84,62 +47,13 @@ class ProjectFacts:
     #: (registries); listing them unsorted leaks insertion order (R10).
     registry_globals: Dict[str, Set[str]] = field(default_factory=dict)
 
-    @property
-    def registered_names(self) -> Set[str]:
-        return {
-            r.codec_name for r in self.registrations if r.codec_name is not None
-        }
-
 
 def _terminal_name(node: ast.AST) -> Optional[str]:
-    """Terminal name of a reference: ``pkg.register_strategy`` -> attr."""
+    """Terminal name of a reference: ``typing.Set`` -> ``Set``."""
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
         return node.attr
-    if isinstance(node, ast.Call):
-        # ``@register_strategy(...)``-style decorator factories.
-        return _terminal_name(node.func)
-    return None
-
-
-def _int_constant(node: ast.AST) -> Optional[int]:
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        if not isinstance(node.value, bool):
-            return node.value
-    return None
-
-
-def _module_int_constants(tree: ast.Module) -> Dict[str, int]:
-    constants: Dict[str, int] = {}
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-            value = _int_constant(stmt.value)
-            if isinstance(target, ast.Name) and value is not None:
-                constants[target.id] = value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            value = _int_constant(stmt.value)
-            if isinstance(stmt.target, ast.Name) and value is not None:
-                constants[stmt.target.id] = value
-    return constants
-
-
-def _class_wire_name(node: ast.ClassDef) -> Optional[str]:
-    for stmt in node.body:
-        target: Optional[ast.expr] = None
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target, value = stmt.targets[0], stmt.value
-        elif isinstance(stmt, ast.AnnAssign):
-            target, value = stmt.target, stmt.value
-        if (
-            isinstance(target, ast.Name)
-            and target.id == "name"
-            and isinstance(value, ast.Constant)
-            and isinstance(value.value, str)
-        ):
-            return value.value
     return None
 
 
@@ -251,124 +165,20 @@ def _collect_ordering_facts(
         facts.registry_globals[module] = registries
 
 
-def _resolve_tos(
-    node: Optional[ast.expr],
-    local_constants: Dict[str, int],
-    global_constants: Dict[str, int],
-) -> Tuple[Optional[int], bool]:
-    """Resolve a ToS expression to an int; ``(value, resolvable)``."""
-    if node is None:
-        return None, False
-    value = _int_constant(node)
-    if value is not None:
-        return value, True
-    name: Optional[str] = None
-    if isinstance(node, ast.Name):
-        name = node.id
-    elif isinstance(node, ast.Attribute):
-        name = node.attr
-    if name is not None:
-        if name in local_constants:
-            return local_constants[name], True
-        if name in global_constants:
-            return global_constants[name], True
-    return None, False
-
-
 def collect_project_facts(
-    modules: Sequence[Tuple[str, str, ast.Module]],
+    modules: Sequence[Tuple[str, ast.Module]],
 ) -> ProjectFacts:
-    """Scan ``(module, display_path, tree)`` triples into project facts."""
+    """Scan ``(module, tree)`` pairs into project facts."""
     facts = ProjectFacts()
-
-    per_module_constants: Dict[str, Dict[str, int]] = {}
-    for module, _path, tree in modules:
-        per_module_constants[module] = _module_int_constants(tree)
-        if module.endswith("network.packet"):
-            constants = per_module_constants[module]
-            facts.tos_default = constants.get("TOS_DEFAULT", facts.tos_default)
-            facts.tos_compress = constants.get(
-                "TOS_COMPRESS", facts.tos_compress
-            )
-
-    # Constants importable across the project: packet's reserved values.
-    global_constants: Dict[str, int] = {
-        "TOS_DEFAULT": facts.tos_default,
-        "TOS_COMPRESS": facts.tos_compress,
-    }
-
-    defined_names: Dict[str, Set[str]] = {}
-    for module, path, tree in modules:
-        local_constants = per_module_constants[module]
+    for module, tree in modules:
         _collect_ordering_facts(facts, module, tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
-                wire_name = _class_wire_name(node)
-                if wire_name is not None:
-                    facts.codec_class_names[node.name] = wire_name
-                for decorator in node.decorator_list:
-                    if _terminal_name(decorator) == "register_strategy":
-                        facts.strategy_registrars.add(module)
-            elif isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                if node.name in EXCHANGE_FUNCTIONS:
-                    facts.exchange_definers.setdefault(
-                        node.name, set()
-                    ).add(module)
-                if node.name in AGGREGATION_FUNCTIONS:
-                    facts.aggregation_definers.add(module)
-                defined_names.setdefault(module, set()).add(node.name)
-            elif isinstance(node, ast.Call):
-                callee = _terminal_name(node.func)
-                if callee == "register_strategy":
-                    facts.strategy_registrars.add(module)
-                if callee != "register_codec":
-                    continue
-                codec_class: Optional[str] = None
-                if node.args:
-                    arg0 = node.args[0]
-                    if isinstance(arg0, ast.Call) and isinstance(
-                        arg0.func, ast.Name
-                    ):
-                        codec_class = arg0.func.id
-                tos_expr: Optional[ast.expr] = None
-                for kw in node.keywords:
-                    if kw.arg == "tos":
-                        tos_expr = kw.value
-                if tos_expr is None and len(node.args) > 1:
-                    tos_expr = node.args[1]
-                tos, resolvable = _resolve_tos(
-                    tos_expr, local_constants, global_constants
-                )
-                facts.registrations.append(
-                    CodecRegistration(
-                        codec_class=codec_class,
-                        codec_name=None,  # filled below once classes are known
-                        tos=tos,
-                        tos_resolvable=resolvable,
-                        path=path,
-                        line=node.lineno,
-                        col=node.col_offset + 1,
-                    )
-                )
-
-    for module, names in defined_names.items():
-        if {"compress", "decompress"} <= names:
+        defined = {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        if defined.intersection(AGGREGATION_FUNCTIONS):
+            facts.aggregation_definers.add(module)
+        if {"compress", "decompress"} <= defined:
             facts.codec_definers.add(module)
-
-    facts.registrations = [
-        CodecRegistration(
-            codec_class=r.codec_class,
-            codec_name=facts.codec_class_names.get(r.codec_class)
-            if r.codec_class
-            else None,
-            tos=r.tos,
-            tos_resolvable=r.tos_resolvable,
-            path=r.path,
-            line=r.line,
-            col=r.col,
-        )
-        for r in facts.registrations
-    ]
     return facts

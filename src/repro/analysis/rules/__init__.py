@@ -13,29 +13,34 @@ from typing import Dict, List, Sequence, Type
 from .agg_site import AggregationSiteRule
 from .annotations import AnnotationsRule
 from .base import Rule
-from .bits import BitAccountingRule
 from .dtype import DtypeDisciplineRule
 from .mutable_defaults import MutableDefaultsRule
 from .ordering import IterationOrderRule
-from .registry_tos import RegistryTosRule
 from .rng import SeededRngRule
-from .strategy_calls import StrategyCallsRule
 from .wallclock import WallClockRule
 
-#: Every registered rule class, in code order.  R2 and R6 are retired
-#: numbers (docs and suppression comments cite codes): do not reuse them.
+#: Every registered rule class, in code order.
 ALL_RULES: Sequence[Type[Rule]] = (
     DtypeDisciplineRule,
-    RegistryTosRule,
-    BitAccountingRule,
     AnnotationsRule,
-    StrategyCallsRule,
     WallClockRule,
     SeededRngRule,
     IterationOrderRule,
     MutableDefaultsRule,
     AggregationSiteRule,
 )
+
+#: Retired codes -> what enforces the invariant now.  Docs and old
+#: suppression comments cite codes, so a retired number is never reused.
+RETIRED: Dict[str, str] = {
+    "R2": "the interpreter rejects the removed deprecated names",
+    "R3": "`register_codec` raises at import",
+    "R4": "the `*_bits` functions are table look-ups and perfbench "
+    "measures the codec path",
+    "R6": "the interpreter rejects the removed shim names",
+    "R7": "`run_strategy` is the only driver and `register_strategy` "
+    "raises on a duplicate name",
+}
 
 
 def default_rules() -> List[Rule]:
@@ -61,6 +66,8 @@ def select_rules(selection: Sequence[str]) -> List[Rule]:
         key = entry.strip().upper()
         if not key:
             continue
+        if key in RETIRED:
+            raise KeyError(f"{key} was retired: {RETIRED[key]}")
         if key not in table:
             known = ", ".join(cls.code for cls in ALL_RULES)
             raise KeyError(f"unknown rule {entry!r}; known rules: {known}")
@@ -75,14 +82,12 @@ __all__ = [
     "ALL_RULES",
     "AggregationSiteRule",
     "AnnotationsRule",
-    "BitAccountingRule",
     "DtypeDisciplineRule",
     "IterationOrderRule",
     "MutableDefaultsRule",
-    "RegistryTosRule",
+    "RETIRED",
     "Rule",
     "SeededRngRule",
-    "StrategyCallsRule",
     "WallClockRule",
     "default_rules",
     "rules_by_code",

@@ -8,7 +8,7 @@ the total silently reimplements that algebra — and drifts from it the
 moment a codec changes its framing, breaking the switch/endpoint parity
 pins.
 
-Like R7, this is a cross-file property: the exempt layer is discovered
+This is a cross-file property: the exempt layer is discovered
 during the project pre-pass — modules defining an aggregation entry
 point (``aggregate_compressed``, ``aggregate_endpoint``,
 ``combine_parts``) and codec-implementation modules (defining both

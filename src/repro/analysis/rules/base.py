@@ -1,6 +1,6 @@
-"""The rule base class.
+"""The rule interface: the one class the engine and every rule share.
 
-A rule is a class with:
+A rule is a :class:`Rule` subclass with:
 
 * ``code``/``name``/``description`` — identity (code for suppression
   comments and ``--select``, name for humans);
@@ -9,9 +9,9 @@ A rule is a class with:
   (reset per-file state, pre-scan imports);
 * ``visit_<NodeType>(node, ctx)`` hooks — called for every matching AST
   node of every applicable file, with ``ctx.report(node, message)`` to
-  emit findings (suppressions are applied by the engine);
-* ``finish(project, reporter)`` — optional whole-program phase run once
-  after every file, for cross-file invariants.
+  emit findings (suppressions are applied by the engine) and
+  ``ctx.project`` for the cross-file facts of
+  :mod:`repro.analysis.project`.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from __future__ import annotations
 import ast
 from typing import Optional
 
-from ..engine import Reporter, RuleContext
-from ..project import ProjectFacts
+from ..engine import RuleContext
 
 
 class Rule:
@@ -36,20 +35,6 @@ class Rule:
     def begin_file(self, ctx: RuleContext) -> None:
         """Per-file setup hook, called before the node walk starts."""
         return None
-
-    def finish(self, project: ProjectFacts, reporter: Reporter) -> None:
-        return None
-
-    def report_at(
-        self,
-        reporter: Reporter,
-        path: str,
-        line: int,
-        col: int,
-        message: str,
-    ) -> None:
-        """Emit a finding at an explicit location (finish-phase rules)."""
-        reporter.report(self, path, line, col, message)
 
 
 def call_name(node: ast.Call) -> Optional[str]:

@@ -8,7 +8,7 @@ from repro.analysis import format_human, format_json, lint_paths
 from repro.analysis.cli import main
 from repro.analysis.engine import SYNTAX_ERROR_CODE, module_name, package_of
 from repro.analysis.output import JSON_SCHEMA_VERSION
-from repro.analysis.rules import rules_by_code, select_rules
+from repro.analysis.rules import ALL_RULES, RETIRED, rules_by_code, select_rules
 from repro.analysis.rules.dtype import DtypeDisciplineRule
 
 
@@ -63,7 +63,7 @@ class TestSuppressions:
             "core/x.py",
             """
             import numpy as np
-            g = np.zeros(10)  # repro-lint: disable=R4
+            g = np.zeros(10)  # repro-lint: disable=R5
             """,
             rules=[DtypeDisciplineRule()],
         )
@@ -128,12 +128,24 @@ class TestRuleSelection:
         assert table["R1"] is table["DTYPE-DISCIPLINE"]
 
     def test_select_rules_instantiates(self):
-        rules = select_rules(["R1", "registry-tos"])
-        assert [r.code for r in rules] == ["R1", "R3"]
+        rules = select_rules(["R1", "iteration-order"])
+        assert [r.code for r in rules] == ["R1", "R10"]
 
     def test_select_unknown_rule_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown rule 'R99'; known rules: R1, R5"):
             select_rules(["R99"])
+
+    @pytest.mark.parametrize("code", sorted(RETIRED))
+    def test_select_retired_rule_says_what_enforces_it_now(self, code):
+        with pytest.raises(KeyError) as excinfo:
+            select_rules([code.lower()])
+        assert excinfo.value.args[0] == f"{code} was retired: {RETIRED[code]}"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--select", code])
+        assert exit_info.value.code == f"--select: {code} was retired: {RETIRED[code]}"
+
+    def test_retired_codes_are_never_reused(self):
+        assert not set(RETIRED) & {cls.code for cls in ALL_RULES}
 
 
 class TestOutputFormats:
@@ -202,10 +214,12 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        codes = [line.split()[0] for line in out.splitlines() if line.strip()]
-        assert codes == (
-            ["R1", "R3", "R4", "R5"] + [f"R{n}" for n in range(7, 13)]
-        )
+        lines = out.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "R1", "R5", "R8", "R9", "R10", "R11", "R12"
+        ]
+        # The code column is padded: every rule name starts in one column.
+        assert {line.index(line.split()[1]) for line in lines} == {5}
 
     def test_repro_cli_exposes_lint(self, tmp_path, capsys):
         from repro.cli import main as repro_main

@@ -1,15 +1,10 @@
 """Per-rule fixtures: what each rule must flag and must not flag."""
 
-import textwrap
-
 import pytest
 
 from repro.analysis.rules.agg_site import AggregationSiteRule
 from repro.analysis.rules.annotations import AnnotationsRule
-from repro.analysis.rules.bits import BitAccountingRule
 from repro.analysis.rules.dtype import DtypeDisciplineRule
-from repro.analysis.rules.registry_tos import RegistryTosRule
-from repro.analysis.rules.strategy_calls import StrategyCallsRule
 
 
 def codes(findings):
@@ -82,205 +77,6 @@ class TestDtypeDiscipline:
             g = np.zeros(10)
             """,
             rules=[DtypeDisciplineRule()],
-        )
-        assert findings == []
-
-
-REGISTRY_PRELUDE = (
-    'class GoodCodec:\n'
-    '    name = "inceptionn"\n'
-    '\n'
-    'class OtherCodec:\n'
-    '    name = "other"\n'
-    '\n'
-)
-
-
-class TestRegistryTos:
-    def test_consistent_registry_is_clean(self, lint_snippet):
-        findings = lint_snippet(
-            "core/registry.py",
-            REGISTRY_PRELUDE
-            + textwrap.dedent("""
-            register_codec(GoodCodec(), tos=0x28)
-            register_codec(OtherCodec(), tos=0x2C)
-            profile = StreamProfile(codec="other")
-            """),
-            rules=[RegistryTosRule()],
-        )
-        assert findings == []
-
-    def test_flags_duplicate_tos(self, lint_snippet):
-        findings = lint_snippet(
-            "core/registry.py",
-            REGISTRY_PRELUDE
-            + textwrap.dedent("""
-            register_codec(GoodCodec(), tos=0x28)
-            register_codec(OtherCodec(), tos=0x28)
-            """),
-            rules=[RegistryTosRule()],
-        )
-        # The duplicate claim and the 0x28-reservation breach both fire.
-        assert "already claimed" in " ".join(f.message for f in findings)
-
-    def test_flags_unregistered_profile_name(self, lint_snippet):
-        findings = lint_snippet(
-            "core/registry.py",
-            REGISTRY_PRELUDE
-            + textwrap.dedent("""
-            register_codec(GoodCodec(), tos=0x28)
-            profile = StreamProfile(codec="missing")
-            other = profile_for("missing_too")
-            """),
-            rules=[RegistryTosRule()],
-        )
-        assert len(findings) == 2
-        assert all("not registered" in f.message for f in findings)
-
-    def test_no_registrations_means_no_name_checks(self, lint_snippet):
-        # Linting a subtree with no register_codec calls must not
-        # false-positive on every StreamProfile literal.
-        findings = lint_snippet(
-            "perfmodel/x.py",
-            """
-            profile = StreamProfile(codec="anything")
-            """,
-            rules=[RegistryTosRule()],
-        )
-        assert findings == []
-
-    def test_flags_unresolvable_tos(self, lint_snippet):
-        findings = lint_snippet(
-            "core/registry.py",
-            REGISTRY_PRELUDE
-            + textwrap.dedent("""
-            register_codec(GoodCodec(), tos=0x28)
-            register_codec(OtherCodec(), tos=compute_tos())
-            """),
-            rules=[RegistryTosRule()],
-        )
-        assert codes(findings) == ["R3"]
-        assert "not statically resolvable" in findings[0].message
-
-    def test_flags_non_inceptionn_claiming_0x28(self, lint_snippet):
-        findings = lint_snippet(
-            "core/registry.py",
-            """
-            class OtherCodec:
-                name = "other"
-
-            register_codec(OtherCodec(), tos=0x28)
-            """,
-            rules=[RegistryTosRule()],
-        )
-        assert codes(findings) == ["R3"]
-        assert "may not claim" in findings[0].message
-
-    def test_flags_inceptionn_off_its_reserved_tos(self, lint_snippet):
-        findings = lint_snippet(
-            "core/registry.py",
-            """
-            class GoodCodec:
-                name = "inceptionn"
-
-            register_codec(GoodCodec(), tos=0x30)
-            """,
-            rules=[RegistryTosRule()],
-        )
-        assert codes(findings) == ["R3"]
-        assert "must keep" in findings[0].message
-
-    def test_resolves_tos_from_module_constant(self, lint_tree):
-        findings = lint_tree(
-            {
-                "repro/network/packet.py": """
-                    TOS_DEFAULT = 0x00
-                    TOS_COMPRESS = 0x28
-                """,
-                "repro/core/registry.py": """
-                    class GoodCodec:
-                        name = "inceptionn"
-
-                    register_codec(GoodCodec(), tos=TOS_COMPRESS)
-                """,
-            },
-            rules=[RegistryTosRule()],
-        )
-        assert findings == []
-
-    def test_flags_default_tos_claim(self, lint_snippet):
-        findings = lint_snippet(
-            "core/registry.py",
-            """
-            class OtherCodec:
-                name = "other"
-
-            register_codec(OtherCodec(), tos=0x00)
-            """,
-            rules=[RegistryTosRule()],
-        )
-        assert codes(findings) == ["R3"]
-        assert "raw traffic" in findings[0].message
-
-
-class TestBitAccounting:
-    def test_flags_list_in_bits_function(self, lint_snippet):
-        findings = lint_snippet(
-            "core/x.py",
-            """
-            def payload_nbits(tags):
-                sizes = [SIZE[t] for t in tags]
-                return sum(sizes)
-            """,
-            rules=[BitAccountingRule()],
-        )
-        assert codes(findings) == ["R4"]
-        assert "ListComp" in findings[0].message
-
-    def test_flags_dict_call(self, lint_snippet):
-        findings = lint_snippet(
-            "core/x.py",
-            """
-            def header_bits(tags):
-                counts = dict()
-                return counts
-            """,
-            rules=[BitAccountingRule()],
-        )
-        assert codes(findings) == ["R4"]
-
-    def test_vectorized_counting_is_fine(self, lint_snippet):
-        findings = lint_snippet(
-            "core/x.py",
-            """
-            import numpy as np
-
-            def payload_nbits(tags):
-                return int(np.bincount(tags, minlength=4) @ SIZES)
-            """,
-            rules=[BitAccountingRule()],
-        )
-        assert findings == []
-
-    def test_generator_expressions_allowed(self, lint_snippet):
-        findings = lint_snippet(
-            "core/x.py",
-            """
-            def total_bits(chunks):
-                return sum(c.nbits for c in chunks)
-            """,
-            rules=[BitAccountingRule()],
-        )
-        assert findings == []
-
-    def test_other_functions_unrestricted(self, lint_snippet):
-        findings = lint_snippet(
-            "core/x.py",
-            """
-            def summarize(tags):
-                return [t for t in tags]
-            """,
-            rules=[BitAccountingRule()],
         )
         assert findings == []
 
@@ -425,108 +221,6 @@ class TestAnnotations:
         )
         assert codes(findings) == ["R5"]
         assert "docstring" in findings[0].message
-
-
-STRATEGY_PLUGIN = """
-@register_strategy
-class RingStrategy(GradientStrategy):
-    name = "ring"
-
-    def exchange(self, node, iteration, gradient):
-        total = yield from ring_exchange(node.endpoint, gradient)
-        return total
-"""
-
-
-class TestStrategyCalls:
-    def test_plugin_module_may_call_exchange(self, lint_snippet):
-        findings = lint_snippet(
-            "distributed/cluster.py",
-            STRATEGY_PLUGIN,
-            rules=[StrategyCallsRule()],
-        )
-        assert findings == []
-
-    def test_flags_call_outside_plugin(self, lint_tree):
-        findings = lint_tree(
-            {
-                "repro/distributed/cluster.py": STRATEGY_PLUGIN,
-                "repro/perfmodel/bench.py": textwrap.dedent(
-                    """
-                    def bench(ep, grad):
-                        total = yield from ring_exchange(ep, grad)
-                        return total
-                    """
-                ),
-            },
-            rules=[StrategyCallsRule()],
-        )
-        assert codes(findings) == ["R7"]
-        assert "ring_exchange" in findings[0].message
-        assert findings[0].path.endswith("perfmodel/bench.py")
-
-    def test_primitive_layer_is_exempt(self, lint_tree):
-        # A module defining one exchange primitive may compose others
-        # (the hierarchical exchange runs ring exchanges per group).
-        findings = lint_tree(
-            {
-                "repro/distributed/cluster.py": STRATEGY_PLUGIN,
-                "repro/distributed/hier.py": textwrap.dedent(
-                    """
-                    def hierarchical_exchange(ep, grad, layout):
-                        part = yield from ring_exchange(ep, grad)
-                        return part
-                    """
-                ),
-            },
-            rules=[StrategyCallsRule()],
-        )
-        assert findings == []
-
-    def test_registration_call_form_counts_as_plugin(self, lint_snippet):
-        findings = lint_snippet(
-            "distributed/custom.py",
-            """
-            class MyStrategy(GradientStrategy):
-                def exchange(self, node, iteration, gradient):
-                    total = yield from worker_exchange(node.endpoint, gradient)
-                    return total
-
-            register_strategy(MyStrategy)
-            """,
-            rules=[StrategyCallsRule()],
-        )
-        assert findings == []
-
-    def test_no_registrations_means_no_checks(self, lint_snippet):
-        # Fixture subtrees without a strategy layer must not flag every
-        # exchange-like call.
-        findings = lint_snippet(
-            "perfmodel/bench.py",
-            """
-            def bench(ep, grad):
-                total = yield from ring_exchange(ep, grad)
-                return total
-            """,
-            rules=[StrategyCallsRule()],
-        )
-        assert findings == []
-
-    def test_suppression_comment_silences_r7(self, lint_tree):
-        findings = lint_tree(
-            {
-                "repro/distributed/cluster.py": STRATEGY_PLUGIN,
-                "repro/perfmodel/bench.py": textwrap.dedent(
-                    """
-                    def bench(ep, grad):
-                        total = yield from ring_exchange(ep, grad)  # repro-lint: disable=R7 bench harness
-                        return total
-                    """
-                ),
-            },
-            rules=[StrategyCallsRule()],
-        )
-        assert findings == []
 
 
 AGGREGATION_LAYER = """

@@ -35,27 +35,3 @@ def test_strict_packages_fully_annotated():
         f"strict packages must annotate every def:\n{rendered}"
     )
     assert files_checked > 20
-
-
-def test_registry_facts_found_in_real_tree():
-    """The project-facts pass sees the real registry's codecs."""
-    from repro.analysis.engine import FileContext, discover_files
-    from repro.analysis.project import collect_project_facts
-    from repro.core import available_codecs
-
-    files = discover_files([SRC_REPRO])
-    contexts = []
-    for path in files:
-        ctx = FileContext(path, str(path), path.read_text(encoding="utf-8"))
-        contexts.append(ctx)
-    facts = collect_project_facts(
-        [(c.module, c.display_path, c.tree) for c in contexts if c.tree]
-    )
-    assert facts.tos_compress == 0x28
-    # Every runtime-registered codec is statically visible, and the
-    # static pass resolved a unique ToS byte for each.
-    static_names = facts.registered_names
-    assert set(available_codecs()) <= static_names
-    tos_values = [r.tos for r in facts.registrations]
-    assert None not in tos_values
-    assert len(set(tos_values)) == len(tos_values)

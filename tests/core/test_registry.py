@@ -1,5 +1,7 @@
 """Codec registry: round-trips, error bounds, and profile resolution."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from repro.core import (
     inceptionn_profile,
     profile_for,
 )
-from repro.network import is_compressible_tos
+from repro.core.registry import register_codec
+from repro.network import TOS_COMPRESS, TOS_DEFAULT, is_compressible_tos
 
 
 def _sample(size=512, seed=3):
@@ -133,15 +136,69 @@ def test_listings_are_sorted_not_insertion_ordered():
     assert list(available_strategies()) == sorted(available_strategies())
 
 
-def test_tos_collision_error_names_claimant():
-    """The duplicate-ToS scan reports deterministically regardless of
-    registration order (the scan is sorted)."""
-    from repro.core import codec_tos
-    from repro.core.registry import register_codec
+# -- the wire contract, enforced where it is made -----------------------------
 
-    class _Stub:
-        name = "zz-test-dup"
 
-    taken = codec_tos("inceptionn")
-    with pytest.raises(ValueError, match="already claimed by codec 'inceptionn'"):
-        register_codec(_Stub(), tos=taken)
+def _claim(name, tos):
+    """A thunk registering a stub codec called ``name`` under ``tos``."""
+    stub = type("_Stub", (), {"name": name})()
+    return lambda: register_codec(stub, tos=tos)
+
+
+@pytest.mark.parametrize(
+    "violate, error, message",
+    [
+        pytest.param(
+            _claim("inceptionn", 0x7C),
+            ValueError,
+            "codec 'inceptionn' is already registered",
+            id="duplicate-wire-name",
+        ),
+        # The scan is sorted, so the claimant named does not depend on
+        # the order plugins registered in.
+        pytest.param(
+            _claim("zz-test-stub", 0x44),
+            ValueError,
+            "ToS 0x44 already claimed by codec 'lossless_hc'",
+            id="duplicate-tos-names-claimant",
+        ),
+        pytest.param(
+            _claim("zz-test-stub", TOS_COMPRESS),
+            ValueError,
+            "ToS 0x28 already claimed by codec 'inceptionn'",
+            id="second-claimant-of-0x28",
+        ),
+        pytest.param(
+            _claim("zz-test-stub", 0x100),
+            ValueError,
+            "ToS must fit one byte, got 0x100",
+            id="tos-above-0xff",
+        ),
+        pytest.param(
+            _claim("zz-test-stub", TOS_DEFAULT),
+            ValueError,
+            "the default ToS cannot mark compressible streams",
+            id="tos-is-default",
+        ),
+        pytest.param(
+            lambda: profile_for("zz-test-stub"),
+            KeyError,
+            "unknown codec 'zz-test-stub'; available codecs: fft_sparse, ",
+            id="profile_for-unregistered-name",
+        ),
+        pytest.param(
+            lambda: StreamProfile(codec="zz-test-stub").resolved_tos,
+            KeyError,
+            "unknown codec 'zz-test-stub'; available codecs: fft_sparse, ",
+            id="resolved_tos-unregistered-name",
+        ),
+    ],
+)
+def test_registry_contract_violation_raises(violate, error, message):
+    """Each breach of the ToS wire contract raises where it is made,
+    and a refused claim leaves no trace in either registry."""
+    before = available_codecs()
+    with pytest.raises(error, match=re.escape(message)):
+        violate()
+    assert available_codecs() == before
+    assert not is_compressible_tos(0x7C)

@@ -5,6 +5,7 @@ the real repo documents, plus unit coverage of its detection logic on
 synthetic markdown.
 """
 
+import re
 import sys
 from pathlib import Path
 
@@ -81,3 +82,17 @@ def test_inline_code_span_flags_validated(tmp_path):
     errors = check_cli_docs.check_document(doc, _table())
     assert len(errors) == 1
     assert "--warp-speed" in errors[0]
+
+
+def test_lint_rule_codes_match_docs():
+    """DESIGN.md's rule table and README's ``--list-rules`` comment list
+    exactly the codes in ``ALL_RULES`` (the table once lost R12)."""
+    from repro.analysis import ALL_RULES
+
+    codes = {cls.code for cls in ALL_RULES}
+    design = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    assert set(re.findall(r"^\| (R\d+) \|", design, flags=re.M)) == codes
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    comment = re.search(r"--list-rules +#.*\n(?: +#.*\n)*", readme)
+    assert comment is not None
+    assert set(re.findall(r"\bR\d+\b", comment.group(0))) == codes
