@@ -11,102 +11,66 @@ import numpy as np
 import pytest
 
 from conftest import print_header, print_row, run_once
-from repro.baselines import DeepGradientCompression, OneBitSGD, qsgd, terngrad
-from repro.core import ErrorBound, compression_ratio, feedback_hook, roundtrip
+from repro.baselines import OneBitCodec, qsgd, terngrad
+from repro.core import (
+    ErrorBound,
+    ErrorFeedbackCompressor,
+    get_codec,
+    gradient_hook,
+    profile_for,
+)
 from repro.dnn import LRSchedule, SGD, LocalTrainer, build_hdc, hdc_dataset
 
 ITERATIONS = 100
 
 
-def _train_with(hook_factory):
+def _train_with(compress):
     ds = hdc_dataset(train_size=600, test_size=150, seed=0)
     net = build_hdc(seed=0)
     # 0.02: the noisier quantizers (TernGrad scales by max|g|) diverge
     # at the 0.05 used elsewhere; all schemes are stable here.
     opt = SGD(LRSchedule(0.02), momentum=0.9, weight_decay=5e-5)
     trainer = LocalTrainer(net, opt, ds, batch_size=25, seed=0)
-    hook = hook_factory()
     ratios = []
+
+    def measured(grad):
+        result = compress(grad)
+        ratios.append(result.compression_ratio)
+        return result
+
+    hook = gradient_hook(measured)
     for iteration in range(ITERATIONS):
         _, grad = trainer.local_gradient()
-        grad, ratio = hook(iteration, grad)
-        if ratio is not None:
-            ratios.append(ratio)
-        trainer.apply_gradient(grad)
+        trainer.apply_gradient(hook(iteration, grad))
     top1, _ = trainer.evaluate()
-    return top1, float(np.mean(ratios)) if ratios else float("nan")
+    return top1, float(np.mean(ratios))
 
 
-def _baseline_factory():
-    return lambda i, g: (g, None)
-
-
-def _inc_factory(bound):
-    return lambda i, g: (roundtrip(g, bound), compression_ratio(g, bound))
-
-
-def _inc_ef_factory(bound):
-    inner = feedback_hook(bound)
-    return lambda i, g: (inner(i, g), compression_ratio(g, bound))
-
-
-def _onebit_factory():
-    q = OneBitSGD()
-
-    def hook(i, g):
-        r = q.quantize(g)
-        return r.values, r.compression_ratio
-
-    return hook
-
-
-def _terngrad_factory():
-    rng = np.random.default_rng(11)
-
-    def hook(i, g):
-        r = terngrad(g, rng)
-        return r.values, r.compression_ratio
-
-    return hook
-
-
-def _qsgd_factory():
-    rng = np.random.default_rng(13)
-
-    def hook(i, g):
-        r = qsgd(g, rng, bits=4)
-        return r.values, r.compression_ratio
-
-    return hook
-
-
-def _dgc_factory():
-    sparsifier = DeepGradientCompression(sparsity=0.99)
-
-    def hook(i, g):
-        r = sparsifier.sparsify(g)
-        return r.values, r.compression_ratio
-
-    return hook
+def _seeded(kernel, seed, **params):
+    rng = np.random.default_rng(seed)
+    return lambda grad: kernel(grad, rng, **params)
 
 
 def _schemes():
-    """Name -> zero-argument factory producing a fresh stateful hook."""
+    """Name -> zero-argument factory of a fresh (maybe stateful)
+    ``compress``: gradient -> CodecResult."""
     return {
-        "lossless": _baseline_factory,
-        "INC(2^-10)": lambda: _inc_factory(ErrorBound(10)),
-        "INC(2^-6)": lambda: _inc_factory(ErrorBound(6)),
-        "INC(2^-6)+EF": lambda: _inc_ef_factory(ErrorBound(6)),
-        "1-bit SGD": _onebit_factory,
-        "TernGrad": _terngrad_factory,
-        "QSGD(4b)": _qsgd_factory,
-        "DGC(99%)": _dgc_factory,
+        "lossless": lambda: profile_for("identity").compress,
+        "INC(2^-10)": lambda: profile_for("inceptionn", bound=10).compress,
+        "INC(2^-6)": lambda: profile_for("inceptionn", bound=6).compress,
+        "INC(2^-6)+EF": lambda: ErrorFeedbackCompressor(ErrorBound(6)).compress,
+        "1-bit SGD": lambda: ErrorFeedbackCompressor(OneBitCodec()).compress,
+        "TernGrad": lambda: _seeded(terngrad, 11),
+        "QSGD(4b)": lambda: _seeded(qsgd, 13, bits=4),
+        "DGC(99%)": lambda: ErrorFeedbackCompressor(
+            get_codec("sparsification"), sparsity=0.99
+        ).compress,
     }
 
 
 @pytest.fixture(scope="module")
 def comparison():
-    return {name: _train_with(factory) for name, factory in _schemes().items()}
+    return {name: _train_with(factory()) for name, factory in _schemes().items()}
 
 
 def test_compressor_comparison(benchmark, comparison):
@@ -116,7 +80,7 @@ def test_compressor_comparison(benchmark, comparison):
     )
     print_row("scheme", "top-1", "avg ratio")
     for name, (top1, ratio) in results.items():
-        print_row(name, f"{top1:.3f}", f"{ratio:.1f}" if ratio == ratio else "-")
+        print_row(name, f"{top1:.3f}", f"{ratio:.1f}")
 
 
 def test_all_schemes_train(comparison):

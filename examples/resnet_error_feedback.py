@@ -10,7 +10,13 @@ Run:  python examples/resnet_error_feedback.py
 
 import numpy as np
 
-from repro.core import ErrorBound, compression_ratio, feedback_hook, roundtrip
+from repro.core import (
+    ErrorBound,
+    ErrorFeedbackCompressor,
+    compression_ratio,
+    gradient_hook,
+    roundtrip,
+)
 from repro.dnn import (
     LRSchedule,
     SGD,
@@ -51,7 +57,7 @@ def main() -> None:
     plain, ratio = train("codec", lambda i, g: roundtrip(g, BOUND))
 
     print("codec + error feedback:")
-    ef, _ = train("codec+EF", feedback_hook(BOUND))
+    ef, _ = train("codec+EF", gradient_hook(ErrorFeedbackCompressor(BOUND).compress))
 
     print(f"\nfinal top-1:  lossless {base:.3f}  codec {plain:.3f}  "
           f"codec+EF {ef:.3f}   (avg ratio {ratio:.1f}x)")

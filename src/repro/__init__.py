@@ -4,7 +4,8 @@ gradient-centric distributed DNN training (Li et al., MICRO 2018).
 Subpackages
 -----------
 ``repro.core``
-    The lossy FP32 gradient codec (Algorithms 2/3) and its statistics.
+    The lossy FP32 gradient codec (Algorithms 2/3), its statistics and
+    the ``GradientCodec`` protocol every compressor implements.
 ``repro.hardware``
     Bit-exact burst-level model of the NIC compression/decompression
     engines (Figs 8-10).
@@ -20,7 +21,8 @@ Subpackages
 ``repro.perfmodel``
     Analytical and simulated performance models calibrated to Table II.
 ``repro.baselines``
-    Truncation, snappy-like, SZ-like comparators and software cost model.
+    Truncation, quantizer, top-k, snappy-like and SZ-like comparators, each
+    kernel beside its registered codec, and the software cost model.
 
 Quickstart::
 
@@ -55,6 +57,9 @@ from .perfmodel import (
     simulate_wa_exchange,
 )
 from .transport import ClusterComm, ClusterConfig
+
+# Importing the comparators registers their codecs (ToS 0x30-0x40).
+from . import baselines
 
 __version__ = "1.0.0"
 

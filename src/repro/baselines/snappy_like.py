@@ -17,6 +17,10 @@ Format (little-endian varint header = uncompressed length, then tokens):
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.core.registry import CodecResult, GradientCodec, _flat32, register_codec
+
 _MIN_MATCH = 4
 _MAX_MATCH = 64  # (len - 4) must fit 6 bits
 _MAX_LITERAL = 60
@@ -139,3 +143,18 @@ def compression_ratio(data: bytes) -> float:
     if not data:
         return 1.0
     return len(data) / len(compress(data))
+
+
+class SnappyCodec(GradientCodec):
+    """Snappy-like lossless LZ over the raw float bytes (real bitstream)."""
+
+    name = "snappy_like"
+    lossless = True
+
+    def compress(self, values: np.ndarray, **params: object) -> CodecResult:
+        blob = compress(_flat32(values).tobytes())
+        restored = np.frombuffer(decompress(blob), dtype=np.float32)
+        return CodecResult(payload_nbytes=len(blob), values=restored.copy())
+
+
+register_codec(SnappyCodec(), tos=0x40)

@@ -5,76 +5,69 @@ worker accumulates gradients locally and only transmits coordinates
 whose accumulated magnitude clears a top-k threshold, with momentum
 correction.  It is *complementary* to INCEPTIONN (the paper says so);
 this implementation lets the benches measure its ratio/accuracy point
-on the same traces.
+on the same traces.  :func:`top_k` is the stateless selection; local
+accumulation is :class:`repro.core.ErrorFeedbackCompressor` around it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, FrozenSet, Optional
 
 import numpy as np
 
-
-@dataclass
-class SparsificationResult:
-    """Sparse update: transmitted values with everything else zero."""
-
-    values: np.ndarray
-    transmitted: int  # number of coordinates actually sent
-
-    @property
-    def density(self) -> float:
-        return self.transmitted / self.values.size if self.values.size else 0.0
-
-    @property
-    def payload_bits(self) -> int:
-        # index (32b) + value (32b) per transmitted coordinate.
-        return self.transmitted * 64
-
-    @property
-    def compression_ratio(self) -> float:
-        original = self.values.size * 32
-        return original / self.payload_bits if self.payload_bits else float("inf")
+from repro.core.registry import (
+    CAP_ERROR_FEEDBACK,
+    CAP_LOSSY,
+    CodecResult,
+    GradientCodec,
+    _flat32,
+    register_codec,
+)
 
 
-class DeepGradientCompression:
-    """Top-k sparsification with local gradient accumulation.
+def top_k(gradient: np.ndarray, sparsity: float = 0.99) -> CodecResult:
+    """Keep the largest-magnitude coordinates, zero everything else.
 
-    ``sparsity`` is the fraction of coordinates *dropped* each round
-    (0.99 means send the top 1%).  Dropped mass is accumulated locally
-    and eventually clears the threshold — no gradient is lost, only
-    delayed.
+    ``sparsity`` is the fraction of coordinates *dropped* (0.99 means
+    send the top 1%).  The wire carries an index (32b) and a value
+    (32b) per transmitted coordinate.
     """
+    if not 0.0 <= sparsity < 1.0:
+        raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
+    grad = _flat32(gradient)
+    k = max(1, int(round(grad.size * (1.0 - sparsity))))
+    if k >= grad.size:
+        return CodecResult(payload_nbytes=grad.size * 8, values=grad.copy())
+    magnitudes = np.abs(grad)
+    threshold = np.partition(magnitudes, grad.size - k)[grad.size - k]
+    mask = magnitudes >= threshold
+    # Ties can push the count above k; that is fine (send them all).
+    values = np.where(mask, grad, 0.0).astype(np.float32)
+    return CodecResult(payload_nbytes=int(mask.sum()) * 8, values=values)
 
-    def __init__(self, sparsity: float = 0.99) -> None:
-        if not 0.0 <= sparsity < 1.0:
-            raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
-        self.sparsity = sparsity
-        self._accumulated: Optional[np.ndarray] = None
 
-    def sparsify(self, gradient: np.ndarray) -> SparsificationResult:
-        grad = np.ascontiguousarray(gradient, dtype=np.float32).reshape(-1)
-        if self._accumulated is not None and self._accumulated.shape == grad.shape:
-            grad = grad + self._accumulated
-        k = max(1, int(round(grad.size * (1.0 - self.sparsity))))
-        if k >= grad.size:
-            self._accumulated = np.zeros_like(grad)
-            return SparsificationResult(values=grad.copy(), transmitted=grad.size)
-        magnitudes = np.abs(grad)
-        threshold = np.partition(magnitudes, grad.size - k)[grad.size - k]
-        mask = magnitudes >= threshold
-        # Ties can push the count above k; that is fine (send them all).
-        values = np.where(mask, grad, 0.0).astype(np.float32)
-        self._accumulated = np.where(mask, 0.0, grad).astype(np.float32)
-        return SparsificationResult(values=values, transmitted=int(mask.sum()))
+class SparsificationCodec(GradientCodec):
+    """DGC-style top-k, stateless so streams never share a residual."""
 
-    @property
-    def pending_nbytes(self) -> int:
-        """Bytes of gradient mass currently held back locally."""
-        if self._accumulated is None:
-            return 0
-        return int(np.count_nonzero(self._accumulated)) * 4
+    name = "sparsification"
 
-    def reset(self) -> None:
-        self._accumulated = None
+    def capabilities(self) -> FrozenSet[str]:
+        # DGC's defining trick is residual accumulation of the dropped
+        # coordinates — an error-feedback codec by construction.
+        return frozenset({CAP_LOSSY, CAP_ERROR_FEEDBACK})
+
+    def default_params(self) -> Dict[str, object]:
+        return {"sparsity": 0.9}
+
+    def compress(self, values: np.ndarray, **params: object) -> CodecResult:
+        return top_k(values, float(params.get("sparsity", 0.9)))
+
+    def error_bound(self, values: np.ndarray, **params: object) -> Optional[float]:
+        # Every transmitted coordinate is exact; a dropped one errs by
+        # its own magnitude, which the top-k threshold keeps at or below
+        # the largest surviving magnitude — bounded by max |g|.
+        arr = _flat32(values)
+        return float(np.max(np.abs(arr))) if arr.size else 0.0
+
+
+register_codec(SparsificationCodec(), tos=0x38)

@@ -11,10 +11,12 @@ integers, and an escape path storing unpredictable values raw.
 from __future__ import annotations
 
 import struct
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core.bitstream import BitReader, BitWriter
+from repro.core.registry import CodecResult, GradientCodec, register_codec
 
 #: Residual codes representable by the small code path.
 _MAX_CODE = (1 << 15) - 1
@@ -119,3 +121,23 @@ def compression_ratio(values: np.ndarray, bound: float) -> float:
     if arr.size == 0:
         return 1.0
     return arr.nbytes / len(compress(arr, bound))
+
+
+class SzCodec(GradientCodec):
+    """The SZ-style error-bounded predictor codec (real bitstream)."""
+
+    name = "sz_like"
+
+    def default_params(self) -> Dict[str, object]:
+        return {"bound": 2.0**-10}
+
+    def compress(self, values: np.ndarray, **params: object) -> CodecResult:
+        bound = float(params.get("bound", 2.0**-10))
+        blob = compress(values, bound)
+        return CodecResult(payload_nbytes=len(blob), values=decompress(blob, bound))
+
+    def error_bound(self, values: np.ndarray, **params: object) -> Optional[float]:
+        return float(params.get("bound", 2.0**-10))
+
+
+register_codec(SzCodec(), tos=0x3C)

@@ -9,9 +9,11 @@ motivation for the error-bounded codec.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Dict, Optional
 
 import numpy as np
+
+from repro.core.registry import CodecResult, GradientCodec, _flat32, register_codec
 
 #: Truncation widths evaluated in the paper.
 PAPER_TRUNCATIONS = (16, 22, 24)
@@ -36,30 +38,30 @@ def truncation_ratio(bits: int) -> float:
     return 32.0 / (32 - bits)
 
 
-def truncation_max_error(values: np.ndarray, bits: int) -> float:
-    """Observed max absolute error of truncating the given values."""
-    arr = np.asarray(values, dtype=np.float32)
-    out = truncate_lsbs(arr, bits)
-    finite = np.isfinite(arr)
-    if not finite.any():
-        return 0.0
-    return float(np.max(np.abs(arr[finite] - out[finite])))
+class TruncationCodec(GradientCodec):
+    """The paper's ``xb-T`` baseline: drop the low ``bits`` LSBs."""
+
+    name = "truncation"
+
+    def default_params(self) -> Dict[str, object]:
+        return {"bits": 16}
+
+    def compress(self, values: np.ndarray, **params: object) -> CodecResult:
+        bits = int(params.get("bits", 16))
+        arr = _flat32(values)
+        payload_bits = arr.size * (32 - bits)
+        return CodecResult(
+            payload_nbytes=-(-payload_bits // 8),
+            values=truncate_lsbs(arr, bits),
+        )
+
+    def error_bound(self, values: np.ndarray, **params: object) -> Optional[float]:
+        # Zeroing the low ``bits`` bits of a float with magnitude |v|
+        # perturbs it by less than 2^bits ulps = |v| * 2^(bits - 23).
+        bits = int(params.get("bits", 16))
+        arr = _flat32(values)
+        max_abs = float(np.max(np.abs(arr))) if arr.size else 0.0
+        return max_abs * 2.0 ** (bits - 23)
 
 
-def make_truncation_hook(
-    bits: int, target: str = "gradient"
-) -> Callable[[int, np.ndarray], np.ndarray]:
-    """A ``gradient_hook`` for :func:`repro.dnn.train_single_node`.
-
-    ``target`` selects what Fig 4 truncates: ``"gradient"`` perturbs g
-    before the update; weight truncation is applied by the caller after
-    each update (see the Fig 4 bench).
-    """
-    if target != "gradient":
-        raise ValueError("hooks only truncate gradients; truncate weights "
-                         "explicitly after each update")
-
-    def hook(iteration: int, grad: np.ndarray) -> np.ndarray:
-        return truncate_lsbs(grad, bits)
-
-    return hook
+register_codec(TruncationCodec(), tos=0x30)

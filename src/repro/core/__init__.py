@@ -16,7 +16,7 @@ Public surface:
 from .bounds import DEFAULT_BOUND, ErrorBound, PAPER_BOUNDS
 from .codec import classify, compress, compressed_nbits, decompress, quantize, roundtrip
 from .container import CompressedGradients, GROUP_SIZE
-from .error_feedback import ErrorFeedbackCompressor, feedback_hook
+from .error_feedback import ErrorFeedbackCompressor, gradient_hook
 from . import gradient_file
 from .registry import (
     CAP_ERROR_FEEDBACK,
@@ -91,7 +91,7 @@ __all__ = [
     "CompressedGradients",
     "GROUP_SIZE",
     "ErrorFeedbackCompressor",
-    "feedback_hook",
+    "gradient_hook",
     "gradient_file",
     "BitwidthDistribution",
     "bitwidth_distribution",

@@ -1,82 +1,96 @@
-"""Error-feedback wrapper around the INCEPTIONN codec (extension).
+"""Error feedback around any codec that can use it (extension).
 
 The paper notes its lossy compression costs "one or two extra epochs" at
 relaxed bounds.  A standard remedy from the gradient-compression
 literature (1-bit SGD's trick, later formalized as EF-SGD) is to carry
 the compression residual into the next iteration so no gradient mass is
-ever lost, only delayed.  This module implements that extension around
-the paper's codec: it composes cleanly because the codec is stateless —
-the feedback state lives at the *sender*, exactly where a NIC-offloaded
-design would keep it (in host memory, added before DMA).
+ever lost, only delayed.  This module is that *correct* step, once, for
+every codec advertising :data:`CAP_ERROR_FEEDBACK` — the paper's codec,
+1-bit SGD's sign quantiser, DGC's top-k, the FFT sparsifier.  It
+composes cleanly because codecs are stateless — the feedback state lives
+at the *sender*, exactly where a NIC-offloaded design would keep it (in
+host memory, added before DMA).
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .bounds import ErrorBound
-from .codec import compress, decompress
-from .container import CompressedGradients
+from .registry import (
+    CAP_ERROR_FEEDBACK,
+    CodecResult,
+    GradientCodec,
+    _flat32,
+    get_codec,
+)
 
 
 class ErrorFeedbackCompressor:
-    """Compress gradients while accumulating the residual locally."""
+    """Compress gradients while accumulating the residual locally.
 
-    def __init__(self, bound: ErrorBound) -> None:
-        self.bound = bound
-        self._residual: Optional[np.ndarray] = None
+    ``codec`` is any :class:`GradientCodec` with the ``error-feedback``
+    capability, ``params`` its parameters; a bare :class:`ErrorBound`
+    is short for the INCEPTIONN codec at that bound.
+    """
 
-    def compress(self, gradient: np.ndarray) -> "tuple[CompressedGradients, np.ndarray]":
-        """Compress ``gradient + residual``; returns (wire, reconstruction).
+    def __init__(
+        self, codec: Union[GradientCodec, ErrorBound], **params: object
+    ) -> None:
+        if isinstance(codec, ErrorBound):
+            codec, params = get_codec("inceptionn"), {"bound": codec}
+        if CAP_ERROR_FEEDBACK not in codec.capabilities():
+            raise ValueError(
+                f"codec {codec.name!r} does not advertise the "
+                f"{CAP_ERROR_FEEDBACK!r} capability"
+            )
+        self.codec = codec
+        self.params = params
+        #: What the receivers have not seen yet; ``None`` before the first call.
+        self.residual: Optional[np.ndarray] = None
 
-        The reconstruction is what the receivers will see; the new
-        residual is what they did not.
+    def compress(self, gradient: np.ndarray) -> CodecResult:
+        """Compress ``gradient + residual``.
+
+        The result's ``values`` are what the receivers will see; the
+        new residual is what they did not.
 
         If the gradient length changes between calls (a different model,
         or a re-partitioned shard) the held-back residual is no longer
         addressable — it is dropped *explicitly*, with a
         ``RuntimeWarning``, rather than silently ignored.
         """
-        grad = np.ascontiguousarray(gradient, dtype=np.float32).reshape(-1)
-        if self._residual is not None and self._residual.shape != grad.shape:
+        grad = _flat32(gradient)
+        if self.residual is not None and self.residual.shape != grad.shape:
             warnings.warn(
                 "gradient length changed from "
-                f"{self._residual.shape[0]} to {grad.shape[0]}; "
+                f"{self.residual.shape[0]} to {grad.shape[0]}; "
                 "dropping the accumulated error-feedback residual "
-                f"(norm {self.residual_norm:.3g})",
+                f"(norm {float(np.linalg.norm(self.residual)):.3g})",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            self._residual = None
-        if self._residual is not None:
-            grad = (grad + self._residual).astype(np.float32)
-        # Not compressed-domain aggregation: the residual add happens
-        # on the *input* gradient before its (single) encode.
-        wire = compress(grad, self.bound)  # repro-lint: disable=R12 error feedback
-        reconstruction = decompress(wire)
-        self._residual = (grad - reconstruction).astype(np.float32)
-        return wire, reconstruction
-
-    @property
-    def residual_norm(self) -> float:
-        """L2 norm of the held-back gradient mass."""
-        if self._residual is None:
-            return 0.0
-        return float(np.linalg.norm(self._residual))
+            self.residual = None
+        if self.residual is not None:
+            grad = (grad + self.residual).astype(np.float32)
+        result = self.codec.compress(grad, **self.params)
+        self.residual = (grad - result.values).astype(np.float32)
+        return result
 
     def reset(self) -> None:
-        self._residual = None
+        self.residual = None
 
 
-def feedback_hook(bound: ErrorBound) -> Callable[[int, np.ndarray], np.ndarray]:
-    """A ``gradient_hook`` for training loops: lossy codec + feedback."""
-    compressor = ErrorFeedbackCompressor(bound)
+def gradient_hook(
+    compress: Callable[[np.ndarray], CodecResult],
+) -> Callable[[int, np.ndarray], np.ndarray]:
+    """A ``gradient_hook`` for training loops from any ``compress``: a
+    kernel, ``StreamProfile.compress``, ``ErrorFeedbackCompressor.compress``."""
 
     def hook(iteration: int, grad: np.ndarray) -> np.ndarray:
-        _, reconstruction = compressor.compress(grad)
-        return reconstruction.reshape(grad.shape)
+        return compress(grad).values.reshape(grad.shape)
 
     return hook

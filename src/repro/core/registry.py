@@ -14,15 +14,11 @@ that contract so any compressor can ride the same transport:
   threads through the transport instead of a ``compressible`` boolean:
   codec name, ToS byte and codec parameters (error bound etc.).
 
-Seven codecs are registered from this module: the INCEPTIONN codec, a
-lossless identity, and the four comparator baselines (LSB truncation,
-QSGD quantization, DGC sparsification, the SZ-style error-bounded
-compressor) plus the snappy-like lossless LZ — so every offline
-comparison in ``src/repro/baselines`` can now run end-to-end through
-the simulated NIC and fabric.  The homomorphic families (lossless
-homomorphic compression, THC) live in :mod:`repro.core.homomorphic`
-and the FFT sparsifier in :mod:`repro.core.fftsparse`; they register
-themselves on import (``repro.core`` imports both).
+Two codecs are registered from this module: the INCEPTIONN codec and a
+lossless identity.  Every other codec is defined beside its own kernel
+and registers itself when its module is imported (DESIGN.md, "Codec
+plugin architecture", has the ToS table).  This module imports no codec
+module; plugins import it.
 
 Codecs may additionally implement the *codec algebra* —
 ``aggregate_compressed(parts)`` summing payloads without a decompress
@@ -226,136 +222,6 @@ class IdentityCodec(GradientCodec):
         return CodecResult(payload_nbytes=arr.nbytes, values=arr.copy())
 
 
-class TruncationCodec(GradientCodec):
-    """The paper's ``xb-T`` baseline: drop the low ``bits`` LSBs."""
-
-    name = "truncation"
-
-    def default_params(self) -> Dict[str, object]:
-        return {"bits": 16}
-
-    def compress(self, values: np.ndarray, **params: object) -> CodecResult:
-        from repro.baselines.truncation import truncate_lsbs
-
-        bits = int(params.get("bits", 16))
-        arr = _flat32(values)
-        payload_bits = arr.size * (32 - bits)
-        return CodecResult(
-            payload_nbytes=-(-payload_bits // 8),
-            values=truncate_lsbs(arr, bits),
-        )
-
-    def error_bound(self, values: np.ndarray, **params: object) -> Optional[float]:
-        # Zeroing the low ``bits`` bits of a float with magnitude |v|
-        # perturbs it by less than 2^bits ulps = |v| * 2^(bits - 23).
-        bits = int(params.get("bits", 16))
-        arr = _flat32(values)
-        max_abs = float(np.max(np.abs(arr))) if arr.size else 0.0
-        return max_abs * 2.0 ** (bits - 23)
-
-
-class QuantizationCodec(GradientCodec):
-    """QSGD stochastic uniform quantization (Alistarh et al.)."""
-
-    name = "quantization"
-
-    def default_params(self) -> Dict[str, object]:
-        return {"bits": 4, "seed": 0}
-
-    def compress(self, values: np.ndarray, **params: object) -> CodecResult:
-        from repro.baselines.quantization import qsgd
-
-        bits = int(params.get("bits", 4))
-        rng = np.random.default_rng(int(params.get("seed", 0)))
-        result = qsgd(_flat32(values), rng, bits=bits)
-        return CodecResult(
-            payload_nbytes=-(-result.payload_bits // 8), values=result.values
-        )
-
-    def error_bound(self, values: np.ndarray, **params: object) -> Optional[float]:
-        # Stochastic rounding lands on one of two adjacent levels, so the
-        # per-element error is below one level step = ||g|| / levels.
-        bits = int(params.get("bits", 4))
-        levels = (1 << bits) - 1
-        norm = float(np.linalg.norm(_flat32(values)))
-        return norm / levels
-
-
-class SparsificationCodec(GradientCodec):
-    """DGC-style top-k sparsification (single-shot, no residual state).
-
-    The stateful accumulating variant lives in
-    :class:`repro.baselines.sparsification.DeepGradientCompression`;
-    the registry adapter is stateless per call so concurrent simulated
-    streams do not share residuals.
-    """
-
-    name = "sparsification"
-
-    def capabilities(self) -> FrozenSet[str]:
-        # DGC's defining trick is residual accumulation of the dropped
-        # coordinates — an error-feedback codec by construction.
-        return frozenset({CAP_LOSSY, CAP_ERROR_FEEDBACK})
-
-    def default_params(self) -> Dict[str, object]:
-        return {"sparsity": 0.9}
-
-    def compress(self, values: np.ndarray, **params: object) -> CodecResult:
-        from repro.baselines.sparsification import DeepGradientCompression
-
-        sparsity = float(params.get("sparsity", 0.9))
-        result = DeepGradientCompression(sparsity=sparsity).sparsify(
-            _flat32(values)
-        )
-        return CodecResult(
-            payload_nbytes=-(-result.payload_bits // 8), values=result.values
-        )
-
-    def error_bound(self, values: np.ndarray, **params: object) -> Optional[float]:
-        # Every transmitted coordinate is exact; a dropped one errs by
-        # its own magnitude, which the top-k threshold keeps at or below
-        # the largest surviving magnitude — bounded by max |g|.
-        arr = _flat32(values)
-        return float(np.max(np.abs(arr))) if arr.size else 0.0
-
-
-class SzCodec(GradientCodec):
-    """The SZ-style error-bounded predictor codec (real bitstream)."""
-
-    name = "sz_like"
-
-    def default_params(self) -> Dict[str, object]:
-        return {"bound": 2.0**-10}
-
-    def compress(self, values: np.ndarray, **params: object) -> CodecResult:
-        from repro.baselines import sz_like
-
-        bound = float(params.get("bound", 2.0**-10))
-        arr = _flat32(values)
-        blob = sz_like.compress(arr, bound)
-        return CodecResult(
-            payload_nbytes=len(blob), values=sz_like.decompress(blob, bound)
-        )
-
-    def error_bound(self, values: np.ndarray, **params: object) -> Optional[float]:
-        return float(params.get("bound", 2.0**-10))
-
-
-class SnappyCodec(GradientCodec):
-    """Snappy-like lossless LZ over the raw float bytes (real bitstream)."""
-
-    name = "snappy_like"
-    lossless = True
-
-    def compress(self, values: np.ndarray, **params: object) -> CodecResult:
-        from repro.baselines import snappy_like
-
-        arr = _flat32(values)
-        blob = snappy_like.compress(arr.tobytes())
-        restored = np.frombuffer(snappy_like.decompress(blob), dtype=np.float32)
-        return CodecResult(payload_nbytes=len(blob), values=restored.copy())
-
-
 # -- the registry ------------------------------------------------------------
 
 
@@ -492,8 +358,3 @@ def inceptionn_profile(bound: ErrorBound = DEFAULT_BOUND) -> StreamProfile:
 
 register_codec(InceptionnCodec(), tos=TOS_COMPRESS)
 register_codec(IdentityCodec(), tos=0x2C)
-register_codec(TruncationCodec(), tos=0x30)
-register_codec(QuantizationCodec(), tos=0x34)
-register_codec(SparsificationCodec(), tos=0x38)
-register_codec(SzCodec(), tos=0x3C)
-register_codec(SnappyCodec(), tos=0x40)

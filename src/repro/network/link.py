@@ -3,7 +3,7 @@ queueing.
 
 A link is unidirectional; full-duplex connections are a pair of links.
 Serialization time is ``bytes * 8 / bandwidth``; contention is modeled by
-FIFO reservation (a transmit started while the link is busy queues behind
+FIFO reservation (a request issued while the link is busy queues behind
 the in-flight traffic).  The aggregator bottleneck the paper measures is
 precisely the FIFO queue on the switch-to-aggregator link.
 
@@ -74,7 +74,7 @@ class Link:
         self.tracer: Optional[Tracer] = None
         self._inflight: Optional[Deque[float]] = None
         #: Same-instant requests awaiting arbitration:
-        #: ``(sort key, nbytes, head_nbytes, delay, first, second)``.
+        #: ``(sort key, nbytes, head_nbytes, delay, event)``.
         self._pending: List[Tuple] = []
         self._arbitrating = False
 
@@ -157,28 +157,6 @@ class Link:
         """Same-instant sort key; a plain link is a cable, not a scheduler."""
         return key if key is not None else ()
 
-    def _stage(
-        self,
-        nbytes: int,
-        head_nbytes: Optional[int],
-        delay: float,
-        first: Event,
-        second: Optional[Event],
-        key: Optional[Tuple],
-        priority: Optional[int],
-    ) -> None:
-        """Stage one request; the grant happens when this instant drains."""
-        if nbytes < 0:
-            raise ValueError("cannot transmit a negative number of bytes")
-        if head_nbytes is not None:
-            head_nbytes = min(max(head_nbytes, 0), nbytes)
-        self._pending.append(
-            (self._arb_key(key, priority), nbytes, head_nbytes, delay, first, second)
-        )
-        if not self._arbitrating:
-            self._arbitrating = True
-            self.sim.at_instant_end(self._grant_pending)
-
     def _take_pending(self) -> List[Tuple]:
         """This instant's requests in arbitration order; re-arms staging."""
         self._arbitrating = False
@@ -193,23 +171,18 @@ class Link:
             self._complete(request, start, finish)
 
     def _complete(self, request: Tuple, start: float, finish: float) -> None:
-        """Schedule a granted request's events from its wire times.
+        """Schedule a granted request's event from its wire times.
 
-        A landing nobody awaits (``second is None``) costs no queue
-        entry; it extends the run horizon, so the run still ends no
-        earlier than the reserved transfer has landed.
+        The landing itself nobody awaits, so it costs no queue entry;
+        it extends the run horizon, so the run still ends no earlier
+        than the reserved transfer has landed.
         """
-        _, _, head_nbytes, delay, first, second = request
-        if head_nbytes is None:  # plain transmit: the last bit left
-            first_at = finish
-        else:  # cut-through: the head landed (and crossed the switch)
-            head_s = self.serialization_time(head_nbytes)
-            first_at = start + head_s + self.latency_s + delay
-        self.sim.schedule(first_at, first.succeed, None)
-        if second is None:
-            self.sim.extend_horizon(finish + self.latency_s)
-        else:
-            self.sim.schedule(finish + self.latency_s, second.succeed, None)
+        _, _, head_nbytes, delay, event = request
+        head_s = self.serialization_time(head_nbytes)
+        self.sim.schedule(
+            start + head_s + self.latency_s + delay, event.succeed, None
+        )
+        self.sim.extend_horizon(finish + self.latency_s)
 
     def request(
         self,
@@ -224,53 +197,23 @@ class Link:
         It fires ``delay`` after the train's first ``head_nbytes`` have
         reached the far end: the moment a pipelined next hop behind a
         switch with that forwarding delay may start, or — with
-        ``head_nbytes=nbytes`` — delivery of the whole train.  ``key``
-        and ``priority`` are as for :meth:`transmit`.
+        ``head_nbytes=nbytes`` — delivery of the whole train (its last
+        bit left the sender ``latency_s`` earlier).  A busy link serves
+        FIFO; same-instant requests are staged and granted in ``key``
+        order, not call order (see the module docstring).  Only
+        :class:`~repro.network.priority.PriorityLink` honors ``priority``.
         """
+        if nbytes < 0:
+            raise ValueError("cannot transmit a negative number of bytes")
         event = Event(self.sim)
-        self._stage(nbytes, head_nbytes, delay, event, None, key, priority)
+        head_nbytes = min(max(head_nbytes, 0), nbytes)
+        self._pending.append(
+            (self._arb_key(key, priority), nbytes, head_nbytes, delay, event)
+        )
+        if not self._arbitrating:
+            self._arbitrating = True
+            self.sim.at_instant_end(self._grant_pending)
         return event
-
-    def transmit(
-        self,
-        nbytes: int,
-        key: Optional[Tuple] = None,
-        priority: Optional[int] = None,
-    ) -> Tuple[Event, Event]:
-        """Queue a frame for transmission.
-
-        Returns ``(sent, delivered)``: ``sent`` fires when the last bit
-        leaves the sender (the link becomes free), ``delivered`` fires one
-        propagation delay later at the receiver.  Calls made while the
-        link is busy are served FIFO; same-instant requests are granted
-        in ``key`` order, not call order (see the module docstring).
-        ``priority`` is ignored by a plain link; only
-        :class:`~repro.network.priority.PriorityLink` honors it.
-        """
-        sent, delivered = Event(self.sim), Event(self.sim)
-        self._stage(nbytes, None, 0.0, sent, delivered, key, priority)
-        return sent, delivered
-
-    def transmit_cut_through(
-        self,
-        nbytes: int,
-        head_nbytes: int,
-        key: Optional[Tuple] = None,
-        priority: Optional[int] = None,
-    ) -> Tuple[Event, Event]:
-        """Queue a packet train, exposing when its *head* packet lands.
-
-        Returns ``(head_arrived, delivered)``.  ``head_arrived`` fires
-        when the first ``head_nbytes`` reach the far end — the moment a
-        cut-through/pipelined next hop may begin forwarding — and
-        ``delivered`` when the whole train has.  With homogeneous link
-        rates (our topologies) forwarding on head arrival never outruns
-        the incoming stream.  ``key`` and ``priority`` are as for
-        :meth:`transmit`.
-        """
-        head_arrived, delivered = Event(self.sim), Event(self.sim)
-        self._stage(nbytes, head_nbytes, 0.0, head_arrived, delivered, key, priority)
-        return head_arrived, delivered
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` the link spent busy."""

@@ -51,8 +51,7 @@ class PriorityLink(Link):
 
     Drop-in :class:`~repro.network.link.Link` replacement used by the
     Clos fabrics of :mod:`repro.network.topology`:
-    ``transmit``/``transmit_cut_through`` are the inherited request
-    path (same ``(sent|head_arrived, delivered)`` event pairs); this
+    ``request`` is the inherited request path (same single event); this
     class overrides only *admission* — the ``priority`` argument is
     honored, lower values are served first, ``None`` maps to
     :data:`PRIORITY_DEFAULT` — and *service*, one train at a time from

@@ -185,7 +185,7 @@ def _serve_fifo(
 def deliver(t_send: np.ndarray, trains: Trains, stages: Sequence[Stage]) -> np.ndarray:
     """Delivery time of each message sent at ``t_send`` (last train landed).
 
-    ``Link._reserve`` + ``transmit_cut_through`` for a batch: each stage
+    ``Link._reserve`` + ``Link.request`` for a batch: each stage
     starts a train at ``max(arrival, free_at)``, hands its head packet
     to the next stage after the head's serialization plus latency, and
     stays busy for the whole train.  Stages update their ``free`` arrays

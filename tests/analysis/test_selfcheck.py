@@ -14,7 +14,7 @@ SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: Packages under mypy's disallow_untyped_defs (the wire and trace
 #: contracts — pyproject.toml's [tool.mypy] files list mirrors this).
-STRICT_PACKAGES = ("core", "network", "hardware", "transport", "obs")
+STRICT_PACKAGES = ("core", "network", "hardware", "transport", "obs", "baselines")
 
 
 def test_source_tree_is_lint_clean():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines import OneBitSGD, qsgd, terngrad
+from repro.baselines import OneBitCodec, qsgd, sign_quantize, terngrad
+from repro.core import ErrorFeedbackCompressor
 
 
 def _grads(n=10_000, seed=0, scale=0.05):
@@ -11,23 +12,28 @@ def _grads(n=10_000, seed=0, scale=0.05):
     return (rng.standard_normal(n) * scale).astype(np.float32)
 
 
+def _onebit_sgd():
+    """1-bit SGD: the sign quantiser under the one error-feedback loop."""
+    return ErrorFeedbackCompressor(OneBitCodec())
+
+
 class TestOneBitSGD:
     def test_output_is_two_valued(self):
-        q = OneBitSGD()
-        result = q.quantize(_grads())
+        q = _onebit_sgd()
+        result = q.compress(_grads())
         assert len(np.unique(result.values)) <= 2
 
     def test_compression_ratio_near_32(self):
-        q = OneBitSGD()
-        result = q.quantize(_grads(100_000))
+        q = _onebit_sgd()
+        result = q.compress(_grads(100_000))
         assert result.compression_ratio == pytest.approx(32.0, rel=0.01)
 
     def test_error_feedback_accumulates(self):
-        q = OneBitSGD()
+        q = _onebit_sgd()
         grads = _grads(1000, seed=1)
-        first = q.quantize(grads)
+        first = q.compress(grads)
         residual_after_first = grads - first.values
-        second = q.quantize(grads)
+        second = q.compress(grads)
         # Second call quantizes grads + residual, not grads alone.
         assert not np.array_equal(first.values, second.values) or np.any(
             residual_after_first != 0
@@ -36,29 +42,37 @@ class TestOneBitSGD:
     def test_feedback_preserves_gradient_mass(self):
         # Sum of transmitted values over many rounds approaches the sum
         # of true gradients (nothing is lost, only delayed).
-        q = OneBitSGD()
+        q = _onebit_sgd()
         rng = np.random.default_rng(2)
         total_true = np.zeros(500, dtype=np.float64)
         total_sent = np.zeros(500, dtype=np.float64)
         for _ in range(200):
             g = (rng.standard_normal(500) * 0.01).astype(np.float32)
             total_true += g
-            total_sent += q.quantize(g).values
+            total_sent += q.compress(g).values
         drift = np.abs(total_true - total_sent).max()
         # Remaining drift is bounded by the current residual magnitude.
         assert drift < 0.1
 
     def test_reset_clears_state(self):
-        q = OneBitSGD()
+        q = _onebit_sgd()
         g = _grads(100, seed=3)
-        a = q.quantize(g).values
+        a = q.compress(g).values
         q.reset()
-        b = q.quantize(g).values
+        b = q.compress(g).values
         np.testing.assert_array_equal(a, b)
 
+    def test_first_round_is_the_stateless_kernel(self):
+        grads = _grads(1000, seed=5)
+        first = _onebit_sgd().compress(grads)
+        kernel = sign_quantize(grads)
+        np.testing.assert_array_equal(first.values, kernel.values)
+        # 1 bit per value + two float32 scales, rounded up to bytes.
+        assert first.payload_nbytes == kernel.payload_nbytes == 125 + 8
+
     def test_all_positive_input(self):
-        q = OneBitSGD()
-        result = q.quantize(np.full(64, 0.5, dtype=np.float32))
+        q = _onebit_sgd()
+        result = q.compress(np.full(64, 0.5, dtype=np.float32))
         np.testing.assert_allclose(result.values, 0.5, atol=1e-6)
 
 

@@ -5,11 +5,10 @@ import pytest
 
 from repro.baselines import (
     PAPER_TRUNCATIONS,
-    make_truncation_hook,
     truncate_lsbs,
-    truncation_max_error,
     truncation_ratio,
 )
+from repro.core import gradient_hook, max_abs_error, profile_for
 
 
 def test_zero_bits_is_identity():
@@ -36,7 +35,7 @@ def test_24_bit_truncation_perturbs_exponent():
 def test_truncation_error_grows_with_bits():
     rng = np.random.default_rng(0)
     values = (rng.standard_normal(10_000) * 0.2).astype(np.float32)
-    errors = [truncation_max_error(values, b) for b in PAPER_TRUNCATIONS]
+    errors = [max_abs_error(values, truncate_lsbs(values, b)) for b in PAPER_TRUNCATIONS]
     assert errors[0] < errors[1] < errors[2]
 
 
@@ -54,15 +53,11 @@ def test_invalid_bits_rejected():
 
 
 def test_hook_truncates_gradients():
-    hook = make_truncation_hook(16)
-    grad = np.array([0.123456789], dtype=np.float32)
+    hook = gradient_hook(profile_for("truncation", bits=16).compress)
+    grad = np.array([[0.123456789, -3.3], [1e-9, 7.0]], dtype=np.float32)
     out = hook(0, grad)
+    assert out.shape == grad.shape
     np.testing.assert_array_equal(out, truncate_lsbs(grad, 16))
-
-
-def test_hook_rejects_weight_target():
-    with pytest.raises(ValueError):
-        make_truncation_hook(16, target="weights")
 
 
 def test_idempotent():

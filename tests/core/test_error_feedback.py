@@ -3,7 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.core import ErrorBound, ErrorFeedbackCompressor, feedback_hook, roundtrip
+from repro.baselines import OneBitCodec
+from repro.core import (
+    CAP_ERROR_FEEDBACK,
+    ErrorBound,
+    ErrorFeedbackCompressor,
+    available_codecs,
+    get_codec,
+    gradient_hook,
+    roundtrip,
+)
+
+#: Every codec the one residual loop wraps (1-bit SGD's is unregistered).
+WRAPPED = [OneBitCodec()] + [
+    get_codec(name)
+    for name in available_codecs()
+    if CAP_ERROR_FEEDBACK in get_codec(name).capabilities()
+]
 
 
 def _grads(n=5000, seed=0, scale=0.02):
@@ -15,7 +31,7 @@ def test_first_round_matches_plain_codec():
     bound = ErrorBound(8)
     ef = ErrorFeedbackCompressor(bound)
     grads = _grads()
-    _, recon = ef.compress(grads)
+    recon = ef.compress(grads).values
     np.testing.assert_array_equal(recon, roundtrip(grads, bound))
 
 
@@ -24,10 +40,10 @@ def test_residual_carries_forward():
     ef = ErrorFeedbackCompressor(bound)
     grads = _grads(seed=1)
     ef.compress(grads)
-    assert ef.residual_norm > 0
+    assert np.linalg.norm(ef.residual) > 0
     # Second identical gradient: compressed input is grads + residual,
     # so the reconstruction differs from the stateless roundtrip.
-    _, recon2 = ef.compress(grads)
+    recon2 = ef.compress(grads).values
     plain = roundtrip(grads, bound)
     assert not np.array_equal(recon2, plain)
 
@@ -41,7 +57,7 @@ def test_no_mass_lost_over_rounds():
     for _ in range(100):
         g = (rng.standard_normal(2000) * 0.003).astype(np.float32)
         total_true += g
-        _, recon = ef.compress(g)
+        recon = ef.compress(g).values
         total_sent += recon
     # Without feedback, values below 2^-6 would vanish *every* round
     # (total drift ~100 * mean|g|); with feedback, drift stays at one
@@ -60,7 +76,7 @@ def test_without_feedback_small_gradients_vanish():
     ef = ErrorFeedbackCompressor(bound)
     sent = np.zeros(2000, dtype=np.float64)
     for _ in range(20):
-        _, recon = ef.compress(g)
+        recon = ef.compress(g).values
         sent += recon
     assert np.abs(sent).sum() > 0
 
@@ -69,11 +85,11 @@ def test_reset():
     ef = ErrorFeedbackCompressor(ErrorBound(8))
     ef.compress(_grads())
     ef.reset()
-    assert ef.residual_norm == 0.0
+    assert ef.residual is None
 
 
 def test_feedback_hook_shape_preserved():
-    hook = feedback_hook(ErrorBound(10))
+    hook = gradient_hook(ErrorFeedbackCompressor(ErrorBound(10)).compress)
     grads = _grads(600).reshape(20, 30)
     out = hook(0, grads)
     assert out.shape == (20, 30)
@@ -89,7 +105,7 @@ def test_feedback_improves_training_fidelity():
 
     plain_sum = np.sum([roundtrip(g, bound) for g in gs], axis=0)
     ef = ErrorFeedbackCompressor(bound)
-    ef_sum = np.sum([ef.compress(g)[1] for g in gs], axis=0)
+    ef_sum = np.sum([ef.compress(g).values for g in gs], axis=0)
 
     plain_err = np.abs(plain_sum - true_sum).mean()
     ef_err = np.abs(ef_sum - true_sum).mean()
@@ -100,16 +116,16 @@ def test_shape_change_warns_and_resets_residual():
     bound = ErrorBound(6)
     ef = ErrorFeedbackCompressor(bound)
     ef.compress(_grads(n=5000, seed=2))
-    assert ef.residual_norm > 0
+    assert np.linalg.norm(ef.residual) > 0
     shorter = _grads(n=1000, seed=3)
     with pytest.warns(RuntimeWarning, match="gradient length changed"):
-        _, recon = ef.compress(shorter)
+        recon = ef.compress(shorter).values
     # The stale residual was dropped, not mixed in: the first call at
     # the new length behaves exactly like a fresh compressor.
     np.testing.assert_array_equal(recon, roundtrip(shorter, bound))
     # And the residual now tracks the *new* shape going forward.
-    assert ef._residual is not None
-    assert ef._residual.shape == shorter.shape
+    assert ef.residual is not None
+    assert ef.residual.shape == shorter.shape
 
 
 def test_same_shape_never_warns():
@@ -121,3 +137,18 @@ def test_same_shape_never_warns():
         warnings.simplefilter("error")
         ef.compress(grads)
         ef.compress(grads)
+
+
+@pytest.mark.parametrize("codec", WRAPPED, ids=lambda codec: codec.name)
+def test_shape_change_warns_for_every_wrapped_codec(codec):
+    """1-bit SGD and DGC used to forget their residual silently."""
+    ef = ErrorFeedbackCompressor(codec)
+    ef.compress(_grads(n=4096, seed=5))
+    assert np.linalg.norm(ef.residual) > 0
+    shorter = _grads(n=1024, seed=6)
+    with pytest.warns(RuntimeWarning, match="gradient length changed from 4096 to 1024"):
+        result = ef.compress(shorter)
+    fresh = codec.compress(shorter)
+    assert result.payload_nbytes == fresh.payload_nbytes
+    np.testing.assert_array_equal(result.values, fresh.values)
+    assert ef.residual.shape == shorter.shape

@@ -1,18 +1,25 @@
 """Codec registry: round-trips, error bounds, and profile resolution."""
 
+import pathlib
 import re
 
 import numpy as np
 import pytest
 
+import repro
+from repro.baselines import qsgd, snappy_like, sz_like, top_k, truncate_lsbs
 from repro.core import (
+    CAP_ERROR_FEEDBACK,
+    DEFAULT_BOUND,
     RAW_STREAM,
+    ErrorFeedbackCompressor,
     StreamProfile,
     available_codecs,
     codec_tos,
     get_codec,
     inceptionn_profile,
     profile_for,
+    quantize,
 )
 from repro.core.registry import register_codec
 from repro.network import TOS_COMPRESS, TOS_DEFAULT, is_compressible_tos
@@ -50,6 +57,99 @@ def test_every_codec_has_a_registered_tos(name):
     profile = profile_for(name)
     assert profile.resolved_tos == tos
     assert profile.compressing
+
+
+# -- the codec contract, one table --------------------------------------------
+
+
+def _sz(values):
+    blob = sz_like.compress(values, 2.0**-10)
+    return len(blob), sz_like.decompress(blob, 2.0**-10)
+
+
+def _snappy(values):
+    blob = snappy_like.compress(values.tobytes())
+    return len(blob), np.frombuffer(snappy_like.decompress(blob), dtype=np.float32)
+
+
+def _of(result):
+    return result.payload_nbytes, result.values
+
+
+def _inceptionn(values):
+    nbits, reconstruction = quantize(values, DEFAULT_BOUND)
+    return -(-nbits // 8), reconstruction
+
+
+#: name -> (ToS byte, kernel).  The ToS is wire contract: traces and
+#: captures are keyed by it, so a name never moves.  ``kernel`` is what
+#: ``compress`` at default parameters must equal, as ``values ->
+#: (payload_nbytes, reconstruction)``; ``None`` where the codec class is
+#: the kernel (pinned against references in ``test_homomorphic.py``).
+CONTRACT = {
+    "fft_sparse": (0x4C, None),
+    "identity": (0x2C, lambda v: (v.nbytes, v)),
+    "inceptionn": (0x28, _inceptionn),
+    "lossless_hc": (0x44, None),
+    "quantization": (0x34, lambda v: _of(qsgd(v, np.random.default_rng(0), bits=4))),
+    "snappy_like": (0x40, _snappy),
+    "sparsification": (0x38, lambda v: _of(top_k(v, 0.9))),
+    "sz_like": (0x3C, _sz),
+    "thc": (0x48, None),
+    "truncation": (0x30, lambda v: (v.size * 2, truncate_lsbs(v, 16))),
+}
+
+
+def test_registered_names_and_tos_bytes_are_pinned():
+    # Through the package root alone: a codec module nothing imports
+    # would vanish from this listing (and from ``repro codecs``).
+    assert {name: codec_tos(name) for name in available_codecs()} == {
+        name: tos for name, (tos, _) in CONTRACT.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name, (_, kernel) in CONTRACT.items() if kernel)
+)
+def test_compress_is_its_kernel(name):
+    kernel = CONTRACT[name][1]
+    values = _sample(size=2048, seed=7)
+    codec = get_codec(name)
+    result = codec.compress(values, **codec.default_params())
+    payload_nbytes, reconstruction = kernel(values)
+    assert result.payload_nbytes == payload_nbytes
+    # Bit identity, not ``==``: -0.0 vs +0.0 and NaN payloads count.
+    np.testing.assert_array_equal(
+        result.values.view(np.uint32), reconstruction.view(np.uint32)
+    )
+
+
+@pytest.mark.parametrize("name", available_codecs())
+def test_error_feedback_wraps_exactly_the_codecs_that_advertise_it(name):
+    codec = get_codec(name)
+    if CAP_ERROR_FEEDBACK not in codec.capabilities():
+        with pytest.raises(ValueError, match="'error-feedback' capability"):
+            ErrorFeedbackCompressor(codec)
+        return
+    ef = ErrorFeedbackCompressor(codec, **codec.default_params())
+    sent = np.zeros(2048, dtype=np.float64)
+    true = np.zeros(2048, dtype=np.float64)
+    for step in range(5):
+        gradient = _sample(size=2048, seed=step)
+        true += gradient
+        sent += ef.compress(gradient).values
+    # No mass lost, only delayed: what was not sent is the residual.
+    np.testing.assert_allclose(sent + ef.residual, true, rtol=0, atol=1e-6)
+
+
+def test_core_never_names_the_comparator_package():
+    core = pathlib.Path(repro.__file__).parent / "core"
+    offenders = [
+        path.name
+        for path in sorted(core.glob("*.py"))
+        if "repro.baselines" in path.read_text()
+    ]
+    assert offenders == []
 
 
 def test_unknown_codec_raises_with_available_names():

@@ -142,8 +142,8 @@ class Simulation:
         The hook fires after the queue holds no further entries at
         ``now`` and before the clock advances — the point where all
         simultaneous requests are known, which is what deterministic
-        resource arbitration (see :meth:`Link.transmit_cut_through
-        <repro.network.link.Link>`) needs.  Hooks may schedule new
+        resource arbitration (see :meth:`Link.request
+        <repro.network.link.Link.request>`) needs.  Hooks may schedule new
         same-instant work; it is processed before time moves on.
         """
         self._epilogue.append(fn)

@@ -5,6 +5,14 @@ import pytest
 from repro.network import Link, PriorityLink, Simulation
 
 
+def _deliver(link, nbytes, **kwargs):
+    """Delivery of a whole train: ``request`` with the head the train.
+
+    The last bit left the sender ``latency_s`` before this event.
+    """
+    return link.request(nbytes, nbytes, **kwargs)
+
+
 def test_serialization_time():
     sim = Simulation()
     link = Link(sim, bandwidth_bps=10e9, latency_s=0.0)
@@ -16,11 +24,11 @@ def test_delivery_time_includes_latency():
     sim = Simulation()
     link = Link(sim, bandwidth_bps=10e9, latency_s=5e-6)
     times = {}
-    sent, delivered = link.transmit(1250)
-    sent.add_callback(lambda ev: times.setdefault("sent", sim.now))
+    delivered = _deliver(link, 1250)
     delivered.add_callback(lambda ev: times.setdefault("delivered", sim.now))
     sim.run()
-    assert times["sent"] == pytest.approx(1e-6)
+    # The last bit left one propagation delay before delivery.
+    assert times["delivered"] - link.latency_s == pytest.approx(1e-6)
     assert times["delivered"] == pytest.approx(6e-6)
 
 
@@ -29,7 +37,7 @@ def test_fifo_contention():
     link = Link(sim, bandwidth_bps=8e9, latency_s=0.0)  # 1 byte/ns
     done = []
     for i in range(3):
-        _, delivered = link.transmit(1000)
+        delivered = _deliver(link, 1000)
         delivered.add_callback(lambda ev, i=i: done.append((i, sim.now)))
     sim.run()
     # Serialized back-to-back: 1 us each.
@@ -45,11 +53,9 @@ def test_link_idles_between_bursts():
     link = Link(sim, bandwidth_bps=8e9, latency_s=0.0)
 
     def proc():
-        _, d = link.transmit(1000)
-        yield d
+        yield _deliver(link, 1000)
         yield sim.timeout(10e-6)
-        _, d = link.transmit(1000)
-        yield d
+        yield _deliver(link, 1000)
         return sim.now
 
     p = sim.process(proc())
@@ -60,7 +66,7 @@ def test_link_idles_between_bursts():
 def test_utilization_accounting():
     sim = Simulation()
     link = Link(sim, bandwidth_bps=8e9, latency_s=0.0)
-    link.transmit(1000)
+    _deliver(link, 1000)
     sim.run()
     assert link.bytes_carried == 1000
     assert link.utilization(2e-6) == pytest.approx(0.5)
@@ -75,14 +81,14 @@ def test_invalid_parameters():
         Link(sim, bandwidth_bps=1e9, latency_s=-1)
     link = Link(sim, bandwidth_bps=1e9, latency_s=0)
     with pytest.raises(ValueError):
-        link.transmit(-1)
+        _deliver(link, -1)
 
 
 def test_zero_byte_transmit_is_latency_only():
     sim = Simulation()
     link = Link(sim, bandwidth_bps=1e9, latency_s=3e-6)
     times = []
-    _, delivered = link.transmit(0)
+    delivered = _deliver(link, 0)
     delivered.add_callback(lambda ev: times.append(sim.now))
     sim.run()
     assert times == [pytest.approx(3e-6)]
@@ -99,11 +105,11 @@ def test_zero_byte_keyed_transmit_fires_at_instant_end():
     sim = Simulation()
     link = Link(sim, bandwidth_bps=8e9, latency_s=0.0)
     times = {}
-    sent, delivered = link.transmit(0, key=(0,))
-    sent.add_callback(lambda ev: times.setdefault("sent", sim.now))
+    delivered = _deliver(link, 0, key=(0,))
     delivered.add_callback(lambda ev: times.setdefault("delivered", sim.now))
     sim.run()
-    assert times == {"sent": 0.0, "delivered": 0.0}
+    # Zero latency: the last bit left at the same instant.
+    assert times == {"delivered": 0.0}
 
 
 def test_zero_byte_keyed_transmit_unblocks_waiting_process():
@@ -111,8 +117,7 @@ def test_zero_byte_keyed_transmit_unblocks_waiting_process():
     link = Link(sim, bandwidth_bps=8e9, latency_s=2e-6)
 
     def proc():
-        _, delivered = link.transmit(0, key=("z",))
-        yield delivered
+        yield _deliver(link, 0, key=("z",))
         return sim.now
 
     p = sim.process(proc())
@@ -128,7 +133,7 @@ def test_same_instant_zero_byte_grants_follow_key_order():
     # the non-zero frame under key 0 serializes ahead of the zero-byte
     # frames even though it was requested last.
     for key, nbytes in ((2, 0), (1, 0), (0, 1000)):
-        _, delivered = link.transmit(nbytes, key=(key,))
+        delivered = _deliver(link, nbytes, key=(key,))
         delivered.add_callback(lambda ev, k=key: order.append((k, sim.now)))
     sim.run()
     assert [k for k, _ in order] == [0, 1, 2]
@@ -151,7 +156,7 @@ def _busy_link(cls=Link):
     """A link with one train already on the wire, so ``start > 0``."""
     sim = Simulation()
     link = cls(sim, bandwidth_bps=10e9, latency_s=2e-6)
-    link.transmit(10_000)
+    _deliver(link, 10_000)
     return sim, link
 
 
@@ -163,13 +168,12 @@ def _times(sim, event):
 
 @pytest.mark.parametrize("cls", [Link, PriorityLink])
 def test_inner_stage_request_fires_once_at_head_arrival_plus_delay(cls):
-    """Exactly (``==``) when ``transmit_cut_through`` + ``timeout(delay)``
-    wake the sender on a twin link, in one event instead of three."""
+    """Exactly (``==``) when head arrival + ``timeout(delay)`` wake the
+    sender on a twin link, in one wake-up instead of two."""
     twin_sim, twin = _busy_link(cls)
 
     def two_wakeups():
-        head_arrived, _ = twin.transmit_cut_through(NBYTES, HEAD)
-        yield head_arrived
+        yield twin.request(NBYTES, HEAD)
         yield twin_sim.timeout(DELAY)
         return twin_sim.now
 
@@ -189,15 +193,9 @@ def test_inner_stage_request_fires_once_at_head_arrival_plus_delay(cls):
 
 @pytest.mark.parametrize("cls", [Link, PriorityLink])
 def test_final_stage_request_fires_at_delivery(cls):
-    twin_sim, twin = _busy_link(cls)
-    _, delivered = twin.transmit_cut_through(NBYTES, HEAD)
-    expected = _times(twin_sim, delivered)
-    twin_sim.run()
-
     sim, link = _busy_link(cls)
     fired = _times(sim, link.request(NBYTES, NBYTES))
     assert sim.run() == fired[0]
-    assert fired == expected
     finish = link.serialization_time(10_000) + link.serialization_time(NBYTES)
     assert fired == [finish + 2e-6]
 
@@ -206,7 +204,7 @@ def test_dropped_stage_request_adds_the_delay_to_delivery():
     twin_sim, twin = _busy_link()
 
     def deliver_then_rto():
-        yield twin.transmit_cut_through(NBYTES, HEAD)[1]
+        yield _deliver(twin, NBYTES)
         yield twin_sim.timeout(3e-3)
         return twin_sim.now
 

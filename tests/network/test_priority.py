@@ -21,7 +21,7 @@ def _link(bandwidth_bps=GBPS):
 
 def _track(sim, link, nbytes, priority, key):
     done = {}
-    _, delivered = link.transmit(nbytes, key=key, priority=priority)
+    delivered = link.request(nbytes, nbytes, key=key, priority=priority)
     delivered.add_callback(lambda e: done.setdefault("t", sim.now))
     return done
 
@@ -114,8 +114,8 @@ def test_accounting_and_queue_depth():
 
 
 def test_stage_requests_are_admitted_in_priority_then_key_order():
-    # The single-event request path shares admission with transmit():
-    # issued worst-first at one instant, served by (priority, key).
+    # Inner stages and final stages share one admission: issued
+    # worst-first at one instant, served by (priority, key).
     sim, link = _link()
     order = []
     for priority, key in (

@@ -76,19 +76,19 @@ def test_train_splitting_conserves_bytes(nbytes, wire, train_packets):
 def test_cut_through_head_clamped_to_train():
     sim = Simulation()
     link = Link(sim, bandwidth_bps=8e9, latency_s=1e-6)
-    head, delivered = link.transmit_cut_through(100, head_nbytes=10_000)
+    head = link.request(100, head_nbytes=10_000)
     times = {}
     head.add_callback(lambda e: times.setdefault("head", sim.now))
-    delivered.add_callback(lambda e: times.setdefault("full", sim.now))
-    sim.run()
-    # Head clamps to the train size: both events coincide.
-    assert times["head"] == times["full"]
+    # Head clamps to the train size: it lands when the train does,
+    # which is also when the run ends.
+    assert sim.run() == times["head"]
+    assert times["head"] == link.serialization_time(100) + 1e-6
 
 
 def test_cut_through_negative_head_clamped():
     sim = Simulation()
     link = Link(sim, bandwidth_bps=8e9, latency_s=0.0)
-    head, _ = link.transmit_cut_through(1000, head_nbytes=-5)
+    head = link.request(1000, head_nbytes=-5)
     times = {}
     head.add_callback(lambda e: times.setdefault("head", sim.now))
     sim.run()
@@ -128,9 +128,9 @@ def test_makespan_is_the_last_landing_not_the_last_wakeup():
 
     def two_events_per_stage():
         for link in route.links[:-1]:
-            yield link.transmit_cut_through(wire, head)[0]
+            yield link.request(wire, head)
             yield twin_sim.timeout(route.forwarding_delay_s)
-        yield route.links[-1].transmit_cut_through(wire, head)[1]
+        yield route.links[-1].request(wire, wire)
         return twin_sim.now
 
     twin = twin_sim.process(two_events_per_stage())

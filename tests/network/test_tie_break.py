@@ -131,7 +131,7 @@ class TestLinkArbitration:
         finished = {}
 
         def requester(tag, key):
-            _, delivered = link.transmit_cut_through(1000, 100, key=key)
+            delivered = link.request(1000, 1000, key=key)
             delivered.add_callback(lambda _: finished.setdefault(tag, sim.now))
 
         for tag, key in keys:
@@ -157,8 +157,8 @@ class TestLinkArbitration:
     def test_unkeyed_transmits_are_granted_in_call_order(self):
         sim = Simulation()
         link = Link(sim, bandwidth_bps=8e6, latency_s=0.0)
-        _, first = link.transmit_cut_through(1000, 100)
-        _, second = link.transmit_cut_through(1000, 100)
+        first = link.request(1000, 1000)
+        second = link.request(1000, 1000)
         times = {}
         first.add_callback(lambda _: times.setdefault("first", sim.now))
         second.add_callback(lambda _: times.setdefault("second", sim.now))
@@ -173,7 +173,8 @@ class TestLinkArbitration:
         times = {}
 
         def requester(tag, key):
-            sent, _ = link.transmit(1000, key=key)
+            # Zero latency: delivery is the instant the last bit left.
+            sent = link.request(1000, 1000, key=key)
             sent.add_callback(lambda _: times.setdefault(tag, sim.now))
 
         sim.timeout(0.0).add_callback(lambda _: requester("hi", (5,)))
