@@ -31,7 +31,6 @@ from .node import (
     PhaseLedger,
     PhaseTimes,
     ZERO_COMPUTE,
-    concatenate_blocks,
     partition_blocks,
     spawn_key,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "PhaseLedger",
     "PhaseTimes",
     "ZERO_COMPUTE",
-    "concatenate_blocks",
     "partition_blocks",
     "spawn_key",
     "ring_exchange",

@@ -65,7 +65,7 @@ class AsyncPSStrategy(GradientStrategy):
         self._server_id = run.num_workers
         self._max_staleness: Optional[int] = run.options.get("max_staleness")
         run.comm.endpoints[self._server_id].promiscuous = True
-        self._server_net = run.build_net(run.seed)
+        self._server_net = run.replica()
         self._server_opt = run.make_optimizer()
         self._server_version = 0  # updates applied so far
         self._worker_pull_version = [0] * run.num_workers

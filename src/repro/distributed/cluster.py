@@ -101,7 +101,7 @@ class WorkerAggregatorStrategy(GradientStrategy):
     ) -> Generator[Event, Any, None]:
         agg_id = self._aggregator_id
         ep = run.comm.endpoints[agg_id]
-        agg_net = run.build_net(run.seed)
+        agg_net = run.replica()
         agg_opt = run.make_optimizer()
         workers = list(range(run.num_workers))
 

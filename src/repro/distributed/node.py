@@ -190,20 +190,11 @@ def block_sizes(total: int, num_blocks: int) -> List[int]:
 def partition_blocks(vector: np.ndarray, num_blocks: int) -> List[np.ndarray]:
     """Algorithm 1 line 8: split ``g`` evenly into N blocks.
 
-    Contiguous splits with the :func:`block_sizes` layout (sizes differ
-    by at most one).
+    Contiguous views with the :func:`block_sizes` layout (sizes differ
+    by at most one) — of ``vector`` itself when it already is a flat
+    float32 array, so writing a block writes ``vector``; the ring
+    exchange hands in the one copy it reduces in place.
     """
     flat = np.ascontiguousarray(vector, dtype=np.float32).reshape(-1)
     sizes = block_sizes(flat.size, num_blocks)
-    offsets = np.cumsum(np.asarray(sizes[:-1], dtype=np.intp))
-    return [
-        np.array(b, dtype=np.float32, copy=True)
-        for b in np.split(flat, offsets)
-    ]
-
-
-def concatenate_blocks(blocks: List[np.ndarray]) -> np.ndarray:
-    """Inverse of :func:`partition_blocks`."""
-    if not blocks:
-        raise ValueError("no blocks to concatenate")
-    return np.concatenate(blocks)
+    return np.split(flat, np.cumsum(sizes[:-1]))

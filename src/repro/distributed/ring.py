@@ -15,7 +15,7 @@ indices, which are internally inconsistent by one step in the P2 loop.)
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Tuple, TypeVar
+from typing import Any, Generator, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -24,12 +24,7 @@ from repro.network import Event
 from repro.obs import CAT_RING
 from repro.transport.endpoint import Endpoint
 
-from .node import (
-    ComputeProfile,
-    block_sizes,
-    concatenate_blocks,
-    partition_blocks,
-)
+from .node import ComputeProfile, block_sizes, partition_blocks
 
 #: A node id, or an array of them (the flow evaluator steps every node
 #: of the ring at once).
@@ -60,15 +55,22 @@ def ring_exchange(
     A generator to be driven as a simulation process — all ``num_workers``
     nodes must run it concurrently with consistent arguments.  ``stream``
     selects the codec/ToS profile of every hop (``None`` for raw).
+
+    It reduces into one copy of ``vector``, returned at the end, and a
+    raw send ships a view of it by reference: the block node ``i`` sends
+    at step ``s`` is next written at step ``s + n - 1``, after ``i``'s
+    receive of that step, which needs every other node — the consuming
+    successor too — to have finished step ``s``.
     """
     n = num_workers
     i = ep.node_id
     if not 0 <= i < n:
         raise ValueError(f"node {i} outside the {n}-worker ring")
+    aggregate = np.array(vector, dtype=np.float32).reshape(-1)
     if n == 1:
-        return np.array(vector, dtype=np.float32, copy=True).reshape(-1)
+        return aggregate
 
-    blocks: List[np.ndarray] = partition_blocks(vector, n)
+    blocks = partition_blocks(aggregate, n)
     successor = (i + 1) % n
     predecessor = (i - 1) % n
 
@@ -78,14 +80,15 @@ def ring_exchange(
         send_idx, recv_idx = ring_step_blocks(i, step, n)
         ep.isend(successor, blocks[send_idx], profile=stream)
         received = yield ep.recv(predecessor)
+        block = blocks[recv_idx]
         if step < n:
             # P1: sum-reduce into the local block.
             if profile is not None:
                 yield ep.comm.sim.timeout(profile.sum_time(received.nbytes))
-            blocks[recv_idx] = (blocks[recv_idx] + received).astype(np.float32)
+            np.add(block, received, out=block)
         else:
             # P2: propagate the fully aggregated block.
-            blocks[recv_idx] = np.array(received, dtype=np.float32, copy=True)
+            block[...] = received
         if tracer is not None:
             tracer.span(
                 "ring.step",
@@ -99,7 +102,7 @@ def ring_exchange(
                 recv_block=recv_idx,
             )
 
-    return concatenate_blocks(blocks)
+    return aggregate
 
 
 def ring_exchange_sizes(num_workers: int, vector_size: int) -> "list[int]":

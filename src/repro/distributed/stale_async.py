@@ -65,7 +65,7 @@ class StaleAsyncStrategy(GradientStrategy):
         self._bound = bound
         self._server_id = run.num_workers
         run.comm.endpoints[self._server_id].promiscuous = True
-        self._net = run.build_net(run.seed)
+        self._net = run.replica()
         self._opt = run.make_optimizer()
         self._version = 0  # optimizer steps applied so far
         self._applied = [0] * run.num_workers  # rounds applied per worker

@@ -30,6 +30,7 @@ implementations.
 from __future__ import annotations
 
 import abc
+import copy
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -50,7 +51,7 @@ from repro.core import StreamProfile
 from repro.dnn.data import Dataset
 from repro.dnn.metrics import top1_accuracy, top5_accuracy
 from repro.dnn.network import Sequential
-from repro.dnn.optim import SGD
+from repro.dnn.optim import Optimizer
 from repro.dnn.training import LocalTrainer
 from repro.network import Event
 from repro.obs import CAT_STRATEGY, Tracer
@@ -149,8 +150,10 @@ class StrategyRun:
     iterations: int
     trainers: List[LocalTrainer]
     dataset: Dataset
-    build_net: Callable[[int], Sequential]
-    make_optimizer: Callable[[], SGD]
+    #: The run's one ``build_net(seed)``, never trained: every model of
+    #: the run (workers, aggregator, servers) is a :meth:`replica` of it.
+    template: Sequential
+    make_optimizer: Callable[[], Optimizer]
     profile: ComputeProfile
     stream: Optional[StreamProfile]
     tracer: Optional[Tracer]
@@ -167,6 +170,10 @@ class StrategyRun:
     eval_top1: List[float] = field(default_factory=list)
     #: Scratch space for strategy results, folded into StrategyReport.
     extras: Dict[str, Any] = field(default_factory=dict)
+
+    def replica(self) -> Sequential:
+        """A fresh model in the run's initial state."""
+        return copy.deepcopy(self.template)
 
     def node(self, node_id: int) -> "NodeContext":
         return NodeContext(
@@ -376,7 +383,7 @@ def _worker_process(
 def run_strategy(
     strategy: "Union[str, GradientStrategy]",
     build_net: Callable[[int], Sequential],
-    make_optimizer: Callable[[], SGD],
+    make_optimizer: Callable[[], Optimizer],
     dataset: Dataset,
     num_workers: int,
     iterations: int,
@@ -391,8 +398,9 @@ def run_strategy(
 ) -> DistributedRunResult:
     """Train replicas of ``build_net(seed)`` under any registered strategy.
 
-    The single training entry point: builds the cluster, seeds the
-    trainers (collision-free spawn keys), drives one
+    The single training entry point: builds the cluster and the model
+    (once — every replica is a deepcopy), seeds the trainers
+    (collision-free spawn keys), drives one
     :func:`_worker_process` per worker plus whatever service processes
     the strategy spawns, and assembles the result — phase breakdown,
     wire accounting, final weights — exactly once.
@@ -430,11 +438,12 @@ def run_strategy(
             "engines; pass cluster=ClusterConfig(..., profile=stream)"
         )
 
-    # Identical replicas: every worker builds from the same seed; data
-    # streams derive from collision-free spawn keys.
+    # Identical replicas: deepcopies of one build; data streams derive
+    # from collision-free spawn keys.
+    template = build_net(seed)
     trainers = [
         LocalTrainer(
-            net=build_net(seed),
+            net=copy.deepcopy(template),
             optimizer=make_optimizer(),
             dataset=dataset.shard(i, num_workers),
             batch_size=batch_size,
@@ -450,7 +459,7 @@ def run_strategy(
         iterations=iterations,
         trainers=trainers,
         dataset=dataset,
-        build_net=build_net,
+        template=template,
         make_optimizer=make_optimizer,
         profile=profile,
         stream=stream,

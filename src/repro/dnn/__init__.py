@@ -14,7 +14,7 @@ from .models import (
 )
 from .network import Sequential
 from .residual import BatchNorm2D, ResidualBlock, build_mini_resnet
-from .optim import Adam, LRSchedule, SGD
+from .optim import Adam, LRSchedule, Optimizer, SGD
 from .training import (
     LocalTrainer,
     TrainResult,
@@ -50,6 +50,7 @@ __all__ = [
     "build_mini_resnet",
     "Adam",
     "LRSchedule",
+    "Optimizer",
     "SGD",
     "LocalTrainer",
     "TrainResult",

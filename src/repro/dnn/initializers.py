@@ -9,20 +9,7 @@ def he_normal(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray
     """He (Kaiming) initialization — the right scale for ReLU stacks."""
     if fan_in <= 0:
         raise ValueError("fan_in must be positive")
-    std = np.sqrt(2.0 / fan_in)
-    return (rng.standard_normal(shape) * std).astype(np.float32)
+    draw = rng.standard_normal(shape)
+    draw *= np.sqrt(2.0 / fan_in)
+    return draw.astype(np.float32)
 
-
-def xavier_uniform(
-    rng: np.random.Generator, shape: tuple, fan_in: int, fan_out: int
-) -> np.ndarray:
-    """Glorot uniform initialization for tanh/linear layers."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError("fans must be positive")
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
-
-
-def zeros(shape: tuple) -> np.ndarray:
-    """Bias initializer."""
-    return np.zeros(shape, dtype=np.float32)

@@ -2,9 +2,9 @@
 
 A small, from-scratch substrate standing in for the paper's
 CUDA/MKL-based training framework (Sec. VII-B).  Everything is float32
-NumPy; each layer owns its parameters and the gradients of the last
-backward pass, which the distributed algorithms flatten into the
-gradient vectors they exchange.
+NumPy; each layer holds its parameters and writes the gradients of the
+last backward pass in place, into storage a network binds to views of
+the flat vectors the distributed algorithms exchange.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .initializers import he_normal, zeros
+from .initializers import he_normal
 
 
 class Layer:
@@ -23,24 +23,29 @@ class Layer:
         self.params: Dict[str, np.ndarray] = {}
         self.grads: Dict[str, np.ndarray] = {}
 
+    def bind(
+        self, name: str, param: np.ndarray, grad: Optional[np.ndarray] = None
+    ) -> None:
+        """Store ``name`` in ``param``, its gradient in ``grad`` (zeros if omitted)."""
+        self.params[name] = param
+        self.grads[name] = np.zeros_like(param) if grad is None else grad
+
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    @property
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.params.values())
-
 
 class Dense(Layer):
     """Fully connected layer: ``y = x W + b``."""
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
+    def __init__(
+        self, in_features: int, out_features: int, rng: np.random.Generator
+    ) -> None:
         super().__init__()
-        self.params["W"] = he_normal(rng, (in_features, out_features), in_features)
-        self.params["b"] = zeros((out_features,))
+        self.bind("W", he_normal(rng, (in_features, out_features), in_features))
+        self.bind("b", np.zeros(out_features, dtype=np.float32))
         self._x: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
@@ -50,8 +55,8 @@ class Dense(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        self.grads["W"] = self._x.T @ grad_out
-        self.grads["b"] = grad_out.sum(axis=0)
+        np.matmul(self._x.T, grad_out, out=self.grads["W"])
+        np.sum(grad_out, axis=0, out=self.grads["b"])
         return grad_out @ self.params["W"].T
 
 
@@ -75,7 +80,7 @@ class ReLU(Layer):
 class Dropout(Layer):
     """Inverted dropout; identity at evaluation time."""
 
-    def __init__(self, rate: float, rng: np.random.Generator):
+    def __init__(self, rate: float, rng: np.random.Generator) -> None:
         super().__init__()
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -167,18 +172,16 @@ class Conv2D(Layer):
         rng: np.random.Generator,
         stride: int = 1,
         padding: int = 0,
-    ):
+    ) -> None:
         super().__init__()
         if stride < 1 or kernel_size < 1 or padding < 0:
             raise ValueError("invalid convolution geometry")
         self.stride = stride
         self.padding = padding
         self.kernel_size = kernel_size
-        fan_in = in_channels * kernel_size * kernel_size
-        self.params["W"] = he_normal(
-            rng, (out_channels, in_channels, kernel_size, kernel_size), fan_in
-        )
-        self.params["b"] = zeros((out_channels,))
+        shape = (out_channels, in_channels, kernel_size, kernel_size)
+        self.bind("W", he_normal(rng, shape, in_channels * kernel_size * kernel_size))
+        self.bind("b", np.zeros(out_channels, dtype=np.float32))
         self._cache: Optional[tuple] = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
@@ -197,8 +200,8 @@ class Conv2D(Layer):
         oc = grad_out.shape[1]
         grad_flat = grad_out.transpose(0, 2, 3, 1).reshape(-1, oc)
         w_flat = self.params["W"].reshape(oc, -1)
-        self.grads["W"] = (grad_flat.T @ cols).reshape(self.params["W"].shape)
-        self.grads["b"] = grad_flat.sum(axis=0)
+        np.matmul(grad_flat.T, cols, out=self.grads["W"].reshape(oc, -1))
+        np.sum(grad_flat, axis=0, out=self.grads["b"])
         grad_cols = grad_flat @ w_flat
         k = self.kernel_size
         return _col2im(
@@ -209,7 +212,7 @@ class Conv2D(Layer):
 class MaxPool2D(Layer):
     """Non-overlapping max pooling (window == stride)."""
 
-    def __init__(self, size: int):
+    def __init__(self, size: int) -> None:
         super().__init__()
         if size < 1:
             raise ValueError("pool size must be positive")

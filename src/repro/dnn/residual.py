@@ -19,7 +19,9 @@ from .network import Sequential
 class BatchNorm2D(Layer):
     """Per-channel batch normalization over (N, C, H, W) tensors."""
 
-    def __init__(self, channels: int, momentum: float = 0.9, eps: float = 1e-5):
+    def __init__(
+        self, channels: int, momentum: float = 0.9, eps: float = 1e-5
+    ) -> None:
         super().__init__()
         if channels < 1:
             raise ValueError("channels must be positive")
@@ -27,8 +29,8 @@ class BatchNorm2D(Layer):
             raise ValueError("momentum must be in [0, 1)")
         self.eps = eps
         self.momentum = momentum
-        self.params["gamma"] = np.ones(channels, dtype=np.float32)
-        self.params["beta"] = np.zeros(channels, dtype=np.float32)
+        self.bind("gamma", np.ones(channels, dtype=np.float32))
+        self.bind("beta", np.zeros(channels, dtype=np.float32))
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
         self._cache: Optional[tuple] = None
@@ -66,8 +68,8 @@ class BatchNorm2D(Layer):
         n = x_shape[0] * x_shape[2] * x_shape[3]
         axes = (0, 2, 3)
         shape = (1, -1, 1, 1)
-        self.grads["gamma"] = (grad_out * normalized).sum(axis=axes)
-        self.grads["beta"] = grad_out.sum(axis=axes)
+        np.sum(grad_out * normalized, axis=axes, out=self.grads["gamma"])
+        np.sum(grad_out, axis=axes, out=self.grads["beta"])
         gamma = self.params["gamma"].reshape(shape)
         grad_norm = grad_out * gamma
         # Standard batch-norm input gradient.
@@ -95,7 +97,7 @@ class ResidualBlock(Layer):
         in_channels: int,
         out_channels: int,
         rng: np.random.Generator,
-    ):
+    ) -> None:
         super().__init__()
         self.conv1 = Conv2D(in_channels, out_channels, 3, rng, padding=1)
         self.bn1 = BatchNorm2D(out_channels)
@@ -120,21 +122,18 @@ class ResidualBlock(Layer):
         # Expose sub-layer parameters under prefixed names so the flat
         # parameter/gradient vectors see through the composite.
         for index, layer in enumerate(self._sublayers):
-            for name, param in layer.params.items():
-                self.params[f"{index}:{name}"] = param
-
-    def _sync_params_down(self) -> None:
-        for index, layer in enumerate(self._sublayers):
             for name in layer.params:
-                layer.params[name] = self.params[f"{index}:{name}"]
+                self.bind(f"{index}:{name}", layer.params[name], layer.grads[name])
 
-    def _sync_grads_up(self) -> None:
-        for index, layer in enumerate(self._sublayers):
-            for name, grad in layer.grads.items():
-                self.grads[f"{index}:{name}"] = grad
+    def bind(
+        self, name: str, param: np.ndarray, grad: Optional[np.ndarray] = None
+    ) -> None:
+        """Bind the prefixed entry and the sub-layer parameter it names."""
+        super().bind(name, param, grad)
+        index, sub_name = name.split(":", 1)
+        self._sublayers[int(index)].bind(sub_name, param, self.grads[name])
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        self._sync_params_down()
         out = self.conv1.forward(x, training)
         out = self.bn1.forward(out, training)
         out = self.relu1.forward(out, training)
@@ -154,7 +153,6 @@ class ResidualBlock(Layer):
             grad_skip = grad_sum
         else:
             grad_skip = self.projection.backward(grad_sum)
-        self._sync_grads_up()
         return grad_main + grad_skip
 
 

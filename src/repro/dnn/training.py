@@ -16,7 +16,7 @@ import numpy as np
 from .data import Dataset
 from .metrics import top1_accuracy, top5_accuracy
 from .network import Sequential
-from .optim import SGD
+from .optim import Optimizer
 
 
 @dataclass
@@ -40,7 +40,7 @@ class LocalTrainer:
     def __init__(
         self,
         net: Sequential,
-        optimizer: SGD,
+        optimizer: Optimizer,
         dataset: Dataset,
         batch_size: int,
         seed: "int | Sequence[int]" = 0,
@@ -75,7 +75,7 @@ class LocalTrainer:
 
 def train_single_node(
     net: Sequential,
-    optimizer: SGD,
+    optimizer: Optimizer,
     dataset: Dataset,
     batch_size: int,
     iterations: int,
@@ -110,7 +110,7 @@ def train_single_node(
 
 def capture_gradient_trace(
     net: Sequential,
-    optimizer: SGD,
+    optimizer: Optimizer,
     dataset: Dataset,
     batch_size: int,
     iterations: int,

@@ -14,7 +14,9 @@ SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: Packages under mypy's disallow_untyped_defs (the wire and trace
 #: contracts — pyproject.toml's [tool.mypy] files list mirrors this).
-STRICT_PACKAGES = ("core", "network", "hardware", "transport", "obs", "baselines")
+STRICT_PACKAGES = (
+    "core", "network", "hardware", "transport", "obs", "baselines", "dnn"
+)
 
 
 def test_source_tree_is_lint_clean():
