@@ -26,9 +26,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
+
+from repro.network import DEFAULT_BANDWIDTH_BPS, RetransmitPolicy, parse_tenants
+from repro.perfmodel.exchange import EXCHANGE_TRAIN_PACKETS
+from repro.transport import ClusterConfig
 
 
 def _load_floats(path: Path) -> np.ndarray:
@@ -85,7 +89,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         args.model,
         args.configuration,
         num_workers=args.workers,
-        bandwidth_bps=args.gbps * 1e9,
+        **_cluster_fields(args),
     )
     print(
         f"{args.model} / {args.configuration} on {args.workers} workers "
@@ -145,80 +149,89 @@ def _add_trace_arguments(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_topology_argument(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--topology", default=None, metavar="SPEC",
+Converter = Optional[Callable[[Any], Any]]
+
+
+def _flag(field: str, convert: Converter = None, **argparse_kw: Any):
+    return field, convert, argparse_kw
+
+
+#: The cluster flags: ``flag -> (ClusterConfig field, converter, argparse
+#: keywords)``.  A flag's value reaches its field through the converter
+#: (``None``: unchanged); an unset flag (``None``) leaves the field's
+#: own default.
+CLUSTER_FLAGS: Dict[str, Tuple[str, Converter, Dict[str, Any]]] = {
+    "--gbps": _flag(
+        "bandwidth_bps", lambda gbps: gbps * 1e9,
+        type=float, default=DEFAULT_BANDWIDTH_BPS / 1e9,
+    ),
+    "--train-packets": _flag(
+        "train_packets", type=int, default=EXCHANGE_TRAIN_PACKETS, metavar="N",
+        help="packets per train (smaller trains = finer-grained "
+        "priority preemption on shared fabrics)",
+    ),
+    "--topology": _flag(
+        "topology", default=None, metavar="SPEC",
         help='fabric: "star" (default), "ring", "fat-tree:k=4", '
         '"leaf-spine:spines=2,leaves=4,hosts=2" or "two-tier:racks=2,hosts=2"',
-    )
-
-
-def _add_agg_site_argument(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--agg-site", default="endpoint", choices=("endpoint", "switch"),
+    ),
+    "--agg-site": _flag(
+        "agg_site", default="endpoint", choices=("endpoint", "switch"),
         help="where gradients are summed: at the aggregating endpoint "
         "(default) or in-network at the fabric's switches (needs a "
         "multi-tier --topology and a homomorphic --codec)",
-    )
-
-
-def _add_tenant_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--tenants", default=None, metavar="SPEC",
+    ),
+    "--tenants": _flag(
+        "tenants", parse_tenants, default=None, metavar="SPEC",
         help='background tenants sharing the fabric, e.g. "train:4,infer:8" '
         "(kind:hosts, comma-separated)",
-    )
-    p.add_argument(
-        "--prioritize", action="store_true",
+    ),
+    "--prioritize": _flag(
+        "prioritize", action="store_true",
         help="strict per-ToS priority queues protecting the exchange "
         "from tenant traffic",
-    )
-    p.add_argument(
-        "--tenant-seed", type=int, default=0, metavar="S",
+    ),
+    "--tenant-seed": _flag(
+        "tenant_seed", type=int, default=0, metavar="S",
         help="seed for background flow think-time randomness (default 0)",
-    )
-
-
-def _tenants_for(args: argparse.Namespace):
-    from repro.network import parse_tenants
-
-    if not getattr(args, "tenants", None):
-        return ()
-    try:
-        return parse_tenants(args.tenants)
-    except ValueError as exc:
-        raise SystemExit(f"--tenants: {exc}")
-
-
-def _add_loss_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--loss-rate", type=float, default=0.0, metavar="P",
+    ),
+    "--loss-rate": _flag(
+        "loss_rate", type=float, default=0.0, metavar="P",
         help="per-train drop probability on every link (default lossless)",
-    )
-    p.add_argument(
-        "--retransmit", type=float, default=None, metavar="RTO_US",
-        help="enable sender retransmission with this timeout (microseconds)",
-    )
+    ),
+    "--retransmit": _flag(
+        "retransmit", lambda rto_us: RetransmitPolicy(rto_s=rto_us * 1e-6),
+        type=float, default=None, metavar="RTO_US",
+        help="timeout before a lost train is resent, in microseconds "
+        f"(default {RetransmitPolicy().rto_s * 1e6:g}; retransmission is "
+        "always on)",
+    ),
+}
 
 
-def _retransmit_for(args: argparse.Namespace):
-    from repro.network import RetransmitPolicy
+def _add_cluster_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, **CLUSTER_FLAGS[flag][2])
 
-    if args.retransmit is None:
-        # A lossy link without recovery starves the synchronous
-        # exchanges (a dropped train shifts every later message), so
-        # --loss-rate implies the default retransmission policy unless
-        # an explicit timeout overrides it.
-        if getattr(args, "loss_rate", 0.0) > 0.0:
-            return RetransmitPolicy()
-        return None
-    return RetransmitPolicy(rto_s=args.retransmit * 1e-6)
+
+def _cluster_fields(args: argparse.Namespace) -> Dict[str, Any]:
+    """The ClusterConfig fields the parsed cluster flags set."""
+    parsed = vars(args)
+    fields: Dict[str, Any] = {}
+    for flag, (field, convert, _) in CLUSTER_FLAGS.items():
+        value = parsed.get(flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        try:
+            fields[field] = value if convert is None else convert(value)
+        except ValueError as exc:
+            raise SystemExit(f"{flag}: {exc}")
+    return fields
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     from repro.distributed import available_strategies, get_strategy, run_strategy
     from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
-    from repro.transport import ClusterConfig
 
     try:
         strategy = get_strategy(args.strategy)
@@ -248,12 +261,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             iterations=args.iterations,
             batch_size=args.batch_size,
             cluster=ClusterConfig(
-                num_nodes=num_nodes,
-                profile=stream,
-                loss_rate=args.loss_rate,
-                retransmit=_retransmit_for(args),
-                topology=args.topology,
-                agg_site=args.agg_site,
+                num_nodes=num_nodes, profile=stream, **_cluster_fields(args)
             ),
             stream=stream,
             tracer=tracer,
@@ -308,7 +316,7 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
 
     stream = _stream_for(args)
     tracer = _tracer_for(args)
-    tenants = _tenants_for(args)
+    cluster = _cluster_fields(args)
     simulate = (
         simulate_ring_exchange if args.algorithm == "ring" else simulate_wa_exchange
     )
@@ -317,18 +325,10 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
             num_workers=args.workers,
             nbytes=round(args.mbytes * 1e6),
             iterations=args.iterations,
-            bandwidth_bps=args.gbps * 1e9,
             stream=stream,
             tracer=tracer,
-            loss_rate=args.loss_rate,
-            retransmit=_retransmit_for(args),
             fidelity=args.fidelity,
-            train_packets=args.train_packets,
-            topology=args.topology,
-            tenants=tenants,
-            prioritize=args.prioritize,
-            tenant_seed=args.tenant_seed,
-            agg_site=args.agg_site,
+            **cluster,
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -351,7 +351,7 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
         print(f"  switch reduces {result.switch_reductions:10d}")
     if args.loss_rate > 0.0:
         print(f"  retransmitted  {result.trains_retransmitted:10d} trains")
-    if tenants:
+    if cluster.get("tenants"):
         mode = "priority" if args.prioritize else "FIFO"
         print(
             f"  background     {result.background_messages:10d} msgs "
@@ -503,10 +503,8 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             workers=args.workers,
             iterations=args.iterations,
             seed=args.seed,
-            loss_rate=args.loss_rate,
             codec=args.codec,
-            topology=args.topology,
-            agg_site=args.agg_site,
+            cluster=_cluster_fields(args),
         )
         try:
             report = sanitize(
@@ -561,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("WA", "WA+C", "INC", "INC+C"),
     )
     p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--gbps", type=float, default=10.0)
+    _add_cluster_flags(p, "--gbps")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("train", help="simulated-cluster training demo")
@@ -595,9 +593,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="uniform(+/-F) perturbation of each worker's compute time",
     )
     p.add_argument("--seed", type=int, default=0)
-    _add_topology_argument(p)
-    _add_agg_site_argument(p)
-    _add_loss_arguments(p)
+    _add_cluster_flags(
+        p, "--topology", "--agg-site", "--loss-rate", "--retransmit"
+    )
     _add_trace_arguments(p)
     p.set_defaults(func=_cmd_train)
 
@@ -612,7 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=4)
     p.add_argument("--iterations", type=int, default=1)
     p.add_argument("--mbytes", type=float, default=10.0, help="gradient MB")
-    p.add_argument("--gbps", type=float, default=10.0)
     p.add_argument(
         "--codec", default=None, metavar="NAME",
         help="registered codec for the gradient stream (see `repro codecs`)",
@@ -622,15 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="packet: event-level simulation; flow: calibrated "
         "flow-level fast path for large worker counts",
     )
-    p.add_argument(
-        "--train-packets", type=int, default=4400, metavar="N",
-        help="packets per train (smaller trains = finer-grained "
-        "priority preemption on shared fabrics)",
-    )
-    _add_topology_argument(p)
-    _add_agg_site_argument(p)
-    _add_tenant_arguments(p)
-    _add_loss_arguments(p)
+    _add_cluster_flags(p, *CLUSTER_FLAGS)
     _add_trace_arguments(p)
     p.set_defaults(func=_cmd_exchange)
 
@@ -675,15 +664,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--loss-rate", type=float, default=0.0, metavar="P",
-        help="per-train drop probability (retransmission implied)",
-    )
-    p.add_argument(
         "--codec", default=None, metavar="NAME",
         help="registered codec for the gradient stream",
     )
-    _add_topology_argument(p)
-    _add_agg_site_argument(p)
+    _add_cluster_flags(p, "--loss-rate", "--topology", "--agg-site")
     p.add_argument(
         "--perturb-seeds", type=int, nargs="+", default=[1, 2, 3],
         metavar="S", help="tie-break seeds to try (default: 1 2 3)",

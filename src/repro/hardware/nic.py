@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.core.bounds import ErrorBound
 from repro.network.packet import (
+    DEFAULT_MSS,
     TOS_COMPRESS,
     Packet,
     is_compressible_tos,
@@ -260,7 +261,7 @@ class InceptionnNic:
     # -- message-level convenience -------------------------------------------------
 
     def transmit_message(
-        self, data: bytes, dst: int, tos: int, mss: int = 1460
+        self, data: bytes, dst: int, tos: int, mss: int = DEFAULT_MSS
     ) -> List[Packet]:
         """Segment a byte stream and run the packet train through TX."""
         return self._transmit(

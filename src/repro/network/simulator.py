@@ -50,6 +50,7 @@ from .events import Event, Simulation
 from .link import Link
 from .loss import DeliveryFailure, LossModel, RetransmitPolicy
 from .packet import (
+    DEFAULT_MSS,
     HEADER_BYTES,
     TOS_DEFAULT,
     is_compressible_tos,
@@ -122,11 +123,11 @@ class Network:
         self,
         sim: Simulation,
         topology: Topology,
-        mss: int = 1460,
+        mss: int = DEFAULT_MSS,
         train_packets: int = DEFAULT_TRAIN_PACKETS,
         nics: Optional[Dict[int, NicTimingModel]] = None,
         loss: Optional[LossModel] = None,
-        retransmit: Optional[RetransmitPolicy] = None,
+        retransmit: RetransmitPolicy = RetransmitPolicy(),
         tracer: Optional[Tracer] = None,
         tos_priority: Optional[Dict[int, int]] = None,
     ) -> None:
@@ -141,7 +142,7 @@ class Network:
         #: (``None`` disables classification: every train rides the
         #: default class, and plain FIFO links ignore priority anyway).
         self.tos_priority = dict(tos_priority) if tos_priority is not None else None
-        self.retransmit = retransmit or RetransmitPolicy()
+        self.retransmit = retransmit
         if loss is not None:
             for salt, link in enumerate(topology.all_links()):
                 link.attach_loss(loss, salt)

@@ -22,7 +22,6 @@ def simulated_breakdown(
     model_name: str,
     num_workers: int = 4,
     iterations: int = TABLE2_ITERATIONS,
-    bandwidth_bps: float = 10e9,
     tracer: Optional[Tracer] = None,
 ) -> PhaseTimes:
     """Regenerate one Table II column on the simulated cluster.
@@ -36,7 +35,6 @@ def simulated_breakdown(
         num_workers=num_workers,
         nbytes=PAPER_MODELS[model_name].nbytes,
         iterations=iterations,
-        bandwidth_bps=bandwidth_bps,
         profile=compute_profile_for(model_name),
         include_local_compute=True,
         tracer=tracer,

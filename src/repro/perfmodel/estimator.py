@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core import ErrorBound, inceptionn_profile
-from repro.core.bounds import DEFAULT_BOUND
+from repro.core import inceptionn_profile
 from repro.dnn.models import PAPER_MODELS
+from repro.network import DEFAULT_BANDWIDTH_BPS
 
 from .calibration import FIG13_EPOCHS, compute_profile_for, iterations_per_epoch
 from .exchange import (
@@ -24,6 +24,8 @@ from .exchange import (
 
 #: The four system configurations of Fig 12.
 CONFIGURATIONS = ("WA", "WA+C", "INC", "INC+C")
+#: Iterations simulated per estimate (the per-iteration time is their mean).
+SIM_ITERATIONS = 3
 
 
 @dataclass(frozen=True)
@@ -44,9 +46,7 @@ def estimate_iteration_time(
     model_name: str,
     configuration: str,
     num_workers: int = 4,
-    bandwidth_bps: float = 10e9,
-    bound: ErrorBound = DEFAULT_BOUND,
-    sim_iterations: int = 3,
+    bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS,
 ) -> SystemEstimate:
     """Simulate a few iterations of one Fig 12 configuration."""
     if configuration not in CONFIGURATIONS:
@@ -57,8 +57,8 @@ def estimate_iteration_time(
     profile = compute_profile_for(model_name)
     stream = ratio = None
     if configuration.endswith("+C"):
-        stream = inceptionn_profile(bound)
-        ratio = measure_compression_ratio(spec, bound)
+        stream = inceptionn_profile()
+        ratio = measure_compression_ratio(spec)
     simulate = (
         simulate_wa_exchange
         if configuration.startswith("WA")
@@ -67,33 +67,27 @@ def estimate_iteration_time(
     result = simulate(
         num_workers=num_workers,
         nbytes=spec.nbytes,
-        iterations=sim_iterations,
+        iterations=SIM_ITERATIONS,
         bandwidth_bps=bandwidth_bps,
         profile=profile,
         stream=stream,
         gradient_ratio=ratio,
-        bound=bound,
         include_local_compute=True,
     )
     return SystemEstimate(
         model=model_name,
         configuration=configuration,
         iteration_s=result.per_iteration_s,
-        computation_s=(result.total_s - result.communicate_s) / sim_iterations,
+        computation_s=(result.total_s - result.communicate_s) / SIM_ITERATIONS,
     )
 
 
 def fig12_estimates(
-    model_name: str,
-    num_workers: int = 4,
-    bandwidth_bps: float = 10e9,
-    bound: ErrorBound = DEFAULT_BOUND,
+    model_name: str, num_workers: int = 4
 ) -> Dict[str, SystemEstimate]:
     """All four configurations for one model (one Fig 12 group)."""
     return {
-        conf: estimate_iteration_time(
-            model_name, conf, num_workers, bandwidth_bps, bound
-        )
+        conf: estimate_iteration_time(model_name, conf, num_workers)
         for conf in CONFIGURATIONS
     }
 
@@ -115,11 +109,7 @@ class SpeedupEstimate:
 
 
 def equal_accuracy_speedup(
-    model_name: str,
-    num_workers: int = 4,
-    bandwidth_bps: float = 10e9,
-    bound: ErrorBound = DEFAULT_BOUND,
-    epochs: Optional["tuple[int, int]"] = None,
+    model_name: str, epochs: Optional["tuple[int, int]"] = None
 ) -> SpeedupEstimate:
     """Fig 13's speedup: per-epoch times x epochs-to-equal-accuracy.
 
@@ -131,12 +121,8 @@ def equal_accuracy_speedup(
     if epochs is not None:
         wa_epochs, inc_epochs = epochs
     iters_per_epoch = iterations_per_epoch(model_name)
-    wa = estimate_iteration_time(
-        model_name, "WA", num_workers, bandwidth_bps, bound
-    )
-    inc = estimate_iteration_time(
-        model_name, "INC+C", num_workers, bandwidth_bps, bound
-    )
+    wa = estimate_iteration_time(model_name, "WA")
+    inc = estimate_iteration_time(model_name, "INC+C")
     return SpeedupEstimate(
         model=model_name,
         wa_epochs=wa_epochs,

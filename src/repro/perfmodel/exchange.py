@@ -21,7 +21,7 @@ closed-form evaluator in :mod:`repro.perfmodel.flowsim`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,15 +35,10 @@ from repro.distributed.node import (
 )
 from repro.distributed.ring import ring_exchange_sizes, ring_step_blocks
 from repro.dnn.models import ModelSpec
-from repro.network import Event, RetransmitPolicy, TenantSpec
+from repro.network import Event
 from repro.network.packet import payload_ratio
 from repro.obs import Tracer
-from repro.transport.aggregation import (
-    AGG_ENDPOINT,
-    AGG_SWITCH,
-    SwitchGather,
-    validate_agg_site,
-)
+from repro.transport.aggregation import AGG_ENDPOINT, AGG_SWITCH, SwitchGather
 from repro.transport.endpoint import ClusterComm, ClusterConfig, TransferSummary
 from repro.transport.wire import measure_stream_ratio
 
@@ -146,7 +141,6 @@ def _check_flow_supported(tracer: Optional[Tracer], config: ClusterConfig) -> No
     rejected = {
         "tracing (tracer)": tracer is not None,
         "loss (loss_rate)": config.loss_rate != 0.0,
-        "retransmission (retransmit)": config.retransmit is not None,
         "topology": config.topology not in (None, "star"),
         "tenants": bool(config.tenants),
         "prioritize": config.prioritize,
@@ -316,34 +310,33 @@ def _packet_exchange(
 
 _FLOW = {"ring": flow_ring_exchange, "wa": flow_wa_exchange}
 
+#: Packets per train on the exchange simulators' cluster — the one
+#: default they do not share with :class:`ClusterConfig`: paper-scale
+#: messages (hundreds of MB) ride ~6.4 MB trains.
+EXCHANGE_TRAIN_PACKETS = 4400
+
 
 def _simulate_exchange(
     algorithm: str,
     num_workers: int,
     nbytes: int,
     iterations: int = 1,
-    bandwidth_bps: float = 10e9,
     profile: ComputeProfile = ZERO_COMPUTE,
     stream: Optional[StreamProfile] = None,
     gradient_ratio: Optional[float] = None,
-    bound: ErrorBound = DEFAULT_BOUND,
     include_local_compute: bool = False,
-    train_packets: int = 4400,
     tracer: Optional[Tracer] = None,
-    loss_rate: float = 0.0,
-    loss_seed: int = 0,
-    retransmit: Optional[RetransmitPolicy] = None,
     fidelity: str = "packet",
-    topology: Optional[str] = None,
-    tenants: Sequence[TenantSpec] = (),
-    prioritize: bool = False,
-    tenant_seed: int = 0,
-    agg_site: str = AGG_ENDPOINT,
+    **cluster: Any,
 ) -> ExchangeResult:
     """The one exchange front: every option of both public simulators.
 
-    ``stream`` selects the codec profile of the gradient stream (any
-    registered codec); with a compressing stream and no
+    ``cluster`` is any :class:`ClusterConfig` field (``bandwidth_bps``,
+    ``topology``, ``tenants``, ``loss_rate``, ``agg_site`` ...), with
+    ``train_packets`` defaulting to :data:`EXCHANGE_TRAIN_PACKETS`.
+    ``profile`` is the :class:`ComputeProfile`; the cluster's stream
+    profile is ``stream``, the codec of the gradient stream (any
+    registered codec).  With a compressing stream and no
     ``gradient_ratio``, the codec's ratio is measured on a sampled
     gradient.  ``include_local_compute`` prepends each iteration's
     forward/backward/copy time (for full-iteration studies like
@@ -354,20 +347,17 @@ def _simulate_exchange(
     models dedicated, lossless, untraced stars only and rejects
     everything else, naming what it rejected.
 
-    ``topology`` selects the fabric (default: the historical switched
-    star); ``tenants`` adds background traffic competing for it, and
-    ``prioritize`` enables strict per-ToS priority queueing protecting
-    the exchange.  With tenants present the reported ``total_s`` is the
+    With background ``tenants`` the reported ``total_s`` is the
     foreground completion time (the fabric itself never idles).
-
-    ``agg_site="switch"`` (worker-aggregator only) moves the gradient
-    sum in-network: sized payloads ride the fabric's reduction tree and
-    every merge vertex folds its fan-in through an aggregation engine
-    (needs a multi-tier ``topology``, a homomorphic ``stream``, and
-    packet fidelity).
+    ``agg_site="switch"`` applies to the worker-aggregator exchange
+    only, at packet fidelity.
     """
-    validate_agg_site(agg_site)
-    if algorithm == "ring" and agg_site != AGG_ENDPOINT:
+    config = ClusterConfig(
+        num_nodes=num_workers + (algorithm == "wa"),
+        profile=stream,
+        **{"train_packets": EXCHANGE_TRAIN_PACKETS, **cluster},
+    )
+    if algorithm == "ring" and config.agg_site != AGG_ENDPOINT:
         raise ValueError(
             "the ring has no single reduction root; agg_site='switch' "
             "only applies to the worker-aggregator exchange"
@@ -381,29 +371,14 @@ def _simulate_exchange(
             f"the ring exchanges blocks of float32 values; nbytes={nbytes} "
             "is not a whole number of them"
         )
-    if stream is not None and gradient_ratio is None:
-        gradient_ratio = measure_stream_ratio(stream)
-    config = ClusterConfig(
-        num_nodes=num_workers + (algorithm == "wa"),
-        bandwidth_bps=bandwidth_bps,
-        bound=bound,
-        train_packets=train_packets,
-        profile=stream,
-        loss_rate=loss_rate,
-        loss_seed=loss_seed,
-        retransmit=retransmit,
-        topology=topology,
-        tenants=tuple(tenants),
-        prioritize=prioritize,
-        tenant_seed=tenant_seed,
-        agg_site=agg_site,
-    )
     if fidelity == "flow":
         _check_flow_supported(tracer, config)
     elif fidelity != "packet":
         raise ValueError(
             f"fidelity must be 'packet' or 'flow', got {fidelity!r}"
         )
+    if stream is not None and gradient_ratio is None:
+        gradient_ratio = measure_stream_ratio(stream)
     job = Exchange(
         algorithm=algorithm,
         num_workers=num_workers,

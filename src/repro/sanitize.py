@@ -96,6 +96,7 @@ class Scenario:
         raise NotImplementedError
 
 
+@dataclass(frozen=True)
 class StrategyScenario(Scenario):
     """A small simulated-cluster training run under any registered strategy.
 
@@ -104,39 +105,30 @@ class StrategyScenario(Scenario):
     the quantities the parity suites pin.
     """
 
-    def __init__(
-        self,
-        strategy: str = "ring",
-        workers: int = 4,
-        iterations: int = 2,
-        seed: int = 0,
-        loss_rate: float = 0.0,
-        codec: Optional[str] = None,
-        train_size: int = 120,
-        test_size: int = 40,
-        batch_size: int = 10,
-        topology: Optional[str] = None,
-        agg_site: str = "endpoint",
-        options: Optional[Mapping[str, Any]] = None,
-    ) -> None:
-        self.strategy = strategy
-        self.workers = workers
-        self.iterations = iterations
-        self.seed = seed
-        self.loss_rate = loss_rate
-        self.codec = codec
-        self.train_size = train_size
-        self.test_size = test_size
-        self.batch_size = batch_size
-        self.topology = topology
-        self.agg_site = agg_site
-        self.options = dict(options or {})
-        tag = f"{strategy}+loss" if loss_rate else strategy
-        if topology is not None:
-            tag = f"{tag}@{topology}"
-        if agg_site != "endpoint":
-            tag = f"{tag}%{agg_site}"
-        self.name = f"{tag} x{workers}"
+    strategy: str = "ring"
+    workers: int = 4
+    iterations: int = 2
+    seed: int = 0
+    codec: Optional[str] = None
+    train_size: int = 120
+    test_size: int = 40
+    batch_size: int = 10
+    #: :class:`~repro.transport.ClusterConfig` fields (``loss_rate``,
+    #: ``topology``, ``agg_site`` ...) beyond node count, stream and
+    #: tie-break, which the scenario sets itself.
+    cluster: Mapping[str, Any] = field(default_factory=dict)
+    options: Mapping[str, Any] = field(default_factory=dict)
+
+    @property
+    def name(self) -> str:
+        tag = self.strategy
+        if self.cluster.get("loss_rate"):
+            tag = f"{tag}+loss"
+        if self.cluster.get("topology") is not None:
+            tag = f"{tag}@{self.cluster['topology']}"
+        if self.cluster.get("agg_site", "endpoint") != "endpoint":
+            tag = f"{tag}%{self.cluster['agg_site']}"
+        return f"{tag} x{self.workers}"
 
     def execute(
         self, tie_break: Optional[TieBreak], tracer: Tracer
@@ -144,7 +136,6 @@ class StrategyScenario(Scenario):
         from repro.core import profile_for
         from repro.distributed import get_strategy, run_strategy
         from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
-        from repro.network import RetransmitPolicy
         from repro.transport import ClusterConfig
 
         strategy = get_strategy(self.strategy)
@@ -167,11 +158,8 @@ class StrategyScenario(Scenario):
             cluster=ClusterConfig(
                 num_nodes=num_nodes,
                 profile=stream,
-                loss_rate=self.loss_rate,
-                retransmit=RetransmitPolicy() if self.loss_rate else None,
                 tie_break=tie_break,
-                topology=self.topology,
-                agg_site=self.agg_site,
+                **self.cluster,
             ),
             stream=stream,
             tracer=tracer,

@@ -37,8 +37,13 @@ from repro.network import (
     TieBreak,
     build_topology,
 )
-from repro.network.packet import TOS_DEFAULT, payload_ratio
-from repro.network.topology import DEFAULT_BANDWIDTH_BPS, Topology
+from repro.network.packet import DEFAULT_MSS, TOS_DEFAULT, payload_ratio
+from repro.network.topology import (
+    DEFAULT_BANDWIDTH_BPS,
+    DEFAULT_LINK_LATENCY_S,
+    DEFAULT_SWITCH_DELAY_S,
+    Topology,
+)
 from repro.obs import CAT_CODEC, Tracer
 
 from .aggregation import AGG_ENDPOINT, validate_agg_site
@@ -125,16 +130,16 @@ class ClusterConfig:
     bound: ErrorBound = DEFAULT_BOUND
     engine_blocks: int = 8
     engine_clock_hz: float = 100e6
-    link_latency_s: float = 2e-6
-    switch_delay_s: float = 1e-6
-    mss: int = 1460
-    train_packets: int = 44
+    link_latency_s: float = DEFAULT_LINK_LATENCY_S
+    switch_delay_s: float = DEFAULT_SWITCH_DELAY_S
+    mss: int = DEFAULT_MSS
+    train_packets: int = Network.DEFAULT_TRAIN_PACKETS
     profile: Optional[StreamProfile] = None
     #: Bernoulli per-train drop probability on every link (0 = lossless).
     loss_rate: float = 0.0
     loss_seed: int = 0
-    #: Recovery parameters; ``None`` uses the network's defaults.
-    retransmit: Optional[RetransmitPolicy] = None
+    #: Sender recovery parameters; they act only when a train is lost.
+    retransmit: RetransmitPolicy = RetransmitPolicy()
     #: Equal-timestamp event ordering policy; ``None`` is strict FIFO.
     #: The determinism sanitizer re-runs scenarios under a
     #: :class:`~repro.network.SeededTieBreak` to surface order races.

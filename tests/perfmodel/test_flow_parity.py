@@ -144,11 +144,18 @@ class TestFlowGuards:
         with pytest.raises(ValueError, match="loss"):
             simulate_ring_exchange(4, 1000, fidelity="flow", loss_rate=0.1)
 
-    def test_flow_rejects_retransmission(self):
-        with pytest.raises(ValueError, match="retransmission"):
-            simulate_wa_exchange(
-                4, 1000, fidelity="flow", retransmit=RetransmitPolicy()
+    def test_flow_retransmit_policy_is_inert_without_loss(self):
+        # Recovery acts only on a lost train: on a lossless fabric any
+        # policy is the default run, bit for bit.
+        for simulate in SIMULATORS:
+            default = simulate(4, 2_000_000, fidelity="flow")
+            tuned = simulate(
+                4, 2_000_000, fidelity="flow",
+                retransmit=RetransmitPolicy(rto_s=300e-6),
             )
+            assert tuned.total_s.hex() == default.total_s.hex()
+            assert tuned.phases == default.phases
+            assert tuned.wire_payload_nbytes == default.wire_payload_nbytes
 
     @pytest.mark.parametrize("simulate", SIMULATORS)
     @pytest.mark.parametrize("fidelity", ["packet", "flow"])

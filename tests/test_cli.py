@@ -1,9 +1,11 @@
 """CLI smoke and behaviour tests."""
 
+import argparse
+
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def _gradients(n=5000, seed=0):
@@ -208,11 +210,87 @@ def test_train_strategy_is_the_only_selector(capsys):
 
 
 def test_train_lossy_run_defaults_to_retransmission(capsys):
-    # --loss-rate without an explicit --retransmit must imply the
-    # default policy: a synchronous exchange on a dropping fabric
-    # starves without retransmission.
+    # Retransmission is always on: --loss-rate without --retransmit
+    # recovers lost trains at the default timeout.
     assert main([
         "train", "--strategy", "ring", "--iterations", "2", "--workers", "2",
         "--loss-rate", "0.01",
     ]) == 0
     assert "top-1" in capsys.readouterr().out
+
+
+#: Every leaf subcommand's long options and their parsed defaults.
+CLI_DEFAULTS = {
+    ("compress",): {"--bound": 10},
+    ("decompress",): {},
+    ("stats",): {"--bounds": [10, 8, 6]},
+    ("simulate",): {
+        "--model": "AlexNet", "--configuration": "INC+C", "--workers": 4,
+        "--gbps": 10.0,
+    },
+    ("train",): {
+        "--strategy": "ring", "--workers": 4, "--iterations": 40,
+        "--batch-size": 25, "--lr": 0.02, "--compress": False,
+        "--codec": None, "--sync-period": 4, "--staleness": None,
+        "--group-size": 2, "--jitter": 0.0, "--seed": 0, "--topology": None,
+        "--agg-site": "endpoint", "--loss-rate": 0.0, "--retransmit": None,
+        "--trace": None, "--trace-chrome": None,
+    },
+    ("strategies",): {"--workers": 4},
+    ("exchange",): {
+        "--algorithm": "ring", "--workers": 4, "--iterations": 1,
+        "--mbytes": 10.0, "--gbps": 10.0, "--codec": None,
+        "--fidelity": "packet", "--train-packets": 4400, "--topology": None,
+        "--agg-site": "endpoint", "--tenants": None, "--prioritize": False,
+        "--tenant-seed": 0, "--loss-rate": 0.0, "--retransmit": None,
+        "--trace": None, "--trace-chrome": None,
+    },
+    ("codecs",): {"--seed": 0},
+    ("trace", "validate"): {},
+    ("trace", "summary"): {},
+    ("trace", "chrome"): {},
+    ("trace", "schema"): {},
+    ("lint",): {"--format": "human", "--select": None, "--list-rules": False},
+    ("sanitize",): {
+        "--strategy": None, "--workers": 4, "--iterations": 2, "--seed": 0,
+        "--loss-rate": 0.0, "--codec": None, "--topology": None,
+        "--agg-site": "endpoint", "--perturb-seeds": [1, 2, 3],
+        "--diff-out": None,
+    },
+}
+
+
+def _leaf_parsers(parser, path=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, path + (name,))
+            return
+    yield path, parser
+
+
+def test_every_subcommand_keeps_its_long_options_and_defaults():
+    parser = build_parser()
+    seen = {}
+    for path, sub in _leaf_parsers(parser):
+        positionals = [a for a in sub._actions if not a.option_strings]
+        parsed = vars(parser.parse_args([*path, *["X"] * len(positionals)]))
+        seen[path] = {
+            flag: parsed[action.dest]
+            for action in sub._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+    assert seen == CLI_DEFAULTS
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--tenants", "gpu:2"], "--tenants: "),
+        (["--retransmit", "-5"], "--retransmit: RTO must be positive"),
+    ],
+)
+def test_exchange_names_the_flag_a_bad_value_came_from(argv, message):
+    with pytest.raises(SystemExit, match=message):
+        main(["exchange", "--mbytes", "1", *argv])

@@ -191,7 +191,7 @@ def test_lossy_scenario_passes_with_timing_notes_allowed():
             strategy="ring",
             workers=2,
             iterations=1,
-            loss_rate=0.05,
+            cluster={"loss_rate": 0.05},
             train_size=60,
             test_size=20,
         ),

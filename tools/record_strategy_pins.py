@@ -21,6 +21,7 @@ from repro.distributed import (
     ComputeProfile,
     DistributedRunResult,
     GroupLayout,
+    get_strategy,
     run_strategy,
 )
 from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
@@ -36,19 +37,20 @@ PROFILE = ComputeProfile(
 ITERATIONS = 8
 WORKERS = 4
 
-#: strategy -> (service nodes, ``run_strategy`` options).
+#: strategy -> ``run_strategy`` options.
 SCENARIOS = {
-    "ring": (0, {}),
-    "wa": (1, {}),
-    "hierarchy": (0, {"layout": GroupLayout.even(WORKERS, 2)}),
-    "async_ps": (1, {"compute_jitter": 0.5, "max_staleness": 2}),
+    "ring": {},
+    "wa": {},
+    "hierarchy": {"layout": GroupLayout.even(WORKERS, 2)},
+    "async_ps": {"compute_jitter": 0.5, "max_staleness": 2},
 }
 
 
 def run_scenario(strategy: str, compressed: bool) -> DistributedRunResult:
     """The pinned scenario — the parity test runs exactly this."""
     stream = inceptionn_profile() if compressed else None
-    extra_nodes, options = SCENARIOS[strategy]
+    options = SCENARIOS[strategy]
+    extra_nodes = get_strategy(strategy).extra_nodes(WORKERS, options)
     return run_strategy(
         strategy,
         build_net=lambda s: build_hdc(seed=s),
