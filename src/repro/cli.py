@@ -321,11 +321,13 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
         simulate_ring_exchange if args.algorithm == "ring" else simulate_wa_exchange
     )
     try:
+        ratio = None if stream is None else measure_stream_ratio(stream)
         result = simulate(
             num_workers=args.workers,
             nbytes=round(args.mbytes * 1e6),
             iterations=args.iterations,
             stream=stream,
+            gradient_ratio=ratio,
             tracer=tracer,
             fidelity=args.fidelity,
             **cluster,
@@ -340,8 +342,8 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
         f"{label} x{args.workers} @ {args.gbps:g} Gb/s, "
         f"{args.mbytes:g} MB gradients{fabric}:"
     )
-    if stream is not None:
-        print(f"  measured ratio {measure_stream_ratio(stream):10.2f}x")
+    if ratio is not None:
+        print(f"  measured ratio {ratio:10.2f}x")
     print(f"  per iteration  {result.per_iteration_s * 1e3:10.2f} ms")
     print(f"  total          {result.total_s * 1e3:10.2f} ms")
     print(f"  wire ratio     {result.wire_ratio:10.2f}x")

@@ -6,8 +6,8 @@ Fig-15-style sweeps at 1024-65536 nodes.  This module evaluates the
 per-hop ``alpha + nbytes / beta`` cost to every stage a train crosses.
 A batch carries one numpy entry per *distinct* concurrent message: a
 worker-aggregator leg one per worker, the ring one per run of
-consecutive blocks whose whole state is equal (one on an evenly
-divisible ring, four on an uneven one) — O(steps x runs) of host time.
+consecutive blocks whose whole state is equal (an evenly divided ring
+is one run, stepped in floats) — O(steps x runs) of host time.
 
 What is shared with the packet path by construction: message wire sizes
 and the engine-dispatch decision (``build_wire_message`` through the
@@ -35,7 +35,7 @@ before calling in here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -217,6 +217,33 @@ def deliver(t_send: np.ndarray, trains: Trains, stages: Sequence[Stage]) -> np.n
     return np.where(active, landed, -np.inf).max(axis=1)
 
 
+def _deliver_floats(
+    trains: Trains, stages: Sequence[Stage]
+) -> Callable[[float, List[float]], float]:
+    """:func:`deliver` of row 0 of ``trains`` as ``(t_send, free) -> landed``:
+    its operations in its order on Python floats (``free``: one free-at per
+    stage, updated in place); padding trains neither reserve nor land."""
+    link, engine = trains.times[:, 0].reshape(2, 2, -1).transpose(0, 2, 1).tolist()
+    chain = [
+        [(*(engine if s.engine else link)[t], s.latency_s, s.post_delay_s)
+         for s in stages]
+        for t, active in enumerate(trains.active[0].tolist())
+        if active
+    ]
+    def deliver_one(t_send: float, free: List[float]) -> float:
+        landed = -np.inf
+        for train in chain:
+            enter = t_send
+            for k, (ser, head, latency, post_delay) in enumerate(train):
+                start = enter if enter > free[k] else free[k]
+                free[k] = finish = start + ser
+                enter = start + head + latency + post_delay
+            landed = max(landed, finish + latency)
+        return landed
+
+    return deliver_one
+
+
 def _summarize(
     legs: Sequence[Tuple[WireMessage, int, Sequence[Stage]]]
 ) -> TransferSummary:
@@ -285,12 +312,11 @@ def flow_ring_exchange(job: Exchange) -> Measured:
     Indexed by the block a message carries, ``j = (node - step + 1) mod
     n``: a block rides one diagonal, so a step hands block ``j`` its own
     delivery time and the free-at times block ``j + 1`` left on the same
-    sender and receiver.  All nodes start equal and ``block_sizes`` has
-    two runs, so that state is piecewise constant over runs of
-    consecutive blocks and ``deliver`` evaluates one entry per run: one
-    on an evenly divisible ring, four on an uneven one.  Runs merge only
-    where their float state *is* equal — a link-bound ring with uneven
-    blocks really does grow hundreds of them.
+    sender and receiver.  All nodes start equal, so that state is
+    piecewise constant over runs of consecutive blocks: one block size is
+    one run, stepped in Python floats; with two sizes ``deliver`` takes
+    one entry per run, and runs merge only where their float state *is*
+    equal (a 100 MB ring: 4 at 1 024 workers, up to 62 at 65 536).
     """
     n, profile = job.num_workers, job.profile
     block_bytes = [s * 4 for s in ring_exchange_sizes(n, job.nbytes // 4)]
@@ -304,9 +330,28 @@ def flow_ring_exchange(job: Exchange) -> Measured:
     # run k's, and ``free`` is rebound to a row of ``state`` when runs move.
     every = slice(None)
     stages = Star(job.config, 0).stages(every, every, messages[0].compressed)
+    # Every block is sent by exactly one node per step.
+    sends = np.bincount(size_of_block) * (2 * n - 2) * job.iterations
+    summary = _summarize([(m, c, stages) for m, c in zip(messages, sends.tolist())])
+    ledger = PhaseLedger()
+    if sizes.size == 1:
+        # Equal blocks, equal messages: shift and turn keep one run throughout.
+        deliver_one, ready = _deliver_floats(trains, stages), 0.0
+        free, sum_s = [0.0] * len(stages), float(size_sum_s[0])
+        for _ in range(job.iterations):
+            if job.include_local_compute and profile.local_compute_s:
+                ledger.add_local_compute(profile)
+                ready += profile.local_compute_s
+            for step in range(1, 2 * n - 1):
+                ready = deliver_one(ready, free)
+                if step < n:
+                    ready += sum_s
+                    ledger.add("gradient_sum", sum_s)
+            ledger.add("update", profile.update_s)
+            ready += profile.update_s
+        return ready, ledger, summary
     first = np.flatnonzero(class_start)
     state = np.zeros((1 + len(stages), first.size))  # ready, free-at per stage
-    ledger = PhaseLedger()
 
     for iteration in range(job.iterations):
         if iteration:
@@ -314,30 +359,23 @@ def flow_ring_exchange(job: Exchange) -> Measured:
         if job.include_local_compute and profile.local_compute_s:
             ledger.add_local_compute(profile)
             state[0] = state[0] + profile.local_compute_s
-        moved = True
         for step in range(1, 2 * n - 1):
-            if moved:
-                sizes_of_run = size_of_block.take(first)
-                run_trains = trains.rows(sizes_of_run)
-                run_sum_s = size_sum_s.take(sizes_of_run)
-                for stage, free in zip(stages, state[1:]):
-                    stage.free = free
+            sizes_of_run = size_of_block.take(first)
+            run_trains = trains.rows(sizes_of_run)
+            run_sum_s = size_sum_s.take(sizes_of_run)
+            for stage, free in zip(stages, state[1:]):
+                stage.free = free
             state[0] = deliver(state[0], run_trains, stages)
             if step < n:
                 state[0] = state[0] + run_sum_s
                 # What node 0 sums: the block it received, ``-step mod n``.
                 ledger.add("gradient_sum", float(size_sum_s[size_of_block[-step]]))
-            moved = first.size > 1  # one run is its own neighbour
-            if moved:
-                first, state = _shift_runs(first, state, n, class_start)
+            first, state = _shift_runs(first, state, n, class_start)
         ledger.add("update", profile.update_s)
         if profile.update_s:
             state[0] = state[0] + profile.update_s
 
-    # Every block is sent by exactly one node per step.
-    sends = np.bincount(size_of_block) * (2 * n - 2) * job.iterations
-    legs = [(msg, count, stages) for msg, count in zip(messages, sends.tolist())]
-    return float(state[0].max()), ledger, _summarize(legs)
+    return float(state[0].max()), ledger, summary
 
 
 def flow_wa_exchange(job: Exchange) -> Measured:

@@ -1,19 +1,21 @@
 """The run-stepped ring flow evaluator against the per-node oracle.
 
 ``flowsim.flow_ring_exchange`` steps runs of consecutive blocks whose
-whole state is equal; :mod:`.reference_flow` keeps the evaluator it
-replaced, one array entry per node.  Each run executes the float
-operations the per-node arrays did, in the same order, so every
-simulated value must be *identical* — compared through ``float.hex``,
-never a tolerance — on even and uneven blocks, link- and engine-bound
-wires, padded multi-train messages and across iterations (where the
-block frame turns by two diagonals).
+whole state is equal (one block size: one run, its chain in Python
+floats); :mod:`.reference_flow` keeps the evaluator it replaced, one
+array entry per node.  Each run executes the float operations the
+per-node arrays did, in the same order, so every simulated value must
+be *identical* — compared through ``float.hex``, never a tolerance — on
+even and uneven blocks, link- and engine-bound wires, padded
+multi-train messages and across iterations (where the block frame
+turns by two diagonals).
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core import inceptionn_profile
 from repro.dnn.models import PAPER_MODELS
@@ -72,6 +74,8 @@ CASES = [
     (256, RESNET50_NBYTES, dict(compress=True, bandwidth_bps=1e9)),
     (300, 4 * (300 * 7 + 299), dict(train_packets=8, iterations=3, hdc=True)),
     (1000, RESNET50_NBYTES, dict(compress=True, train_packets=8)),
+    # One block size, four trains a message, through the float chain.
+    (8, 4 * 8 * 5000, dict(train_packets=4, iterations=3, hdc=True, compress=True)),
 ]
 
 
@@ -84,8 +88,10 @@ def test_table_matches_the_per_node_oracle(workers, nbytes, options):
 @given(
     workers=st.integers(2, 300),
     values_per_block=st.integers(0, 3000),
-    # 0 divides evenly; anything else leaves the first blocks one value longer.
-    remainder=st.integers(0, 299),
+    # Half the rings divide evenly (one block size, the float chain);
+    # a remainder leaves the first blocks one value longer.
+    uneven=st.booleans(),
+    remainder=st.integers(1, 299),
     train_packets=st.sampled_from([1, 4, 8, 4400]),
     bandwidth_bps=st.sampled_from([1e9, 10e9]),
     compress=st.booleans(),
@@ -93,10 +99,10 @@ def test_table_matches_the_per_node_oracle(workers, nbytes, options):
     hdc=st.booleans(),
 )
 def test_any_ring_matches_the_per_node_oracle(
-    workers, values_per_block, remainder, train_packets, bandwidth_bps,
+    workers, values_per_block, uneven, remainder, train_packets, bandwidth_bps,
     compress, iterations, hdc,
 ):
-    values = workers * values_per_block + remainder % workers
+    values = workers * values_per_block + uneven * (remainder % workers)
     _assert_matches_oracle(
         workers,
         4 * max(values, 1),
@@ -155,10 +161,52 @@ def test_turn_runs_is_the_per_block_rotation(partition):
     assert (_per_block(starts, turned, n) == blocks).all()
 
 
+SECONDS = st.floats(0.0, 1e-2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_float_chain_is_deliver_on_one_row(data):
+    # Any chain of own-resource stages, busy links and engines included,
+    # with trailing padding trains; compared through ``float.hex``.
+    trains = data.draw(st.integers(1, 300), label="trains")
+    active = data.draw(st.integers(0, trains), label="active trains")
+    table = flowsim.Trains(
+        data.draw(hnp.arrays(np.float64, (4, 1, trains), elements=SECONDS)),
+        np.arange(trains)[None, :] < active,
+    )
+    engines = data.draw(st.lists(st.booleans(), min_size=1, max_size=5))
+    stages = [
+        flowsim.Stage(
+            np.array([data.draw(SECONDS)]), slice(None), engine,
+            data.draw(SECONDS), data.draw(SECONDS),
+        )
+        for engine in engines
+    ]
+    t_send = data.draw(SECONDS)
+    free = [float(stage.free[0]) for stage in stages]
+    landed = flowsim._deliver_floats(table, stages)(t_send, free)
+    expected = flowsim.deliver(np.array([t_send]), table, stages)
+    assert landed.hex() == float(expected[0]).hex()
+    assert [f.hex() for f in free] == [float(s.free[0]).hex() for s in stages]
+
+
+@pytest.mark.parametrize("workers", [1024, 16_384])
+def test_uniform_ring_never_calls_deliver(workers, deliver_widths):
+    # ResNet-50's 25 690 112 values divide by both rings: one block size,
+    # so one run for the ring's whole life, stepped in Python floats.
+    result = simulate_ring_exchange(
+        workers, RESNET50_NBYTES, stream=inceptionn_profile(),
+        gradient_ratio=RATIO, iterations=2, fidelity="flow",
+    )
+    assert deliver_widths == []
+    assert result.total_s > 0.0
+
+
 def test_engine_bound_uneven_ring_stays_a_handful_of_runs(deliver_widths):
-    # 10 GbE, INCEPTIONN: the NIC engines bind, inherited free-at times
-    # never do, and the two block sizes give two runs plus each one's
-    # last block — whatever the worker count.
+    # 10 GbE, INCEPTIONN: the NIC engines bind and the two block sizes
+    # give two runs plus each one's last block at this width.  It is not
+    # a bound: 100 MB at 65 536 workers reaches a mean 32.8, max 62.
     _assert_matches_oracle(1000, RESNET50_NBYTES, compress=True)
     assert len(deliver_widths) == 2 * 1000 - 2
     assert max(deliver_widths) <= 8

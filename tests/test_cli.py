@@ -105,6 +105,28 @@ def test_exchange_simulates_the_bytes_it_was_asked_for(capsys):
         main(["exchange", "--mbytes", "1.000001", "--fidelity", "flow"])
 
 
+@pytest.mark.parametrize("fidelity", ["packet", "flow"])
+def test_exchange_measures_the_stream_ratio_once(fidelity, monkeypatch, capsys):
+    # The printed ratio is the one the run used: measured once, not again
+    # to print it (each measurement runs the codec on a sampled gradient).
+    import repro.perfmodel.exchange
+    import repro.transport.wire
+
+    ratios = []
+    measure = repro.transport.wire.measure_stream_ratio
+
+    def spy(stream, *args, **kwargs):
+        ratios.append(measure(stream, *args, **kwargs))
+        return ratios[-1]
+
+    monkeypatch.setattr(repro.transport.wire, "measure_stream_ratio", spy)
+    monkeypatch.setattr(repro.perfmodel.exchange, "measure_stream_ratio", spy)
+    argv = ["exchange", "--mbytes", "1", "--codec", "inceptionn"]
+    assert main([*argv, "--fidelity", fidelity]) == 0
+    assert len(ratios) == 1
+    assert f"measured ratio {ratios[0]:10.2f}x" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("spec", ["leaf-spine:hosts=0", "fat-tree:k=inf"])
 def test_exchange_rejects_bad_topology_counts(spec):
     # Used to escape as ZeroDivisionError / OverflowError tracebacks.
