@@ -12,16 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import print_header, print_row, run_once
-from repro.core import ErrorBound
-from repro.hardware import CompressionEngine, engine_throughput_bps
-from repro.network import (
-    Network,
-    NicTimingModel,
-    Simulation,
-    SwitchedStar,
-    TOS_COMPRESS,
-)
-from repro.hardware import engine_latency_s
+from repro.core import ErrorBound, inceptionn_profile
+from repro.hardware import CompressionEngine
+from repro.transport import ClusterComm, ClusterConfig
 
 BOUND = ErrorBound(10)
 WIDTHS = (1, 2, 4, 8, 16)
@@ -65,21 +58,17 @@ def test_engine_width_end_to_end(benchmark):
     def run():
         nbytes = 16 * 2**20
         times = {}
+        stream = inceptionn_profile()
         for width in WIDTHS:
-            sim = Simulation()
-            topo = SwitchedStar(sim, 2)
-            nic = NicTimingModel(
-                compression=True,
-                engine_latency_s=engine_latency_s(),
-                engine_throughput_bps=engine_throughput_bps(width),
+            comm = ClusterComm(
+                ClusterConfig(num_nodes=2, engine_blocks=width, profile=stream)
             )
-            net = Network(sim, topo, nics={0: nic, 1: nic})
+            sender = comm.endpoints[0]
+            msg = sender.build_message(1, nbytes=nbytes, profile=stream, ratio=8.0)
             done = {}
-            ev = net.send(
-                0, 1, nbytes, tos=TOS_COMPRESS, compressed_nbytes=nbytes // 8
-            )
-            ev.add_callback(lambda e: done.setdefault("t", sim.now))
-            sim.run()
+            ev = sender.isend_message(msg)
+            ev.add_callback(lambda e: done.setdefault("t", comm.now))
+            comm.run()
             times[width] = done["t"]
         return times
 

@@ -25,7 +25,7 @@ def _ring_error(n, seed=0):
         (rng.standard_normal(4096) * 0.05).astype(np.float32) for _ in range(n)
     ]
     stream = inceptionn_profile(BOUND)
-    comm = ClusterComm(ClusterConfig(num_nodes=n, profile=stream, bound=BOUND))
+    comm = ClusterComm(ClusterConfig(num_nodes=n, profile=stream))
     results = {}
 
     def node(i):

@@ -10,7 +10,7 @@ Run:  python examples/nic_packet_walkthrough.py
 import numpy as np
 
 from repro.core import ErrorBound, compress
-from repro.hardware import InceptionnNic, timing_model_for
+from repro.hardware import InceptionnNic
 from repro.network import TOS_COMPRESS, TOS_DEFAULT
 
 BOUND = ErrorBound(10)
@@ -54,10 +54,10 @@ def main() -> None:
     print(f"identical: {sw_stream == hw_stream} "
           f"({stats.bursts_in} bursts in, {stats.cycles} cycles @ 100 MHz)")
 
-    model = timing_model_for(sender)
+    engine = sender.compressor
     print(
-        f"\nengine timing surface: {model.engine_throughput_bps / 1e9:.1f} GB/s "
-        f"streaming, {model.engine_latency_s * 1e9:.0f} ns pipeline fill"
+        f"\nengine timing surface: {engine.throughput_bps() / 1e9:.1f} GB/s "
+        f"streaming, {engine.latency_s() * 1e9:.0f} ns pipeline fill"
     )
     counters = sender.counters
     print(

@@ -184,7 +184,8 @@ class InceptionnCodec(GradientCodec):
         return {"bound": DEFAULT_BOUND.exponent}
 
     @staticmethod
-    def _bound(params: Mapping) -> ErrorBound:
+    def bound_of(params: Mapping) -> ErrorBound:
+        """The ``bound`` parameter, in any accepted spelling, as an ErrorBound."""
         bound = params.get("bound", DEFAULT_BOUND)
         if isinstance(bound, ErrorBound):
             return bound
@@ -201,11 +202,11 @@ class InceptionnCodec(GradientCodec):
         return ErrorBound(int(bound))
 
     def compress(self, values: np.ndarray, **params: object) -> CodecResult:
-        nbits, reconstruction = _inc_quantize(values, self._bound(params))
+        nbits, reconstruction = _inc_quantize(values, self.bound_of(params))
         return CodecResult(payload_nbytes=-(-nbits // 8), values=reconstruction)
 
     def error_bound(self, values: np.ndarray, **params: object) -> Optional[float]:
-        return self._bound(params).bound
+        return self.bound_of(params).bound
 
 
 class IdentityCodec(GradientCodec):

@@ -20,7 +20,6 @@ from .compression_engine import CompressionEngine, EngineStats
 from .decompression_engine import DecompressionEngine, DecompressionError
 from .engine import DEFAULT_CLOCK_HZ, PIPELINE_DEPTH, BurstEngine
 from .nic import InceptionnNic, NicCounters
-from .timing import engine_latency_s, engine_throughput_bps, timing_model_for
 
 __all__ = [
     "AggregationEngine",
@@ -39,7 +38,4 @@ __all__ = [
     "BurstEngine",
     "InceptionnNic",
     "NicCounters",
-    "engine_latency_s",
-    "engine_throughput_bps",
-    "timing_model_for",
 ]

@@ -14,8 +14,7 @@ of such ToS bytes) and their own codec transforms them in
 :mod:`repro.transport.wire`.
 
 This is the *functional* model — it transforms real packet bytes
-bit-exactly.  Its timing surface is exported to the network simulator
-via :func:`repro.hardware.timing.timing_model_for`.
+bit-exactly; the simulator's engine timing is ``ClusterConfig.nic_timing``.
 """
 
 from __future__ import annotations
@@ -132,7 +131,7 @@ class InceptionnNic:
     ) -> None:
         """Tick TX counters for one wire traversal of a packet train.
 
-        Equivalent to running :meth:`process_tx` over every packet, but
+        Equivalent to running :meth:`transmit` over the train, but
         at message granularity so size-only (paper-scale) sends never
         walk per-packet objects.  Payload bytes count only the
         engine-processed stream, matching the per-packet path.
@@ -198,16 +197,11 @@ class InceptionnNic:
                         int(counts[tag])
                     )
 
-    def process_tx(self, packet: Packet) -> Packet:
-        """Transmit-side classification + compression of one packet."""
-        return self._transmit([packet])[0]
+    def transmit(self, packets: List[Packet]) -> List[Packet]:
+        """TX datapath over a packet train: one engine call for all it engages.
 
-    def process_rx(self, packet: Packet) -> Packet:
-        """Receive-side classification + decompression of one packet."""
-        return self._receive([packet])[0]
-
-    def _transmit(self, packets: List[Packet]) -> List[Packet]:
-        """TX datapath over a packet train: one engine call for all it engages."""
+        Bypassed packets come back as the same objects.
+        """
         engaged = [slot for slot, pkt in enumerate(packets) if self._engages(pkt)]
         streams, _ = self.compressor.compress_packets(
             [packets[slot].payload for slot in engaged]
@@ -228,7 +222,7 @@ class InceptionnNic:
         )
         return out
 
-    def _receive(self, packets: List[Packet]) -> List[Packet]:
+    def receive(self, packets: List[Packet]) -> List[Packet]:
         """RX datapath over a packet train: one engine call for all it engages.
 
         A malformed stream raises before any counter or engine total moves.
@@ -264,11 +258,11 @@ class InceptionnNic:
         self, data: bytes, dst: int, tos: int, mss: int = DEFAULT_MSS
     ) -> List[Packet]:
         """Segment a byte stream and run the packet train through TX."""
-        return self._transmit(
+        return self.transmit(
             segment_bytes(data, src=self.node_id, dst=dst, tos=tos, mss=mss)
         )
 
     def receive_message(self, packets: List[Packet]) -> bytes:
         """Run a packet train through RX and reassemble in sequence order."""
-        restored = sorted(self._receive(packets), key=lambda p: p.seq)
+        restored = sorted(self.receive(packets), key=lambda p: p.seq)
         return b"".join(p.payload for p in restored)

@@ -53,13 +53,7 @@ from .packet import (
     segment_bytes,
     split_trains,
 )
-from .simulator import (
-    ENGINE_THROUGHPUT_BPS,
-    MessageReceipt,
-    Network,
-    NicTimingModel,
-    uniform_nics,
-)
+from .simulator import MessageReceipt, Network, NicTimingModel
 from .topology import (
     DEFAULT_BANDWIDTH_BPS,
     DEFAULT_LINK_LATENCY_S,
@@ -123,11 +117,9 @@ __all__ = [
     "packet_count",
     "segment_bytes",
     "split_trains",
-    "ENGINE_THROUGHPUT_BPS",
     "MessageReceipt",
     "Network",
     "NicTimingModel",
-    "uniform_nics",
     "DEFAULT_BANDWIDTH_BPS",
     "DEFAULT_LINK_LATENCY_S",
     "DEFAULT_SWITCH_DELAY_S",

@@ -9,8 +9,8 @@ event kernel.
 The NIC compression engines influence timing in two ways, mirroring the
 hardware integration of Sec. VI-A:
 
-* compressible payload shrinks on the wire (the caller supplies the
-  compressed byte count measured by the real codec), while the *packet
+* compressed payload shrinks on the wire (the sender NIC's
+  ``WireMessage`` carries the codec's measured size), while the *packet
   count does not change* — the engine compresses payloads in place, so
   per-packet header bytes survive compression.  This reproduces the
   paper's observation that a 15x compression ratio does not yield a 15x
@@ -49,14 +49,7 @@ from repro.obs import CAT_MESSAGE, Tracer
 from .events import Event, Simulation
 from .link import Link
 from .loss import DeliveryFailure, LossModel, RetransmitPolicy
-from .packet import (
-    DEFAULT_MSS,
-    HEADER_BYTES,
-    TOS_DEFAULT,
-    is_compressible_tos,
-    packet_count,
-    split_trains,
-)
+from .packet import DEFAULT_MSS, HEADER_BYTES, TOS_DEFAULT, packet_count, split_trains
 from .priority import PRIORITY_DEFAULT
 from .topology import Route, Topology
 
@@ -67,20 +60,19 @@ if TYPE_CHECKING:
 #: train being resent (payload bytes, headers excluded).
 RetransmitHook = Callable[[int, int, int], None]
 
-#: Engine streaming rate: 256 bits per cycle at 100 MHz.
-ENGINE_THROUGHPUT_BPS = 256 * 100e6 / 8  # bytes/second
-
 
 @dataclass(frozen=True)
 class NicTimingModel:
-    """Timing-relevant NIC parameters (one per node)."""
+    """Timing of the NIC engine pair every node carries.
 
-    #: Whether the in-NIC compression/decompression engines are present.
-    compression: bool = False
+    Derived from the engine configuration by
+    :meth:`repro.transport.ClusterConfig.nic_timing`.
+    """
+
     #: Pipeline fill latency through the engine per packet train.
-    engine_latency_s: float = 1e-6
-    #: Engine streaming throughput on the *uncompressed* side.
-    engine_throughput_bps: float = ENGINE_THROUGHPUT_BPS
+    engine_latency_s: float
+    #: Engine streaming throughput on the *uncompressed* side, bytes/s.
+    engine_throughput_bps: float
 
 
 @dataclass
@@ -125,7 +117,7 @@ class Network:
         topology: Topology,
         mss: int = DEFAULT_MSS,
         train_packets: int = DEFAULT_TRAIN_PACKETS,
-        nics: Optional[Dict[int, NicTimingModel]] = None,
+        engine: Optional[NicTimingModel] = None,
         loss: Optional[LossModel] = None,
         retransmit: RetransmitPolicy = RetransmitPolicy(),
         tracer: Optional[Tracer] = None,
@@ -148,41 +140,27 @@ class Network:
                 link.attach_loss(loss, salt)
         self.trains_retransmitted = 0
         self.packets_retransmitted = 0
-        default = NicTimingModel()
-        self.nics: Dict[int, NicTimingModel] = {
-            node: (nics or {}).get(node, default)
-            for node in range(topology.num_nodes)
-        }
+        # Every node carries the same engine pair (``engine=None``: none).
         # Engines are FIFO resources: a busy engine queues later trains,
         # so a slow engine gates streaming throughput exactly like a
         # slow link would.  They carry the *uncompressed* byte stream.
         self._tx_engines: Dict[int, Link] = {}
         self._rx_engines: Dict[int, Link] = {}
-        for node, nic in self.nics.items():
-            if nic.compression:
-                self._tx_engines[node] = Link(
-                    sim,
-                    nic.engine_throughput_bps * 8,
-                    nic.engine_latency_s,
-                    name=f"n{node}-tx-engine",
-                )
-                self._rx_engines[node] = Link(
-                    sim,
-                    nic.engine_throughput_bps * 8,
-                    nic.engine_latency_s,
-                    name=f"n{node}-rx-engine",
-                )
+        if engine is not None:
+            for node in range(topology.num_nodes):
+                for side, engines in ("tx", self._tx_engines), ("rx", self._rx_engines):
+                    engines[node] = Link(
+                        sim,
+                        engine.engine_throughput_bps * 8,
+                        engine.engine_latency_s,
+                        name=f"n{node}-{side}-engine",
+                    )
         if tracer is not None:
-            for engine in (*self._tx_engines.values(), *self._rx_engines.values()):
-                engine.attach_tracer(tracer, kind="engine")
+            for link in (*self._tx_engines.values(), *self._rx_engines.values()):
+                link.attach_tracer(tracer, kind="engine")
             for link in topology.all_links():
                 link.attach_tracer(tracer)
         self.total_wire_bytes = 0
-        #: Link-level traffic: wire bytes weighted by hop count.  Unlike
-        #: ``total_wire_bytes`` (once per message), this grows with every
-        #: link a message crosses, so in-network aggregation shows up as
-        #: a reduction even though it sends *more* (shorter) segments.
-        self.total_link_bytes = 0
         self.messages_sent = 0
         # Per-(src, dst) message sequence numbers feed link arbitration
         # keys.  Unlike the global ``messages_sent`` counter, these only
@@ -200,39 +178,26 @@ class Network:
         nbytes: int,
         tos: int = TOS_DEFAULT,
         payload: object = None,
-        compressed_nbytes: Optional[int] = None,
     ) -> Event:
-        """Send ``nbytes`` of application data from ``src`` to ``dst``.
+        """Send ``nbytes`` of raw application data from ``src`` to ``dst``.
 
         Returns an event firing at delivery with value
-        ``(payload, receipt)``.  When ``tos`` is a registered
-        compression code (``TOS_COMPRESS`` or any codec ToS claimed via
-        :func:`repro.network.packet.register_compressible_tos`) and both
-        endpoint NICs have engines, the wire payload is
-        ``compressed_nbytes`` (defaulting to ``nbytes`` when the caller
-        did not measure it).
+        ``(payload, receipt)``.  The bytes bypass the engines whatever
+        ``tos`` says: compression is decided once, by the sender NIC
+        that builds a :class:`~repro.transport.wire.WireMessage` (sent
+        with :meth:`send_wire`).
         """
         if nbytes < 0:
             raise ValueError("nbytes cannot be negative")
-        if compressed_nbytes is not None and compressed_nbytes < 0:
-            raise ValueError("compressed_nbytes cannot be negative")
-        compress = (
-            is_compressible_tos(tos)
-            and self.nics[src].compression
-            and self.nics[dst].compression
-        )
-        wire_payload = nbytes
-        if compress and compressed_nbytes is not None:
-            wire_payload = compressed_nbytes
         return self._dispatch(
             self.topology.route(src, dst, tos=tos),
             src,
             dst,
             nbytes,
-            wire_payload,
+            nbytes,
             tos,
-            src if compress else None,
-            dst if compress else None,
+            None,
+            None,
             payload,
         )
 
@@ -243,19 +208,14 @@ class Network:
     ) -> Event:
         """Send a built :class:`~repro.transport.wire.WireMessage`.
 
-        The message's wire sizes were produced by the sender NIC's
-        engine dispatch, so they are authoritative; the timing NICs only
-        gate whether the engine pipeline stages are traversed.  Returns
-        an event firing at delivery with value ``(msg, receipt)``.
-        ``on_retransmit`` fires once per resent train with its packet
-        and payload counts — the hook that lets functional NIC counters
-        see every wire traversal.
+        The message's wire sizes and ``compressed`` flag are the sender
+        NIC's engine dispatch, the one compression decision: a
+        compressed message crosses both endpoints' engine stages.
+        Returns an event firing at delivery with value
+        ``(msg, receipt)``.  ``on_retransmit`` fires once per resent
+        train with its packet and payload counts — the hook that lets
+        functional NIC counters see every wire traversal.
         """
-        compress = (
-            msg.compressed
-            and self.nics[msg.src].compression
-            and self.nics[msg.dst].compression
-        )
         return self._dispatch(
             self.topology.route(msg.src, msg.dst, tos=msg.tos),
             msg.src,
@@ -263,8 +223,8 @@ class Network:
             msg.nbytes,
             msg.wire_payload_nbytes,
             msg.tos,
-            msg.src if compress else None,
-            msg.dst if compress else None,
+            msg.src if msg.compressed else None,
+            msg.dst if msg.compressed else None,
             msg,
             on_retransmit,
         )
@@ -350,7 +310,6 @@ class Network:
             sent_at=self.sim.now,
         )
         self.total_wire_bytes += wire_total
-        self.total_link_bytes += wire_total * len(route.links)
         self.messages_sent += 1
         tracer = self.tracer
         msg_id = self.messages_sent
@@ -518,11 +477,3 @@ class Network:
                 raise DeliveryFailure(
                     f"train between nodes {src}->{dst} lost {attempts} times"
                 )
-
-
-def uniform_nics(
-    num_nodes: int, compression: bool, **kwargs: object
-) -> Dict[int, NicTimingModel]:
-    """Convenience: the same NIC model on every node."""
-    model = NicTimingModel(compression=compression, **kwargs)
-    return {node: model for node in range(num_nodes)}

@@ -19,10 +19,11 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import ErrorBound, RAW_STREAM, StreamProfile
+from repro.core import RAW_STREAM, StreamProfile
 from repro.core.bounds import DEFAULT_BOUND
+from repro.core.registry import InceptionnCodec
+from repro.hardware.engine import BurstEngine
 from repro.hardware.nic import InceptionnNic
-from repro.hardware.timing import engine_latency_s, engine_throughput_bps
 from repro.network import (
     BackgroundTraffic,
     Event,
@@ -127,7 +128,6 @@ class ClusterConfig:
 
     num_nodes: int
     bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS
-    bound: ErrorBound = DEFAULT_BOUND
     engine_blocks: int = 8
     engine_clock_hz: float = 100e6
     link_latency_s: float = DEFAULT_LINK_LATENCY_S
@@ -175,12 +175,18 @@ class ClusterConfig:
         """One node's functional NIC — the engine dispatch every
         WireMessage is built through (paper Fig 8's comparator).
 
-        Engines are present exactly when a profile is configured.
+        Engines are present exactly when a profile is configured.  The
+        INCEPTIONN pair runs at an INCEPTIONN stream's own bound; other
+        codecs' ToS never engages it, so it keeps the default there.
         """
+        profile = self.profile
+        bound = DEFAULT_BOUND
+        if profile is not None and profile.codec == InceptionnCodec.name:
+            bound = InceptionnCodec.bound_of(profile.params)
         return InceptionnNic(
             node,
-            self.bound,
-            enabled=self.profile is not None,
+            bound,
+            enabled=profile is not None,
             num_blocks=self.engine_blocks,
             clock_hz=self.engine_clock_hz,
         )
@@ -188,15 +194,13 @@ class ClusterConfig:
     def nic_timing(self) -> NicTimingModel:
         """The timing view of those NICs: engine rate and fill latency.
 
-        The one config-to-engine-timing conversion; the event kernel's
-        engine stages and the flow evaluator's both read it.
+        The one engine-to-timing conversion; the event kernel's engine
+        stages and the flow evaluator's both read it.
         """
+        engine = BurstEngine(self.engine_clock_hz, self.engine_blocks)
         return NicTimingModel(
-            compression=self.profile is not None,
-            engine_latency_s=engine_latency_s(self.engine_clock_hz),
-            engine_throughput_bps=engine_throughput_bps(
-                self.engine_blocks, self.engine_clock_hz
-            ),
+            engine_latency_s=engine.latency_s(),
+            engine_throughput_bps=engine.throughput_bps(),
         )
 
 
@@ -218,7 +222,6 @@ class ClusterComm:
             link_latency_s=config.link_latency_s,
             switch_delay_s=config.switch_delay_s,
         )
-        nic = config.nic_timing()
         loss = (
             LossModel(config.loss_rate, seed=config.loss_seed)
             if config.loss_rate > 0.0
@@ -229,7 +232,7 @@ class ClusterComm:
             self.topology,
             mss=config.mss,
             train_packets=config.train_packets,
-            nics={node: nic for node in range(config.num_nodes)},
+            engine=config.nic_timing() if config.profile is not None else None,
             loss=loss,
             retransmit=config.retransmit,
             tracer=tracer,

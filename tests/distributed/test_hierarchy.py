@@ -13,7 +13,7 @@ def _run_hier(vectors, group_size, compression=False, bound=ErrorBound(10)):
     layout = GroupLayout.even(n, group_size)
     stream = inceptionn_profile(bound) if compression else None
     comm = ClusterComm(
-        ClusterConfig(num_nodes=n, bound=bound, profile=stream)
+        ClusterConfig(num_nodes=n, profile=stream)
     )
     results = {}
 

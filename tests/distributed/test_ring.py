@@ -18,7 +18,7 @@ def _run_ring(vectors, compression=False, bound=ErrorBound(10), profile=None):
     n = len(vectors)
     stream = inceptionn_profile(bound) if compression else None
     comm = ClusterComm(
-        ClusterConfig(num_nodes=n, bound=bound, profile=stream)
+        ClusterConfig(num_nodes=n, profile=stream)
     )
     results = {}
 

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import ErrorBound, profile_for
-from repro.hardware import InceptionnNic, timing_model_for
+from repro.core import DEFAULT_BOUND, ErrorBound, inceptionn_profile, profile_for
+from repro.hardware import InceptionnNic
 from repro.network import TOS_COMPRESS, TOS_DEFAULT, Packet
-from repro.transport import ClusterConfig
+from repro.transport import ClusterComm, ClusterConfig
 
 BOUND = ErrorBound(10)
 
@@ -24,7 +24,7 @@ def test_tos_match_triggers_compression():
     nic = _nic()
     data = _gradients(365).tobytes()  # 1460 bytes, exactly one MSS
     pkt = Packet(src=0, dst=1, tos=TOS_COMPRESS, payload=data)
-    out = nic.process_tx(pkt)
+    out = nic.transmit([pkt])[0]
     assert len(out.payload) < len(data)
     assert nic.counters.tx_compressed == 1
 
@@ -33,7 +33,7 @@ def test_default_tos_bypasses():
     nic = _nic()
     data = _gradients(100).tobytes()
     pkt = Packet(src=0, dst=1, tos=TOS_DEFAULT, payload=data)
-    out = nic.process_tx(pkt)
+    out = nic.transmit([pkt])[0]
     assert out is pkt
     assert nic.counters.tx_bypassed == 1
     assert nic.counters.tx_compressed == 0
@@ -42,7 +42,7 @@ def test_default_tos_bypasses():
 def test_disabled_nic_never_compresses():
     nic = _nic(enabled=False)
     pkt = Packet(src=0, dst=1, tos=TOS_COMPRESS, payload=_gradients(64).tobytes())
-    out = nic.process_tx(pkt)
+    out = nic.transmit([pkt])[0]
     assert out is pkt
 
 
@@ -50,8 +50,8 @@ def test_tx_rx_roundtrip_single_packet():
     tx_nic, rx_nic = _nic(0), _nic(1)
     values = _gradients(256)
     pkt = Packet(src=0, dst=1, tos=TOS_COMPRESS, payload=values.tobytes())
-    wire = tx_nic.process_tx(pkt)
-    restored = rx_nic.process_rx(wire)
+    wire = tx_nic.transmit([pkt])[0]
+    restored = rx_nic.receive([wire])[0]
     out = np.frombuffer(restored.payload, dtype=np.float32)
     assert np.max(np.abs(out - values)) < BOUND.bound
     assert rx_nic.counters.rx_decompressed == 1
@@ -96,9 +96,9 @@ def test_size_only_packet_rejected_by_bit_exact_path():
     nic = _nic()
     pkt = Packet(src=0, dst=1, tos=TOS_COMPRESS, payload_nbytes=1460)
     with pytest.raises(ValueError):
-        nic.process_tx(pkt)
+        nic.transmit([pkt])
     with pytest.raises(ValueError):
-        nic.process_rx(pkt)
+        nic.receive([pkt])
 
 
 def test_context_preserved_through_compression():
@@ -108,31 +108,51 @@ def test_context_preserved_through_compression():
         src=0, dst=1, tos=TOS_COMPRESS, payload=_gradients(64).tobytes(),
         context=marker,
     )
-    wire = tx_nic.process_tx(pkt)
-    restored = rx_nic.process_rx(wire)
+    wire = tx_nic.transmit([pkt])[0]
+    restored = rx_nic.receive([wire])[0]
     assert restored.context is marker
 
 
-def test_timing_model_export():
-    nic = _nic()
-    model = timing_model_for(nic)
-    assert model.compression
-    assert model.engine_throughput_bps == pytest.approx(3.2e9)
-    narrow = _nic(num_blocks=2)
-    assert timing_model_for(narrow).engine_throughput_bps == pytest.approx(0.8e9)
-
-
-@pytest.mark.parametrize("blocks", [2, 8])
+@pytest.mark.parametrize("blocks", [1, 2, 8, 16])
 @pytest.mark.parametrize("codec", [None, "inceptionn"])
 def test_cluster_config_timing_equals_the_functional_nics(blocks, codec):
-    # ClusterConfig.nic_timing() skips building a NIC; same numbers.
-    config = ClusterConfig(
-        num_nodes=2,
-        engine_blocks=blocks,
-        engine_clock_hz=125e6,
-        profile=profile_for(codec) if codec else None,
-    )
-    assert config.nic_timing() == timing_model_for(config.build_nic(0))
-    if codec and blocks == 8:
-        default = ClusterConfig(num_nodes=2, profile=profile_for(codec))
-        assert default.nic_timing() == timing_model_for(InceptionnNic(0, BOUND))
+    # nic_timing() is the one engine-to-timing conversion: it equals the
+    # functional NIC's engine and is what every engine stage runs at.
+    for clock_hz in (100e6, 125e6):
+        config = ClusterConfig(
+            num_nodes=3,
+            engine_blocks=blocks,
+            engine_clock_hz=clock_hz,
+            profile=profile_for(codec) if codec else None,
+        )
+        timing = config.nic_timing()
+        engine = config.build_nic(0).compressor
+        assert timing.engine_throughput_bps == engine.throughput_bps()
+        assert timing.engine_latency_s == engine.latency_s()
+        # 32-byte bursts, one per ceil(8 / blocks) cycles; a 4-cycle fill.
+        assert timing.engine_throughput_bps == pytest.approx(
+            32 * clock_hz / -(-8 // blocks)
+        )
+        assert timing.engine_latency_s == pytest.approx(4 / clock_hz)
+        # Engine stages exist exactly when a profile is configured.
+        network = ClusterComm(config).network
+        links = [*network._tx_engines.values(), *network._rx_engines.values()]
+        assert len(links) == (2 * config.num_nodes if codec else 0)
+        for link in links:
+            assert link.bandwidth_bps == timing.engine_throughput_bps * 8
+            assert link.latency_s == timing.engine_latency_s
+    # The default 100 MHz engine: 3.2 GB/s at 8 blocks, 0.8 GB/s at 2.
+    default = ClusterConfig(num_nodes=2, profile=profile_for(codec) if codec else None)
+    assert default.nic_timing().engine_throughput_bps == pytest.approx(3.2e9)
+    narrow = ClusterConfig(num_nodes=2, engine_blocks=2)
+    assert narrow.nic_timing().engine_throughput_bps == pytest.approx(0.8e9)
+
+
+def test_cluster_nics_run_at_the_stream_bound():
+    six = ClusterConfig(num_nodes=2, profile=inceptionn_profile(ErrorBound(6)))
+    assert six.build_nic(0).bound == ErrorBound(6)
+    spelled = ClusterConfig(num_nodes=2, profile=profile_for("inceptionn", bound=6))
+    assert spelled.build_nic(1).bound == ErrorBound(6)
+    # Other codecs' ToS never engages the INCEPTIONN pair.
+    other = ClusterConfig(num_nodes=2, profile=profile_for("truncation"))
+    assert other.build_nic(0).bound == DEFAULT_BOUND

@@ -22,8 +22,8 @@ def _nic(enabled=True):
 def _assert_bypasses(nic, tos):
     pkt = Packet(src=0, dst=1, seq=0, tos=tos, payload=b"\x00" * 64)
     before = (nic.counters.tx_bypassed, nic.counters.rx_bypassed)
-    assert nic.process_tx(pkt) is pkt
-    assert nic.process_rx(pkt) is pkt
+    assert nic.transmit([pkt])[0] is pkt
+    assert nic.receive([pkt])[0] is pkt
     after = (nic.counters.tx_bypassed, nic.counters.rx_bypassed)
     assert after == (before[0] + 1, before[1] + 1)
 
@@ -33,7 +33,7 @@ def test_inceptionn_engine_preinstalled_at_0x28():
     assert nic.dispatches(TOS_COMPRESS)
     assert not nic.dispatches(TOS_DEFAULT)
     pkt = Packet(src=0, dst=1, seq=0, tos=TOS_COMPRESS, payload=b"\x00" * 64)
-    assert nic.process_tx(pkt) is not pkt
+    assert nic.transmit([pkt])[0] is not pkt
     assert nic.counters.tx_compressed == 1
 
 

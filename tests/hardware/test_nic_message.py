@@ -1,9 +1,9 @@
 """The message-granular NIC datapath equals the per-packet one.
 
 ``transmit_message``/``receive_message`` run a whole packet train
-through one engine call; ``process_tx``/``process_rx`` are its
-one-packet case.  Both must leave identical packets, sidecar contexts,
-``NicCounters``, engine totals and trace instants.
+through one engine call; ``transmit``/``receive`` of one-packet trains
+are the per-packet case.  Both must leave identical packets, sidecar
+contexts, ``NicCounters``, engine totals and trace instants.
 """
 
 import numpy as np
@@ -49,7 +49,7 @@ def _assert_same_tx(data, tos, **kwargs):
     by_message, by_packet = _nic_pair(0, **kwargs)
     train = by_message.transmit_message(data, dst=1, tos=tos)
     loop = [
-        by_packet.process_tx(pkt)
+        by_packet.transmit([pkt])[0]
         for pkt in segment_bytes(data, src=0, dst=1, tos=tos)
     ]
     assert train == loop
@@ -61,7 +61,7 @@ def _assert_same_tx(data, tos, **kwargs):
 def _assert_same_rx(packets, **kwargs):
     by_message, by_packet = _nic_pair(1, **kwargs)
     message = by_message.receive_message(packets)
-    loop = sorted((by_packet.process_rx(pkt) for pkt in packets), key=lambda p: p.seq)
+    loop = sorted((by_packet.receive([pkt])[0] for pkt in packets), key=lambda p: p.seq)
     assert message == b"".join(p.payload for p in loop)
     assert _state(by_message) == _state(by_packet)
     return message
@@ -115,8 +115,8 @@ def test_sidecar_contexts_survive_the_train():
                payload=_gradient_bytes(50 + k, k), context=markers[k])
         for k in range(3)
     ]
-    wire = [tx.process_tx(pkt) for pkt in packets]
-    restored = rx._receive(wire)
+    wire = [tx.transmit([pkt])[0] for pkt in packets]
+    restored = rx.receive(wire)
     assert [pkt.context for pkt in restored] == markers
     assert all(got.context is want for got, want in zip(restored, markers))
 

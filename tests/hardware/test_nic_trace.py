@@ -19,8 +19,8 @@ def _gradients(n, seed=0):
 
 def _roundtrip(nic, values):
     pkt = Packet(src=0, dst=1, tos=TOS_COMPRESS, payload=values.tobytes())
-    compressed = nic.process_tx(pkt)
-    return nic.process_rx(compressed)
+    compressed = nic.transmit([pkt])[0]
+    return nic.receive([compressed])[0]
 
 
 def test_compress_and_decompress_instants_recorded():
@@ -46,8 +46,8 @@ def test_tag_class_census_matches_classifier():
     tracer = Tracer()
     nic = InceptionnNic(0, BOUND, tracer=tracer)
     values = _gradients(365, seed=3)
-    nic.process_tx(
-        Packet(src=0, dst=1, tos=TOS_COMPRESS, payload=values.tobytes())
+    nic.transmit(
+        [Packet(src=0, dst=1, tos=TOS_COMPRESS, payload=values.tobytes())]
     )
     expected = np.bincount(classify(values, BOUND), minlength=4)
     counters = tracer.metrics.snapshot()["counters"]
@@ -60,10 +60,8 @@ def test_tag_class_census_matches_classifier():
 def test_bypassed_packets_record_nothing():
     tracer = Tracer()
     nic = InceptionnNic(0, BOUND, tracer=tracer)
-    nic.process_tx(
-        Packet(
-            src=0, dst=1, tos=TOS_DEFAULT, payload=_gradients(100).tobytes()
-        )
+    nic.transmit(
+        [Packet(src=0, dst=1, tos=TOS_DEFAULT, payload=_gradients(100).tobytes())]
     )
     assert tracer.count(CAT_CODEC) == 0
 
@@ -73,6 +71,6 @@ def test_untraced_nic_transforms_identically():
     plain = InceptionnNic(0, BOUND)
     traced = InceptionnNic(0, BOUND, tracer=Tracer())
     pkt = Packet(src=0, dst=1, tos=TOS_COMPRESS, payload=values.tobytes())
-    out_plain = plain.process_tx(pkt)
-    out_traced = traced.process_tx(pkt)
+    out_plain = plain.transmit([pkt])[0]
+    out_traced = traced.transmit([pkt])[0]
     assert out_plain.payload == out_traced.payload

@@ -10,13 +10,7 @@ import pytest
 
 from repro.core import ErrorBound, inceptionn_profile
 from repro.hardware import InceptionnNic
-from repro.network import (
-    Network,
-    Simulation,
-    SwitchedStar,
-    TOS_DEFAULT,
-    uniform_nics,
-)
+from repro.network import Network, Simulation, SwitchedStar, TOS_DEFAULT
 from repro.transport import ClusterComm, ClusterConfig
 
 
@@ -35,7 +29,8 @@ def test_other_traffic_timing_unaffected_by_engines():
     def measure(compression):
         sim = Simulation()
         topo = SwitchedStar(sim, 4)
-        net = Network(sim, topo, nics=uniform_nics(4, compression=compression))
+        engine = ClusterConfig(num_nodes=4).nic_timing() if compression else None
+        net = Network(sim, topo, engine=engine)
         done = {}
         ev = net.send(2, 3, 5 * 2**20, tos=TOS_DEFAULT)
         ev.add_callback(lambda e: done.setdefault("t", sim.now))

@@ -2,16 +2,30 @@
 
 import pytest
 
+from repro.core import ErrorBound, inceptionn_profile
+from repro.hardware import InceptionnNic
 from repro.network import (
     HEADER_BYTES,
-    TOS_COMPRESS,
     DirectRing,
     Network,
+    NicTimingModel,
     Simulation,
     SwitchedStar,
     packet_count,
-    uniform_nics,
 )
+from repro.transport import ClusterConfig
+from repro.transport.wire import build_wire_message
+
+#: The reference engine pair: 3.2 GB/s streaming, 40 ns fill.
+ENGINE = ClusterConfig(num_nodes=2).nic_timing()
+
+
+def _compressed(nbytes, ratio, engines=True):
+    """A sized gradient message as the sender NIC's dispatch builds it."""
+    nic = InceptionnNic(0, ErrorBound(10), enabled=engines)
+    return build_wire_message(
+        0, 1, stream=inceptionn_profile(), nbytes=nbytes, nic=nic, ratio=ratio
+    )
 
 
 def _star(num_nodes=4, **net_kwargs):
@@ -90,8 +104,8 @@ def test_compression_reduces_wire_time_up_to_engine_cap():
 
     sim = Simulation()
     topo = SwitchedStar(sim, 4)
-    net = Network(sim, topo, nics=uniform_nics(4, compression=True))
-    ev = net.send(0, 1, nbytes, tos=TOS_COMPRESS, compressed_nbytes=nbytes // 10)
+    net = Network(sim, topo, engine=ENGINE)
+    ev = net.send_wire(_compressed(nbytes, 10.0))
     t_comp = _delivery_time(sim, ev)
     assert t_comp < t_plain / 2
     engine_floor = nbytes / (256 * 100e6 / 8)
@@ -102,20 +116,18 @@ def test_unbounded_engine_exposes_full_compression_gain():
     nbytes = 8 * 2**20
     sim = Simulation()
     topo = SwitchedStar(sim, 2)
-    fast = uniform_nics(2, compression=True, engine_throughput_bps=1e12)
-    net = Network(sim, topo, nics=fast)
-    ev = net.send(0, 1, nbytes, tos=TOS_COMPRESS, compressed_nbytes=nbytes // 10)
-    t = _delivery_time(sim, ev)
-    from repro.network import HEADER_BYTES, packet_count
-
-    wire = packet_count(nbytes, net.mss) * HEADER_BYTES + nbytes // 10
-    assert t == pytest.approx(wire * 8 / 10e9, rel=0.15)
+    fast = NicTimingModel(engine_latency_s=1e-6, engine_throughput_bps=1e12)
+    net = Network(sim, topo, engine=fast)
+    msg = _compressed(nbytes, 10.0)
+    t = _delivery_time(sim, net.send_wire(msg))
+    assert t == pytest.approx(msg.wire_nbytes * 8 / 10e9, rel=0.15)
 
 
 def test_compression_ignored_without_engines():
     nbytes = 2**20
-    sim, net = _star()  # default NICs: no engines
-    ev = net.send(0, 1, nbytes, tos=TOS_COMPRESS, compressed_nbytes=nbytes // 10)
+    sim, net = _star()  # no engines
+    # The sender NIC without engines never dispatches the stream.
+    ev = net.send_wire(_compressed(nbytes, 10.0, engines=False))
     sim.run()
     _, receipt = ev.value
     assert not receipt.compressed
@@ -126,8 +138,8 @@ def test_compressed_keeps_packet_count():
     nbytes = 1460 * 1000
     sim = Simulation()
     topo = SwitchedStar(sim, 2)
-    net = Network(sim, topo, nics=uniform_nics(2, compression=True))
-    ev = net.send(0, 1, nbytes, tos=TOS_COMPRESS, compressed_nbytes=nbytes // 15)
+    net = Network(sim, topo, engine=ENGINE)
+    ev = net.send_wire(_compressed(nbytes, 15.0))
     sim.run()
     _, receipt = ev.value
     assert receipt.num_packets == 1000
@@ -138,9 +150,9 @@ def test_slow_engine_gates_throughput():
     nbytes = 8 * 2**20
     sim = Simulation()
     topo = SwitchedStar(sim, 2)
-    slow = uniform_nics(2, compression=True, engine_throughput_bps=100e6)
-    net = Network(sim, topo, nics=slow)
-    ev = net.send(0, 1, nbytes, tos=TOS_COMPRESS, compressed_nbytes=nbytes // 10)
+    slow = NicTimingModel(engine_latency_s=1e-6, engine_throughput_bps=100e6)
+    net = Network(sim, topo, engine=slow)
+    ev = net.send_wire(_compressed(nbytes, 10.0))
     t = _delivery_time(sim, ev)
     # Gated by the 100 MB/s engine, not the 10 Gb/s link.
     assert t >= nbytes / 100e6 * 0.95

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import inceptionn_profile
 from repro.network import (
     HEADER_BYTES,
     Link,
@@ -14,6 +15,7 @@ from repro.network import (
     packet_count,
     split_trains,
 )
+from repro.transport.wire import build_wire_message
 
 
 def _star(num_nodes=3, **kwargs):
@@ -38,8 +40,9 @@ def test_negative_sizes_rejected():
     sim, net = _star()
     with pytest.raises(ValueError):
         net.send(0, 1, -1)
+    # Compressed sizes come from the sender NIC's build, which checks them.
     with pytest.raises(ValueError):
-        net.send(0, 1, 100, tos=0x28, compressed_nbytes=-5)
+        build_wire_message(0, 1, stream=inceptionn_profile(), nbytes=-5)
 
 
 def test_invalid_constructor_args():

@@ -85,7 +85,7 @@ def test_ring_aggregate_from_training_gradients():
         grads.append(g)
 
     stream = inceptionn_profile(BOUND)
-    comm = ClusterComm(ClusterConfig(num_nodes=4, bound=BOUND, profile=stream))
+    comm = ClusterComm(ClusterConfig(num_nodes=4, profile=stream))
     results = {}
 
     def node(i):

@@ -34,7 +34,7 @@ def test_send_recv_roundtrip_exact_without_compression():
 def test_compressing_send_is_lossy_but_bounded():
     bound = ErrorBound(10)
     stream = inceptionn_profile(bound)
-    comm = _comm(profile=stream, bound=bound)
+    comm = _comm(profile=stream)
     sent = (np.random.default_rng(1).standard_normal(5000) * 0.2).astype(
         np.float32
     )

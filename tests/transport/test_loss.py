@@ -55,7 +55,7 @@ class TestRetransmission:
 
         assert comm.network.trains_retransmitted >= 1
         (received,) = got
-        bound = comm.config.bound.bound
+        bound = stream.error_bound(values)
         assert float(np.max(np.abs(received - values))) <= bound * 6
 
     def test_counters_tick_once_per_wire_traversal(self):

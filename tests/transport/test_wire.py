@@ -102,7 +102,7 @@ class TestFunctionalBuild:
         assert msg.nbytes == values.nbytes
         assert msg.wire_payload_nbytes < values.nbytes
         assert msg.values is not None
-        bound = comm.config.bound.bound
+        bound = stream.error_bound(values)
         assert float(np.max(np.abs(msg.values - values))) <= bound * 6
 
     def test_functional_build_is_one_kernel_call(self, monkeypatch):
@@ -133,7 +133,7 @@ class TestFunctionalBuild:
         )
         assert calls == [values.size]
         assert msg.compressed
-        nbits, reconstruction = codec.quantize(values, comm.config.bound)
+        nbits, reconstruction = codec.quantize(values, stream.params["bound"])
         assert msg.wire_payload_nbytes == -(-nbits // 8)
         assert np.array_equal(
             msg.values.view(np.uint32), reconstruction.view(np.uint32)
