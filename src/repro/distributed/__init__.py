@@ -27,20 +27,16 @@ from .local_sgd import LocalSGDStrategy
 from .stale_async import StaleAsyncStrategy
 from .node import (
     ComputeProfile,
-    PHASE_NAMES,
-    PhaseLedger,
-    PhaseTimes,
     ZERO_COMPUTE,
     partition_blocks,
     spawn_key,
 )
-from .ring import ring_exchange, ring_exchange_sizes
+from .ring import ring_exchange
 from .worker_aggregator import aggregator_exchange, worker_exchange
 
 __all__ = [
     "GradientStrategy",
     "NodeContext",
-    "PHASE_NAMES",
     "STRATEGIES",
     "StrategyReport",
     "StrategyRun",
@@ -59,13 +55,10 @@ __all__ = [
     "LocalSGDStrategy",
     "StaleAsyncStrategy",
     "ComputeProfile",
-    "PhaseLedger",
-    "PhaseTimes",
     "ZERO_COMPUTE",
     "partition_blocks",
     "spawn_key",
     "ring_exchange",
-    "ring_exchange_sizes",
     "aggregator_exchange",
     "worker_exchange",
 ]

@@ -125,15 +125,17 @@ class AsyncPSStrategy(GradientStrategy):
 
     def _server(self, run: StrategyRun) -> Generator[Event, Any, None]:
         comm = run.comm
-        ep = comm.endpoints[self._server_id]
+        server = self._server_id
+        ep = comm.endpoints[server]
         profile = run.profile
         tracer = run.tracer
         staleness_log: List[int] = run.extras["staleness"]
         total_updates = run.num_workers * run.iterations
         for _ in range(total_updates):
             src, grad = yield ep.recv_any()
-            if profile.sum_bandwidth_bps:
-                yield comm.timeout(profile.sum_time(grad.nbytes))
+            # The server's work on node 0's gradient is what node 0 waits on.
+            dt = profile.sum_time(grad.nbytes)
+            yield from comm.spend("gradient_sum", dt, server, src == 0)
             staleness = self._server_version - self._worker_pull_version[src]
             staleness_log.append(staleness)
             if tracer is not None:
@@ -141,7 +143,7 @@ class AsyncPSStrategy(GradientStrategy):
                     "async.apply",
                     cat=CAT_ASYNC,
                     ts=comm.now,
-                    node=self._server_id,
+                    node=server,
                     src=src,
                     staleness=staleness,
                 )
@@ -150,8 +152,7 @@ class AsyncPSStrategy(GradientStrategy):
                 ).observe(staleness)
             self._server_opt.step_with_vector(self._server_net, grad)
             self._server_version += 1
-            if profile.update_s:
-                yield comm.timeout(profile.update_s)
+            yield from comm.spend("update", profile.update_s, server, src == 0)
             self._worker_pull_version[src] = self._server_version
             ep.isend(src, self._server_net.parameter_vector())
 

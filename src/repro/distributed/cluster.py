@@ -53,15 +53,6 @@ class RingStrategy(GradientStrategy):
             profile=node.profile,
             stream=node.stream,
         )
-        if node.node_id == 0:
-            # Each node reduces (N-1)/N of the vector during P1.
-            n = node.num_workers
-            sum_dt = node.profile.sum_time(
-                int(gradient.nbytes * (n - 1) / n)
-            )
-            node.run.ledger.add(
-                "gradient_sum", sum_dt, node.node_id, node.comm.now
-            )
         return StrategyUpdate(gradient=aggregate)
 
 
@@ -99,8 +90,7 @@ class WorkerAggregatorStrategy(GradientStrategy):
     def _aggregator(
         self, run: StrategyRun
     ) -> Generator[Event, Any, None]:
-        agg_id = self._aggregator_id
-        ep = run.comm.endpoints[agg_id]
+        ep = run.comm.endpoints[self._aggregator_id]
         agg_net = run.replica()
         agg_opt = run.make_optimizer()
         workers = list(range(run.num_workers))
@@ -118,14 +108,6 @@ class WorkerAggregatorStrategy(GradientStrategy):
                 stream=run.stream,
                 gather=self._gather,
             )
-            if self._gather is None:
-                # Switch-site runs pay the sum at the in-network
-                # engines (already on the exchange critical path).
-                sum_dt = run.profile.sum_time(
-                    agg_net.nbytes * (run.num_workers - 1)
-                )
-                run.ledger.add("gradient_sum", sum_dt, agg_id, run.comm.now)
-            run.ledger.add("update", run.profile.update_s, agg_id, run.comm.now)
 
     def exchange(
         self, node: NodeContext, iteration: int, gradient: np.ndarray

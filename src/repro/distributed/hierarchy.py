@@ -23,7 +23,7 @@ from repro.network import Event
 from repro.obs import CAT_HIER
 from repro.transport.endpoint import ClusterComm
 
-from .node import ComputeProfile
+from .node import ZERO_COMPUTE, ComputeProfile
 from .ring import ring_exchange
 from .strategy import (
     GradientStrategy,
@@ -104,7 +104,7 @@ def hierarchical_exchange(
     node: int,
     vector: np.ndarray,
     layout: GroupLayout,
-    profile: "ComputeProfile | None" = None,
+    profile: ComputeProfile = ZERO_COMPUTE,
     stream: "StreamProfile | None" = None,
 ) -> Generator[Event, Any, np.ndarray]:
     """Two-level gradient exchange for one node; returns the global sum.
@@ -112,7 +112,8 @@ def hierarchical_exchange(
     Level 1: ring inside the leaf group.  Level 2: leaders ring over the
     group sums.  Level 3: leaders send the global aggregate to their
     group members (a gradient broadcast — still on the compressed
-    stream).  ``stream`` selects the codec profile for every leg.
+    stream).  ``stream`` selects the codec profile for every leg.  The
+    ledger counts node 0's sums in every ring it is in (both, as a leader).
     """
     group = layout.group_of(node)
     leader = group[0]

@@ -85,11 +85,6 @@ class LocalSGDStrategy(GradientStrategy):
         new_weights = (anchor + total_delta).astype(np.float32)
         self._anchors[node.node_id] = new_weights
         if node.node_id == 0:
-            n = node.num_workers
-            sum_dt = node.profile.sum_time(int(delta.nbytes * (n - 1) / n))
-            node.run.ledger.add(
-                "gradient_sum", sum_dt, node.node_id, node.comm.now
-            )
             node.run.extras["sync_rounds"] += 1
             if node.tracer is not None:
                 node.tracer.span(

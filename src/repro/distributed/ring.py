@@ -24,7 +24,7 @@ from repro.network import Event
 from repro.obs import CAT_RING
 from repro.transport.endpoint import Endpoint
 
-from .node import ComputeProfile, block_sizes, partition_blocks
+from .node import ZERO_COMPUTE, ComputeProfile, partition_blocks
 
 #: A node id, or an array of them (the flow evaluator steps every node
 #: of the ring at once).
@@ -46,7 +46,7 @@ def ring_exchange(
     ep: Endpoint,
     vector: np.ndarray,
     num_workers: int,
-    profile: Optional[ComputeProfile] = None,
+    profile: ComputeProfile = ZERO_COMPUTE,
     stream: Optional[StreamProfile] = None,
 ) -> Generator[Event, Any, np.ndarray]:
     """Run Algorithm 1's gradient exchange for one node; returns the
@@ -54,7 +54,8 @@ def ring_exchange(
 
     A generator to be driven as a simulation process — all ``num_workers``
     nodes must run it concurrently with consistent arguments.  ``stream``
-    selects the codec/ToS profile of every hop (``None`` for raw).
+    selects the codec/ToS profile of every hop (``None`` for raw).  Each
+    P1 sum is spent at this node; cluster node 0 records its own.
 
     It reduces into one copy of ``vector``, returned at the end, and a
     raw send ships a view of it by reference: the block node ``i`` sends
@@ -64,6 +65,8 @@ def ring_exchange(
     """
     n = num_workers
     i = ep.node_id
+    # The cluster-wide id (a scoped sub-ring renumbers ``node_id``).
+    node = getattr(ep, "global_node", i)
     if not 0 <= i < n:
         raise ValueError(f"node {i} outside the {n}-worker ring")
     aggregate = np.array(vector, dtype=np.float32).reshape(-1)
@@ -83,8 +86,8 @@ def ring_exchange(
         block = blocks[recv_idx]
         if step < n:
             # P1: sum-reduce into the local block.
-            if profile is not None:
-                yield ep.comm.sim.timeout(profile.sum_time(received.nbytes))
+            dt = profile.sum_time(received.nbytes)
+            yield from ep.comm.spend("gradient_sum", dt, node, node == 0)
             np.add(block, received, out=block)
         else:
             # P2: propagate the fully aggregated block.
@@ -95,7 +98,7 @@ def ring_exchange(
                 cat=CAT_RING,
                 ts=step_start,
                 dur=ep.comm.sim.now - step_start,
-                node=getattr(ep, "global_node", ep.node_id),
+                node=node,
                 step=step,
                 ring_phase="P1" if step < n else "P2",
                 send_block=send_idx,
@@ -104,11 +107,3 @@ def ring_exchange(
 
     return aggregate
 
-
-def ring_exchange_sizes(num_workers: int, vector_size: int) -> "list[int]":
-    """Block element counts of the exchange (for timing-only callers).
-
-    Delegates to :func:`repro.distributed.node.block_sizes`, the single
-    source of truth shared with the functional ``partition_blocks``.
-    """
-    return block_sizes(vector_size, num_workers)

@@ -121,7 +121,8 @@ class StaleAsyncStrategy(GradientStrategy):
 
     def _server(self, run: StrategyRun) -> Generator[Event, Any, None]:
         comm = run.comm
-        ep = comm.endpoints[self._server_id]
+        server = self._server_id
+        ep = comm.endpoints[server]
         profile = run.profile
         tracer = run.tracer
         staleness_log: List[int] = run.extras["staleness"]
@@ -145,8 +146,9 @@ class StaleAsyncStrategy(GradientStrategy):
                 if worker is None:
                     break
                 pending = self._pending.pop(worker)
-                if profile.sum_bandwidth_bps:
-                    yield comm.timeout(profile.sum_time(pending.nbytes))
+                # Node 0 waits on the server's work on its own gradient.
+                dt = profile.sum_time(pending.nbytes)
+                yield from comm.spend("gradient_sum", dt, server, worker == 0)
                 staleness = self._version - self._pull_version[worker]
                 lead = max(
                     0,
@@ -159,15 +161,14 @@ class StaleAsyncStrategy(GradientStrategy):
                         "stale_async.apply",
                         cat=CAT_STRATEGY,
                         ts=comm.now,
-                        node=self._server_id,
+                        node=server,
                         src=worker,
                         staleness=staleness,
                         round_lead=lead,
                     )
                 self._opt.step_with_vector(self._net, pending)
                 self._version += 1
-                if profile.update_s:
-                    yield comm.timeout(profile.update_s)
+                yield from comm.spend("update", profile.update_s, server, worker == 0)
                 self._applied[worker] += 1
                 self._unreplied.add(worker)
                 applied_updates += 1

@@ -16,9 +16,10 @@ the outer loop exactly once:
   :mod:`repro.core.registry`; plugins self-register at import time with
   :func:`register_strategy`.
 * :func:`run_strategy` — the one driver that owns process spawning,
-  the :class:`~repro.distributed.node.PhaseLedger`, tracing spans, and
-  :class:`~repro.transport.endpoint.TransferSummary` assembly.
-  Strategy plugins only ``add`` the sums they pay to the ledger.
+  tracing spans, and :class:`~repro.transport.endpoint.TransferSummary`
+  assembly.  Compute time passes only through ``ClusterComm.spend``,
+  which records it where it is spent in the cluster's
+  :class:`~repro.obs.PhaseLedger`; no plugin books a row after the fact.
 
 The driver's per-iteration event sequence is bit-compatible with the
 four hand-rolled spawn loops it replaced — the strategy-parity suite
@@ -54,7 +55,7 @@ from repro.dnn.network import Sequential
 from repro.dnn.optim import Optimizer
 from repro.dnn.training import LocalTrainer
 from repro.network import Event
-from repro.obs import CAT_STRATEGY, Tracer
+from repro.obs import CAT_STRATEGY, PhaseTimes, Tracer
 from repro.transport.aggregation import AGG_SWITCH
 from repro.transport.endpoint import (
     ClusterComm,
@@ -63,14 +64,7 @@ from repro.transport.endpoint import (
     TransferSummary,
 )
 
-from .node import (
-    ComputeProfile,
-    JITTER_STREAM,
-    PhaseLedger,
-    PhaseTimes,
-    ZERO_COMPUTE,
-    spawn_key,
-)
+from .node import ComputeProfile, JITTER_STREAM, ZERO_COMPUTE, spawn_key
 
 
 @dataclass(frozen=True)
@@ -110,8 +104,8 @@ class DistributedRunResult:
     final_top1: float
     final_top5: float
     virtual_time_s: float
-    #: Table II attribution on node 0's critical path (Communicate is
-    #: the residual of ``virtual_time_s``).
+    #: Table II attribution: what node 0 waited on, recorded where it
+    #: was spent (Communicate is the residual of ``virtual_time_s``).
     phases: PhaseTimes
     eval_top1: List[float] = field(default_factory=list)
     #: Wire-level accounting folded from the cluster's transfer log
@@ -157,8 +151,6 @@ class StrategyRun:
     profile: ComputeProfile
     stream: Optional[StreamProfile]
     tracer: Optional[Tracer]
-    #: Table II attribution; driver and strategies ``add`` to it.
-    ledger: PhaseLedger
     seed: int
     options: Mapping[str, Any]
     eval_every: Optional[int] = None
@@ -335,14 +327,10 @@ def _worker_process(
         gate = strategy.iteration_gate(node, iteration)
         if gate is not None:
             yield gate
-        compute_start = comm.now
-        compute = profile.local_compute_s
-        if compute and jitter_rng is not None:
-            compute *= 1.0 + jitter * (2 * jitter_rng.random() - 1)
-        if compute:
-            yield comm.timeout(compute)
-        if node_id == 0:
-            run.ledger.add_local_compute(profile, compute_start, node_id)
+        scale = 1.0
+        if profile.local_compute_s and jitter_rng is not None:
+            scale += jitter * (2 * jitter_rng.random() - 1)
+        yield from comm.spend_local(profile, node_id, node_id == 0, scale)
         loss, grad = trainer.local_gradient()
         run.record_loss(iteration, loss)
 
@@ -360,11 +348,7 @@ def _worker_process(
             )
 
         if strategy.worker_applies_update:
-            update_start = comm.now
-            if profile.update_s:
-                yield comm.timeout(profile.update_s)
-            if node_id == 0:
-                run.ledger.add("update", profile.update_s, node_id, update_start)
+            yield from comm.spend("update", profile.update_s, node_id, node_id == 0)
         if update.gradient is not None:
             trainer.apply_gradient(update.gradient)
         if update.weights is not None:
@@ -425,6 +409,12 @@ def run_strategy(
         raise ValueError(
             f"cluster config has {config.num_nodes} nodes, run needs {num_nodes}"
         )
+    if config.tenants:
+        raise ValueError(
+            "run_strategy does not model background tenants; drop "
+            "ClusterConfig.tenants or time the exchange with "
+            "simulate_ring_exchange/simulate_wa_exchange, which do"
+        )
     comm = ClusterComm(config, tracer=tracer)
     if config.agg_site == AGG_SWITCH and not strat.supports_switch_aggregation:
         raise ValueError(
@@ -464,7 +454,6 @@ def run_strategy(
         profile=profile,
         stream=stream,
         tracer=tracer,
-        ledger=PhaseLedger(tracer),
         seed=seed,
         options=opts,
         eval_every=eval_every,
@@ -489,7 +478,7 @@ def run_strategy(
         final_top1=top1,
         final_top5=top5,
         virtual_time_s=total_time,
-        phases=run.ledger.close(total_time),
+        phases=comm.ledger.close(total_time),
         eval_top1=run.eval_top1,
         transfers=comm.transfer_summary(),
         final_weights=net.parameter_vector(),

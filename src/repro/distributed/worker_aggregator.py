@@ -26,7 +26,7 @@ from repro.network import Event
 from repro.transport.aggregation import SwitchGather, aggregate_endpoint
 from repro.transport.endpoint import Endpoint
 
-from .node import ComputeProfile
+from .node import ZERO_COMPUTE, ComputeProfile
 
 
 def worker_exchange(
@@ -56,7 +56,7 @@ def aggregator_exchange(
     ep: Endpoint,
     workers: List[int],
     apply_update: Callable[[np.ndarray], np.ndarray],
-    profile: Optional[ComputeProfile] = None,
+    profile: ComputeProfile = ZERO_COMPUTE,
     stream: Optional[StreamProfile] = None,
     gather: Optional[SwitchGather] = None,
 ) -> Generator[Event, Any, np.ndarray]:
@@ -68,8 +68,9 @@ def aggregator_exchange(
     switch site collects the in-network folded part; a homomorphic
     endpoint stream folds arrivals through the codec algebra (bit-equal
     to the switch tree); everything else keeps the historical
-    element-wise float32 accumulation verbatim.  Returns the broadcast
-    weight vector.
+    element-wise float32 accumulation verbatim.  The aggregator is a
+    barrier, so it records every sum and update it spends.  Returns the
+    broadcast weight vector.
     """
     total: Optional[np.ndarray] = None
     if gather is not None:
@@ -88,8 +89,9 @@ def aggregator_exchange(
         arrivals: List[np.ndarray] = []
         for count, src in enumerate(workers):
             grad = yield ep.recv(src)
-            if count > 0 and profile is not None:
-                yield ep.comm.sim.timeout(profile.sum_time(grad.nbytes))
+            if count > 0:
+                dt = profile.sum_time(grad.nbytes)
+                yield from ep.comm.spend("gradient_sum", dt, ep.node_id)
             arrivals.append(grad)
         if not arrivals:
             raise ValueError("aggregator needs at least one worker")
@@ -100,13 +102,12 @@ def aggregator_exchange(
             if total is None:
                 total = np.array(grad, dtype=np.float32, copy=True)
             else:
-                if profile is not None:
-                    yield ep.comm.sim.timeout(profile.sum_time(grad.nbytes))
+                dt = profile.sum_time(grad.nbytes)
+                yield from ep.comm.spend("gradient_sum", dt, ep.node_id)
                 total = (total + grad).astype(np.float32)
         if total is None:
             raise ValueError("aggregator needs at least one worker")
-    if profile is not None and profile.update_s:
-        yield ep.comm.sim.timeout(profile.update_s)
+    yield from ep.comm.spend("update", profile.update_s, ep.node_id)
     weights = apply_update(total)
     events = [ep.isend(dst, weights) for dst in workers]
     yield ep.comm.sim.all_of(events)

@@ -5,7 +5,8 @@ keyed by *simulated* time (message send/deliver, per-train link and
 engine occupancy, ring P1/P2 steps, codec calls with achieved ratio,
 retransmits); its attached :class:`Metrics` registry collects
 counters/gauges/histograms (wire bytes by ToS/codec, tag-class
-histograms, queue depths, trains retransmitted).
+histograms, queue depths, trains retransmitted); its :class:`PhaseLedger`
+holds a run's Table II rows and feeds the tracer ``phase`` spans.
 
 Every instrumentation site in the stack is guarded by
 ``if tracer is not None`` so the disabled path adds no allocations and
@@ -37,6 +38,7 @@ from .export import (
     write_chrome,
     write_trace,
 )
+from .ledger import PHASE_NAMES, PhaseLedger, PhaseTimes
 from .schema import TRACE_SCHEMA, TRACE_SCHEMA_NAME, TRACE_SCHEMA_VERSION, validate_trace
 
 __all__ = [
@@ -62,6 +64,9 @@ __all__ = [
     "trace_document",
     "write_chrome",
     "write_trace",
+    "PHASE_NAMES",
+    "PhaseLedger",
+    "PhaseTimes",
     "TRACE_SCHEMA",
     "TRACE_SCHEMA_NAME",
     "TRACE_SCHEMA_VERSION",

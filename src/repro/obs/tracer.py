@@ -19,7 +19,7 @@ Categories partition the stack's layers:
 ``codec``     compress/decompress calls with the achieved ratio
 ``phase``     Table II phase attribution (forward, backward, gpu_copy,
               gradient_sum, update) — one span per non-zero add of the
-              run's :class:`~repro.distributed.node.PhaseLedger`
+              run's :class:`~repro.obs.ledger.PhaseLedger`
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ class Tracer:
     def phase_totals(self, node: Optional[int] = None) -> Dict[str, float]:
         """Summed durations of ``phase``-category spans, keyed by name.
 
-        A view of the run's :class:`~repro.distributed.node.PhaseLedger`,
+        A view of the run's :class:`~repro.obs.ledger.PhaseLedger`,
         which emitted the spans: each phase's total is the sum of its
         span durations in record order, so the floating-point
         accumulation repeats the ledger's ``+=`` exactly.

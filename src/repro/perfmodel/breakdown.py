@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.distributed.node import PhaseTimes
 from repro.dnn.models import PAPER_MODELS
-from repro.obs import Tracer
+from repro.obs import PhaseTimes, Tracer
 
 from .calibration import TABLE2, TABLE2_ITERATIONS, compute_profile_for
 from .exchange import simulate_wa_exchange

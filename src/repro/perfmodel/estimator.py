@@ -78,7 +78,7 @@ def estimate_iteration_time(
         model=model_name,
         configuration=configuration,
         iteration_s=result.per_iteration_s,
-        computation_s=(result.total_s - result.communicate_s) / SIM_ITERATIONS,
+        computation_s=(result.total_s - result.phases.communicate) / SIM_ITERATIONS,
     )
 
 

@@ -27,17 +27,12 @@ import numpy as np
 
 from repro.core import ErrorBound, StreamProfile, compression_ratio
 from repro.core.bounds import DEFAULT_BOUND
-from repro.distributed.node import (
-    ComputeProfile,
-    PhaseLedger,
-    PhaseTimes,
-    ZERO_COMPUTE,
-)
-from repro.distributed.ring import ring_exchange_sizes, ring_step_blocks
+from repro.distributed.node import ComputeProfile, ZERO_COMPUTE, block_sizes
+from repro.distributed.ring import ring_step_blocks
 from repro.dnn.models import ModelSpec
 from repro.network import Event
 from repro.network.packet import payload_ratio
-from repro.obs import Tracer
+from repro.obs import PhaseLedger, PhaseTimes, Tracer
 from repro.transport.aggregation import AGG_ENDPOINT, AGG_SWITCH, SwitchGather
 from repro.transport.endpoint import ClusterComm, ClusterConfig, TransferSummary
 from repro.transport.wire import measure_stream_ratio
@@ -67,8 +62,8 @@ class ExchangeResult:
     nbytes: int
     iterations: int
     total_s: float
-    #: Table II attribution of ``total_s`` (node 0 on the ring, worker 0
-    #: and the aggregator under WA), at either fidelity.
+    #: Table II attribution of ``total_s`` at either fidelity: what node
+    #: 0 waited on (its own spends; under WA also the aggregator's).
     phases: PhaseTimes
     #: Application bytes sent and their on-wire payload (from the
     #: cluster's transfer log — the WireMessage pipeline's accounting).
@@ -90,19 +85,6 @@ class ExchangeResult:
     @property
     def per_iteration_s(self) -> float:
         return self.total_s / self.iterations
-
-    @property
-    def gradient_sum_s(self) -> float:
-        return self.phases.gradient_sum
-
-    @property
-    def update_s(self) -> float:
-        return self.phases.update
-
-    @property
-    def communicate_s(self) -> float:
-        """Total time minus every attributed phase (the ledger's residual)."""
-        return self.phases.communicate
 
     @property
     def wire_ratio(self) -> float:
@@ -154,82 +136,52 @@ def _check_flow_supported(tracer: Optional[Tracer], config: ClusterConfig) -> No
         )
 
 
-class _PacketRun:
-    """What the packet evaluator's processes share: cluster, job, ledger.
-
-    Every compute phase is a simulated timeout and a ledger entry,
-    spelled once in :meth:`spend`.  Ring nodes all spend identical
-    phases, so only a ``record``-ing caller (node 0, or the aggregator)
-    feeds the ledger.
-    """
-
-    def __init__(self, job: Exchange, tracer: Optional[Tracer]) -> None:
-        self.job = job
-        self.comm = ClusterComm(job.config, tracer=tracer)
-        self.ledger = PhaseLedger(tracer)
-
-    def spend(self, name: str, dt: float, node: int, record: bool = True) -> Process:
-        """Spend ``dt`` of simulated time at ``node`` as phase ``name``."""
-        start = self.comm.sim.now
-        if dt:
-            yield self.comm.sim.timeout(dt)
-        if record:
-            self.ledger.add(name, dt, node, start)
-
-    def local_compute(self, node: int) -> Process:
-        """Forward/backward/copy before the exchange (full-iteration studies)."""
-        profile = self.job.profile
-        if self.job.include_local_compute and profile.local_compute_s:
-            start = self.comm.sim.now
-            yield self.comm.sim.timeout(profile.local_compute_s)
-            if node == 0:
-                self.ledger.add_local_compute(profile, start, node)
-
-    def send_gradient(self, src: int, dst: int, nbytes: int) -> Event:
-        """One hop on the gradient stream — the only traffic that may compress."""
-        ep = self.comm.endpoints[src]
-        return ep.isend_message(
-            ep.build_message(
-                dst, nbytes=nbytes, profile=self.job.stream, ratio=self.job.ratio
-            )
-        )
+def _send_gradient(
+    job: Exchange, comm: ClusterComm, src: int, dst: int, nbytes: int
+) -> Event:
+    """One hop on the gradient stream — the only traffic that may compress."""
+    ep = comm.endpoints[src]
+    msg = ep.build_message(dst, nbytes=nbytes, profile=job.stream, ratio=job.ratio)
+    return ep.isend_message(msg)
 
 
-def _ring_processes(run: _PacketRun) -> List[Process]:
+def _ring_processes(job: Exchange, comm: ClusterComm) -> List[Process]:
     """One process per ring node: every hop rides the gradient stream."""
-    job = run.job
     n = job.num_workers
-    block_bytes = [s * 4 for s in ring_exchange_sizes(n, job.nbytes // 4)]
+    block_bytes = [s * 4 for s in block_sizes(job.nbytes // 4, n)]
 
     def worker(i: int) -> Process:
-        ep = run.comm.endpoints[i]
+        ep = comm.endpoints[i]
         successor, predecessor = (i + 1) % n, (i - 1) % n
         for _ in range(job.iterations):
-            yield from run.local_compute(i)
+            if job.include_local_compute:
+                yield from comm.spend_local(job.profile, i, i == 0)
             for step in range(1, 2 * n - 1):
                 send_idx, recv_idx = ring_step_blocks(i, step, n)
-                run.send_gradient(i, successor, block_bytes[send_idx])
+                _send_gradient(job, comm, i, successor, block_bytes[send_idx])
                 yield ep.recv(predecessor)
                 if step < n:
                     dt = job.profile.sum_time(block_bytes[recv_idx])
-                    yield from run.spend("gradient_sum", dt, i, record=i == 0)
-            yield from run.spend("update", job.profile.update_s, i, record=i == 0)
+                    yield from comm.spend("gradient_sum", dt, i, i == 0)
+            yield from comm.spend("update", job.profile.update_s, i, i == 0)
 
     return [worker(i) for i in range(n)]
 
 
-def _wa_processes(run: _PacketRun, gather: Optional[SwitchGather]) -> List[Process]:
+def _wa_processes(
+    job: Exchange, comm: ClusterComm, gather: Optional[SwitchGather]
+) -> List[Process]:
     """Worker processes plus the aggregator's gather/sum/update/scatter."""
-    job, comm = run.job, run.comm
     aggregator = job.num_workers
 
     def worker(i: int) -> Process:
         for _ in range(job.iterations):
-            yield from run.local_compute(i)
+            if job.include_local_compute:
+                yield from comm.spend_local(job.profile, i, i == 0)
             if gather is not None:
                 gather.offer(i, nbytes=job.nbytes, ratio=job.ratio)
             else:
-                run.send_gradient(i, aggregator, job.nbytes)
+                _send_gradient(job, comm, i, aggregator, job.nbytes)
             yield comm.endpoints[i].recv(aggregator)
 
     def agg() -> Process:
@@ -244,8 +196,8 @@ def _wa_processes(run: _PacketRun, gather: Optional[SwitchGather]) -> List[Proce
                 for src in range(job.num_workers):
                     yield ep.recv(src)
                     if src > 0:
-                        yield from run.spend("gradient_sum", dt_sum, aggregator)
-            yield from run.spend("update", job.profile.update_s, aggregator)
+                        yield from comm.spend("gradient_sum", dt_sum, aggregator)
+            yield from comm.spend("update", job.profile.update_s, aggregator)
             events = [
                 ep.isend_message(ep.build_message(dst, nbytes=job.nbytes))
                 for dst in range(job.num_workers)
@@ -282,11 +234,10 @@ def _packet_exchange(
     job: Exchange, tracer: Optional[Tracer]
 ) -> Tuple[Measured, Dict[str, int]]:
     """Evaluate on the event kernel; also returns the packet-only counters."""
-    run = _PacketRun(job, tracer)
-    comm = run.comm
+    comm = ClusterComm(job.config, tracer=tracer)
     gather: Optional[SwitchGather] = None
     if job.algorithm == "ring":
-        processes = _ring_processes(run)
+        processes = _ring_processes(job, comm)
     else:
         if job.config.agg_site == AGG_SWITCH:
             gather = SwitchGather(
@@ -295,7 +246,7 @@ def _packet_exchange(
                 sources=range(job.num_workers),
                 stream=job.stream,
             )
-        processes = _wa_processes(run, gather)
+        processes = _wa_processes(job, comm, gather)
     total_s = _run_with_background(comm, [comm.sim.process(p) for p in processes])
     background = comm.start_background()
     counters = {
@@ -305,7 +256,7 @@ def _packet_exchange(
         "agg_engine_cycles": gather.engine_cycles() if gather else 0,
         "switch_reductions": gather.switch_reductions if gather else 0,
     }
-    return (total_s, run.ledger, comm.transfer_summary()), counters
+    return (total_s, comm.ledger, comm.transfer_summary()), counters
 
 
 _FLOW = {"ring": flow_ring_exchange, "wa": flow_wa_exchange}

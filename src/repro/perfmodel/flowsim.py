@@ -40,9 +40,9 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from repro.core import StreamProfile
-from repro.distributed.node import PhaseLedger
-from repro.distributed.ring import ring_exchange_sizes
+from repro.distributed.node import block_sizes
 from repro.network.packet import HEADER_BYTES, split_trains
+from repro.obs import PhaseLedger
 from repro.transport.endpoint import ClusterConfig, TransferSummary
 from repro.transport.wire import WireMessage, build_wire_message
 
@@ -319,7 +319,7 @@ def flow_ring_exchange(job: Exchange) -> Measured:
     equal (a 100 MB ring: 4 at 1 024 workers, up to 62 at 65 536).
     """
     n, profile = job.num_workers, job.profile
-    block_bytes = [s * 4 for s in ring_exchange_sizes(n, job.nbytes // 4)]
+    block_bytes = [s * 4 for s in block_sizes(job.nbytes // 4, n)]
     sizes, size_of_block = np.unique(block_bytes, return_inverse=True)
     messages, trains = sized_trains(job.config, sizes.tolist(), job.stream, job.ratio)
     size_sum_s = np.array([profile.sum_time(b) for b in sizes.tolist()])
@@ -372,8 +372,7 @@ def flow_ring_exchange(job: Exchange) -> Measured:
                 ledger.add("gradient_sum", float(size_sum_s[size_of_block[-step]]))
             first, state = _shift_runs(first, state, n, class_start)
         ledger.add("update", profile.update_s)
-        if profile.update_s:
-            state[0] = state[0] + profile.update_s
+        state[0] = state[0] + profile.update_s
 
     return float(state[0].max()), ledger, summary
 
@@ -415,8 +414,7 @@ def flow_wa_exchange(job: Exchange) -> Measured:
             t_agg = max(t_agg, float(gathered[i])) + dt_sum
             ledger.add("gradient_sum", dt_sum)
         ledger.add("update", profile.update_s)
-        if profile.update_s:
-            t_agg += profile.update_s
+        t_agg += profile.update_s
 
         # All scatter sends spawn at the same instant.
         t_workers = deliver(np.full(p, t_agg), scatter_trains, scatter)

@@ -15,7 +15,7 @@ Which codec (and ToS byte) a message uses is a per-stream property: a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,10 +45,13 @@ from repro.network.topology import (
     DEFAULT_SWITCH_DELAY_S,
     Topology,
 )
-from repro.obs import CAT_CODEC, Tracer
+from repro.obs import CAT_CODEC, PhaseLedger, Tracer
 
 from .aggregation import AGG_ENDPOINT, validate_agg_site
 from .wire import WireMessage, account_tx_traversal, build_wire_message
+
+if TYPE_CHECKING:
+    from repro.distributed.node import ComputeProfile
 
 
 @dataclass
@@ -247,6 +250,8 @@ class ClusterComm:
             Endpoint(self, node) for node in range(config.num_nodes)
         ]
         self.transfers: List[TransferLog] = []
+        #: The run's Table II rows, fed only by :meth:`spend`/:meth:`spend_local`.
+        self.ledger = PhaseLedger(tracer)
 
     def _tos_priority(self) -> Optional[Dict[int, int]]:
         """The ToS -> priority-class map, or ``None`` when not prioritizing.
@@ -296,8 +301,8 @@ class ClusterComm:
         return self.config.num_nodes
 
     # -- Strategy-agnostic process hooks -------------------------------
-    # The distributed strategy layer drives everything through these
-    # four, so algorithm plugins never reach into ``comm.sim`` directly.
+    # The distributed strategy layer drives everything through these,
+    # so algorithm plugins never reach into ``comm.sim`` directly.
 
     @property
     def now(self) -> float:
@@ -315,6 +320,36 @@ class ClusterComm:
     def event(self) -> Event:
         """A bare event for explicit signalling (gates, barriers)."""
         return self.sim.event()
+
+    def spend(
+        self, name: str, dt: float, node: int, record: bool = True
+    ) -> Generator[Event, Any, None]:
+        """Spend ``dt`` simulated seconds at ``node`` computing phase ``name``.
+
+        The one way a run's compute time passes: a timeout when there is
+        time to spend, and with ``record`` a ledger row stamped where the
+        spend starts (see :class:`~repro.obs.PhaseLedger` for who records).
+        """
+        start = self.sim.now
+        if dt:
+            yield self.sim.timeout(dt)
+        if record:
+            self.ledger.add(name, dt, node, start)
+
+    def spend_local(
+        self, profile: ComputeProfile, node: int, record: bool, scale: float = 1.0
+    ) -> Generator[Event, Any, None]:
+        """:meth:`spend` for one forward/backward/copy block.
+
+        ``scale`` is the block's compute jitter: the timeout and all
+        three rows are ``scale`` times their nominal length.
+        """
+        start = self.sim.now
+        dt = profile.local_compute_s * scale
+        if dt:
+            yield self.sim.timeout(dt)
+        if record:
+            self.ledger.add_local_compute(profile, start, node, scale)
 
     def compression_active(self) -> bool:
         """Engines present on (all) NICs?"""

@@ -6,6 +6,7 @@ import pytest
 from repro.core import inceptionn_profile
 from repro.distributed import ComputeProfile, run_strategy
 from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
+from repro.network import parse_tenants
 from repro.transport import ClusterConfig
 
 
@@ -62,6 +63,27 @@ def test_compression_reduces_ring_time():
     # uncompressed without a word; it must name the fix instead.
     with pytest.raises(ValueError, match=r"ClusterConfig\(.*profile=stream\)"):
         _run("ring", iterations=1, compression=True, engines=False)
+
+
+def test_run_strategy_refuses_background_tenants():
+    # Tenants used to be ignored without a word (a ring with them took
+    # exactly as long as one without); the exchange simulators model them.
+    cluster = ClusterConfig(
+        num_nodes=4,
+        topology="fat-tree:k=4",
+        tenants=parse_tenants("train:4,infer:4"),
+    )
+    with pytest.raises(ValueError, match=r"tenants.*simulate_ring_exchange"):
+        run_strategy(
+            "ring",
+            build_net=lambda s: build_hdc(seed=s),
+            make_optimizer=lambda: SGD(LRSchedule(0.02)),
+            dataset=hdc_dataset(train_size=40, test_size=10, seed=0),
+            num_workers=4,
+            iterations=1,
+            batch_size=16,
+            cluster=cluster,
+        )
 
 
 def test_compressed_training_still_learns():

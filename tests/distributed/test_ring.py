@@ -6,14 +6,15 @@ import pytest
 from repro.core import ErrorBound, inceptionn_profile
 from repro.distributed import (
     ComputeProfile,
+    ZERO_COMPUTE,
     partition_blocks,
     ring_exchange,
-    ring_exchange_sizes,
 )
+from repro.distributed.node import block_sizes
 from repro.transport import ClusterComm, ClusterConfig
 
 
-def _run_ring(vectors, compression=False, bound=ErrorBound(10), profile=None):
+def _run_ring(vectors, compression=False, bound=ErrorBound(10), profile=ZERO_COMPUTE):
     """Run the full ring on the given per-node vectors; return results."""
     n = len(vectors)
     stream = inceptionn_profile(bound) if compression else None
@@ -165,8 +166,8 @@ def test_sum_profile_adds_time():
 def test_ring_exchange_sizes_match_partition():
     vec = np.zeros(1003, dtype=np.float32)
     blocks = partition_blocks(vec, 4)
-    assert [b.size for b in blocks] == ring_exchange_sizes(4, 1003)
-    assert sum(ring_exchange_sizes(4, 1003)) == 1003
+    assert [b.size for b in blocks] == block_sizes(1003, 4)
+    assert sum(block_sizes(1003, 4)) == 1003
 
 
 def test_partition_rejects_zero_blocks():

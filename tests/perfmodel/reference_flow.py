@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distributed.node import PhaseLedger
-from repro.distributed.ring import ring_exchange_sizes, ring_step_blocks
+from repro.distributed.node import block_sizes
+from repro.distributed.ring import ring_step_blocks
+from repro.obs import PhaseLedger
 from repro.perfmodel.exchange import Exchange, Measured
 from repro.perfmodel.flowsim import Star, _summarize, deliver, sized_trains
 
@@ -27,7 +28,7 @@ from repro.perfmodel.flowsim import Star, _summarize, deliver, sized_trains
 def flow_ring_exchange(job: Exchange) -> Measured:
     """Ring iterations on the job's star, every node stepped at once."""
     n, profile = job.num_workers, job.profile
-    block_bytes = [s * 4 for s in ring_exchange_sizes(n, job.nbytes // 4)]
+    block_bytes = [s * 4 for s in block_sizes(job.nbytes // 4, n)]
     sizes, size_of_block = np.unique(block_bytes, return_inverse=True)
     messages, trains = sized_trains(job.config, sizes.tolist(), job.stream, job.ratio)
     block_trains = trains.rows(size_of_block)

@@ -36,20 +36,20 @@ def test_gradient_sum_accounting():
     profile = ComputeProfile(sum_bandwidth_bps=1e9)
     result = simulate_wa_exchange(4, 10 * MB, profile=profile)
     # Aggregator sums 3 incoming 10 MB vectors at 1 GB/s.
-    assert result.gradient_sum_s == pytest.approx(3 * 10 * MB / 1e9, rel=0.01)
+    assert result.phases.gradient_sum == pytest.approx(3 * 10 * MB / 1e9, rel=0.01)
 
 
 def test_update_accounting():
     profile = ComputeProfile(update_s=0.05)
     result = simulate_wa_exchange(4, 1 * MB, iterations=2, profile=profile)
-    assert result.update_s == pytest.approx(0.1)
+    assert result.phases.update == pytest.approx(0.1)
 
 
 def test_communicate_is_residual():
     profile = ComputeProfile(update_s=0.01, sum_bandwidth_bps=1e9)
     result = simulate_wa_exchange(4, 10 * MB, profile=profile)
-    assert result.communicate_s == pytest.approx(
-        result.total_s - result.gradient_sum_s - result.update_s
+    assert result.phases.communicate == pytest.approx(
+        result.total_s - result.phases.gradient_sum - result.phases.update
     )
 
 
@@ -66,10 +66,10 @@ def test_communicate_excludes_local_compute():
         for name, seconds in result.phases.as_dict().items()
         if name != "communicate"
     )
-    assert result.communicate_s + others == pytest.approx(result.total_s)
+    assert result.phases.communicate + others == pytest.approx(result.total_s)
     assert (
-        result.communicate_s
-        < result.total_s - result.gradient_sum_s - result.update_s
+        result.phases.communicate
+        < result.total_s - result.phases.gradient_sum - result.phases.update
     )
 
 

@@ -43,8 +43,8 @@ def _evaluate(evaluator, workers, nbytes, compress=False, hdc=False, **options):
         exchange._FLOW["ring"] = production
     return (
         result.total_s.hex(),
-        result.gradient_sum_s,
-        result.update_s,
+        result.phases.gradient_sum,
+        result.phases.update,
         result.sent_nbytes,
         result.wire_payload_nbytes,
         result.link_payload_nbytes,

@@ -36,8 +36,8 @@ def test_tracer_does_not_change_timing(simulate):
     tracer = Tracer()
     traced = simulate(tracer=tracer, **kwargs)
     assert traced.total_s == untraced.total_s
-    assert traced.gradient_sum_s == untraced.gradient_sum_s
-    assert traced.update_s == untraced.update_s
+    assert traced.phases.gradient_sum == untraced.phases.gradient_sum
+    assert traced.phases.update == untraced.phases.update
     assert len(tracer) > 0
 
 

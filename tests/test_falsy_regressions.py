@@ -10,7 +10,8 @@ traffic.
 import numpy as np
 
 from repro.core import profile_for
-from repro.distributed import DistributedRunResult, PhaseTimes
+from repro.distributed import DistributedRunResult
+from repro.obs import PhaseTimes
 from repro.hardware import NicCounters
 from repro.network.packet import payload_ratio
 from repro.transport import (
