@@ -54,7 +54,7 @@ def _async(max_staleness=None):
 
 
 def _staleness(run):
-    return run.report.extras.get("staleness")
+    return run.extras.get("staleness")
 
 
 @pytest.fixture(scope="module")

@@ -250,7 +250,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     stream = _stream_for(args)
     tracer = _tracer_for(args)
-    num_nodes = args.workers + strategy.extra_nodes(args.workers, options)
+    num_nodes = args.workers + strategy.extra_nodes
     try:
         result = run_strategy(
             strategy,
@@ -271,7 +271,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc))
     tag = f"+{args.codec}" if args.codec else ("+C" if args.compress else "")
-    extras = result.report.extras if result.report else {}
+    extras = result.extras
     notes = ""
     if extras.get("staleness"):
         notes = f", mean staleness {float(np.mean(extras['staleness'])):.2f}"
@@ -304,7 +304,7 @@ def _cmd_strategies(args: argparse.Namespace) -> int:
     print(f"{'name':<14}{'nodes':<16}description")
     for name in available_strategies():
         strategy = STRATEGIES[name]()
-        extra = strategy.extra_nodes(args.workers, {})
+        extra = strategy.extra_nodes
         nodes = f"{args.workers}+{extra}" if extra else f"{args.workers}"
         print(f"{name:<14}{nodes:<16}{strategy.description}")
     return 0

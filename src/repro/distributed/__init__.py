@@ -12,7 +12,6 @@ from .strategy import (
     GradientStrategy,
     NodeContext,
     STRATEGIES,
-    StrategyReport,
     StrategyRun,
     StrategyUpdate,
     available_strategies,
@@ -21,10 +20,9 @@ from .strategy import (
     run_strategy,
 )
 from .cluster import RingStrategy, WorkerAggregatorStrategy
-from .async_ps import AsyncPSStrategy
+from .parameter_server import AsyncPSStrategy, StaleAsyncStrategy
 from .hierarchy import GroupLayout, HierarchyStrategy, hierarchical_exchange
 from .local_sgd import LocalSGDStrategy
-from .stale_async import StaleAsyncStrategy
 from .node import (
     ComputeProfile,
     ZERO_COMPUTE,
@@ -38,7 +36,6 @@ __all__ = [
     "GradientStrategy",
     "NodeContext",
     "STRATEGIES",
-    "StrategyReport",
     "StrategyRun",
     "StrategyUpdate",
     "available_strategies",

@@ -13,7 +13,7 @@ driven by :func:`~repro.distributed.strategy.run_strategy`.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Mapping, Optional
+from typing import Any, Generator, Optional
 
 import numpy as np
 
@@ -69,11 +69,7 @@ class WorkerAggregatorStrategy(GradientStrategy):
     worker_applies_update = False
     #: The one strategy with a reduction root the fabric can host.
     supports_switch_aggregation = True
-
-    def extra_nodes(
-        self, num_workers: int, options: Mapping[str, Any]
-    ) -> int:
-        return 1  # the aggregator node
+    extra_nodes = 1  # the aggregator node
 
     def setup(self, run: StrategyRun) -> None:
         self._aggregator_id = run.num_workers

@@ -8,7 +8,7 @@ to the local gradient between backward and update?*  This module owns
 the outer loop exactly once:
 
 * :class:`GradientStrategy` — the plugin protocol.  A strategy declares
-  how many service nodes it needs (:meth:`~GradientStrategy.extra_nodes`),
+  how many service nodes it needs (:attr:`~GradientStrategy.extra_nodes`),
   spawns them in :meth:`~GradientStrategy.setup`, and implements the
   per-iteration :meth:`~GradientStrategy.exchange` generator that turns
   a local gradient into a :class:`StrategyUpdate`.
@@ -84,16 +84,6 @@ class StrategyUpdate:
 
 
 @dataclass
-class StrategyReport:
-    """Per-strategy summary returned by :meth:`GradientStrategy.finalize`."""
-
-    strategy: str
-    #: Free-form per-strategy results (staleness samples, sync rounds,
-    #: ...) accumulated in :attr:`StrategyRun.extras` during the run.
-    extras: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
 class DistributedRunResult:
     """Outcome of one simulated distributed training run."""
 
@@ -114,8 +104,9 @@ class DistributedRunResult:
     #: Node 0's final parameter vector — the replicated model state the
     #: strategy-parity and replay checks compare.
     final_weights: Optional[np.ndarray] = None
-    #: Strategy-specific summary (staleness samples, sync rounds, ...).
-    report: Optional[StrategyReport] = None
+    #: Strategy-specific results (staleness samples, sync rounds, ...)
+    #: accumulated in :attr:`StrategyRun.extras` during the run.
+    extras: Dict[str, Any] = field(default_factory=dict)
     #: Every worker's per-iteration losses flattened in completion
     #: order — meaningful for asynchronous strategies where ``losses``'
     #: per-iteration means average across drifting workers.
@@ -160,8 +151,10 @@ class StrategyRun:
     #: report, where "iteration i" means different times per worker.
     loss_order: List[float] = field(default_factory=list)
     eval_top1: List[float] = field(default_factory=list)
-    #: Scratch space for strategy results, folded into StrategyReport.
+    #: Scratch space for strategy results, returned as the result's extras.
     extras: Dict[str, Any] = field(default_factory=dict)
+    #: Iterations each worker has finished.
+    finished: List[int] = field(default_factory=list)
 
     def replica(self) -> Sequential:
         """A fresh model in the run's initial state."""
@@ -232,12 +225,8 @@ class GradientStrategy(abc.ABC):
     #: single reduction root can; the driver rejects the combination
     #: for everything else.
     supports_switch_aggregation: bool = False
-
-    def extra_nodes(
-        self, num_workers: int, options: Mapping[str, Any]
-    ) -> int:
-        """Service nodes beyond the workers (aggregator, server, ...)."""
-        return 0
+    #: Service nodes beyond the workers (aggregator, server, ...).
+    extra_nodes: int = 0
 
     def setup(self, run: StrategyRun) -> None:
         """Validate options and spawn service processes via ``run.comm``."""
@@ -264,10 +253,6 @@ class GradientStrategy(abc.ABC):
     def final_model(self, run: StrategyRun) -> Sequential:
         """The network evaluated and pinned as the run's outcome."""
         return run.trainers[0].net
-
-    def finalize(self, run: StrategyRun) -> StrategyReport:
-        """Fold per-run scratch state into the report."""
-        return StrategyReport(strategy=self.name, extras=dict(run.extras))
 
 
 #: Registered strategies, keyed by name (the codec-registry pattern).
@@ -362,6 +347,7 @@ def _worker_process(
             and (iteration + 1) % run.eval_every == 0
         ):
             run.eval_top1.append(trainer.evaluate()[0])
+        run.finished[node_id] = iteration + 1
 
 
 def run_strategy(
@@ -403,7 +389,7 @@ def run_strategy(
         raise ValueError("distributed training needs at least two workers")
     if iterations < 1:
         raise ValueError("need at least one iteration")
-    num_nodes = num_workers + strat.extra_nodes(num_workers, opts)
+    num_nodes = num_workers + strat.extra_nodes
     config = cluster or ClusterConfig(num_nodes=num_nodes, profile=stream)
     if config.num_nodes != num_nodes:
         raise ValueError(
@@ -458,17 +444,23 @@ def run_strategy(
         options=opts,
         eval_every=eval_every,
         losses=[[] for _ in range(iterations)],
+        finished=[0] * num_workers,
     )
     strat.setup(run)
     for i in range(num_workers):
         comm.spawn(_worker_process(run, strat, i))
     total_time = comm.run()
+    for node_id, done in enumerate(run.finished):
+        if done < iterations:
+            raise RuntimeError(
+                f"{strat.name}: worker {node_id} stopped at iteration "
+                f"{done} of {iterations}; nothing was left to wake it"
+            )
 
     net = strat.final_model(run)
     logits = net.predict(dataset.test_x)
     top1 = top1_accuracy(logits, dataset.test_y)
     top5 = top5_accuracy(logits, dataset.test_y)
-    report = strat.finalize(run)
 
     return DistributedRunResult(
         algorithm=strat.name,
@@ -482,6 +474,6 @@ def run_strategy(
         eval_top1=run.eval_top1,
         transfers=comm.transfer_summary(),
         final_weights=net.parameter_vector(),
-        report=report,
+        extras=dict(run.extras),
         loss_order=list(run.loss_order),
     )

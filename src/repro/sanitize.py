@@ -140,9 +140,7 @@ class StrategyScenario(Scenario):
 
         strategy = get_strategy(self.strategy)
         stream = profile_for(self.codec) if self.codec else None
-        num_nodes = self.workers + strategy.extra_nodes(
-            self.workers, self.options
-        )
+        num_nodes = self.workers + strategy.extra_nodes
         result = run_strategy(
             strategy,
             build_net=lambda s: build_hdc(seed=s),

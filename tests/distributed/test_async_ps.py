@@ -34,7 +34,7 @@ def _run_async(iterations=15, num_workers=4, max_staleness=None,
 
 
 def _staleness(result):
-    return result.report.extras["staleness"]
+    return result.extras["staleness"]
 
 
 def test_async_training_learns():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import inceptionn_profile
-from repro.distributed import ComputeProfile, run_strategy
+from repro.distributed import ComputeProfile, RingStrategy, run_strategy
 from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
 from repro.network import parse_tenants
 from repro.transport import ClusterConfig
@@ -83,6 +83,28 @@ def test_run_strategy_refuses_background_tenants():
             iterations=1,
             batch_size=16,
             cluster=cluster,
+        )
+
+
+class _GateNeverOpens(RingStrategy):
+    """A ring whose workers wait at iteration 2 for an event nobody fires."""
+
+    def iteration_gate(self, node, iteration):
+        return node.comm.event() if iteration == 2 else None
+
+
+def test_run_strategy_refuses_a_worker_that_never_finished():
+    # The run used to end when the event queue drained and report the
+    # iterations that did finish as a successful run.
+    with pytest.raises(RuntimeError, match="worker 0 stopped at iteration 2 of 4"):
+        run_strategy(
+            _GateNeverOpens(),
+            build_net=lambda s: build_hdc(seed=s),
+            make_optimizer=lambda: SGD(LRSchedule(0.02)),
+            dataset=hdc_dataset(train_size=40, test_size=10, seed=0),
+            num_workers=2,
+            iterations=4,
+            batch_size=8,
         )
 
 

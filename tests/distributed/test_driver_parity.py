@@ -30,7 +30,7 @@ def _hex_phases(phases):
 def test_driver_and_simulator_keep_one_account(algorithm):
     nbytes = build_hdc(seed=0).nbytes
     assert nbytes // 4 == 1_149_010  # uneven blocks on 4 workers
-    service_nodes = get_strategy(algorithm).extra_nodes(WORKERS, {})
+    service_nodes = get_strategy(algorithm).extra_nodes
     trained = run_strategy(
         algorithm,
         build_net=lambda s: build_hdc(seed=s),

@@ -62,8 +62,7 @@ def test_h1_is_the_synchronous_ring():
     np.testing.assert_allclose(
         local.losses, ring.losses, rtol=1e-6
     )
-    assert local.report is not None
-    assert local.report.extras["sync_rounds"] == iterations
+    assert local.extras["sync_rounds"] == iterations
 
 
 def test_h4_learns_and_syncs_every_fourth_iteration():
@@ -77,7 +76,7 @@ def test_h4_learns_and_syncs_every_fourth_iteration():
         sync_period=4,
         make_optimizer=lambda: SGD(LRSchedule(0.005), momentum=0.9),
     )
-    assert local.report.extras["sync_rounds"] == iterations // 4
+    assert local.extras["sync_rounds"] == iterations // 4
     # Still converging: the periodic delta-sum keeps replicas anchored.
     assert local.losses[-1] < local.losses[0]
     assert local.final_top1 > 0.5

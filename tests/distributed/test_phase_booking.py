@@ -32,7 +32,7 @@ def _run(strategy, stream=None, **cluster):
     options = {"compute_jitter": JITTER}
     if strategy == "local_sgd":
         options["sync_period"] = 1
-    service_nodes = get_strategy(strategy).extra_nodes(WORKERS, options)
+    service_nodes = get_strategy(strategy).extra_nodes
     tracer = Tracer()
     result = run_strategy(
         strategy,

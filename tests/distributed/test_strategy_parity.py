@@ -4,8 +4,9 @@ The pins below were recorded by ``tools/record_strategy_pins.py``
 against the four hand-rolled spawn loops (``_spawn_ring_processes``,
 ``_spawn_wa_processes``, the hierarchy driver, and the async-PS server
 loop) immediately before they were ported to the
-:class:`~repro.distributed.strategy.GradientStrategy` registry.  Each
-pin has two halves:
+:class:`~repro.distributed.strategy.GradientStrategy` registry; the
+``stale_async`` pins were recorded immediately before the two parameter
+servers were merged into one server loop.  Each pin has two halves:
 
 * *exact* — message count, application bytes, raw-run wire bytes and
   virtual time (1e-9 relative): the schedule, which no environment may
@@ -63,6 +64,14 @@ PINS = {
         "nbytes": 294146560,
         "wire_payload_nbytes": 294146560,
     },
+    "stale_async_raw": {
+        "weights_sum": -9196.60546875,
+        "final_loss": 2.591405153274536,
+        "virtual_time_s": 0.13737569378999248,
+        "messages": 64,
+        "nbytes": 294146560,
+        "wire_payload_nbytes": 294146560,
+    },
     "ring_compressed": {
         "weights_sum": -1418.3507080078125,
         "final_loss": 0.8528502881526947,
@@ -94,6 +103,14 @@ PINS = {
         "messages": 64,
         "nbytes": 294146560,
         "wire_payload_nbytes": 177244335,
+    },
+    "stale_async_compressed": {
+        "weights_sum": -8891.0205078125,
+        "final_loss": 2.541330337524414,
+        "virtual_time_s": 0.12808025970249073,
+        "messages": 64,
+        "nbytes": 294146560,
+        "wire_payload_nbytes": 177243401,
     },
 }
 

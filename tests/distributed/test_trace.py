@@ -123,7 +123,7 @@ def test_async_run_records_rounds_and_staleness():
         seed=0,
         options={"compute_jitter": 0.3},
     )
-    staleness = result.report.extras["staleness"]
+    staleness = result.extras["staleness"]
     assert tracer.count(CAT_ASYNC, "async.round") == workers * iterations
     applies = list(tracer.events_in(CAT_ASYNC, "async.apply"))
     assert len(applies) == workers * iterations

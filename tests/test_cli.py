@@ -316,3 +316,14 @@ def test_every_subcommand_keeps_its_long_options_and_defaults():
 def test_exchange_names_the_flag_a_bad_value_came_from(argv, message):
     with pytest.raises(SystemExit, match=message):
         main(["exchange", "--mbytes", "1", *argv])
+
+
+@pytest.mark.parametrize("strategy,option", [
+    ("async_ps", "max_staleness"), ("stale_async", "staleness_bound"),
+])
+def test_train_rejects_a_negative_staleness(strategy, option):
+    # async_ps used to gate every worker forever at -1 and print
+    # "loss nan -> nan" with exit status 0.
+    with pytest.raises(SystemExit, match=option):
+        main(["train", "--strategy", strategy, "--staleness", "-1",
+              "--iterations", "2", "--workers", "2"])

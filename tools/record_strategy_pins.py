@@ -43,6 +43,7 @@ SCENARIOS = {
     "wa": {},
     "hierarchy": {"layout": GroupLayout.even(WORKERS, 2)},
     "async_ps": {"compute_jitter": 0.5, "max_staleness": 2},
+    "stale_async": {"compute_jitter": 0.5, "staleness_bound": 1},
 }
 
 
@@ -50,7 +51,7 @@ def run_scenario(strategy: str, compressed: bool) -> DistributedRunResult:
     """The pinned scenario — the parity test runs exactly this."""
     stream = inceptionn_profile() if compressed else None
     options = SCENARIOS[strategy]
-    extra_nodes = get_strategy(strategy).extra_nodes(WORKERS, options)
+    extra_nodes = get_strategy(strategy).extra_nodes
     return run_strategy(
         strategy,
         build_net=lambda s: build_hdc(seed=s),
@@ -68,9 +69,10 @@ def run_scenario(strategy: str, compressed: bool) -> DistributedRunResult:
 
 
 def final_loss(strategy: str, result: DistributedRunResult) -> float:
-    # Asynchronous workers drift, so the async pin is the last loss in
+    # Parameter-server workers drift, so their pin is the last loss in
     # completion order rather than a per-iteration mean.
-    losses = result.loss_order if strategy == "async_ps" else result.losses
+    ps = strategy in ("async_ps", "stale_async")
+    losses = result.loss_order if ps else result.losses
     return float(losses[-1])
 
 
