@@ -67,7 +67,7 @@ def test_engine_width_end_to_end(benchmark):
             msg = sender.build_message(1, nbytes=nbytes, profile=stream, ratio=8.0)
             done = {}
             ev = sender.isend_message(msg)
-            ev.add_callback(lambda e: done.setdefault("t", comm.now))
+            ev.add_callback(lambda e: done.setdefault("t", comm.sim.now))
             comm.run()
             times[width] = done["t"]
         return times

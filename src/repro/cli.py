@@ -245,7 +245,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "max_staleness": args.staleness,
         "staleness_bound": args.staleness,
         "group_size": args.group_size,
-        "compute_jitter": args.jitter,
     }
 
     stream = _stream_for(args)
@@ -589,10 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--group-size", type=int, default=2, metavar="K",
         help="hierarchy: leaf-group size (default 2)",
-    )
-    p.add_argument(
-        "--jitter", type=float, default=0.0, metavar="F",
-        help="uniform(+/-F) perturbation of each worker's compute time",
     )
     p.add_argument("--seed", type=int, default=0)
     _add_cluster_flags(

@@ -81,7 +81,7 @@ class WorkerAggregatorStrategy(GradientStrategy):
                 sources=range(run.num_workers),
                 stream=run.stream,
             )
-        run.comm.spawn(self._aggregator(run))
+        run.comm.sim.process(self._aggregator(run))
 
     def _aggregator(
         self, run: StrategyRun

@@ -73,7 +73,7 @@ class LocalSGDStrategy(GradientStrategy):
             return StrategyUpdate()  # no communication this iteration
 
         anchor = self._anchors[node.node_id]
-        sync_start = node.comm.now
+        sync_start = node.comm.sim.now
         delta = (trainer.net.parameter_vector() - anchor).astype(np.float32)
         total_delta = yield from ring_exchange(
             node.endpoint,
@@ -91,7 +91,7 @@ class LocalSGDStrategy(GradientStrategy):
                     "local_sgd.sync",
                     cat=CAT_STRATEGY,
                     ts=sync_start,
-                    dur=node.comm.now - sync_start,
+                    dur=node.comm.sim.now - sync_start,
                     node=node.node_id,
                     sync_period=self._period,
                     iteration=iteration,

@@ -89,13 +89,13 @@ class ParameterServer(GradientStrategy):
         self._pull_version = [0] * run.num_workers
         self._unreplied: Set[int] = set()  # applied, awaiting reply gate
         run.extras["staleness"] = []  # server updates between pull & apply
-        run.comm.spawn(self._server(run))
+        run.comm.sim.process(self._server(run))
 
     def exchange(
         self, node: NodeContext, iteration: int, gradient: np.ndarray
     ) -> Generator[Event, Any, StrategyUpdate]:
         ep = node.endpoint
-        round_start = node.comm.now
+        round_start = node.comm.sim.now
         ep.isend(self._server_id, gradient, profile=node.stream)
         weights = yield ep.recv(self._server_id)
         if node.tracer is not None:
@@ -103,7 +103,7 @@ class ParameterServer(GradientStrategy):
                 self.round_span,
                 cat=self.trace_cat,
                 ts=round_start,
-                dur=node.comm.now - round_start,
+                dur=node.comm.sim.now - round_start,
                 node=node.node_id,
                 iteration=iteration,
             )
@@ -188,7 +188,7 @@ class AsyncPSStrategy(ParameterServer):
         needed = iteration - self._max_staleness
         if needed <= min(self._worker_progress):
             return None
-        gate = node.comm.event()
+        gate = node.comm.sim.event()
         self._staleness_waiters.append((needed, gate))
         return gate
 
@@ -210,7 +210,7 @@ class AsyncPSStrategy(ParameterServer):
             run.tracer.instant(
                 "async.apply",
                 cat=CAT_ASYNC,
-                ts=run.comm.now,
+                ts=run.comm.sim.now,
                 node=self._server_id,
                 src=worker,
                 staleness=staleness,
@@ -250,7 +250,7 @@ class StaleAsyncStrategy(ParameterServer):
             run.tracer.instant(
                 "stale_async.apply",
                 cat=CAT_STRATEGY,
-                ts=run.comm.now,
+                ts=run.comm.sim.now,
                 node=self._server_id,
                 src=worker,
                 staleness=staleness,

@@ -319,14 +319,14 @@ def _worker_process(
         loss, grad = trainer.local_gradient()
         run.record_loss(iteration, loss)
 
-        exchange_start = comm.now
+        exchange_start = comm.sim.now
         update = yield from strategy.exchange(node, iteration, grad)
         if tracer is not None:
             tracer.span(
                 "strategy.exchange",
                 cat=CAT_STRATEGY,
                 ts=exchange_start,
-                dur=comm.now - exchange_start,
+                dur=comm.sim.now - exchange_start,
                 node=node_id,
                 strategy=strategy.name,
                 iteration=iteration,
@@ -448,7 +448,7 @@ def run_strategy(
     )
     strat.setup(run)
     for i in range(num_workers):
-        comm.spawn(_worker_process(run, strat, i))
+        comm.sim.process(_worker_process(run, strat, i))
     total_time = comm.run()
     for node_id, done in enumerate(run.finished):
         if done < iterations:

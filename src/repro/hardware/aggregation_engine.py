@@ -4,11 +4,10 @@ The sibling of :class:`~repro.hardware.compression_engine.CompressionEngine`
 for the in-network aggregation site: a streaming adder tree beside a
 switch egress port (or the aggregating endpoint's NIC) that folds
 compressed gradient payloads into a running partial sum held in SRAM.
-Operand bursts stream in one 256-bit beat per cycle per lane, so one
-reduction costs one beat per input burst (divided across ``lanes``)
-plus the adder pipeline drain — charged by the same
-:class:`~repro.hardware.engine.BurstEngine` rule as the compression
-engines, which keeps engine comparisons apples-to-apples.
+Operand bursts stream in one 256-bit beat per cycle, so one reduction
+costs one beat per input burst plus the adder pipeline drain — charged
+by the same :class:`~repro.hardware.engine.BurstEngine` rule as the
+compression engines, which keeps engine comparisons apples-to-apples.
 """
 
 from __future__ import annotations
@@ -29,23 +28,20 @@ class AggregationStats:
     bytes_out: int
     cycles: int
 
-    def elapsed_s(self, clock_hz: float = DEFAULT_CLOCK_HZ) -> float:
-        """Wall-clock time of the pass at the given engine clock."""
-        return self.cycles / clock_hz
+    def elapsed_s(self) -> float:
+        """Wall-clock time of the pass at the engine clock."""
+        return self.cycles / DEFAULT_CLOCK_HZ
 
 
 class AggregationEngine(BurstEngine):
     """Folds compressed gradient streams burst-by-burst.
 
-    ``lanes`` scales how many input beats fold per cycle (a wider adder
-    tree); the default single lane matches the reference compression
-    engine's one-burst-per-cycle streaming rate.
+    One input burst folds per cycle, the reference compression engine's
+    streaming rate.
     """
 
-    def __init__(
-        self, lanes: int = 1, clock_hz: float = DEFAULT_CLOCK_HZ
-    ) -> None:
-        super().__init__(clock_hz, lanes=lanes)
+    def __init__(self) -> None:
+        super().__init__()
         self.total_reductions = 0
         self.total_bytes_in = 0
         self.total_bytes_out = 0

@@ -34,9 +34,9 @@ class EngineStats:
     bits_out: int = 0
     cycles: int = 0
 
-    def elapsed_s(self, clock_hz: float = DEFAULT_CLOCK_HZ) -> float:
-        """Wall-clock time of the pass at the given engine clock."""
-        return self.cycles / clock_hz
+    def elapsed_s(self) -> float:
+        """Wall-clock time of the pass at the engine clock."""
+        return self.cycles / DEFAULT_CLOCK_HZ
 
 
 class CompressionEngine(BurstEngine):
@@ -46,9 +46,8 @@ class CompressionEngine(BurstEngine):
         self,
         bound: ErrorBound,
         num_blocks: int = WORDS_PER_BURST,
-        clock_hz: float = DEFAULT_CLOCK_HZ,
     ) -> None:
-        super().__init__(clock_hz, num_blocks=num_blocks)
+        super().__init__(num_blocks)
         self.bound = bound
         self.total_bursts = 0
 

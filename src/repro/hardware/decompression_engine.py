@@ -30,7 +30,7 @@ from repro.core.container import (
 
 from .axi import BURST_BYTES, WORDS_PER_BURST
 from .compression_engine import EngineStats
-from .engine import DEFAULT_CLOCK_HZ, BurstEngine
+from .engine import BurstEngine
 
 
 class DecompressionError(ValueError):
@@ -44,9 +44,8 @@ class DecompressionEngine(BurstEngine):
         self,
         bound: ErrorBound,
         num_blocks: int = WORDS_PER_BURST,
-        clock_hz: float = DEFAULT_CLOCK_HZ,
     ) -> None:
-        super().__init__(clock_hz, num_blocks=num_blocks)
+        super().__init__(num_blocks)
         self.bound = bound
         self.total_groups = 0
 

@@ -3,10 +3,10 @@
 The NIC's compression and decompression engines (paper Figs 9–10) and
 the switch-side aggregation engine are the same machine to the timing
 model: operand bursts of 256 bits stream through a fixed-depth pipeline
-at the engine clock.  A burst occupies the pipeline for
-``ceil(8 / num_blocks)`` beats (an engine with fewer than eight blocks
-revisits the burst — the width ablation), ``lanes`` bursts fold per
-beat (a wider adder tree), and every pass pays the pipeline drain once.
+at the testbed's fixed 100 MHz engine clock.  A burst occupies the
+pipeline for ``ceil(8 / num_blocks)`` beats (an engine with fewer than
+eight blocks revisits the burst — the width ablation, the one setting),
+one beat per cycle, and every pass pays the pipeline drain once.
 Charging all three by this rule is what makes NIC-engine and in-switch
 aggregation timings comparable.
 """
@@ -19,7 +19,8 @@ import numpy as np
 
 from .axi import BURST_BYTES, WORDS_PER_BURST
 
-#: Reference-design clock (paper Sec. VII-C: 100 MHz, bandwidth-neutral).
+#: Reference-design clock (paper Sec. VII-C: 100 MHz, bandwidth-neutral);
+#: every engine runs at it.
 DEFAULT_CLOCK_HZ = 100e6
 #: Cycles for a burst to traverse the block + alignment pipeline.
 PIPELINE_DEPTH = 4
@@ -28,21 +29,13 @@ PIPELINE_DEPTH = 4
 class BurstEngine:
     """Cycle accounting shared by the NIC and switch engines."""
 
-    def __init__(
-        self,
-        clock_hz: float = DEFAULT_CLOCK_HZ,
-        num_blocks: int = WORDS_PER_BURST,
-        lanes: int = 1,
-    ) -> None:
+    #: The testbed's one engine clock, not a setting.
+    clock_hz = DEFAULT_CLOCK_HZ
+
+    def __init__(self, num_blocks: int = WORDS_PER_BURST) -> None:
         if num_blocks < 1:
             raise ValueError("an engine needs at least one block")
-        if lanes < 1:
-            raise ValueError("an engine needs at least one lane")
-        if clock_hz <= 0:
-            raise ValueError("clock_hz must be positive")
-        self.clock_hz = clock_hz
         self.num_blocks = num_blocks
-        self.lanes = lanes
         #: With 8 blocks one burst retires per beat; narrower engines
         #: need several beats per burst.
         self.beats_per_burst = -(-WORDS_PER_BURST // num_blocks)
@@ -54,7 +47,7 @@ class BurstEngine:
         An array of burst counts is one pass per entry, each paying its
         own drain; the return value is their total.
         """
-        per_pass = -(-bursts * self.beats_per_burst // self.lanes) + PIPELINE_DEPTH
+        per_pass = bursts * self.beats_per_burst + PIPELINE_DEPTH
         cycles = int(np.sum(per_pass))
         self.total_cycles += cycles
         return cycles
@@ -65,7 +58,7 @@ class BurstEngine:
 
     def throughput_bps(self) -> float:
         """Nominal operand-side streaming rate in bytes/second."""
-        return BURST_BYTES * self.clock_hz * self.lanes / self.beats_per_burst
+        return BURST_BYTES * self.clock_hz / self.beats_per_burst
 
     def latency_s(self) -> float:
         """Pipeline-fill latency through the engine."""

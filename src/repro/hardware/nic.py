@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.core.bounds import ErrorBound
 from repro.network.packet import (
-    DEFAULT_MSS,
     TOS_COMPRESS,
     Packet,
     is_compressible_tos,
@@ -38,7 +37,6 @@ from repro.obs import CAT_CODEC, Tracer
 from .axi import WORDS_PER_BURST
 from .compression_engine import CompressionEngine
 from .decompression_engine import DecompressionEngine
-from .engine import DEFAULT_CLOCK_HZ
 
 
 @dataclass
@@ -98,7 +96,6 @@ class InceptionnNic:
         bound: ErrorBound,
         enabled: bool = True,
         num_blocks: int = WORDS_PER_BURST,
-        clock_hz: float = DEFAULT_CLOCK_HZ,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.node_id = node_id
@@ -106,8 +103,8 @@ class InceptionnNic:
         self.enabled = enabled
         #: Nullable tracer: records per-packet engine calls + tag classes.
         self.tracer = tracer
-        self.compressor = CompressionEngine(bound, num_blocks, clock_hz)
-        self.decompressor = DecompressionEngine(bound, num_blocks, clock_hz)
+        self.compressor = CompressionEngine(bound, num_blocks)
+        self.decompressor = DecompressionEngine(bound, num_blocks)
         self.counters = NicCounters()
 
     def dispatches(self, tos: int) -> bool:
@@ -152,13 +149,7 @@ class InceptionnNic:
 
     def _engages(self, packet: Packet) -> bool:
         """The per-packet comparator: does this packet enter the engines?"""
-        if not (self.enabled and packet.tos == TOS_COMPRESS):
-            return False
-        if packet.payload is None:
-            raise ValueError(
-                "bit-exact NIC processing needs materialized payload bytes"
-            )
-        return True
+        return self.enabled and packet.tos == TOS_COMPRESS
 
     def _trace_engine_call(
         self, name: str, packet: Packet, out_nbytes: int
@@ -254,13 +245,9 @@ class InceptionnNic:
 
     # -- message-level convenience -------------------------------------------------
 
-    def transmit_message(
-        self, data: bytes, dst: int, tos: int, mss: int = DEFAULT_MSS
-    ) -> List[Packet]:
+    def transmit_message(self, data: bytes, dst: int, tos: int) -> List[Packet]:
         """Segment a byte stream and run the packet train through TX."""
-        return self.transmit(
-            segment_bytes(data, src=self.node_id, dst=dst, tos=tos, mss=mss)
-        )
+        return self.transmit(segment_bytes(data, src=self.node_id, dst=dst, tos=tos))
 
     def receive_message(self, packets: List[Packet]) -> bytes:
         """Run a packet train through RX and reassemble in sequence order."""

@@ -4,6 +4,8 @@ The INCEPTIONN software stack marks compressible TCP streams by setting
 the IP header's Type-of-Service byte to the reserved value ``0x28``;
 the NIC's comparator classifies packets on that field.  We model exactly
 the fields that behaviour depends on: ToS, header size, payload bytes.
+The stack is the testbed's standard one: every message is cut into
+``DEFAULT_MSS``-byte payloads behind ``HEADER_BYTES`` of headers.
 
 The codec registry (:mod:`repro.core.registry`) generalizes the paper's
 single reserved value into a small ToS code space: every registered
@@ -14,8 +16,8 @@ engines".  ``0x28`` stays reserved for the INCEPTIONN codec.
 Invariants: ToS claims are idempotent and ``TOS_DEFAULT`` (0x00) can
 never mark a compressible stream; segmentation is deterministic — the
 same payload always yields the same packet count and sizes
-(``HEADER_BYTES`` per packet, MSS-bounded payloads), with no clocks or
-randomness involved; tenant traffic classes
+(``HEADER_BYTES`` per packet, ``DEFAULT_MSS``-bounded payloads), with
+no clocks or randomness involved; tenant traffic classes
 (:mod:`repro.network.tenants`) use ToS bytes no codec claims, so
 background flows never enter the NIC engines.
 """
@@ -23,7 +25,7 @@ background flows never enter the NIC engines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 #: The reserved ToS value marking a packet for NIC (de)compression.
 TOS_COMPRESS = 0x28
@@ -54,76 +56,58 @@ def is_compressible_tos(tos: int) -> bool:
 
 #: Ethernet (14) + IPv4 (20) + TCP (20) header bytes.
 HEADER_BYTES = 54
-#: Standard Ethernet MTU payload budget after IP+TCP headers.
+#: Standard Ethernet MTU payload budget after IP+TCP headers — the
+#: testbed's one segment size.
 DEFAULT_MSS = 1460
 
 
 @dataclass
 class Packet:
-    """One simulated TCP/IP packet.
+    """One simulated TCP/IP packet carrying real payload bytes.
 
-    ``payload`` may carry real bytes (when the hardware model processes
-    them bit-exactly) or be ``None`` with only ``payload_nbytes`` set
-    (when only timing matters and materializing hundreds of megabytes
-    would be wasteful).
+    The bit-exact NIC datapath is the only consumer; timing-only paths
+    count packets (:func:`packet_count`) instead of building them.
     """
 
     src: int
     dst: int
     seq: int = 0
     tos: int = TOS_DEFAULT
-    payload: Optional[bytes] = None
-    payload_nbytes: int = 0
+    payload: bytes = b""
     #: Opaque reference travelling with the packet (e.g. a gradient block).
     context: object = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.payload is not None:
-            actual = len(self.payload)
-            if self.payload_nbytes and self.payload_nbytes != actual:
-                raise ValueError(
-                    f"payload_nbytes={self.payload_nbytes} disagrees with "
-                    f"len(payload)={actual}"
-                )
-            self.payload_nbytes = actual
-        if self.payload_nbytes < 0:
-            raise ValueError("payload size cannot be negative")
         if not 0 <= self.tos <= 0xFF:
             raise ValueError(f"ToS must fit one byte, got {self.tos:#x}")
+
+    @property
+    def payload_nbytes(self) -> int:
+        """Payload bytes (headers excluded)."""
+        return len(self.payload)
 
     @property
     def wire_nbytes(self) -> int:
         """Total bytes on the wire (headers + payload)."""
         return HEADER_BYTES + self.payload_nbytes
 
-    @property
-    def compressible(self) -> bool:
-        """True when the NIC should run this packet through the engines."""
-        return is_compressible_tos(self.tos)
-
 
 def segment_bytes(
-    data: bytes,
-    src: int,
-    dst: int,
-    tos: int = TOS_DEFAULT,
-    mss: int = DEFAULT_MSS,
+    data: bytes, src: int, dst: int, tos: int = TOS_DEFAULT
 ) -> List[Packet]:
-    """Split a byte string into MSS-sized packets (TCP segmentation)."""
-    if mss <= 0:
-        raise ValueError("mss must be positive")
-    packets = [
-        Packet(src=src, dst=dst, seq=seq, tos=tos, payload=data[off : off + mss])
-        for seq, off in enumerate(range(0, len(data), mss))
+    """Split a byte string into MSS-sized packets (TCP segmentation).
+
+    A zero-length send still emits one empty packet.
+    """
+    return [
+        Packet(src, dst, seq, tos, data[off : off + DEFAULT_MSS])
+        for seq, off in enumerate(range(0, max(1, len(data)), DEFAULT_MSS))
     ]
-    if not packets:  # zero-length send still emits one empty packet
-        packets = [Packet(src=src, dst=dst, seq=0, tos=tos, payload=b"")]
-    return packets
 
 
-def packet_count(nbytes: int, mss: int = DEFAULT_MSS) -> int:
+def packet_count(nbytes: int) -> int:
     """Number of packets a message of ``nbytes`` occupies."""
-    return max(1, -(-nbytes // mss))
+    return max(1, -(-nbytes // DEFAULT_MSS))
 
 
 def payload_ratio(raw_nbytes: int, wire_nbytes: int) -> float:
@@ -135,28 +119,6 @@ def payload_ratio(raw_nbytes: int, wire_nbytes: int) -> float:
     if wire_nbytes:
         return raw_nbytes / wire_nbytes
     return float("inf") if raw_nbytes else 1.0
-
-
-def distribute_payload(nbytes: int, num_packets: int) -> List[int]:
-    """Spread ``nbytes`` of payload over ``num_packets`` packets.
-
-    Cumulative rounding: packet ``k`` carries the difference between the
-    rounded ``k``-th and ``(k-1)``-th cumulative shares, so the sizes
-    always sum to ``nbytes`` exactly and differ by at most one byte.
-    Used for the per-packet view of a compressed stream, whose total
-    wire size is measured at message granularity.
-    """
-    if num_packets < 1:
-        raise ValueError("need at least one packet")
-    if nbytes < 0:
-        raise ValueError("nbytes cannot be negative")
-    sizes: List[int] = []
-    prev = 0
-    for k in range(1, num_packets + 1):
-        cur = round(nbytes * k / num_packets)
-        sizes.append(cur - prev)
-        prev = cur
-    return sizes
 
 
 def split_trains(

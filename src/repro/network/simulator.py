@@ -115,7 +115,6 @@ class Network:
         self,
         sim: Simulation,
         topology: Topology,
-        mss: int = DEFAULT_MSS,
         train_packets: int = DEFAULT_TRAIN_PACKETS,
         engine: Optional[NicTimingModel] = None,
         loss: Optional[LossModel] = None,
@@ -123,12 +122,11 @@ class Network:
         tracer: Optional[Tracer] = None,
         tos_priority: Optional[Dict[int, int]] = None,
     ) -> None:
-        if mss <= 0 or train_packets <= 0:
-            raise ValueError("mss and train_packets must be positive")
+        if train_packets <= 0:
+            raise ValueError("train_packets must be positive")
         self.sim = sim
         self.tracer = tracer
         self.topology = topology
-        self.mss = mss
         self.train_packets = train_packets
         #: ToS byte -> priority class honored by priority-queued fabrics
         #: (``None`` disables classification: every train rides the
@@ -297,7 +295,7 @@ class Network:
         if self.tos_priority is not None:
             priority = self.tos_priority.get(tos, PRIORITY_DEFAULT)
         compress = tx_engine is not None or rx_engine is not None
-        num_packets = packet_count(nbytes, self.mss)
+        num_packets = packet_count(nbytes)
         wire_total = num_packets * HEADER_BYTES + wire_payload
 
         receipt = MessageReceipt(
@@ -419,8 +417,8 @@ class Network:
         ``priority`` is the train's class at priority-queued switch
         egress ports (multi-tier fabrics); plain FIFO links ignore it.
         """
-        head_wire = min(wire_bytes, HEADER_BYTES + self.mss)
-        head_raw = min(raw_bytes, HEADER_BYTES + self.mss)
+        head_wire = min(wire_bytes, HEADER_BYTES + DEFAULT_MSS)
+        head_raw = min(raw_bytes, HEADER_BYTES + DEFAULT_MSS)
 
         # (resource, bytes, bytes awaited before hand-off, hand-off delay)
         stages = []

@@ -39,9 +39,10 @@ Invariants this module maintains:
   order the constructor wired them (Clos fabrics: sorted edge id); loss
   seeds are salted by that index, so the order is part of the model.
 * **Simulated-time discipline.**  Hop timing comes from link
-  bandwidth/latency and one ``forwarding_delay_s`` between consecutive
-  links (store-and-forward switch latency); construction and routing
-  read only constructor arguments, never the host clock.
+  bandwidth, the testbed's fixed link latency and one
+  ``forwarding_delay_s`` between consecutive links (store-and-forward
+  switch latency); construction and routing read only constructor
+  arguments and those constants, never the host clock.
 
 :func:`build_topology` is the one string-spec factory the CLI and
 :class:`~repro.transport.endpoint.ClusterConfig` share
@@ -64,8 +65,9 @@ from .priority import PriorityLink
 if TYPE_CHECKING:
     from repro.hardware.aggregation_engine import AggregationEngine
 
-#: Testbed defaults: 10 GbE links, a few microseconds of port-to-port
-#: latency, store-and-forward forwarding in the switch.
+#: Testbed: 10 GbE links (the one rate a run may vary), a few
+#: microseconds of port-to-port latency on every link, store-and-forward
+#: forwarding in every switch.  Latency and switch delay are constants.
 DEFAULT_BANDWIDTH_BPS = 10e9
 DEFAULT_LINK_LATENCY_S = 2e-6
 DEFAULT_SWITCH_DELAY_S = 1e-6
@@ -88,13 +90,14 @@ class Topology:
     switches use wiring-chosen string ids.
     """
 
+    #: Store-and-forward latency between consecutive links of a route.
+    switch_delay_s = DEFAULT_SWITCH_DELAY_S
+
     def __init__(self, sim: Simulation, num_nodes: int) -> None:
         if num_nodes < 2:
             raise ValueError("a cluster needs at least two nodes")
         self.sim = sim
         self.num_nodes = num_nodes
-        #: Store-and-forward latency between consecutive links of a route.
-        self.switch_delay_s = 0.0
         #: Directed edge (u, v) -> the egress link carrying u's traffic
         #: to v, in wiring order.
         self.links: Dict[Tuple[str, str], Link] = {}
@@ -114,6 +117,10 @@ class Topology:
         if (u, v) in self.links:
             raise ValueError(f"duplicate edge {u}->{v}")
         self.links[(u, v)] = link
+
+    def _link(self, bandwidth_bps: float, name: str) -> Link:
+        """A FIFO link at ``bandwidth_bps`` with the testbed's latency."""
+        return Link(self.sim, bandwidth_bps, DEFAULT_LINK_LATENCY_S, name=name)
 
     def _build_routes(self) -> None:
         """One reverse BFS per destination host fills the next-hop tables."""
@@ -205,16 +212,13 @@ class SwitchedStar(Topology):
         sim: Simulation,
         num_nodes: int,
         bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS,
-        link_latency_s: float = DEFAULT_LINK_LATENCY_S,
-        switch_delay_s: float = DEFAULT_SWITCH_DELAY_S,
     ) -> None:
         super().__init__(sim, num_nodes)
-        self.switch_delay_s = switch_delay_s
         for node in range(num_nodes):
-            link = Link(sim, bandwidth_bps, link_latency_s, name=f"n{node}->sw")
+            link = self._link(bandwidth_bps, f"n{node}->sw")
             self._wire(self.host_id(node), "sw", link)
         for node in range(num_nodes):
-            link = Link(sim, bandwidth_bps, link_latency_s, name=f"sw->n{node}")
+            link = self._link(bandwidth_bps, f"sw->n{node}")
             self._wire("sw", self.host_id(node), link)
         self._build_routes()
 
@@ -226,19 +230,19 @@ class DirectRing(Topology):
     INCEPTIONN algorithm never needs anything else.
     """
 
+    #: No switch between neighbours.
+    switch_delay_s = 0.0
+
     def __init__(
         self,
         sim: Simulation,
         num_nodes: int,
         bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS,
-        link_latency_s: float = DEFAULT_LINK_LATENCY_S,
     ) -> None:
         super().__init__(sim, num_nodes)
         for node in range(num_nodes):
             successor = (node + 1) % num_nodes
-            link = Link(
-                sim, bandwidth_bps, link_latency_s, name=f"n{node}->n{successor}"
-            )
+            link = self._link(bandwidth_bps, f"n{node}->n{successor}")
             self._wire(self.host_id(node), self.host_id(successor), link)
         self._build_routes()
 
@@ -264,8 +268,6 @@ class TwoTierFabric(Topology):
         nodes_per_rack: int,
         bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS,
         oversubscription: float = 4.0,
-        link_latency_s: float = DEFAULT_LINK_LATENCY_S,
-        switch_delay_s: float = DEFAULT_SWITCH_DELAY_S,
     ) -> None:
         if num_racks < 1 or nodes_per_rack < 1:
             raise ValueError("need at least one rack with one node")
@@ -274,24 +276,19 @@ class TwoTierFabric(Topology):
         super().__init__(sim, num_racks * nodes_per_rack)
         self.num_racks = num_racks
         self.nodes_per_rack = nodes_per_rack
-        self.switch_delay_s = switch_delay_s
         self.oversubscription = oversubscription
         uplink_bandwidth = bandwidth_bps * nodes_per_rack / oversubscription
         for node in range(self.num_nodes):
-            link = Link(sim, bandwidth_bps, link_latency_s, name=f"n{node}->tor")
+            link = self._link(bandwidth_bps, f"n{node}->tor")
             self._wire(self.host_id(node), f"tor{self.rack_of(node)}", link)
         for node in range(self.num_nodes):
-            link = Link(sim, bandwidth_bps, link_latency_s, name=f"tor->n{node}")
+            link = self._link(bandwidth_bps, f"tor->n{node}")
             self._wire(f"tor{self.rack_of(node)}", self.host_id(node), link)
         for rack in range(num_racks):
-            link = Link(
-                sim, uplink_bandwidth, link_latency_s, name=f"tor{rack}->core"
-            )
+            link = self._link(uplink_bandwidth, f"tor{rack}->core")
             self._wire(f"tor{rack}", "core", link)
         for rack in range(num_racks):
-            link = Link(
-                sim, uplink_bandwidth, link_latency_s, name=f"core->tor{rack}"
-            )
+            link = self._link(uplink_bandwidth, f"core->tor{rack}")
             self._wire("core", f"tor{rack}", link)
         self._build_routes()
 
@@ -325,21 +322,18 @@ class MultiTierFabric(Topology):
     :meth:`_build_routes`.
     """
 
-    def __init__(
-        self, sim: Simulation, num_nodes: int, switch_delay_s: float
-    ) -> None:
+    def __init__(self, sim: Simulation, num_nodes: int) -> None:
         super().__init__(sim, num_nodes)
-        self.switch_delay_s = switch_delay_s
         #: Fabric vertex -> hosted in-network aggregation engine
         #: (see :meth:`aggregation_engine`).
         self.aggregation_engines: Dict[str, "AggregationEngine"] = {}
 
-    def _add_duplex(
-        self, u: str, v: str, bandwidth_bps: float, latency_s: float
-    ) -> None:
+    def _add_duplex(self, u: str, v: str, bandwidth_bps: float) -> None:
         """Wire ``u`` and ``v`` with one priority-queued link per direction."""
         for a, b in ((u, v), (v, u)):
-            port = PriorityLink(self.sim, bandwidth_bps, latency_s, name=f"{a}->{b}")
+            port = PriorityLink(
+                self.sim, bandwidth_bps, DEFAULT_LINK_LATENCY_S, name=f"{a}->{b}"
+            )
             self._wire(a, b, port)
 
     def tree_path(self, src: int, dst: int) -> Tuple[str, ...]:
@@ -433,30 +427,24 @@ class FatTree(MultiTierFabric):
         sim: Simulation,
         k: int = 4,
         bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS,
-        link_latency_s: float = DEFAULT_LINK_LATENCY_S,
-        switch_delay_s: float = DEFAULT_SWITCH_DELAY_S,
     ) -> None:
         if k < 2 or k % 2:
             raise ValueError(f"fat-tree arity k must be even and >= 2, got {k}")
         half = k // 2
-        super().__init__(sim, k * half * half, switch_delay_s)
+        super().__init__(sim, k * half * half)
         self.k = k
         for pod in range(k):
             for edge in range(half):
                 edge_id = f"p{pod}e{edge}"
                 for agg in range(half):
-                    self._add_duplex(
-                        edge_id, f"p{pod}a{agg}", bandwidth_bps, link_latency_s
-                    )
+                    self._add_duplex(edge_id, f"p{pod}a{agg}", bandwidth_bps)
                 for port in range(half):
                     host = self.host_id(pod * half * half + edge * half + port)
-                    self._add_duplex(host, edge_id, bandwidth_bps, link_latency_s)
+                    self._add_duplex(host, edge_id, bandwidth_bps)
             for agg in range(half):
                 agg_id = f"p{pod}a{agg}"
                 for up in range(half):
-                    self._add_duplex(
-                        agg_id, f"c{agg * half + up}", bandwidth_bps, link_latency_s
-                    )
+                    self._add_duplex(agg_id, f"c{agg * half + up}", bandwidth_bps)
         self._build_routes()
 
     def pod_of(self, node: int) -> int:
@@ -469,9 +457,8 @@ class LeafSpine(MultiTierFabric):
     """A two-level leaf-spine: every leaf connects to every spine.
 
     Hosts under different leaves see ``num_spines`` equal-cost paths.
-    ``uplink_bandwidth_bps`` (default: host rate) sets the leaf<->spine
-    port speed; choosing it below ``bandwidth_bps * hosts_per_leaf /
-    num_spines`` oversubscribes the uplink tier.
+    Every port, leaf<->spine included, runs at ``bandwidth_bps``; more
+    than ``num_spines`` hosts per leaf oversubscribe the uplink tier.
     """
 
     def __init__(
@@ -481,28 +468,20 @@ class LeafSpine(MultiTierFabric):
         num_leaves: int = 2,
         hosts_per_leaf: int = 2,
         bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS,
-        uplink_bandwidth_bps: Optional[float] = None,
-        link_latency_s: float = DEFAULT_LINK_LATENCY_S,
-        switch_delay_s: float = DEFAULT_SWITCH_DELAY_S,
     ) -> None:
         if num_spines < 1 or num_leaves < 1 or hosts_per_leaf < 1:
             raise ValueError("leaf-spine needs >=1 spine, leaf and host/leaf")
-        super().__init__(sim, num_leaves * hosts_per_leaf, switch_delay_s)
+        super().__init__(sim, num_leaves * hosts_per_leaf)
         self.num_spines = num_spines
         self.num_leaves = num_leaves
         self.hosts_per_leaf = hosts_per_leaf
-        uplink = (
-            uplink_bandwidth_bps
-            if uplink_bandwidth_bps is not None
-            else bandwidth_bps
-        )
         for leaf in range(num_leaves):
             leaf_id = f"l{leaf}"
             for port in range(hosts_per_leaf):
                 host = self.host_id(leaf * hosts_per_leaf + port)
-                self._add_duplex(host, leaf_id, bandwidth_bps, link_latency_s)
+                self._add_duplex(host, leaf_id, bandwidth_bps)
             for spine in range(num_spines):
-                self._add_duplex(leaf_id, f"s{spine}", uplink, link_latency_s)
+                self._add_duplex(leaf_id, f"s{spine}", bandwidth_bps)
         self._build_routes()
 
     def leaf_of(self, node: int) -> int:
@@ -543,8 +522,6 @@ def build_topology(
     sim: Simulation,
     num_nodes: int,
     bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS,
-    link_latency_s: float = DEFAULT_LINK_LATENCY_S,
-    switch_delay_s: float = DEFAULT_SWITCH_DELAY_S,
 ) -> Topology:
     """Build the fabric a spec string describes, sized for ``num_nodes``.
 
@@ -578,28 +555,11 @@ def build_topology(
 
     topology: Topology
     if kind == "star":
-        topology = SwitchedStar(
-            sim,
-            num_nodes,
-            bandwidth_bps=bandwidth_bps,
-            link_latency_s=link_latency_s,
-            switch_delay_s=switch_delay_s,
-        )
+        topology = SwitchedStar(sim, num_nodes, bandwidth_bps=bandwidth_bps)
     elif kind == "ring":
-        topology = DirectRing(
-            sim,
-            num_nodes,
-            bandwidth_bps=bandwidth_bps,
-            link_latency_s=link_latency_s,
-        )
+        topology = DirectRing(sim, num_nodes, bandwidth_bps=bandwidth_bps)
     elif kind == "fat-tree":
-        topology = FatTree(
-            sim,
-            k=count("k", 4),
-            bandwidth_bps=bandwidth_bps,
-            link_latency_s=link_latency_s,
-            switch_delay_s=switch_delay_s,
-        )
+        topology = FatTree(sim, k=count("k", 4), bandwidth_bps=bandwidth_bps)
     elif kind == "leaf-spine":
         hosts_per_leaf = count("hosts", 2)
         topology = LeafSpine(
@@ -608,8 +568,6 @@ def build_topology(
             num_leaves=count("leaves", max(2, -(-num_nodes // hosts_per_leaf))),
             hosts_per_leaf=hosts_per_leaf,
             bandwidth_bps=bandwidth_bps,
-            link_latency_s=link_latency_s,
-            switch_delay_s=switch_delay_s,
         )
     elif kind == "two-tier":
         nodes_per_rack = count("hosts", 2)
@@ -619,8 +577,6 @@ def build_topology(
             nodes_per_rack=nodes_per_rack,
             bandwidth_bps=bandwidth_bps,
             oversubscription=params.pop("oversub", 4.0),
-            link_latency_s=link_latency_s,
-            switch_delay_s=switch_delay_s,
         )
     else:
         raise ValueError(

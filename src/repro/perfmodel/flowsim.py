@@ -41,7 +41,8 @@ import numpy as np
 
 from repro.core import StreamProfile
 from repro.distributed.node import block_sizes
-from repro.network.packet import HEADER_BYTES, split_trains
+from repro.network.packet import DEFAULT_MSS, HEADER_BYTES, split_trains
+from repro.network.topology import DEFAULT_LINK_LATENCY_S, DEFAULT_SWITCH_DELAY_S
 from repro.obs import PhaseLedger
 from repro.transport.endpoint import ClusterConfig, TransferSummary
 from repro.transport.wire import WireMessage, build_wire_message
@@ -83,8 +84,6 @@ class Star:
         self.uplink = np.zeros(nodes)
         self.downlink = np.zeros(nodes)
         self.rx_engine = np.zeros(nodes)
-        self.link_latency_s = config.link_latency_s
-        self.switch_delay_s = config.switch_delay_s
         self.engine_latency_s = config.nic_timing().engine_latency_s
 
     def stages(self, src: Nodes, dst: Nodes, compressed: bool) -> List[Stage]:
@@ -94,8 +93,10 @@ class Star:
         where every message of the batch meets (the aggregator).
         """
         chain = [
-            Stage(self.uplink, src, False, self.link_latency_s, self.switch_delay_s),
-            Stage(self.downlink, dst, False, self.link_latency_s),
+            Stage(
+                self.uplink, src, False, DEFAULT_LINK_LATENCY_S, DEFAULT_SWITCH_DELAY_S
+            ),
+            Stage(self.downlink, dst, False, DEFAULT_LINK_LATENCY_S),
         ]
         if compressed:
             chain.insert(0, Stage(self.tx_engine, src, True, self.engine_latency_s))
@@ -135,9 +136,7 @@ def sized_trains(
     """
     nic = config.build_nic(0)
     messages = [
-        build_wire_message(
-            0, 1, stream=stream, nbytes=size, nic=nic, ratio=ratio, mss=config.mss
-        )
+        build_wire_message(0, 1, stream=stream, nbytes=size, nic=nic, ratio=ratio)
         for size in sizes
     ]
     split = [
@@ -151,7 +150,7 @@ def sized_trains(
     for row, trains in enumerate(split):
         table[:, row, : len(trains)] = np.array(trains).T
     packets, wire_bytes, raw_bytes = table
-    head_cap = HEADER_BYTES + config.mss
+    head_cap = HEADER_BYTES + DEFAULT_MSS
     link_bps = config.bandwidth_bps
     engine_bps = config.nic_timing().engine_throughput_bps * 8
     times = [

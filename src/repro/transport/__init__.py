@@ -18,12 +18,7 @@ from .endpoint import (
     TransferSummary,
     summarize_transfers,
 )
-from .wire import (
-    WireMessage,
-    WireSegment,
-    build_wire_message,
-    measure_stream_ratio,
-)
+from .wire import WireMessage, build_wire_message, measure_stream_ratio
 
 __all__ = [
     "AGG_ENDPOINT",
@@ -41,7 +36,6 @@ __all__ = [
     "TransferSummary",
     "summarize_transfers",
     "WireMessage",
-    "WireSegment",
     "build_wire_message",
     "measure_stream_ratio",
 ]

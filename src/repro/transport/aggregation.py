@@ -218,14 +218,11 @@ class SwitchGather:
         #: Reductions performed at switch vertices (not the root NIC).
         self.switch_reductions = 0
         for stage in self.plan.switch_stages:
-            comm.spawn(self._reduce_process(stage))
+            comm.sim.process(self._reduce_process(stage))
 
     def engine(self, vertex: str) -> AggregationEngine:
         """The (shared) aggregation engine hosted at a fabric vertex."""
-        return self.fabric.aggregation_engine(
-            vertex,
-            lambda: AggregationEngine(clock_hz=self.comm.config.engine_clock_hz),
-        )
+        return self.fabric.aggregation_engine(vertex, AggregationEngine)
 
     def engine_cycles(self) -> int:
         """Total cycles across every engine this fabric hosts."""
@@ -296,7 +293,7 @@ class SwitchGather:
             return parts[0]
         combined, dt = self._reduce(stage, parts)
         if dt:
-            yield self.comm.timeout(dt)
+            yield self.comm.sim.timeout(dt)
         return combined
 
     # -- internals ----------------------------------------------------
@@ -311,7 +308,7 @@ class SwitchGather:
         stats = engine.reduce(
             [p.payload_nbytes for p in parts], combined.payload_nbytes
         )
-        dt = stats.elapsed_s(engine.clock_hz)
+        dt = stats.elapsed_s()
         tracer = self.comm.tracer
         if tracer is not None:
             tracer.span(
@@ -342,7 +339,7 @@ class SwitchGather:
             combined, dt = self._reduce(stage, parts)
             self.switch_reductions += 1
             if dt:
-                yield self.comm.timeout(dt)
+                yield self.comm.sim.timeout(dt)
             self._send_segment(uplink, combined, round_no)
             round_no += 1
 

@@ -38,13 +38,8 @@ from repro.network import (
     TieBreak,
     build_topology,
 )
-from repro.network.packet import DEFAULT_MSS, TOS_DEFAULT, payload_ratio
-from repro.network.topology import (
-    DEFAULT_BANDWIDTH_BPS,
-    DEFAULT_LINK_LATENCY_S,
-    DEFAULT_SWITCH_DELAY_S,
-    Topology,
-)
+from repro.network.packet import TOS_DEFAULT, payload_ratio
+from repro.network.topology import DEFAULT_BANDWIDTH_BPS, Topology
 from repro.obs import CAT_CODEC, PhaseLedger, Tracer
 
 from .aggregation import AGG_ENDPOINT, validate_agg_site
@@ -126,16 +121,15 @@ class ClusterConfig:
     """Knobs of a simulated training cluster's communication plane.
 
     ``profile`` selects the default stream profile applied to gradient
-    traffic (and implies NIC engines on every node).
+    traffic (and implies NIC engines on every node).  The testbed's
+    fixed constants are not knobs: link latency and switch delay
+    (:mod:`repro.network.topology`), the MSS (:mod:`repro.network.packet`)
+    and the engine clock (:mod:`repro.hardware.engine`).
     """
 
     num_nodes: int
     bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS
     engine_blocks: int = 8
-    engine_clock_hz: float = 100e6
-    link_latency_s: float = DEFAULT_LINK_LATENCY_S
-    switch_delay_s: float = DEFAULT_SWITCH_DELAY_S
-    mss: int = DEFAULT_MSS
     train_packets: int = Network.DEFAULT_TRAIN_PACKETS
     profile: Optional[StreamProfile] = None
     #: Bernoulli per-train drop probability on every link (0 = lossless).
@@ -191,7 +185,6 @@ class ClusterConfig:
             bound,
             enabled=profile is not None,
             num_blocks=self.engine_blocks,
-            clock_hz=self.engine_clock_hz,
         )
 
     def nic_timing(self) -> NicTimingModel:
@@ -200,7 +193,7 @@ class ClusterConfig:
         The one engine-to-timing conversion; the event kernel's engine
         stages and the flow evaluator's both read it.
         """
-        engine = BurstEngine(self.engine_clock_hz, self.engine_blocks)
+        engine = BurstEngine(self.engine_blocks)
         return NicTimingModel(
             engine_latency_s=engine.latency_s(),
             engine_throughput_bps=engine.throughput_bps(),
@@ -218,12 +211,7 @@ class ClusterComm:
         self.default_profile = config.default_profile()
         self.sim = Simulation(tie_break=config.tie_break)
         self.topology: Topology = build_topology(
-            config.topology,
-            self.sim,
-            config.num_nodes,
-            bandwidth_bps=config.bandwidth_bps,
-            link_latency_s=config.link_latency_s,
-            switch_delay_s=config.switch_delay_s,
+            config.topology, self.sim, config.num_nodes, config.bandwidth_bps
         )
         loss = (
             LossModel(config.loss_rate, seed=config.loss_seed)
@@ -233,7 +221,6 @@ class ClusterComm:
         self.network = Network(
             self.sim,
             self.topology,
-            mss=config.mss,
             train_packets=config.train_packets,
             engine=config.nic_timing() if config.profile is not None else None,
             loss=loss,
@@ -299,27 +286,6 @@ class ClusterComm:
     @property
     def num_nodes(self) -> int:
         return self.config.num_nodes
-
-    # -- Strategy-agnostic process hooks -------------------------------
-    # The distributed strategy layer drives everything through these,
-    # so algorithm plugins never reach into ``comm.sim`` directly.
-
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self.sim.now
-
-    def spawn(self, generator: "Generator[Event, Any, Any]") -> None:
-        """Register a process generator with the simulation."""
-        self.sim.process(generator)
-
-    def timeout(self, delay: float) -> Event:
-        """An event that fires ``delay`` simulated seconds from now."""
-        return self.sim.timeout(delay)
-
-    def event(self) -> Event:
-        """A bare event for explicit signalling (gates, barriers)."""
-        return self.sim.event()
 
     def spend(
         self, name: str, dt: float, node: int, record: bool = True
@@ -475,7 +441,6 @@ class Endpoint:
             nbytes=nbytes,
             nic=self.comm.nics[self.node_id],
             ratio=ratio,
-            mss=self.comm.config.mss,
         )
 
     def isend_message(self, msg: WireMessage) -> Event:

@@ -2,9 +2,9 @@
 
 A :class:`WireMessage` is the single artifact every send produces: the
 stream's codec runs **exactly once** through the sender NIC's engine
-dispatch, yielding the message's wire size, its ToS tag, the receiver's
-reconstruction, and an ordered train of per-packet segments.  Every
-consumer then reads from that one object:
+dispatch, yielding the message's wire size, its ToS tag, its packet
+count and the receiver's reconstruction.  Every consumer then reads
+from that one object:
 
 * the network simulator clocks ``wire_nbytes`` (timing domain),
 * the receiver endpoint hands it to the destination NIC's Tag-Decoder
@@ -19,28 +19,20 @@ size derived from a caller-measured ratio (see
 :func:`measure_stream_ratio`).  This retires the old sized-send
 side path entirely.
 
-Per-packet segments are generated lazily — a 250 MB sized message does
-not materialize 170k objects unless a consumer actually walks the train
-— and their byte counts use cumulative rounding so they always sum to
-the message totals exactly.
+A message is described by its totals, never by per-packet objects: the
+packet count is ``packet_count(nbytes)`` at the testbed MSS, and the
+network splits the totals into trains (:func:`repro.network.split_trains`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.core import RAW_STREAM, StreamProfile
-from repro.network.packet import (
-    DEFAULT_MSS,
-    HEADER_BYTES,
-    TOS_DEFAULT,
-    distribute_payload,
-    packet_count,
-    payload_ratio,
-)
+from repro.network.packet import HEADER_BYTES, TOS_DEFAULT, packet_count, payload_ratio
 
 if TYPE_CHECKING:
     from repro.hardware.nic import InceptionnNic
@@ -50,36 +42,9 @@ if TYPE_CHECKING:
 RATIO_SAMPLE_VALUES = 1 << 14
 
 
-@dataclass(frozen=True)
-class WireSegment:
-    """One ToS-tagged packet of a message's train.
-
-    ``payload_nbytes`` is the packet's on-wire payload (post-engine);
-    ``raw_nbytes`` is the application bytes it carries.  They differ
-    exactly when the segment's ToS routed it through an engine.
-    """
-
-    seq: int
-    tos: int
-    payload_nbytes: int
-    raw_nbytes: int
-    #: float32 values carried, when the raw payload is word-aligned.
-    num_values: Optional[int] = None
-
-    @property
-    def wire_nbytes(self) -> int:
-        """Header plus on-wire payload."""
-        return HEADER_BYTES + self.payload_nbytes
-
-    @property
-    def engine_processed(self) -> bool:
-        """True when the NIC comparator dispatched this packet."""
-        return self.tos != TOS_DEFAULT
-
-
 @dataclass
 class WireMessage:
-    """A message as the wire sees it: header info plus a packet train."""
+    """A message as the wire sees it: header info plus packet totals."""
 
     src: int
     dst: int
@@ -90,7 +55,6 @@ class WireMessage:
     #: On-wire payload bytes (post-engine, headers excluded).
     wire_payload_nbytes: int
     num_packets: int
-    mss: int
     compressed: bool
     #: Size-only messages move bytes, not values (paper-scale timing).
     size_only: bool
@@ -106,28 +70,6 @@ class WireMessage:
     def ratio(self) -> float:
         """Achieved payload compression ratio (1.0 for empty messages)."""
         return payload_ratio(self.nbytes, self.wire_payload_nbytes)
-
-    def segments(self) -> Iterator[WireSegment]:
-        """The packet train, generated lazily in sequence order.
-
-        Raw bytes fill MSS-sized packets; wire bytes spread over the
-        same packets by cumulative rounding, so both sum exactly to the
-        message totals (the engine compresses payloads in place — the
-        packet count never changes, mirroring Sec. VI-A).
-        """
-        wire_sizes = distribute_payload(self.wire_payload_nbytes, self.num_packets)
-        raw_left = self.nbytes
-        for seq in range(self.num_packets):
-            raw = min(self.mss, raw_left)
-            raw_left -= raw
-            num_values = raw // 4 if raw % 4 == 0 else None
-            yield WireSegment(
-                seq=seq,
-                tos=self.tos,
-                payload_nbytes=wire_sizes[seq],
-                raw_nbytes=raw,
-                num_values=num_values,
-            )
 
     def deliver(self, nic: Optional["InceptionnNic"] = None) -> object:
         """What the destination host observes after the RX pipeline.
@@ -166,7 +108,6 @@ def build_wire_message(
     nbytes: Optional[int] = None,
     nic: Optional["InceptionnNic"] = None,
     ratio: Optional[float] = None,
-    mss: int = DEFAULT_MSS,
 ) -> WireMessage:
     """Build the single wire representation of one send.
 
@@ -230,7 +171,7 @@ def build_wire_message(
             wire_payload = raw_nbytes
         size_only = True
 
-    num_packets = packet_count(raw_nbytes, mss)
+    num_packets = packet_count(raw_nbytes)
     msg = WireMessage(
         src=src,
         dst=dst,
@@ -239,7 +180,6 @@ def build_wire_message(
         nbytes=raw_nbytes,
         wire_payload_nbytes=wire_payload,
         num_packets=num_packets,
-        mss=mss,
         compressed=dispatched,
         size_only=size_only,
         values=values,
@@ -295,7 +235,6 @@ def measure_stream_ratio(
 
 __all__ = [
     "WireMessage",
-    "WireSegment",
     "account_tx_traversal",
     "build_wire_message",
     "measure_stream_ratio",

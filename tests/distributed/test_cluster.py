@@ -90,7 +90,7 @@ class _GateNeverOpens(RingStrategy):
     """A ring whose workers wait at iteration 2 for an event nobody fires."""
 
     def iteration_gate(self, node, iteration):
-        return node.comm.event() if iteration == 2 else None
+        return node.comm.sim.event() if iteration == 2 else None
 
 
 def test_run_strategy_refuses_a_worker_that_never_finished():

@@ -26,15 +26,6 @@ def test_reduce_cycles_are_bursts_plus_pipeline_drain():
     assert stats.cycles == _bursts(1024) * 2 + PIPELINE_DEPTH
 
 
-def test_lanes_divide_the_streaming_beats():
-    narrow = AggregationEngine(lanes=1).reduce([4096] * 4, 4096)
-    wide = AggregationEngine(lanes=4).reduce([4096] * 4, 4096)
-    beats = _bursts(4096) * 4
-    assert narrow.cycles == beats + PIPELINE_DEPTH
-    assert wide.cycles == -(-beats // 4) + PIPELINE_DEPTH
-    assert wide.cycles < narrow.cycles
-
-
 def test_partial_bursts_round_up():
     stats = AggregationEngine().reduce([1], 1)
     assert stats.cycles == 1 + PIPELINE_DEPTH
@@ -53,33 +44,28 @@ def test_totals_accumulate_across_reductions():
 
 
 def test_elapsed_and_throughput_follow_the_clock():
-    engine = AggregationEngine(clock_hz=1e6)
+    engine = AggregationEngine()
     nominal = engine.throughput_bps()
     stats = engine.reduce([BURST_BITS // 8] * 2, BURST_BITS // 8)
-    assert stats.elapsed_s(1e6) == stats.cycles / 1e6
-    assert engine.elapsed_s() == engine.total_cycles / 1e6
-    assert engine.throughput_bps() == nominal == 32 * 1e6
+    assert stats.elapsed_s() == stats.cycles / DEFAULT_CLOCK_HZ
+    assert engine.elapsed_s() == engine.total_cycles / DEFAULT_CLOCK_HZ
+    assert engine.throughput_bps() == nominal == 32 * DEFAULT_CLOCK_HZ
 
 
-@pytest.mark.parametrize("lanes", [1, 4])
-def test_throughput_unit_is_nominal_bytes_per_s(lanes):
+def test_throughput_unit_is_nominal_bytes_per_s():
     # One unit for one name: bytes/s of operand data, idle or busy.
-    engine = AggregationEngine(lanes=lanes)
-    assert engine.throughput_bps() == lanes * 32 * DEFAULT_CLOCK_HZ
-    if lanes == 1:
-        nic_engine = CompressionEngine(ErrorBound(10))
-        assert engine.throughput_bps() == nic_engine.throughput_bps()
+    engine = AggregationEngine()
+    assert engine.throughput_bps() == 32 * DEFAULT_CLOCK_HZ
+    nic_engine = CompressionEngine(ErrorBound(10))
+    assert engine.throughput_bps() == nic_engine.throughput_bps()
 
 
 def test_default_clock_matches_compression_engines():
-    assert AggregationEngine().clock_hz == DEFAULT_CLOCK_HZ
+    nic_engine = CompressionEngine(ErrorBound(10))
+    assert AggregationEngine().clock_hz == nic_engine.clock_hz == DEFAULT_CLOCK_HZ
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        AggregationEngine(lanes=0)
-    with pytest.raises(ValueError):
-        AggregationEngine(clock_hz=0)
     engine = AggregationEngine()
     with pytest.raises(ValueError):
         engine.reduce([], 0)

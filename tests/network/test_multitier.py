@@ -131,13 +131,13 @@ def test_parse_topology_spec():
 
 def test_build_topology_star_is_switched_star():
     sim = Simulation()
-    topo = build_topology("star", sim, 4, 10e9, 1e-6, 1e-6)
+    topo = build_topology("star", sim, 4)
     assert isinstance(topo, SwitchedStar)
 
 
 def test_build_topology_fat_tree():
     sim = Simulation()
-    topo = build_topology("fat-tree:k=4", sim, 6, 10e9, 1e-6, 1e-6)
+    topo = build_topology("fat-tree:k=4", sim, 6)
     assert isinstance(topo, FatTree)
     assert topo.num_nodes == 16
 
@@ -145,19 +145,19 @@ def test_build_topology_fat_tree():
 def test_build_topology_rejects_unknown_kind():
     sim = Simulation()
     with pytest.raises(ValueError, match="unknown topology"):
-        build_topology("hypercube:d=4", sim, 4, 10e9, 1e-6, 1e-6)
+        build_topology("hypercube:d=4", sim, 4)
 
 
 def test_build_topology_rejects_unknown_param():
     sim = Simulation()
     with pytest.raises(ValueError):
-        build_topology("fat-tree:pods=4", sim, 4, 10e9, 1e-6, 1e-6)
+        build_topology("fat-tree:pods=4", sim, 4)
 
 
 def test_build_topology_rejects_undersized_fabric():
     sim = Simulation()
     with pytest.raises(ValueError, match="host ports"):
-        build_topology("fat-tree:k=4", sim, 20, 10e9, 1e-6, 1e-6)
+        build_topology("fat-tree:k=4", sim, 20)
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.network import (
+    DEFAULT_MSS,
     HEADER_BYTES,
     TOS_COMPRESS,
     Packet,
+    is_compressible_tos,
     packet_count,
     segment_bytes,
 )
@@ -17,24 +19,19 @@ def test_wire_size_includes_headers():
 
 
 def test_compressible_flag_follows_tos():
-    assert Packet(src=0, dst=1, tos=TOS_COMPRESS).compressible
-    assert not Packet(src=0, dst=1, tos=0).compressible
+    assert is_compressible_tos(Packet(src=0, dst=1, tos=TOS_COMPRESS).tos)
+    assert not is_compressible_tos(Packet(src=0, dst=1, tos=0).tos)
 
 
 def test_payload_size_consistency_enforced():
-    with pytest.raises(ValueError):
-        Packet(src=0, dst=1, payload=b"abc", payload_nbytes=5)
-
-
-def test_size_only_packet():
-    pkt = Packet(src=0, dst=1, payload_nbytes=1460)
-    assert pkt.payload is None
-    assert pkt.wire_nbytes == HEADER_BYTES + 1460
-
-
-def test_negative_size_rejected():
-    with pytest.raises(ValueError):
-        Packet(src=0, dst=1, payload_nbytes=-1)
+    # The size is the payload's length, by construction: it cannot be
+    # passed, set, or disagree with the bytes.
+    pkt = Packet(src=0, dst=1, payload=b"abc")
+    assert pkt.payload_nbytes == 3
+    with pytest.raises(AttributeError):
+        pkt.payload_nbytes = 5
+    with pytest.raises(TypeError):
+        Packet(src=0, dst=1, payload=b"abc", payload_nbytes=3)
 
 
 def test_tos_range_checked():
@@ -44,8 +41,9 @@ def test_tos_range_checked():
 
 def test_segment_bytes_reassembles():
     data = bytes(range(256)) * 20  # 5120 bytes
-    packets = segment_bytes(data, src=0, dst=1, mss=1460)
-    assert len(packets) == 4
+    packets = segment_bytes(data, src=0, dst=1)
+    assert DEFAULT_MSS == 1460
+    assert [p.payload_nbytes for p in packets] == [1460, 1460, 1460, 740]
     assert b"".join(p.payload for p in packets) == data
     assert [p.seq for p in packets] == [0, 1, 2, 3]
 
@@ -62,8 +60,3 @@ def test_packet_count():
     assert packet_count(1460) == 1
     assert packet_count(1461) == 2
     assert packet_count(233 * 2**20) == -(-233 * 2**20 // 1460)
-
-
-def test_bad_mss_rejected():
-    with pytest.raises(ValueError):
-        segment_bytes(b"x", src=0, dst=1, mss=0)

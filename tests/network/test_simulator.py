@@ -30,9 +30,7 @@ def _compressed(nbytes, ratio, engines=True):
 
 def _star(num_nodes=4, **net_kwargs):
     sim = Simulation()
-    topo = SwitchedStar(
-        sim, num_nodes, bandwidth_bps=10e9, link_latency_s=2e-6, switch_delay_s=1e-6
-    )
+    topo = SwitchedStar(sim, num_nodes, bandwidth_bps=10e9)
     return sim, Network(sim, topo, **net_kwargs)
 
 
@@ -47,7 +45,7 @@ def test_single_message_time_close_to_analytic():
     sim, net = _star()
     nbytes = 10 * 2**20
     t = _delivery_time(sim, net.send(0, 1, nbytes))
-    wire = packet_count(nbytes, net.mss) * HEADER_BYTES + nbytes
+    wire = packet_count(nbytes) * HEADER_BYTES + nbytes
     floor = wire * 8 / 10e9  # one link's serialization, pipelined over two
     assert floor < t < floor * 1.1 + 1e-3
 

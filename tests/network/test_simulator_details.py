@@ -30,7 +30,7 @@ def test_receipt_fields():
     _, receipt = ev.value
     assert receipt.src == 0 and receipt.dst == 1
     assert receipt.nbytes == 10_000
-    assert receipt.num_packets == packet_count(10_000, net.mss)
+    assert receipt.num_packets == packet_count(10_000)
     assert receipt.wire_nbytes == 10_000 + receipt.num_packets * HEADER_BYTES
     assert receipt.duration == receipt.delivered_at - receipt.sent_at
     assert receipt.duration > 0
@@ -48,8 +48,6 @@ def test_negative_sizes_rejected():
 def test_invalid_constructor_args():
     sim = Simulation()
     topo = SwitchedStar(sim, 2)
-    with pytest.raises(ValueError):
-        Network(sim, topo, mss=0)
     with pytest.raises(ValueError):
         Network(sim, topo, train_packets=0)
 
@@ -123,7 +121,7 @@ def test_makespan_is_the_last_landing_not_the_last_wakeup():
     train has landed, and ``run()`` must still return that landing time —
     exactly what the two-events-per-stage pipeline returned."""
     nbytes = 40_000  # one train
-    wire = nbytes + packet_count(nbytes, 1460) * HEADER_BYTES
+    wire = nbytes + packet_count(nbytes) * HEADER_BYTES
     head = HEADER_BYTES + 1460
 
     twin_sim = Simulation()

@@ -21,9 +21,7 @@ from repro.obs import CAT_LINK, CAT_MESSAGE, Tracer
 
 def _traced_star(num_nodes=4, tracer=None, **net_kwargs):
     sim = Simulation()
-    topo = SwitchedStar(
-        sim, num_nodes, bandwidth_bps=10e9, link_latency_s=2e-6, switch_delay_s=1e-6
-    )
+    topo = SwitchedStar(sim, num_nodes, bandwidth_bps=10e9)
     return sim, Network(sim, topo, tracer=tracer, **net_kwargs)
 
 

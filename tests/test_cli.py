@@ -208,7 +208,7 @@ def test_train_strategy_local_sgd(capsys):
 def test_train_strategy_stale_async(capsys):
     assert main([
         "train", "--strategy", "stale_async", "--staleness", "1",
-        "--iterations", "3", "--workers", "2", "--jitter", "0.3",
+        "--iterations", "3", "--workers", "2",
     ]) == 0
     out = capsys.readouterr().out
     assert out.startswith("stale_async")
@@ -225,7 +225,10 @@ def test_train_strategy_is_the_only_selector(capsys):
         "train", "--strategy", "wa", "--iterations", "3", "--workers", "2",
     ]) == 0
     assert capsys.readouterr().out.startswith("wa")
-    for removed in (["train", "--algorithm", "wa"], ["bench"]):
+    removed_flags = (
+        ["train", "--algorithm", "wa"], ["train", "--jitter", "0.5"], ["bench"],
+    )
+    for removed in removed_flags:
         with pytest.raises(SystemExit) as usage:
             main(removed)
         assert usage.value.code == 2
@@ -254,7 +257,7 @@ CLI_DEFAULTS = {
         "--strategy": "ring", "--workers": 4, "--iterations": 40,
         "--batch-size": 25, "--lr": 0.02, "--compress": False,
         "--codec": None, "--sync-period": 4, "--staleness": None,
-        "--group-size": 2, "--jitter": 0.0, "--seed": 0, "--topology": None,
+        "--group-size": 2, "--seed": 0, "--topology": None,
         "--agg-site": "endpoint", "--loss-rate": 0.0, "--retransmit": None,
         "--trace": None, "--trace-chrome": None,
     },

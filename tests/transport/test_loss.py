@@ -66,7 +66,7 @@ class TestRetransmission:
         ).astype(np.float32)
         _run_send(comm, values, stream)
 
-        expected = packet_count(values.nbytes, comm.config.mss)
+        expected = packet_count(values.nbytes)
         resent = comm.network.packets_retransmitted
         assert resent >= 1
         tx = comm.nics[0].counters

@@ -1,10 +1,11 @@
-"""WireMessage builder and segment-train invariants."""
+"""WireMessage builder and packet-train invariants."""
 
 import numpy as np
 import pytest
 
 from repro.core import inceptionn_profile
-from repro.network.packet import HEADER_BYTES, packet_count
+from repro.network import Network
+from repro.network.packet import HEADER_BYTES, packet_count, split_trains
 from repro.transport import (
     ClusterComm,
     ClusterConfig,
@@ -51,41 +52,38 @@ class TestSegments:
 
     @pytest.mark.parametrize("nbytes", [0, 1, 1459, 1460, 1461, 100_000])
     def test_segment_sums_match_totals(self, nbytes):
+        # The trains the network cuts a message into sum to its totals.
         msg = self._message(
             nbytes, profile=inceptionn_profile(), ratio=3.5
         )
-        segments = list(msg.segments())
-        assert len(segments) == msg.num_packets
-        assert [s.seq for s in segments] == list(range(msg.num_packets))
-        assert sum(s.payload_nbytes for s in segments) == (
-            msg.wire_payload_nbytes
+        assert msg.num_packets == packet_count(nbytes)
+        trains = split_trains(
+            msg.num_packets,
+            msg.wire_payload_nbytes,
+            msg.nbytes,
+            Network.DEFAULT_TRAIN_PACKETS,
         )
-        assert sum(s.raw_nbytes for s in segments) == msg.nbytes
-        assert sum(s.wire_nbytes for s in segments) == msg.wire_nbytes
+        assert sum(t[0] for t in trains) == msg.num_packets
+        assert sum(t[1] for t in trains) == msg.wire_nbytes
+        headers = msg.num_packets * HEADER_BYTES
+        assert sum(t[2] for t in trains) == headers + msg.nbytes
 
     def test_zero_byte_message_is_one_empty_packet(self):
         msg = self._message(0)
         assert msg.num_packets == 1
-        (seg,) = list(msg.segments())
-        assert seg.payload_nbytes == 0
-        assert seg.raw_nbytes == 0
-        assert seg.wire_nbytes == HEADER_BYTES
+        assert msg.wire_payload_nbytes == 0
+        assert msg.wire_nbytes == HEADER_BYTES
         assert msg.ratio == 1.0
 
-    def test_segments_are_lazy(self):
-        # A paper-scale sized message must not materialize its packets.
+    def test_paper_scale_message_counts_its_packets(self):
         msg = self._message(250_000_000)
-        gen = msg.segments()
-        first = next(gen)
-        assert first.seq == 0
-        assert msg.num_packets == packet_count(250_000_000, msg.mss)
+        assert msg.num_packets == packet_count(250_000_000)
 
-    def test_segments_carry_the_stream_tos(self):
+    def test_message_carries_the_stream_tos(self):
         stream = inceptionn_profile()
         msg = self._message(5000, profile=stream, ratio=2.0)
         assert msg.compressed
-        assert all(s.tos == stream.resolved_tos for s in msg.segments())
-        assert all(s.engine_processed for s in msg.segments())
+        assert msg.tos == stream.resolved_tos
 
 
 class TestFunctionalBuild:
@@ -171,7 +169,7 @@ class TestCounters:
         comm.run()
         tx = comm.nics[0].counters
         rx = comm.nics[1].counters
-        expected = packet_count(values.nbytes, comm.config.mss)
+        expected = packet_count(values.nbytes)
         assert tx.tx_packets == expected
         assert tx.tx_compressed == expected
         assert tx.tx_payload_bytes_in == values.nbytes
