@@ -13,7 +13,7 @@ import pytest
 
 from conftest import print_header, print_row, run_once
 from repro.baselines import sz_like, truncate_lsbs
-from repro.core import ErrorBound, compression_ratio, max_abs_error, roundtrip
+from repro.core import ErrorBound, compression_ratio, get_codec, max_abs_error, roundtrip
 
 
 def _gradientlike(n=200_000, seed=0):
@@ -32,11 +32,9 @@ def test_codec_vs_alternatives_at_equal_bound(benchmark):
             bound = ErrorBound(exp)
             inc_ratio = compression_ratio(values, bound)
             inc_err = max_abs_error(values, roundtrip(values, bound))
-            sz_ratio = sz_like.compression_ratio(values, bound.bound)
-            sz_out = sz_like.decompress(
-                sz_like.compress(values, bound.bound), bound.bound
-            )
-            sz_err = max_abs_error(values, sz_out)
+            sz = get_codec("sz_like").compress(values, bound=bound.bound)
+            sz_ratio = sz.compression_ratio
+            sz_err = max_abs_error(values, sz.values)
             # Truncation width with comparable worst-case error on
             # (-1,1): drop enough mantissa LSBs that the absolute error
             # near 1.0 is ~bound -> keep (exp) fraction bits.

@@ -10,11 +10,12 @@ Run:  python examples/compression_explorer.py
 
 import numpy as np
 
-from repro.baselines import sz_like, truncate_lsbs, truncation_ratio
+from repro.baselines import truncate_lsbs, truncation_ratio
 from repro.core import (
     ErrorBound,
     bitwidth_distribution,
     compression_ratio,
+    get_codec,
     max_abs_error,
     roundtrip,
 )
@@ -57,10 +58,9 @@ def main() -> None:
         for bits in (16, 22, 24):
             err = max_abs_error(grads, truncate_lsbs(grads, bits))
             print(f"{bits}b-T{'':<9}{truncation_ratio(bits):>8.2f}{err:>12.2e}")
-        sz_ratio = sz_like.compression_ratio(grads, 2.0**-10)
-        sz_out = sz_like.decompress(sz_like.compress(grads, 2.0**-10), 2.0**-10)
-        print(f"{'SZ-like':<14}{sz_ratio:>8.2f}"
-              f"{max_abs_error(grads, sz_out):>12.2e}")
+        sz = get_codec("sz_like").compress(grads, bound=2.0**-10)
+        print(f"{'SZ-like':<14}{sz.compression_ratio:>8.2f}"
+              f"{max_abs_error(grads, sz.values):>12.2e}")
 
     print(
         "\ntakeaway: the 2-bit class dominates real gradients at every\n"

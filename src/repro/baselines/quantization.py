@@ -30,7 +30,7 @@ from repro.core.registry import (
     CAP_LOSSY,
     CodecResult,
     GradientCodec,
-    _flat32,
+    flat32,
     register_codec,
 )
 
@@ -41,7 +41,7 @@ def _result(values: np.ndarray, payload_bits: int) -> CodecResult:
 
 def sign_quantize(gradient: np.ndarray) -> CodecResult:
     """1-bit SGD's stateless half: each value becomes its sign's mean."""
-    grad = _flat32(gradient)
+    grad = flat32(gradient)
     positive = grad >= 0
     # Per-sign mean magnitudes reconstruct an unbiased-ish estimate.
     pos_scale = float(grad[positive].mean()) if positive.any() else 0.0
@@ -55,7 +55,7 @@ def terngrad(
     gradient: np.ndarray, rng: np.random.Generator
 ) -> CodecResult:
     """Stochastic ternarization: g -> s * sign(g) * b, b ~ Bernoulli(|g|/s)."""
-    grad = _flat32(gradient)
+    grad = flat32(gradient)
     scale = float(np.max(np.abs(grad))) if grad.size else 0.0
     if scale == 0.0:
         return _result(np.zeros_like(grad), 2 * grad.size + 32)
@@ -72,7 +72,7 @@ def qsgd(
     """QSGD stochastic uniform quantization with ``2^bits - 1`` levels."""
     if not 1 <= bits <= 16:
         raise ValueError(f"bits must be in [1, 16], got {bits}")
-    grad = _flat32(gradient)
+    grad = flat32(gradient)
     norm = float(np.linalg.norm(grad))
     if norm == 0.0:
         return _result(np.zeros_like(grad), (bits + 1) * grad.size + 32)
@@ -100,7 +100,7 @@ class OneBitCodec(GradientCodec):
 
     def error_bound(self, values: np.ndarray, **params: object) -> Optional[float]:
         # A sign class's mean lies between zero and its largest member.
-        arr = _flat32(values)
+        arr = flat32(values)
         return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
@@ -121,7 +121,7 @@ class QuantizationCodec(GradientCodec):
         # per-element error is below one level step = ||g|| / levels.
         bits = int(params.get("bits", 4))
         levels = (1 << bits) - 1
-        norm = float(np.linalg.norm(_flat32(values)))
+        norm = float(np.linalg.norm(flat32(values)))
         return norm / levels
 
 

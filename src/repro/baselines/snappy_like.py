@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.registry import CodecResult, GradientCodec, _flat32, register_codec
+from repro.core.registry import CodecResult, GradientCodec, flat32, register_codec
 
 _MIN_MATCH = 4
 _MAX_MATCH = 64  # (len - 4) must fit 6 bits
@@ -138,13 +138,6 @@ def decompress(blob: bytes) -> bytes:
     return bytes(out)
 
 
-def compression_ratio(data: bytes) -> float:
-    """Uncompressed over compressed size."""
-    if not data:
-        return 1.0
-    return len(data) / len(compress(data))
-
-
 class SnappyCodec(GradientCodec):
     """Snappy-like lossless LZ over the raw float bytes (real bitstream)."""
 
@@ -152,7 +145,7 @@ class SnappyCodec(GradientCodec):
     lossless = True
 
     def compress(self, values: np.ndarray, **params: object) -> CodecResult:
-        blob = compress(_flat32(values).tobytes())
+        blob = compress(flat32(values).tobytes())
         restored = np.frombuffer(decompress(blob), dtype=np.float32)
         return CodecResult(payload_nbytes=len(blob), values=restored.copy())
 

@@ -20,7 +20,7 @@ from repro.core.registry import (
     CAP_LOSSY,
     CodecResult,
     GradientCodec,
-    _flat32,
+    flat32,
     register_codec,
 )
 
@@ -34,7 +34,7 @@ def top_k(gradient: np.ndarray, sparsity: float = 0.99) -> CodecResult:
     """
     if not 0.0 <= sparsity < 1.0:
         raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
-    grad = _flat32(gradient)
+    grad = flat32(gradient)
     k = max(1, int(round(grad.size * (1.0 - sparsity))))
     if k >= grad.size:
         return CodecResult(payload_nbytes=grad.size * 8, values=grad.copy())
@@ -66,7 +66,7 @@ class SparsificationCodec(GradientCodec):
         # Every transmitted coordinate is exact; a dropped one errs by
         # its own magnitude, which the top-k threshold keeps at or below
         # the largest surviving magnitude — bounded by max |g|.
-        arr = _flat32(values)
+        arr = flat32(values)
         return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 

@@ -115,14 +115,6 @@ def decompress(blob: bytes, bound: float) -> np.ndarray:
     return out
 
 
-def compression_ratio(values: np.ndarray, bound: float) -> float:
-    """Original bytes over compressed bytes."""
-    arr = np.ascontiguousarray(values, dtype=np.float32).reshape(-1)
-    if arr.size == 0:
-        return 1.0
-    return arr.nbytes / len(compress(arr, bound))
-
-
 class SzCodec(GradientCodec):
     """The SZ-style error-bounded predictor codec (real bitstream)."""
 

@@ -13,7 +13,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.registry import CodecResult, GradientCodec, _flat32, register_codec
+from repro.core.registry import CodecResult, GradientCodec, flat32, register_codec
 
 #: Truncation widths evaluated in the paper.
 PAPER_TRUNCATIONS = (16, 22, 24)
@@ -48,7 +48,7 @@ class TruncationCodec(GradientCodec):
 
     def compress(self, values: np.ndarray, **params: object) -> CodecResult:
         bits = int(params.get("bits", 16))
-        arr = _flat32(values)
+        arr = flat32(values)
         payload_bits = arr.size * (32 - bits)
         return CodecResult(
             payload_nbytes=-(-payload_bits // 8),
@@ -59,7 +59,7 @@ class TruncationCodec(GradientCodec):
         # Zeroing the low ``bits`` bits of a float with magnitude |v|
         # perturbs it by less than 2^bits ulps = |v| * 2^(bits - 23).
         bits = int(params.get("bits", 16))
-        arr = _flat32(values)
+        arr = flat32(values)
         max_abs = float(np.max(np.abs(arr))) if arr.size else 0.0
         return max_abs * 2.0 ** (bits - 23)
 

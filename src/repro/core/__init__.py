@@ -6,7 +6,7 @@ Public surface:
 - :func:`compress` / :func:`decompress` — vectorized codec (wire bytes);
   :func:`quantize` — its fused size + reconstruction (the send path).
 - :class:`CompressedGradients` — unpacked + wire representations.
-- :mod:`repro.core.reference` — the bit-exact scalar specification.
+- ``tests/core/reference_codec.py`` — the bit-exact scalar specification.
 - Statistics helpers reproducing Table III / Fig 14 metrics.
 - :mod:`repro.core.registry` — the pluggable codec registry and
   :class:`StreamProfile`, the per-stream codec/ToS property threaded
@@ -22,7 +22,6 @@ from .registry import (
     CAP_ERROR_FEEDBACK,
     CAP_HOMOMORPHIC,
     CAP_LOSSY,
-    RAW_STREAM,
     CodecResult,
     GradientCodec,
     StreamProfile,
@@ -69,7 +68,6 @@ __all__ = [
     "FftSparsificationCodec",
     "LosslessHomomorphicCodec",
     "PAPER_BOUNDS",
-    "RAW_STREAM",
     "CodecResult",
     "ThcCodec",
     "encode_limbs",

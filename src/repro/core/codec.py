@@ -2,7 +2,7 @@
 
 This is the production codec: it compresses/decompresses whole gradient
 vectors with array operations and is validated element-for-element
-against the scalar reference in :mod:`repro.core.reference`.
+against the scalar reference in ``tests/core/reference_codec.py``.
 
 Algorithm 2 picks a value's class from its 8-bit exponent field alone,
 so every per-value decision is one lookup in a 256-entry table built

@@ -24,7 +24,7 @@ from .registry import (
     CAP_ERROR_FEEDBACK,
     CodecResult,
     GradientCodec,
-    _flat32,
+    flat32,
     get_codec,
 )
 
@@ -63,7 +63,7 @@ class ErrorFeedbackCompressor:
         addressable — it is dropped *explicitly*, with a
         ``RuntimeWarning``, rather than silently ignored.
         """
-        grad = _flat32(gradient)
+        grad = flat32(gradient)
         if self.residual is not None and self.residual.shape != grad.shape:
             warnings.warn(
                 "gradient length changed from "

@@ -20,7 +20,7 @@ from .registry import (
     CAP_LOSSY,
     CodecResult,
     GradientCodec,
-    _flat32,
+    flat32,
     register_codec,
 )
 
@@ -55,7 +55,7 @@ class FftSparsificationCodec(GradientCodec):
 
     def compress(self, values: np.ndarray, **params: object) -> CodecResult:
         fraction = self._fraction(params)
-        arr = _flat32(values)
+        arr = flat32(values)
         if arr.size == 0:
             return CodecResult(payload_nbytes=4, values=arr.copy())
         spectrum = np.fft.rfft(arr)
@@ -77,7 +77,7 @@ class FftSparsificationCodec(GradientCodec):
         self, values: np.ndarray, **params: object
     ) -> Optional[float]:
         fraction = self._fraction(params)
-        arr = _flat32(values)
+        arr = flat32(values)
         if arr.size == 0:
             return 0.0
         spectrum = np.fft.rfft(arr)

@@ -58,7 +58,7 @@ from .registry import (
     CAP_LOSSY,
     CodecResult,
     GradientCodec,
-    _flat32,
+    flat32,
     register_codec,
 )
 
@@ -128,7 +128,7 @@ def encode_limbs(values: np.ndarray) -> LimbWindow:
     32`` (low 32 bits) and the one above (arithmetic-shifted rest).  The
     window spans exactly the limbs the non-zero values touch.
     """
-    arr = _flat32(values)
+    arr = flat32(values)
     bits = arr.view(np.uint32)
     size = arr.size
     highest, lowest = 0, int(_MAGNITUDE)
@@ -284,7 +284,7 @@ class LosslessHomomorphicCodec(GradientCodec):
         return min(sparse, 4 + 4 * n)
 
     def compress(self, values: np.ndarray, **params: object) -> CodecResult:
-        arr = _flat32(values)
+        arr = flat32(values)
         return CodecResult(
             payload_nbytes=self._payload_nbytes(arr),
             values=arr.copy(),
@@ -429,7 +429,7 @@ class ThcCodec(GradientCodec):
 
     def compress(self, values: np.ndarray, **params: object) -> CodecResult:
         bits, limit, step = self._lattice(params)
-        arr = _flat32(values)
+        arr = flat32(values)
         clipped = np.clip(arr, -limit, limit)
         indices = np.rint((clipped + limit) / step).astype(np.int64)
         return CodecResult(
@@ -442,7 +442,7 @@ class ThcCodec(GradientCodec):
         self, values: np.ndarray, **params: object
     ) -> Optional[float]:
         _bits, limit, step = self._lattice(params)
-        arr = _flat32(values)
+        arr = flat32(values)
         excess = 0.0
         if arr.size:
             excess = max(0.0, float(np.max(np.abs(arr))) - limit)

@@ -9,10 +9,12 @@ that contract so any compressor can ride the same transport:
   the reconstruction the receiver will observe, keeping the functional
   and timing domains coupled exactly like the INCEPTIONN path.
 * a registry mapping codec names to implementations, each with its own
-  reserved ToS byte (``inceptionn`` keeps the paper's 0x28).
+  reserved ToS byte (``inceptionn`` keeps the paper's 0x28).  It is the
+  one table of stream ToS bytes: a stream's byte is its codec's.
 * :class:`StreamProfile` — the per-stream property the software stack
   threads through the transport instead of a ``compressible`` boolean:
-  codec name, ToS byte and codec parameters (error bound etc.).
+  codec name and codec parameters (error bound etc.).  A raw stream is
+  ``None``, never a profile.
 
 Two codecs are registered from this module: the INCEPTIONN codec and a
 lossless identity.  Every other codec is defined beside its own kernel
@@ -36,12 +38,7 @@ from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.network.packet import (
-    TOS_COMPRESS,
-    TOS_DEFAULT,
-    payload_ratio,
-    register_compressible_tos,
-)
+from repro.network.packet import TOS_COMPRESS, TOS_DEFAULT, payload_ratio
 
 from .bounds import DEFAULT_BOUND, ErrorBound
 from .codec import quantize as _inc_quantize
@@ -82,7 +79,8 @@ class CodecResult:
         return payload_ratio(self.values.size * 4, self.payload_nbytes)
 
 
-def _flat32(values: np.ndarray) -> np.ndarray:
+def flat32(values: np.ndarray) -> np.ndarray:
+    """``values`` as one contiguous float32 vector (a view when possible)."""
     return np.ascontiguousarray(values, dtype=np.float32).reshape(-1)
 
 
@@ -219,7 +217,7 @@ class IdentityCodec(GradientCodec):
     lossless = True
 
     def compress(self, values: np.ndarray, **params: object) -> CodecResult:
-        arr = _flat32(values)
+        arr = flat32(values)
         return CodecResult(payload_nbytes=arr.nbytes, values=arr.copy())
 
 
@@ -238,12 +236,16 @@ _REGISTRY: Dict[str, RegisteredCodec] = {}
 
 
 def register_codec(codec: GradientCodec, tos: int) -> GradientCodec:
-    """Register ``codec`` under its name with a reserved ToS byte."""
+    """Register ``codec`` under its name with a reserved, non-zero ToS byte."""
     name = codec.name
     if not name or name == "?":
         raise ValueError("codecs must set a registry name")
     if name in _REGISTRY:
         raise ValueError(f"codec {name!r} is already registered")
+    if not 0 <= tos <= 0xFF:
+        raise ValueError(f"ToS must fit one byte, got {tos:#x}")
+    if tos == TOS_DEFAULT:
+        raise ValueError("the default ToS cannot mark compressible streams")
     # Sorted so the collision error names the same claimant no matter
     # what order plugins imported in (rule R10: registry listing order).
     for other, entry in sorted(_REGISTRY.items()):
@@ -251,7 +253,6 @@ def register_codec(codec: GradientCodec, tos: int) -> GradientCodec:
             raise ValueError(
                 f"ToS {tos:#x} already claimed by codec {other!r}"
             )
-    register_compressible_tos(tos)
     _REGISTRY[name] = RegisteredCodec(codec=codec, tos=tos)
     return codec
 
@@ -285,40 +286,29 @@ def codec_tos(name: str) -> int:
 class StreamProfile:
     """Per-stream property replacing the old ``compressible`` boolean.
 
-    ``codec is None`` means a raw stream (ordinary traffic, ToS 0x00).
-    Otherwise the stream is tagged with the codec's registered ToS (or
-    an explicit override) and, when the endpoint NICs have engines, its
-    payload travels compressed: the receiver observes the codec's
-    reconstruction and the wire carries its measured size.
+    Every profile names a registered codec; a raw stream (ordinary
+    traffic, ToS 0x00) is ``None`` wherever a profile is accepted.  The
+    stream is tagged with its codec's registered ToS and, when the
+    endpoint NICs have engines, its payload travels compressed: the
+    receiver observes the codec's reconstruction and the wire carries
+    its measured size.
     """
 
-    codec: Optional[str] = None
-    tos: Optional[int] = None
+    codec: str
     params: Mapping[str, object] = field(default_factory=dict)
 
     @property
-    def resolved_tos(self) -> int:
-        """The ToS byte this stream's packets carry."""
-        if self.tos is not None:
-            return self.tos
-        if self.codec is None:
-            return TOS_DEFAULT
+    def tos(self) -> int:
+        """The ToS byte this stream's packets carry: its codec's."""
         return codec_tos(self.codec)
 
-    @property
-    def compressing(self) -> bool:
-        """True when this profile requests engine processing."""
-        return self.codec is not None and self.resolved_tos != TOS_DEFAULT
-
     def resolve(self) -> GradientCodec:
-        if self.codec is None:
-            raise ValueError("raw streams have no codec to resolve")
         return get_codec(self.codec)
 
     @property
     def homomorphic(self) -> bool:
         """True when this stream's codec supports the codec algebra."""
-        return self.codec is not None and self.resolve().homomorphic
+        return self.resolve().homomorphic
 
     def compress(self, values: np.ndarray) -> CodecResult:
         return self.resolve().compress(values, **dict(self.params))
@@ -343,13 +333,10 @@ class StreamProfile:
         return self.resolve().error_bound(values, **dict(self.params))
 
 
-#: The ordinary-traffic profile: no codec, ToS 0x00.
-RAW_STREAM = StreamProfile()
-
-
 def profile_for(name: str, **params: object) -> StreamProfile:
     """Build a profile for a registered codec (validates the name)."""
-    return StreamProfile(codec=name, tos=codec_tos(name), params=params)
+    get_codec(name)
+    return StreamProfile(codec=name, params=params)
 
 
 def inceptionn_profile(bound: ErrorBound = DEFAULT_BOUND) -> StreamProfile:

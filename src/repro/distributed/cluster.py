@@ -115,7 +115,5 @@ class WorkerAggregatorStrategy(GradientStrategy):
             stream=node.stream,
             gather=self._gather,
         )
-        # Keep local optimizer iteration counters aligned with the
-        # aggregator's LR schedule.
-        return StrategyUpdate(weights=weights, sync_optimizer_iteration=True)
+        return StrategyUpdate(weights=weights)
 

@@ -237,9 +237,6 @@ class StaleAsyncStrategy(ParameterServer):
         run.extras["staleness_bound"] = self._bound
         super().setup(run)
         run.extras["round_lead"] = []  # rounds ahead of slowest at apply
-        # Arrivals the server had to hold: none, since the reply gate
-        # keeps every arrival within the bound (see the module doc).
-        run.extras["queued"] = 0
 
     def _record_apply(
         self, run: StrategyRun, worker: int, staleness: int

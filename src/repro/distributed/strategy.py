@@ -73,14 +73,11 @@ class StrategyUpdate:
 
     ``gradient`` goes through the worker's own optimizer
     (``apply_gradient``); ``weights`` overwrite the replica's parameter
-    vector; ``sync_optimizer_iteration`` bumps the local iteration
-    counter so LR schedules stay aligned when a service node owns the
-    canonical optimizer.  Fields compose (gradient first, then weights).
+    vector.  Fields compose (gradient first, then weights).
     """
 
     gradient: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
-    sync_optimizer_iteration: bool = False
 
 
 @dataclass
@@ -338,8 +335,6 @@ def _worker_process(
             trainer.apply_gradient(update.gradient)
         if update.weights is not None:
             trainer.net.set_parameter_vector(update.weights)
-        if update.sync_optimizer_iteration:
-            trainer.optimizer.iteration += 1
         strategy.after_apply(node, iteration)
         if (
             node_id == 0
@@ -375,9 +370,9 @@ def run_strategy(
     the strategy spawns, and assembles the result — phase breakdown,
     wire accounting, final weights — exactly once.
 
-    ``stream`` selects the codec profile of the gradient traffic; a
-    compressing stream needs NIC engines, i.e. a ``cluster`` built with
-    ``ClusterConfig(profile=stream)``.  In the WA family only the
+    ``stream`` selects the codec profile of the gradient traffic
+    (``None`` is raw); a stream needs NIC engines, i.e. a ``cluster``
+    built with ``ClusterConfig(profile=stream)``.  In the WA family only the
     gradient (up) leg can compress — weights are loss-intolerant (paper
     Fig 4) — while the ring compresses every hop.  ``options`` is the
     strategy's keyword namespace (``sync_period``, ``staleness_bound``,
@@ -408,7 +403,7 @@ def run_strategy(
             "agg_site='switch' only applies to the worker-aggregator "
             "family"
         )
-    if stream is not None and stream.compressing and not comm.compression_active():
+    if stream is not None and not comm.compression_active():
         raise ValueError(
             f"stream codec {stream.codec!r} compresses but the cluster has no NIC "
             "engines; pass cluster=ClusterConfig(..., profile=stream)"

@@ -7,11 +7,10 @@ everything else bypasses.  Receive side mirrors this with the paired
 Decompression Engine.
 
 Only the INCEPTIONN pair does byte work on packets, a whole packet
-train per engine call (a single packet is a train of one).  Streams of
-the other registered codecs are engine-eligible at message granularity
-(:meth:`InceptionnNic.dispatches` — the codec registry is the one table
-of such ToS bytes) and their own codec transforms them in
-:mod:`repro.transport.wire`.
+train per engine call (a single packet is a train of one).  At message
+granularity every stream that names a codec is engine-eligible on an
+enabled NIC (the codec registry is the one table of such ToS bytes),
+and its own codec transforms it in :mod:`repro.transport.wire`.
 
 This is the *functional* model — it transforms real packet bytes
 bit-exactly; the simulator's engine timing is ``ClusterConfig.nic_timing``.
@@ -28,7 +27,6 @@ from repro.core.bounds import ErrorBound
 from repro.network.packet import (
     TOS_COMPRESS,
     Packet,
-    is_compressible_tos,
     payload_ratio,
     segment_bytes,
 )
@@ -106,16 +104,6 @@ class InceptionnNic:
         self.compressor = CompressionEngine(bound, num_blocks)
         self.decompressor = DecompressionEngine(bound, num_blocks)
         self.counters = NicCounters()
-
-    def dispatches(self, tos: int) -> bool:
-        """Would the comparator route ``tos`` traffic through an engine?
-
-        The message-granular comparator the
-        :mod:`repro.transport.wire` builder reads: any ToS claimed by a
-        registered codec dispatches (the stream's own codec does the
-        byte work there).  A disabled NIC bypasses everything.
-        """
-        return self.enabled and is_compressible_tos(tos)
 
     # -- aggregate accounting (WireMessage pipeline) -----------------------------
 

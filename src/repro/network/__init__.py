@@ -47,9 +47,7 @@ from .packet import (
     TOS_COMPRESS,
     TOS_DEFAULT,
     Packet,
-    is_compressible_tos,
     packet_count,
-    register_compressible_tos,
     segment_bytes,
     split_trains,
 )
@@ -112,8 +110,6 @@ __all__ = [
     "TOS_COMPRESS",
     "TOS_DEFAULT",
     "Packet",
-    "is_compressible_tos",
-    "register_compressible_tos",
     "packet_count",
     "segment_bytes",
     "split_trains",

@@ -9,15 +9,14 @@ The stack is the testbed's standard one: every message is cut into
 
 The codec registry (:mod:`repro.core.registry`) generalizes the paper's
 single reserved value into a small ToS code space: every registered
-codec claims one ToS byte via :func:`register_compressible_tos`, and the
-NIC/simulator treat any claimed code as "run this stream through the
-engines".  ``0x28`` stays reserved for the INCEPTIONN codec.
+codec claims one ToS byte there, the one table of such bytes.  ``0x28``
+stays reserved for the INCEPTIONN codec.
 
-Invariants: ToS claims are idempotent and ``TOS_DEFAULT`` (0x00) can
-never mark a compressible stream; segmentation is deterministic — the
-same payload always yields the same packet count and sizes
-(``HEADER_BYTES`` per packet, ``DEFAULT_MSS``-bounded payloads), with
-no clocks or randomness involved; tenant traffic classes
+Invariants: ``TOS_DEFAULT`` (0x00) never marks a compressible stream;
+segmentation is deterministic — the same payload always yields the
+same packet count and sizes (``HEADER_BYTES`` per packet,
+``DEFAULT_MSS``-bounded payloads), with no clocks or randomness
+involved; tenant traffic classes
 (:mod:`repro.network.tenants`) use ToS bytes no codec claims, so
 background flows never enter the NIC engines.
 """
@@ -31,28 +30,6 @@ from typing import List, Tuple
 TOS_COMPRESS = 0x28
 #: ToS for ordinary traffic.
 TOS_DEFAULT = 0x00
-
-#: ToS codes currently claimed by (de)compression engines.
-_COMPRESSIBLE_TOS = {TOS_COMPRESS}
-
-
-def register_compressible_tos(tos: int) -> int:
-    """Claim a ToS byte as marking engine-processed streams.
-
-    Idempotent; returns the registered code.  ``TOS_DEFAULT`` cannot be
-    claimed — ordinary traffic must always bypass the engines.
-    """
-    if not 0 <= tos <= 0xFF:
-        raise ValueError(f"ToS must fit one byte, got {tos:#x}")
-    if tos == TOS_DEFAULT:
-        raise ValueError("the default ToS cannot mark compressible streams")
-    _COMPRESSIBLE_TOS.add(tos)
-    return tos
-
-
-def is_compressible_tos(tos: int) -> bool:
-    """True when ``tos`` is claimed by a registered codec/engine."""
-    return tos in _COMPRESSIBLE_TOS
 
 #: Ethernet (14) + IPv4 (20) + TCP (20) header bytes.
 HEADER_BYTES = 54

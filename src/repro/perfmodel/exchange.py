@@ -287,7 +287,7 @@ def _simulate_exchange(
     ``train_packets`` defaulting to :data:`EXCHANGE_TRAIN_PACKETS`.
     ``profile`` is the :class:`ComputeProfile`; the cluster's stream
     profile is ``stream``, the codec of the gradient stream (any
-    registered codec).  With a compressing stream and no
+    registered codec, ``None`` for raw).  With a stream and no
     ``gradient_ratio``, the codec's ratio is measured on a sampled
     gradient.  ``include_local_compute`` prepends each iteration's
     forward/backward/copy time (for full-iteration studies like

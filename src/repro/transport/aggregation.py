@@ -365,7 +365,7 @@ class SwitchGather:
             self.root,
             part.raw_nbytes,
             part.payload_nbytes,
-            tos=self.stream.resolved_tos,
+            tos=self.stream.tos,
             payload=part,
             tx_engine_node=inp.host,
             rx_engine_node=self.root if into_root else None,

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core import RAW_STREAM, StreamProfile
+from repro.core import StreamProfile
 from repro.core.bounds import DEFAULT_BOUND
 from repro.core.registry import InceptionnCodec
 from repro.hardware.engine import BurstEngine
@@ -164,10 +164,6 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         validate_agg_site(self.agg_site)
 
-    def default_profile(self) -> StreamProfile:
-        """The gradient-stream profile (raw when none is configured)."""
-        return self.profile if self.profile is not None else RAW_STREAM
-
     def build_nic(self, node: int) -> InceptionnNic:
         """One node's functional NIC — the engine dispatch every
         WireMessage is built through (paper Fig 8's comparator).
@@ -208,7 +204,6 @@ class ClusterComm:
     ) -> None:
         self.config = config
         self.tracer = tracer
-        self.default_profile = config.default_profile()
         self.sim = Simulation(tie_break=config.tie_break)
         self.topology: Topology = build_topology(
             config.topology, self.sim, config.num_nodes, config.bandwidth_bps
@@ -243,7 +238,7 @@ class ClusterComm:
     def _tos_priority(self) -> Optional[Dict[int, int]]:
         """The ToS -> priority-class map, or ``None`` when not prioritizing.
 
-        Foreground streams (the default profile's ToS and raw weight
+        Foreground streams (the configured profile's ToS and raw weight
         traffic) ride :data:`~repro.network.PRIORITY_HIGH`; each tenant
         rides its spec's class.  A tenant ToS that collides with a
         foreground stream would silently demote the training job, so it
@@ -251,7 +246,8 @@ class ClusterComm:
         """
         if not self.config.prioritize:
             return None
-        foreground = {TOS_DEFAULT, self.default_profile.resolved_tos}
+        profile = self.config.profile
+        foreground = {TOS_DEFAULT} if profile is None else {TOS_DEFAULT, profile.tos}
         mapping = {tos: PRIORITY_HIGH for tos in sorted(foreground)}
         for tenant in self.config.tenants:
             if tenant.tos in foreground:
@@ -436,7 +432,7 @@ class Endpoint:
         return build_wire_message(
             self.node_id,
             dst,
-            stream=profile if profile is not None else RAW_STREAM,
+            stream=profile,
             array=array,
             nbytes=nbytes,
             nic=self.comm.nics[self.node_id],
@@ -504,7 +500,7 @@ class Endpoint:
     ) -> Event:
         """Non-blocking send; returns the delivery event.
 
-        With a compressing ``profile`` and engines present, the array is
+        With a ``profile`` and engines present, the array is
         passed through the profile's codec: the receiver sees the lossy
         reconstruction and the wire carries the measured compressed
         bytes under the codec's ToS byte.

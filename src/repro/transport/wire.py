@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.core import RAW_STREAM, StreamProfile
+from repro.core import StreamProfile
 from repro.network.packet import HEADER_BYTES, TOS_DEFAULT, packet_count, payload_ratio
 
 if TYPE_CHECKING:
@@ -113,11 +113,12 @@ def build_wire_message(
 
     Exactly one of ``array`` (functional mode: the codec runs on the
     real values) or ``nbytes`` (size-only mode: the wire size comes
-    from ``ratio``) must be given.  ``nic`` is the *sender's* functional
-    NIC; its comparator decides whether the stream's ToS dispatches to
-    an engine, and its TX counters tick for the built train.
+    from ``ratio``) must be given.  ``stream=None`` is a raw send.
+    ``nic`` is the *sender's* functional NIC: a stream is compressed,
+    under its codec's ToS, exactly when that NIC is enabled, and its TX
+    counters tick for the built train.
 
-    ``ratio`` is validated before the dispatch check — a ratio below
+    ``ratio`` is validated before the compression check — a ratio below
     1.0 (including 0.0, which is not "unset") is a caller bug no matter
     what engines are present.  ``None`` means "caller did not measure",
     i.e. the uncompressed size.
@@ -137,36 +138,26 @@ def build_wire_message(
                 "compression ratio must be >= 1 "
                 f"(got {ratio!r}); pass None for uncompressed"
             )
-    if stream is None:
-        stream = RAW_STREAM
-    dispatched = (
-        stream.compressing
-        and nic is not None
-        and nic.dispatches(stream.resolved_tos)
-    )
-    tos = TOS_DEFAULT
-    codec_name: Optional[str] = None
+    compressed = stream is not None and nic is not None and nic.enabled
+    tos = stream.tos if compressed else TOS_DEFAULT
+    codec_name = stream.codec if compressed else None
     values: Optional[np.ndarray] = None
 
     if array is not None:
         arr = np.ascontiguousarray(array, dtype=np.float32)
         raw_nbytes = arr.nbytes
-        if dispatched:
+        if compressed:
             result = stream.compress(arr.reshape(-1))
             wire_payload = result.payload_nbytes
             values = result.values.reshape(arr.shape)
-            tos = stream.resolved_tos
-            codec_name = stream.codec
         else:
             wire_payload = raw_nbytes
             values = arr
         size_only = False
     else:
         raw_nbytes = int(nbytes)  # type: ignore[arg-type]
-        if dispatched:
+        if compressed:
             wire_payload = sized_wire_payload(raw_nbytes, ratio)
-            tos = stream.resolved_tos
-            codec_name = stream.codec
         else:
             wire_payload = raw_nbytes
         size_only = True
@@ -180,7 +171,7 @@ def build_wire_message(
         nbytes=raw_nbytes,
         wire_payload_nbytes=wire_payload,
         num_packets=num_packets,
-        compressed=dispatched,
+        compressed=compressed,
         size_only=size_only,
         values=values,
     )
@@ -209,7 +200,7 @@ def account_tx_traversal(
 
 
 def measure_stream_ratio(
-    stream: StreamProfile,
+    stream: Optional[StreamProfile],
     sample: Optional[np.ndarray] = None,
     seed: int = 0,
 ) -> float:
@@ -218,9 +209,9 @@ def measure_stream_ratio(
     Size-only messages cannot run the codec on real payloads, so
     paper-scale simulations measure the ratio once on a gradient-like
     sample and apply it to every message — the paper's own methodology
-    for its Table II/Fig 15 projections.
+    for its Table II/Fig 15 projections.  A raw stream (``None``) is 1.0.
     """
-    if not stream.compressing:
+    if stream is None:
         return 1.0
     if sample is None:
         rng = np.random.default_rng(seed)

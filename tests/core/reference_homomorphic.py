@@ -17,7 +17,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.registry import CodecResult, _flat32
+from repro.core.registry import CodecResult, flat32
 
 SCALE_BITS = 149
 _SCALE = 1 << SCALE_BITS
@@ -30,7 +30,7 @@ def scaled_ints(values: np.ndarray) -> Tuple[int, ...]:
     associative — the algebraic property homomorphic aggregation needs.
     """
     out: List[int] = []
-    for v in _flat32(values).tolist():
+    for v in flat32(values).tolist():
         if not math.isfinite(v):
             raise ValueError(
                 "homomorphic payloads require finite gradients; got "
@@ -60,7 +60,7 @@ def _payload_nbytes(values: np.ndarray) -> int:
 
 
 def compress(values: np.ndarray) -> CodecResult:
-    arr = _flat32(values)
+    arr = flat32(values)
     return CodecResult(
         payload_nbytes=_payload_nbytes(arr),
         values=arr.copy(),

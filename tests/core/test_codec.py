@@ -18,7 +18,7 @@ from repro.core import (
 )
 from repro.core.bounds import FLOAT32_EXP_BIAS
 from repro.core.codec import _exponent_table
-from repro.core.reference import compress_value, decompress_value
+from .reference_codec import compress_value, decompress_value
 
 
 def _sample_gradients(n=4096, scale=0.3, seed=0):

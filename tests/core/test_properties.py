@@ -18,7 +18,7 @@ from repro.core import (
     profile_for,
     quantize,
 )
-from repro.core.reference import compress_value, decompress_value, roundtrip_value
+from .reference_codec import compress_value, decompress_value, roundtrip_value
 
 from . import reference_homomorphic
 

@@ -12,7 +12,7 @@ from repro.core import (
     TAG_NO_COMPRESS,
     TAG_ZERO,
 )
-from repro.core.reference import (
+from .reference_codec import (
     bits_to_float,
     compress_value,
     decompress_value,

@@ -11,7 +11,6 @@ from repro.baselines import qsgd, snappy_like, sz_like, top_k, truncate_lsbs
 from repro.core import (
     CAP_ERROR_FEEDBACK,
     DEFAULT_BOUND,
-    RAW_STREAM,
     ErrorFeedbackCompressor,
     StreamProfile,
     available_codecs,
@@ -22,7 +21,9 @@ from repro.core import (
     quantize,
 )
 from repro.core.registry import register_codec
-from repro.network import TOS_COMPRESS, TOS_DEFAULT, is_compressible_tos
+from repro.hardware import InceptionnNic
+from repro.network import TOS_COMPRESS, TOS_DEFAULT
+from repro.transport.wire import build_wire_message
 
 
 def _sample(size=512, seed=3):
@@ -52,11 +53,8 @@ def test_round_trip_respects_declared_bound(name):
 @pytest.mark.parametrize("name", available_codecs())
 def test_every_codec_has_a_registered_tos(name):
     tos = codec_tos(name)
-    assert 0 <= tos <= 0xFF
-    assert is_compressible_tos(tos)
-    profile = profile_for(name)
-    assert profile.resolved_tos == tos
-    assert profile.compressing
+    assert TOS_DEFAULT < tos <= 0xFF
+    assert profile_for(name).tos == tos
 
 
 # -- the codec contract, one table --------------------------------------------
@@ -167,8 +165,11 @@ def test_unknown_profile_raises_too():
 
 
 def test_raw_stream_is_not_compressing():
-    assert not RAW_STREAM.compressing
-    assert StreamProfile().compressing is False
+    # Raw is ``None``: even an enabled NIC sends it as is, under ToS 0x00.
+    nic = InceptionnNic(0, DEFAULT_BOUND)
+    msg = build_wire_message(0, 1, stream=None, array=_sample(), nic=nic)
+    assert not msg.compressed and msg.codec is None
+    assert msg.tos == TOS_DEFAULT
 
 
 def test_profile_params_override_defaults():
@@ -186,7 +187,7 @@ def test_inceptionn_profile_matches_direct_codec():
     direct = codec.compress(values, **codec.default_params())
     np.testing.assert_array_equal(via_profile.values, direct.values)
     assert via_profile.payload_nbytes == direct.payload_nbytes
-    assert profile.resolved_tos == codec_tos("inceptionn") == 0x28
+    assert profile.tos == codec_tos("inceptionn") == 0x28
 
 
 @pytest.mark.parametrize("spelling", [10, 10.0, np.int64(10), 2**-10, 2.0**-10])
@@ -287,18 +288,18 @@ def _claim(name, tos):
             id="profile_for-unregistered-name",
         ),
         pytest.param(
-            lambda: StreamProfile(codec="zz-test-stub").resolved_tos,
+            lambda: StreamProfile(codec="zz-test-stub").tos,
             KeyError,
             "unknown codec 'zz-test-stub'; available codecs: fft_sparse, ",
-            id="resolved_tos-unregistered-name",
+            id="tos-unregistered-name",
         ),
     ],
 )
 def test_registry_contract_violation_raises(violate, error, message):
     """Each breach of the ToS wire contract raises where it is made,
-    and a refused claim leaves no trace in either registry."""
+    and a refused claim leaves no trace in the registry."""
     before = available_codecs()
     with pytest.raises(error, match=re.escape(message)):
         violate()
     assert available_codecs() == before
-    assert not is_compressible_tos(0x7C)
+    assert 0x7C not in {codec_tos(name) for name in before}

@@ -86,9 +86,6 @@ def test_bound_caps_round_lead_under_jitter():
     assert len(extras["round_lead"]) == WORKERS * 8
     assert max(extras["round_lead"]) <= bound
     assert extras["staleness_bound"] == bound
-    # The withheld replies hold the bound: a worker sends again only
-    # after its reply, so no arrival ever has to wait at the server.
-    assert extras["queued"] == 0
 
 
 def test_larger_bound_admits_more_staleness():

@@ -5,7 +5,7 @@ against (``test_engines.TestBulkStructuralEquivalence``).  Structure
 mirrors the hardware: a Compression Unit of CB lanes feeding an
 Alignment Unit, and a Burst Buffer + Tag Decoder feeding DB lanes.
 Each block delegates to the scalar reference codec
-(``repro.core.reference``), so the oracle is bit-exact with the
+(``tests/core/reference_codec.py``), so the oracle is bit-exact with the
 specification by construction and shares no kernel with the bulk paths.
 """
 
@@ -15,12 +15,6 @@ from typing import Iterator, List, Optional
 from repro.core.bitstream import BitReader, BitWriter
 from repro.core.bounds import ErrorBound
 from repro.core.container import GROUP_SIZE, GROUP_TAG_BITS
-from repro.core.reference import (
-    bits_to_float,
-    compress_value,
-    decompress_value,
-    float_to_bits,
-)
 from repro.core.tags import PAYLOAD_BITS, payload_bits
 from repro.hardware import (
     BURST_BITS,
@@ -29,6 +23,13 @@ from repro.hardware import (
     BurstError,
     DecompressionError,
     EngineStats,
+)
+
+from ..core.reference_codec import (
+    bits_to_float,
+    compress_value,
+    decompress_value,
+    float_to_bits,
 )
 
 

@@ -1,8 +1,9 @@
 """NIC dispatch: the codec registry is the one table of engine-eligible ToS.
 
-Message granularity (``dispatches``) follows the registry; the
-per-packet datapath engages only the INCEPTIONN pair at ``0x28`` and
-bypasses every other byte, registered or not.
+At message granularity an enabled NIC compresses every stream that
+names a codec, under that codec's registered byte; the per-packet
+datapath engages only the INCEPTIONN pair at ``0x28`` and bypasses
+every other byte, registered or not.
 """
 
 import numpy as np
@@ -10,9 +11,11 @@ import numpy as np
 from repro.core import ErrorBound, profile_for
 from repro.hardware import InceptionnNic
 from repro.network.packet import TOS_COMPRESS, TOS_DEFAULT, Packet
+from repro.transport.wire import build_wire_message
 
 BOUND = ErrorBound(10)
-SNAPPY_TOS = profile_for("snappy_like").resolved_tos
+SNAPPY = profile_for("snappy_like")
+SNAPPY_TOS = SNAPPY.tos
 
 
 def _nic(enabled=True):
@@ -28,10 +31,15 @@ def _assert_bypasses(nic, tos):
     assert after == (before[0] + 1, before[1] + 1)
 
 
+def _build(nic, stream):
+    values = np.linspace(-1.0, 1.0, 256, dtype=np.float32)
+    return build_wire_message(0, 1, stream=stream, array=values, nic=nic)
+
+
 def test_inceptionn_engine_preinstalled_at_0x28():
+    assert _build(_nic(), profile_for("inceptionn")).tos == TOS_COMPRESS
+    assert _build(_nic(), None).tos == TOS_DEFAULT
     nic = _nic()
-    assert nic.dispatches(TOS_COMPRESS)
-    assert not nic.dispatches(TOS_DEFAULT)
     pkt = Packet(src=0, dst=1, seq=0, tos=TOS_COMPRESS, payload=b"\x00" * 64)
     assert nic.transmit([pkt])[0] is not pkt
     assert nic.counters.tx_compressed == 1
@@ -39,14 +47,15 @@ def test_inceptionn_engine_preinstalled_at_0x28():
 
 def test_registered_codec_tos_dispatches_at_message_granularity():
     assert SNAPPY_TOS != TOS_COMPRESS
-    assert _nic().dispatches(SNAPPY_TOS)
-    assert not _nic().dispatches(0x77)
+    msg = _build(_nic(), SNAPPY)
+    assert msg.compressed and msg.tos == SNAPPY_TOS
 
 
 def test_disabled_nic_dispatches_nothing():
     nic = _nic(enabled=False)
-    assert not nic.dispatches(TOS_COMPRESS)
-    assert not nic.dispatches(SNAPPY_TOS)
+    for stream in (profile_for("inceptionn"), SNAPPY):
+        msg = _build(nic, stream)
+        assert not msg.compressed and msg.tos == TOS_DEFAULT
 
 
 def test_unregistered_tos_bypasses_identically():

@@ -6,8 +6,8 @@ from repro.network import (
     DEFAULT_MSS,
     HEADER_BYTES,
     TOS_COMPRESS,
+    TOS_DEFAULT,
     Packet,
-    is_compressible_tos,
     packet_count,
     segment_bytes,
 )
@@ -19,8 +19,13 @@ def test_wire_size_includes_headers():
 
 
 def test_compressible_flag_follows_tos():
-    assert is_compressible_tos(Packet(src=0, dst=1, tos=TOS_COMPRESS).tos)
-    assert not is_compressible_tos(Packet(src=0, dst=1, tos=0).tos)
+    # The codec registry is the one table of compressible ToS bytes.
+    from repro.core import available_codecs, codec_tos
+
+    claimed = {codec_tos(name) for name in available_codecs()}
+    assert Packet(src=0, dst=1, tos=TOS_COMPRESS).tos in claimed
+    assert Packet(src=0, dst=1).tos == TOS_DEFAULT
+    assert TOS_DEFAULT not in claimed
 
 
 def test_payload_size_consistency_enforced():

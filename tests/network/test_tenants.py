@@ -12,7 +12,7 @@ from repro.network import (
     TenantSpec,
     parse_tenants,
 )
-from repro.network.packet import is_compressible_tos
+from repro.network.packet import TOS_DEFAULT
 from repro.network.priority import PRIORITY_HIGH, PRIORITY_LOW
 
 
@@ -42,9 +42,13 @@ def test_tenant_spec_validation():
 
 
 def test_tenant_tos_bytes_are_not_compressible():
-    # Tenant traffic must bypass the NIC (de)compression engines.
-    assert not is_compressible_tos(TOS_TENANT_TRAIN)
-    assert not is_compressible_tos(TOS_TENANT_INFER)
+    # Tenant traffic must bypass the NIC (de)compression engines: no
+    # codec claims a tenant byte.
+    from repro.core import available_codecs, codec_tos
+
+    claimed = {codec_tos(name) for name in available_codecs()}
+    assert TOS_TENANT_TRAIN not in claimed
+    assert TOS_TENANT_INFER not in claimed
 
 
 def test_placement_is_contiguous_and_capacity_checked():
@@ -111,21 +115,26 @@ def test_contention_slows_foreground_and_priority_protects_it():
 
 
 def test_foreground_tos_maps_high_and_tenants_low():
+    from repro.core import profile_for
     from repro.network import parse_tenants as parse
     from repro.transport.endpoint import ClusterComm, ClusterConfig
 
-    comm = ClusterComm(
-        ClusterConfig(
-            num_nodes=6,
-            topology="fat-tree:k=4",
-            tenants=parse("train:4"),
-            prioritize=True,
+    for profile in (None, profile_for("thc")):
+        comm = ClusterComm(
+            ClusterConfig(
+                num_nodes=6,
+                topology="fat-tree:k=4",
+                profile=profile,
+                tenants=parse("train:4"),
+                prioritize=True,
+            )
         )
-    )
-    mapping = comm.network.tos_priority
-    assert mapping is not None
-    assert mapping[comm.default_profile.resolved_tos] == PRIORITY_HIGH
-    assert mapping[TOS_TENANT_TRAIN] == PRIORITY_LOW
+        mapping = comm.network.tos_priority
+        assert mapping is not None
+        assert mapping[TOS_DEFAULT] == PRIORITY_HIGH
+        if profile is not None:
+            assert mapping[profile.tos] == PRIORITY_HIGH
+        assert mapping[TOS_TENANT_TRAIN] == PRIORITY_LOW
 
 
 def test_tenant_tos_clash_with_foreground_rejected():

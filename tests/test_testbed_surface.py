@@ -3,15 +3,25 @@
 The paper fixes its testbed (Sec. VII-C): 2 us links, store-and-forward
 switches, a 1 460-byte MSS and 100 MHz engines.  Those are constants in
 their own modules, not settings; these pins keep a removed setting from
-coming back silently.
+coming back silently.  The same goes for the spelling of a gradient
+stream: ``None`` is raw, a :class:`StreamProfile` names a registered
+codec, and that codec's registry entry is the stream's one ToS byte.
 """
 
 import dataclasses
+import importlib
 import inspect
 
+import numpy as np
 import pytest
 
-from repro.core import ErrorBound
+from repro.core import (
+    ErrorBound,
+    StreamProfile,
+    available_codecs,
+    codec_tos,
+    profile_for,
+)
 from repro.hardware import (
     DEFAULT_CLOCK_HZ,
     AggregationEngine,
@@ -24,6 +34,7 @@ from repro.network import (
     DEFAULT_LINK_LATENCY_S,
     DEFAULT_MSS,
     DEFAULT_SWITCH_DELAY_S,
+    TOS_DEFAULT,
     FatTree,
     LeafSpine,
     Network,
@@ -34,7 +45,7 @@ from repro.network import (
     packet_count,
     segment_bytes,
 )
-from repro.transport import ClusterConfig, build_wire_message
+from repro.transport import ClusterComm, ClusterConfig, build_wire_message
 
 BOUND = ErrorBound(10)
 
@@ -119,6 +130,8 @@ REMOVED_KEYWORDS = {
     "InceptionnNic.transmit_message(mss)": lambda: InceptionnNic(
         0, BOUND
     ).transmit_message(b"", dst=1, tos=0, mss=1460),
+    "StreamProfile()": lambda: StreamProfile(),
+    "StreamProfile(tos)": lambda: StreamProfile("inceptionn", tos=0x28),
 }
 
 
@@ -140,3 +153,75 @@ def test_engine_clock_is_readable_and_fixed():
     assert stats.elapsed_s() == stats.cycles / DEFAULT_CLOCK_HZ
     with pytest.raises(TypeError):
         stats.elapsed_s(1e8)
+
+
+# -- one spelling of a gradient stream ----------------------------------------
+
+
+def test_stream_profile_is_a_codec_and_its_params():
+    names = tuple(field.name for field in dataclasses.fields(StreamProfile))
+    assert names == ("codec", "params")
+
+
+#: ``(module, owner, name)``: ``owner`` is an attribute path inside the
+#: module (``""`` for the module itself).
+REMOVED_NAMES = [
+    ("repro.core", "", "RAW_STREAM"),
+    ("repro.core.registry", "", "RAW_STREAM"),
+    ("repro.core.registry", "", "_flat32"),
+    ("repro.core.registry", "StreamProfile", "resolved_tos"),
+    ("repro.core.registry", "StreamProfile", "compressing"),
+    ("repro.network", "", "is_compressible_tos"),
+    ("repro.network", "", "register_compressible_tos"),
+    ("repro.network.packet", "", "_COMPRESSIBLE_TOS"),
+    ("repro.network.packet", "", "is_compressible_tos"),
+    ("repro.network.packet", "", "register_compressible_tos"),
+    ("repro.hardware.nic", "InceptionnNic", "dispatches"),
+    ("repro.transport.endpoint", "ClusterConfig", "default_profile"),
+    ("repro.distributed.strategy", "StrategyUpdate", "sync_optimizer_iteration"),
+    ("repro.baselines.sz_like", "", "compression_ratio"),
+    ("repro.baselines.snappy_like", "", "compression_ratio"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, owner, name",
+    REMOVED_NAMES,
+    ids=[".".join(filter(None, row)) for row in REMOVED_NAMES],
+)
+def test_removed_stream_names_are_gone(module, owner, name):
+    obj = importlib.import_module(module)
+    for part in filter(None, owner.split(".")):
+        obj = getattr(obj, part)
+    with pytest.raises(AttributeError):
+        getattr(obj, name)
+
+
+def test_removed_instance_names_are_gone():
+    with pytest.raises(AttributeError):
+        ClusterComm(ClusterConfig(2)).default_profile
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.core.reference")
+
+
+@pytest.mark.parametrize("name", available_codecs())
+def test_a_stream_carries_its_codecs_registered_tos(name):
+    assert profile_for(name).tos == codec_tos(name)
+
+
+@pytest.mark.parametrize("name", available_codecs())
+def test_only_an_enabled_nic_compresses_and_only_a_named_codec(name):
+    stream = profile_for(name)
+    values = np.linspace(-0.01, 0.01, 64, dtype=np.float32)
+    for payload in ({"array": values}, {"nbytes": values.nbytes}):
+        on = build_wire_message(
+            0, 1, stream=stream, nic=InceptionnNic(0, BOUND), **payload
+        )
+        assert on.compressed and on.tos == codec_tos(name) and on.codec == name
+        for nic in (InceptionnNic(0, BOUND, enabled=False), None):
+            off = build_wire_message(0, 1, stream=stream, nic=nic, **payload)
+            assert not off.compressed and off.tos == TOS_DEFAULT
+        raw = build_wire_message(
+            0, 1, stream=None, nic=InceptionnNic(0, BOUND), **payload
+        )
+        assert not raw.compressed and raw.tos == TOS_DEFAULT and raw.codec is None

@@ -110,7 +110,7 @@ class TestFunctionalRingParity:
 
         exact = sum(vectors).astype(np.float32)
         err = float(np.max(np.abs(agg0 - exact)))
-        bound = comm.default_profile.error_bound(exact)
+        bound = comm.config.profile.error_bound(exact)
         # Lossy hops accumulate: 2N-2 traversals bound the worst case.
         limit = bound * 6 if mode == "compressed" else bound * 1e-3
         assert err <= limit

@@ -83,7 +83,7 @@ class TestSegments:
         stream = inceptionn_profile()
         msg = self._message(5000, profile=stream, ratio=2.0)
         assert msg.compressed
-        assert msg.tos == stream.resolved_tos
+        assert msg.tos == stream.tos
 
 
 class TestFunctionalBuild:
