@@ -31,7 +31,7 @@ def _ring_error(n, seed=0):
     def node(i):
         def proc():
             results[i] = yield from ring_exchange(
-                comm.endpoints[i], vectors[i], n, stream=stream
+                comm.endpoints[i], vectors[i], n
             )
 
         return proc

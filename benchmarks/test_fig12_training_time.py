@@ -89,7 +89,6 @@ def test_fig12_functional_cross_check(benchmark):
                 batch_size=25,
                 cluster=ClusterConfig(num_nodes=num_nodes, profile=stream),
                 profile=profile,
-                stream=stream,
             )
             times[conf] = result.virtual_time_s
         return times

@@ -74,7 +74,6 @@ def test_fig13_functional_epochs_to_accuracy(benchmark):
                 iterations=60,
                 batch_size=25,
                 cluster=ClusterConfig(num_nodes=4, profile=stream),
-                stream=stream,
                 eval_every=5,
             )
             reached = next(

@@ -42,7 +42,6 @@ def main() -> None:
             batch_size=25,
             cluster=ClusterConfig(num_nodes=num_nodes, profile=stream),
             profile=profile,
-            stream=stream,
         )
         if baseline_time is None:
             baseline_time = result.virtual_time_s

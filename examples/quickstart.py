@@ -35,8 +35,9 @@ def main() -> None:
 
     # --- 2. The gradient-centric ring (Algorithm 1) ------------------------
     num_workers = 4
-    stream = inceptionn_profile()
-    comm = ClusterComm(ClusterConfig(num_nodes=num_workers, profile=stream))
+    comm = ClusterComm(
+        ClusterConfig(num_nodes=num_workers, profile=inceptionn_profile())
+    )
     locals_ = [
         (rng.standard_normal(100_000) * 0.01).astype(np.float32)
         for _ in range(num_workers)
@@ -46,7 +47,7 @@ def main() -> None:
     def node(i):
         def proc():
             results[i] = yield from ring_exchange(
-                comm.endpoints[i], locals_[i], num_workers, stream=stream
+                comm.endpoints[i], locals_[i], num_workers
             )
 
         return proc

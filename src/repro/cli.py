@@ -262,7 +262,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
             cluster=ClusterConfig(
                 num_nodes=num_nodes, profile=stream, **_cluster_fields(args)
             ),
-            stream=stream,
             tracer=tracer,
             seed=args.seed,
             options=options,

@@ -49,9 +49,8 @@ class RingStrategy(GradientStrategy):
         aggregate = yield from ring_exchange(
             node.endpoint,
             gradient,
-            node.num_workers,
-            profile=node.profile,
-            stream=node.stream,
+            node.run.num_workers,
+            profile=node.run.profile,
         )
         return StrategyUpdate(gradient=aggregate)
 
@@ -79,7 +78,6 @@ class WorkerAggregatorStrategy(GradientStrategy):
                 run.comm,
                 root=self._aggregator_id,
                 sources=range(run.num_workers),
-                stream=run.stream,
             )
         run.comm.sim.process(self._aggregator(run))
 
@@ -101,7 +99,6 @@ class WorkerAggregatorStrategy(GradientStrategy):
                 workers,
                 apply_update,
                 profile=run.profile,
-                stream=run.stream,
                 gather=self._gather,
             )
 
@@ -112,7 +109,6 @@ class WorkerAggregatorStrategy(GradientStrategy):
             node.endpoint,
             self._aggregator_id,
             gradient,
-            stream=node.stream,
             gather=self._gather,
         )
         return StrategyUpdate(weights=weights)

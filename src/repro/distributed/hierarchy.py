@@ -105,14 +105,13 @@ def hierarchical_exchange(
     vector: np.ndarray,
     layout: GroupLayout,
     profile: ComputeProfile = ZERO_COMPUTE,
-    stream: "StreamProfile | None" = None,
 ) -> Generator[Event, Any, np.ndarray]:
     """Two-level gradient exchange for one node; returns the global sum.
 
     Level 1: ring inside the leaf group.  Level 2: leaders ring over the
     group sums.  Level 3: leaders send the global aggregate to their
     group members (a gradient broadcast — still on the compressed
-    stream).  ``stream`` selects the codec profile for every leg.  The
+    stream).  Every leg rides the cluster's gradient stream.  The
     ledger counts node 0's sums in every ring it is in (both, as a leader).
     """
     group = layout.group_of(node)
@@ -126,7 +125,6 @@ def hierarchical_exchange(
         vector,
         len(group),
         profile=profile,
-        stream=stream,
     )
     if tracer is not None:
         tracer.span(
@@ -151,7 +149,6 @@ def hierarchical_exchange(
             group_sum,
             len(leaders),
             profile=profile,
-            stream=stream,
         )
         if tracer is not None:
             tracer.span(
@@ -164,7 +161,7 @@ def hierarchical_exchange(
             )
         bcast_start = comm.sim.now
         events = [
-            ep.isend(member, global_sum, profile=stream)
+            ep.isend(member, global_sum, profile=comm.config.profile)
             for member in group[1:]
         ]
         if events:
@@ -210,12 +207,11 @@ class HierarchyStrategy(GradientStrategy):
         self, node: NodeContext, iteration: int, gradient: np.ndarray
     ) -> Generator[Event, Any, StrategyUpdate]:
         aggregate = yield from hierarchical_exchange(
-            node.comm,
+            node.run.comm,
             node.node_id,
             gradient,
             self._layout,
-            profile=node.profile,
-            stream=node.stream,
+            profile=node.run.profile,
         )
         return StrategyUpdate(gradient=aggregate)
 

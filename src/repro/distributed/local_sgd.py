@@ -73,25 +73,25 @@ class LocalSGDStrategy(GradientStrategy):
             return StrategyUpdate()  # no communication this iteration
 
         anchor = self._anchors[node.node_id]
-        sync_start = node.comm.sim.now
+        comm = node.run.comm
+        sync_start = comm.sim.now
         delta = (trainer.net.parameter_vector() - anchor).astype(np.float32)
         total_delta = yield from ring_exchange(
             node.endpoint,
             delta,
-            node.num_workers,
-            profile=node.profile,
-            stream=node.stream,
+            node.run.num_workers,
+            profile=node.run.profile,
         )
         new_weights = (anchor + total_delta).astype(np.float32)
         self._anchors[node.node_id] = new_weights
         if node.node_id == 0:
             node.run.extras["sync_rounds"] += 1
-            if node.tracer is not None:
-                node.tracer.span(
+            if comm.tracer is not None:
+                comm.tracer.span(
                     "local_sgd.sync",
                     cat=CAT_STRATEGY,
                     ts=sync_start,
-                    dur=node.comm.sim.now - sync_start,
+                    dur=comm.sim.now - sync_start,
                     node=node.node_id,
                     sync_period=self._period,
                     iteration=iteration,

@@ -95,15 +95,16 @@ class ParameterServer(GradientStrategy):
         self, node: NodeContext, iteration: int, gradient: np.ndarray
     ) -> Generator[Event, Any, StrategyUpdate]:
         ep = node.endpoint
-        round_start = node.comm.sim.now
-        ep.isend(self._server_id, gradient, profile=node.stream)
+        comm = node.run.comm
+        round_start = comm.sim.now
+        ep.isend(self._server_id, gradient, profile=comm.config.profile)
         weights = yield ep.recv(self._server_id)
-        if node.tracer is not None:
-            node.tracer.span(
+        if comm.tracer is not None:
+            comm.tracer.span(
                 self.round_span,
                 cat=self.trace_cat,
                 ts=round_start,
-                dur=node.comm.sim.now - round_start,
+                dur=comm.sim.now - round_start,
                 node=node.node_id,
                 iteration=iteration,
             )
@@ -188,7 +189,7 @@ class AsyncPSStrategy(ParameterServer):
         needed = iteration - self._max_staleness
         if needed <= min(self._worker_progress):
             return None
-        gate = node.comm.sim.event()
+        gate = node.run.comm.sim.event()
         self._staleness_waiters.append((needed, gate))
         return gate
 
@@ -206,8 +207,9 @@ class AsyncPSStrategy(ParameterServer):
     def _record_apply(
         self, run: StrategyRun, worker: int, staleness: int
     ) -> None:
-        if run.tracer is not None:
-            run.tracer.instant(
+        tracer = run.comm.tracer
+        if tracer is not None:
+            tracer.instant(
                 "async.apply",
                 cat=CAT_ASYNC,
                 ts=run.comm.sim.now,
@@ -215,7 +217,7 @@ class AsyncPSStrategy(ParameterServer):
                 src=worker,
                 staleness=staleness,
             )
-            run.tracer.metrics.histogram(
+            tracer.metrics.histogram(
                 "staleness", buckets=(0, 1, 2, 4, 8, 16)
             ).observe(staleness)
 
@@ -243,8 +245,8 @@ class StaleAsyncStrategy(ParameterServer):
     ) -> None:
         lead = max(0, self._round_lead(worker))
         run.extras["round_lead"].append(lead)
-        if run.tracer is not None:
-            run.tracer.instant(
+        if run.comm.tracer is not None:
+            run.comm.tracer.instant(
                 "stale_async.apply",
                 cat=CAT_STRATEGY,
                 ts=run.comm.sim.now,

@@ -15,11 +15,10 @@ indices, which are internally inconsistent by one step in the P2 loop.)
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Tuple, TypeVar
+from typing import Any, Generator, Tuple, TypeVar
 
 import numpy as np
 
-from repro.core import StreamProfile
 from repro.network import Event
 from repro.obs import CAT_RING
 from repro.transport.endpoint import Endpoint
@@ -47,15 +46,14 @@ def ring_exchange(
     vector: np.ndarray,
     num_workers: int,
     profile: ComputeProfile = ZERO_COMPUTE,
-    stream: Optional[StreamProfile] = None,
 ) -> Generator[Event, Any, np.ndarray]:
     """Run Algorithm 1's gradient exchange for one node; returns the
     fully aggregated gradient vector.
 
     A generator to be driven as a simulation process — all ``num_workers``
-    nodes must run it concurrently with consistent arguments.  ``stream``
-    selects the codec/ToS profile of every hop (``None`` for raw).  Each
-    P1 sum is spent at this node; cluster node 0 records its own.
+    nodes must run it concurrently with consistent arguments.  Every hop
+    rides the cluster's gradient stream (``ep.comm.config.profile``).
+    Each P1 sum is spent at this node; cluster node 0 records its own.
 
     It reduces into one copy of ``vector``, returned at the end, and a
     raw send ships a view of it by reference: the block node ``i`` sends
@@ -77,6 +75,7 @@ def ring_exchange(
     successor = (i + 1) % n
     predecessor = (i - 1) % n
 
+    stream = ep.comm.config.profile
     tracer = ep.comm.tracer
     for step in range(1, 2 * n - 1):
         step_start = ep.comm.sim.now

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import abc
 import copy
+import numbers
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -124,21 +125,22 @@ class DistributedRunResult:
 
 @dataclass
 class StrategyRun:
-    """Shared state of one driven run, handed to every strategy hook."""
+    """Shared state of one driven run, handed to every strategy hook.
 
-    strategy: "GradientStrategy"
+    The cluster is the run's one copy of its communication plane:
+    ``comm.config.profile`` is the gradient stream (``None`` is raw) and
+    ``comm.tracer`` the tracer, read there by every exchange.
+    """
+
     comm: ClusterComm
     num_workers: int
     iterations: int
     trainers: List[LocalTrainer]
-    dataset: Dataset
     #: The run's one ``build_net(seed)``, never trained: every model of
     #: the run (workers, aggregator, servers) is a :meth:`replica` of it.
     template: Sequential
     make_optimizer: Callable[[], Optimizer]
     profile: ComputeProfile
-    stream: Optional[StreamProfile]
-    tracer: Optional[Tracer]
     seed: int
     options: Mapping[str, Any]
     eval_every: Optional[int] = None
@@ -178,26 +180,6 @@ class NodeContext:
     endpoint: Endpoint
     trainer: LocalTrainer
     run: StrategyRun
-
-    @property
-    def comm(self) -> ClusterComm:
-        return self.run.comm
-
-    @property
-    def num_workers(self) -> int:
-        return self.run.num_workers
-
-    @property
-    def profile(self) -> ComputeProfile:
-        return self.run.profile
-
-    @property
-    def stream(self) -> Optional[StreamProfile]:
-        return self.run.stream
-
-    @property
-    def tracer(self) -> Optional[Tracer]:
-        return self.run.tracer
 
 
 class GradientStrategy(abc.ABC):
@@ -297,8 +279,8 @@ def _worker_process(
     trainer = node.trainer
     comm = run.comm
     profile = run.profile
-    tracer = run.tracer
-    jitter = float(run.options.get("compute_jitter", 0.0) or 0.0)
+    tracer = comm.tracer
+    jitter = float(run.options.get("compute_jitter") or 0.0)
     jitter_rng = (
         np.random.default_rng(spawn_key(run.seed, node_id, JITTER_STREAM))
         if jitter
@@ -345,6 +327,25 @@ def _worker_process(
         run.finished[node_id] = iteration + 1
 
 
+def _check_jitter(options: Mapping[str, Any]) -> None:
+    """Refuse a ``compute_jitter`` outside ``[0, 1]`` before the run.
+
+    A worker's compute block is scaled by ``1 + j * u`` with ``u`` in
+    ``[-1, 1)``, so ``j > 1`` can draw a negative delay.
+    """
+    value = options.get("compute_jitter")
+    if value is None:
+        return
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not 0 <= value <= 1
+    ):
+        raise ValueError(
+            f"compute_jitter must be a real number in [0, 1], got {value!r}"
+        )
+
+
 def run_strategy(
     strategy: "Union[str, GradientStrategy]",
     build_net: Callable[[int], Sequential],
@@ -370,13 +371,15 @@ def run_strategy(
     the strategy spawns, and assembles the result — phase breakdown,
     wire accounting, final weights — exactly once.
 
-    ``stream`` selects the codec profile of the gradient traffic
-    (``None`` is raw); a stream needs NIC engines, i.e. a ``cluster``
-    built with ``ClusterConfig(profile=stream)``.  In the WA family only the
-    gradient (up) leg can compress — weights are loss-intolerant (paper
-    Fig 4) — while the ring compresses every hop.  ``options`` is the
-    strategy's keyword namespace (``sync_period``, ``staleness_bound``,
-    ``layout``, ``max_staleness``, ``compute_jitter``, ...).
+    The gradient stream is the cluster's ``profile`` (``None`` is raw).
+    ``stream`` only builds the default cluster when ``cluster`` is
+    ``None``; beside a ``cluster`` it must be omitted or equal
+    ``cluster.profile``.  In the WA family only the gradient (up) leg
+    can compress — weights are loss-intolerant (paper Fig 4) — while the
+    ring compresses every hop.  ``options`` is the strategy's keyword
+    namespace (``sync_period``, ``staleness_bound``, ``layout``,
+    ``max_staleness``, ``compute_jitter``, ...); ``compute_jitter`` is
+    a real number in ``[0, 1]``.
     """
     strat = get_strategy(strategy) if isinstance(strategy, str) else strategy
     opts: Mapping[str, Any] = dict(options or {})
@@ -384,7 +387,14 @@ def run_strategy(
         raise ValueError("distributed training needs at least two workers")
     if iterations < 1:
         raise ValueError("need at least one iteration")
+    _check_jitter(opts)
     num_nodes = num_workers + strat.extra_nodes
+    if cluster is not None and stream not in (None, cluster.profile):
+        raise ValueError(
+            f"stream {stream!r} is not the cluster's profile "
+            f"{cluster.profile!r}, which is the run's stream; pass "
+            "cluster=ClusterConfig(..., profile=stream) and omit stream"
+        )
     config = cluster or ClusterConfig(num_nodes=num_nodes, profile=stream)
     if config.num_nodes != num_nodes:
         raise ValueError(
@@ -403,11 +413,6 @@ def run_strategy(
             "agg_site='switch' only applies to the worker-aggregator "
             "family"
         )
-    if stream is not None and not comm.compression_active():
-        raise ValueError(
-            f"stream codec {stream.codec!r} compresses but the cluster has no NIC "
-            "engines; pass cluster=ClusterConfig(..., profile=stream)"
-        )
 
     # Identical replicas: deepcopies of one build; data streams derive
     # from collision-free spawn keys.
@@ -424,17 +429,13 @@ def run_strategy(
     ]
 
     run = StrategyRun(
-        strategy=strat,
         comm=comm,
         num_workers=num_workers,
         iterations=iterations,
         trainers=trainers,
-        dataset=dataset,
         template=template,
         make_optimizer=make_optimizer,
         profile=profile,
-        stream=stream,
-        tracer=tracer,
         seed=seed,
         options=opts,
         eval_every=eval_every,

@@ -21,7 +21,6 @@ from typing import Any, Callable, Generator, List, Optional
 
 import numpy as np
 
-from repro.core import StreamProfile
 from repro.network import Event
 from repro.transport.aggregation import SwitchGather, aggregate_endpoint
 from repro.transport.endpoint import Endpoint
@@ -33,21 +32,19 @@ def worker_exchange(
     ep: Endpoint,
     aggregator: int,
     gradient: np.ndarray,
-    stream: Optional[StreamProfile] = None,
     gather: Optional[SwitchGather] = None,
 ) -> Generator[Event, Any, np.ndarray]:
     """One worker's iteration legs: send g up, receive w down.
 
-    ``stream`` selects the codec profile of the gradient leg (the
-    weight leg down is always raw).  With a ``gather`` (the switch
-    aggregation site) the gradient rides the reduction tree instead of
-    a host-to-host message.  Returns the updated weight vector from the
-    aggregator.
+    The gradient leg rides the cluster's stream (the weight leg down is
+    always raw).  With a ``gather`` (the switch aggregation site) the
+    gradient rides the reduction tree instead of a host-to-host message.
+    Returns the updated weight vector from the aggregator.
     """
     if gather is not None:
         gather.offer(ep.node_id, gradient)
     else:
-        ep.isend(aggregator, gradient, profile=stream)
+        ep.isend(aggregator, gradient, profile=ep.comm.config.profile)
     weights = yield ep.recv(aggregator)
     return weights
 
@@ -57,7 +54,6 @@ def aggregator_exchange(
     workers: List[int],
     apply_update: Callable[[np.ndarray], np.ndarray],
     profile: ComputeProfile = ZERO_COMPUTE,
-    stream: Optional[StreamProfile] = None,
     gather: Optional[SwitchGather] = None,
 ) -> Generator[Event, Any, np.ndarray]:
     """One aggregator iteration: gather, sum, update, broadcast.
@@ -72,6 +68,7 @@ def aggregator_exchange(
     barrier, so it records every sum and update it spends.  Returns the
     broadcast weight vector.
     """
+    stream = ep.comm.config.profile
     total: Optional[np.ndarray] = None
     if gather is not None:
         part = yield from gather.collect()
@@ -81,11 +78,7 @@ def aggregator_exchange(
                 "exchanges must offer real gradient arrays"
             )
         total = part.result.values
-    elif (
-        stream is not None
-        and stream.homomorphic
-        and ep.comm.compression_active()
-    ):
+    elif stream is not None and stream.homomorphic:
         arrivals: List[np.ndarray] = []
         for count, src in enumerate(workers):
             grad = yield ep.recv(src)

@@ -105,8 +105,8 @@ class Exchange:
     nbytes: int
     iterations: int
     profile: ComputeProfile
-    stream: Optional[StreamProfile]
-    #: Measured compression ratio of ``stream`` (``None`` when raw).
+    #: Measured compression ratio of the cluster's gradient stream
+    #: (``config.profile``; ``None`` when raw).
     ratio: Optional[float]
     include_local_compute: bool
     #: The cluster both evaluators model; worker-aggregator runs host
@@ -141,7 +141,9 @@ def _send_gradient(
 ) -> Event:
     """One hop on the gradient stream — the only traffic that may compress."""
     ep = comm.endpoints[src]
-    msg = ep.build_message(dst, nbytes=nbytes, profile=job.stream, ratio=job.ratio)
+    msg = ep.build_message(
+        dst, nbytes=nbytes, profile=job.config.profile, ratio=job.ratio
+    )
     return ep.isend_message(msg)
 
 
@@ -244,7 +246,6 @@ def _packet_exchange(
                 comm,
                 root=job.num_workers,
                 sources=range(job.num_workers),
-                stream=job.stream,
             )
         processes = _wa_processes(job, comm, gather)
     total_s = _run_with_background(comm, [comm.sim.process(p) for p in processes])
@@ -336,7 +337,6 @@ def _simulate_exchange(
         nbytes=nbytes,
         iterations=iterations,
         profile=profile,
-        stream=stream,
         ratio=gradient_ratio,
         include_local_compute=include_local_compute,
         config=config,

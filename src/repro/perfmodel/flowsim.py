@@ -320,7 +320,9 @@ def flow_ring_exchange(job: Exchange) -> Measured:
     n, profile = job.num_workers, job.profile
     block_bytes = [s * 4 for s in block_sizes(job.nbytes // 4, n)]
     sizes, size_of_block = np.unique(block_bytes, return_inverse=True)
-    messages, trains = sized_trains(job.config, sizes.tolist(), job.stream, job.ratio)
+    messages, trains = sized_trains(
+        job.config, sizes.tolist(), job.config.profile, job.ratio
+    )
     size_sum_s = np.array([profile.sum_time(b) for b in sizes.tolist()])
     class_start = size_of_block != np.roll(size_of_block, 1)
     class_start[0] = True
@@ -389,7 +391,9 @@ def flow_wa_exchange(job: Exchange) -> Measured:
     workers = np.arange(p)
     every_worker = np.zeros(p, dtype=np.intp)  # one message size per leg
     star = Star(job.config)
-    (gradient,), trains = sized_trains(job.config, [job.nbytes], job.stream, job.ratio)
+    (gradient,), trains = sized_trains(
+        job.config, [job.nbytes], job.config.profile, job.ratio
+    )
     gather_trains = trains.rows(every_worker)
     gather = star.stages(workers, aggregator, gradient.compressed)
     (weight,), trains = sized_trains(job.config, [job.nbytes])  # always raw

@@ -159,7 +159,6 @@ class StrategyScenario(Scenario):
                 tie_break=tie_break,
                 **self.cluster,
             ),
-            stream=stream,
             tracer=tracer,
             seed=self.seed,
             options=self.options,

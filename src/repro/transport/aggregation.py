@@ -151,11 +151,12 @@ def aggregate_endpoint(
 class SwitchGather:
     """In-network reduction of one gather tree over a multi-tier fabric.
 
-    Construction validates the co-design triangle — a
-    :class:`~repro.network.topology.MultiTierFabric` to host engines,
-    a homomorphic stream codec to fold payloads, active NIC engines to
-    mark the ToS class — builds the :class:`ReductionPlan`, and spawns
-    one persistent reduce process per switch stage.  Per round:
+    Construction validates the co-design pair — a
+    :class:`~repro.network.topology.MultiTierFabric` to host engines and
+    a homomorphic codec as the cluster's stream (``comm.config.profile``,
+    whose NIC engines mark the ToS class) to fold payloads — builds the
+    :class:`ReductionPlan`, and spawns one persistent reduce process per
+    switch stage.  Per round:
 
     * each source calls :meth:`offer` (non-blocking) — its compressed
       part rides the leaf segment toward the first merge vertex;
@@ -173,7 +174,6 @@ class SwitchGather:
         comm: "ClusterComm",
         root: int,
         sources: Sequence[int],
-        stream: Optional[StreamProfile],
     ) -> None:
         fabric = comm.topology
         if not isinstance(fabric, MultiTierFabric):
@@ -182,18 +182,13 @@ class SwitchGather:
                 "(e.g. --topology fat-tree:k=4); the switched star has "
                 "no reduction points"
             )
+        stream = comm.config.profile
         if stream is None or not stream.homomorphic:
             codec = "raw" if stream is None else repr(stream.codec)
             raise ValueError(
                 f"agg_site='switch' needs a homomorphic codec; {codec} "
                 "has no compressed-domain aggregation algebra "
                 "(try lossless_hc or thc)"
-            )
-        if not comm.compression_active():
-            raise ValueError(
-                "agg_site='switch' needs the NIC engines enabled "
-                "(a cluster stream profile) so reduction traffic is "
-                "ToS-marked"
             )
         self.comm = comm
         self.fabric = fabric

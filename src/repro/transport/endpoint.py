@@ -313,10 +313,6 @@ class ClusterComm:
         if record:
             self.ledger.add_local_compute(profile, start, node, scale)
 
-    def compression_active(self) -> bool:
-        """Engines present on (all) NICs?"""
-        return self.config.profile is not None
-
     def transfer_summary(self) -> TransferSummary:
         """Aggregate wire statistics of every message sent so far."""
         return summarize_transfers(self.transfers)

@@ -6,7 +6,8 @@ array, every P1 step allocates the block's new partial sum, every P2
 step copies the received block, and the result is a concatenation.  No
 block a node has sent is ever written again — which is what makes it a
 reference: ``test_ring_oracle`` runs the same rings through both and
-requires the same bits at every node and on every message.
+requires the same bits at every node and on every message.  Like the
+production exchange it reads the gradient stream from the cluster.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Any, Generator, List, Optional
 
 import numpy as np
 
-from repro.core import StreamProfile
 from repro.distributed.node import ComputeProfile, block_sizes
 from repro.distributed.ring import ring_step_blocks
 from repro.network import Event
@@ -50,14 +50,13 @@ def ring_exchange(
     vector: np.ndarray,
     num_workers: int,
     profile: Optional[ComputeProfile] = None,
-    stream: Optional[StreamProfile] = None,
 ) -> Generator[Event, Any, np.ndarray]:
     """Run Algorithm 1's gradient exchange for one node; returns the
     fully aggregated gradient vector.
 
     A generator to be driven as a simulation process — all ``num_workers``
-    nodes must run it concurrently with consistent arguments.  ``stream``
-    selects the codec/ToS profile of every hop (``None`` for raw).
+    nodes must run it concurrently with consistent arguments.  Every hop
+    rides the cluster's gradient stream (``None`` for raw).
     """
     n = num_workers
     i = ep.node_id
@@ -70,6 +69,7 @@ def ring_exchange(
     successor = (i + 1) % n
     predecessor = (i - 1) % n
 
+    stream = ep.comm.config.profile
     tracer = ep.comm.tracer
     for step in range(1, 2 * n - 1):
         step_start = ep.comm.sim.now

@@ -25,7 +25,6 @@ def _run_async(iterations=15, num_workers=4, max_staleness=None,
             num_nodes=num_workers + 1, profile=stream
         ),
         profile=profile or ComputeProfile(forward_s=1e-4, backward_s=3e-4),
-        stream=stream,
         options={
             "max_staleness": max_staleness,
             "compute_jitter": compute_jitter,

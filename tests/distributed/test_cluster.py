@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core import inceptionn_profile
+from repro.core import ErrorBound, inceptionn_profile
 from repro.distributed import ComputeProfile, RingStrategy, run_strategy
 from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
 from repro.network import parse_tenants
 from repro.transport import ClusterConfig
 
 
-def _run(algorithm, iterations=12, compression=False, engines=True,
-         num_workers=4, profile=None, seed=0, bandwidth=10e9):
+def _run(algorithm, iterations=12, compression=False, num_workers=4,
+         profile=None, seed=0, bandwidth=10e9, **kwargs):
     num_nodes = num_workers + 1 if algorithm == "wa" else num_workers
-    stream = inceptionn_profile() if compression else None
     return run_strategy(
         algorithm,
         build_net=lambda s: build_hdc(seed=s),
@@ -25,11 +24,11 @@ def _run(algorithm, iterations=12, compression=False, engines=True,
         cluster=ClusterConfig(
             num_nodes=num_nodes,
             bandwidth_bps=bandwidth,
-            profile=stream if engines else None,
+            profile=inceptionn_profile() if compression else None,
         ),
         profile=profile or ComputeProfile(),
-        stream=stream,
         seed=seed,
+        **kwargs,
     )
 
 
@@ -56,13 +55,35 @@ def test_ring_faster_than_wa_same_iterations():
 
 def test_compression_reduces_ring_time():
     plain = _run("ring", iterations=6, bandwidth=1e9)
+    # No stream= here: the cluster's profile is the gradient stream.
     comp = _run("ring", iterations=6, bandwidth=1e9, compression=True)
     assert comp.virtual_time_s < plain.virtual_time_s
     assert comp.transfers.wire_ratio > 1.5
-    # The same stream on a cluster without NIC engines used to train
-    # uncompressed without a word; it must name the fix instead.
+
+
+def test_a_stream_the_cluster_does_not_carry_is_refused():
+    # The cluster's profile is the run's stream; a second spelling that
+    # disagrees with it names the fix instead of training on either.
+    # No NIC engines (a raw cluster):
     with pytest.raises(ValueError, match=r"ClusterConfig\(.*profile=stream\)"):
-        _run("ring", iterations=1, compression=True, engines=False)
+        _run("ring", iterations=1, stream=inceptionn_profile())
+    # Another bound than the cluster's 2^-10:
+    with pytest.raises(ValueError, match=r"ClusterConfig\(.*profile=stream\)"):
+        _run(
+            "ring",
+            iterations=1,
+            compression=True,
+            stream=inceptionn_profile(ErrorBound(6)),
+        )
+    # The cluster's own profile, spelled again, is accepted.
+    again = _run("ring", iterations=1, compression=True, stream=inceptionn_profile())
+    assert again.transfers.wire_ratio > 1
+
+
+def test_an_omitted_stream_rides_the_clusters_codec():
+    result = _run("ring", iterations=1, compression=True)
+    assert result.transfers.compressed_messages == result.transfers.messages
+    assert result.transfers.wire_ratio > 1
 
 
 def test_run_strategy_refuses_background_tenants():
@@ -86,11 +107,41 @@ def test_run_strategy_refuses_background_tenants():
         )
 
 
+def _jittered_run(jitter, build_net=lambda s: build_hdc(seed=s)):
+    return run_strategy(
+        "ring",
+        build_net=build_net,
+        make_optimizer=lambda: SGD(LRSchedule(0.02)),
+        dataset=hdc_dataset(train_size=40, test_size=10, seed=0),
+        num_workers=2,
+        iterations=2,
+        batch_size=8,
+        profile=ComputeProfile(forward_s=1e-3, backward_s=3e-3),
+        options={"compute_jitter": jitter},
+    )
+
+
+@pytest.mark.parametrize("jitter", [1.5, -0.25, float("nan"), True, "0.5"])
+def test_run_strategy_refuses_a_compute_jitter_outside_zero_to_one(jitter):
+    # A jitter above 1 can draw a negative compute delay, which kills the
+    # run partway and only on some seeds; refuse it before any model exists.
+    def never_built(seed):
+        raise AssertionError("the run started")
+
+    with pytest.raises(ValueError, match="compute_jitter"):
+        _jittered_run(jitter, build_net=never_built)
+
+
+@pytest.mark.parametrize("jitter", [None, 0, 1, np.float64(0.5)])
+def test_a_compute_jitter_in_zero_to_one_is_accepted(jitter):
+    assert _jittered_run(jitter).virtual_time_s > 0
+
+
 class _GateNeverOpens(RingStrategy):
     """A ring whose workers wait at iteration 2 for an event nobody fires."""
 
     def iteration_gate(self, node, iteration):
-        return node.comm.sim.event() if iteration == 2 else None
+        return node.run.comm.sim.event() if iteration == 2 else None
 
 
 def test_run_strategy_refuses_a_worker_that_never_finished():

@@ -20,7 +20,7 @@ def _run_hier(vectors, group_size, compression=False, bound=ErrorBound(10)):
     def node(i):
         def proc():
             out = yield from hierarchical_exchange(
-                comm, i, vectors[i], layout, stream=stream
+                comm, i, vectors[i], layout
             )
             results[i] = out
 

@@ -31,7 +31,6 @@ def _run(strategy, options, stream=None):
         batch_size=16,
         cluster=ClusterConfig(num_nodes=WORKERS + 1, profile=stream),
         profile=PROFILE,
-        stream=stream,
         options={"compute_jitter": 0.5, **options},
     )
 

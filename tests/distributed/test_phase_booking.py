@@ -46,7 +46,6 @@ def _run(strategy, stream=None, **cluster):
             num_nodes=WORKERS + service_nodes, profile=stream, **cluster
         ),
         profile=PROFILE,
-        stream=stream,
         tracer=tracer,
         seed=SEED,
         options=options,

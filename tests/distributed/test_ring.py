@@ -30,7 +30,6 @@ def _run_ring(vectors, compression=False, bound=ErrorBound(10), profile=ZERO_COM
                 vectors[i],
                 n,
                 profile=profile,
-                stream=stream,
             )
             results[i] = out
 

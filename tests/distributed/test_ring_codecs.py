@@ -22,7 +22,7 @@ def _run_ring(vectors, stream):
     def node(i):
         def proc():
             out = yield from ring_exchange(
-                comm.endpoints[i], vectors[i], n, stream=stream
+                comm.endpoints[i], vectors[i], n
             )
             results[i] = out
 

@@ -47,7 +47,7 @@ def _run(exchange, vectors, stream, loss_rate, monkeypatch):
     results = {}
 
     def node(i):
-        results[i] = yield from exchange(comm.endpoints[i], vectors[i], n, stream=stream)
+        results[i] = yield from exchange(comm.endpoints[i], vectors[i], n)
 
     for i in range(n):
         comm.sim.process(node(i))

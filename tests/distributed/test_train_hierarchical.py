@@ -19,7 +19,6 @@ def _run_hier(num_nodes=4, group_size=2, iterations=15, compression=False):
         iterations=iterations,
         batch_size=16,
         cluster=ClusterConfig(num_nodes=num_nodes, profile=stream),
-        stream=stream,
         options={"layout": GroupLayout.even(num_nodes, group_size)},
     )
 

@@ -30,7 +30,9 @@ def flow_ring_exchange(job: Exchange) -> Measured:
     n, profile = job.num_workers, job.profile
     block_bytes = [s * 4 for s in block_sizes(job.nbytes // 4, n)]
     sizes, size_of_block = np.unique(block_bytes, return_inverse=True)
-    messages, trains = sized_trains(job.config, sizes.tolist(), job.stream, job.ratio)
+    messages, trains = sized_trains(
+        job.config, sizes.tolist(), job.config.profile, job.ratio
+    )
     block_trains = trains.rows(size_of_block)
     block_sum_s = np.array([profile.sum_time(b) for b in block_bytes])
 

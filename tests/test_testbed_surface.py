@@ -5,7 +5,8 @@ switches, a 1 460-byte MSS and 100 MHz engines.  Those are constants in
 their own modules, not settings; these pins keep a removed setting from
 coming back silently.  The same goes for the spelling of a gradient
 stream: ``None`` is raw, a :class:`StreamProfile` names a registered
-codec, and that codec's registry entry is the stream's one ToS byte.
+codec, and that codec's registry entry is the stream's one ToS byte;
+a run's stream is its cluster's profile, never a second argument.
 """
 
 import dataclasses
@@ -21,6 +22,14 @@ from repro.core import (
     available_codecs,
     codec_tos,
     profile_for,
+)
+from repro.distributed import (
+    NodeContext,
+    StrategyRun,
+    aggregator_exchange,
+    hierarchical_exchange,
+    ring_exchange,
+    worker_exchange,
 )
 from repro.hardware import (
     DEFAULT_CLOCK_HZ,
@@ -45,7 +54,9 @@ from repro.network import (
     packet_count,
     segment_bytes,
 )
+from repro.perfmodel.exchange import Exchange
 from repro.transport import ClusterComm, ClusterConfig, build_wire_message
+from repro.transport.aggregation import SwitchGather
 
 BOUND = ErrorBound(10)
 
@@ -181,6 +192,12 @@ REMOVED_NAMES = [
     ("repro.distributed.strategy", "StrategyUpdate", "sync_optimizer_iteration"),
     ("repro.baselines.sz_like", "", "compression_ratio"),
     ("repro.baselines.snappy_like", "", "compression_ratio"),
+    ("repro.transport.endpoint", "ClusterComm", "compression_active"),
+    ("repro.distributed.strategy", "NodeContext", "comm"),
+    ("repro.distributed.strategy", "NodeContext", "num_workers"),
+    ("repro.distributed.strategy", "NodeContext", "profile"),
+    ("repro.distributed.strategy", "NodeContext", "stream"),
+    ("repro.distributed.strategy", "NodeContext", "tracer"),
 ]
 
 
@@ -225,3 +242,36 @@ def test_only_an_enabled_nic_compresses_and_only_a_named_codec(name):
             0, 1, stream=None, nic=InceptionnNic(0, BOUND), **payload
         )
         assert not raw.compressed and raw.tos == TOS_DEFAULT and raw.codec is None
+
+
+# -- one spelling of a run's gradient stream ----------------------------------
+#
+# ``ClusterConfig.profile`` is the stream and ``ClusterComm`` holds the
+# tracer; exchanges and plugins read them there, through ``node.run.comm``.
+
+EXCHANGE_PRIMITIVES = (
+    ring_exchange,
+    worker_exchange,
+    aggregator_exchange,
+    hierarchical_exchange,
+    SwitchGather.__init__,
+)
+
+
+@pytest.mark.parametrize(
+    "primitive", EXCHANGE_PRIMITIVES, ids=lambda f: f.__qualname__
+)
+def test_exchange_primitives_read_the_stream_from_the_cluster(primitive):
+    assert "stream" not in inspect.signature(primitive).parameters
+
+
+def test_a_run_does_not_copy_the_cluster():
+    run_fields = {field.name for field in dataclasses.fields(StrategyRun)}
+    assert not run_fields & {"stream", "tracer", "strategy", "dataset"}
+    assert "stream" not in {field.name for field in dataclasses.fields(Exchange)}
+    assert {field.name for field in dataclasses.fields(NodeContext)} == {
+        "node_id",
+        "endpoint",
+        "trainer",
+        "run",
+    }

@@ -39,7 +39,6 @@ def _run(agg_site, codec="lossless_hc", topology="fat-tree:k=4",
             topology=topology,
             agg_site=agg_site,
         ),
-        stream=stream,
         seed=0,
     )
 
@@ -114,7 +113,6 @@ class TestRejections:
                     topology="fat-tree:k=4",
                     agg_site=AGG_SWITCH,
                 ),
-                stream=stream,
                 seed=0,
             )
 

@@ -61,10 +61,7 @@ MEASURED_RATIO = 3.77250748330647
 
 def _run_functional_ring(stream):
     tracer = Tracer()
-    comm = ClusterComm(
-        ClusterConfig(num_nodes=4, profile=inceptionn_profile()),
-        tracer=tracer,
-    )
+    comm = ClusterComm(ClusterConfig(num_nodes=4, profile=stream), tracer=tracer)
     vectors = [
         (np.random.default_rng(100 + i).standard_normal(5003) * 0.004).astype(
             np.float32
@@ -74,8 +71,7 @@ def _run_functional_ring(stream):
     results = {}
 
     def proc(i):
-        agg = yield from ring_exchange(comm.endpoints[i], vectors[i], 4,
-                                       stream=stream)
+        agg = yield from ring_exchange(comm.endpoints[i], vectors[i], 4)
         results[i] = agg
 
     for i in range(4):
@@ -110,7 +106,7 @@ class TestFunctionalRingParity:
 
         exact = sum(vectors).astype(np.float32)
         err = float(np.max(np.abs(agg0 - exact)))
-        bound = comm.config.profile.error_bound(exact)
+        bound = inceptionn_profile().error_bound(exact)
         # Lossy hops accumulate: 2N-2 traversals bound the worst case.
         limit = bound * 6 if mode == "compressed" else bound * 1e-3
         assert err <= limit

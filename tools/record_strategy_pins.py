@@ -62,7 +62,6 @@ def run_scenario(strategy: str, compressed: bool) -> DistributedRunResult:
         batch_size=16,
         cluster=ClusterConfig(num_nodes=WORKERS + extra_nodes, profile=stream),
         profile=PROFILE,
-        stream=stream,
         seed=0,
         options=options,
     )
