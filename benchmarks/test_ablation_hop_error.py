@@ -3,9 +3,11 @@
 The NIC compresses *every* hop of Algorithm 1.  How much error does a
 full exchange accumulate versus compressing the aggregate once?  Design
 facts verified: reduce-scatter hops each add at most one bound of error
-to partial sums; all-gather re-compressions are free (reconstructed
-values are codec fixed points), so error grows with ring size but stays
-a small multiple of the bound — not with the number of *hops squared*.
+to partial sums; all-gather forwards are free (the codec advertises
+``CAP_FIXED_POINT``: reconstructed values are codec fixed points, so a
+forward reuses the received message), so error grows with ring size but
+stays a small multiple of the bound — not with the number of *hops
+squared*.
 """
 
 import numpy as np

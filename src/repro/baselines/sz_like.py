@@ -11,12 +11,18 @@ integers, and an escape path storing unpredictable values raw.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Optional
+from typing import Dict, FrozenSet, Optional
 
 import numpy as np
 
 from repro.core.bitstream import BitReader, BitWriter
-from repro.core.registry import CodecResult, GradientCodec, register_codec
+from repro.core.registry import (
+    CAP_FIXED_POINT,
+    CAP_LOSSY,
+    CodecResult,
+    GradientCodec,
+    register_codec,
+)
 
 #: Residual codes representable by the small code path.
 _MAX_CODE = (1 << 15) - 1
@@ -119,6 +125,13 @@ class SzCodec(GradientCodec):
     """The SZ-style error-bounded predictor codec (real bitstream)."""
 
     name = "sz_like"
+
+    def capabilities(self) -> FrozenSet[str]:
+        # Re-encoding a decoded value repeats each code (or escape) from
+        # the same Lorenzo predecessor: the value is the input itself
+        # where float32 spacing exceeds the step, and otherwise within
+        # half a step of the reconstruction it came from.
+        return frozenset({CAP_LOSSY, CAP_FIXED_POINT})
 
     def default_params(self) -> Dict[str, object]:
         return {"bound": 2.0**-10}

@@ -9,11 +9,18 @@ motivation for the error-bounded codec.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, FrozenSet, Optional
 
 import numpy as np
 
-from repro.core.registry import CodecResult, GradientCodec, flat32, register_codec
+from repro.core.registry import (
+    CAP_FIXED_POINT,
+    CAP_LOSSY,
+    CodecResult,
+    GradientCodec,
+    flat32,
+    register_codec,
+)
 
 #: Truncation widths evaluated in the paper.
 PAPER_TRUNCATIONS = (16, 22, 24)
@@ -42,6 +49,10 @@ class TruncationCodec(GradientCodec):
     """The paper's ``xb-T`` baseline: drop the low ``bits`` LSBs."""
 
     name = "truncation"
+
+    def capabilities(self) -> FrozenSet[str]:
+        # Masking is idempotent, and the payload depends on the size only.
+        return frozenset({CAP_LOSSY, CAP_FIXED_POINT})
 
     def default_params(self) -> Dict[str, object]:
         return {"bits": 16}

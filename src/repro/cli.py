@@ -376,20 +376,26 @@ def _cmd_codecs(args: argparse.Namespace) -> int:
 
     rng = np.random.default_rng(args.seed)
     sample = (rng.standard_normal(1 << 14) * 0.004).astype(np.float32)
+    names = available_codecs()
+    caps = {
+        name: ",".join(sorted(get_codec(name).capabilities())) or "-"
+        for name in names
+    }
+    # Wide enough for the longest entry plus the two-space gutter.
+    width = max(len("capabilities"), *map(len, caps.values())) + 2
     print(
-        f"{'name':<16}{'tos':<6}{'kind':<10}{'capabilities':<28}"
+        f"{'name':<16}{'tos':<6}{'kind':<10}{'capabilities':<{width}}"
         f"{'ratio':<8}params"
     )
-    for name in available_codecs():
+    for name in names:
         codec = get_codec(name)
         ratio = measure_stream_ratio(profile_for(name), sample=sample)
         params = ", ".join(
             f"{k}={v}" for k, v in codec.default_params().items()
         ) or "-"
         kind = "lossless" if codec.lossless else "lossy"
-        caps = ",".join(sorted(codec.capabilities())) or "-"
         print(
-            f"{name:<16}{codec_tos(name):#04x}  {kind:<10}{caps:<28}"
+            f"{name:<16}{codec_tos(name):#04x}  {kind:<10}{caps[name]:<{width}}"
             f"{ratio:<8.2f}{params}"
         )
     return 0

@@ -20,6 +20,7 @@ from .error_feedback import ErrorFeedbackCompressor, gradient_hook
 from . import gradient_file
 from .registry import (
     CAP_ERROR_FEEDBACK,
+    CAP_FIXED_POINT,
     CAP_HOMOMORPHIC,
     CAP_LOSSY,
     CodecResult,
@@ -61,6 +62,7 @@ from .tags import (
 
 __all__ = [
     "CAP_ERROR_FEEDBACK",
+    "CAP_FIXED_POINT",
     "CAP_HOMOMORPHIC",
     "CAP_LOSSY",
     "DEFAULT_BOUND",

@@ -54,6 +54,7 @@ from typing import (
 import numpy as np
 
 from .registry import (
+    CAP_FIXED_POINT,
     CAP_HOMOMORPHIC,
     CAP_LOSSY,
     CodecResult,
@@ -275,7 +276,7 @@ class LosslessHomomorphicCodec(GradientCodec):
     lossless = True
 
     def capabilities(self) -> FrozenSet[str]:
-        return frozenset({CAP_HOMOMORPHIC})
+        return frozenset({CAP_HOMOMORPHIC, CAP_FIXED_POINT})
 
     @staticmethod
     def _payload_nbytes(values: np.ndarray) -> int:

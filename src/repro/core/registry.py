@@ -48,9 +48,14 @@ from .codec import quantize as _inc_quantize
 #: addition (``aggregate_compressed`` is implemented), ``CAP_LOSSY``
 #: marks inexact reconstructions, and ``CAP_ERROR_FEEDBACK`` marks
 #: codecs whose dropped mass an EF-SGD-style wrapper can re-inject.
+#: ``CAP_FIXED_POINT`` marks codecs whose reconstructions are fixed
+#: points: re-encoding ``compress(x).values`` gives bit-identical values
+#: and the same ``payload_nbytes``, so a forwarded message need not run
+#: the codec again (:meth:`repro.transport.Endpoint.forward`).
 CAP_HOMOMORPHIC = "homomorphic"
 CAP_LOSSY = "lossy"
 CAP_ERROR_FEEDBACK = "error-feedback"
+CAP_FIXED_POINT = "fixed-point"
 
 
 @dataclass(frozen=True)
@@ -119,11 +124,14 @@ class GradientCodec(abc.ABC):
     def capabilities(self) -> FrozenSet[str]:
         """Capability flags (``CAP_*``) for discovery and site checks.
 
-        The default derives ``lossy`` from :attr:`lossless`; codecs with
-        a codec algebra add :data:`CAP_HOMOMORPHIC`, codecs whose
-        dropped mass is re-injectable add :data:`CAP_ERROR_FEEDBACK`.
+        The default derives ``lossy`` from :attr:`lossless`, and a
+        lossless codec's bit-exact reconstruction is its own fixed point;
+        codecs with a codec algebra add :data:`CAP_HOMOMORPHIC`, codecs
+        whose dropped mass is re-injectable add :data:`CAP_ERROR_FEEDBACK`,
+        and a lossy codec adds :data:`CAP_FIXED_POINT` only when it holds
+        the property ``tests/core/test_registry.py`` checks.
         """
-        return frozenset() if self.lossless else frozenset({CAP_LOSSY})
+        return frozenset({CAP_FIXED_POINT if self.lossless else CAP_LOSSY})
 
     @property
     def homomorphic(self) -> bool:
@@ -175,8 +183,10 @@ class InceptionnCodec(GradientCodec):
 
     def capabilities(self) -> FrozenSet[str]:
         # The EF-SGD wrapper (repro.core.error_feedback) re-injects the
-        # residual this codec drops.
-        return frozenset({CAP_LOSSY, CAP_ERROR_FEEDBACK})
+        # residual this codec drops.  A reconstruction keeps its input's
+        # exponent (ZERO gives +0.0, itself ZERO), so it re-enters the
+        # same magnitude class and that class's mask clears nothing more.
+        return frozenset({CAP_LOSSY, CAP_ERROR_FEEDBACK, CAP_FIXED_POINT})
 
     def default_params(self) -> Dict[str, object]:
         return {"bound": DEFAULT_BOUND.exponent}

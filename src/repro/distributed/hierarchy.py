@@ -22,6 +22,7 @@ from repro.core import StreamProfile
 from repro.network import Event
 from repro.obs import CAT_HIER
 from repro.transport.endpoint import ClusterComm
+from repro.transport.wire import WireMessage
 
 from .node import ZERO_COMPUTE, ComputeProfile
 from .ring import ring_exchange
@@ -95,8 +96,22 @@ class _ScopedEndpoint:
             self._members[dst], array, profile=profile
         )
 
+    def forward(
+        self,
+        dst: int,
+        msg: WireMessage,
+        array: np.ndarray,
+        profile: "StreamProfile | None" = None,
+    ) -> Event:
+        return self._inner.forward(
+            self._members[dst], msg, array, profile=profile
+        )
+
     def recv(self, src: int) -> Event:
         return self._inner.recv(self._members[src])
+
+    def recv_message(self, src: int) -> Event:
+        return self._inner.recv_message(self._members[src])
 
 
 def hierarchical_exchange(

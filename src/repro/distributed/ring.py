@@ -11,17 +11,27 @@ step ``s`` node ``i`` sends block ``(i - s + 1) mod N`` and receives
 block ``(i - s) mod N``, reducing during P1 and overwriting during P2.
 (The paper's Fig 6 walkthrough fixes the intent of Algorithm 1's printed
 indices, which are internally inconsistent by one step in the P2 loop.)
+
+P2 only forwards blocks that are already fully reduced.  Step ``N``
+compresses the node's own reduced block; steps ``N+1 .. 2N-2`` pass on
+the message received at the step before (:meth:`Endpoint.forward`).
+Under a codec advertising :data:`~repro.core.CAP_FIXED_POINT` that
+reuses the received payload and values instead of running the codec
+again on a reconstruction it would map to itself; the simulated NIC
+still charges its engines on every hop, as the hardware compresses
+every hop.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Tuple, TypeVar
+from typing import Any, Generator, Optional, Tuple, TypeVar
 
 import numpy as np
 
 from repro.network import Event
 from repro.obs import CAT_RING
 from repro.transport.endpoint import Endpoint
+from repro.transport.wire import WireMessage
 
 from .node import ZERO_COMPUTE, ComputeProfile, partition_blocks
 
@@ -56,10 +66,12 @@ def ring_exchange(
     Each P1 sum is spent at this node; cluster node 0 records its own.
 
     It reduces into one copy of ``vector``, returned at the end, and a
-    raw send ships a view of it by reference: the block node ``i`` sends
-    at step ``s`` is next written at step ``s + n - 1``, after ``i``'s
-    receive of that step, which needs every other node — the consuming
-    successor too — to have finished step ``s``.
+    raw send (forwards included) ships a view of it by reference: the
+    block node ``i`` sends at step ``s`` is next written at step
+    ``s + n - 1``, after ``i``'s receive of that step, which needs every
+    other node — the consuming successor too — to have finished step
+    ``s``.  A reused compressed forward ships the received codec output,
+    which no node writes.
     """
     n = num_workers
     i = ep.node_id
@@ -77,11 +89,17 @@ def ring_exchange(
 
     stream = ep.comm.config.profile
     tracer = ep.comm.tracer
+    # The P2 message received at the previous step: the next one sent.
+    relay: Optional[WireMessage] = None
     for step in range(1, 2 * n - 1):
         step_start = ep.comm.sim.now
         send_idx, recv_idx = ring_step_blocks(i, step, n)
-        ep.isend(successor, blocks[send_idx], profile=stream)
-        received = yield ep.recv(predecessor)
+        if relay is None:
+            ep.isend(successor, blocks[send_idx], profile=stream)
+        else:
+            ep.forward(successor, relay, blocks[send_idx], profile=stream)
+        msg = yield ep.recv_message(predecessor)
+        received = msg.values
         block = blocks[recv_idx]
         if step < n:
             # P1: sum-reduce into the local block.
@@ -91,6 +109,7 @@ def ring_exchange(
         else:
             # P2: propagate the fully aggregated block.
             block[...] = received
+            relay = msg
         if tracer is not None:
             tracer.span(
                 "ring.step",

@@ -295,22 +295,29 @@ class Store:
     def __init__(self, sim: Simulation) -> None:
         self.sim = sim
         self._items: deque = deque()
+        #: Waiting ``(event, view)`` pairs, oldest first.
         self._getters: deque = deque()
 
     def put(self, item: Any) -> None:
         """Deposit an item, waking the oldest waiting getter if any."""
         if self._getters:
-            self._getters.popleft().succeed(item)
+            getter, view = self._getters.popleft()
+            getter.succeed(item if view is None else view(item))
         else:
             self._items.append(item)
 
-    def get(self) -> Event:
-        """An event that fires with the next available item."""
+    def get(self, view: Optional[Callable[[Any], Any]] = None) -> Event:
+        """An event that fires with the next available item.
+
+        With ``view`` the event fires with ``view(item)`` instead, so
+        consumers of one queue may read different facets of its items.
+        """
         ev = self.sim.event()
         if self._items:
-            ev.succeed(self._items.popleft())
+            item = self._items.popleft()
+            ev.succeed(item if view is None else view(item))
         else:
-            self._getters.append(ev)
+            self._getters.append((ev, view))
         return ev
 
     def __len__(self) -> int:

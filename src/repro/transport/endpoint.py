@@ -9,17 +9,21 @@ the stream's codec reconstructs (lossy when compression is on), and the
 sizes — the functional and timing domains stay coupled.
 
 Which codec (and ToS byte) a message uses is a per-stream property: a
-:class:`repro.core.StreamProfile` passed to ``isend``.
+:class:`repro.core.StreamProfile` passed to ``isend``.  A relay hop
+receives the :class:`~repro.transport.wire.WireMessage` itself
+(``recv_message``) and passes it on with ``forward``, which re-encodes
+only when the stream's codec cannot vouch that its reconstructions are
+fixed points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import StreamProfile
+from repro.core import CAP_FIXED_POINT, StreamProfile, get_codec
 from repro.core.bounds import DEFAULT_BOUND
 from repro.core.registry import InceptionnCodec
 from repro.hardware.engine import BurstEngine
@@ -322,6 +326,10 @@ class ClusterComm:
         return self.sim.run(until=until)
 
 
+def _payload(msg: WireMessage) -> object:
+    return msg.payload
+
+
 class Endpoint:
     """One node's send/recv interface.
 
@@ -347,7 +355,7 @@ class Endpoint:
         #: deliveries in send order keeps the per-source FIFO contract
         #: the synchronous exchanges depend on.
         self._next_seq: Dict[int, int] = {}
-        self._reorder: Dict[int, Dict[int, object]] = {}
+        self._reorder: Dict[int, Dict[int, WireMessage]] = {}
 
     def _inbox(self, src: int) -> Store:
         if self.promiscuous:
@@ -361,19 +369,19 @@ class Endpoint:
             self._any_inbox = Store(self.comm.sim)
         return self._any_inbox
 
-    def _deliver(self, src: int, payload: object) -> None:
+    def _deliver(self, src: int, msg: WireMessage) -> None:
         if self.promiscuous:
-            self._any_queue().put((src, payload))
+            self._any_queue().put((src, msg.payload))
         else:
-            self._inbox(src).put(payload)
+            self._inbox(src).put(msg)
 
-    def _deliver_ordered(self, src: int, seq: int, payload: object) -> None:
+    def _deliver_ordered(self, src: int, seq: int, msg: WireMessage) -> None:
         """Release completed messages to the inbox in send order."""
         expected = self._next_seq.get(src, 0)
         if seq != expected:
-            self._reorder.setdefault(src, {})[seq] = payload
+            self._reorder.setdefault(src, {})[seq] = msg
             return
-        self._deliver(src, payload)
+        self._deliver(src, msg)
         expected += 1
         buffered = self._reorder.get(src)
         while buffered and expected in buffered:
@@ -481,11 +489,12 @@ class Endpoint:
         rx_nic = self.comm.nics[msg.dst]
         seq = self._send_seq.get(msg.dst, 0)
         self._send_seq[msg.dst] = seq + 1
-        event.add_callback(
-            lambda ev: receiver._deliver_ordered(
-                msg.src, seq, ev.value[0].deliver(rx_nic)
-            )
-        )
+
+        def delivered(ev: Event) -> None:
+            msg.deliver(rx_nic)
+            receiver._deliver_ordered(msg.src, seq, msg)
+
+        event.add_callback(delivered)
         return event
 
     def isend(
@@ -503,8 +512,57 @@ class Endpoint:
         """
         return self.isend_message(self.build_message(dst, array, profile=profile))
 
+    def forward(
+        self,
+        dst: int,
+        msg: WireMessage,
+        array: np.ndarray,
+        profile: Optional[StreamProfile] = None,
+    ) -> Event:
+        """Pass what ``msg`` delivered here on to ``dst``; returns the
+        delivery event.
+
+        ``msg`` was built under ``profile`` and ``array`` is this node's
+        copy of its values.  When ``msg``'s codec advertises
+        :data:`~repro.core.CAP_FIXED_POINT`, re-encoding the received
+        reconstruction would give the same values and wire size, so a
+        compressed functional ``msg`` is re-addressed and sent as it
+        is: the transfer log, trace instant, timing, TX and RX counters
+        are those the re-encoding send gives (the modelled NIC still
+        compresses the hop).  Any other message — raw, size-only, or
+        under a codec without the capability — goes out as
+        :meth:`isend` sends ``array``.
+        """
+        codec = msg.codec  # set exactly when the message is compressed
+        if (
+            codec is not None
+            and not msg.size_only
+            and CAP_FIXED_POINT in get_codec(codec).capabilities()
+        ):
+            out = replace(msg, src=self.node_id, dst=dst)
+            account_tx_traversal(
+                self.comm.nics[self.node_id],
+                out,
+                out.num_packets,
+                out.nbytes,
+                out.wire_payload_nbytes,
+            )
+            return self.isend_message(out)
+        return self.isend(dst, array, profile=profile)
+
     def recv(self, src: int) -> Event:
         """Event yielding the next array sent by ``src`` to this node."""
+        if self.promiscuous:
+            raise RuntimeError("promiscuous endpoints must use recv_any()")
+        return self._inbox(src).get(_payload)
+
+    def recv_message(self, src: int) -> Event:
+        """Event yielding the next :class:`WireMessage` ``src`` sent here.
+
+        The same per-source FIFO as :meth:`recv`, which yields the
+        message's payload instead; a relay hop keeps the message to
+        :meth:`forward` it.
+        """
         if self.promiscuous:
             raise RuntimeError("promiscuous endpoints must use recv_any()")
         return self._inbox(src).get()

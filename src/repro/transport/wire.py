@@ -1,10 +1,10 @@
 """One message, one wire representation (paper Figs 8–11).
 
 A :class:`WireMessage` is the single artifact every send produces: the
-stream's codec runs **exactly once** through the sender NIC's engine
-dispatch, yielding the message's wire size, its ToS tag, its packet
-count and the receiver's reconstruction.  Every consumer then reads
-from that one object:
+stream's codec runs **at most once per block** through the sender NIC's
+engine dispatch, yielding the message's wire size, its ToS tag, its
+packet count and the receiver's reconstruction.  Every consumer then
+reads from that one object:
 
 * the network simulator clocks ``wire_nbytes`` (timing domain),
 * the receiver endpoint hands it to the destination NIC's Tag-Decoder
@@ -18,6 +18,12 @@ real codec and carries the lossy reconstruction; *size-only*
 size derived from a caller-measured ratio (see
 :func:`measure_stream_ratio`).  This retires the old sized-send
 side path entirely.
+
+Forwards reuse: a node passing a received compressed message on to the
+next hop re-addresses it instead of re-encoding its values, when the
+codec advertises :data:`~repro.core.registry.CAP_FIXED_POINT` —
+re-encoding would give the same values and size
+(:meth:`repro.transport.Endpoint.forward`).
 
 A message is described by its totals, never by per-packet objects: the
 packet count is ``packet_count(nbytes)`` at the testbed MSS, and the
@@ -71,6 +77,12 @@ class WireMessage:
         """Achieved payload compression ratio (1.0 for empty messages)."""
         return payload_ratio(self.nbytes, self.wire_payload_nbytes)
 
+    @property
+    def payload(self) -> object:
+        """What the receiving host observes: the reconstructed values,
+        or (size-only) the byte count."""
+        return self.nbytes if self.size_only else self.values
+
     def deliver(self, nic: Optional["InceptionnNic"] = None) -> object:
         """What the destination host observes after the RX pipeline.
 
@@ -84,9 +96,7 @@ class WireMessage:
         if nic is not None:
             engine_packets = self.num_packets if self.compressed else 0
             nic.account_rx(self.num_packets, engine_packets)
-        if self.size_only:
-            return self.nbytes
-        return self.values
+        return self.payload
 
 
 def sized_wire_payload(nbytes: int, ratio: Optional[float]) -> int:

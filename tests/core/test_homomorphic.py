@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import (
     CAP_ERROR_FEEDBACK,
+    CAP_FIXED_POINT,
     CAP_HOMOMORPHIC,
     CAP_LOSSY,
     CodecResult,
@@ -49,7 +50,7 @@ def _strip_state(part):
 class TestCapabilities:
     def test_homomorphic_flags(self):
         assert get_codec("lossless_hc").capabilities() == frozenset(
-            {CAP_HOMOMORPHIC}
+            {CAP_HOMOMORPHIC, CAP_FIXED_POINT}
         )
         assert get_codec("thc").capabilities() == frozenset(
             {CAP_HOMOMORPHIC, CAP_LOSSY}

@@ -5,11 +5,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.baselines import qsgd, snappy_like, sz_like, top_k, truncate_lsbs
 from repro.core import (
     CAP_ERROR_FEEDBACK,
+    CAP_FIXED_POINT,
     DEFAULT_BOUND,
     ErrorFeedbackCompressor,
     StreamProfile,
@@ -120,6 +123,87 @@ def test_compress_is_its_kernel(name):
     np.testing.assert_array_equal(
         result.values.view(np.uint32), reconstruction.view(np.uint32)
     )
+
+
+# -- fixed points: a forwarded reconstruction needs no second encode ---------
+
+#: Codecs advertising CAP_FIXED_POINT.  Every lossless codec does; the
+#: lossy ones hold the property below.  ``sparsification`` and ``thc``
+#: hold it on finite inputs only (a NaN is dropped, or cast to an
+#: out-of-lattice index, and re-encodes differently), and QSGD
+#: (``quantization``) and ``fft_sparse`` move a reconstruction again.
+FIXED_POINT_CODECS = (
+    "identity",
+    "inceptionn",
+    "lossless_hc",
+    "snappy_like",
+    "sz_like",
+    "truncation",
+)
+
+
+def test_fixed_point_claims_are_pinned():
+    claims = tuple(
+        name
+        for name in available_codecs()
+        if CAP_FIXED_POINT in get_codec(name).capabilities()
+    )
+    assert claims == FIXED_POINT_CODECS
+
+
+def _boundary_words(b):
+    """Float32 magnitudes (as bits) on and one ulp either side of the
+    magnitude-class boundaries of the bound ``2**-b``: zero, the
+    subnormals, ``2**-b``, ``2**(7-b)``, 1.0, inf and NaNs."""
+    anchors = [
+        int(np.float32(value).view(np.uint32))
+        for value in (0.0, 2.0**-b, 2.0 ** (7 - b), 1.0)
+    ]
+    anchors += [0x00000001, 0x007FFFFF, 0x7F800000, 0x7FC00000]
+    return sorted({(word + d) & 0x7FFFFFFF for word in anchors for d in (-1, 0, 1)})
+
+
+def _boundary_gradients(b):
+    """Vectors of signed boundary (or arbitrary) words in runs of ties."""
+    magnitude = st.one_of(
+        st.sampled_from(_boundary_words(b)), st.integers(0, 0x7FFFFFFF)
+    )
+    word = st.builds(lambda m, neg: m | (neg << 31), magnitude, st.booleans())
+    runs = st.lists(st.tuples(word, st.integers(1, 6)), min_size=1, max_size=24)
+    return runs.map(
+        lambda rs: np.array(
+            [w for w, count in rs for _ in range(count)], dtype=np.uint32
+        ).view(np.float32)
+    )
+
+
+def _fixed_point_cases():
+    for name in FIXED_POINT_CODECS:
+        if name == "inceptionn":
+            for b in (6, 8, 10):
+                yield pytest.param(name, {"bound": b}, b, id=f"inceptionn-b{b}")
+        else:
+            yield pytest.param(name, get_codec(name).default_params(), 10, id=name)
+
+
+@pytest.mark.parametrize("name, params, b", list(_fixed_point_cases()))
+def test_fixed_point_codecs_re_encode_a_reconstruction_to_itself(name, params, b):
+    codec = get_codec(name)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_boundary_gradients(b))
+    def holds(values):
+        try:
+            first = codec.compress(values, **params)
+        except ValueError:
+            return  # lossless_hc refuses non-finite input: nothing is sent
+        again = codec.compress(first.values, **params)
+        assert again.payload_nbytes == first.payload_nbytes
+        np.testing.assert_array_equal(
+            again.values.view(np.uint32), first.values.view(np.uint32)
+        )
+
+    holds()
 
 
 @pytest.mark.parametrize("name", available_codecs())

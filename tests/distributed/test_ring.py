@@ -111,8 +111,9 @@ def test_compressed_ring_error_bounded(exp):
     results, _ = _run_ring(vectors, compression=True, bound=bound)
     expected = np.sum(vectors, axis=0)
     # Each of the N-1 reduce-scatter hops adds at most one bound of error
-    # to a partial sum; the all-gather re-compressions are exact because
-    # reconstructed values are codec fixed points.
+    # to a partial sum; the all-gather forwards add none, because
+    # inceptionn advertises CAP_FIXED_POINT (its reconstructions are
+    # codec fixed points, tests/core/test_registry.py).
     tolerance = n * bound.bound
     for i in range(n):
         assert np.max(np.abs(results[i] - expected)) <= tolerance

@@ -9,8 +9,12 @@ sizes and receivers observing the codec's reconstructions.
 import numpy as np
 import pytest
 
-from repro.core import profile_for
-from repro.distributed import ring_exchange
+import repro.distributed.strategy as strategy_module
+from repro.core import CAP_FIXED_POINT, StreamProfile, inceptionn_profile, profile_for
+from repro.core.registry import InceptionnCodec
+from repro.distributed import GroupLayout, ring_exchange, run_strategy
+from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
+from repro.obs import CAT_CODEC, Tracer
 from repro.transport import ClusterComm, ClusterConfig
 
 
@@ -121,3 +125,91 @@ def test_identity_codec_delivers_bit_exact():
     np.testing.assert_array_equal(got["values"], vec)
     assert comm.transfers[0].wire_payload_nbytes == vec.nbytes
     assert comm.transfers[0].codec == "identity"
+
+
+# -- a block is compressed once: P2 forwards reuse codec fixed points ---------
+
+
+def _count_compress(monkeypatch):
+    calls = []
+    compress = StreamProfile.compress
+
+    def counted(self, values):
+        calls.append(self.codec)
+        return compress(self, values)
+
+    monkeypatch.setattr(StreamProfile, "compress", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, encodes", [("inceptionn", 16), ("quantization", 24)])
+def test_ring_forwards_fixed_points_without_re_encoding(name, encodes, monkeypatch):
+    # 4 nodes x 6 sends: the 3 P1 sends and step n's own reduced block
+    # run the codec; the 2 later P2 forwards re-encode only when the
+    # codec does not advertise CAP_FIXED_POINT (QSGD's randomized
+    # rounding moves a reconstruction again).
+    calls = _count_compress(monkeypatch)
+    _, transfers = _run_ring(_vectors(), profile_for(name))
+    assert len(transfers) == 24
+    assert calls == [name] * encodes
+
+
+#: Six workers, so the hierarchy's group rings of three forward too.
+_REUSE_WORKERS = 6
+_REUSE_SCENARIOS = {
+    "ring": {},
+    "hierarchy": {"layout": GroupLayout.even(_REUSE_WORKERS, 3)},
+    "local_sgd": {"sync_period": 2},
+}
+
+
+def _observed_run(strategy, monkeypatch):
+    """What a compressed run shows: weights, wire, NICs and codec trace."""
+    comms = []
+
+    class Recorded(ClusterComm):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            comms.append(self)
+
+    monkeypatch.setattr(strategy_module, "ClusterComm", Recorded)
+    calls = _count_compress(monkeypatch)
+    tracer = Tracer()
+    result = run_strategy(
+        strategy,
+        build_net=lambda s: build_hdc(seed=s),
+        make_optimizer=lambda: SGD(LRSchedule(0.02), momentum=0.9),
+        dataset=hdc_dataset(train_size=200, test_size=50, seed=0),
+        num_workers=_REUSE_WORKERS,
+        iterations=4,
+        batch_size=16,
+        cluster=ClusterConfig(
+            num_nodes=_REUSE_WORKERS, profile=inceptionn_profile()
+        ),
+        tracer=tracer,
+        options=_REUSE_SCENARIOS[strategy],
+    )
+    (comm,) = comms
+    observed = (
+        result.final_weights.view(np.uint32).tolist(),
+        result.virtual_time_s,
+        result.transfers,
+        [nic.counters for nic in comm.nics],
+        list(tracer.events_in(CAT_CODEC, "codec.compress")),
+    )
+    return observed, len(calls)
+
+
+@pytest.mark.parametrize("strategy", sorted(_REUSE_SCENARIOS))
+def test_forward_reuse_is_invisible(strategy, monkeypatch):
+    reused, reused_calls = _observed_run(strategy, monkeypatch)
+    monkeypatch.undo()
+    capabilities = InceptionnCodec.capabilities
+    monkeypatch.setattr(
+        InceptionnCodec,
+        "capabilities",
+        lambda self: capabilities(self) - {CAP_FIXED_POINT},
+    )
+    encoded, encoded_calls = _observed_run(strategy, monkeypatch)
+    assert reused_calls < encoded_calls
+    assert reused == encoded

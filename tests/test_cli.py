@@ -195,6 +195,20 @@ def test_strategies_lists_the_registry(capsys):
     assert "4+1" in out
 
 
+def test_codecs_listing_keeps_the_ratio_column_aligned(capsys):
+    # The capabilities column is as wide as its longest entry, so no
+    # row runs into the ratio column.
+    from repro.core import available_codecs
+
+    assert main(["codecs"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    column = header.index("ratio")
+    assert len(rows) == len(available_codecs())
+    for row in rows:
+        assert row[column - 1] == " " and row[column] != " ", row
+        assert float(row[column:].split()[0]) >= 1.0, row
+
+
 def test_train_strategy_local_sgd(capsys):
     assert main([
         "train", "--strategy", "local_sgd", "--sync-period", "2",
