@@ -31,12 +31,14 @@ from __future__ import annotations
 
 from collections import deque
 from operator import itemgetter
-from typing import Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
+
+import numpy as np
 
 from repro.obs import Tracer
 
 from .events import Event, Simulation
-from .loss import LossModel, LossyLinkMixin
+from .loss import LossModel
 
 _ARB_KEY = itemgetter(0)
 
@@ -65,8 +67,11 @@ class Link:
         self.bytes_carried = 0
         #: Total time the link spent serializing, for utilization accounting.
         self.busy_time = 0.0
-        self._loss = LossyLinkMixin(None)
-        #: Packets inside dropped trains (per-packet loss accounting).
+        #: Bernoulli train loss on a seeded stream (:meth:`attach_loss`).
+        self._drop_probability = 0.0
+        self._rng: Optional[np.random.Generator] = None
+        #: Dropped trains, and the packets inside them.
+        self.trains_dropped = 0
         self.packets_dropped = 0
         #: Role of this FIFO resource in trace output ("link" or "engine").
         self.kind = "link"
@@ -74,7 +79,7 @@ class Link:
         self.tracer: Optional[Tracer] = None
         self._inflight: Optional[Deque[float]] = None
         #: Same-instant requests awaiting arbitration:
-        #: ``(sort key, nbytes, head_nbytes, delay, event)``.
+        #: ``(sort key, nbytes, head_nbytes, delay, fn, arg)``.
         self._pending: List[Tuple] = []
         self._arbitrating = False
 
@@ -114,11 +119,9 @@ class Link:
         )
 
     def attach_loss(self, model: LossModel, salt: int = 0) -> None:
-        """Enable Bernoulli train loss on this link."""
-        salted = LossModel(
-            drop_probability=model.drop_probability, seed=model.seed + salt
-        )
-        self._loss = LossyLinkMixin(salted)
+        """Enable Bernoulli train loss on this link (seeded ``seed + salt``)."""
+        self._drop_probability = model.drop_probability
+        self._rng = np.random.default_rng(model.seed + salt)
 
     def should_drop(self, packets: int = 1) -> bool:
         """Decide (and record) whether the next train is lost here.
@@ -127,14 +130,13 @@ class Link:
         statistics are available at the same granularity the WireMessage
         pipeline uses everywhere else.
         """
-        dropped = self._loss.should_drop()
+        if not self._drop_probability:
+            return False
+        dropped = bool(self._rng.random() < self._drop_probability)
         if dropped:
+            self.trains_dropped += 1
             self.packets_dropped += packets
         return dropped
-
-    @property
-    def trains_dropped(self) -> int:
-        return self._loss.trains_dropped
 
     def serialization_time(self, nbytes: int) -> float:
         """Time to clock ``nbytes`` onto the wire at line rate."""
@@ -171,18 +173,47 @@ class Link:
             self._complete(request, start, finish)
 
     def _complete(self, request: Tuple, start: float, finish: float) -> None:
-        """Schedule a granted request's event from its wire times.
+        """Schedule a granted request's continuation from its wire times.
 
         The landing itself nobody awaits, so it costs no queue entry;
         it extends the run horizon, so the run still ends no earlier
         than the reserved transfer has landed.
         """
-        _, _, head_nbytes, delay, event = request
+        _, _, head_nbytes, delay, fn, arg = request
         head_s = self.serialization_time(head_nbytes)
-        self.sim.schedule(
-            start + head_s + self.latency_s + delay, event.succeed, None
-        )
+        self.sim.schedule(start + head_s + self.latency_s + delay, fn, arg)
         self.sim.extend_horizon(finish + self.latency_s)
+
+    def submit(
+        self,
+        nbytes: int,
+        head_nbytes: int,
+        delay: float,
+        key: Optional[Tuple],
+        priority: Optional[int],
+        fn: Callable[[Any], Any],
+        arg: Any,
+    ) -> None:
+        """Queue a packet train; ``fn(arg)`` runs at its hand-off instant.
+
+        That is ``delay`` after the train's first ``head_nbytes`` reached
+        the far end (a pipelined next hop may start), or with
+        ``head_nbytes=nbytes`` its delivery (the last bit left
+        ``latency_s`` earlier).  Same-instant requests are granted in
+        ``key`` order (module docstring); only
+        :class:`~repro.network.priority.PriorityLink` honors ``priority``.
+        """
+        if nbytes < 0:
+            raise ValueError("cannot transmit a negative number of bytes")
+        if not delay >= 0:  # also rejects NaN, which would corrupt the heap
+            raise ValueError(f"negative delay: {delay}")
+        head_nbytes = min(max(head_nbytes, 0), nbytes)
+        self._pending.append(
+            (self._arb_key(key, priority), nbytes, head_nbytes, delay, fn, arg)
+        )
+        if not self._arbitrating:
+            self._arbitrating = True
+            self.sim.at_instant_end(self._grant_pending)
 
     def request(
         self,
@@ -192,27 +223,9 @@ class Link:
         key: Optional[Tuple] = None,
         priority: Optional[int] = None,
     ) -> Event:
-        """Queue a packet train; returns the one event its sender awaits.
-
-        It fires ``delay`` after the train's first ``head_nbytes`` have
-        reached the far end: the moment a pipelined next hop behind a
-        switch with that forwarding delay may start, or — with
-        ``head_nbytes=nbytes`` — delivery of the whole train (its last
-        bit left the sender ``latency_s`` earlier).  A busy link serves
-        FIFO; same-instant requests are staged and granted in ``key``
-        order, not call order (see the module docstring).  Only
-        :class:`~repro.network.priority.PriorityLink` honors ``priority``.
-        """
-        if nbytes < 0:
-            raise ValueError("cannot transmit a negative number of bytes")
+        """:meth:`submit` with an event that fires at the hand-off instant."""
         event = Event(self.sim)
-        head_nbytes = min(max(head_nbytes, 0), nbytes)
-        self._pending.append(
-            (self._arb_key(key, priority), nbytes, head_nbytes, delay, event)
-        )
-        if not self._arbitrating:
-            self._arbitrating = True
-            self.sim.at_instant_end(self._grant_pending)
+        self.submit(nbytes, head_nbytes, delay, key, priority, event.succeed, None)
         return event
 
     def utilization(self, elapsed: float) -> float:

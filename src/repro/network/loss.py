@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class LossModel:
@@ -36,25 +34,6 @@ class LossModel:
             raise ValueError(
                 f"drop probability must be in [0, 1), got {self.drop_probability}"
             )
-
-
-class LossyLinkMixin:
-    """Deterministic drop decisions for a link (keyed by its own RNG)."""
-
-    def __init__(self, loss: Optional[LossModel]) -> None:
-        self._loss = loss
-        self._rng = (
-            np.random.default_rng(loss.seed) if loss is not None else None
-        )
-        self.trains_dropped = 0
-
-    def should_drop(self) -> bool:
-        if self._loss is None or self._loss.drop_probability == 0.0:
-            return False
-        dropped = bool(self._rng.random() < self._loss.drop_probability)
-        if dropped:
-            self.trains_dropped += 1
-        return dropped
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,7 @@ def split_trains(
 
     Returns ``(packets, wire_bytes, raw_bytes)`` per train, byte counts
     including per-packet headers.  The one definition both exchange
-    evaluators segment with: the event kernel spawns a process per
+    evaluators segment with: the event kernel starts a train object per
     train, the flow evaluator tabulates them per message size.
     """
     trains: List[Tuple[int, int, int]] = []

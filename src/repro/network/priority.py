@@ -50,14 +50,11 @@ class PriorityLink(Link):
     """A switch egress port with per-class output queues.
 
     Drop-in :class:`~repro.network.link.Link` replacement used by the
-    Clos fabrics of :mod:`repro.network.topology`:
-    ``request`` is the inherited request path (same single event); this
-    class overrides only *admission* — the ``priority`` argument is
-    honored, lower values are served first, ``None`` maps to
-    :data:`PRIORITY_DEFAULT` — and *service*, one train at a time from
-    the class queues whenever the port frees.  With every request in
-    the same class the port degenerates to the plain link's FIFO
-    discipline.
+    Clos fabrics of :mod:`repro.network.topology`: staging is inherited;
+    this class overrides only *admission* — ``priority`` is honored,
+    lower values first, ``None`` maps to :data:`PRIORITY_DEFAULT` — and
+    *service*, one train at a time whenever the port frees.  With every
+    request in one class the port is the plain link's FIFO discipline.
     """
 
     def __init__(
@@ -72,7 +69,8 @@ class PriorityLink(Link):
         #: ``(priority, admission seq)``.
         self._queue: List[_QueueEntry] = []
         self._admitted = 0
-        self._serving = False
+        #: Whether a ``_finish_service`` wake-up is scheduled.
+        self._waking = False
         #: Peak queue length observed (for reports and tests).
         self.max_queue_depth = 0
 
@@ -86,28 +84,29 @@ class PriorityLink(Link):
         return (cls, tuple(key) if key is not None else ())
 
     def _grant_pending(self) -> None:
-        """Admit this instant's requests in (priority, key) order, then serve."""
+        """Admit this instant's requests in (priority, key) order, then serve.
+
+        The port wakes at ``_free_at`` only while a train waits behind
+        the one on the wire; a later arrival finds it idle.
+        """
+        queue = self._queue
         for request in self._take_pending():
             self._admitted += 1
-            heapq.heappush(self._queue, (request[0][0], self._admitted, request))
-        if len(self._queue) > self.max_queue_depth:
-            self.max_queue_depth = len(self._queue)
-        self._maybe_start()
-
-    def _maybe_start(self) -> None:
-        """Put the best waiting train on the wire if the port is idle."""
-        if self._serving or not self._queue:
-            return
-        self._serving = True
-        request = heapq.heappop(self._queue)[2]
-        # The port is idle, so the reservation starts now.
-        start, finish = self._reserve(request[1])
-        self._complete(request, start, finish)
-        self.sim.call_at(finish, self._finish_service)
+            heapq.heappush(queue, (request[0][0], self._admitted, request))
+        if len(queue) > self.max_queue_depth:
+            self.max_queue_depth = len(queue)
+        if not self.sim.now < self._free_at:
+            request = heapq.heappop(queue)[2]
+            # The port is idle, so the reservation starts now.
+            start, finish = self._reserve(request[1])
+            self._complete(request, start, finish)
+        if queue and not self._waking:
+            self._waking = True
+            self.sim.call_at(self._free_at, self._finish_service)
 
     def _finish_service(self) -> None:
         """Free the port; same-instant arrivals compete for the next slot."""
-        self._serving = False
+        self._waking = False
         if not self._arbitrating:
             self._arbitrating = True
             self.sim.at_instant_end(self._grant_pending)

@@ -1,10 +1,11 @@
 """Message-level network simulator gluing topology, links and NIC timing.
 
-Messages are segmented into packet trains; each train is a process that
-pipelines across the route's links, awaiting one event per stage (see
-:meth:`Link.request <repro.network.link.Link.request>`), so bandwidth
-sharing, FIFO queueing and pipelining across hops all emerge from the
-event kernel.
+Messages are segmented into packet trains; each train is a small
+callback object that pipelines across the route's links: every stage's
+grant schedules the train's next step directly (see :meth:`Link.submit
+<repro.network.link.Link.submit>`), one queue entry per train per stage,
+so bandwidth sharing, FIFO queueing and pipelining across hops all
+emerge from the event kernel.
 
 The NIC compression engines influence timing in two ways, mirroring the
 hardware integration of Sec. VI-A:
@@ -34,15 +35,7 @@ simulated time and the only randomness is the seeded loss model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Generator,
-    Optional,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import CAT_MESSAGE, Tracer
 
@@ -59,6 +52,9 @@ if TYPE_CHECKING:
 #: Retransmission hook: ``(packets, wire_payload, raw_payload)`` of the
 #: train being resent (payload bytes, headers excluded).
 RetransmitHook = Callable[[int, int, int], None]
+
+#: ``(resource, bytes, bytes awaited before hand-off, hand-off delay)``.
+_Stage = Tuple[Link, int, int, float]
 
 
 @dataclass(frozen=True)
@@ -187,17 +183,8 @@ class Network:
         """
         if nbytes < 0:
             raise ValueError("nbytes cannot be negative")
-        return self._dispatch(
-            self.topology.route(src, dst, tos=tos),
-            src,
-            dst,
-            nbytes,
-            nbytes,
-            tos,
-            None,
-            None,
-            payload,
-        )
+        route = self.topology.route(src, dst, tos=tos)
+        return self.send_route(route, src, dst, nbytes, nbytes, tos, payload)
 
     def send_wire(
         self,
@@ -283,7 +270,7 @@ class Network:
         on_retransmit: Optional[RetransmitHook] = None,
         arb_base: Optional[Tuple[int, int, int]] = None,
     ) -> Event:
-        """The one send path: trace, segment into trains, spawn processes.
+        """The one send path: trace, segment into trains, start each train.
 
         The engine nodes name the endpoints whose compression engines
         bracket ``route`` (``None``, or a node without engines: no
@@ -337,91 +324,43 @@ class Network:
             arb_base = (src, dst, pair_seq)
 
         trains = split_trains(num_packets, wire_payload, nbytes, self.train_packets)
-        procs = [
-            self.sim.process(
-                self._train_process(
-                    route,
-                    pkts,
-                    wire,
-                    raw,
-                    tx_engine,
-                    rx_engine,
-                    src,
-                    dst,
-                    on_retransmit,
-                    arb_key=(*arb_base, index),
-                    priority=priority,
+        message = _Message(self.sim)
+        message.net, message.receipt, message.payload = self, receipt, payload
+        message.msg_id, message.on_retransmit = msg_id, on_retransmit
+        message.priority, message.left = priority, len(trains)
+        # A message's trains share one or two shapes (the last train
+        # absorbs the rounding); each shape's stage chain is built once.
+        chains: Dict[Tuple[int, int, int], List[_Stage]] = {}
+        for index, shape in enumerate(trains):
+            chain = chains.get(shape)
+            if chain is None:
+                chain = chains[shape] = self._stage_chain(
+                    route, shape, tx_engine, rx_engine
                 )
-            )
-            for index, (pkts, wire, raw) in enumerate(trains)
-        ]
-        done = self.sim.event()
+            train = _Train(message, chain, shape, (*arb_base, index))
+            self.sim.schedule(self.sim.now, _Train.advance, train)
+        return message
 
-        def finish(_: Event) -> None:
-            receipt.delivered_at = self.sim.now
-            if tracer is not None:
-                tracer.instant(
-                    "msg.deliver",
-                    cat=CAT_MESSAGE,
-                    ts=self.sim.now,
-                    node=dst,
-                    msg=msg_id,
-                    src=src,
-                )
-                tracer.span(
-                    "msg.flight",
-                    cat=CAT_MESSAGE,
-                    ts=receipt.sent_at,
-                    dur=self.sim.now - receipt.sent_at,
-                    node=src,
-                    msg=msg_id,
-                    dst=dst,
-                    nbytes=nbytes,
-                    wire_nbytes=wire_total,
-                )
-                tracer.metrics.counter("messages_delivered").inc()
-            done.succeed((payload, receipt))
-
-        self.sim.all_of(procs).add_callback(finish)
-        return done
-
-    def _train_process(
-        self,
+    @staticmethod
+    def _stage_chain(
         route: Route,
-        packets: int,
-        wire_bytes: int,
-        raw_bytes: int,
+        shape: Tuple[int, int, int],
         tx_engine: Optional[Link],
         rx_engine: Optional[Link],
-        src: int,
-        dst: int,
-        on_retransmit: Optional[RetransmitHook] = None,
-        arb_key: Optional[Tuple[int, int, int, int]] = None,
-        priority: Optional[int] = None,
-    ) -> Generator[Event, Any, None]:
-        """Pipeline one packet train through engines and links.
+    ) -> List[_Stage]:
+        """The stages a train of ``shape`` crosses, engines included.
 
         Stages hand off with virtual cut-through: the next stage starts
         when the train's head packet arrives (plus the hop's forwarding
         delay), not when the whole train has been stored — so results do
         not depend on the simulation's train granularity.  The final
         stage completes store-and-forward (delivery means the last byte
-        arrived).  Either way the process wakes once per stage.
-
-        ``arb_key`` — ``(src, dst, flow seq, train index)`` — arbitrates
-        same-instant contention on every stage: when several trains hit
-        one FIFO resource at the same simulated time, grants go in key
-        order, not in event-callback order, so contention outcomes
-        cannot race on equal-timestamp event scheduling.
-
-        ``priority`` is the train's class at priority-queued switch
-        egress ports (multi-tier fabrics); plain FIFO links ignore it.
+        arrived).
         """
+        _, wire_bytes, raw_bytes = shape
         head_wire = min(wire_bytes, HEADER_BYTES + DEFAULT_MSS)
         head_raw = min(raw_bytes, HEADER_BYTES + DEFAULT_MSS)
-
-        # (resource, bytes, bytes awaited before hand-off, hand-off delay)
-        stages = []
+        stages: List[_Stage] = []
         if tx_engine is not None:
             stages.append((tx_engine, raw_bytes, head_raw, 0.0))
         last_hop = len(route.links) - 1
@@ -430,48 +369,118 @@ class Network:
             stages.append((link, wire_bytes, head_wire, delay))
         if rx_engine is not None:
             stages.append((rx_engine, raw_bytes, head_raw, 0.0))
-        # Inner stages hand off on head arrival; the final one completes
-        # store-and-forward, i.e. awaits the whole train.
-        resource, nbytes, _, delay = stages[-1]
+        resource, nbytes, _, delay = stages[-1]  # awaits the whole train
         stages[-1] = (resource, nbytes, nbytes, delay)
+        return stages
 
-        attempts = 0
-        while True:
-            attempts += 1
-            dropped = False
-            for resource, nbytes, head, delay in stages:
-                if resource.should_drop(packets):
-                    # The wire time is spent; the loss is discovered at
-                    # the sender one RTO after the expected delivery.
-                    head, delay, dropped = nbytes, self.retransmit.rto_s, True
-                # The one event this stage waits on.
-                yield resource.request(
-                    nbytes, head, delay, key=arb_key, priority=priority
-                )
-                if dropped:
-                    break
-            if not dropped:
-                return
-            self.trains_retransmitted += 1
-            self.packets_retransmitted += packets
-            if on_retransmit is not None:
-                on_retransmit(
-                    packets,
-                    wire_bytes - packets * HEADER_BYTES,
-                    raw_bytes - packets * HEADER_BYTES,
-                )
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "train.retransmit",
-                    cat=CAT_MESSAGE,
-                    ts=self.sim.now,
-                    node=src,
-                    dst=dst,
-                    attempt=attempts,
-                )
-                self.tracer.metrics.counter("trains_retransmitted").inc()
-            limit = self.retransmit.max_attempts
-            if limit is not None and attempts >= limit:
-                raise DeliveryFailure(
-                    f"train between nodes {src}->{dst} lost {attempts} times"
-                )
+
+class _Message(Event):
+    """A message's delivery event; its trains count down to it."""
+
+    __slots__ = (
+        "net", "receipt", "payload", "msg_id", "on_retransmit", "priority", "left"
+    )
+    net: Network
+    receipt: MessageReceipt
+    payload: object
+    msg_id: int
+    on_retransmit: Optional[RetransmitHook]
+    priority: Optional[int]
+    left: int  # trains still in flight
+
+    def train_landed(self) -> None:
+        """Count a train in; the last one stamps the receipt and fires."""
+        self.left -= 1
+        if self.left:
+            return
+        now, tracer, receipt = self.sim.now, self.net.tracer, self.receipt
+        receipt.delivered_at = now
+        if tracer is not None:
+            tracer.instant(
+                "msg.deliver",
+                cat=CAT_MESSAGE,
+                ts=now,
+                node=receipt.dst,
+                msg=self.msg_id,
+                src=receipt.src,
+            )
+            tracer.span(
+                "msg.flight",
+                cat=CAT_MESSAGE,
+                ts=receipt.sent_at,
+                dur=now - receipt.sent_at,
+                node=receipt.src,
+                msg=self.msg_id,
+                dst=receipt.dst,
+                nbytes=receipt.nbytes,
+                wire_nbytes=receipt.wire_nbytes,
+            )
+            tracer.metrics.counter("messages_delivered").inc()
+        self.succeed((self.payload, receipt))
+
+
+class _Train:
+    """One packet train walking its message's stage chain.
+
+    Every stage's grant schedules :meth:`advance` for the hand-off
+    instant (:meth:`Link.submit <repro.network.link.Link.submit>`).
+    ``key``, ``(src, dst, flow seq, train index)``, orders same-instant
+    grants on every stage, so they never depend on callback order.
+    """
+
+    __slots__ = ("message", "chain", "shape", "key", "stage", "attempts", "lost")
+
+    def __init__(
+        self,
+        message: _Message,
+        chain: List[_Stage],
+        shape: Tuple[int, int, int],
+        key: Tuple[int, ...],
+    ) -> None:
+        self.message, self.chain, self.shape, self.key = message, chain, shape, key
+        #: Next stage; attempt under way; whether the requested stage drops it.
+        self.stage, self.attempts, self.lost = 0, 1, False
+
+    def advance(self) -> None:
+        """Hand-off: resend a lost train, request the next stage, or land."""
+        message = self.message
+        if self.lost:
+            self._resend(message.net)
+        if self.stage == len(self.chain):
+            message.train_landed()
+            return
+        resource, nbytes, head, delay = self.chain[self.stage]
+        self.stage += 1
+        if resource.should_drop(self.shape[0]):
+            # The wire time is spent; the loss is discovered at the
+            # sender one RTO after the expected delivery.
+            head, delay, self.lost = nbytes, message.net.retransmit.rto_s, True
+        resource.submit(
+            nbytes, head, delay, self.key, message.priority, _Train.advance, self
+        )
+
+    def _resend(self, net: Network) -> None:
+        """Book the retransmission; the train restarts at its first stage."""
+        (packets, wire, raw), attempts = self.shape, self.attempts
+        src, dst = self.message.receipt.src, self.message.receipt.dst
+        net.trains_retransmitted += 1
+        net.packets_retransmitted += packets
+        if self.message.on_retransmit is not None:
+            headers = packets * HEADER_BYTES
+            self.message.on_retransmit(packets, wire - headers, raw - headers)
+        if net.tracer is not None:
+            net.tracer.instant(
+                "train.retransmit",
+                cat=CAT_MESSAGE,
+                ts=net.sim.now,
+                node=src,
+                dst=dst,
+                attempt=attempts,
+            )
+            net.tracer.metrics.counter("trains_retransmitted").inc()
+        limit = net.retransmit.max_attempts
+        if limit is not None and attempts >= limit:
+            raise DeliveryFailure(
+                f"train between nodes {src}->{dst} lost {attempts} times"
+            )
+        self.stage, self.attempts, self.lost = 0, attempts + 1, False

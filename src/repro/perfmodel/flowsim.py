@@ -61,7 +61,7 @@ Nodes = Union[np.ndarray, slice, int]
 class Stage:
     """One FIFO resource class on a train's path.
 
-    The tuple ``Network._train_process`` builds per train — (resource,
+    The tuple ``Network._stage_chain`` builds per train shape — (resource,
     bytes, head bytes, post-stage delay) — for a whole batch of
     messages: ``free`` holds the resource class's per-node free-at
     times and ``index`` says which of them each message occupies.

@@ -84,6 +84,18 @@ def test_invalid_parameters():
         _deliver(link, -1)
 
 
+@pytest.mark.parametrize("delay", [float("nan"), -5.0, -1e-12])
+def test_request_rejects_nan_and_negative_delay(delay):
+    # A NaN hand-off time never compares equal to the clock, so the run
+    # would spin forever; a negative one would move the clock backwards.
+    sim = Simulation()
+    link = Link(sim, bandwidth_bps=8e9, latency_s=1e-6)
+    with pytest.raises(ValueError, match="delay"):
+        link.request(1000, 1000, delay=delay)
+    assert sim.run() == 0.0
+    assert link.bytes_carried == 0
+
+
 def test_zero_byte_transmit_is_latency_only():
     sim = Simulation()
     link = Link(sim, bandwidth_bps=1e9, latency_s=3e-6)

@@ -1,6 +1,10 @@
 """PriorityLink tests: strict priority, FIFO within class, starvation bound."""
 
+import heapq
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network import (
     PRIORITY_DEFAULT,
@@ -9,6 +13,7 @@ from repro.network import (
     PriorityLink,
     Simulation,
 )
+from repro.obs import Tracer
 
 GBPS = 1e9
 LATENCY = 1e-6
@@ -137,3 +142,121 @@ def test_stage_request_rejects_unknown_priority_class():
     _, link = _link()
     with pytest.raises(ValueError, match="priority"):
         link.request(1_000, 1_000, priority=8)
+
+
+class ServeThenFinishPort(PriorityLink):
+    """The port discipline before wake-ups became conditional, verbatim:
+    every train it puts on the wire schedules a service-end entry."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._serving = False
+
+    def _grant_pending(self) -> None:
+        """Admit this instant's requests in (priority, key) order, then serve."""
+        for request in self._take_pending():
+            self._admitted += 1
+            heapq.heappush(self._queue, (request[0][0], self._admitted, request))
+        if len(self._queue) > self.max_queue_depth:
+            self.max_queue_depth = len(self._queue)
+        self._maybe_start()
+
+    def _maybe_start(self) -> None:
+        """Put the best waiting train on the wire if the port is idle."""
+        if self._serving or not self._queue:
+            return
+        self._serving = True
+        request = heapq.heappop(self._queue)[2]
+        # The port is idle, so the reservation starts now.
+        start, finish = self._reserve(request[1])
+        self._complete(request, start, finish)
+        self.sim.call_at(finish, self._finish_service)
+
+    def _finish_service(self) -> None:
+        """Free the port; same-instant arrivals compete for the next slot."""
+        self._serving = False
+        if not self._arbitrating:
+            self._arbitrating = True
+            self.sim.at_instant_end(self._grant_pending)
+
+
+def _serve(port_cls, arrivals):
+    """Feed ``arrivals`` to one port; grant order, start times and depth.
+
+    Dyadic sizes and times make service ends and arrivals coincide
+    exactly, the case where both disciplines must admit the arrival
+    before choosing the next train.
+    """
+    sim = Simulation()
+    port = port_cls(sim, 8.0 * 2**30, 2.0**-22, name="port")  # 2**30 bytes/s
+    tracer = Tracer()
+    port.attach_tracer(tracer)
+    granted = []
+    for key, (tick, nbytes, priority) in enumerate(arrivals):
+
+        def arrive(_, key=key, nbytes=nbytes, priority=priority):
+            head = min(nbytes, 256)
+            port.request(nbytes, head, key=(key,), priority=priority).add_callback(
+                lambda _: granted.append((key, sim.now.hex()))
+            )
+
+        sim.timeout(tick * 2.0**-21).add_callback(arrive)
+    end = sim.run()
+    starts = [
+        (e.ts.hex(), e.args["nbytes"], e.args["queue_depth"]) for e in tracer.events
+    ]
+    return granted, starts, port.max_queue_depth, port.busy_time.hex(), end.hex()
+
+
+ARRIVALS = st.lists(
+    st.tuples(
+        st.integers(0, 12),  # arrival tick (2**-21 s: one 512-byte train)
+        st.sampled_from([512, 1024, 2048]),
+        st.sampled_from([None, PRIORITY_HIGH, PRIORITY_DEFAULT, PRIORITY_LOW]),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@given(arrivals=ARRIVALS)
+@settings(max_examples=300, deadline=None)
+def test_conditional_wakeups_serve_like_serve_then_finish(arrivals):
+    assert _serve(PriorityLink, arrivals) == _serve(ServeThenFinishPort, arrivals)
+
+
+def test_arrival_at_the_service_end_instant():
+    # A 1024-byte train holds the port for exactly two ticks; a high and a
+    # low train arrive at that very instant, after a default one queued.
+    arrivals = [
+        (0, 1024, PRIORITY_DEFAULT),
+        (1, 512, PRIORITY_DEFAULT),
+        (2, 512, PRIORITY_LOW),
+        (2, 512, PRIORITY_HIGH),
+        (6, 512, None),  # the port went idle at tick 5: a lone arrival
+    ]
+    new = _serve(PriorityLink, arrivals)
+    assert new == _serve(ServeThenFinishPort, arrivals)
+    granted, starts, depth, _, _ = new
+    # High beats the queued default train; the lone arrival starts at once.
+    assert [key for key, _ in granted] == [0, 3, 1, 2, 4]
+    assert [ts for ts, _, _ in starts][-1] == (6 * 2.0**-21).hex()
+    assert depth == 3
+
+
+def test_uncontended_port_schedules_no_service_end():
+    sim, link = _link()
+    ends = []
+    finish_service = link._finish_service
+    link._finish_service = lambda: (ends.append(sim.now), finish_service())
+    scheduled = []
+    schedule = sim.schedule
+    sim.schedule = lambda *entry: (scheduled.append(entry), schedule(*entry))
+    for i in range(3):  # each arrives after the previous train has left
+        sim.call_at(i * 1e-3, lambda i=i: _track(sim, link, 10_000, None, (i,)))
+    sim.run()
+    assert ends == []
+    # Per train: its arrival, its hand-off and its waiter (serve-then-
+    # finish added a service end each: 12).
+    assert len(scheduled) == 9
+    assert link.max_queue_depth == 1

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from repro.core import inceptionn_profile
 from repro.network import (
     HEADER_BYTES,
+    FatTree,
     Link,
     Network,
+    NicTimingModel,
     Simulation,
     SwitchedStar,
     TwoTierFabric,
@@ -146,3 +148,32 @@ def test_makespan_is_the_last_landing_not_the_last_wakeup():
     assert end == twin_end
     assert end > receipt.delivered_at  # set by the unobserved uplink landing
     assert sim.run(until=end + 1.0) == end
+
+
+@pytest.mark.parametrize(
+    "fabric, entries",
+    # 10 trains x 3 (start + one hand-off per link); the fat-tree adds the
+    # priority ports' service-end wake-ups, only while a train waits.
+    # The generator-process trains queued 61 and 81.
+    [(lambda sim: SwitchedStar(sim, 2), 30), (lambda sim: FatTree(sim, 4), 46)],
+    ids=["star", "fat-tree"],
+)
+def test_one_queue_entry_per_train_per_stage(fabric, entries):
+    sim = Simulation()
+    net = Network(
+        sim, fabric(sim), train_packets=10, engine=NicTimingModel(1e-6, 3.2e9)
+    )
+    scheduled = []
+    schedule = sim.schedule
+
+    def counting(time, fn, arg):
+        scheduled.append(fn)
+        schedule(time, fn, arg)
+
+    sim.schedule = counting
+    done = net.send(0, 1, 100 * 1460)  # raw: no engine stages
+    sim.run()
+    _, receipt = done.value
+    assert receipt.num_packets == 100
+    assert len(scheduled) == entries
+    assert receipt.delivered_at.hex() == "0x1.0b086adf5146bp-13"
