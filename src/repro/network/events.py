@@ -264,8 +264,11 @@ class Simulation:
         """Execute events until the queue drains (or ``until`` is reached).
 
         Returns the final simulation time: the later of the last entry
-        and the horizon (:meth:`extend_horizon`), clamped by ``until``.
+        and the horizon (:meth:`extend_horizon`), clamped by ``until``,
+        which cannot lie before ``now``: the clock only moves forward.
         """
+        if until is not None and not until >= self.now:  # also rejects NaN
+            raise ValueError(f"cannot run until the past: {until} < {self.now}")
         heap, ready, pop = self._heap, self._ready, heapq.heappop
         while True:
             now = self.now

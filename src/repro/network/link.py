@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from operator import itemgetter
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +45,9 @@ _ARB_KEY = itemgetter(0)
 
 class Link:
     """One direction of a network cable (or a switch port's egress)."""
+
+    #: Whether arbitration sorts by ``(priority class, key)``, not ``key``.
+    honors_priority = False
 
     def __init__(
         self,
@@ -68,7 +71,7 @@ class Link:
         #: Total time the link spent serializing, for utilization accounting.
         self.busy_time = 0.0
         #: Bernoulli train loss on a seeded stream (:meth:`attach_loss`).
-        self._drop_probability = 0.0
+        self.drop_probability = 0.0
         self._rng: Optional[np.random.Generator] = None
         #: Dropped trains, and the packets inside them.
         self.trains_dropped = 0
@@ -78,8 +81,8 @@ class Link:
         #: Nullable tracer; ``None`` keeps the hot path allocation-free.
         self.tracer: Optional[Tracer] = None
         self._inflight: Optional[Deque[float]] = None
-        #: Same-instant requests awaiting arbitration:
-        #: ``(sort key, nbytes, head_nbytes, delay, fn, arg)``.
+        #: Same-instant requests awaiting arbitration: ``(sort key,
+        #: nbytes, serialization_s, head_s, delay, fn, arg)``.
         self._pending: List[Tuple] = []
         self._arbitrating = False
 
@@ -120,7 +123,7 @@ class Link:
 
     def attach_loss(self, model: LossModel, salt: int = 0) -> None:
         """Enable Bernoulli train loss on this link (seeded ``seed + salt``)."""
-        self._drop_probability = model.drop_probability
+        self.drop_probability = model.drop_probability
         self._rng = np.random.default_rng(model.seed + salt)
 
     def should_drop(self, packets: int = 1) -> bool:
@@ -130,9 +133,9 @@ class Link:
         statistics are available at the same granularity the WireMessage
         pipeline uses everywhere else.
         """
-        if not self._drop_probability:
+        if not self.drop_probability:
             return False
-        dropped = bool(self._rng.random() < self._drop_probability)
+        dropped = bool(self._rng.random() < self.drop_probability)
         if dropped:
             self.trains_dropped += 1
             self.packets_dropped += packets
@@ -141,19 +144,6 @@ class Link:
     def serialization_time(self, nbytes: int) -> float:
         """Time to clock ``nbytes`` onto the wire at line rate."""
         return nbytes * 8.0 / self.bandwidth_bps
-
-    def _reserve(self, nbytes: int) -> Tuple[float, float]:
-        """Claim the next FIFO slot; returns ``(start, finish)`` times."""
-        now = self.sim.now
-        serialization = self.serialization_time(nbytes)
-        start = max(now, self._free_at)
-        finish = start + serialization
-        self._free_at = finish
-        self.bytes_carried += nbytes
-        self.busy_time += serialization
-        if self.tracer is not None:
-            self._trace_transfer(now, start, finish, nbytes)
-        return start, finish
 
     def _arb_key(self, key: Optional[Tuple], priority: Optional[int]) -> Tuple:
         """Same-instant sort key; a plain link is a cable, not a scheduler."""
@@ -168,21 +158,37 @@ class Link:
 
     def _grant_pending(self) -> None:
         """Grant every reservation requested this instant, in key order."""
-        for request in self._take_pending():
-            start, finish = self._reserve(request[1])
-            self._complete(request, start, finish)
+        self._grant(self._take_pending())
 
-    def _complete(self, request: Tuple, start: float, finish: float) -> None:
-        """Schedule a granted request's continuation from its wire times.
+    def _grant(self, requests: Iterable[Tuple]) -> None:
+        """Reserve FIFO slots for ``requests``; schedule each ``fn(arg)``.
 
-        The landing itself nobody awaits, so it costs no queue entry;
-        it extends the run horizon, so the run still ends no earlier
-        than the reserved transfer has landed.
+        A landing nobody awaits (``fn`` is ``None``) costs no queue entry;
+        the run still ends no earlier than it (the run horizon).
         """
-        _, _, head_nbytes, delay, fn, arg = request
-        head_s = self.serialization_time(head_nbytes)
-        self.sim.schedule(start + head_s + self.latency_s + delay, fn, arg)
-        self.sim.extend_horizon(finish + self.latency_s)
+        sim, tracer, latency = self.sim, self.tracer, self.latency_s
+        now, free_at = sim.now, self._free_at
+        for _, nbytes, serialization, head_s, delay, fn, arg in requests:
+            start = free_at if free_at > now else now  # max(), sans the call
+            free_at = start + serialization
+            self.bytes_carried += nbytes
+            self.busy_time += serialization
+            if tracer is not None:
+                self._trace_transfer(now, start, free_at, nbytes)
+            if fn is not None:
+                sim.schedule(start + head_s + latency + delay, fn, arg)
+        self._free_at = free_at
+        sim.extend_horizon(free_at + latency)
+
+    def _stage(
+        self, key: Tuple, nbytes: int, serialization_s: float, head_s: float,
+        delay: float, fn: Optional[Callable[[Any], Any]], arg: Any,
+    ) -> None:
+        """Stage a checked request; it is granted when the instant drains."""
+        self._pending.append((key, nbytes, serialization_s, head_s, delay, fn, arg))
+        if not self._arbitrating:
+            self._arbitrating = True
+            self.sim.at_instant_end(self._grant_pending)
 
     def submit(
         self,
@@ -202,18 +208,18 @@ class Link:
         ``latency_s`` earlier).  Same-instant requests are granted in
         ``key`` order (module docstring); only
         :class:`~repro.network.priority.PriorityLink` honors ``priority``.
+        Packet trains stage their precomputed wire times directly.
         """
         if nbytes < 0:
             raise ValueError("cannot transmit a negative number of bytes")
         if not delay >= 0:  # also rejects NaN, which would corrupt the heap
             raise ValueError(f"negative delay: {delay}")
         head_nbytes = min(max(head_nbytes, 0), nbytes)
-        self._pending.append(
-            (self._arb_key(key, priority), nbytes, head_nbytes, delay, fn, arg)
+        wire_time = self.serialization_time
+        self._stage(
+            self._arb_key(key, priority), nbytes, wire_time(nbytes),
+            wire_time(head_nbytes), delay, fn, arg,
         )
-        if not self._arbitrating:
-            self._arbitrating = True
-            self.sim.at_instant_end(self._grant_pending)
 
     def request(
         self,

@@ -47,7 +47,7 @@ class RetransmitPolicy:
     max_attempts: Optional[int] = 16
 
     def __post_init__(self) -> None:
-        if self.rto_s <= 0:
+        if not self.rto_s > 0:  # also rejects NaN, which would corrupt the heap
             raise ValueError("RTO must be positive")
         if self.max_attempts is not None and self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")

@@ -42,6 +42,15 @@ PRIORITY_DEFAULT = 4
 #: Served last — scavenger-class background traffic.
 PRIORITY_LOW = 7
 
+
+def priority_class(priority: Optional[int]) -> int:
+    """The class a train of ``priority`` queues in (``None``: default)."""
+    cls = PRIORITY_DEFAULT if priority is None else priority
+    if not 0 <= cls < PRIORITY_CLASSES:
+        raise ValueError(f"priority must be in [0, {PRIORITY_CLASSES}), got {cls}")
+    return cls
+
+
 #: One admitted queue entry: ``(priority, admission seq, staged request)``.
 _QueueEntry = Tuple[int, int, Tuple]
 
@@ -56,6 +65,8 @@ class PriorityLink(Link):
     *service*, one train at a time whenever the port frees.  With every
     request in one class the port is the plain link's FIFO discipline.
     """
+
+    honors_priority = True
 
     def __init__(
         self,
@@ -76,12 +87,7 @@ class PriorityLink(Link):
 
     def _arb_key(self, key: Optional[Tuple], priority: Optional[int]) -> Tuple:
         """Sort key ``(priority class, key)``."""
-        cls = PRIORITY_DEFAULT if priority is None else priority
-        if not 0 <= cls < PRIORITY_CLASSES:
-            raise ValueError(
-                f"priority must be in [0, {PRIORITY_CLASSES}), got {cls}"
-            )
-        return (cls, tuple(key) if key is not None else ())
+        return (priority_class(priority), tuple(key) if key is not None else ())
 
     def _grant_pending(self) -> None:
         """Admit this instant's requests in (priority, key) order, then serve.
@@ -96,10 +102,8 @@ class PriorityLink(Link):
         if len(queue) > self.max_queue_depth:
             self.max_queue_depth = len(queue)
         if not self.sim.now < self._free_at:
-            request = heapq.heappop(queue)[2]
             # The port is idle, so the reservation starts now.
-            start, finish = self._reserve(request[1])
-            self._complete(request, start, finish)
+            self._grant((heapq.heappop(queue)[2],))
         if queue and not self._waking:
             self._waking = True
             self.sim.call_at(self._free_at, self._finish_service)

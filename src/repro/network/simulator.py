@@ -3,9 +3,9 @@
 Messages are segmented into packet trains; each train is a small
 callback object that pipelines across the route's links: every stage's
 grant schedules the train's next step directly (see :meth:`Link.submit
-<repro.network.link.Link.submit>`), one queue entry per train per stage,
-so bandwidth sharing, FIFO queueing and pipelining across hops all
-emerge from the event kernel.
+<repro.network.link.Link.submit>`), one queue entry per train per stage
+but the landings nobody awaits, so bandwidth sharing, FIFO queueing
+and pipelining across hops all emerge from the event kernel.
 
 The NIC compression engines influence timing in two ways, mirroring the
 hardware integration of Sec. VI-A:
@@ -43,7 +43,7 @@ from .events import Event, Simulation
 from .link import Link
 from .loss import DeliveryFailure, LossModel, RetransmitPolicy
 from .packet import DEFAULT_MSS, HEADER_BYTES, TOS_DEFAULT, packet_count, split_trains
-from .priority import PRIORITY_DEFAULT
+from .priority import priority_class
 from .topology import Route, Topology
 
 if TYPE_CHECKING:
@@ -53,8 +53,9 @@ if TYPE_CHECKING:
 #: train being resent (payload bytes, headers excluded).
 RetransmitHook = Callable[[int, int, int], None]
 
-#: ``(resource, bytes, bytes awaited before hand-off, hand-off delay)``.
-_Stage = Tuple[Link, int, int, float]
+#: ``(resource, bytes, wire time, wire time awaited before hand-off,
+#: hand-off delay, honors priority, can drop, hand-off continuation)``.
+_Stage = Tuple[Link, int, float, float, float, bool, bool, Optional[Callable]]
 
 
 @dataclass(frozen=True)
@@ -278,9 +279,9 @@ class Network:
         """
         tx_engine = self._tx_engines.get(tx_engine_node)
         rx_engine = self._rx_engines.get(rx_engine_node)
-        priority: Optional[int] = None
-        if self.tos_priority is not None:
-            priority = self.tos_priority.get(tos, PRIORITY_DEFAULT)
+        cls = priority_class(  # the trains' class on priority ports
+            None if self.tos_priority is None else self.tos_priority.get(tos)
+        )
         compress = tx_engine is not None or rx_engine is not None
         num_packets = packet_count(nbytes)
         wire_total = num_packets * HEADER_BYTES + wire_payload
@@ -327,17 +328,20 @@ class Network:
         message = _Message(self.sim)
         message.net, message.receipt, message.payload = self, receipt, payload
         message.msg_id, message.on_retransmit = msg_id, on_retransmit
-        message.priority, message.left = priority, len(trains)
+        message.left = len(trains)
         # A message's trains share one or two shapes (the last train
-        # absorbs the rounding); each shape's stage chain is built once.
-        chains: Dict[Tuple[int, int, int], List[_Stage]] = {}
+        # absorbs the rounding); each shape's stage chain is built once,
+        # and the last train's apart (its landing is always awaited).
+        chains: Dict[Tuple[Tuple[int, int, int], bool], List[_Stage]] = {}
         for index, shape in enumerate(trains):
-            chain = chains.get(shape)
+            last = index == len(trains) - 1
+            chain = chains.get((shape, last))
             if chain is None:
-                chain = chains[shape] = self._stage_chain(
-                    route, shape, tx_engine, rx_engine
+                chain = chains[shape, last] = self._stage_chain(
+                    route, shape, tx_engine, rx_engine, last
                 )
-            train = _Train(message, chain, shape, (*arb_base, index))
+            key = (*arb_base, index)
+            train = _Train(message, chain, shape, (key, (cls, key)))
             self.sim.schedule(self.sim.now, _Train.advance, train)
         return message
 
@@ -347,6 +351,7 @@ class Network:
         shape: Tuple[int, int, int],
         tx_engine: Optional[Link],
         rx_engine: Optional[Link],
+        last_train: bool,
     ) -> List[_Stage]:
         """The stages a train of ``shape`` crosses, engines included.
 
@@ -355,12 +360,17 @@ class Network:
         delay), not when the whole train has been stored — so results do
         not depend on the simulation's train granularity.  The final
         stage completes store-and-forward (delivery means the last byte
-        arrived).
+        arrived).  Stages carry their wire times, computed once per shape.
+
+        Where no stage can drop a train, a message's trains reach the
+        final stage in index order at increasing instants and are served
+        FIFO, so the last lands last: only its landing is queued.  Where
+        one can, every landing is (a resend starts from it).
         """
         _, wire_bytes, raw_bytes = shape
         head_wire = min(wire_bytes, HEADER_BYTES + DEFAULT_MSS)
         head_raw = min(raw_bytes, HEADER_BYTES + DEFAULT_MSS)
-        stages: List[_Stage] = []
+        stages: List[Tuple[Link, int, int, float]] = []
         if tx_engine is not None:
             stages.append((tx_engine, raw_bytes, head_raw, 0.0))
         last_hop = len(route.links) - 1
@@ -371,21 +381,26 @@ class Network:
             stages.append((rx_engine, raw_bytes, head_raw, 0.0))
         resource, nbytes, _, delay = stages[-1]  # awaits the whole train
         stages[-1] = (resource, nbytes, nbytes, delay)
-        return stages
+        chain: List[_Stage] = [
+            (resource, nbytes, resource.serialization_time(nbytes),
+             resource.serialization_time(head), delay, resource.honors_priority,
+             bool(resource.drop_probability), _Train.advance)
+            for resource, nbytes, head, delay in stages
+        ]
+        if not last_train and not any(stage[6] for stage in chain):
+            chain[-1] = (*chain[-1][:-1], None)  # a landing nobody awaits
+        return chain
 
 
 class _Message(Event):
     """A message's delivery event; its trains count down to it."""
 
-    __slots__ = (
-        "net", "receipt", "payload", "msg_id", "on_retransmit", "priority", "left"
-    )
+    __slots__ = ("net", "receipt", "payload", "msg_id", "on_retransmit", "left")
     net: Network
     receipt: MessageReceipt
     payload: object
     msg_id: int
     on_retransmit: Optional[RetransmitHook]
-    priority: Optional[int]
     left: int  # trains still in flight
 
     def train_landed(self) -> None:
@@ -423,21 +438,23 @@ class _Train:
     """One packet train walking its message's stage chain.
 
     Every stage's grant schedules :meth:`advance` for the hand-off
-    instant (:meth:`Link.submit <repro.network.link.Link.submit>`).
-    ``key``, ``(src, dst, flow seq, train index)``, orders same-instant
-    grants on every stage, so they never depend on callback order.
+    instant (:meth:`Link.submit <repro.network.link.Link.submit>`),
+    but a final landing nobody awaits (:meth:`Network._stage_chain`).
+    ``keys`` orders same-instant grants on every stage, so they never
+    depend on callback order: ``(src, dst, flow seq, train index)``, and
+    ``(class, that key)`` on priority ports.
     """
 
-    __slots__ = ("message", "chain", "shape", "key", "stage", "attempts", "lost")
+    __slots__ = ("message", "chain", "shape", "keys", "stage", "attempts", "lost")
 
     def __init__(
         self,
         message: _Message,
         chain: List[_Stage],
         shape: Tuple[int, int, int],
-        key: Tuple[int, ...],
+        keys: Tuple[Tuple, Tuple],
     ) -> None:
-        self.message, self.chain, self.shape, self.key = message, chain, shape, key
+        self.message, self.chain, self.shape, self.keys = message, chain, shape, keys
         #: Next stage; attempt under way; whether the requested stage drops it.
         self.stage, self.attempts, self.lost = 0, 1, False
 
@@ -449,14 +466,17 @@ class _Train:
         if self.stage == len(self.chain):
             message.train_landed()
             return
-        resource, nbytes, head, delay = self.chain[self.stage]
+        stage = self.chain[self.stage]
+        resource, nbytes, wire_s, head_s, delay, prioritized, drops, fn = stage
         self.stage += 1
-        if resource.should_drop(self.shape[0]):
+        if drops and resource.should_drop(self.shape[0]):
             # The wire time is spent; the loss is discovered at the
             # sender one RTO after the expected delivery.
-            head, delay, self.lost = nbytes, message.net.retransmit.rto_s, True
-        resource.submit(
-            nbytes, head, delay, self.key, message.priority, _Train.advance, self
+            head_s, delay, self.lost = wire_s, message.net.retransmit.rto_s, True
+        elif fn is None:  # a landing nobody awaits: the train is in
+            message.left -= 1
+        resource._stage(
+            self.keys[prioritized], nbytes, wire_s, head_s, delay, fn, self
         )
 
     def _resend(self, net: Network) -> None:

@@ -80,6 +80,11 @@ class Route:
     links: Tuple[Link, ...]
     forwarding_delay_s: float = 0.0
 
+    def __post_init__(self) -> None:
+        # Trains stage this delay unchecked; NaN would corrupt the heap.
+        if not self.forwarding_delay_s >= 0:
+            raise ValueError(f"negative forwarding delay: {self.forwarding_delay_s}")
+
 
 class Topology:
     """The routing graph: owns hosts, egress links and next-hop tables.

@@ -61,10 +61,11 @@ Nodes = Union[np.ndarray, slice, int]
 class Stage:
     """One FIFO resource class on a train's path.
 
-    The tuple ``Network._stage_chain`` builds per train shape — (resource,
-    bytes, head bytes, post-stage delay) — for a whole batch of
-    messages: ``free`` holds the resource class's per-node free-at
-    times and ``index`` says which of them each message occupies.
+    The stage ``Network._stage_chain`` builds per train shape —
+    (resource, bytes, their wire time, the head's, post-stage delay) —
+    for a whole batch of messages: ``free`` holds the resource class's
+    per-node free-at times and ``index`` says which of them each message
+    occupies.
     """
 
     free: np.ndarray
@@ -184,7 +185,7 @@ def _serve_fifo(
 def deliver(t_send: np.ndarray, trains: Trains, stages: Sequence[Stage]) -> np.ndarray:
     """Delivery time of each message sent at ``t_send`` (last train landed).
 
-    ``Link._reserve`` + ``Link.request`` for a batch: each stage
+    ``Link._grant`` + ``Link.request`` for a batch: each stage
     starts a train at ``max(arrival, free_at)``, hands its head packet
     to the next stage after the head's serialization plus latency, and
     stays busy for the whole train.  Stages update their ``free`` arrays

@@ -125,6 +125,18 @@ def test_run_until_stops_early():
     assert sim.now == 5.0
 
 
+def test_run_until_never_moves_the_clock_backwards():
+    sim = Simulation()
+    sim.timeout(5.0)
+    assert sim.run(until=3.0) == 3.0
+    for until in (1.0, float("nan")):
+        with pytest.raises(ValueError, match="past"):
+            sim.run(until=until)
+        assert sim.now == 3.0
+    assert sim.run(until=3.0) == 3.0  # ``until == now`` stays legal
+    assert sim.run() == 5.0
+
+
 def test_store_put_then_get():
     sim = Simulation()
     store = Store(sim)

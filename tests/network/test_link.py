@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network import Link, PriorityLink, Simulation
+from repro.network import Link, PriorityLink, Route, Simulation
 
 
 def _deliver(link, nbytes, **kwargs):
@@ -94,6 +94,15 @@ def test_request_rejects_nan_and_negative_delay(delay):
         link.request(1000, 1000, delay=delay)
     assert sim.run() == 0.0
     assert link.bytes_carried == 0
+
+
+@pytest.mark.parametrize("delay", [float("nan"), -1e-6])
+def test_route_rejects_nan_and_negative_forwarding_delay(delay):
+    # Packet trains hand off after it without passing ``request``'s check.
+    sim = Simulation()
+    link = Link(sim, bandwidth_bps=8e9, latency_s=1e-6)
+    with pytest.raises(ValueError, match="forwarding delay"):
+        Route((link, link), delay)
 
 
 def test_zero_byte_transmit_is_latency_only():

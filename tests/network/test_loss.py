@@ -76,6 +76,9 @@ def test_loss_model_validation():
         RetransmitPolicy(rto_s=0)
     with pytest.raises(ValueError):
         RetransmitPolicy(max_attempts=0)
+    # A dropped train hands off one RTO late, unchecked by the link.
+    with pytest.raises(ValueError, match="RTO"):
+        RetransmitPolicy(rto_s=float("nan"))
 
 
 def test_drop_counters_on_links():

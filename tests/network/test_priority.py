@@ -10,6 +10,9 @@ from repro.network import (
     PRIORITY_DEFAULT,
     PRIORITY_HIGH,
     PRIORITY_LOW,
+    TOS_DEFAULT,
+    FatTree,
+    Network,
     PriorityLink,
     Simulation,
 )
@@ -144,6 +147,14 @@ def test_stage_request_rejects_unknown_priority_class():
         link.request(1_000, 1_000, priority=8)
 
 
+def test_send_rejects_unknown_priority_class_once_per_message():
+    # Trains skip the port's check: the class is validated at dispatch.
+    sim = Simulation()
+    net = Network(sim, FatTree(sim, 4), tos_priority={TOS_DEFAULT: 8})
+    with pytest.raises(ValueError, match="priority"):
+        net.send(0, 1, 1_000)
+
+
 class ServeThenFinishPort(PriorityLink):
     """The port discipline before wake-ups became conditional, verbatim:
     every train it puts on the wire schedules a service-end entry."""
@@ -166,11 +177,9 @@ class ServeThenFinishPort(PriorityLink):
         if self._serving or not self._queue:
             return
         self._serving = True
-        request = heapq.heappop(self._queue)[2]
         # The port is idle, so the reservation starts now.
-        start, finish = self._reserve(request[1])
-        self._complete(request, start, finish)
-        self.sim.call_at(finish, self._finish_service)
+        self._grant((heapq.heappop(self._queue)[2],))
+        self.sim.call_at(self._free_at, self._finish_service)
 
     def _finish_service(self) -> None:
         """Free the port; same-instant arrivals compete for the next slot."""

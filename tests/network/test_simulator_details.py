@@ -9,6 +9,7 @@ from repro.network import (
     HEADER_BYTES,
     FatTree,
     Link,
+    LossModel,
     Network,
     NicTimingModel,
     Simulation,
@@ -151,17 +152,36 @@ def test_makespan_is_the_last_landing_not_the_last_wakeup():
 
 
 @pytest.mark.parametrize(
-    "fabric, entries",
-    # 10 trains x 3 (start + one hand-off per link); the fat-tree adds the
-    # priority ports' service-end wake-ups, only while a train waits.
-    # The generator-process trains queued 61 and 81.
-    [(lambda sim: SwitchedStar(sim, 2), 30), (lambda sim: FatTree(sim, 4), 46)],
-    ids=["star", "fat-tree"],
+    "fabric, loss, entries, resent, delivered_at",
+    # 10 trains x 3 (start + one hand-off per link), less the 9 landings
+    # nobody awaits: only the last train's is queued on a lossless chain.
+    # The fat-tree adds the priority ports' service-end wake-ups, only
+    # while a train waits.  A lossy chain queues every train's landing,
+    # where a resend starts.  The generator-process trains queued 61 and
+    # 81, the per-train landings 30 and 46.
+    [
+        (lambda sim: SwitchedStar(sim, 2), None, 21, 0, "0x1.0b086adf5146bp-13"),
+        (lambda sim: FatTree(sim, 4), None, 37, 0, "0x1.0b086adf5146bp-13"),
+        (
+            lambda sim: SwitchedStar(sim, 2),
+            LossModel(0.3, seed=1),
+            36,
+            4,
+            "0x1.6a71e57fdef8fp-12",
+        ),
+    ],
+    ids=["star", "fat-tree", "lossy-star"],
 )
-def test_one_queue_entry_per_train_per_stage(fabric, entries):
+def test_one_queue_entry_per_train_per_stage(
+    fabric, loss, entries, resent, delivered_at
+):
     sim = Simulation()
     net = Network(
-        sim, fabric(sim), train_packets=10, engine=NicTimingModel(1e-6, 3.2e9)
+        sim,
+        fabric(sim),
+        train_packets=10,
+        engine=NicTimingModel(1e-6, 3.2e9),
+        loss=loss,
     )
     scheduled = []
     schedule = sim.schedule
@@ -176,4 +196,5 @@ def test_one_queue_entry_per_train_per_stage(fabric, entries):
     _, receipt = done.value
     assert receipt.num_packets == 100
     assert len(scheduled) == entries
-    assert receipt.delivered_at.hex() == "0x1.0b086adf5146bp-13"
+    assert net.trains_retransmitted == resent
+    assert receipt.delivered_at.hex() == delivered_at
