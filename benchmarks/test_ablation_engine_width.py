@@ -14,7 +14,7 @@ import pytest
 from conftest import print_header, print_row, run_once
 from repro.core import ErrorBound, inceptionn_profile
 from repro.hardware import CompressionEngine
-from repro.transport import ClusterComm, ClusterConfig
+from repro.transport import ClusterComm, ClusterConfig, SizedPayload
 
 BOUND = ErrorBound(10)
 WIDTHS = (1, 2, 4, 8, 16)
@@ -64,7 +64,7 @@ def test_engine_width_end_to_end(benchmark):
                 ClusterConfig(num_nodes=2, engine_blocks=width, profile=stream)
             )
             sender = comm.endpoints[0]
-            msg = sender.build_message(1, nbytes=nbytes, profile=stream, ratio=8.0)
+            msg = sender.build_message(1, SizedPayload(nbytes, 8.0), stream)
             done = {}
             ev = sender.isend_message(msg)
             ev.add_callback(lambda e: done.setdefault("t", comm.sim.now))

@@ -12,7 +12,7 @@ more per-message latency.
 import pytest
 
 from conftest import print_header, print_row, run_once
-from repro.transport import ClusterComm, ClusterConfig
+from repro.transport import ClusterComm, ClusterConfig, SizedPayload
 
 MB = 2**20
 
@@ -26,8 +26,7 @@ def _rotate_full_vector_time(num_workers, nbytes):
             nxt = (i + 1) % num_workers
             prv = (i - 1) % num_workers
             for _ in range(num_workers - 1):
-                ep = comm.endpoints[i]
-                ep.isend_message(ep.build_message(nxt, nbytes=nbytes))
+                comm.endpoints[i].isend(nxt, SizedPayload(nbytes))
                 yield comm.endpoints[i].recv(prv)
 
         return proc
@@ -54,8 +53,7 @@ def _blocked_exchange_time(num_workers, nbytes, blocks_per_node):
             nxt = (i + 1) % num_workers
             prv = (i - 1) % num_workers
             for _ in range(steps):
-                ep = comm.endpoints[i]
-                ep.isend_message(ep.build_message(nxt, nbytes=block_nbytes))
+                comm.endpoints[i].isend(nxt, SizedPayload(block_nbytes))
                 yield comm.endpoints[i].recv(prv)
 
         return proc

@@ -9,8 +9,8 @@ message sizes.
 import pytest
 
 from conftest import print_header, print_row, run_once
-from repro.distributed import GroupLayout
-from repro.transport import ClusterComm, ClusterConfig
+from repro.distributed import GroupLayout, hierarchical_exchange
+from repro.transport import ClusterComm, ClusterConfig, SizedPayload
 
 MB = 2**20
 MODEL_BYTES = 98 * MB  # ResNet-50
@@ -29,49 +29,12 @@ def _wa_time(num_nodes, nbytes):
 
 
 def _hier_time(num_nodes, group_size, nbytes):
-    """Two-level exchange with sized messages (timing only)."""
+    """Two-level exchange of a size-only gradient (timing only)."""
     layout = GroupLayout.even(num_nodes, group_size)
     comm = ClusterComm(ClusterConfig(num_nodes=num_nodes, train_packets=4400))
-
-    def node(i):
-        def proc():
-            group = layout.group_of(i)
-            leader = group[0]
-            rank = group.index(i)
-            g = len(group)
-            # level 1: ring inside the group
-            block = nbytes // g
-            nxt = group[(rank + 1) % g]
-            prv = group[(rank - 1) % g]
-            for _ in range(2 * (g - 1)):
-                ep = comm.endpoints[i]
-                ep.isend_message(ep.build_message(nxt, nbytes=block))
-                yield comm.endpoints[i].recv(prv)
-            # level 2: leader ring + downstream broadcast
-            leaders = list(layout.leaders)
-            if i == leader and len(leaders) > 1:
-                li = leaders.index(i)
-                lblock = nbytes // len(leaders)
-                lnxt = leaders[(li + 1) % len(leaders)]
-                lprv = leaders[(li - 1) % len(leaders)]
-                for _ in range(2 * (len(leaders) - 1)):
-                    ep = comm.endpoints[i]
-                    ep.isend_message(ep.build_message(lnxt, nbytes=lblock))
-                    yield comm.endpoints[i].recv(lprv)
-                events = [
-                    comm.endpoints[i].isend_message(
-                        comm.endpoints[i].build_message(member, nbytes=nbytes)
-                    )
-                    for member in group[1:]
-                ]
-                yield comm.sim.all_of(events)
-            elif len(leaders) > 1:
-                yield comm.endpoints[i].recv(leader)
-
-        return proc
-
+    gradient = SizedPayload(nbytes)
     for i in range(num_nodes):
-        comm.sim.process(node(i)())
+        comm.sim.process(hierarchical_exchange(comm, i, gradient, layout))
     return comm.run()
 
 

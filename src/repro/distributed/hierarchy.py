@@ -22,7 +22,7 @@ from repro.core import StreamProfile
 from repro.network import Event
 from repro.obs import CAT_HIER
 from repro.transport.endpoint import ClusterComm
-from repro.transport.wire import WireMessage
+from repro.transport.wire import Payload, WireMessage
 
 from .node import ZERO_COMPUTE, ComputeProfile
 from .ring import ring_exchange
@@ -89,22 +89,22 @@ class _ScopedEndpoint:
     def isend(
         self,
         dst: int,
-        array: np.ndarray,
+        payload: Payload,
         profile: "StreamProfile | None" = None,
     ) -> Event:
         return self._inner.isend(
-            self._members[dst], array, profile=profile
+            self._members[dst], payload, profile=profile
         )
 
     def forward(
         self,
         dst: int,
         msg: WireMessage,
-        array: np.ndarray,
+        payload: Payload,
         profile: "StreamProfile | None" = None,
     ) -> Event:
         return self._inner.forward(
-            self._members[dst], msg, array, profile=profile
+            self._members[dst], msg, payload, profile=profile
         )
 
     def recv(self, src: int) -> Event:
@@ -117,10 +117,10 @@ class _ScopedEndpoint:
 def hierarchical_exchange(
     comm: ClusterComm,
     node: int,
-    vector: np.ndarray,
+    vector: Payload,
     layout: GroupLayout,
     profile: ComputeProfile = ZERO_COMPUTE,
-) -> Generator[Event, Any, np.ndarray]:
+) -> Generator[Event, Any, Any]:
     """Two-level gradient exchange for one node; returns the global sum.
 
     Level 1: ring inside the leaf group.  Level 2: leaders ring over the
@@ -128,6 +128,8 @@ def hierarchical_exchange(
     group members (a gradient broadcast — still on the compressed
     stream).  Every leg rides the cluster's gradient stream.  The
     ledger counts node 0's sums in every ring it is in (both, as a leader).
+    A :class:`~repro.transport.wire.SizedPayload` times the schedule on
+    sizes alone; a member then receives the broadcast's byte count.
     """
     group = layout.group_of(node)
     leader = group[0]

@@ -7,6 +7,8 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.transport.wire import Payload, SizedPayload
+
 #: Spawn-key stream tags: one reserved lane per independent per-node
 #: random stream.  Keys are ``(seed, node, stream)`` sequences fed to
 #: ``np.random.default_rng`` — unlike the old ``seed + 1000 * i`` /
@@ -66,8 +68,9 @@ def block_sizes(total: int, num_blocks: int) -> List[int]:
 
     The single source of truth for reduce-scatter block sizes: the
     first ``total % num_blocks`` blocks carry one extra element — the
-    same layout ``np.array_split`` produces.  The functional
-    :func:`partition_blocks` and both timing evaluators read it.
+    same layout ``np.array_split`` produces.  :func:`partition_blocks`
+    (so the ring primitive, on arrays and sizes alike) and the flow
+    evaluator read it.
     """
     if num_blocks < 1:
         raise ValueError("need at least one block")
@@ -77,14 +80,22 @@ def block_sizes(total: int, num_blocks: int) -> List[int]:
     return [base + (1 if b < rem else 0) for b in range(num_blocks)]
 
 
-def partition_blocks(vector: np.ndarray, num_blocks: int) -> List[np.ndarray]:
+def partition_blocks(vector: Payload, num_blocks: int) -> List[Payload]:
     """Algorithm 1 line 8: split ``g`` evenly into N blocks.
 
     Contiguous views with the :func:`block_sizes` layout (sizes differ
     by at most one) — of ``vector`` itself when it already is a flat
     float32 array, so writing a block writes ``vector``; the ring
-    exchange hands in the one copy it reduces in place.
+    exchange hands in the one copy it reduces in place.  A size-only
+    gradient splits into size-only blocks at its ratio.
     """
+    if isinstance(vector, SizedPayload):
+        if vector.nbytes % 4:
+            raise ValueError(f"nbytes={vector.nbytes} is not whole float32 values")
+        return [
+            SizedPayload(size * 4, vector.ratio)
+            for size in block_sizes(vector.nbytes // 4, num_blocks)
+        ]
     flat = np.ascontiguousarray(vector, dtype=np.float32).reshape(-1)
     sizes = block_sizes(flat.size, num_blocks)
     return np.split(flat, np.cumsum(sizes[:-1]))

@@ -31,7 +31,7 @@ import numpy as np
 from repro.network import Event
 from repro.obs import CAT_RING
 from repro.transport.endpoint import Endpoint
-from repro.transport.wire import WireMessage
+from repro.transport.wire import Payload, SizedPayload, WireMessage
 
 from .node import ZERO_COMPUTE, ComputeProfile, partition_blocks
 
@@ -45,18 +45,19 @@ def ring_step_blocks(
 ) -> Tuple[NodeIds, NodeIds]:
     """``(send, recv)`` block indices of ``node`` at exchange step ``step``.
 
-    Steps run ``1 .. 2N-2``; the functional exchange below and both
-    timing evaluators of :mod:`repro.perfmodel.exchange` read this.
+    Steps run ``1 .. 2N-2``; the exchange below (which the packet
+    evaluator of :mod:`repro.perfmodel.exchange` drives too) and the
+    flow evaluator in :mod:`repro.perfmodel.flowsim` read this.
     """
     return (node - step + 1) % num_workers, (node - step) % num_workers
 
 
 def ring_exchange(
     ep: Endpoint,
-    vector: np.ndarray,
+    vector: Payload,
     num_workers: int,
     profile: ComputeProfile = ZERO_COMPUTE,
-) -> Generator[Event, Any, np.ndarray]:
+) -> Generator[Event, Any, Payload]:
     """Run Algorithm 1's gradient exchange for one node; returns the
     fully aggregated gradient vector.
 
@@ -72,6 +73,10 @@ def ring_exchange(
     other node — the consuming successor too — to have finished step
     ``s``.  A reused compressed forward ships the received codec output,
     which no node writes.
+
+    A :class:`~repro.transport.wire.SizedPayload` runs the same schedule
+    on sizes alone (paper-scale timing): the messages, sums and spans
+    are the functional run's, and the returned aggregate is the input.
     """
     n = num_workers
     i = ep.node_id
@@ -79,7 +84,9 @@ def ring_exchange(
     node = getattr(ep, "global_node", i)
     if not 0 <= i < n:
         raise ValueError(f"node {i} outside the {n}-worker ring")
-    aggregate = np.array(vector, dtype=np.float32).reshape(-1)
+    aggregate = vector
+    if not isinstance(vector, SizedPayload):
+        aggregate = np.array(vector, dtype=np.float32).reshape(-1)
     if n == 1:
         return aggregate
 
@@ -99,16 +106,17 @@ def ring_exchange(
         else:
             ep.forward(successor, relay, blocks[send_idx], profile=stream)
         msg = yield ep.recv_message(predecessor)
-        received = msg.values
         block = blocks[recv_idx]
         if step < n:
             # P1: sum-reduce into the local block.
-            dt = profile.sum_time(received.nbytes)
+            dt = profile.sum_time(msg.nbytes)
             yield from ep.comm.spend("gradient_sum", dt, node, node == 0)
-            np.add(block, received, out=block)
+            if not msg.size_only:
+                np.add(block, msg.values, out=block)
         else:
             # P2: propagate the fully aggregated block.
-            block[...] = received
+            if not msg.size_only:
+                block[...] = msg.values
             relay = msg
         if tracer is not None:
             tracer.span(

@@ -379,7 +379,9 @@ def run_strategy(
     ring compresses every hop.  ``options`` is the strategy's keyword
     namespace (``sync_period``, ``staleness_bound``, ``layout``,
     ``max_staleness``, ``compute_jitter``, ...); ``compute_jitter`` is
-    a real number in ``[0, 1]``.
+    a real number in ``[0, 1]``.  Under background ``tenants`` the
+    virtual time is when the last worker finished
+    (:meth:`~repro.transport.endpoint.ClusterComm.run`).
     """
     strat = get_strategy(strategy) if isinstance(strategy, str) else strategy
     opts: Mapping[str, Any] = dict(options or {})
@@ -399,12 +401,6 @@ def run_strategy(
     if config.num_nodes != num_nodes:
         raise ValueError(
             f"cluster config has {config.num_nodes} nodes, run needs {num_nodes}"
-        )
-    if config.tenants:
-        raise ValueError(
-            "run_strategy does not model background tenants; drop "
-            "ClusterConfig.tenants or time the exchange with "
-            "simulate_ring_exchange/simulate_wa_exchange, which do"
         )
     comm = ClusterComm(config, tracer=tracer)
     if config.agg_site == AGG_SWITCH and not strat.supports_switch_aggregation:
@@ -443,9 +439,10 @@ def run_strategy(
         finished=[0] * num_workers,
     )
     strat.setup(run)
-    for i in range(num_workers):
-        comm.sim.process(_worker_process(run, strat, i))
-    total_time = comm.run()
+    workers = [
+        comm.sim.process(_worker_process(run, strat, i)) for i in range(num_workers)
+    ]
+    total_time = comm.run(workers)
     for node_id, done in enumerate(run.finished):
         if done < iterations:
             raise RuntimeError(

@@ -9,6 +9,7 @@ algorithm removes.
 Where the sum happens is the cluster's ``agg_site`` knob.  At the
 endpoint (default) arrivals fold at the aggregator host — through the
 codec algebra when the stream is homomorphic, element-wise otherwise.
+A size-only gradient (paper-scale timing) runs the same legs on sizes.
 At the switch, a :class:`~repro.transport.aggregation.SwitchGather`
 reduces payloads in-flight and the aggregator only collects the folded
 result; both exchange legs here just pick the site, the mechanics live
@@ -24,6 +25,7 @@ import numpy as np
 from repro.network import Event
 from repro.transport.aggregation import SwitchGather, aggregate_endpoint
 from repro.transport.endpoint import Endpoint
+from repro.transport.wire import Payload, SizedPayload, WireMessage
 
 from .node import ZERO_COMPUTE, ComputeProfile
 
@@ -31,15 +33,16 @@ from .node import ZERO_COMPUTE, ComputeProfile
 def worker_exchange(
     ep: Endpoint,
     aggregator: int,
-    gradient: np.ndarray,
+    gradient: Payload,
     gather: Optional[SwitchGather] = None,
-) -> Generator[Event, Any, np.ndarray]:
+) -> Generator[Event, Any, Any]:
     """One worker's iteration legs: send g up, receive w down.
 
     The gradient leg rides the cluster's stream (the weight leg down is
     always raw).  With a ``gather`` (the switch aggregation site) the
     gradient rides the reduction tree instead of a host-to-host message.
-    Returns the updated weight vector from the aggregator.
+    Returns what the aggregator broadcast: the updated weight vector
+    (its byte count for a size-only gradient).
     """
     if gather is not None:
         gather.offer(ep.node_id, gradient)
@@ -52,54 +55,45 @@ def worker_exchange(
 def aggregator_exchange(
     ep: Endpoint,
     workers: List[int],
-    apply_update: Callable[[np.ndarray], np.ndarray],
+    apply_update: Callable[[Payload], Payload],
     profile: ComputeProfile = ZERO_COMPUTE,
     gather: Optional[SwitchGather] = None,
-) -> Generator[Event, Any, np.ndarray]:
+) -> Generator[Event, Any, Payload]:
     """One aggregator iteration: gather, sum, update, broadcast.
 
     ``apply_update(total_gradient) -> weight_vector`` is the update rule
     (the aggregator owns the canonical weights and optimizer state).
-    Three gather dispositions share the update/broadcast tail: the
-    switch site collects the in-network folded part; a homomorphic
-    endpoint stream folds arrivals through the codec algebra (bit-equal
-    to the switch tree); everything else keeps the historical
-    element-wise float32 accumulation verbatim.  The aggregator is a
-    barrier, so it records every sum and update it spends.  Returns the
-    broadcast weight vector.
+    The switch site collects the in-network folded part.  At the
+    endpoint, every arrival after the first costs a sum; the fold then
+    runs through the codec algebra for a homomorphic stream (bit-equal
+    to the switch tree) and as the element-wise float32 accumulation in
+    arrival order otherwise.  Size-only gradients fold to their size.
+    The aggregator is a barrier, so it records every sum and update it
+    spends.  Returns the broadcast weight vector.
     """
-    stream = ep.comm.config.profile
-    total: Optional[np.ndarray] = None
     if gather is not None:
         part = yield from gather.collect()
-        if part.result is None:
-            raise RuntimeError(
-                "switch gather returned a size-only part; functional "
-                "exchanges must offer real gradient arrays"
-            )
-        total = part.result.values
-    elif stream is not None and stream.homomorphic:
-        arrivals: List[np.ndarray] = []
-        for count, src in enumerate(workers):
-            grad = yield ep.recv(src)
-            if count > 0:
-                dt = profile.sum_time(grad.nbytes)
-                yield from ep.comm.spend("gradient_sum", dt, ep.node_id)
-            arrivals.append(grad)
-        if not arrivals:
-            raise ValueError("aggregator needs at least one worker")
-        total = aggregate_endpoint(stream, arrivals)
+        sized = part.result is None
+        total = SizedPayload(part.raw_nbytes) if sized else part.result.values
     else:
-        for src in workers:
-            grad = yield ep.recv(src)
-            if total is None:
-                total = np.array(grad, dtype=np.float32, copy=True)
-            else:
-                dt = profile.sum_time(grad.nbytes)
-                yield from ep.comm.spend("gradient_sum", dt, ep.node_id)
-                total = (total + grad).astype(np.float32)
-        if total is None:
+        if not workers:
             raise ValueError("aggregator needs at least one worker")
+        arrivals: List[WireMessage] = []
+        for src in workers:
+            msg = yield ep.recv_message(src)
+            if arrivals:
+                dt = profile.sum_time(msg.nbytes)
+                yield from ep.comm.spend("gradient_sum", dt, ep.node_id)
+            arrivals.append(msg)
+        stream = ep.comm.config.profile
+        if arrivals[0].size_only:
+            total = SizedPayload(arrivals[0].nbytes)
+        elif stream is not None and stream.homomorphic:
+            total = aggregate_endpoint(stream, [msg.values for msg in arrivals])
+        else:
+            total = np.array(arrivals[0].values, dtype=np.float32, copy=True)
+            for msg in arrivals[1:]:
+                total = (total + msg.values).astype(np.float32)
     yield from ep.comm.spend("update", profile.update_s, ep.node_id)
     weights = apply_update(total)
     events = [ep.isend(dst, weights) for dst in workers]

@@ -1,41 +1,42 @@
 """Paper-scale gradient-exchange simulation (timing only).
 
-Drives the event-driven network with *size-only* WireMessages — no
-multi-hundred-megabyte arrays are materialized — while compression
-ratios come from the real codec run on sampled gradient vectors with
-the model's empirical value distribution.  This is the machinery behind
-Table II, Fig 12 and Fig 15.
-
-Wire sizes come from the same :func:`repro.transport.wire.build_wire_message`
-builder the functional ``Endpoint.isend`` path uses, so the timing and
-functional domains cannot drift apart.
+Times the exchanges on *size-only* gradients — no multi-hundred-megabyte
+arrays are materialized — while compression ratios come from the real
+codec run on sampled gradient vectors with the model's empirical value
+distribution.  This is the machinery behind Table II, Fig 12 and Fig 15.
 
 One exchange description, two evaluators: :func:`simulate_ring_exchange`
 and :func:`simulate_wa_exchange` share one front (validation, ratio
 measurement, the :class:`ClusterConfig`) and hand it either to the event
-kernel (``fidelity="packet"``, the generator processes below) or to the
-closed-form evaluator in :mod:`repro.perfmodel.flowsim`
-(``fidelity="flow"``).
+kernel or to the closed-form evaluator in :mod:`repro.perfmodel.flowsim`
+(``fidelity="flow"``).  On the event kernel (``fidelity="packet"``) the
+strategies' own primitives — :func:`~repro.distributed.ring.ring_exchange`,
+:func:`~repro.distributed.worker_aggregator.worker_exchange` and
+:func:`~repro.distributed.worker_aggregator.aggregator_exchange` — run on
+a :class:`~repro.transport.wire.SizedPayload`, so a training run and its
+timing study share every message, sum and span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 import numpy as np
 
 from repro.core import ErrorBound, StreamProfile, compression_ratio
 from repro.core.bounds import DEFAULT_BOUND
-from repro.distributed.node import ComputeProfile, ZERO_COMPUTE, block_sizes
-from repro.distributed.ring import ring_step_blocks
+from repro.distributed.node import ComputeProfile, ZERO_COMPUTE
+from repro.distributed.ring import ring_exchange
+from repro.distributed.strategy import STRATEGIES
+from repro.distributed.worker_aggregator import aggregator_exchange, worker_exchange
 from repro.dnn.models import ModelSpec
 from repro.network import Event
 from repro.network.packet import payload_ratio
 from repro.obs import PhaseLedger, PhaseTimes, Tracer
 from repro.transport.aggregation import AGG_ENDPOINT, AGG_SWITCH, SwitchGather
 from repro.transport.endpoint import ClusterComm, ClusterConfig, TransferSummary
-from repro.transport.wire import measure_stream_ratio
+from repro.transport.wire import SizedPayload, measure_stream_ratio
 
 from .flowsim import flow_ring_exchange, flow_wa_exchange
 
@@ -136,100 +137,32 @@ def _check_flow_supported(tracer: Optional[Tracer], config: ClusterConfig) -> No
         )
 
 
-def _send_gradient(
-    job: Exchange, comm: ClusterComm, src: int, dst: int, nbytes: int
-) -> Event:
-    """One hop on the gradient stream — the only traffic that may compress."""
-    ep = comm.endpoints[src]
-    msg = ep.build_message(
-        dst, nbytes=nbytes, profile=job.config.profile, ratio=job.ratio
-    )
-    return ep.isend_message(msg)
+def _worker(
+    job: Exchange,
+    comm: ClusterComm,
+    node: int,
+    exchange: Callable[[int], Process],
+) -> Process:
+    """One worker's iterations: the training loop without the trainer."""
+    updates = STRATEGIES[job.algorithm].worker_applies_update
+    for _ in range(job.iterations):
+        if job.include_local_compute:
+            yield from comm.spend_local(job.profile, node, node == 0)
+        yield from exchange(node)
+        if updates:
+            yield from comm.spend("update", job.profile.update_s, node, node == 0)
 
 
-def _ring_processes(job: Exchange, comm: ClusterComm) -> List[Process]:
-    """One process per ring node: every hop rides the gradient stream."""
-    n = job.num_workers
-    block_bytes = [s * 4 for s in block_sizes(job.nbytes // 4, n)]
-
-    def worker(i: int) -> Process:
-        ep = comm.endpoints[i]
-        successor, predecessor = (i + 1) % n, (i - 1) % n
-        for _ in range(job.iterations):
-            if job.include_local_compute:
-                yield from comm.spend_local(job.profile, i, i == 0)
-            for step in range(1, 2 * n - 1):
-                send_idx, recv_idx = ring_step_blocks(i, step, n)
-                _send_gradient(job, comm, i, successor, block_bytes[send_idx])
-                yield ep.recv(predecessor)
-                if step < n:
-                    dt = job.profile.sum_time(block_bytes[recv_idx])
-                    yield from comm.spend("gradient_sum", dt, i, i == 0)
-            yield from comm.spend("update", job.profile.update_s, i, i == 0)
-
-    return [worker(i) for i in range(n)]
-
-
-def _wa_processes(
+def _aggregator(
     job: Exchange, comm: ClusterComm, gather: Optional[SwitchGather]
-) -> List[Process]:
-    """Worker processes plus the aggregator's gather/sum/update/scatter."""
-    aggregator = job.num_workers
-
-    def worker(i: int) -> Process:
-        for _ in range(job.iterations):
-            if job.include_local_compute:
-                yield from comm.spend_local(job.profile, i, i == 0)
-            if gather is not None:
-                gather.offer(i, nbytes=job.nbytes, ratio=job.ratio)
-            else:
-                _send_gradient(job, comm, i, aggregator, job.nbytes)
-            yield comm.endpoints[i].recv(aggregator)
-
-    def agg() -> Process:
-        ep = comm.endpoints[aggregator]
-        dt_sum = job.profile.sum_time(job.nbytes)
-        for _ in range(job.iterations):
-            if gather is not None:
-                # The sum rides the reduction tree; its engine time is
-                # inside collect()'s critical path.
-                yield from gather.collect()
-            else:
-                for src in range(job.num_workers):
-                    yield ep.recv(src)
-                    if src > 0:
-                        yield from comm.spend("gradient_sum", dt_sum, aggregator)
-            yield from comm.spend("update", job.profile.update_s, aggregator)
-            events = [
-                ep.isend_message(ep.build_message(dst, nbytes=job.nbytes))
-                for dst in range(job.num_workers)
-            ]
-            yield comm.sim.all_of(events)
-
-    return [worker(i) for i in range(job.num_workers)] + [agg()]
-
-
-def _run_with_background(comm: ClusterComm, procs: List[Event]) -> float:
-    """Run the cluster to completion, timing the foreground processes.
-
-    On a dedicated network the makespan *is* the exchange time.  With
-    background tenants the fabric never goes idle, so the measured
-    quantity is when the last foreground process finishes; tenant flows
-    are stopped at that point and the queue drains (their in-flight
-    trains complete but no longer matter for timing).
-    """
-    background = comm.start_background()
-    if background is None:
-        return comm.run()
-    finish: Dict[str, float] = {}
-
-    def _foreground_done(_: Event) -> None:
-        finish["t"] = comm.sim.now
-        background.stop()
-
-    comm.sim.all_of(procs).add_callback(_foreground_done)
-    comm.run()
-    return finish["t"]
+) -> Process:
+    """The aggregator's iterations; its update rule is the identity."""
+    ep = comm.endpoints[job.num_workers]
+    workers = list(range(job.num_workers))
+    for _ in range(job.iterations):
+        yield from aggregator_exchange(
+            ep, workers, lambda total: total, profile=job.profile, gather=gather
+        )
 
 
 def _packet_exchange(
@@ -237,19 +170,26 @@ def _packet_exchange(
 ) -> Tuple[Measured, Dict[str, int]]:
     """Evaluate on the event kernel; also returns the packet-only counters."""
     comm = ClusterComm(job.config, tracer=tracer)
+    n = job.num_workers
+    gradient = SizedPayload(job.nbytes, job.ratio)
     gather: Optional[SwitchGather] = None
     if job.algorithm == "ring":
-        processes = _ring_processes(job, comm)
+
+        def exchange(i: int) -> Process:
+            return ring_exchange(comm.endpoints[i], gradient, n, profile=job.profile)
+
     else:
         if job.config.agg_site == AGG_SWITCH:
-            gather = SwitchGather(
-                comm,
-                root=job.num_workers,
-                sources=range(job.num_workers),
-            )
-        processes = _wa_processes(job, comm, gather)
-    total_s = _run_with_background(comm, [comm.sim.process(p) for p in processes])
-    background = comm.start_background()
+            gather = SwitchGather(comm, root=n, sources=range(n))
+
+        def exchange(i: int) -> Process:
+            return worker_exchange(comm.endpoints[i], n, gradient, gather)
+
+    processes = [comm.sim.process(_worker(job, comm, i, exchange)) for i in range(n)]
+    if job.algorithm == "wa":
+        processes.append(comm.sim.process(_aggregator(job, comm, gather)))
+    total_s = comm.run(processes)
+    background = comm.background
     counters = {
         "trains_retransmitted": comm.network.trains_retransmitted,
         "background_messages": background.total_messages if background else 0,

@@ -18,7 +18,12 @@ from .endpoint import (
     TransferSummary,
     summarize_transfers,
 )
-from .wire import WireMessage, build_wire_message, measure_stream_ratio
+from .wire import (
+    SizedPayload,
+    WireMessage,
+    build_wire_message,
+    measure_stream_ratio,
+)
 
 __all__ = [
     "AGG_ENDPOINT",
@@ -35,6 +40,7 @@ __all__ = [
     "TransferLog",
     "TransferSummary",
     "summarize_transfers",
+    "SizedPayload",
     "WireMessage",
     "build_wire_message",
     "measure_stream_ratio",

@@ -56,7 +56,7 @@ from repro.network.reduction import (
 )
 from repro.obs import CAT_ENGINE
 
-from .wire import sized_wire_payload
+from .wire import Payload, SizedPayload
 
 if TYPE_CHECKING:
     from .endpoint import ClusterComm
@@ -224,49 +224,33 @@ class SwitchGather:
         engines = self.fabric.aggregation_engines
         return sum(engines[v].total_cycles for v in sorted(engines))
 
-    def offer(
-        self,
-        host: int,
-        array: Optional[np.ndarray] = None,
-        *,
-        nbytes: Optional[int] = None,
-        ratio: Optional[float] = None,
-    ) -> Event:
+    def offer(self, host: int, payload: Payload) -> Event:
         """Launch one source's contribution for its next round.
 
-        Functional mode passes ``array`` (the stream codec runs once,
-        here, at the worker NIC); size-only mode passes ``nbytes`` plus
-        an optional measured ``ratio`` — mirroring
-        :func:`repro.transport.wire.build_wire_message`.  Non-blocking:
-        returns the leaf segment's delivery event.
+        A functional array runs the stream codec once, here, at the
+        worker NIC; a :class:`~repro.transport.wire.SizedPayload` ships
+        its size at its measured ratio, as a size-only endpoint send
+        would.  Non-blocking: returns the leaf segment's delivery event.
         """
         leaf = self._leaves.get(host)
         if leaf is None:
             raise ValueError(
                 f"host {host} is not a source of this reduction tree"
             )
-        if (array is None) == (nbytes is None):
-            raise ValueError("pass exactly one of array= or nbytes=")
-        if ratio is not None and ratio < 1.0:
-            raise ValueError(
-                f"compression ratio must be >= 1 (got {ratio!r})"
+        if isinstance(payload, SizedPayload):
+            part = GatherPart(
+                raw_nbytes=payload.nbytes,
+                payload_nbytes=payload.compressed_nbytes,
+                fan_in=1,
             )
-        if array is not None:
-            arr = np.ascontiguousarray(array, dtype=np.float32).reshape(-1)
+        else:
+            arr = np.ascontiguousarray(payload, dtype=np.float32).reshape(-1)
             result = self.stream.compress(arr)
             part = GatherPart(
                 raw_nbytes=arr.nbytes,
                 payload_nbytes=result.payload_nbytes,
                 fan_in=result.fan_in,
                 result=result,
-            )
-        else:
-            raw = int(nbytes)  # type: ignore[arg-type]
-            if raw < 0:
-                raise ValueError("nbytes cannot be negative")
-            wire = sized_wire_payload(raw, ratio)
-            part = GatherPart(
-                raw_nbytes=raw, payload_nbytes=wire, fan_in=1, result=None
             )
         round_no = self._offer_rounds.get(host, 0)
         self._offer_rounds[host] = round_no + 1

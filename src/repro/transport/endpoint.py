@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core import CAP_FIXED_POINT, StreamProfile, get_codec
 from repro.core.bounds import DEFAULT_BOUND
 from repro.core.registry import InceptionnCodec
@@ -47,7 +45,13 @@ from repro.network.topology import DEFAULT_BANDWIDTH_BPS, Topology
 from repro.obs import CAT_CODEC, PhaseLedger, Tracer
 
 from .aggregation import AGG_ENDPOINT, validate_agg_site
-from .wire import WireMessage, account_tx_traversal, build_wire_message
+from .wire import (
+    Payload,
+    SizedPayload,
+    WireMessage,
+    account_tx_traversal,
+    build_wire_message,
+)
 
 if TYPE_CHECKING:
     from repro.distributed.node import ComputeProfile
@@ -227,7 +231,8 @@ class ClusterComm:
             tracer=tracer,
             tos_priority=self._tos_priority(),
         )
-        self._background: Optional[BackgroundTraffic] = None
+        #: The tenants' traffic once :meth:`run` launched it (else None).
+        self.background: Optional[BackgroundTraffic] = None
         #: Functional NICs, one per node.
         self.nics: List[InceptionnNic] = [
             config.build_nic(node) for node in range(config.num_nodes)
@@ -261,27 +266,6 @@ class ClusterComm:
                 )
             mapping[tenant.tos] = tenant.priority
         return mapping
-
-    def start_background(self) -> Optional[BackgroundTraffic]:
-        """Launch the configured background tenants (idempotent).
-
-        Tenants occupy fabric host ports from ``num_nodes`` upward —
-        callers must have picked a ``topology`` with spare capacity.
-        Returns the :class:`~repro.network.BackgroundTraffic` handle
-        (call ``stop()`` when the foreground workload completes), or
-        ``None`` when no tenants are configured.
-        """
-        if not self.config.tenants:
-            return None
-        if self._background is None:
-            self._background = BackgroundTraffic(
-                self.network,
-                self.config.tenants,
-                first_host=self.config.num_nodes,
-                seed=self.config.tenant_seed,
-            )
-            self._background.launch()
-        return self._background
 
     @property
     def num_nodes(self) -> int:
@@ -321,9 +305,38 @@ class ClusterComm:
         """Aggregate wire statistics of every message sent so far."""
         return summarize_transfers(self.transfers)
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Drive the simulation; returns the final virtual time."""
-        return self.sim.run(until=until)
+    def run(self, foreground: Sequence[Event] = ()) -> float:
+        """Drive the simulation; returns when the ``foreground`` finished.
+
+        On a dedicated network that is the makespan.  Background tenants
+        (on the fabric's host ports from ``num_nodes`` upward) never let
+        it idle: they launch here and stop when every foreground process
+        has finished; the queue then drains.
+        """
+        if not self.config.tenants:
+            return self.sim.run()
+        if not foreground:
+            raise ValueError(
+                "background tenants never let the fabric idle; pass the "
+                "foreground processes to time"
+            )
+        background = BackgroundTraffic(
+            self.network,
+            self.config.tenants,
+            first_host=self.config.num_nodes,
+            seed=self.config.tenant_seed,
+        )
+        background.launch()
+        self.background = background
+        finish: Dict[str, float] = {}
+
+        def foreground_done(_: Event) -> None:
+            finish["t"] = self.sim.now
+            background.stop()
+
+        self.sim.all_of(list(foreground)).add_callback(foreground_done)
+        self.sim.run()
+        return finish["t"]
 
 
 def _payload(msg: WireMessage) -> object:
@@ -420,27 +433,28 @@ class Endpoint:
     def build_message(
         self,
         dst: int,
-        array: Optional[np.ndarray] = None,
-        *,
-        nbytes: Optional[int] = None,
+        payload: Payload,
         profile: Optional[StreamProfile] = None,
-        ratio: Optional[float] = None,
     ) -> WireMessage:
         """Build this node's wire representation of one send.
 
         Runs the stream's codec exactly once through the sender NIC's
         engine dispatch (see :func:`repro.transport.wire.build_wire_message`).
-        Functional sends pass ``array``; paper-scale timing sends pass
-        ``nbytes`` plus an optional measured ``ratio``.
+        Functional sends pass an array; paper-scale timing sends pass a
+        :class:`~repro.transport.wire.SizedPayload`.
         """
+        nic = self.comm.nics[self.node_id]
+        if isinstance(payload, SizedPayload):
+            return build_wire_message(
+                self.node_id,
+                dst,
+                stream=profile,
+                nbytes=payload.nbytes,
+                nic=nic,
+                ratio=payload.ratio,
+            )
         return build_wire_message(
-            self.node_id,
-            dst,
-            stream=profile,
-            array=array,
-            nbytes=nbytes,
-            nic=self.comm.nics[self.node_id],
-            ratio=ratio,
+            self.node_id, dst, stream=profile, array=payload, nic=nic
         )
 
     def isend_message(self, msg: WireMessage) -> Event:
@@ -500,38 +514,39 @@ class Endpoint:
     def isend(
         self,
         dst: int,
-        array: np.ndarray,
+        payload: Payload,
         profile: Optional[StreamProfile] = None,
     ) -> Event:
         """Non-blocking send; returns the delivery event.
 
-        With a ``profile`` and engines present, the array is
-        passed through the profile's codec: the receiver sees the lossy
+        With a ``profile`` and engines present, an array is passed
+        through the profile's codec: the receiver sees the lossy
         reconstruction and the wire carries the measured compressed
-        bytes under the codec's ToS byte.
+        bytes under the codec's ToS byte.  A size-only payload ships
+        its bytes at its measured ratio; the receiver sees the count.
         """
-        return self.isend_message(self.build_message(dst, array, profile=profile))
+        return self.isend_message(self.build_message(dst, payload, profile))
 
     def forward(
         self,
         dst: int,
         msg: WireMessage,
-        array: np.ndarray,
+        payload: Payload,
         profile: Optional[StreamProfile] = None,
     ) -> Event:
         """Pass what ``msg`` delivered here on to ``dst``; returns the
         delivery event.
 
-        ``msg`` was built under ``profile`` and ``array`` is this node's
-        copy of its values.  When ``msg``'s codec advertises
-        :data:`~repro.core.CAP_FIXED_POINT`, re-encoding the received
-        reconstruction would give the same values and wire size, so a
-        compressed functional ``msg`` is re-addressed and sent as it
-        is: the transfer log, trace instant, timing, TX and RX counters
-        are those the re-encoding send gives (the modelled NIC still
-        compresses the hop).  Any other message — raw, size-only, or
-        under a codec without the capability — goes out as
-        :meth:`isend` sends ``array``.
+        ``msg`` was built under ``profile`` and ``payload`` is this
+        node's copy of its values (or its size).  When ``msg``'s codec
+        advertises :data:`~repro.core.CAP_FIXED_POINT`, re-encoding the
+        received reconstruction would give the same values and wire
+        size, so a compressed functional ``msg`` is re-addressed and
+        sent as it is: the transfer log, trace instant, timing, TX and
+        RX counters are those the re-encoding send gives (the modelled
+        NIC still compresses the hop).  Any other message — raw,
+        size-only, or under a codec without the capability — goes out as
+        :meth:`isend` sends ``payload``.
         """
         codec = msg.codec  # set exactly when the message is compressed
         if (
@@ -548,7 +563,7 @@ class Endpoint:
                 out.wire_payload_nbytes,
             )
             return self.isend_message(out)
-        return self.isend(dst, array, profile=profile)
+        return self.isend(dst, payload, profile=profile)
 
     def recv(self, src: int) -> Event:
         """Event yielding the next array sent by ``src`` to this node."""

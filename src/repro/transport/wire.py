@@ -16,8 +16,10 @@ Two build modes share the pipeline: *functional* (``array=``) runs the
 real codec and carries the lossy reconstruction; *size-only*
 (``nbytes=``) moves bytes for paper-scale timing studies, with the wire
 size derived from a caller-measured ratio (see
-:func:`measure_stream_ratio`).  This retires the old sized-send
-side path entirely.
+:func:`measure_stream_ratio`).  Above :func:`build_wire_message` a
+size-only gradient is a :class:`SizedPayload`, which the exchange
+primitives, endpoints and the switch gather take wherever they take an
+array.
 
 Forwards reuse: a node passing a received compressed message on to the
 next hop re-addresses it instead of re-encoding its values, when the
@@ -32,8 +34,9 @@ network splits the totals into trains (:func:`repro.network.split_trains`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
@@ -46,6 +49,45 @@ if TYPE_CHECKING:
 #: Sample size for measuring a stream's compression ratio.  Small enough
 #: for the bit-serial Python codecs (sz_like, snappy_like) to stay fast.
 RATIO_SAMPLE_VALUES = 1 << 14
+
+
+@dataclass(frozen=True)
+class SizedPayload:
+    """A size-only gradient: ``nbytes`` of float32 values, no values.
+
+    Paper-scale timing studies hand one to the exchange primitives
+    where a functional run hands an array, so a 525 MB gradient is
+    timed without being allocated.  ``ratio`` is the stream's measured
+    compression ratio; ``None`` (not 0.0) means unmeasured, the raw
+    size.  A ratio must be finite and >= 1: the wire never inflates,
+    and an infinite or NaN ratio has no wire size.
+    """
+
+    nbytes: int
+    ratio: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.nbytes < 0:
+            raise ValueError("nbytes cannot be negative")
+        ratio = self.ratio
+        if not (ratio is None or (math.isfinite(ratio) and ratio >= 1.0)):
+            raise ValueError(
+                f"compression ratio must be >= 1 and finite (got {ratio!r}); "
+                "pass None for uncompressed"
+            )
+
+    @property
+    def compressed_nbytes(self) -> int:
+        """On-wire payload when the stream compresses, at ``ratio``.
+
+        Every size-only consumer (endpoint sends, the switch gather's
+        leaf offers, the flow evaluator) rounds here.
+        """
+        return int(round(self.nbytes / (1.0 if self.ratio is None else self.ratio)))
+
+
+#: What a send carries: real values, or only their size.
+Payload = Union[np.ndarray, SizedPayload]
 
 
 @dataclass
@@ -99,16 +141,6 @@ class WireMessage:
         return self.payload
 
 
-def sized_wire_payload(nbytes: int, ratio: Optional[float]) -> int:
-    """On-wire payload of a size-only message compressed at ``ratio``.
-
-    ``None`` means the caller did not measure a ratio: the payload
-    ships at its raw size.  Every size-only consumer (endpoint sends,
-    the switch gather's leaf offers, the flow evaluator) rounds here.
-    """
-    return int(round(nbytes / (1.0 if ratio is None else ratio)))
-
-
 def build_wire_message(
     src: int,
     dst: int,
@@ -128,26 +160,18 @@ def build_wire_message(
     under its codec's ToS, exactly when that NIC is enabled, and its TX
     counters tick for the built train.
 
-    ``ratio`` is validated before the compression check — a ratio below
-    1.0 (including 0.0, which is not "unset") is a caller bug no matter
-    what engines are present.  ``None`` means "caller did not measure",
-    i.e. the uncompressed size.
+    ``nbytes`` and ``ratio`` are checked as a :class:`SizedPayload`
+    before the compression check — a bad ratio is a caller bug no
+    matter what engines are present.
     """
     if (array is None) == (nbytes is None):
         raise ValueError("pass exactly one of array= or nbytes=")
-    if nbytes is not None and nbytes < 0:
-        raise ValueError("nbytes cannot be negative")
-    if ratio is not None:
-        if array is not None:
-            raise ValueError(
-                "ratio= only applies to size-only messages; functional "
-                "sends measure their ratio by running the codec"
-            )
-        if ratio < 1.0:
-            raise ValueError(
-                "compression ratio must be >= 1 "
-                f"(got {ratio!r}); pass None for uncompressed"
-            )
+    if ratio is not None and array is not None:
+        raise ValueError(
+            "ratio= only applies to size-only messages; functional "
+            "sends measure their ratio by running the codec"
+        )
+    sized = None if nbytes is None else SizedPayload(int(nbytes), ratio)
     compressed = stream is not None and nic is not None and nic.enabled
     tos = stream.tos if compressed else TOS_DEFAULT
     codec_name = stream.codec if compressed else None
@@ -165,11 +189,8 @@ def build_wire_message(
             values = arr
         size_only = False
     else:
-        raw_nbytes = int(nbytes)  # type: ignore[arg-type]
-        if compressed:
-            wire_payload = sized_wire_payload(raw_nbytes, ratio)
-        else:
-            wire_payload = raw_nbytes
+        raw_nbytes = sized.nbytes
+        wire_payload = sized.compressed_nbytes if compressed else raw_nbytes
         size_only = True
 
     num_packets = packet_count(raw_nbytes)
@@ -235,9 +256,10 @@ def measure_stream_ratio(
 
 
 __all__ = [
+    "Payload",
+    "SizedPayload",
     "WireMessage",
     "account_tx_traversal",
     "build_wire_message",
     "measure_stream_ratio",
-    "sized_wire_payload",
 ]

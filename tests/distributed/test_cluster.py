@@ -86,25 +86,38 @@ def test_an_omitted_stream_rides_the_clusters_codec():
     assert result.transfers.wire_ratio > 1
 
 
-def test_run_strategy_refuses_background_tenants():
-    # Tenants used to be ignored without a word (a ring with them took
-    # exactly as long as one without); the exchange simulators model them.
-    cluster = ClusterConfig(
-        num_nodes=4,
-        topology="fat-tree:k=4",
-        tenants=parse_tenants("train:4,infer:4"),
-    )
-    with pytest.raises(ValueError, match=r"tenants.*simulate_ring_exchange"):
-        run_strategy(
-            "ring",
+@pytest.mark.parametrize("algorithm", ["ring", "wa", "hierarchy"])
+def test_background_tenants_move_time_never_values(algorithm):
+    # Tenants share the fabric with the run (the exchange simulators
+    # time them through the same cluster runner): they may delay it,
+    # but what it computes cannot depend on when messages land.
+    def train(tenants):
+        return run_strategy(
+            algorithm,
             build_net=lambda s: build_hdc(seed=s),
             make_optimizer=lambda: SGD(LRSchedule(0.02)),
             dataset=hdc_dataset(train_size=40, test_size=10, seed=0),
             num_workers=4,
-            iterations=1,
+            iterations=2,
             batch_size=16,
-            cluster=cluster,
+            cluster=ClusterConfig(
+                num_nodes=4 + (algorithm == "wa"),
+                topology="fat-tree:k=4",
+                tenants=tenants,
+            ),
         )
+
+    alone = train(())
+    shared = train(parse_tenants("train:4,infer:4"))
+    assert np.array_equal(
+        shared.final_weights.view(np.uint32), alone.final_weights.view(np.uint32)
+    )
+    assert shared.losses == alone.losses
+    assert shared.virtual_time_s >= alone.virtual_time_s
+    if algorithm == "wa":
+        # On this placement tenant flows delay the aggregator's gather
+        # (the rings happen to run unslowed): the tenants did run.
+        assert shared.virtual_time_s > alone.virtual_time_s
 
 
 def _jittered_run(jitter, build_net=lambda s: build_hdc(seed=s)):

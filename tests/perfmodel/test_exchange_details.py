@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import inceptionn_profile
 from repro.distributed import ComputeProfile
 from repro.perfmodel import (
     compute_profile_for,
@@ -100,3 +101,16 @@ def test_bandwidth_scales_exchange(simulate):
     slow = simulate(4, 8 * MB, bandwidth_bps=1e9).total_s
     fast = simulate(4, 8 * MB, bandwidth_bps=10e9).total_s
     assert slow == pytest.approx(10 * fast, rel=0.15)
+
+
+@pytest.mark.parametrize("stream", [inceptionn_profile(), None], ids=["inc", "raw"])
+@pytest.mark.parametrize("ratio", [float("inf"), float("nan")])
+@pytest.mark.parametrize("fidelity", ["packet", "flow"])
+@pytest.mark.parametrize("simulate", [simulate_wa_exchange, simulate_ring_exchange])
+def test_non_finite_ratio_rejected(simulate, fidelity, ratio, stream):
+    # An infinite ratio once timed a 0-byte wire (wire_ratio = inf); NaN
+    # failed inside the rounding, or ran silently on a raw stream.
+    with pytest.raises(ValueError, match=r"compression ratio.*(inf|nan)"):
+        simulate(
+            4, 4_000_000, stream=stream, gradient_ratio=ratio, fidelity=fidelity
+        )

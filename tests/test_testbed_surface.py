@@ -55,7 +55,7 @@ from repro.network import (
     segment_bytes,
 )
 from repro.perfmodel.exchange import Exchange
-from repro.transport import ClusterComm, ClusterConfig, build_wire_message
+from repro.transport import ClusterComm, ClusterConfig, Endpoint, build_wire_message
 from repro.transport.aggregation import SwitchGather
 
 BOUND = ErrorBound(10)
@@ -263,6 +263,15 @@ EXCHANGE_PRIMITIVES = (
 )
 def test_exchange_primitives_read_the_stream_from_the_cluster(primitive):
     assert "stream" not in inspect.signature(primitive).parameters
+
+
+@pytest.mark.parametrize(
+    "send", [Endpoint.build_message, SwitchGather.offer], ids=lambda f: f.__qualname__
+)
+def test_a_size_only_send_is_one_sized_payload(send):
+    # Arrays and ``SizedPayload``s share one positional parameter; only
+    # ``build_wire_message`` below them keeps ``nbytes=``/``ratio=``.
+    assert not {"array", "nbytes", "ratio"} & set(inspect.signature(send).parameters)
 
 
 def test_a_run_does_not_copy_the_cluster():

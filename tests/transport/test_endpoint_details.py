@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import inceptionn_profile
-from repro.transport import ClusterComm, ClusterConfig
+from repro.transport import ClusterComm, ClusterConfig, SizedPayload
 
 
 def _comm(num_nodes=3, profile=None, **kwargs):
@@ -20,7 +20,7 @@ class TestSizedMessages:
 
         def sender():
             ep = comm.endpoints[0]
-            yield ep.isend_message(ep.build_message(1, nbytes=12345))
+            yield ep.isend_message(ep.build_message(1, SizedPayload(12345)))
 
         def receiver():
             got.append((yield comm.endpoints[1].recv(0)))
@@ -37,9 +37,7 @@ class TestSizedMessages:
         def sender():
             ep = comm.endpoints[0]
             yield ep.isend_message(
-                ep.build_message(
-                    1, nbytes=1_000_000, profile=stream, ratio=10.0
-                )
+                ep.build_message(1, SizedPayload(1_000_000, 10.0), stream)
             )
 
         def receiver():
@@ -54,14 +52,12 @@ class TestSizedMessages:
         stream = inceptionn_profile()
         comm = _comm(profile=stream)
         with pytest.raises(ValueError):
-            comm.endpoints[0].build_message(
-                1, nbytes=100, profile=stream, ratio=0.5
-            )
+            comm.endpoints[0].build_message(1, SizedPayload(100, 0.5), stream)
 
     def test_negative_size_rejected(self):
         comm = _comm()
         with pytest.raises(ValueError):
-            comm.endpoints[0].build_message(1, nbytes=-10)
+            comm.endpoints[0].build_message(1, SizedPayload(-10))
 
     def test_ratio_ignored_without_engines(self):
         comm = _comm(profile=None)
@@ -69,9 +65,7 @@ class TestSizedMessages:
         def sender():
             ep = comm.endpoints[0]
             yield ep.isend_message(
-                ep.build_message(
-                    1, nbytes=1000, profile=inceptionn_profile(), ratio=10.0
-                )
+                ep.build_message(1, SizedPayload(1000, 10.0), inceptionn_profile())
             )
 
         def receiver():

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import inceptionn_profile
 from repro.obs import CAT_CODEC, CAT_MESSAGE, Tracer
-from repro.transport import ClusterComm, ClusterConfig
+from repro.transport import ClusterComm, ClusterConfig, SizedPayload
 
 
 def _comm(num_nodes=3, profile=None, tracer=None, **kwargs):
@@ -26,14 +26,14 @@ class TestSizedRatioValidation:
         comm = _comm(profile=inceptionn_profile())
         with pytest.raises(ValueError, match="compression ratio"):
             comm.endpoints[0].build_message(
-                1, nbytes=100, profile=inceptionn_profile(), ratio=0.0
+                1, SizedPayload(100, 0.0), inceptionn_profile()
             )
 
     def test_ratio_below_one_rejected(self):
         comm = _comm(profile=inceptionn_profile())
         with pytest.raises(ValueError, match=">= 1"):
             comm.endpoints[0].build_message(
-                1, nbytes=100, profile=inceptionn_profile(), ratio=0.5
+                1, SizedPayload(100, 0.5), inceptionn_profile()
             )
 
     def test_ratio_rejected_even_without_engines(self):
@@ -41,7 +41,7 @@ class TestSizedRatioValidation:
         # ratio is a caller bug regardless of the cluster profile.
         comm = _comm(profile=None)
         with pytest.raises(ValueError, match="compression ratio"):
-            comm.endpoints[0].build_message(1, nbytes=100, ratio=0.0)
+            comm.endpoints[0].build_message(1, SizedPayload(100, 0.0))
 
     def test_none_means_uncompressed_size(self):
         stream = inceptionn_profile()
@@ -50,7 +50,7 @@ class TestSizedRatioValidation:
         def sender():
             ep = comm.endpoints[0]
             yield ep.isend_message(
-                ep.build_message(1, nbytes=1000, profile=stream, ratio=None)
+                ep.build_message(1, SizedPayload(1000, None), stream)
             )
 
         def receiver():
@@ -64,9 +64,7 @@ class TestSizedRatioValidation:
     def test_ratio_exactly_one_accepted(self):
         stream = inceptionn_profile()
         comm = _comm(profile=stream)
-        msg = comm.endpoints[0].build_message(
-            1, nbytes=1000, profile=stream, ratio=1.0
-        )
+        msg = comm.endpoints[0].build_message(1, SizedPayload(1000, 1.0), stream)
         assert msg.wire_payload_nbytes == 1000
 
 
@@ -79,7 +77,7 @@ class TestCodecTrace:
         def sender():
             ep = comm.endpoints[0]
             yield ep.isend_message(
-                ep.build_message(1, nbytes=1_000_000, profile=stream, ratio=4.0)
+                ep.build_message(1, SizedPayload(1_000_000, 4.0), stream)
             )
 
         def receiver():

@@ -9,6 +9,7 @@ from repro.network.packet import HEADER_BYTES, packet_count, split_trains
 from repro.transport import (
     ClusterComm,
     ClusterConfig,
+    SizedPayload,
     WireMessage,
     build_wire_message,
 )
@@ -22,33 +23,53 @@ def _comm(num_nodes=3, profile=None, **kwargs):
 
 class TestBuilderValidation:
     def test_exactly_one_of_array_or_nbytes(self):
-        comm = _comm()
-        ep = comm.endpoints[0]
         with pytest.raises(ValueError):
-            ep.build_message(1)
+            build_wire_message(0, 1)
         with pytest.raises(ValueError):
-            ep.build_message(
-                1, np.zeros(4, dtype=np.float32), nbytes=16
+            build_wire_message(
+                0, 1, array=np.zeros(4, dtype=np.float32), nbytes=16
             )
 
     def test_ratio_rejected_with_array(self):
         comm = _comm(profile=inceptionn_profile())
         with pytest.raises(ValueError):
-            comm.endpoints[0].build_message(
-                1, np.zeros(4, dtype=np.float32), ratio=2.0
+            build_wire_message(
+                0,
+                1,
+                stream=inceptionn_profile(),
+                array=np.zeros(4, dtype=np.float32),
+                nic=comm.nics[0],
+                ratio=2.0,
             )
 
     def test_wrong_source_rejected_at_send(self):
         comm = _comm()
-        msg = comm.endpoints[1].build_message(2, nbytes=100)
+        msg = comm.endpoints[1].build_message(2, SizedPayload(100))
         with pytest.raises(ValueError):
             comm.endpoints[0].isend_message(msg)
 
 
+class TestNonFiniteRatio:
+    """An infinite ratio once sized a 0-byte wire; NaN failed deep inside
+    the rounding, or not at all on a raw stream."""
+
+    @pytest.mark.parametrize("ratio", [float("inf"), float("nan")])
+    def test_sized_payload_rejects_it(self, ratio):
+        with pytest.raises(ValueError, match="compression ratio"):
+            SizedPayload(1000, ratio)
+
+    @pytest.mark.parametrize("ratio", [float("inf"), float("nan")])
+    def test_build_wire_message_rejects_it_even_raw(self, ratio):
+        with pytest.raises(ValueError, match=r"compression ratio.*(inf|nan)"):
+            build_wire_message(0, 1, nbytes=1000, ratio=ratio)
+
+
 class TestSegments:
-    def _message(self, nbytes, **kwargs):
+    def _message(self, nbytes, profile=None, ratio=None):
         comm = _comm(profile=inceptionn_profile())
-        return comm.endpoints[0].build_message(1, nbytes=nbytes, **kwargs)
+        return comm.endpoints[0].build_message(
+            1, SizedPayload(nbytes, ratio), profile
+        )
 
     @pytest.mark.parametrize("nbytes", [0, 1, 1459, 1460, 1461, 100_000])
     def test_segment_sums_match_totals(self, nbytes):
