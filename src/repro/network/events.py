@@ -30,6 +30,8 @@ A run ends when the last *reserved transfer* has landed, observed or
 not: a resource whose transfer nobody awaits reports the landing time
 (:meth:`Simulation.extend_horizon`) instead of queueing an event without
 waiters, and ``run()`` returns the later of last entry and horizon.
+Lazily evaluated work (express message runs) is settled through
+:meth:`Simulation.at_pause` when ``run(until=...)`` stops short.
 
 Invariants: the clock only moves forward, and only between instants;
 simulated time is the sole time source (no wall-clock reads); all
@@ -184,6 +186,9 @@ class Simulation:
         self._seq = 0
         self._epilogue: List[Callable[[], None]] = []
         self._horizon = 0.0
+        #: The last instant whose at-instant-end hooks have run.
+        self._hooked_at = -float("inf")
+        self._pause_hooks: List[Callable[[], None]] = []
 
     # -- event construction -------------------------------------------------
 
@@ -251,6 +256,25 @@ class Simulation:
         """
         self._epilogue.append(fn)
 
+    def first_round(self) -> bool:
+        """Whether no :meth:`at_instant_end` hook has run yet at ``now``.
+
+        A request staged in the first round joins the instant's first
+        arbitration; one staged later (after a zero-lag hand-off) finds
+        that round's grants already made.
+        """
+        return self._hooked_at != self.now
+
+    def at_pause(self, fn: Callable[[], None]) -> None:
+        """Run ``fn`` whenever :meth:`run` stops at its ``until``.
+
+        For lazily evaluated work: the clock then stands at ``until``
+        with every entry up to it run, and ``fn`` brings what it holds
+        up to that instant.  Unlike :meth:`at_instant_end`, the hook
+        stays registered.
+        """
+        self._pause_hooks.append(fn)
+
     def extend_horizon(self, time: float) -> None:
         """Keep :meth:`run` from ending before ``time``: how a resource
         accounts for a reserved transfer whose landing nobody awaits,
@@ -280,6 +304,7 @@ class Simulation:
                 fn(arg)
             if self._epilogue:  # may schedule more work at ``now``
                 hooks, self._epilogue = self._epilogue, []
+                self._hooked_at = now
                 for hook in hooks:
                     hook()
                 continue
@@ -288,6 +313,8 @@ class Simulation:
                 return now
             if until is not None and next_time > until:
                 self.now = until
+                for hook in self._pause_hooks:
+                    hook()
                 return until
             self.now = next_time
 

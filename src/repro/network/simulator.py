@@ -7,6 +7,14 @@ grant schedules the train's next step directly (see :meth:`Link.submit
 but the landings nobody awaits, so bandwidth sharing, FIFO queueing
 and pipelining across hops all emerge from the event kernel.
 
+Untraced, a message whose chain cannot drop a train and whose resources
+are quiet at dispatch (no live run, no request staged this instant, no
+train in a priority port's queue) runs *express* (:class:`_Run`): every
+train's grant on every stage is computed in one pass and the message's
+landing is its one queue entry.  The first request that reaches one of
+its resources settles it to that instant, turning the trains not yet
+through back into :class:`_Train` objects at their exact positions.
+
 The NIC compression engines influence timing in two ways, mirroring the
 hardware integration of Sec. VI-A:
 
@@ -29,11 +37,17 @@ the next hop on head arrival, never before; same-instant contention on
 any stage resolves by arbitration key, not callback order; with a
 ``tos_priority`` map, a train's priority class is a pure function of its
 ToS byte (unmapped bytes get ``PRIORITY_DEFAULT``); all timing is
-simulated time and the only randomness is the seeded loss model.
+simulated time and the only randomness is the seeded loss model; an
+express run's values equal the per-train kernel's bit for bit — it
+makes ``Link._grant``'s float operations on the same operands in the
+same per-resource order, nothing else touches its resources while it is
+live, and settling replays a snapshot instead of subtracting.
 """
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -42,8 +56,8 @@ from repro.obs import CAT_MESSAGE, Tracer
 from .events import Event, Simulation
 from .link import Link
 from .loss import DeliveryFailure, LossModel, RetransmitPolicy
-from .packet import DEFAULT_MSS, HEADER_BYTES, TOS_DEFAULT, packet_count, split_trains
-from .priority import priority_class
+from .packet import DEFAULT_MSS, HEADER_BYTES, TOS_DEFAULT, packet_count, train_runs
+from .priority import PriorityLink, priority_class
 from .topology import Route, Topology
 
 if TYPE_CHECKING:
@@ -56,6 +70,8 @@ RetransmitHook = Callable[[int, int, int], None]
 #: ``(resource, bytes, wire time, wire time awaited before hand-off,
 #: hand-off delay, honors priority, can drop, hand-off continuation)``.
 _Stage = Tuple[Link, int, float, float, float, bool, bool, Optional[Callable]]
+#: ``(trains, shape, stage chain)``: consecutive trains of one shape.
+_Segment = Tuple[int, Tuple[int, int, int], List[_Stage]]
 
 
 @dataclass(frozen=True)
@@ -157,6 +173,9 @@ class Network:
                 link.attach_tracer(tracer)
         self.total_wire_bytes = 0
         self.messages_sent = 0
+        #: Live express runs, in start order.
+        self._runs: Dict[_Run, None] = {}
+        sim.at_pause(self._settle_runs)
         # Per-(src, dst) message sequence numbers feed link arbitration
         # keys.  Unlike the global ``messages_sent`` counter, these only
         # order messages within one flow — a deterministic quantity —
@@ -257,6 +276,11 @@ class Network:
 
     # -- internals --------------------------------------------------------------
 
+    def _settle_runs(self) -> None:
+        """``run(until=...)`` stopped: turn live express runs into trains."""
+        for run in list(self._runs):
+            run.dissolve(self.sim.now, True)
+
     def _dispatch(
         self,
         route: Route,
@@ -271,8 +295,10 @@ class Network:
         on_retransmit: Optional[RetransmitHook] = None,
         arb_base: Optional[Tuple[int, int, int]] = None,
     ) -> Event:
-        """The one send path: trace, segment into trains, start each train.
+        """The one send path: trace, segment into trains, start them.
 
+        Untraced, the trains start as one express run if the chain is
+        quiet and lossless (:meth:`_Run.start`), else each on its own.
         The engine nodes name the endpoints whose compression engines
         bracket ``route`` (``None``, or a node without engines: no
         engine stage on that side).
@@ -324,25 +350,31 @@ class Network:
             self._pair_seq[pair] = pair_seq + 1
             arb_base = (src, dst, pair_seq)
 
-        trains = split_trains(num_packets, wire_payload, nbytes, self.train_packets)
+        # A message's trains come in a few runs of one shape (the last
+        # train absorbs the rounding); each run's stage chain is built
+        # once, and the last train's apart (its landing is awaited).
+        runs = train_runs(num_packets, wire_payload, nbytes, self.train_packets)
+        segments: List[_Segment] = [
+            (count, shape, self._stage_chain(
+                route, shape, tx_engine, rx_engine, index == len(runs) - 1
+            ))
+            for index, (count, shape) in enumerate(runs)
+        ]
         message = _Message(self.sim)
         message.net, message.receipt, message.payload = self, receipt, payload
         message.msg_id, message.on_retransmit = msg_id, on_retransmit
-        message.left = len(trains)
-        # A message's trains share one or two shapes (the last train
-        # absorbs the rounding); each shape's stage chain is built once,
-        # and the last train's apart (its landing is always awaited).
-        chains: Dict[Tuple[Tuple[int, int, int], bool], List[_Stage]] = {}
-        for index, shape in enumerate(trains):
-            last = index == len(trains) - 1
-            chain = chains.get((shape, last))
-            if chain is None:
-                chain = chains[shape, last] = self._stage_chain(
-                    route, shape, tx_engine, rx_engine, last
-                )
-            key = (*arb_base, index)
-            train = _Train(message, chain, shape, (key, (cls, key)))
-            self.sim.schedule(self.sim.now, _Train.advance, train)
+        message.left = sum(count for count, _ in runs)
+        sim = self.sim
+        if tracer is None and sim.first_round():
+            run = _Run(self, message, segments, arb_base, cls)
+            if run.start():
+                return message
+        index = 0
+        for count, shape, chain in segments:
+            for _ in range(count):
+                train = _Train(message, chain, shape, (*arb_base, index), cls)
+                sim.schedule(sim.now, _Train.advance, train)
+                index += 1
         return message
 
     @staticmethod
@@ -441,8 +473,8 @@ class _Train:
     instant (:meth:`Link.submit <repro.network.link.Link.submit>`),
     but a final landing nobody awaits (:meth:`Network._stage_chain`).
     ``keys`` orders same-instant grants on every stage, so they never
-    depend on callback order: ``(src, dst, flow seq, train index)``, and
-    ``(class, that key)`` on priority ports.
+    depend on callback order: ``key`` — ``(src, dst, flow seq, train
+    index)`` — and ``(cls, key)`` on priority ports.
     """
 
     __slots__ = ("message", "chain", "shape", "keys", "stage", "attempts", "lost")
@@ -452,9 +484,11 @@ class _Train:
         message: _Message,
         chain: List[_Stage],
         shape: Tuple[int, int, int],
-        keys: Tuple[Tuple, Tuple],
+        key: Tuple[int, ...],
+        cls: int,
     ) -> None:
-        self.message, self.chain, self.shape, self.keys = message, chain, shape, keys
+        self.message, self.chain, self.shape = message, chain, shape
+        self.keys = (key, (cls, key))
         #: Next stage; attempt under way; whether the requested stage drops it.
         self.stage, self.attempts, self.lost = 0, 1, False
 
@@ -504,3 +538,261 @@ class _Train:
                 f"train between nodes {src}->{dst} lost {attempts} times"
             )
         self.stage, self.attempts, self.lost = 0, attempts + 1, False
+
+
+def _peak_depth(
+    arrivals: List[float], starts: List[float], admitted: int, depth: int
+) -> int:
+    """A priority port's ``max_queue_depth`` after ``admitted`` arrivals.
+
+    The port measures its queue when it admits a round's arrivals,
+    before it serves: train ``i`` then finds every earlier train that
+    has not started before it arrived (``start >= arrival``).
+    """
+    first = 0
+    for index in range(admitted):
+        arrival = arrivals[index]
+        while starts[first] < arrival:  # stops at ``index`` at the latest
+            first += 1
+        if index - first >= depth:
+            depth = index - first + 1
+    return depth
+
+
+class _Run:
+    """An uncontended message's trains, reserved in one pass: an express run.
+
+    :meth:`start` walks every stage of the chain with ``Link._grant``'s
+    own arithmetic, in its order — ``start = max(free_at, arrival)``,
+    ``free_at = start + wire time``, hand-off at ``start + head + latency
+    + delay`` — and writes each resource's final ``free_at``,
+    ``busy_time``, ``bytes_carried`` (and a port's ``max_queue_depth``)
+    at once.  The one queue entry is the message's landing, queued now
+    (the per-train kernel queued it at the last grant, so landings of
+    two messages at one float may fire in the other order).  Nothing
+    else may touch the run's resources while it is live, so the values
+    are the per-train kernel's bit for bit.
+
+    When a request reaches a resource the run holds, :meth:`contact`
+    either lets go of it (every grant there has happened) or
+    :meth:`dissolve` settles the run to that instant: each resource is
+    reset to its snapshot and replays the grants the per-train kernel
+    would have made by then, in order, and every other train becomes a
+    :class:`_Train` at its position — scheduled at its next request, or
+    waiting in a priority port's queue with the port's wake-up.
+    """
+
+    __slots__ = (
+        "net", "message", "segments", "arb_base", "cls", "resources",
+        "arrivals", "grants", "snapshots", "stale",
+    )
+
+    def __init__(
+        self,
+        net: Network,
+        message: _Message,
+        segments: List[_Segment],
+        arb_base: Tuple[int, int, int],
+        cls: int,
+    ) -> None:
+        self.net, self.message, self.segments = net, message, segments
+        self.arb_base, self.cls = arb_base, cls
+        self.resources = [stage[0] for stage in segments[-1][2]]
+        #: Per stage: every train's request instant, and the instant
+        #: the kernel grants it (the request on a link, the start on a
+        #: priority port, which grants at its wake-up).
+        self.arrivals: List[List[float]] = []
+        self.grants: List[List[float]] = []
+        #: Per stage: ``(free_at, busy_time, bytes_carried,
+        #: max_queue_depth, admitted)`` before the run.
+        self.snapshots: List[Tuple] = []
+        #: Whether the landing entry lost its train to a dissolution.
+        self.stale = False
+
+    def start(self) -> bool:
+        """Reserve every train if the chain is quiet and lossless.
+
+        Quiet: no live run, no request staged this instant, no train
+        waiting in a port's queue (a busy ``free_at`` is fine).  A plan
+        with a zero-lag hand-off — one at its grant's own instant, whose
+        next request joins a later arbitration round — is given up.
+        Returns whether the run started; if not, nothing changed.
+        """
+        resources = self.resources
+        if len(set(resources)) < len(resources):
+            return False
+        for stage in self.segments[-1][2]:
+            resource, holder = stage[0], stage[0]._run
+            if stage[6] or resource.tracer is not None or resource._arbitrating:
+                return False
+            if resource._queue or (holder is not None and not holder.release(resource)):
+                return False
+        sim, trains = self.net.sim, self.message.left
+        arrivals, finals = [sim.now] * trains, []
+        for index, resource in enumerate(resources):
+            self.arrivals.append(arrivals)
+            starts, free_at, busy = self._walk(
+                index, trains, resource._free_at, resource.busy_time
+            )
+            port = isinstance(resource, PriorityLink)  # grants at the start
+            self.grants.append(starts if port else arrivals)
+            finals.append((free_at, busy))
+            arrivals = self._handoffs(index, starts)
+        landing = arrivals[-1]  # every hand-off comes no later
+        for _, _, chain in self.segments:
+            for resource, _, _, head_s, delay, *_ in chain:
+                lag = max(head_s, resource.latency_s, delay)
+                if not landing + 0.5 * lag > landing:  # not > ulp(landing)
+                    return False
+        for index, resource in enumerate(resources):
+            queue_state = (0, 0)
+            if isinstance(resource, PriorityLink):
+                queue_state = (resource.max_queue_depth, resource._admitted)
+                resource.max_queue_depth = _peak_depth(
+                    self.arrivals[index], self.grants[index], trains,
+                    resource.max_queue_depth,
+                )
+                resource._admitted += trains
+            self.snapshots.append(
+                (resource._free_at, resource.busy_time, resource.bytes_carried,
+                 *queue_state)
+            )
+            resource._free_at, resource.busy_time = finals[index]
+            resource.bytes_carried += self._bytes(index, trains)
+            resource._run = self
+            sim.extend_horizon(resource._free_at + resource.latency_s)
+        self.message.left = 1  # the landing
+        self.net._runs[self] = None
+        sim.schedule(landing, _Run.land, self)
+        return True
+
+    def _walk(
+        self, index: int, count: int, free_at: float, busy: float
+    ) -> Tuple[List[float], float, float]:
+        """Stage ``index``'s first ``count`` grants, as ``Link._grant``
+        makes them: their starts, then ``free_at`` and ``busy_time``."""
+        arrivals, starts, done = self.arrivals[index], [], 0
+        push = starts.append
+        for trains, _, chain in self.segments:
+            take = min(trains, count - done)
+            if take <= 0:
+                break
+            serialization = chain[index][2]
+            for arrival in arrivals[done : done + take]:
+                start = free_at if free_at > arrival else arrival
+                free_at = start + serialization
+                busy += serialization
+                push(start)
+            done += take
+        return starts, free_at, busy
+
+    def _handoffs(self, index: int, starts: List[float]) -> List[float]:
+        """Every train's hand-off instant from stage ``index``."""
+        latency, handoffs, done = self.resources[index].latency_s, [], 0
+        for trains, _, chain in self.segments:
+            head_s, delay = chain[index][3], chain[index][4]
+            handoffs += [
+                start + head_s + latency + delay
+                for start in starts[done : done + trains]
+            ]
+            done += trains
+        return handoffs
+
+    def _bytes(self, index: int, count: int) -> int:
+        """Bytes the first ``count`` trains carry over stage ``index``."""
+        total = done = 0
+        for trains, _, chain in self.segments:
+            take = max(0, min(trains, count - done))
+            total += take * chain[index][1]
+            done += trains
+        return total
+
+    def release(self, resource: Link) -> bool:
+        """Let go of ``resource`` if all its grants have happened by now."""
+        sim = self.net.sim
+        last = self.grants[self.resources.index(resource)][-1]
+        if last < sim.now or (last == sim.now and not sim.first_round()):
+            resource._run = None
+            return True
+        return False
+
+    def contact(self, resource: Link) -> None:
+        """A request is about to stage on ``resource``: settle to now."""
+        if not self.release(resource):
+            sim = self.net.sim
+            self.dissolve(sim.now, not sim.first_round())
+
+    def dissolve(self, now: float, late: bool) -> None:
+        """Turn the run back into trains, as the kernel has them at ``now``.
+
+        A request at ``now`` itself counts as granted only ``late``,
+        once the instant's first arbitration round has run; otherwise
+        it rejoins this round's arbitration.
+        """
+        sim, message = self.net.sim, self.message
+        cut = bisect_right if late else bisect_left
+        arrived = len(self.arrivals[0])  # trains granted upstream
+        last_train, last_stage = arrived - 1, len(self.resources) - 1
+        left = 1
+        del self.net._runs[self]
+        for index, resource in enumerate(self.resources):
+            arrivals = self.arrivals[index]
+            port = resource if isinstance(resource, PriorityLink) else None
+            granted = cut(self.grants[index], now)
+            admitted = granted if port is None else cut(arrivals, now)
+            free_at, busy, carried, depth, seq = self.snapshots[index]
+            if resource._run is self:  # not released: replay the prefix
+                resource._run = None
+                _, resource._free_at, resource.busy_time = self._walk(
+                    index, granted, free_at, busy
+                )
+                resource.bytes_carried = carried + self._bytes(index, granted)
+                if port is not None:
+                    port.max_queue_depth = _peak_depth(
+                        arrivals, self.grants[index], admitted, depth
+                    )
+                    port._admitted = seq + admitted
+            for train_index in range(granted, arrived):  # the frontier is here
+                train, stage = self._train(train_index, index)
+                queued = train_index < admitted
+                if train_index == last_train:
+                    self.stale = True  # it lands by itself
+                elif index < last_stage or not queued:
+                    left += 1  # it has yet to request its final stage
+                if port is None or not queued:
+                    sim.schedule(arrivals[train_index], _Train.advance, train)
+                    continue
+                train.stage += 1
+                _, nbytes, wire_s, head_s, delay, _, _, fn = stage
+                seq += 1
+                request = (
+                    train.keys[1], nbytes, wire_s, head_s, delay, fn, train,
+                    arrivals[train_index],
+                )
+                heapq.heappush(port._queue, (self.cls, seq, request))
+                if not port._waking:
+                    port._waking = True
+                    sim.call_at(port._free_at, port._finish_service)
+            arrived = granted
+        message.left = left
+
+    def _train(self, index: int, stage: int) -> Tuple["_Train", _Stage]:
+        """Train ``index`` of the message, about to request ``stage``."""
+        done = 0
+        for trains, shape, chain in self.segments:
+            if index < done + trains:
+                break
+            done += trains
+        train = _Train(self.message, chain, shape, (*self.arb_base, index), self.cls)
+        train.stage = stage
+        return train, chain[stage]
+
+    def land(self) -> None:
+        """The last train landed: release what is held, deliver."""
+        if self.stale:  # the last train is a :class:`_Train` now
+            return
+        self.net._runs.pop(self, None)
+        for resource in self.resources:
+            if resource._run is self:
+                resource._run = None
+        self.message.train_landed()

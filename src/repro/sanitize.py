@@ -1,7 +1,7 @@
 """Runtime determinism sanitizer: replay check + event-order race detector.
 
 The reproduction's results are pinned sha256-exact, which only holds if
-every run is a pure function of its seeds.  Two failure classes break
+every run is a pure function of its seeds.  Three failure classes break
 that silently:
 
 * *replay nondeterminism* — wall-clock reads, unseeded RNG draws, or
@@ -16,6 +16,12 @@ that silently:
   Detected by re-running under :class:`~repro.network.SeededTieBreak`,
   which perturbs exactly the equal-timestamp ordering and nothing else,
   and comparing semantic outcomes.
+* *observer effects* — an outcome that changes when a tracer is
+  attached.  The untraced event kernel takes faster paths than the
+  traced one (an uncontended message's trains are reserved in one
+  pass), so the check also compares the two kernels.  Detected by
+  running once more without a tracer and comparing the outcome and the
+  simulated duration bit for bit.
 
 On divergence the report carries a postmortem built from the PR 3
 tracer: :func:`repro.obs.diff_traces` locates the first event where the
@@ -91,8 +97,9 @@ class Scenario:
     name: str = "scenario"
 
     def execute(
-        self, tie_break: Optional[TieBreak], tracer: Tracer
+        self, tie_break: Optional[TieBreak], tracer: Optional[Tracer]
     ) -> ScenarioOutcome:
+        """Run once; ``tracer=None`` runs untraced (no events)."""
         raise NotImplementedError
 
 
@@ -128,10 +135,14 @@ class StrategyScenario(Scenario):
             tag = f"{tag}@{self.cluster['topology']}"
         if self.cluster.get("agg_site", "endpoint") != "endpoint":
             tag = f"{tag}%{self.cluster['agg_site']}"
+        if self.cluster.get("tenants"):
+            tag = f"{tag}+tenants"
+        if self.cluster.get("prioritize"):
+            tag = f"{tag}+prioritize"
         return f"{tag} x{self.workers}"
 
     def execute(
-        self, tie_break: Optional[TieBreak], tracer: Tracer
+        self, tie_break: Optional[TieBreak], tracer: Optional[Tracer]
     ) -> ScenarioOutcome:
         from repro.core import profile_for
         from repro.distributed import get_strategy, run_strategy
@@ -180,7 +191,7 @@ class StrategyScenario(Scenario):
         return ScenarioOutcome(
             fingerprint=outcome_fingerprint(result.final_weights, losses),
             details=details,
-            events=list(tracer.events),
+            events=list(tracer.events) if tracer is not None else [],
             virtual_time_s=result.virtual_time_s,
         )
 
@@ -194,6 +205,9 @@ class SanitizeReport:
     replay_clean: bool
     #: Some perturbed tie-break changed the semantic outcome.
     race_detected: bool
+    #: The untraced run matched the traced baseline bit for bit
+    #: (outcome and simulated duration).
+    tracing_clean: bool
     #: Tie-break seed that exposed the race (None when clean).
     racy_seed: Optional[int] = None
     #: First-divergence postmortems (replay: baseline vs rerun;
@@ -209,9 +223,12 @@ class SanitizeReport:
     #: so schedule-sensitive makespans stay visible.
     timing_shifts: List[Dict[str, float]] = field(default_factory=list)
 
+    #: The untraced run's details, when they differ from the baseline.
+    untraced: Optional[Dict[str, object]] = None
+
     @property
     def passed(self) -> bool:
-        return self.replay_clean and not self.race_detected
+        return self.replay_clean and not self.race_detected and self.tracing_clean
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -219,6 +236,8 @@ class SanitizeReport:
             "passed": self.passed,
             "replay_clean": self.replay_clean,
             "race_detected": self.race_detected,
+            "tracing_clean": self.tracing_clean,
+            "untraced": self.untraced,
             "racy_seed": self.racy_seed,
             "perturb_seeds": list(self.perturb_seeds),
             "events_traced": self.events_traced,
@@ -258,6 +277,14 @@ class SanitizeReport:
         else:
             seeds = ",".join(str(s) for s in self.perturb_seeds)
             lines.append(f"  tie-break   OK (perturbation seeds {seeds})")
+        if self.tracing_clean:
+            lines.append("  untraced    OK (outcome and duration bit-identical)")
+        else:
+            lines.append(
+                "  untraced    DIVERGES: attaching a tracer changed the outcome"
+            )
+            lines.append(f"    traced:    {self.baseline}")
+            lines.append(f"    untraced:  {self.untraced}")
         for shift in self.timing_shifts:
             lines.append(
                 f"  note        makespan shifted under "
@@ -274,7 +301,7 @@ def sanitize(
     perturb_seeds: Sequence[int] = DEFAULT_PERTURB_SEEDS,
     context: int = 3,
 ) -> SanitizeReport:
-    """Run the two determinism checks over ``scenario``.
+    """Run the three determinism checks over ``scenario``.
 
     1. *Replay*: execute twice with identical seeds and FIFO ordering;
        semantic outcome **and** trace fingerprint must match exactly.
@@ -283,6 +310,9 @@ def sanitize(
        baseline (the trace event *order* may legitimately differ — only
        the outcome is pinned).  The first seed that changes the outcome
        stops the scan and yields a first-divergence postmortem.
+    3. *Untraced*: execute once more with FIFO ordering and no tracer;
+       the semantic outcome and the simulated duration must equal the
+       baseline's bit for bit.
     """
     baseline = scenario.execute(None, Tracer())
     replay = scenario.execute(None, Tracer())
@@ -296,6 +326,13 @@ def sanitize(
         replay_diff = diff_traces(
             baseline.events, replay.events, context=context
         )
+
+    untraced = scenario.execute(None, None)
+    tracing_clean = (
+        untraced.fingerprint == baseline.fingerprint
+        and float(untraced.virtual_time_s).hex()
+        == float(baseline.virtual_time_s).hex()
+    )
 
     race_detected = False
     racy_seed: Optional[int] = None
@@ -325,6 +362,8 @@ def sanitize(
         scenario=scenario.name,
         replay_clean=replay_clean,
         race_detected=race_detected,
+        tracing_clean=tracing_clean,
+        untraced=None if tracing_clean else dict(untraced.details),
         racy_seed=racy_seed,
         replay_diff=replay_diff,
         race_diff=race_diff,

@@ -18,7 +18,11 @@ from repro.network import (
     packet_count,
     split_trains,
 )
+from repro.network.simulator import _Run
+from repro.obs import Tracer
 from repro.transport.wire import build_wire_message
+
+from .test_train_oracle import QUEUED_AT_PORT, SAME_INSTANT, execute
 
 
 def _star(num_nodes=3, **kwargs):
@@ -151,30 +155,8 @@ def test_makespan_is_the_last_landing_not_the_last_wakeup():
     assert sim.run(until=end + 1.0) == end
 
 
-@pytest.mark.parametrize(
-    "fabric, loss, entries, resent, delivered_at",
-    # 10 trains x 3 (start + one hand-off per link), less the 9 landings
-    # nobody awaits: only the last train's is queued on a lossless chain.
-    # The fat-tree adds the priority ports' service-end wake-ups, only
-    # while a train waits.  A lossy chain queues every train's landing,
-    # where a resend starts.  The generator-process trains queued 61 and
-    # 81, the per-train landings 30 and 46.
-    [
-        (lambda sim: SwitchedStar(sim, 2), None, 21, 0, "0x1.0b086adf5146bp-13"),
-        (lambda sim: FatTree(sim, 4), None, 37, 0, "0x1.0b086adf5146bp-13"),
-        (
-            lambda sim: SwitchedStar(sim, 2),
-            LossModel(0.3, seed=1),
-            36,
-            4,
-            "0x1.6a71e57fdef8fp-12",
-        ),
-    ],
-    ids=["star", "fat-tree", "lossy-star"],
-)
-def test_one_queue_entry_per_train_per_stage(
-    fabric, loss, entries, resent, delivered_at
-):
+def _count_entries(fabric, packets, loss=None, tracer=None):
+    """Send ``packets`` raw packets 0 -> 1; the queue entries it cost."""
     sim = Simulation()
     net = Network(
         sim,
@@ -182,6 +164,7 @@ def test_one_queue_entry_per_train_per_stage(
         train_packets=10,
         engine=NicTimingModel(1e-6, 3.2e9),
         loss=loss,
+        tracer=tracer,
     )
     scheduled = []
     schedule = sim.schedule
@@ -191,10 +174,77 @@ def test_one_queue_entry_per_train_per_stage(
         schedule(time, fn, arg)
 
     sim.schedule = counting
-    done = net.send(0, 1, 100 * 1460)  # raw: no engine stages
+    done = net.send(0, 1, packets * 1460)  # raw: no engine stages
     sim.run()
     _, receipt = done.value
-    assert receipt.num_packets == 100
-    assert len(scheduled) == entries
-    assert net.trains_retransmitted == resent
-    assert receipt.delivered_at.hex() == delivered_at
+    assert receipt.num_packets == packets
+    return len(scheduled), net.trains_retransmitted, receipt.delivered_at.hex()
+
+
+def _two_host_star(sim):
+    return SwitchedStar(sim, 2)
+
+
+def _fat_tree(sim):
+    return FatTree(sim, 4)
+
+
+@pytest.mark.parametrize(
+    "packets, delivered_at",
+    [(100, "0x1.0b086adf5146bp-13"), (1_000, "0x1.3f231528bd2b5p-10")],
+)
+@pytest.mark.parametrize(
+    "fabric", [_two_host_star, _fat_tree], ids=["star", "fat-tree"]
+)
+def test_untraced_lossless_message_is_one_queue_entry(fabric, packets, delivered_at):
+    # An uncontended lossless message runs express: its trains are
+    # reserved in one pass and only the landing is queued, whatever its
+    # size (the per-train kernel queued 21 and 37 entries for 100
+    # packets, 201 and 337 for 1 000).
+    assert _count_entries(fabric, packets) == (1, 0, delivered_at)
+
+
+@pytest.mark.parametrize(
+    "fabric, loss, entries, resent, delivered_at",
+    # Traced, or lossy, the per-train kernel runs: 10 trains x 3 (start
+    # + one hand-off per link), less the 9 landings nobody awaits: only
+    # the last train's is queued on a lossless chain.  The fat-tree adds
+    # the priority ports' service-end wake-ups, only while a train
+    # waits.  A lossy chain queues every train's landing, where a resend
+    # starts.  The generator-process trains queued 61 and 81, the
+    # per-train landings 30 and 46.
+    [
+        (_two_host_star, None, 21, 0, "0x1.0b086adf5146bp-13"),
+        (_fat_tree, None, 37, 0, "0x1.0b086adf5146bp-13"),
+        (_two_host_star, LossModel(0.3, seed=1), 36, 4, "0x1.6a71e57fdef8fp-12"),
+    ],
+    ids=["star", "fat-tree", "lossy-star"],
+)
+def test_one_queue_entry_per_train_per_stage(
+    fabric, loss, entries, resent, delivered_at
+):
+    tracer = Tracer() if loss is None else None
+    assert _count_entries(fabric, 100, loss, tracer) == (entries, resent, delivered_at)
+
+
+def test_the_oracle_examples_dissolve_express_runs_as_described(monkeypatch):
+    # The untraced oracle's two pinned examples reach the express lane's
+    # two delicate cases: a request in the run's own first arbitration
+    # round, and trains handed to a priority port's queue.
+    dissolved = []
+    dissolve = _Run.dissolve
+
+    def spy(run, now, late):
+        waiting = sum(len(resource._queue) for resource in run.resources)
+        dissolve(run, now, late)
+        handed = sum(len(resource._queue) for resource in run.resources) - waiting
+        dissolved.append((now, late, handed))
+
+    monkeypatch.setattr(_Run, "dissolve", spy)
+    execute(Network, SAME_INSTANT)
+    assert dissolved == [(0.0, False, 0)]
+    dissolved.clear()
+    execute(Network, QUEUED_AT_PORT)
+    ((now, late, handed),) = dissolved
+    assert (now, late) == (5e-6, False) and handed > 0
+

@@ -37,12 +37,15 @@ class RacyScenario(Scenario):
                 lambda _, a=actor: arrivals.append(a)
             )
         sim.run()
-        for index, actor in enumerate(arrivals):
-            tracer.instant("apply", cat="async", ts=1.0, node=actor, seq=index)
+        events = []
+        if tracer is not None:
+            for index, actor in enumerate(arrivals):
+                tracer.instant("apply", cat="async", ts=1.0, node=actor, seq=index)
+            events = list(tracer.events)
         return ScenarioOutcome(
             fingerprint=outcome_fingerprint(tuple(arrivals)),
             details={"order": list(arrivals)},
-            events=list(tracer.events),
+            events=events,
             virtual_time_s=sim.now,
         )
 
@@ -104,6 +107,7 @@ class NonReplayableScenario(Scenario):
 
     def execute(self, tie_break, tracer):
         self.calls += 1
+        tracer = tracer if tracer is not None else Tracer()
         tracer.instant("step", cat="phase", ts=0.0, call=self.calls)
         return ScenarioOutcome(
             fingerprint=outcome_fingerprint(self.calls),
@@ -119,6 +123,57 @@ def test_replay_nondeterminism_detected():
     assert report.replay_diff is not None
     assert not report.passed
     assert "NONDETERMINISTIC" in report.render()
+
+
+class ObservedScenario(Scenario):
+    """An observer effect: the outcome depends on whether a tracer is on.
+
+    ``shift`` is added to the simulated duration, or ``weight`` to the
+    outcome, only when the run is traced; replays and tie-break
+    perturbations (all traced) agree with each other.
+    """
+
+    name = "observed"
+
+    def __init__(self, shift=0.0, weight=0):
+        self.shift, self.weight = shift, weight
+
+    def execute(self, tie_break, tracer):
+        sim = Simulation(tie_break=tie_break)
+        sim.timeout(1.0)
+        end = sim.run()
+        outcome = 7
+        if tracer is not None:
+            end += self.shift
+            outcome += self.weight
+            tracer.instant("done", cat="phase", ts=end)
+        return ScenarioOutcome(
+            fingerprint=outcome_fingerprint(outcome),
+            details={"outcome": outcome, "virtual_time_s": end},
+            events=list(tracer.events) if tracer is not None else [],
+            virtual_time_s=end,
+        )
+
+
+@pytest.mark.parametrize(
+    "shift, weight",
+    [(2.0**-40, 0), (0.0, 1)],
+    ids=["one-ulp-later", "other-outcome"],
+)
+def test_observer_effect_detected(shift, weight):
+    report = sanitize(ObservedScenario(shift, weight), perturb_seeds=(1,))
+    assert report.replay_clean and not report.race_detected
+    assert not report.tracing_clean and not report.passed
+    assert report.untraced == {"outcome": 7, "virtual_time_s": 1.0}
+    text = report.render()
+    assert "untraced    DIVERGES" in text and "FAIL" in text
+    assert json.loads(json.dumps(report.to_dict()))["tracing_clean"] is False
+
+
+def test_tracing_without_effect_passes():
+    report = sanitize(ObservedScenario(), perturb_seeds=(1,))
+    assert report.tracing_clean and report.untraced is None and report.passed
+    assert "untraced    OK" in report.render()
 
 
 class TestFingerprints:
@@ -183,6 +238,7 @@ def test_strategy_scenarios_pass(strategy):
     )
     assert report.replay_clean, report.render()
     assert not report.race_detected, report.render()
+    assert report.tracing_clean, report.render()
 
 
 def test_lossy_scenario_passes_with_timing_notes_allowed():
