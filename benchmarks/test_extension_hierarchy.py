@@ -9,8 +9,6 @@ message sizes.
 import pytest
 
 from conftest import print_header, print_row, run_once
-from repro.distributed import GroupLayout, hierarchical_exchange
-from repro.transport import ClusterComm, ClusterConfig, SizedPayload
 
 MB = 2**20
 MODEL_BYTES = 98 * MB  # ResNet-50
@@ -29,13 +27,11 @@ def _wa_time(num_nodes, nbytes):
 
 
 def _hier_time(num_nodes, group_size, nbytes):
-    """Two-level exchange of a size-only gradient (timing only)."""
-    layout = GroupLayout.even(num_nodes, group_size)
-    comm = ClusterComm(ClusterConfig(num_nodes=num_nodes, train_packets=4400))
-    gradient = SizedPayload(nbytes)
-    for i in range(num_nodes):
-        comm.sim.process(hierarchical_exchange(comm, i, gradient, layout))
-    return comm.run()
+    from repro.perfmodel import simulate_exchange
+
+    return simulate_exchange(
+        "hierarchy", num_nodes, nbytes, options={"group_size": group_size}
+    ).total_s
 
 
 @pytest.fixture(scope="module")

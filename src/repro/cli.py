@@ -7,7 +7,7 @@ Subcommands
 ``stats``       Table III-style bitwidth/ratio report for a gradient file
 ``simulate``    per-iteration time of a Fig 12 configuration at paper scale
 ``train``       run the simulated-cluster training demo (any --strategy)
-``exchange``    paper-scale gradient-exchange timing under any codec
+``exchange``    paper-scale exchange timing (any --algorithm, any codec)
 ``codecs``      list registered gradient codecs and their measured ratios
 ``strategies``  list registered gradient strategies (ring, wa, async_ps, ...)
 ``trace``       validate / summarize / convert execution traces
@@ -229,6 +229,27 @@ def _cluster_fields(args: argparse.Namespace) -> Dict[str, Any]:
     return fields
 
 
+def _add_strategy_options(p: argparse.ArgumentParser) -> None:
+    """The strategy options ``train`` and ``exchange`` share."""
+    p.add_argument(
+        "--staleness", type=int, default=None, metavar="S",
+        help="async_ps SSP bound / stale_async round bound (default off/0)",
+    )
+    p.add_argument(
+        "--group-size", type=int, default=2, metavar="K",
+        help="hierarchy: leaf-group size (default 2)",
+    )
+
+
+def _strategy_options(args: argparse.Namespace) -> Dict[str, Any]:
+    """The run's strategy ``options`` from :func:`_add_strategy_options`."""
+    return {
+        "max_staleness": args.staleness,
+        "staleness_bound": args.staleness,
+        "group_size": args.group_size,
+    }
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     from repro.distributed import available_strategies, get_strategy, run_strategy
     from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
@@ -240,13 +261,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"--strategy: unknown strategy {args.strategy!r} ({known})"
         )
-    options = {
-        "sync_period": args.sync_period,
-        "max_staleness": args.staleness,
-        "staleness_bound": args.staleness,
-        "group_size": args.group_size,
-    }
-
     stream = _stream_for(args)
     tracer = _tracer_for(args)
     num_nodes = args.workers + strategy.extra_nodes
@@ -264,7 +278,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             ),
             tracer=tracer,
             seed=args.seed,
-            options=options,
+            options={"sync_period": args.sync_period, **_strategy_options(args)},
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -309,18 +323,16 @@ def _cmd_strategies(args: argparse.Namespace) -> int:
 
 
 def _cmd_exchange(args: argparse.Namespace) -> int:
-    from repro.perfmodel import simulate_ring_exchange, simulate_wa_exchange
+    from repro.perfmodel import simulate_exchange
     from repro.transport.wire import measure_stream_ratio
 
     stream = _stream_for(args)
     tracer = _tracer_for(args)
     cluster = _cluster_fields(args)
-    simulate = (
-        simulate_ring_exchange if args.algorithm == "ring" else simulate_wa_exchange
-    )
     try:
         ratio = None if stream is None else measure_stream_ratio(stream)
-        result = simulate(
+        result = simulate_exchange(
+            args.algorithm,
             num_workers=args.workers,
             nbytes=round(args.mbytes * 1e6),
             iterations=args.iterations,
@@ -328,6 +340,7 @@ def _cmd_exchange(args: argparse.Namespace) -> int:
             gradient_ratio=ratio,
             tracer=tracer,
             fidelity=args.fidelity,
+            options=_strategy_options(args),
             **cluster,
         )
     except ValueError as exc:
@@ -534,6 +547,8 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.distributed import available_strategies
+
     parser = argparse.ArgumentParser(
         prog="repro", description="INCEPTIONN reproduction toolkit"
     )
@@ -586,14 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sync-period", type=int, default=4, metavar="H",
         help="local_sgd: local steps between delta syncs (default 4)",
     )
-    p.add_argument(
-        "--staleness", type=int, default=None, metavar="S",
-        help="async_ps SSP bound / stale_async round bound (default off/0)",
-    )
-    p.add_argument(
-        "--group-size", type=int, default=2, metavar="K",
-        help="hierarchy: leaf-group size (default 2)",
-    )
+    _add_strategy_options(p)
     p.add_argument("--seed", type=int, default=0)
     _add_cluster_flags(
         p, "--topology", "--agg-site", "--loss-rate", "--retransmit"
@@ -608,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_strategies)
 
     p = sub.add_parser("exchange", help="paper-scale exchange timing")
-    p.add_argument("--algorithm", default="ring", choices=("ring", "wa"))
+    p.add_argument("--algorithm", default="ring", choices=available_strategies())
     p.add_argument("--workers", type=int, default=4)
     p.add_argument("--iterations", type=int, default=1)
     p.add_argument("--mbytes", type=float, default=10.0, help="gradient MB")
@@ -621,6 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="packet: event-level simulation; flow: calibrated "
         "flow-level fast path for large worker counts",
     )
+    _add_strategy_options(p)
     _add_cluster_flags(p, *CLUSTER_FLAGS)
     _add_trace_arguments(p)
     p.set_defaults(func=_cmd_exchange)

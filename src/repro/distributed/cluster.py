@@ -13,7 +13,7 @@ driven by :func:`~repro.distributed.strategy.run_strategy`.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 import numpy as np
 
@@ -42,6 +42,7 @@ class RingStrategy(GradientStrategy):
         "Gradient-centric ring reduce-scatter + all-gather; every hop "
         "carries gradients, so every hop compresses."
     )
+    splits_blocks = True
 
     def exchange(
         self, node: NodeContext, iteration: int, gradient: np.ndarray
@@ -72,9 +73,9 @@ class WorkerAggregatorStrategy(GradientStrategy):
 
     def setup(self, run: StrategyRun) -> None:
         self._aggregator_id = run.num_workers
-        self._gather: Optional[SwitchGather] = None
+        self.gather = None
         if run.comm.config.agg_site == AGG_SWITCH:
-            self._gather = SwitchGather(
+            self.gather = SwitchGather(
                 run.comm,
                 root=self._aggregator_id,
                 sources=range(run.num_workers),
@@ -99,7 +100,7 @@ class WorkerAggregatorStrategy(GradientStrategy):
                 workers,
                 apply_update,
                 profile=run.profile,
-                gather=self._gather,
+                gather=self.gather,
             )
 
     def exchange(
@@ -109,7 +110,7 @@ class WorkerAggregatorStrategy(GradientStrategy):
             node.endpoint,
             self._aggregator_id,
             gradient,
-            gather=self._gather,
+            gather=self.gather,
         )
         return StrategyUpdate(weights=weights)
 

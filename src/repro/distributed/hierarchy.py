@@ -129,7 +129,7 @@ def hierarchical_exchange(
     stream).  Every leg rides the cluster's gradient stream.  The
     ledger counts node 0's sums in every ring it is in (both, as a leader).
     A :class:`~repro.transport.wire.SizedPayload` times the schedule on
-    sizes alone; a member then receives the broadcast's byte count.
+    sizes alone; a member then receives the broadcast's size.
     """
     group = layout.group_of(node)
     leader = group[0]
@@ -207,6 +207,7 @@ class HierarchyStrategy(GradientStrategy):
         "Leaf-group rings, a leader ring over group sums, and a "
         "gradient broadcast back — all legs compressible."
     )
+    splits_blocks = True
 
     def setup(self, run: StrategyRun) -> None:
         layout = run.options.get("layout")

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.network import Event
 from repro.obs import CAT_STRATEGY
+from repro.transport.wire import SizedPayload
 
 from .ring import ring_exchange
 from .strategy import (
@@ -60,6 +61,10 @@ class LocalSGDStrategy(GradientStrategy):
     def exchange(
         self, node: NodeContext, iteration: int, gradient: np.ndarray
     ) -> Generator[Event, Any, StrategyUpdate]:
+        if isinstance(gradient, SizedPayload):
+            raise ValueError(
+                "local_sgd syncs weight deltas, which a size-only model lacks"
+            )
         trainer = node.trainer
         if node.node_id not in self._anchors:
             # The anchor is the replica state before any local step —

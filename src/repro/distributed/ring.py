@@ -45,9 +45,8 @@ def ring_step_blocks(
 ) -> Tuple[NodeIds, NodeIds]:
     """``(send, recv)`` block indices of ``node`` at exchange step ``step``.
 
-    Steps run ``1 .. 2N-2``; the exchange below (which the packet
-    evaluator of :mod:`repro.perfmodel.exchange` drives too) and the
-    flow evaluator in :mod:`repro.perfmodel.flowsim` read this.
+    Steps run ``1 .. 2N-2``; the exchange below (on arrays or sizes)
+    and the flow evaluator in :mod:`repro.perfmodel.flowsim` read this.
     """
     return (node - step + 1) % num_workers, (node - step) % num_workers
 
@@ -75,8 +74,9 @@ def ring_exchange(
     which no node writes.
 
     A :class:`~repro.transport.wire.SizedPayload` runs the same schedule
-    on sizes alone (paper-scale timing): the messages, sums and spans
-    are the functional run's, and the returned aggregate is the input.
+    on sizes alone (:func:`repro.perfmodel.exchange.simulate_exchange`):
+    the messages, sums and spans are the functional run's, and the
+    returned aggregate is the input.
     """
     n = num_workers
     i = ep.node_id

@@ -15,17 +15,11 @@ the outer loop exactly once:
 * :data:`STRATEGIES` — a registry mirroring the codec registry in
   :mod:`repro.core.registry`; plugins self-register at import time with
   :func:`register_strategy`.
-* :func:`run_strategy` — the one driver that owns process spawning,
-  tracing spans, and :class:`~repro.transport.endpoint.TransferSummary`
-  assembly.  Compute time passes only through ``ClusterComm.spend``,
-  which records it where it is spent in the cluster's
-  :class:`~repro.obs.PhaseLedger`; no plugin books a row after the fact.
-
-The driver's per-iteration event sequence is bit-compatible with the
-four hand-rolled spawn loops it replaced — the strategy-parity suite
-pins the schedule (messages, bytes, virtual time) exactly, and the
-float sums to a tolerance, against recordings of the pre-refactor
-implementations.
+* :func:`_drive` — the one driver that owns process spawning and
+  tracing spans: :func:`run_strategy` hands it real replicas,
+  :func:`repro.perfmodel.exchange.simulate_exchange` a size-only model.
+  Compute time passes only through ``ClusterComm.spend``, which records
+  it where it is spent in the cluster's :class:`~repro.obs.PhaseLedger`.
 """
 
 from __future__ import annotations
@@ -57,7 +51,7 @@ from repro.dnn.optim import Optimizer
 from repro.dnn.training import LocalTrainer
 from repro.network import Event
 from repro.obs import CAT_STRATEGY, PhaseTimes, Tracer
-from repro.transport.aggregation import AGG_SWITCH
+from repro.transport.aggregation import AGG_SWITCH, SwitchGather
 from repro.transport.endpoint import (
     ClusterComm,
     ClusterConfig,
@@ -130,6 +124,12 @@ class StrategyRun:
     The cluster is the run's one copy of its communication plane:
     ``comm.config.profile`` is the gradient stream (``None`` is raw) and
     ``comm.tracer`` the tracer, read there by every exchange.
+
+    A size-only study (:func:`repro.perfmodel.exchange.simulate_exchange`)
+    fills ``trainers``, ``template`` and ``make_optimizer`` with one
+    duck-typed model instead.  It answers only what the driver and the
+    strategies call: ``net``, ``local_gradient``, ``parameter_vector``,
+    ``apply_gradient``, ``set_parameter_vector`` and ``step_with_vector``.
     """
 
     comm: ClusterComm
@@ -145,7 +145,7 @@ class StrategyRun:
     options: Mapping[str, Any]
     eval_every: Optional[int] = None
     #: Per-iteration loss lists (one entry per worker per iteration).
-    losses: List[List[float]] = field(default_factory=list)
+    losses: List[List[float]] = field(init=False)
     #: Flat losses in completion order — what asynchronous strategies
     #: report, where "iteration i" means different times per worker.
     loss_order: List[float] = field(default_factory=list)
@@ -153,7 +153,11 @@ class StrategyRun:
     #: Scratch space for strategy results, returned as the result's extras.
     extras: Dict[str, Any] = field(default_factory=dict)
     #: Iterations each worker has finished.
-    finished: List[int] = field(default_factory=list)
+    finished: List[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.losses = [[] for _ in range(self.iterations)]
+        self.finished = [0] * self.num_workers
 
     def replica(self) -> Sequential:
         """A fresh model in the run's initial state."""
@@ -206,6 +210,11 @@ class GradientStrategy(abc.ABC):
     supports_switch_aggregation: bool = False
     #: Service nodes beyond the workers (aggregator, server, ...).
     extra_nodes: int = 0
+    #: Whether :meth:`exchange` cuts the gradient into Algorithm 1's
+    #: float32 blocks, so a size-only gradient must be whole values.
+    splits_blocks: bool = False
+    #: The switch reduction tree :meth:`setup` builds under ``agg_site = "switch"``.
+    gather: Optional[SwitchGather] = None
 
     def setup(self, run: StrategyRun) -> None:
         """Validate options and spawn service processes via ``run.comm``."""
@@ -327,16 +336,30 @@ def _worker_process(
         run.finished[node_id] = iteration + 1
 
 
-def _check_jitter(options: Mapping[str, Any]) -> None:
-    """Refuse a ``compute_jitter`` outside ``[0, 1]`` before the run.
+def _check_run(
+    strategy: GradientStrategy,
+    iterations: int,
+    config: ClusterConfig,
+    options: Mapping[str, Any],
+) -> None:
+    """Refuse a run the strategy cannot drive, before any model exists.
 
-    A worker's compute block is scaled by ``1 + j * u`` with ``u`` in
-    ``[-1, 1)``, so ``j > 1`` can draw a negative delay.
+    A switch site needs a single reduction root; a compute block scales
+    by ``1 + j * u``, ``u`` in ``[-1, 1)``, so a ``compute_jitter`` ``j``
+    outside ``[0, 1]`` can draw a negative delay.
     """
+    if config.num_nodes - strategy.extra_nodes < 2:
+        raise ValueError("distributed training needs at least two workers")
+    if iterations < 1:
+        raise ValueError(f"need at least one iteration, got {iterations}")
+    if config.agg_site == AGG_SWITCH and not strategy.supports_switch_aggregation:
+        raise ValueError(
+            f"strategy {strategy.name!r} has no single reduction root; "
+            "agg_site='switch' only applies to the worker-aggregator "
+            "family"
+        )
     value = options.get("compute_jitter")
-    if value is None:
-        return
-    if (
+    if value is not None and (
         isinstance(value, bool)
         or not isinstance(value, numbers.Real)
         or not 0 <= value <= 1
@@ -344,6 +367,27 @@ def _check_jitter(options: Mapping[str, Any]) -> None:
         raise ValueError(
             f"compute_jitter must be a real number in [0, 1], got {value!r}"
         )
+
+
+def _drive(run: StrategyRun, strategy: GradientStrategy) -> float:
+    """Drive ``strategy`` over ``run``; returns the virtual time.
+
+    The strategy's service processes, one :func:`_worker_process` per
+    worker, then the cluster until every worker is done.
+    """
+    strategy.setup(run)
+    workers = [
+        run.comm.sim.process(_worker_process(run, strategy, i))
+        for i in range(run.num_workers)
+    ]
+    total_time = run.comm.run(workers)
+    for node_id, done in enumerate(run.finished):
+        if done < run.iterations:
+            raise RuntimeError(
+                f"{strategy.name}: worker {node_id} stopped at iteration "
+                f"{done} of {run.iterations}; nothing was left to wake it"
+            )
+    return total_time
 
 
 def run_strategy(
@@ -366,10 +410,9 @@ def run_strategy(
 
     The single training entry point: builds the cluster and the model
     (once — every replica is a deepcopy), seeds the trainers
-    (collision-free spawn keys), drives one
-    :func:`_worker_process` per worker plus whatever service processes
-    the strategy spawns, and assembles the result — phase breakdown,
-    wire accounting, final weights — exactly once.
+    (collision-free spawn keys), hands them to :func:`_drive`, and
+    assembles the result — phase breakdown, wire accounting, final
+    weights — exactly once.
 
     The gradient stream is the cluster's ``profile`` (``None`` is raw).
     ``stream`` only builds the default cluster when ``cluster`` is
@@ -385,11 +428,6 @@ def run_strategy(
     """
     strat = get_strategy(strategy) if isinstance(strategy, str) else strategy
     opts: Mapping[str, Any] = dict(options or {})
-    if num_workers < 2:
-        raise ValueError("distributed training needs at least two workers")
-    if iterations < 1:
-        raise ValueError("need at least one iteration")
-    _check_jitter(opts)
     num_nodes = num_workers + strat.extra_nodes
     if cluster is not None and stream not in (None, cluster.profile):
         raise ValueError(
@@ -402,13 +440,8 @@ def run_strategy(
         raise ValueError(
             f"cluster config has {config.num_nodes} nodes, run needs {num_nodes}"
         )
+    _check_run(strat, iterations, config, opts)
     comm = ClusterComm(config, tracer=tracer)
-    if config.agg_site == AGG_SWITCH and not strat.supports_switch_aggregation:
-        raise ValueError(
-            f"strategy {strat.name!r} has no single reduction root; "
-            "agg_site='switch' only applies to the worker-aggregator "
-            "family"
-        )
 
     # Identical replicas: deepcopies of one build; data streams derive
     # from collision-free spawn keys.
@@ -435,20 +468,8 @@ def run_strategy(
         seed=seed,
         options=opts,
         eval_every=eval_every,
-        losses=[[] for _ in range(iterations)],
-        finished=[0] * num_workers,
     )
-    strat.setup(run)
-    workers = [
-        comm.sim.process(_worker_process(run, strat, i)) for i in range(num_workers)
-    ]
-    total_time = comm.run(workers)
-    for node_id, done in enumerate(run.finished):
-        if done < iterations:
-            raise RuntimeError(
-                f"{strat.name}: worker {node_id} stopped at iteration "
-                f"{done} of {iterations}; nothing was left to wake it"
-            )
+    total_time = _drive(run, strat)
 
     net = strat.final_model(run)
     logits = net.predict(dataset.test_x)

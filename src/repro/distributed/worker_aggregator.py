@@ -42,7 +42,7 @@ def worker_exchange(
     always raw).  With a ``gather`` (the switch aggregation site) the
     gradient rides the reduction tree instead of a host-to-host message.
     Returns what the aggregator broadcast: the updated weight vector
-    (its byte count for a size-only gradient).
+    (its size for a size-only gradient).
     """
     if gather is not None:
         gather.offer(ep.node_id, gradient)

@@ -26,6 +26,7 @@ from .estimator import (
 from .exchange import (
     ExchangeResult,
     measure_compression_ratio,
+    simulate_exchange,
     simulate_ring_exchange,
     simulate_wa_exchange,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "fig12_estimates",
     "ExchangeResult",
     "measure_compression_ratio",
+    "simulate_exchange",
     "simulate_ring_exchange",
     "simulate_wa_exchange",
 ]

@@ -16,11 +16,7 @@ from repro.dnn.models import PAPER_MODELS
 from repro.network import DEFAULT_BANDWIDTH_BPS
 
 from .calibration import FIG13_EPOCHS, compute_profile_for, iterations_per_epoch
-from .exchange import (
-    measure_compression_ratio,
-    simulate_ring_exchange,
-    simulate_wa_exchange,
-)
+from .exchange import measure_compression_ratio, simulate_exchange
 
 #: The four system configurations of Fig 12.
 CONFIGURATIONS = ("WA", "WA+C", "INC", "INC+C")
@@ -59,12 +55,8 @@ def estimate_iteration_time(
     if configuration.endswith("+C"):
         stream = inceptionn_profile()
         ratio = measure_compression_ratio(spec)
-    simulate = (
-        simulate_wa_exchange
-        if configuration.startswith("WA")
-        else simulate_ring_exchange
-    )
-    result = simulate(
+    result = simulate_exchange(
+        "wa" if configuration.startswith("WA") else "ring",
         num_workers=num_workers,
         nbytes=spec.nbytes,
         iterations=SIM_ITERATIONS,

@@ -5,36 +5,35 @@ arrays are materialized — while compression ratios come from the real
 codec run on sampled gradient vectors with the model's empirical value
 distribution.  This is the machinery behind Table II, Fig 12 and Fig 15.
 
-One exchange description, two evaluators: :func:`simulate_ring_exchange`
-and :func:`simulate_wa_exchange` share one front (validation, ratio
-measurement, the :class:`ClusterConfig`) and hand it either to the event
-kernel or to the closed-form evaluator in :mod:`repro.perfmodel.flowsim`
-(``fidelity="flow"``).  On the event kernel (``fidelity="packet"``) the
-strategies' own primitives — :func:`~repro.distributed.ring.ring_exchange`,
-:func:`~repro.distributed.worker_aggregator.worker_exchange` and
-:func:`~repro.distributed.worker_aggregator.aggregator_exchange` — run on
-a :class:`~repro.transport.wire.SizedPayload`, so a training run and its
-timing study share every message, sum and span.
+One exchange description, two evaluators: :func:`simulate_exchange`
+hands it to the event kernel (``fidelity="packet"``), where the training
+driver runs any registered strategy over a model that holds only its
+size, or for the ring and WA to the closed-form evaluator in
+:mod:`repro.perfmodel.flowsim` (``fidelity="flow"``).  A training run
+and its timing study share every message, sum and span.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Optional, Tuple
+import math
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core import ErrorBound, StreamProfile, compression_ratio
 from repro.core.bounds import DEFAULT_BOUND
 from repro.distributed.node import ComputeProfile, ZERO_COMPUTE
-from repro.distributed.ring import ring_exchange
-from repro.distributed.strategy import STRATEGIES
-from repro.distributed.worker_aggregator import aggregator_exchange, worker_exchange
+from repro.distributed.strategy import (
+    GradientStrategy,
+    StrategyRun,
+    _check_run,
+    _drive,
+    get_strategy,
+)
 from repro.dnn.models import ModelSpec
-from repro.network import Event
-from repro.network.packet import payload_ratio
 from repro.obs import PhaseLedger, PhaseTimes, Tracer
-from repro.transport.aggregation import AGG_ENDPOINT, AGG_SWITCH, SwitchGather
+from repro.transport.aggregation import AGG_ENDPOINT
 from repro.transport.endpoint import ClusterComm, ClusterConfig, TransferSummary
 from repro.transport.wire import SizedPayload, measure_stream_ratio
 
@@ -66,31 +65,41 @@ class ExchangeResult:
     #: Table II attribution of ``total_s`` at either fidelity: what node
     #: 0 waited on (its own spends; under WA also the aggregator's).
     phases: PhaseTimes
-    #: Application bytes sent and their on-wire payload (from the
-    #: cluster's transfer log — the WireMessage pipeline's accounting).
-    sent_nbytes: int = 0
-    wire_payload_nbytes: int = 0
+    #: Bytes sent, on the wire and hop-weighted (the link-level load), from
+    #: the cluster's transfer log — the WireMessage pipeline's accounting.
+    transfers: TransferSummary
     #: Trains resent due to simulated loss (0 on a lossless fabric).
     trains_retransmitted: int = 0
     #: Background-tenant messages and payload bytes that shared the
     #: fabric during the exchange (0 = dedicated network).
     background_messages: int = 0
     background_nbytes: int = 0
-    #: Wire payload weighted by hop count — the link-level load the
-    #: fabric carried (the aggregation-site study's comparison figure).
-    link_payload_nbytes: int = 0
     #: In-network aggregation accounting (0 under the endpoint site).
     agg_engine_cycles: int = 0
     switch_reductions: int = 0
+    #: The strategy's extras, as a training run's; empty at flow fidelity.
+    extras: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def per_iteration_s(self) -> float:
         return self.total_s / self.iterations
 
     @property
+    def sent_nbytes(self) -> int:
+        return self.transfers.nbytes
+
+    @property
+    def wire_payload_nbytes(self) -> int:
+        return self.transfers.wire_payload_nbytes
+
+    @property
+    def link_payload_nbytes(self) -> int:
+        return self.transfers.link_payload_nbytes
+
+    @property
     def wire_ratio(self) -> float:
         """Achieved wire-level compression across the whole exchange."""
-        return payload_ratio(self.sent_nbytes, self.wire_payload_nbytes)
+        return self.transfers.wire_ratio
 
 
 @dataclass(frozen=True)
@@ -105,23 +114,35 @@ class Exchange:
     num_workers: int
     nbytes: int
     iterations: int
+    #: What each iteration spends; its forward/backward/copy times are
+    #: zero unless the study includes local compute.
     profile: ComputeProfile
     #: Measured compression ratio of the cluster's gradient stream
     #: (``config.profile``; ``None`` when raw).
     ratio: Optional[float]
-    include_local_compute: bool
-    #: The cluster both evaluators model; worker-aggregator runs host
-    #: the aggregator as its last node (``num_workers``).
+    #: The cluster both evaluators model; a strategy's service nodes
+    #: (WA's aggregator, a parameter server) follow the workers.
     config: ClusterConfig
 
 
 Measured = Tuple[float, PhaseLedger, TransferSummary]
-Process = Generator[Event, Any, Any]
 
 
-def _check_flow_supported(tracer: Optional[Tracer], config: ClusterConfig) -> None:
-    """Flow fidelity models dedicated, lossless, untraced stars only."""
+#: The closed-form evaluators, by strategy.
+_FLOW = {"ring": flow_ring_exchange, "wa": flow_wa_exchange}
+
+
+def _check_flow_supported(
+    algorithm: str,
+    tracer: Optional[Tracer],
+    config: ClusterConfig,
+    options: Mapping[str, Any],
+) -> None:
+    """Flow fidelity models the ring and WA on dedicated, lossless,
+    untraced stars without compute jitter only."""
     rejected = {
+        f"strategy {algorithm!r}": algorithm not in _FLOW,
+        "compute jitter (compute_jitter)": bool(options.get("compute_jitter")),
         "tracing (tracer)": tracer is not None,
         "loss (loss_rate)": config.loss_rate != 0.0,
         "topology": config.topology not in (None, "star"),
@@ -137,70 +158,60 @@ def _check_flow_supported(tracer: Optional[Tracer], config: ClusterConfig) -> No
         )
 
 
-def _worker(
-    job: Exchange,
-    comm: ClusterComm,
-    node: int,
-    exchange: Callable[[int], Process],
-) -> Process:
-    """One worker's iterations: the training loop without the trainer."""
-    updates = STRATEGIES[job.algorithm].worker_applies_update
-    for _ in range(job.iterations):
-        if job.include_local_compute:
-            yield from comm.spend_local(job.profile, node, node == 0)
-        yield from exchange(node)
-        if updates:
-            yield from comm.spend("update", job.profile.update_s, node, node == 0)
+class _SizedModel:
+    """``nbytes`` of float32 parameters without their values.
 
+    The trainers, template network and optimizer of a size-only
+    :class:`~repro.distributed.strategy.StrategyRun`: its gradient is a
+    :class:`SizedPayload` at the stream's ratio, its weights a raw one,
+    and every update a no-op.
+    """
 
-def _aggregator(
-    job: Exchange, comm: ClusterComm, gather: Optional[SwitchGather]
-) -> Process:
-    """The aggregator's iterations; its update rule is the identity."""
-    ep = comm.endpoints[job.num_workers]
-    workers = list(range(job.num_workers))
-    for _ in range(job.iterations):
-        yield from aggregator_exchange(
-            ep, workers, lambda total: total, profile=job.profile, gather=gather
-        )
+    def __init__(self, nbytes: int, ratio: Optional[float]) -> None:
+        self.net = self
+        self._gradient = SizedPayload(nbytes, ratio)
+        self._weights = SizedPayload(nbytes)
+
+    def local_gradient(self) -> Tuple[float, SizedPayload]:
+        return math.nan, self._gradient
+
+    def parameter_vector(self) -> SizedPayload:
+        return self._weights
+
+    def _no_op(self, *args: object) -> None:
+        """An update changes nothing on sizes."""
+
+    apply_gradient = set_parameter_vector = step_with_vector = _no_op
 
 
 def _packet_exchange(
-    job: Exchange, tracer: Optional[Tracer]
-) -> Tuple[Measured, Dict[str, int]]:
-    """Evaluate on the event kernel; also returns the packet-only counters."""
+    job: Exchange,
+    strategy: GradientStrategy,
+    options: Mapping[str, Any],
+    tracer: Optional[Tracer],
+) -> Tuple[Measured, Dict[str, Any]]:
+    """Drive the strategy over a size-only model on the event kernel;
+    also returns the packet-only counters and the strategy's extras."""
     comm = ClusterComm(job.config, tracer=tracer)
-    n = job.num_workers
-    gradient = SizedPayload(job.nbytes, job.ratio)
-    gather: Optional[SwitchGather] = None
-    if job.algorithm == "ring":
-
-        def exchange(i: int) -> Process:
-            return ring_exchange(comm.endpoints[i], gradient, n, profile=job.profile)
-
-    else:
-        if job.config.agg_site == AGG_SWITCH:
-            gather = SwitchGather(comm, root=n, sources=range(n))
-
-        def exchange(i: int) -> Process:
-            return worker_exchange(comm.endpoints[i], n, gradient, gather)
-
-    processes = [comm.sim.process(_worker(job, comm, i, exchange)) for i in range(n)]
-    if job.algorithm == "wa":
-        processes.append(comm.sim.process(_aggregator(job, comm, gather)))
-    total_s = comm.run(processes)
+    model = _SizedModel(job.nbytes, job.ratio)
+    run = StrategyRun(
+        comm=comm, num_workers=job.num_workers, iterations=job.iterations,
+        trainers=[model] * job.num_workers, template=model,
+        make_optimizer=lambda: model, profile=job.profile, seed=0, options=options,
+    )
+    total_s = _drive(run, strategy)
     background = comm.background
+    gather = strategy.gather
     counters = {
         "trains_retransmitted": comm.network.trains_retransmitted,
         "background_messages": background.total_messages if background else 0,
         "background_nbytes": background.total_bytes if background else 0,
         "agg_engine_cycles": gather.engine_cycles() if gather else 0,
         "switch_reductions": gather.switch_reductions if gather else 0,
+        "extras": dict(run.extras),
     }
     return (total_s, comm.ledger, comm.transfer_summary()), counters
 
-
-_FLOW = {"ring": flow_ring_exchange, "wa": flow_wa_exchange}
 
 #: Packets per train on the exchange simulators' cluster — the one
 #: default they do not share with :class:`ClusterConfig`: paper-scale
@@ -208,7 +219,7 @@ _FLOW = {"ring": flow_ring_exchange, "wa": flow_wa_exchange}
 EXCHANGE_TRAIN_PACKETS = 4400
 
 
-def _simulate_exchange(
+def simulate_exchange(
     algorithm: str,
     num_workers: int,
     nbytes: int,
@@ -219,9 +230,10 @@ def _simulate_exchange(
     include_local_compute: bool = False,
     tracer: Optional[Tracer] = None,
     fidelity: str = "packet",
+    options: Optional[Mapping[str, Any]] = None,
     **cluster: Any,
 ) -> ExchangeResult:
-    """The one exchange front: every option of both public simulators.
+    """Time any registered strategy's iterations on ``nbytes`` gradients.
 
     ``cluster`` is any :class:`ClusterConfig` field (``bandwidth_bps``,
     ``topology``, ``tenants``, ``loss_rate``, ``agg_site`` ...), with
@@ -233,44 +245,42 @@ def _simulate_exchange(
     gradient.  ``include_local_compute`` prepends each iteration's
     forward/backward/copy time (for full-iteration studies like
     Table II); exchange-only studies (Fig 15) leave it off.
+    ``options`` is ``run_strategy``'s (``group_size``,
+    ``staleness_bound``, ``compute_jitter`` ...).  ``local_sgd``, whose
+    weight deltas a size-only model does not have, refuses.
 
-    ``fidelity="flow"`` evaluates the same description in closed form
+    ``fidelity="flow"`` evaluates the ring and WA in closed form
     (:mod:`repro.perfmodel.flowsim`) for 1024-65536-worker sweeps; it
     models dedicated, lossless, untraced stars only and rejects
     everything else, naming what it rejected.
 
     With background ``tenants`` the reported ``total_s`` is the
     foreground completion time (the fabric itself never idles).
-    ``agg_site="switch"`` applies to the worker-aggregator exchange
-    only, at packet fidelity.
     """
+    strategy = get_strategy(algorithm)
+    opts: Mapping[str, Any] = dict(options or {})
     config = ClusterConfig(
-        num_nodes=num_workers + (algorithm == "wa"),
+        num_nodes=num_workers + strategy.extra_nodes,
         profile=stream,
         **{"train_packets": EXCHANGE_TRAIN_PACKETS, **cluster},
     )
-    if algorithm == "ring" and config.agg_site != AGG_ENDPOINT:
+    _check_run(strategy, iterations, config, opts)
+    if strategy.splits_blocks and nbytes % 4:
         raise ValueError(
-            "the ring has no single reduction root; agg_site='switch' "
-            "only applies to the worker-aggregator exchange"
-        )
-    if num_workers < 2:
-        raise ValueError("need at least two workers")
-    if iterations < 1:
-        raise ValueError(f"need at least one iteration, got {iterations}")
-    if algorithm == "ring" and nbytes % 4:
-        raise ValueError(
-            f"the ring exchanges blocks of float32 values; nbytes={nbytes} "
+            f"{algorithm} exchanges blocks of float32 values; nbytes={nbytes} "
             "is not a whole number of them"
         )
     if fidelity == "flow":
-        _check_flow_supported(tracer, config)
+        _check_flow_supported(algorithm, tracer, config, opts)
     elif fidelity != "packet":
         raise ValueError(
             f"fidelity must be 'packet' or 'flow', got {fidelity!r}"
         )
     if stream is not None and gradient_ratio is None:
         gradient_ratio = measure_stream_ratio(stream)
+    if not include_local_compute:
+        # A zero spend schedules nothing and books 0.0.
+        profile = replace(profile, forward_s=0.0, backward_s=0.0, gpu_copy_s=0.0)
     job = Exchange(
         algorithm=algorithm,
         num_workers=num_workers,
@@ -278,14 +288,12 @@ def _simulate_exchange(
         iterations=iterations,
         profile=profile,
         ratio=gradient_ratio,
-        include_local_compute=include_local_compute,
         config=config,
     )
-    counters: Dict[str, int] = {}
     if fidelity == "flow":
-        measured = _FLOW[algorithm](job)
+        measured, counters = _FLOW[algorithm](job), {}
     else:
-        measured, counters = _packet_exchange(job, tracer)
+        measured, counters = _packet_exchange(job, strategy, opts, tracer)
     total_s, ledger, transfers = measured
     return ExchangeResult(
         algorithm=algorithm,
@@ -294,9 +302,7 @@ def _simulate_exchange(
         iterations=iterations,
         total_s=total_s,
         phases=ledger.close(total_s),
-        sent_nbytes=transfers.nbytes,
-        wire_payload_nbytes=transfers.wire_payload_nbytes,
-        link_payload_nbytes=transfers.link_payload_nbytes,
+        transfers=transfers,
         **counters,
     )
 
@@ -308,9 +314,9 @@ def simulate_wa_exchange(
 
     Only the gradient leg may compress (``stream``); the weight leg is
     always raw.  Keyword options and their defaults are
-    :func:`_simulate_exchange`'s.
+    :func:`simulate_exchange`'s.
     """
-    return _simulate_exchange("wa", num_workers, nbytes, **options)
+    return simulate_exchange("wa", num_workers, nbytes, **options)
 
 
 def simulate_ring_exchange(
@@ -320,6 +326,6 @@ def simulate_ring_exchange(
 
     On the ring's contention-free star fabric ``fidelity="flow"``
     reproduces packet timing to floating-point noise.  Keyword options
-    and their defaults are :func:`_simulate_exchange`'s.
+    and their defaults are :func:`simulate_exchange`'s.
     """
-    return _simulate_exchange("ring", num_workers, nbytes, **options)
+    return simulate_exchange("ring", num_workers, nbytes, **options)

@@ -341,7 +341,7 @@ def flow_ring_exchange(job: Exchange) -> Measured:
         deliver_one, ready = _deliver_floats(trains, stages), 0.0
         free, sum_s = [0.0] * len(stages), float(size_sum_s[0])
         for _ in range(job.iterations):
-            if job.include_local_compute and profile.local_compute_s:
+            if profile.local_compute_s:
                 ledger.add_local_compute(profile)
                 ready += profile.local_compute_s
             for step in range(1, 2 * n - 1):
@@ -358,7 +358,7 @@ def flow_ring_exchange(job: Exchange) -> Measured:
     for iteration in range(job.iterations):
         if iteration:
             first, state = _turn_runs(first, state, n, class_start)
-        if job.include_local_compute and profile.local_compute_s:
+        if profile.local_compute_s:
             ledger.add_local_compute(profile)
             state[0] = state[0] + profile.local_compute_s
         for step in range(1, 2 * n - 1):
@@ -407,7 +407,7 @@ def flow_wa_exchange(job: Exchange) -> Measured:
     dt_sum = profile.sum_time(job.nbytes)
 
     for _ in range(job.iterations):
-        if job.include_local_compute and profile.local_compute_s:
+        if profile.local_compute_s:
             ledger.add_local_compute(profile)
             t_workers = t_workers + profile.local_compute_s
         gathered = deliver(t_workers, gather_trains, gather)

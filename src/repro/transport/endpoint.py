@@ -523,7 +523,7 @@ class Endpoint:
         through the profile's codec: the receiver sees the lossy
         reconstruction and the wire carries the measured compressed
         bytes under the codec's ToS byte.  A size-only payload ships
-        its bytes at its measured ratio; the receiver sees the count.
+        its bytes at its measured ratio; the receiver sees its size.
         """
         return self.isend_message(self.build_message(dst, payload, profile))
 

@@ -122,16 +122,16 @@ class WireMessage:
     @property
     def payload(self) -> object:
         """What the receiving host observes: the reconstructed values,
-        or (size-only) the byte count."""
-        return self.nbytes if self.size_only else self.values
+        or (size-only) their size as a raw :class:`SizedPayload`."""
+        return SizedPayload(self.nbytes) if self.size_only else self.values
 
     def deliver(self, nic: Optional["InceptionnNic"] = None) -> object:
         """What the destination host observes after the RX pipeline.
 
         Models the paper's Fig 10 receive path: the train lands in the
         Burst Buffer, the Tag Decoder walks it packet by packet, and the
-        host sees the reconstructed values (or, size-only, the byte
-        count).  ``nic`` is the destination's functional NIC; its RX
+        host sees the reconstructed values (or, size-only, their
+        :class:`SizedPayload`).  ``nic`` is the destination's functional NIC; its RX
         counters tick once per successful delivery regardless of how
         many wire traversals retransmissions needed.
         """

@@ -91,9 +91,10 @@ def test_driver_and_simulator_trace_the_same_ring_steps():
 
 
 def test_hierarchy_times_the_same_on_sizes():
-    # No simulator offers the hierarchy yet; its primitive on a
-    # size-only gradient, in the training loop without the trainer,
-    # is the timing run.
+    # The hierarchy's primitive on a size-only gradient, in a hand loop
+    # without the trainer, times the same as training; simulate_exchange
+    # runs the driver itself on sizes (tests/perfmodel/
+    # test_exchange_strategies.py).
     trained = _train("hierarchy", options={"group_size": 2})
     comm = ClusterComm(ClusterConfig(num_nodes=WORKERS, train_packets=TRAIN_PACKETS))
     layout = GroupLayout.even(WORKERS, 2)

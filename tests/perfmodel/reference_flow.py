@@ -44,7 +44,7 @@ def flow_ring_exchange(job: Exchange) -> Measured:
     update_s = 0.0
 
     for _ in range(job.iterations):
-        if job.include_local_compute and profile.local_compute_s:
+        if profile.local_compute_s:
             t_ready = t_ready + profile.local_compute_s
         for step in range(1, 2 * n - 1):
             send_idx, recv_idx = ring_step_blocks(workers, step, n)

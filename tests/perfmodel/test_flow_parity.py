@@ -17,7 +17,11 @@ import pytest
 from repro.core import inceptionn_profile
 from repro.network import RetransmitPolicy
 from repro.obs import Tracer
-from repro.perfmodel import simulate_ring_exchange, simulate_wa_exchange
+from repro.perfmodel import (
+    simulate_exchange,
+    simulate_ring_exchange,
+    simulate_wa_exchange,
+)
 
 #: Pinned flow-vs-packet relative tolerance (see module docstring).
 TOL = 1e-9
@@ -199,6 +203,15 @@ class TestFlowGuards:
             simulate_ring_exchange(4, 8_199_999, fidelity=fidelity)
         wa = simulate_wa_exchange(4, 1001, fidelity=fidelity)
         assert wa.sent_nbytes == 2 * 4 * 1001
+
+    def test_hierarchy_rejects_a_fractional_float32_count_up_front(self):
+        # Its rings split the gradient too; the refusal comes before the
+        # ratio is measured, with the ring's message.
+        with pytest.raises(ValueError, match="hierarchy exchanges blocks .* whole"):
+            simulate_exchange(
+                "hierarchy", 4, 1001, stream=inceptionn_profile(),
+                options={"group_size": 2},
+            )
 
     def test_flow_rejects_tracer(self):
         with pytest.raises(ValueError, match="tracing"):

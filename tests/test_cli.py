@@ -96,6 +96,24 @@ def test_exchange_rejects_zero_iterations(fidelity):
         main(["exchange", "--iterations", "0", "--fidelity", fidelity])
 
 
+def test_exchange_times_any_registered_strategy(capsys):
+    assert main([
+        "exchange", "--algorithm", "hierarchy", "--group-size", "2",
+        "--workers", "4", "--mbytes", "1",
+    ]) == 0
+    assert capsys.readouterr().out.startswith("hierarchy x4 @ 10 Gb/s")
+    assert main([
+        "exchange", "--algorithm", "stale_async", "--staleness", "0",
+        "--workers", "4", "--mbytes", "1",
+    ]) == 0
+    assert capsys.readouterr().out.startswith("stale_async x4")
+
+
+def test_exchange_flow_fidelity_rejects_other_strategies():
+    with pytest.raises(SystemExit, match="does not model: strategy 'async_ps'"):
+        main(["exchange", "--algorithm", "async_ps", "--fidelity", "flow"])
+
+
 def test_exchange_simulates_the_bytes_it_was_asked_for(capsys):
     # int(8.2 * 1e6) is 8 199 999: the request was silently one byte
     # short and the ring dropped three more to reach whole float32s.
@@ -279,7 +297,8 @@ CLI_DEFAULTS = {
     ("exchange",): {
         "--algorithm": "ring", "--workers": 4, "--iterations": 1,
         "--mbytes": 10.0, "--gbps": 10.0, "--codec": None,
-        "--fidelity": "packet", "--train-packets": 4400, "--topology": None,
+        "--fidelity": "packet", "--staleness": None, "--group-size": 2,
+        "--train-packets": 4400, "--topology": None,
         "--agg-site": "endpoint", "--tenants": None, "--prioritize": False,
         "--tenant-seed": 0, "--loss-rate": 0.0, "--retransmit": None,
         "--trace": None, "--trace-chrome": None,

@@ -28,7 +28,7 @@ class TestSizedMessages:
         comm.sim.process(sender())
         comm.sim.process(receiver())
         comm.run()
-        assert got == [12345]
+        assert got == [SizedPayload(12345)]
 
     def test_sized_message_ratio_shrinks_wire(self):
         stream = inceptionn_profile()
