@@ -5,8 +5,12 @@ vectors with array operations and is validated element-for-element
 against the scalar reference in ``tests/core/reference_codec.py``.
 
 Algorithm 2 picks a value's class from its 8-bit exponent field alone,
-so every per-value decision is one lookup in a 256-entry table built
-once per :class:`ErrorBound` (:func:`_exponent_table`).
+so every kernel reads one index, the biased exponent as uint8, and every
+per-value decision is one ``take`` from a 256-entry table built once per
+:class:`ErrorBound` (:func:`_exponent_table`).  The classes are
+contiguous exponent ranges in tag order, so the wire size needs no
+per-value table: three counts of ``e < edge`` give every class count
+(:func:`class_counts`).  Algorithm 3 reads 4-entry tables indexed by tag.
 """
 
 from __future__ import annotations
@@ -18,23 +22,21 @@ import numpy as np
 
 from .bounds import BIT16_FRACTION_BITS, ErrorBound, FLOAT32_EXP_BIAS
 from .container import CompressedGradients, wire_nbits
-from .tags import (
-    PAYLOAD_BITS_LUT,
-    TAG_BIT8,
-    TAG_BIT16,
-    TAG_NO_COMPRESS,
-    TAG_ZERO,
-)
+from .tags import PAYLOAD_BITS_LUT, TAG_BIT8, TAG_BIT16, TAG_NO_COMPRESS, TAG_ZERO
 
 _MANTISSA_BITS = 23
 _IMPLICIT_ONE = np.uint32(1 << _MANTISSA_BITS)
+# Algorithm 3 by tag (ZERO, BIT8, BIT16, NO_COMPRESS): the payload's
+# magnitude bits, its sign bit and the shift that lifts that bit to 31.
+_MAGNITUDE = np.array([0, 0x7F, 0x7FFF, 0], dtype=np.uint32)
+_SIGN = np.array([0, 0x80, 0x8000, 0], dtype=np.uint32)
+_SIGN_LIFT = np.array([0, 24, 16, 0], dtype=np.uint32)
 
 
 class _ExponentTable(NamedTuple):
     """Algorithm 2's per-value decisions, indexed by biased exponent."""
 
-    tag: np.ndarray  # uint8: 2-bit class tag
-    nbits: np.ndarray  # int64: payload bits of that class
+    tag: np.ndarray  # uint8: 2-bit class tag, nondecreasing in the exponent
     shift: np.ndarray  # uint32: significand bits the quantiser drops
     signpos: np.ndarray  # uint32: bit position of the sign in the payload
     mask: np.ndarray  # uint32: input bits the receiver gets back
@@ -61,7 +63,6 @@ def _exponent_table(bound: ErrorBound) -> _ExponentTable:
     mask[tag == TAG_ZERO] = 0
     table = _ExponentTable(
         tag=tag,
-        nbits=PAYLOAD_BITS_LUT[tag].astype(np.int64),
         shift=shift.astype(np.uint32),
         signpos=np.array([0, 7, 15, 31], dtype=np.uint32)[tag],
         mask=mask.astype(np.uint32),
@@ -72,31 +73,50 @@ def _exponent_table(bound: ErrorBound) -> _ExponentTable:
 
 
 def _bits_and_exponents(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The flat uint32 view of ``values`` and each word's table index."""
-    flat = np.ascontiguousarray(values, dtype=np.float32).reshape(-1)
-    bits = flat.view(np.uint32)
-    return bits, ((bits >> np.uint32(23)) & np.uint32(0xFF)).astype(np.intp)
+    """The flat uint32 view of ``values`` and each word's biased exponent."""
+    bits = np.ascontiguousarray(values, dtype=np.float32).reshape(-1).view(np.uint32)
+    # The narrowing cast drops the sign bit, leaving the 8-bit exponent.
+    exponent = np.empty(bits.size, dtype=np.uint8)
+    return bits, np.right_shift(bits, 23, out=exponent, casting="unsafe")
 
 
-def _histogram_nbits(exponent: np.ndarray, table: _ExponentTable) -> int:
-    counts = np.bincount(exponent, minlength=256)
-    return wire_nbits(exponent.size, int(counts @ table.nbits))
+def _class_counts(exponent: np.ndarray, bound: ErrorBound) -> np.ndarray:
+    # Tag k's exponents start where the nondecreasing tag column reaches k.
+    tag = _exponent_table(bound).tag
+    edges = tag.searchsorted([TAG_BIT8, TAG_BIT16, TAG_NO_COMPRESS]).tolist()
+    below = [np.count_nonzero(exponent < edge) for edge in edges]
+    return np.diff(below, prepend=0, append=exponent.size)
+
+
+def _nbits(counts: np.ndarray) -> int:
+    return wire_nbits(int(counts.sum()), int(counts @ PAYLOAD_BITS_LUT))
+
+
+def class_counts(values: np.ndarray, bound: ErrorBound) -> np.ndarray:
+    """Values per tag class, ``bincount(classify(values, bound), minlength=4)``."""
+    return _class_counts(_bits_and_exponents(values)[1], bound)
 
 
 def classify(values: np.ndarray, bound: ErrorBound) -> np.ndarray:
     """Return the 2-bit tag for every value (vectorized Algorithm 2 head)."""
-    return _exponent_table(bound).tag[_bits_and_exponents(values)[1]]
+    return _exponent_table(bound).tag.take(_bits_and_exponents(values)[1])
 
 
 def compress(values: np.ndarray, bound: ErrorBound) -> CompressedGradients:
     """Compress a float32 vector under the given error bound."""
     bits, exponent = _bits_and_exponents(values)
+    exponent = exponent.astype(np.intp)  # take() widens uint8 per call; 4 calls
     table = _exponent_table(bound)
-    tags = table.tag[exponent]
-    kept = bits & table.mask[exponent]
-    q = ((kept & np.uint32(0x7FFFFF)) | _IMPLICIT_ONE) >> table.shift[exponent]
-    payloads = ((kept >> np.uint32(31)) << table.signpos[exponent]) | q
-    payloads = np.where(tags == TAG_NO_COMPRESS, bits, payloads)
+    tags = table.tag.take(exponent)
+    payloads = table.mask.take(exponent)
+    payloads &= bits
+    sign = payloads >> np.uint32(31)
+    sign <<= table.signpos.take(exponent)
+    payloads &= np.uint32(0x7FFFFF)
+    payloads |= _IMPLICIT_ONE
+    payloads >>= table.shift.take(exponent)
+    payloads |= sign
+    np.copyto(payloads, bits, where=tags == TAG_NO_COMPRESS)
     return CompressedGradients(tags=tags, payloads=payloads, bound=bound)
 
 
@@ -109,45 +129,30 @@ def quantize(values: np.ndarray, bound: ErrorBound) -> Tuple[int, np.ndarray]:
     from :func:`compress`).
     """
     bits, exponent = _bits_and_exponents(values)
-    table = _exponent_table(bound)
-    reconstruction = (bits & table.mask[exponent]).view(np.float32)
-    return _histogram_nbits(exponent, table), reconstruction
+    reconstruction = _exponent_table(bound).mask.take(exponent)
+    reconstruction &= bits
+    return _nbits(_class_counts(exponent, bound)), reconstruction.view(np.float32)
 
 
 def decompress(compressed: CompressedGradients) -> np.ndarray:
     """Decompress back to a float32 vector (vectorized Algorithm 3)."""
-    tags = compressed.tags
-    payloads = compressed.payloads
-    bound = compressed.bound
-    out = np.zeros(tags.shape, dtype=np.float32)
-
-    mask = tags == TAG_NO_COMPRESS
-    if mask.any():
-        out[mask] = payloads[mask].view(np.float32)
-
-    mask = tags == TAG_BIT8
-    if mask.any():
-        p = payloads[mask]
-        magnitude = (p & np.uint32(0x7F)).astype(np.float32) * np.float32(
-            bound.bit8_scale
-        )
-        out[mask] = np.where(p & np.uint32(0x80), -magnitude, magnitude)
-
-    mask = tags == TAG_BIT16
-    if mask.any():
-        p = payloads[mask]
-        magnitude = (p & np.uint32(0x7FFF)).astype(np.float32) * np.float32(2.0**-15)
-        out[mask] = np.where(p & np.uint32(0x8000), -magnitude, magnitude)
-
+    tags, payloads = compressed.tags, compressed.payloads
+    scale = [0.0, compressed.bound.bit8_scale, 2.0**-BIT16_FRACTION_BITS, 0.0]
+    out = (payloads & _MAGNITUDE.take(tags)).astype(np.float32)
+    out *= np.array(scale, dtype=np.float32).take(tags)
+    sign = payloads & _SIGN.take(tags)
+    sign <<= _SIGN_LIFT.take(tags)
+    bits = out.view(np.uint32)
+    bits |= sign
+    np.copyto(bits, payloads, where=tags == TAG_NO_COMPRESS)
     return out
 
 
 def roundtrip(values: np.ndarray, bound: ErrorBound) -> np.ndarray:
     """Compress then decompress, preserving the input's shape."""
-    arr = np.asarray(values, dtype=np.float32)
-    return quantize(arr, bound)[1].reshape(arr.shape)
+    return quantize(values, bound)[1].reshape(np.shape(values))
 
 
 def compressed_nbits(values: np.ndarray, bound: ErrorBound) -> int:
-    """Wire-format size in bits, from the exponent histogram alone."""
-    return _histogram_nbits(_bits_and_exponents(values)[1], _exponent_table(bound))
+    """Wire-format size in bits, from the class counts alone."""
+    return _nbits(class_counts(values, bound))

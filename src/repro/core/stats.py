@@ -8,7 +8,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from .bounds import ErrorBound
-from .codec import classify, compressed_nbits
+from .codec import class_counts, compressed_nbits
 from .tags import ENCODED_BITS, TAG_BIT8, TAG_BIT16, TAG_NO_COMPRESS, TAG_ZERO
 
 #: Tag order used for reporting, matching Table III's column order
@@ -54,12 +54,11 @@ class BitwidthDistribution:
 def bitwidth_distribution(
     values: np.ndarray, bound: ErrorBound
 ) -> BitwidthDistribution:
-    """Classify a gradient vector and report the tag-class fractions."""
-    tags = classify(np.asarray(values, dtype=np.float32).reshape(-1), bound)
-    n = tags.shape[0]
+    """Count a gradient vector's tag classes and report their fractions."""
+    counts = class_counts(values, bound)
+    n = int(counts.sum())
     if n == 0:
         raise ValueError("cannot compute a distribution over zero values")
-    counts = np.bincount(tags, minlength=4).astype(np.float64)  # repro-lint: disable=R1 -- report math, not a gradient payload
     fractions = {tag: counts[tag] / n for tag in REPORT_TAG_ORDER}
     return BitwidthDistribution(fractions=fractions, num_values=n)
 

@@ -24,6 +24,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.bounds import ErrorBound
+from repro.core.codec import class_counts
 from repro.network.packet import (
     TOS_COMPRESS,
     Packet,
@@ -165,16 +166,11 @@ class InceptionnNic:
         metrics = self.tracer.metrics
         metrics.counter(f"{name}_packets", engine="inceptionn").inc()
         if name == "nic.compress" and in_nbytes:
-            from repro.core.codec import classify
-
             values = np.frombuffer(packet.payload, dtype=np.float32)
-            tags = classify(values, self.bound)
-            counts = np.bincount(tags, minlength=4)
-            for tag in range(4):
-                if counts[tag]:
-                    metrics.counter("tag_class_values", tag=tag).inc(
-                        int(counts[tag])
-                    )
+            counts = class_counts(values, self.bound)
+            for tag, count in enumerate(counts.tolist()):
+                if count:
+                    metrics.counter("tag_class_values", tag=tag).inc(count)
 
     def transmit(self, packets: List[Packet]) -> List[Packet]:
         """TX datapath over a packet train: one engine call for all it engages.

@@ -9,6 +9,7 @@ from repro.core import (
     TAG_BIT16,
     TAG_NO_COMPRESS,
     TAG_ZERO,
+    CompressedGradients,
     classify,
     compress,
     compressed_nbits,
@@ -17,7 +18,7 @@ from repro.core import (
     roundtrip,
 )
 from repro.core.bounds import FLOAT32_EXP_BIAS
-from repro.core.codec import _exponent_table
+from repro.core.codec import _exponent_table, class_counts
 from .reference_codec import compress_value, decompress_value
 
 
@@ -155,7 +156,6 @@ def test_exponent_table_is_cached_typed_and_read_only():
     dtypes = {name: column.dtype for name, column in table._asdict().items()}
     assert dtypes == {
         "tag": np.uint8,
-        "nbits": np.int64,
         "shift": np.uint32,
         "signpos": np.uint32,
         "mask": np.uint32,
@@ -187,3 +187,104 @@ def test_quantize_is_size_plus_reconstruction(exp):
         reconstruction.view(np.uint32), decompress(cg).view(np.uint32)
     )
     assert not np.shares_memory(reconstruction, values)
+
+
+def _words(exponents, mantissas=(0, 1, 0x7FFFFF)):
+    """One float32 per (sign, exponent, mantissa), grouped by mantissa."""
+    return np.array(
+        [
+            (sign << 31) | (exponent << 23) | mantissa
+            for mantissa in mantissas
+            for sign in (0, 1)
+            for exponent in exponents
+        ],
+        dtype=np.uint32,
+    ).view(np.float32)
+
+
+def _assert_sizes_agree(values, bound):
+    nbits = quantize(values, bound)[0]
+    assert nbits == compressed_nbits(values, bound)
+    assert nbits == compress(values, bound).compressed_bits
+    expected = np.bincount(classify(values, bound), minlength=4)
+    assert class_counts(values, bound).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("exp", range(1, 16))
+def test_sizes_and_class_counts_over_the_whole_exponent_domain(exp):
+    # Relaxed bounds (b < 7) put the BIT8 threshold past 127; the class
+    # counts must still stop BIT8 and BIT16 at NO_COMPRESS.
+    bound = ErrorBound(exp)
+    for mantissa in (0, 1, 0x7FFFFF):
+        _assert_sizes_agree(_words(range(256), (mantissa,)), bound)
+    for exponent in range(256):  # every class edge on its own
+        _assert_sizes_agree(_words([exponent]), bound)
+    _assert_sizes_agree(np.array([], dtype=np.float32), bound)
+
+
+def _shaped_inputs():
+    base = _sample_gradients(3 * 401, seed=11)
+    base[::7] = np.array([0.0, -0.0, np.inf, -np.nan, 3.5, -1e-40, 1e-45])[
+        np.arange(base[::7].size) % 7
+    ]
+    return {
+        "contiguous": base,
+        "strided": base[::3],
+        "2-D": base.reshape(3, 401),
+        "float64": base.astype(np.float64),
+        "read-only": np.frombuffer(base.tobytes(), dtype=np.float32),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_shaped_inputs()))
+def test_kernels_take_any_input_layout_without_touching_it(kind):
+    values = _shaped_inputs()[kind]
+    before = values.copy()
+    contiguous = np.array(values, order="C")
+    bound = ErrorBound(8)
+
+    nbits, reconstruction = quantize(values, bound)
+    expected_nbits, expected = quantize(contiguous, bound)
+    assert nbits == expected_nbits == compressed_nbits(values, bound)
+    assert np.array_equal(reconstruction.view(np.uint32), expected.view(np.uint32))
+    assert not np.shares_memory(reconstruction, values)
+    assert np.array_equal(
+        roundtrip(values, bound).view(np.uint32),
+        roundtrip(contiguous, bound).view(np.uint32),
+    )
+    assert np.array_equal(classify(values, bound), classify(contiguous, bound))
+
+    cg = compress(values, bound)
+    assert not np.shares_memory(cg.payloads, values)
+    restored = decompress(cg)
+    assert np.array_equal(restored.view(np.uint32), expected.view(np.uint32))
+    assert not np.shares_memory(restored, cg.payloads)
+    assert values.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["strided", "read-only"])
+def test_decompress_takes_any_container_layout_without_touching_it(layout):
+    cg = compress(_sample_gradients(3 * 401, seed=12), ErrorBound(6))
+    if layout == "strided":
+        tags, payloads = cg.tags[::3], cg.payloads[::3]
+    else:
+        tags = np.frombuffer(cg.tags.tobytes(), dtype=np.uint8)
+        payloads = np.frombuffer(cg.payloads.tobytes(), dtype=np.uint32)
+    before = payloads.copy()
+    restored = decompress(CompressedGradients(tags, payloads, cg.bound))
+    expected = decompress(
+        CompressedGradients(tags.copy(), payloads.copy(), cg.bound)
+    )
+    assert np.array_equal(restored.view(np.uint32), expected.view(np.uint32))
+    assert not np.shares_memory(restored, payloads)
+    assert np.array_equal(payloads, before)
+
+
+def test_decompress_refuses_a_tag_wider_than_two_bits():
+    cg = CompressedGradients(
+        tags=np.array([0, 4, 1], dtype=np.uint8),
+        payloads=np.zeros(3, dtype=np.uint32),
+        bound=ErrorBound(10),
+    )
+    with pytest.raises(IndexError):
+        decompress(cg)
