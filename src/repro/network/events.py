@@ -17,14 +17,17 @@ that changes was racing on event order all along.
 
 Per-instant order, the contract resource arbitration builds on: first
 the entries scheduled for ``now`` before the instant began, then those
-the instant itself appends, then the :meth:`Simulation.at_instant_end`
-hooks (whose same-instant work runs the same way), and only then the
-clock.  An entry is ``(time, order, fn, arg)`` run as ``fn(arg)`` — no
-closure per wake-up.  Under FIFO an entry for ``time == now`` skips the
-heap for a deque: every heap entry stamped ``now`` predates the instant,
-so its sequence number is below anything the instant appends, and
-heap-then-deque *is* ``(time, seq)`` order.  A policy that overrides
-``key`` reorders within the instant, so it keeps every entry on the heap.
+the instant itself appends, then the
+:meth:`Simulation.before_arbitration` hooks (what they queue at ``now``
+still runs in this first round), then the
+:meth:`Simulation.at_instant_end` hooks (whose same-instant work runs
+the same way), and only then the clock.  An entry is ``(time, order,
+fn, arg)`` run as ``fn(arg)`` — no closure per wake-up.  Under FIFO an
+entry for ``time == now`` skips the heap for a deque: every heap entry
+stamped ``now`` predates the instant, so its sequence number is below
+anything the instant appends, and heap-then-deque *is* ``(time, seq)``
+order.  A policy that overrides ``key`` reorders within the instant, so
+it keeps every entry on the heap.
 
 A run ends when the last *reserved transfer* has landed, observed or
 not: a resource whose transfer nobody awaits reports the landing time
@@ -189,6 +192,7 @@ class Simulation:
         #: The last instant whose at-instant-end hooks have run.
         self._hooked_at = -float("inf")
         self._pause_hooks: List[Callable[[], None]] = []
+        self._planners: List[Callable[[], None]] = []
 
     # -- event construction -------------------------------------------------
 
@@ -256,6 +260,15 @@ class Simulation:
         """
         self._epilogue.append(fn)
 
+    def before_arbitration(self, fn: Callable[[], None]) -> None:
+        """Run ``fn`` once the instant's first-round entries have run,
+        before its first :meth:`at_instant_end` hook.
+
+        Every request of the first round is then known and none is
+        granted; what ``fn`` queues at ``now`` runs in that round too.
+        """
+        self._planners.append(fn)
+
     def first_round(self) -> bool:
         """Whether no :meth:`at_instant_end` hook has run yet at ``now``.
 
@@ -294,6 +307,7 @@ class Simulation:
         if until is not None and not until >= self.now:  # also rejects NaN
             raise ValueError(f"cannot run until the past: {until} < {self.now}")
         heap, ready, pop = self._heap, self._ready, heapq.heappop
+        planners = self._planners  # emptied in place, never rebound
         while True:
             now = self.now
             while heap and heap[0][0] == now:  # scheduled before this instant
@@ -302,6 +316,12 @@ class Simulation:
             while ready:  # appended during it, in append order
                 fn, arg = ready.popleft()
                 fn(arg)
+            if planners:  # still the first round
+                hooks = planners[:]
+                planners.clear()
+                for hook in hooks:
+                    hook()
+                continue
             if self._epilogue:  # may schedule more work at ``now``
                 hooks, self._epilogue = self._epilogue, []
                 self._hooked_at = now

@@ -25,9 +25,9 @@ bit-exact (:class:`~repro.network.priority.PriorityLink` honors it);
 cut-through hand-off exposes head arrival without ever letting a train
 overtake itself; all timing derives from simulated time
 (``Simulation.now``), never the host clock; a resource held by an
-express message run (:mod:`repro.network.simulator`) is settled before
-any request stages on it, so every request meets the state the
-per-train kernel would have left.
+express run of a message group (:mod:`repro.network.simulator`) is
+settled before any request stages on it, so every request meets the
+state the per-train kernel would have left.
 """
 
 from __future__ import annotations

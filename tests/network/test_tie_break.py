@@ -115,6 +115,29 @@ class TestInstantEndHooks:
         sim.run()
         assert order == ["from-hook", "later"]
 
+    @pytest.mark.parametrize("tie_break", [None, SeededTieBreak(3)])
+    def test_planner_runs_between_the_first_round_and_its_hooks(self, tie_break):
+        # Every first-round entry has run, no hook has; what the planner
+        # queues at ``now`` still runs in the first round.
+        sim = Simulation(tie_break=tie_break)
+        order = []
+
+        def plan():
+            order.append(("plan", sim.first_round()))
+            sim.timeout(0.0).add_callback(
+                lambda _: order.append(("planned", sim.first_round()))
+            )
+
+        sim.timeout(1.0).add_callback(lambda _: sim.before_arbitration(plan))
+        sim.timeout(1.0).add_callback(
+            lambda _: sim.at_instant_end(lambda: order.append(("hook", None)))
+        )
+        sim.timeout(1.0).add_callback(lambda _: order.append(("event", None)))
+        sim.run()
+        assert order == [
+            ("event", None), ("plan", True), ("planned", True), ("hook", None),
+        ]
+
     def test_call_at_rejects_past_times(self):
         sim = Simulation()
         sim.timeout(1.0).add_callback(lambda _: None)

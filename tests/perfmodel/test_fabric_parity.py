@@ -14,7 +14,7 @@ routing, link order or port arbitration.  Re-record with
 import pytest
 
 from repro.core import inceptionn_profile, profile_for
-from repro.network import Simulation, build_topology, parse_tenants
+from repro.network import Simulation, build_topology, parse_tenants, simulator
 from repro.perfmodel import simulate_ring_exchange, simulate_wa_exchange
 
 NBYTES = 2_000_000
@@ -132,6 +132,63 @@ def test_lossless_hc_agg_site_is_bit_exact(site):
     assert _agg_observed(site) == AGG_SITE_PINS[site]
 
 
+#: 8-worker, 4 MB worker-aggregator exchanges at 128-packet trains: the
+#: incast and fan-out shapes the kernel plans as groups.  Recorded on
+#: the commit before messages sharing a resource were planned together.
+#: (topology, stream, agg_site) -> (total_s.hex(), sent, wire_payload,
+#: link_payload).
+GROUP_PINS = {
+    ("star", "inceptionn", "endpoint"): (
+        "0x1.2e89fc257c7dep-5", 64_000_000, 40_482_424, 80_964_848,
+    ),
+    ("fat-tree:k=4", "lossless_hc", "switch"): (
+        "0x1.83ac7e7a63b06p-5", 92_000_000, 92_000_028, 260_000_036,
+    ),
+    ("fat-tree:k=4", "lossless_hc", "endpoint"): (
+        "0x1.b305deb031dd4p-5", 64_000_000, 64_000_000, 384_000_000,
+    ),
+}
+
+
+def _group_observed(topology, stream, site):
+    r = simulate_wa_exchange(
+        8,
+        4_000_000,
+        iterations=1,
+        stream=profile_for(stream),
+        topology=topology,
+        agg_site=site,
+        train_packets=128,
+    )
+    return (r.total_s.hex(), r.sent_nbytes, r.wire_payload_nbytes, r.link_payload_nbytes)
+
+
+@pytest.mark.parametrize("topology,stream,site", sorted(GROUP_PINS))
+def test_worker_aggregator_incast_and_fan_out_are_bit_exact(topology, stream, site):
+    assert _group_observed(topology, stream, site) == GROUP_PINS[(topology, stream, site)]
+
+
+@pytest.mark.parametrize("topology,stream,site", sorted(GROUP_PINS))
+def test_worker_aggregator_exchange_builds_no_per_train_objects(
+    monkeypatch, topology, stream, site
+):
+    # Every message of these exchanges is planned in one pass with the
+    # others its instant sends into the same resources (an express
+    # group), so no packet train is ever walked stage by stage.  With
+    # one express message per instant and resource, 352 trains were
+    # built here (176 at the switch site).
+    built = []
+    init = simulator._Train.__init__
+
+    def counting(train, *args):
+        built.append(train)
+        init(train, *args)
+
+    monkeypatch.setattr(simulator._Train, "__init__", counting)
+    assert _group_observed(topology, stream, site) == GROUP_PINS[(topology, stream, site)]
+    assert built == []
+
+
 # -- topology x algorithm matrix (ROADMAP item 1, network slice) ---------------
 
 #: Combinations that must fail loudly, with the message they must carry.
@@ -186,3 +243,5 @@ if __name__ == "__main__":
         print("TENANT", prioritize, _tenant_observed(prioritize))
     for site in sorted(AGG_SITE_PINS):
         print("AGG", site, _agg_observed(site))
+    for key in sorted(GROUP_PINS):
+        print("GROUP", key, _group_observed(*key))
