@@ -49,7 +49,6 @@ from .packet import (
     Packet,
     packet_count,
     segment_bytes,
-    split_trains,
 )
 from .simulator import MessageReceipt, Network, NicTimingModel
 from .topology import (
@@ -112,7 +111,6 @@ __all__ = [
     "Packet",
     "packet_count",
     "segment_bytes",
-    "split_trains",
     "MessageReceipt",
     "Network",
     "NicTimingModel",

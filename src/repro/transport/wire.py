@@ -29,7 +29,8 @@ re-encoding would give the same values and size
 
 A message is described by its totals, never by per-packet objects: the
 packet count is ``packet_count(nbytes)`` at the testbed MSS, and the
-network splits the totals into trains (:func:`repro.network.split_trains`).
+network cuts the totals into packet trains
+(:meth:`repro.network.Network.segments`).
 """
 
 from __future__ import annotations

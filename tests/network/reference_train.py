@@ -15,21 +15,45 @@ resources the trains walk, not the thing under test).
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Tuple
+from typing import Any, Generator, List, Optional, Tuple
 
 from repro.network import Link, Network
 from repro.network.events import Event
 from repro.network.loss import DeliveryFailure
-from repro.network.packet import (
-    DEFAULT_MSS,
-    HEADER_BYTES,
-    packet_count,
-    split_trains,
-)
+from repro.network.packet import DEFAULT_MSS, HEADER_BYTES, packet_count
 from repro.network.priority import PRIORITY_DEFAULT
 from repro.network.simulator import MessageReceipt, RetransmitHook
 from repro.network.topology import Route
 from repro.obs import CAT_MESSAGE
+
+
+def split_trains(
+    num_packets: int, wire_payload: int, raw_payload: int, train_packets: int
+) -> List[Tuple[int, int, int]]:
+    """Divide a message into packet trains with proportional bytes.
+
+    Returns ``(packets, wire_bytes, raw_bytes)`` per train, byte counts
+    including per-packet headers: one loop step per train, which is
+    what makes it the oracle of :func:`repro.network.packet.train_runs`
+    (``test_packet``), the run-at-a-time form the kernel reads.
+    """
+    trains: List[Tuple[int, int, int]] = []
+    remaining_packets = num_packets
+    wire_left, raw_left = wire_payload, raw_payload
+    while remaining_packets > 0:
+        pkts = min(train_packets, remaining_packets)
+        frac = pkts / num_packets
+        wire = min(wire_left, round(wire_payload * frac))
+        raw = min(raw_left, round(raw_payload * frac))
+        remaining_packets -= pkts
+        if remaining_packets == 0:  # last train absorbs rounding
+            wire, raw = wire_left, raw_left
+        wire_left -= wire
+        raw_left -= raw
+        trains.append(
+            (pkts, pkts * HEADER_BYTES + wire, pkts * HEADER_BYTES + raw)
+        )
+    return trains
 
 
 class ReferenceNetwork(Network):

@@ -12,9 +12,10 @@ from repro.network import (
     Packet,
     packet_count,
     segment_bytes,
-    split_trains,
 )
 from repro.network.packet import train_runs
+
+from .reference_train import split_trains
 
 
 def test_wire_size_includes_headers():

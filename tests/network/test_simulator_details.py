@@ -17,9 +17,9 @@ from repro.network import (
     SwitchedStar,
     TwoTierFabric,
     packet_count,
-    split_trains,
 )
 from repro.network import simulator
+from repro.network.packet import train_runs
 from repro.network.simulator import _Run
 from repro.obs import Tracer
 from repro.transport.wire import build_wire_message
@@ -83,7 +83,8 @@ def test_train_splitting_conserves_bytes(nbytes, wire, train_packets):
     # The one segmentation both exchange evaluators read.
     num_packets = packet_count(nbytes)
     wire = min(wire, nbytes)  # compressed payload never exceeds raw
-    trains = split_trains(num_packets, wire, nbytes, train_packets)
+    runs = train_runs(num_packets, wire, nbytes, train_packets)
+    trains = [train for count, train in runs for _ in range(count)]
     total_pkts = sum(p for p, _, _ in trains)
     total_wire = sum(w for _, w, _ in trains)
     total_raw = sum(r for _, _, r in trains)

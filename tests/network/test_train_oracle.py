@@ -417,3 +417,39 @@ def test_retransmit_limit_failure_matches():
     observed = execute(Network, scenario)
     assert observed["failure"] is not None and observed["resent"]
     _same_run(scenario)
+
+
+def _tied_keys(network_cls):
+    """Two ``send_route`` segments from host 0 to 2 at one instant under
+    one ``arb_base``, untraced: a message of seven trains, then one of one
+    train.  Returns each delivery and every link's counters."""
+    sim = Simulation()
+    topology = SwitchedStar(sim, 4)
+    net = network_cls(sim, topology, train_packets=3)
+    route = topology.route(0, 2)
+    delivered = []
+
+    def send(_):
+        for index, nbytes in enumerate((30_000, 1_000)):
+            done = net.send_route(
+                route, 0, 2, nbytes, nbytes, payload=index, arb_base=(0, 2, 7)
+            )
+            done.add_callback(
+                lambda ev: delivered.append((ev.value[0], sim.now.hex()))
+            )
+
+    sim.timeout(0.0).add_callback(send)
+    end = sim.run().hex()
+    links = [
+        (link.name, link.bytes_carried, link.busy_time.hex())
+        for link in topology.all_links()
+    ]
+    return end, sorted(delivered), links
+
+
+def test_tied_keys_are_granted_in_dispatch_order():
+    # The multi-train message waits for the round's plan; the one-train
+    # message starts at dispatch, so its request is staged first.  Both
+    # meet in host 0's uplink's first arbitration, where the generator
+    # reference grants tied keys in dispatch order.
+    assert _tied_keys(Network) == _tied_keys(ReferenceNetwork)

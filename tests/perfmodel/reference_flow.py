@@ -9,9 +9,11 @@ which is what makes it a reference: ``test_flow_runs`` evaluates the
 same :class:`~repro.perfmodel.exchange.Exchange` through both and
 requires the same floats, bit for bit.
 
-It shares ``deliver``, ``sized_trains``, ``Star`` and ``_summarize``
-with the production evaluator on purpose: those did not change, and the
-parity suite pins them against the packet kernel.
+It shares ``deliver``, ``Star`` and ``_summarize`` with the production
+evaluator on purpose: the ring's stepping is what the oracle checks.
+Those are checked elsewhere: ``test_flow_runs`` holds ``deliver`` to
+its float chain, ``test_flow_pins`` pins flow values bit for bit, and
+the parity suite holds the flow evaluator to the packet kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.distributed.node import block_sizes
 from repro.distributed.ring import ring_step_blocks
 from repro.obs import PhaseLedger
 from repro.perfmodel.exchange import Exchange, Measured
-from repro.perfmodel.flowsim import Star, _summarize, deliver, sized_trains
+from repro.perfmodel.flowsim import Star, _summarize, deliver
 
 
 def flow_ring_exchange(job: Exchange) -> Measured:
@@ -30,15 +32,14 @@ def flow_ring_exchange(job: Exchange) -> Measured:
     n, profile = job.num_workers, job.profile
     block_bytes = [s * 4 for s in block_sizes(job.nbytes // 4, n)]
     sizes, size_of_block = np.unique(block_bytes, return_inverse=True)
-    messages, trains = sized_trains(
-        job.config, sizes.tolist(), job.config.profile, job.ratio
-    )
-    block_trains = trains.rows(size_of_block)
+    star = Star(job.config)
+    leg = star.leg(sizes.tolist(), job.config.profile, job.ratio)
+    block_trains = leg.trains.rows(size_of_block)
     block_sum_s = np.array([profile.sum_time(b) for b in block_bytes])
 
     workers = np.arange(n)
     successor, predecessor = (workers + 1) % n, (workers - 1) % n
-    stages = Star(job.config).stages(workers, successor, messages[0].compressed)
+    stages = star.stages(leg, workers, successor)
     t_ready = np.zeros(n)
     sum_s = 0.0
     update_s = 0.0
@@ -60,9 +61,8 @@ def flow_ring_exchange(job: Exchange) -> Measured:
 
     # Every block is sent by exactly one node per step.
     sends = np.bincount(size_of_block) * (2 * n - 2) * job.iterations
-    legs = [(msg, count, stages) for msg, count in zip(messages, sends.tolist())]
     # The evaluator contract carries a ledger; the sums stay this file's own.
     ledger = PhaseLedger()
     ledger.add("gradient_sum", sum_s)
     ledger.add("update", update_s)
-    return float(t_ready.max()), ledger, _summarize(legs)
+    return float(t_ready.max()), ledger, _summarize([(leg, sends.tolist())])

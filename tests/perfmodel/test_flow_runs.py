@@ -171,17 +171,17 @@ def test_float_chain_is_deliver_on_one_row(data):
     # with trailing padding trains; compared through ``float.hex``.
     trains = data.draw(st.integers(1, 300), label="trains")
     active = data.draw(st.integers(0, trains), label="active trains")
+    chain = data.draw(st.integers(1, 5), label="stages")
     table = flowsim.Trains(
-        data.draw(hnp.arrays(np.float64, (4, 1, trains), elements=SECONDS)),
+        data.draw(hnp.arrays(np.float64, (chain, 2, 1, trains), elements=SECONDS)),
         np.arange(trains)[None, :] < active,
     )
-    engines = data.draw(st.lists(st.booleans(), min_size=1, max_size=5))
     stages = [
         flowsim.Stage(
-            np.array([data.draw(SECONDS)]), slice(None), engine,
+            np.array([data.draw(SECONDS)]), slice(None),
             data.draw(SECONDS), data.draw(SECONDS),
         )
-        for engine in engines
+        for _ in range(chain)
     ]
     t_send = data.draw(SECONDS)
     free = [float(stage.free[0]) for stage in stages]

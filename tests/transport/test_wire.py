@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import inceptionn_profile
 from repro.network import Network
-from repro.network.packet import HEADER_BYTES, packet_count, split_trains
+from repro.network.packet import HEADER_BYTES, packet_count, train_runs
 from repro.transport import (
     ClusterComm,
     ClusterConfig,
@@ -78,12 +78,13 @@ class TestSegments:
             nbytes, profile=inceptionn_profile(), ratio=3.5
         )
         assert msg.num_packets == packet_count(nbytes)
-        trains = split_trains(
+        runs = train_runs(
             msg.num_packets,
             msg.wire_payload_nbytes,
             msg.nbytes,
             Network.DEFAULT_TRAIN_PACKETS,
         )
+        trains = [train for count, train in runs for _ in range(count)]
         assert sum(t[0] for t in trains) == msg.num_packets
         assert sum(t[1] for t in trains) == msg.wire_nbytes
         headers = msg.num_packets * HEADER_BYTES
