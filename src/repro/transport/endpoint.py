@@ -194,8 +194,8 @@ class ClusterConfig:
     def nic_timing(self) -> NicTimingModel:
         """The timing view of those NICs: engine rate and fill latency.
 
-        The one engine-to-timing conversion; the event kernel's engine
-        stages and the flow evaluator's both read it.
+        The one engine-to-timing conversion: the event kernel's engine
+        stages read it, and the flow evaluator reads their chains.
         """
         engine = BurstEngine(self.engine_blocks)
         return NicTimingModel(
