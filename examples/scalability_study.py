@@ -10,6 +10,7 @@ Run:  python examples/scalability_study.py [model]
 """
 
 import sys
+from dataclasses import replace
 
 from repro.dnn import PAPER_MODELS
 from repro.perfmodel import (
@@ -24,7 +25,11 @@ from repro.perfmodel import (
 
 def main(model_name: str = "AlexNet") -> None:
     spec = PAPER_MODELS[model_name]
-    profile = compute_profile_for(model_name)
+    # An exchange-only study: the calibrated sums and update, without the
+    # forward/backward/copy time an iteration spends before it.
+    profile = replace(
+        compute_profile_for(model_name), forward_s=0.0, backward_s=0.0, gpu_copy_s=0.0
+    )
     params = CostParameters.from_rates(2e-6, 10e9, profile.sum_bandwidth_bps)
 
     print(

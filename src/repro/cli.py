@@ -387,8 +387,6 @@ def _cmd_codecs(args: argparse.Namespace) -> int:
     from repro.core import available_codecs, codec_tos, get_codec, profile_for
     from repro.transport.wire import measure_stream_ratio
 
-    rng = np.random.default_rng(args.seed)
-    sample = (rng.standard_normal(1 << 14) * 0.004).astype(np.float32)
     names = available_codecs()
     caps = {
         name: ",".join(sorted(get_codec(name).capabilities())) or "-"
@@ -402,7 +400,7 @@ def _cmd_codecs(args: argparse.Namespace) -> int:
     )
     for name in names:
         codec = get_codec(name)
-        ratio = measure_stream_ratio(profile_for(name), sample=sample)
+        ratio = measure_stream_ratio(profile_for(name), seed=args.seed)
         params = ", ".join(
             f"{k}={v}" for k, v in codec.default_params().items()
         ) or "-"

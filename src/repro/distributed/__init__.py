@@ -7,6 +7,8 @@ bounded-staleness parameter servers, the hierarchical rings, and
 LocalSGD — in :data:`~repro.distributed.strategy.STRATEGIES`.
 """
 
+from repro.obs import ZERO_COMPUTE, ComputeProfile
+
 from .strategy import (
     DistributedRunResult,
     GradientStrategy,
@@ -23,12 +25,7 @@ from .cluster import RingStrategy, WorkerAggregatorStrategy
 from .parameter_server import AsyncPSStrategy, StaleAsyncStrategy
 from .hierarchy import GroupLayout, HierarchyStrategy, hierarchical_exchange
 from .local_sgd import LocalSGDStrategy
-from .node import (
-    ComputeProfile,
-    ZERO_COMPUTE,
-    partition_blocks,
-    spawn_key,
-)
+from .node import partition_blocks, spawn_key
 from .ring import ring_exchange
 from .worker_aggregator import aggregator_exchange, worker_exchange
 

@@ -48,10 +48,7 @@ class RingStrategy(GradientStrategy):
         self, node: NodeContext, iteration: int, gradient: np.ndarray
     ) -> Generator[Event, Any, StrategyUpdate]:
         aggregate = yield from ring_exchange(
-            node.endpoint,
-            gradient,
-            node.run.num_workers,
-            profile=node.run.profile,
+            node.endpoint, gradient, node.run.num_workers
         )
         return StrategyUpdate(gradient=aggregate)
 
@@ -96,11 +93,7 @@ class WorkerAggregatorStrategy(GradientStrategy):
 
         for _ in range(run.iterations):
             yield from aggregator_exchange(
-                ep,
-                workers,
-                apply_update,
-                profile=run.profile,
-                gather=self.gather,
+                ep, workers, apply_update, gather=self.gather
             )
 
     def exchange(

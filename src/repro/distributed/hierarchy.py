@@ -24,7 +24,6 @@ from repro.obs import CAT_HIER
 from repro.transport.endpoint import ClusterComm
 from repro.transport.wire import Payload, WireMessage
 
-from .node import ZERO_COMPUTE, ComputeProfile
 from .ring import ring_exchange
 from .strategy import (
     GradientStrategy,
@@ -119,7 +118,6 @@ def hierarchical_exchange(
     node: int,
     vector: Payload,
     layout: GroupLayout,
-    profile: ComputeProfile = ZERO_COMPUTE,
 ) -> Generator[Event, Any, Any]:
     """Two-level gradient exchange for one node; returns the global sum.
 
@@ -137,12 +135,7 @@ def hierarchical_exchange(
 
     level1_start = comm.sim.now
     group_ep = _ScopedEndpoint(comm, group, node)
-    group_sum = yield from ring_exchange(
-        group_ep,
-        vector,
-        len(group),
-        profile=profile,
-    )
+    group_sum = yield from ring_exchange(group_ep, vector, len(group))
     if tracer is not None:
         tracer.span(
             "hier.group_ring",
@@ -161,12 +154,7 @@ def hierarchical_exchange(
     if node == leader:
         level2_start = comm.sim.now
         leader_ep = _ScopedEndpoint(comm, leaders, node)
-        global_sum = yield from ring_exchange(
-            leader_ep,
-            group_sum,
-            len(leaders),
-            profile=profile,
-        )
+        global_sum = yield from ring_exchange(leader_ep, group_sum, len(leaders))
         if tracer is not None:
             tracer.span(
                 "hier.leader_ring",
@@ -225,11 +213,7 @@ class HierarchyStrategy(GradientStrategy):
         self, node: NodeContext, iteration: int, gradient: np.ndarray
     ) -> Generator[Event, Any, StrategyUpdate]:
         aggregate = yield from hierarchical_exchange(
-            node.run.comm,
-            node.node_id,
-            gradient,
-            self._layout,
-            profile=node.run.profile,
+            node.run.comm, node.node_id, gradient, self._layout
         )
         return StrategyUpdate(gradient=aggregate)
 

@@ -1,8 +1,7 @@
-"""Worker-node compute profile, RNG spawn keys, partitioning helpers."""
+"""Worker-node RNG spawn keys and partitioning helpers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -25,42 +24,6 @@ def spawn_key(seed: int, node: int, stream: int = DATA_STREAM) -> Tuple[int, int
     ``np.random.default_rng(spawn_key(seed, node, stream))``.
     """
     return (seed, node, stream)
-
-
-@dataclass(frozen=True)
-class ComputeProfile:
-    """Per-iteration local-computation times of one worker.
-
-    These model the GPU/CPU side the paper measures in Table II; the
-    calibrated instances in :mod:`repro.perfmodel.calibration` are
-    derived from that table.  Gradient summation is bandwidth-style
-    (time proportional to bytes) because it scales with how much data a
-    node reduces, which differs between the WA and INCEPTIONN algorithms.
-    """
-
-    forward_s: float = 0.0
-    backward_s: float = 0.0
-    gpu_copy_s: float = 0.0
-    update_s: float = 0.0
-    #: Memory-bound vector-sum rate (bytes of *input* summed per second).
-    sum_bandwidth_bps: float = 10.4e9
-
-    def sum_time(self, nbytes: int) -> float:
-        """Time to add ``nbytes`` of incoming gradient into an accumulator."""
-        if nbytes < 0:
-            raise ValueError("nbytes cannot be negative")
-        if self.sum_bandwidth_bps <= 0:
-            return 0.0
-        return nbytes / self.sum_bandwidth_bps
-
-    @property
-    def local_compute_s(self) -> float:
-        """Forward + backward + device copy, the pre-exchange work."""
-        return self.forward_s + self.backward_s + self.gpu_copy_s
-
-
-#: A profile with zero compute time — communication-only experiments.
-ZERO_COMPUTE = ComputeProfile(sum_bandwidth_bps=0.0)
 
 
 def block_sizes(total: int, num_blocks: int) -> List[int]:

@@ -131,19 +131,19 @@ class ParameterServer(GradientStrategy):
         comm = run.comm
         server = self._server_id
         ep = comm.endpoints[server]
-        profile = run.profile
+        compute = comm.compute
         staleness_log: List[int] = run.extras["staleness"]
         for _ in range(run.num_workers * run.iterations):
             src, grad = yield ep.recv_any()
             # Node 0 waits on the server's work on its own gradient.
-            dt = profile.sum_time(grad.nbytes)
+            dt = compute.sum_time(grad.nbytes)
             yield from comm.spend("gradient_sum", dt, server, src == 0)
             staleness = self._version - self._pull_version[src]
             staleness_log.append(staleness)
             self._record_apply(run, src, staleness)
             self._opt.step_with_vector(self._net, grad)
             self._version += 1
-            yield from comm.spend("update", profile.update_s, server, src == 0)
+            yield from comm.spend("update", compute.update_s, server, src == 0)
             self._applied[src] += 1
             self._unreplied.add(src)
             # Release every reply the new frontier allows.

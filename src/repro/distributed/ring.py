@@ -33,7 +33,7 @@ from repro.obs import CAT_RING
 from repro.transport.endpoint import Endpoint
 from repro.transport.wire import Payload, SizedPayload, WireMessage
 
-from .node import ZERO_COMPUTE, ComputeProfile, partition_blocks
+from .node import partition_blocks
 
 #: A node id, or an array of them (the flow evaluator steps every node
 #: of the ring at once).
@@ -55,7 +55,6 @@ def ring_exchange(
     ep: Endpoint,
     vector: Payload,
     num_workers: int,
-    profile: ComputeProfile = ZERO_COMPUTE,
 ) -> Generator[Event, Any, Payload]:
     """Run Algorithm 1's gradient exchange for one node; returns the
     fully aggregated gradient vector.
@@ -63,7 +62,8 @@ def ring_exchange(
     A generator to be driven as a simulation process — all ``num_workers``
     nodes must run it concurrently with consistent arguments.  Every hop
     rides the cluster's gradient stream (``ep.comm.config.profile``).
-    Each P1 sum is spent at this node; cluster node 0 records its own.
+    Each P1 sum is spent at this node at the cluster's ``compute`` rate;
+    cluster node 0 records its own.
 
     It reduces into one copy of ``vector``, returned at the end, and a
     raw send (forwards included) ships a view of it by reference: the
@@ -95,6 +95,7 @@ def ring_exchange(
     predecessor = (i - 1) % n
 
     stream = ep.comm.config.profile
+    compute = ep.comm.compute
     tracer = ep.comm.tracer
     # The P2 message received at the previous step: the next one sent.
     relay: Optional[WireMessage] = None
@@ -109,7 +110,7 @@ def ring_exchange(
         block = blocks[recv_idx]
         if step < n:
             # P1: sum-reduce into the local block.
-            dt = profile.sum_time(msg.nbytes)
+            dt = compute.sum_time(msg.nbytes)
             yield from ep.comm.spend("gradient_sum", dt, node, node == 0)
             if not msg.size_only:
                 np.add(block, msg.values, out=block)

@@ -50,7 +50,9 @@ from repro.dnn.network import Sequential
 from repro.dnn.optim import Optimizer
 from repro.dnn.training import LocalTrainer
 from repro.network import Event
-from repro.obs import CAT_STRATEGY, PhaseTimes, Tracer
+from repro.obs import (
+    CAT_STRATEGY, ZERO_COMPUTE, ComputeProfile, PhaseTimes, Tracer,
+)
 from repro.transport.aggregation import AGG_SWITCH, SwitchGather
 from repro.transport.endpoint import (
     ClusterComm,
@@ -59,7 +61,7 @@ from repro.transport.endpoint import (
     TransferSummary,
 )
 
-from .node import ComputeProfile, JITTER_STREAM, ZERO_COMPUTE, spawn_key
+from .node import JITTER_STREAM, spawn_key
 
 
 @dataclass(frozen=True)
@@ -122,8 +124,9 @@ class StrategyRun:
     """Shared state of one driven run, handed to every strategy hook.
 
     The cluster is the run's one copy of its communication plane:
-    ``comm.config.profile`` is the gradient stream (``None`` is raw) and
-    ``comm.tracer`` the tracer, read there by every exchange.
+    ``comm.config.profile`` is the gradient stream (``None`` is raw),
+    ``comm.compute`` what each node computes and ``comm.tracer`` the
+    tracer, read there by every exchange.
 
     A size-only study (:func:`repro.perfmodel.exchange.simulate_exchange`)
     fills ``trainers``, ``template`` and ``make_optimizer`` with one
@@ -140,7 +143,6 @@ class StrategyRun:
     #: the run (workers, aggregator, servers) is a :meth:`replica` of it.
     template: Sequential
     make_optimizer: Callable[[], Optimizer]
-    profile: ComputeProfile
     seed: int
     options: Mapping[str, Any]
     eval_every: Optional[int] = None
@@ -199,7 +201,7 @@ class GradientStrategy(abc.ABC):
     name: str = ""
     #: One-line summary for ``repro strategies``.
     description: str = ""
-    #: Whether workers pay ``profile.update_s`` locally each iteration.
+    #: Whether workers pay ``comm.compute.update_s`` locally each iteration.
     #: Server-centric strategies (the service node owns the optimizer)
     #: set this False and account the update at the server instead.
     worker_applies_update: bool = True
@@ -287,7 +289,7 @@ def _worker_process(
     node = run.node(node_id)
     trainer = node.trainer
     comm = run.comm
-    profile = run.profile
+    compute = comm.compute
     tracer = comm.tracer
     jitter = float(run.options.get("compute_jitter") or 0.0)
     jitter_rng = (
@@ -301,9 +303,9 @@ def _worker_process(
         if gate is not None:
             yield gate
         scale = 1.0
-        if profile.local_compute_s and jitter_rng is not None:
+        if compute.local_compute_s and jitter_rng is not None:
             scale += jitter * (2 * jitter_rng.random() - 1)
-        yield from comm.spend_local(profile, node_id, node_id == 0, scale)
+        yield from comm.spend_local(node_id, node_id == 0, scale)
         loss, grad = trainer.local_gradient()
         run.record_loss(iteration, loss)
 
@@ -321,7 +323,7 @@ def _worker_process(
             )
 
         if strategy.worker_applies_update:
-            yield from comm.spend("update", profile.update_s, node_id, node_id == 0)
+            yield from comm.spend("update", compute.update_s, node_id, node_id == 0)
         if update.gradient is not None:
             trainer.apply_gradient(update.gradient)
         if update.weights is not None:
@@ -414,12 +416,13 @@ def run_strategy(
     assembles the result — phase breakdown, wire accounting, final
     weights — exactly once.
 
-    The gradient stream is the cluster's ``profile`` (``None`` is raw).
-    ``stream`` only builds the default cluster when ``cluster`` is
-    ``None``; beside a ``cluster`` it must be omitted or equal
-    ``cluster.profile``.  In the WA family only the gradient (up) leg
-    can compress — weights are loss-intolerant (paper Fig 4) — while the
-    ring compresses every hop.  ``options`` is the strategy's keyword
+    The gradient stream is the cluster's ``profile`` (``None`` is raw);
+    ``profile`` is what each node computes, held by the run's
+    ``ClusterComm.compute``.  ``stream`` only builds the default cluster
+    when ``cluster`` is ``None``; beside a ``cluster`` it must be omitted
+    or equal ``cluster.profile``.  In the WA family only the gradient
+    (up) leg can compress — weights are loss-intolerant (paper Fig 4) —
+    while the ring compresses every hop.  ``options`` is the strategy's keyword
     namespace (``sync_period``, ``staleness_bound``, ``layout``,
     ``max_staleness``, ``compute_jitter``, ...); ``compute_jitter`` is
     a real number in ``[0, 1]``.  Under background ``tenants`` the
@@ -441,7 +444,7 @@ def run_strategy(
             f"cluster config has {config.num_nodes} nodes, run needs {num_nodes}"
         )
     _check_run(strat, iterations, config, opts)
-    comm = ClusterComm(config, tracer=tracer)
+    comm = ClusterComm(config, tracer=tracer, compute=profile)
 
     # Identical replicas: deepcopies of one build; data streams derive
     # from collision-free spawn keys.
@@ -464,7 +467,6 @@ def run_strategy(
         trainers=trainers,
         template=template,
         make_optimizer=make_optimizer,
-        profile=profile,
         seed=seed,
         options=opts,
         eval_every=eval_every,

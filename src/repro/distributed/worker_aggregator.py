@@ -27,8 +27,6 @@ from repro.transport.aggregation import SwitchGather, aggregate_endpoint
 from repro.transport.endpoint import Endpoint
 from repro.transport.wire import Payload, SizedPayload, WireMessage
 
-from .node import ZERO_COMPUTE, ComputeProfile
-
 
 def worker_exchange(
     ep: Endpoint,
@@ -56,7 +54,6 @@ def aggregator_exchange(
     ep: Endpoint,
     workers: List[int],
     apply_update: Callable[[Payload], Payload],
-    profile: ComputeProfile = ZERO_COMPUTE,
     gather: Optional[SwitchGather] = None,
 ) -> Generator[Event, Any, Payload]:
     """One aggregator iteration: gather, sum, update, broadcast.
@@ -69,8 +66,10 @@ def aggregator_exchange(
     to the switch tree) and as the element-wise float32 accumulation in
     arrival order otherwise.  Size-only gradients fold to their size.
     The aggregator is a barrier, so it records every sum and update it
-    spends.  Returns the broadcast weight vector.
+    spends, at the cluster's ``compute`` rates.  Returns the broadcast
+    weight vector.
     """
+    compute = ep.comm.compute
     if gather is not None:
         part = yield from gather.collect()
         sized = part.result is None
@@ -82,7 +81,7 @@ def aggregator_exchange(
         for src in workers:
             msg = yield ep.recv_message(src)
             if arrivals:
-                dt = profile.sum_time(msg.nbytes)
+                dt = compute.sum_time(msg.nbytes)
                 yield from ep.comm.spend("gradient_sum", dt, ep.node_id)
             arrivals.append(msg)
         stream = ep.comm.config.profile
@@ -94,7 +93,7 @@ def aggregator_exchange(
             total = np.array(arrivals[0].values, dtype=np.float32, copy=True)
             for msg in arrivals[1:]:
                 total = (total + msg.values).astype(np.float32)
-    yield from ep.comm.spend("update", profile.update_s, ep.node_id)
+    yield from ep.comm.spend("update", compute.update_s, ep.node_id)
     weights = apply_update(total)
     events = [ep.isend(dst, weights) for dst in workers]
     yield ep.comm.sim.all_of(events)

@@ -792,10 +792,10 @@ class _Run:
     ) -> Tuple[List[float], float, float]:
         """Member ``m``'s first ``count`` grants at its stage ``s``, as
         ``Link._grant`` makes them: their starts, then ``free_at`` and
-        ``busy_time``.  A resource one member crosses is walked here, not
-        by :meth:`_serve`: its requests are in grant order already, and
-        skipping the merge keeps the per-train cost down (one walk for
-        every resource measured a sixth more kernel time)."""
+        ``busy_time``.  :meth:`start` walks a resource one member crosses
+        here, not by :meth:`_serve`: its requests are in grant order
+        already, and skipping the merge keeps the per-train cost down (one
+        walk for every resource measured a sixth more kernel time)."""
         arrivals, starts, done = self.arrivals[m][s], [], 0
         push = starts.append
         for trains, _, chain in self.members[m].segments:
@@ -916,21 +916,10 @@ class _Run:
             port = resource if isinstance(resource, PriorityLink) else None
             done = sum(granted[m][s] for m, s in users)
             free_at, busy, carried, depth, seq = self.snapshots[r]
-            merged: Optional[List[Tuple[float, int, int]]] = None
-            if len(users) == 1:  # its trains through the stage before
-                ((m, s),) = users
-                arrivals = self.arrivals[m][s]
-                last = granted[m][s - 1] if s else len(arrivals)
-                frontier = list(zip(arrivals[done:last], repeat(m), range(done, last)))
-            else:
-                merged = self._order(r)
-                frontier = merged[done:]
+            merged = self._order(r)
             if resource._run is self:  # not released: replay the prefix
                 resource._run = None
-                if merged is None:
-                    _, free_at, busy = self._walk(m, s, free_at, busy, done)
-                else:
-                    _, free_at, busy = self._serve(users, merged[:done], free_at, busy)
+                _, free_at, busy = self._serve(users, merged[:done], free_at, busy)
                 resource._free_at, resource.busy_time = free_at, busy
                 resource.bytes_carried = carried + sum(
                     self._bytes(m, s, granted[m][s]) for m, s in users
@@ -942,7 +931,7 @@ class _Run:
                     )
                     port._admitted = seq + admitted
             stage = dict(users)
-            for arrival, m, index in frontier:
+            for arrival, m, index in merged[done:]:
                 s = stage[m]
                 if s and index >= granted[m][s - 1]:
                     continue  # not through the stage before yet

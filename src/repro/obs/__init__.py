@@ -38,7 +38,9 @@ from .export import (
     write_chrome,
     write_trace,
 )
-from .ledger import PHASE_NAMES, PhaseLedger, PhaseTimes
+from .ledger import (
+    PHASE_NAMES, ZERO_COMPUTE, ComputeProfile, PhaseLedger, PhaseTimes,
+)
 from .schema import TRACE_SCHEMA, TRACE_SCHEMA_NAME, TRACE_SCHEMA_VERSION, validate_trace
 
 __all__ = [
@@ -65,6 +67,8 @@ __all__ = [
     "write_chrome",
     "write_trace",
     "PHASE_NAMES",
+    "ComputeProfile",
+    "ZERO_COMPUTE",
     "PhaseLedger",
     "PhaseTimes",
     "TRACE_SCHEMA",

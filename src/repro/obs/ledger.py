@@ -1,14 +1,49 @@
-"""Table II phase rows and the one ledger that accumulates them."""
+"""Table II phase rows, the compute that fills them, and the one ledger
+that accumulates them."""
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict, Optional
 
 from .tracer import CAT_PHASE, Tracer
 
-if TYPE_CHECKING:
-    from repro.distributed.node import ComputeProfile
+
+@dataclass(frozen=True)
+class ComputeProfile:
+    """Per-iteration local-computation times of one worker.
+
+    These model the GPU/CPU side the paper measures in Table II; the
+    calibrated instances in :mod:`repro.perfmodel.calibration` are
+    derived from that table.  Gradient summation is bandwidth-style
+    (time proportional to bytes) because it scales with how much data a
+    node reduces, which differs between the WA and INCEPTIONN algorithms.
+    A run's one copy is its cluster's ``ClusterComm.compute``.
+    """
+
+    forward_s: float = 0.0
+    backward_s: float = 0.0
+    gpu_copy_s: float = 0.0
+    update_s: float = 0.0
+    #: Memory-bound vector-sum rate (bytes of *input* summed per second).
+    sum_bandwidth_bps: float = 10.4e9
+
+    def sum_time(self, nbytes: int) -> float:
+        """Time to add ``nbytes`` of incoming gradient into an accumulator."""
+        if nbytes < 0:
+            raise ValueError("nbytes cannot be negative")
+        if self.sum_bandwidth_bps <= 0:
+            return 0.0
+        return nbytes / self.sum_bandwidth_bps
+
+    @property
+    def local_compute_s(self) -> float:
+        """Forward + backward + device copy, the pre-exchange work."""
+        return self.forward_s + self.backward_s + self.gpu_copy_s
+
+
+#: A profile with zero compute time — communication-only experiments.
+ZERO_COMPUTE = ComputeProfile(sum_bandwidth_bps=0.0)
 
 
 @dataclass(frozen=True)
@@ -103,7 +138,7 @@ class PhaseLedger:
 
     def add_local_compute(
         self,
-        profile: ComputeProfile,
+        compute: ComputeProfile,
         ts: float = 0.0,
         node: Optional[int] = None,
         scale: float = 1.0,
@@ -113,9 +148,9 @@ class PhaseLedger:
         The three spans tile the ``local_compute_s * scale`` timeout.
         """
         for name, dur in (
-            ("forward", profile.forward_s * scale),
-            ("backward", profile.backward_s * scale),
-            ("gpu_copy", profile.gpu_copy_s * scale),
+            ("forward", compute.forward_s * scale),
+            ("backward", compute.backward_s * scale),
+            ("gpu_copy", compute.gpu_copy_s * scale),
         ):
             self.add(name, dur, node, ts)
             ts += dur

@@ -35,7 +35,6 @@ def simulated_breakdown(
         nbytes=PAPER_MODELS[model_name].nbytes,
         iterations=iterations,
         profile=compute_profile_for(model_name),
-        include_local_compute=True,
         tracer=tracer,
     ).phases
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.distributed.node import ComputeProfile
-from repro.obs import PhaseTimes
+from repro.obs import ComputeProfile, PhaseTimes
 
 #: Workers in the paper's measurement cluster (plus one aggregator).
 TABLE2_NUM_WORKERS = 4

@@ -50,7 +50,6 @@ def estimate_iteration_time(
             f"unknown configuration {configuration!r}; options {CONFIGURATIONS}"
         )
     spec = PAPER_MODELS[model_name]
-    profile = compute_profile_for(model_name)
     stream = ratio = None
     if configuration.endswith("+C"):
         stream = inceptionn_profile()
@@ -61,10 +60,9 @@ def estimate_iteration_time(
         nbytes=spec.nbytes,
         iterations=SIM_ITERATIONS,
         bandwidth_bps=bandwidth_bps,
-        profile=profile,
+        profile=compute_profile_for(model_name),
         stream=stream,
         gradient_ratio=ratio,
-        include_local_compute=True,
     )
     return SystemEstimate(
         model=model_name,

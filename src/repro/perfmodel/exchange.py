@@ -16,14 +16,13 @@ and its timing study share every message, sum and span.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core import ErrorBound, StreamProfile, compression_ratio
 from repro.core.bounds import DEFAULT_BOUND
-from repro.distributed.node import ComputeProfile, ZERO_COMPUTE
 from repro.distributed.strategy import (
     GradientStrategy,
     StrategyRun,
@@ -32,7 +31,9 @@ from repro.distributed.strategy import (
     get_strategy,
 )
 from repro.dnn.models import ModelSpec
-from repro.obs import PhaseLedger, PhaseTimes, Tracer
+from repro.obs import (
+    ZERO_COMPUTE, ComputeProfile, PhaseLedger, PhaseTimes, Tracer,
+)
 from repro.transport.aggregation import AGG_ENDPOINT
 from repro.transport.endpoint import ClusterComm, ClusterConfig, TransferSummary
 from repro.transport.wire import SizedPayload, measure_stream_ratio
@@ -114,9 +115,9 @@ class Exchange:
     num_workers: int
     nbytes: int
     iterations: int
-    #: What each iteration spends; its forward/backward/copy times are
-    #: zero unless the study includes local compute.
-    profile: ComputeProfile
+    #: What each node computes per iteration (the cluster's
+    #: ``ClusterComm.compute``).
+    compute: ComputeProfile
     #: Measured compression ratio of the cluster's gradient stream
     #: (``config.profile``; ``None`` when raw).
     ratio: Optional[float]
@@ -192,12 +193,12 @@ def _packet_exchange(
 ) -> Tuple[Measured, Dict[str, Any]]:
     """Drive the strategy over a size-only model on the event kernel;
     also returns the packet-only counters and the strategy's extras."""
-    comm = ClusterComm(job.config, tracer=tracer)
+    comm = ClusterComm(job.config, tracer=tracer, compute=job.compute)
     model = _SizedModel(job.nbytes, job.ratio)
     run = StrategyRun(
         comm=comm, num_workers=job.num_workers, iterations=job.iterations,
         trainers=[model] * job.num_workers, template=model,
-        make_optimizer=lambda: model, profile=job.profile, seed=0, options=options,
+        make_optimizer=lambda: model, seed=0, options=options,
     )
     total_s = _drive(run, strategy)
     background = comm.background
@@ -227,7 +228,6 @@ def simulate_exchange(
     profile: ComputeProfile = ZERO_COMPUTE,
     stream: Optional[StreamProfile] = None,
     gradient_ratio: Optional[float] = None,
-    include_local_compute: bool = False,
     tracer: Optional[Tracer] = None,
     fidelity: str = "packet",
     options: Optional[Mapping[str, Any]] = None,
@@ -238,13 +238,13 @@ def simulate_exchange(
     ``cluster`` is any :class:`ClusterConfig` field (``bandwidth_bps``,
     ``topology``, ``tenants``, ``loss_rate``, ``agg_site`` ...), with
     ``train_packets`` defaulting to :data:`EXCHANGE_TRAIN_PACKETS`.
-    ``profile`` is the :class:`ComputeProfile`; the cluster's stream
-    profile is ``stream``, the codec of the gradient stream (any
-    registered codec, ``None`` for raw).  With a stream and no
-    ``gradient_ratio``, the codec's ratio is measured on a sampled
-    gradient.  ``include_local_compute`` prepends each iteration's
-    forward/backward/copy time (for full-iteration studies like
-    Table II); exchange-only studies (Fig 15) leave it off.
+    ``profile`` is the :class:`ComputeProfile` each node spends, as in
+    ``run_strategy``: a full-iteration study (Table II) passes one with
+    forward/backward/copy time, an exchange-only study (Fig 15) one
+    without.  The cluster's stream profile is ``stream``, the codec of
+    the gradient stream (any registered codec, ``None`` for raw).  With
+    a stream and no ``gradient_ratio``, the codec's ratio is measured on
+    a sampled gradient.
     ``options`` is ``run_strategy``'s (``group_size``,
     ``staleness_bound``, ``compute_jitter`` ...).  ``local_sgd``, whose
     weight deltas a size-only model does not have, refuses.
@@ -278,15 +278,12 @@ def simulate_exchange(
         )
     if stream is not None and gradient_ratio is None:
         gradient_ratio = measure_stream_ratio(stream)
-    if not include_local_compute:
-        # A zero spend schedules nothing and books 0.0.
-        profile = replace(profile, forward_s=0.0, backward_s=0.0, gpu_copy_s=0.0)
     job = Exchange(
         algorithm=algorithm,
         num_workers=num_workers,
         nbytes=nbytes,
         iterations=iterations,
-        profile=profile,
+        compute=profile,
         ratio=gradient_ratio,
         config=config,
     )

@@ -302,7 +302,7 @@ def flow_ring_exchange(job: Exchange) -> Measured:
     one entry per run, and runs merge only where their float state *is*
     equal (a 100 MB ring: 4 at 1 024 workers, up to 62 at 65 536).
     """
-    n, profile = job.num_workers, job.profile
+    n, compute = job.num_workers, job.compute
     block_bytes = [s * 4 for s in block_sizes(job.nbytes // 4, n)]
     sizes, size_of_block = np.unique(block_bytes, return_inverse=True)
     # No per-node arrays (a 0-node star): entry k of a stage's ``free`` is
@@ -310,7 +310,7 @@ def flow_ring_exchange(job: Exchange) -> Measured:
     star, every = Star(job.config, 0), slice(None)
     leg = star.leg(sizes.tolist(), job.config.profile, job.ratio)
     stages, trains = star.stages(leg, every, every), leg.trains
-    size_sum_s = np.array([profile.sum_time(b) for b in sizes.tolist()])
+    size_sum_s = np.array([compute.sum_time(b) for b in sizes.tolist()])
     class_start = size_of_block != np.roll(size_of_block, 1)
     class_start[0] = True
 
@@ -323,16 +323,16 @@ def flow_ring_exchange(job: Exchange) -> Measured:
         deliver_one, ready = _deliver_floats(trains, stages), 0.0
         free, sum_s = [0.0] * len(stages), float(size_sum_s[0])
         for _ in range(job.iterations):
-            if profile.local_compute_s:
-                ledger.add_local_compute(profile)
-                ready += profile.local_compute_s
+            if compute.local_compute_s:
+                ledger.add_local_compute(compute)
+                ready += compute.local_compute_s
             for step in range(1, 2 * n - 1):
                 ready = deliver_one(ready, free)
                 if step < n:
                     ready += sum_s
                     ledger.add("gradient_sum", sum_s)
-            ledger.add("update", profile.update_s)
-            ready += profile.update_s
+            ledger.add("update", compute.update_s)
+            ready += compute.update_s
         return ready, ledger, summary
     first = np.flatnonzero(class_start)
     state = np.zeros((1 + len(stages), first.size))  # ready, free-at per stage
@@ -340,9 +340,9 @@ def flow_ring_exchange(job: Exchange) -> Measured:
     for iteration in range(job.iterations):
         if iteration:
             first, state = _turn_runs(first, state, n, class_start)
-        if profile.local_compute_s:
-            ledger.add_local_compute(profile)
-            state[0] = state[0] + profile.local_compute_s
+        if compute.local_compute_s:
+            ledger.add_local_compute(compute)
+            state[0] = state[0] + compute.local_compute_s
         for step in range(1, 2 * n - 1):
             sizes_of_run = size_of_block.take(first)
             run_trains = trains.rows(sizes_of_run)
@@ -355,8 +355,8 @@ def flow_ring_exchange(job: Exchange) -> Measured:
                 # What node 0 sums: the block it received, ``-step mod n``.
                 ledger.add("gradient_sum", float(size_sum_s[size_of_block[-step]]))
             first, state = _shift_runs(first, state, n, class_start)
-        ledger.add("update", profile.update_s)
-        state[0] = state[0] + profile.update_s
+        ledger.add("update", compute.update_s)
+        state[0] = state[0] + compute.update_s
 
     return float(state[0].max()), ledger, summary
 
@@ -370,7 +370,7 @@ def flow_wa_exchange(job: Exchange) -> Measured:
     whole-message FIFO for multi-train gathers.
     """
     p = aggregator = job.num_workers
-    profile = job.profile
+    compute = job.compute
     workers = np.arange(p)
     star = Star(job.config)
     # One message size per leg: every worker's row is row 0.
@@ -382,12 +382,12 @@ def flow_wa_exchange(job: Exchange) -> Measured:
     t_workers = np.zeros(p)
     agg_free = 0.0
     ledger = PhaseLedger()
-    dt_sum = profile.sum_time(job.nbytes)
+    dt_sum = compute.sum_time(job.nbytes)
 
     for _ in range(job.iterations):
-        if profile.local_compute_s:
-            ledger.add_local_compute(profile)
-            t_workers = t_workers + profile.local_compute_s
+        if compute.local_compute_s:
+            ledger.add_local_compute(compute)
+            t_workers = t_workers + compute.local_compute_s
         gathered = deliver(t_workers, gradient.trains, gather)
 
         # Aggregator: ordered recv, sum every arrival after the first.
@@ -395,8 +395,8 @@ def flow_wa_exchange(job: Exchange) -> Measured:
         for i in range(1, p):
             t_agg = max(t_agg, float(gathered[i])) + dt_sum
             ledger.add("gradient_sum", dt_sum)
-        ledger.add("update", profile.update_s)
-        t_agg += profile.update_s
+        ledger.add("update", compute.update_s)
+        t_agg += compute.update_s
 
         # All scatter sends spawn at the same instant.
         t_workers = deliver(np.full(p, t_agg), weight.trains, scatter)

@@ -19,7 +19,7 @@ fixed points.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.core import CAP_FIXED_POINT, StreamProfile, get_codec
 from repro.core.bounds import DEFAULT_BOUND
@@ -42,7 +42,9 @@ from repro.network import (
 )
 from repro.network.packet import TOS_DEFAULT, payload_ratio
 from repro.network.topology import DEFAULT_BANDWIDTH_BPS, Topology
-from repro.obs import CAT_CODEC, PhaseLedger, Tracer
+from repro.obs import (
+    CAT_CODEC, ZERO_COMPUTE, ComputeProfile, PhaseLedger, Tracer,
+)
 
 from .aggregation import AGG_ENDPOINT, validate_agg_site
 from .wire import (
@@ -52,9 +54,6 @@ from .wire import (
     account_tx_traversal,
     build_wire_message,
 )
-
-if TYPE_CHECKING:
-    from repro.distributed.node import ComputeProfile
 
 
 @dataclass
@@ -205,13 +204,21 @@ class ClusterConfig:
 
 
 class ClusterComm:
-    """A simulated cluster's communication fabric with one endpoint per node."""
+    """A simulated cluster's communication fabric with one endpoint per node.
+
+    It holds the run's one copy of what its nodes compute: ``compute``,
+    the :class:`~repro.obs.ComputeProfile` every spend reads.
+    """
 
     def __init__(
-        self, config: ClusterConfig, tracer: Optional[Tracer] = None
+        self,
+        config: ClusterConfig,
+        tracer: Optional[Tracer] = None,
+        compute: ComputeProfile = ZERO_COMPUTE,
     ) -> None:
         self.config = config
         self.tracer = tracer
+        self.compute = compute
         self.sim = Simulation(tie_break=config.tie_break)
         self.topology: Topology = build_topology(
             config.topology, self.sim, config.num_nodes, config.bandwidth_bps
@@ -287,19 +294,19 @@ class ClusterComm:
             self.ledger.add(name, dt, node, start)
 
     def spend_local(
-        self, profile: ComputeProfile, node: int, record: bool, scale: float = 1.0
+        self, node: int, record: bool, scale: float = 1.0
     ) -> Generator[Event, Any, None]:
-        """:meth:`spend` for one forward/backward/copy block.
+        """:meth:`spend` for one forward/backward/copy block of ``compute``.
 
         ``scale`` is the block's compute jitter: the timeout and all
         three rows are ``scale`` times their nominal length.
         """
         start = self.sim.now
-        dt = profile.local_compute_s * scale
+        dt = self.compute.local_compute_s * scale
         if dt:
             yield self.sim.timeout(dt)
         if record:
-            self.ledger.add_local_compute(profile, start, node, scale)
+            self.ledger.add_local_compute(self.compute, start, node, scale)
 
     def transfer_summary(self) -> TransferSummary:
         """Aggregate wire statistics of every message sent so far."""

@@ -16,7 +16,8 @@ from typing import Any, Generator, List, Optional
 
 import numpy as np
 
-from repro.distributed.node import ComputeProfile, block_sizes
+from repro.distributed import ComputeProfile
+from repro.distributed.node import block_sizes
 from repro.distributed.ring import ring_step_blocks
 from repro.network import Event
 from repro.obs import CAT_RING

@@ -59,7 +59,6 @@ def _simulate(algorithm, tracer=None):
         build_hdc(seed=0).nbytes,
         iterations=ITERATIONS,
         profile=PROFILE,
-        include_local_compute=True,
         train_packets=TRAIN_PACKETS,
         tracer=tracer,
     )
@@ -96,16 +95,16 @@ def test_hierarchy_times_the_same_on_sizes():
     # runs the driver itself on sizes (tests/perfmodel/
     # test_exchange_strategies.py).
     trained = _train("hierarchy", options={"group_size": 2})
-    comm = ClusterComm(ClusterConfig(num_nodes=WORKERS, train_packets=TRAIN_PACKETS))
+    comm = ClusterComm(
+        ClusterConfig(num_nodes=WORKERS, train_packets=TRAIN_PACKETS), compute=PROFILE
+    )
     layout = GroupLayout.even(WORKERS, 2)
     gradient = SizedPayload(build_hdc(seed=0).nbytes)
 
     def node(i):
         for _ in range(ITERATIONS):
-            yield from comm.spend_local(PROFILE, i, i == 0)
-            yield from hierarchical_exchange(
-                comm, i, gradient, layout, profile=PROFILE
-            )
+            yield from comm.spend_local(i, i == 0)
+            yield from hierarchical_exchange(comm, i, gradient, layout)
             yield from comm.spend("update", PROFILE.update_s, i, i == 0)
 
     total_s = comm.run([comm.sim.process(node(i)) for i in range(WORKERS)])

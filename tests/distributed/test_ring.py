@@ -19,7 +19,7 @@ def _run_ring(vectors, compression=False, bound=ErrorBound(10), profile=ZERO_COM
     n = len(vectors)
     stream = inceptionn_profile(bound) if compression else None
     comm = ClusterComm(
-        ClusterConfig(num_nodes=n, profile=stream)
+        ClusterConfig(num_nodes=n, profile=stream), compute=profile
     )
     results = {}
 
@@ -29,7 +29,6 @@ def _run_ring(vectors, compression=False, bound=ErrorBound(10), profile=ZERO_COM
                 comm.endpoints[i],
                 vectors[i],
                 n,
-                profile=profile,
             )
             results[i] = out
 

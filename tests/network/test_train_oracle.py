@@ -174,7 +174,8 @@ def execute(network_cls, scenario):
             done = net.send_route(
                 segment, src, dst, nbytes, wire, tos=tos, payload=index,
                 tx_engine_node=src if index % 2 else None,
-                arb_base=(src, dst, 1_000 + index),
+                # Two keys per route: same-key messages must tie.
+                arb_base=(src, dst, 1_000 + index % 2),
             )
         done.add_callback(
             lambda ev: delivered.append(

@@ -29,7 +29,7 @@ from repro.perfmodel.flowsim import Star, _summarize, deliver
 
 def flow_ring_exchange(job: Exchange) -> Measured:
     """Ring iterations on the job's star, every node stepped at once."""
-    n, profile = job.num_workers, job.profile
+    n, profile = job.num_workers, job.compute
     block_bytes = [s * 4 for s in block_sizes(job.nbytes // 4, n)]
     sizes, size_of_block = np.unique(block_bytes, return_inverse=True)
     star = Star(job.config)

@@ -1,5 +1,7 @@
 """Paper-scale exchange simulation, Table II breakdown, estimator tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import ErrorBound, inceptionn_profile
@@ -23,6 +25,13 @@ from repro.perfmodel import (
 from repro.dnn.models import PAPER_MODELS
 
 MB = 2**20
+
+
+def _exchange_profile(model):
+    """The model's calibrated profile without its pre-exchange compute."""
+    return replace(
+        compute_profile_for(model), forward_s=0.0, backward_s=0.0, gpu_copy_s=0.0
+    )
 
 
 class TestCalibration:
@@ -50,7 +59,7 @@ class TestCalibration:
 class TestExchangeSimulation:
     def test_wa_matches_analytical_shape(self):
         n = 98 * MB
-        profile = compute_profile_for("ResNet-50")
+        profile = _exchange_profile("ResNet-50")
         sim = simulate_wa_exchange(4, n, profile=profile).total_s
         params = CostParameters.from_rates(2e-6, 10e9, profile.sum_bandwidth_bps)
         analytic = wa_exchange_time(4, n, params)
@@ -58,7 +67,7 @@ class TestExchangeSimulation:
 
     def test_ring_matches_analytical_shape(self):
         n = 98 * MB
-        profile = compute_profile_for("ResNet-50")
+        profile = _exchange_profile("ResNet-50")
         sim = simulate_ring_exchange(4, n, profile=profile).total_s
         params = CostParameters.from_rates(2e-6, 10e9, profile.sum_bandwidth_bps)
         analytic = ring_exchange_time(4, n, params)
@@ -66,7 +75,7 @@ class TestExchangeSimulation:
 
     def test_ring_beats_wa(self):
         n = 233 * MB
-        profile = compute_profile_for("AlexNet")
+        profile = _exchange_profile("AlexNet")
         wa = simulate_wa_exchange(4, n, profile=profile).total_s
         ring = simulate_ring_exchange(4, n, profile=profile).total_s
         assert ring < wa

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import inceptionn_profile
-from repro.distributed import ComputeProfile
+from repro.distributed import ZERO_COMPUTE, ComputeProfile
 from repro.perfmodel import (
     compute_profile_for,
     measure_compression_ratio,
@@ -16,11 +16,10 @@ MB = 2**20
 
 
 def test_local_compute_included_when_asked():
-    profile = ComputeProfile(forward_s=0.1, backward_s=0.2)
-    without = simulate_ring_exchange(4, 1 * MB, profile=profile).total_s
-    with_compute = simulate_ring_exchange(
-        4, 1 * MB, profile=profile, include_local_compute=True
-    ).total_s
+    # The profile's forward/backward/copy time is spent; ZERO_COMPUTE spends none.
+    profile = ComputeProfile(forward_s=0.1, backward_s=0.2, sum_bandwidth_bps=0.0)
+    without = simulate_ring_exchange(4, 1 * MB, profile=ZERO_COMPUTE).total_s
+    with_compute = simulate_ring_exchange(4, 1 * MB, profile=profile).total_s
     assert with_compute == pytest.approx(without + 0.3, rel=0.01)
 
 
@@ -60,7 +59,6 @@ def test_communicate_excludes_local_compute():
         4,
         PAPER_MODELS["AlexNet"].nbytes,
         profile=compute_profile_for("AlexNet"),
-        include_local_compute=True,
     )
     others = sum(
         seconds

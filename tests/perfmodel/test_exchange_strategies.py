@@ -11,7 +11,7 @@ and withheld replies included.
 import pytest
 
 from repro.distributed import get_strategy, run_strategy
-from repro.distributed.node import ComputeProfile
+from repro.distributed import ComputeProfile
 from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
 from repro.perfmodel import simulate_exchange
 from repro.transport import ClusterConfig
@@ -68,7 +68,6 @@ def _simulate(algorithm, options, **kwargs):
         build_hdc(seed=0).nbytes,
         iterations=ITERATIONS,
         profile=PROFILE,
-        include_local_compute=True,
         train_packets=TRAIN_PACKETS,
         options=options,
         **kwargs,

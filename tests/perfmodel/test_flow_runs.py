@@ -34,7 +34,7 @@ def _evaluate(evaluator, workers, nbytes, compress=False, hdc=False, **options):
     if compress:
         options.update(stream=inceptionn_profile(), gradient_ratio=RATIO)
     if hdc:
-        options.update(profile=compute_profile_for("HDC"), include_local_compute=True)
+        options.update(profile=compute_profile_for("HDC"))
     production = exchange._FLOW["ring"]
     exchange._FLOW["ring"] = evaluator
     try:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.distributed.node import ComputeProfile
+from repro.distributed import ComputeProfile
 from repro.dnn.models import PAPER_MODELS
 from repro.obs import CAT_PHASE, Tracer
 from repro.perfmodel import (
@@ -30,7 +30,6 @@ def test_tracer_does_not_change_timing(simulate):
         nbytes=8 * MB,
         iterations=2,
         profile=PROFILE,
-        include_local_compute=True,
     )
     untraced = simulate(**kwargs)
     tracer = Tracer()
@@ -48,7 +47,6 @@ def test_phase_spans_reproduce_inline_sums(simulate):
         nbytes=8 * MB,
         iterations=3,
         profile=PROFILE,
-        include_local_compute=True,
     )
     tracer = Tracer()
     phases = simulate(tracer=tracer, **kwargs).phases
@@ -81,7 +79,6 @@ def test_breakdown_from_trace_matches_legacy_arithmetic():
         nbytes=PAPER_MODELS[model].nbytes,
         iterations=iterations,
         profile=profile,
-        include_local_compute=True,
     )
     assert breakdown == exchange.phases
     assert breakdown.forward == profile.forward_s + profile.forward_s
