@@ -33,7 +33,7 @@ def _ring_error(n, seed=0):
     def node(i):
         def proc():
             results[i] = yield from ring_exchange(
-                comm.endpoints[i], vectors[i], n
+                comm.endpoints[i], vectors[i], range(n)
             )
 
         return proc

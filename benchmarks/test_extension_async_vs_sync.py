@@ -10,47 +10,24 @@ import numpy as np
 import pytest
 
 from conftest import print_header, print_row, run_once
-from repro.distributed import ComputeProfile, run_strategy
-from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
-from repro.transport import ClusterConfig
+from repro.distributed import ComputeProfile, Scenario
 
 ITERS = 25
 JITTER = 0.8
 PROFILE = ComputeProfile(forward_s=2e-3, backward_s=6e-3, update_s=1e-3)
 
 
-def _dataset():
-    return hdc_dataset(train_size=600, test_size=150, seed=0)
-
-
-def _sync(algorithm):
-    num_nodes = 5 if algorithm == "wa" else 4
-    return run_strategy(
-        algorithm,
-        build_net=lambda s: build_hdc(seed=s),
-        make_optimizer=lambda: SGD(LRSchedule(0.01), momentum=0.9),
-        dataset=_dataset(),
-        num_workers=4,
+def _run(algorithm, **options):
+    return Scenario(
+        strategy=algorithm,
         iterations=ITERS,
+        train_size=600,
+        test_size=150,
         batch_size=16,
-        cluster=ClusterConfig(num_nodes=num_nodes),
-        profile=PROFILE,
-    )
-
-
-def _async(max_staleness=None):
-    return run_strategy(
-        "async_ps",
-        build_net=lambda s: build_hdc(seed=s),
-        make_optimizer=lambda: SGD(LRSchedule(0.01), momentum=0.9),
-        dataset=_dataset(),
-        num_workers=4,
-        iterations=ITERS,
-        batch_size=16,
-        cluster=ClusterConfig(num_nodes=5),
-        profile=PROFILE,
-        options={"compute_jitter": JITTER, "max_staleness": max_staleness},
-    )
+        options=options,
+        lr=0.01,
+        compute=PROFILE,
+    ).run()
 
 
 def _staleness(run):
@@ -60,10 +37,14 @@ def _staleness(run):
 @pytest.fixture(scope="module")
 def runs():
     return {
-        "sync WA": _sync("wa"),
-        "sync INC (ring)": _sync("ring"),
-        "async PS": _async(None),
-        "async PS (SSP s=2)": _async(2),
+        "sync WA": _run("wa"),
+        "sync INC (ring)": _run("ring"),
+        "async PS": _run(
+            "async_ps", compute_jitter=JITTER, max_staleness=None
+        ),
+        "async PS (SSP s=2)": _run(
+            "async_ps", compute_jitter=JITTER, max_staleness=2
+        ),
     }
 
 

@@ -12,11 +12,8 @@ HDC run cross-checks the ordering with *real* training.
 import pytest
 
 from conftest import print_header, print_row, run_once
-from repro.core import inceptionn_profile
-from repro.distributed import run_strategy
-from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
+from repro.distributed import Scenario
 from repro.perfmodel import CONFIGURATIONS, compute_profile_for, fig12_estimates
-from repro.transport import ClusterConfig
 
 MODELS = ("AlexNet", "HDC", "ResNet-50", "VGG-16")
 
@@ -76,20 +73,15 @@ def test_fig12_functional_cross_check(benchmark):
         times = {}
         profile = compute_profile_for("HDC")
         for conf in CONFIGURATIONS:
-            algorithm = "wa" if conf.startswith("WA") else "ring"
-            stream = inceptionn_profile() if conf.endswith("+C") else None
-            num_nodes = 5 if algorithm == "wa" else 4
-            result = run_strategy(
-                algorithm,
-                build_net=lambda s: build_hdc(seed=s),
-                make_optimizer=lambda: SGD(LRSchedule(0.02), momentum=0.9),
-                dataset=hdc_dataset(train_size=400, test_size=100, seed=0),
-                num_workers=4,
+            result = Scenario(
+                strategy="wa" if conf.startswith("WA") else "ring",
                 iterations=8,
+                codec="inceptionn" if conf.endswith("+C") else None,
+                train_size=400,
+                test_size=100,
                 batch_size=25,
-                cluster=ClusterConfig(num_nodes=num_nodes, profile=stream),
-                profile=profile,
-            )
+                compute=profile,
+            ).run()
             times[conf] = result.virtual_time_s
         return times
 

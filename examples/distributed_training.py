@@ -7,11 +7,8 @@ Fig 12 configurations, and prints accuracy plus simulated wall-clock.
 Run:  python examples/distributed_training.py
 """
 
-from repro.core import inceptionn_profile
-from repro.distributed import run_strategy
-from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
+from repro.distributed import Scenario
 from repro.perfmodel import compute_profile_for
-from repro.transport import ClusterConfig
 
 CONFIGS = (
     ("WA", "wa", False),
@@ -22,7 +19,6 @@ CONFIGS = (
 
 
 def main() -> None:
-    dataset = hdc_dataset(train_size=800, test_size=200, seed=0)
     profile = compute_profile_for("HDC")
     iterations = 60
 
@@ -30,19 +26,15 @@ def main() -> None:
     print(f"{'config':<8}{'final top-1':>12}{'sim time (s)':>14}{'comm %':>8}")
     baseline_time = None
     for label, algorithm, compressed in CONFIGS:
-        num_nodes = 5 if algorithm == "wa" else 4
-        stream = inceptionn_profile() if compressed else None
-        result = run_strategy(
-            algorithm,
-            build_net=lambda s: build_hdc(seed=s),
-            make_optimizer=lambda: SGD(LRSchedule(0.02), momentum=0.9),
-            dataset=dataset,
-            num_workers=4,
+        result = Scenario(
+            strategy=algorithm,
             iterations=iterations,
+            codec="inceptionn" if compressed else None,
+            train_size=800,
+            test_size=200,
             batch_size=25,
-            cluster=ClusterConfig(num_nodes=num_nodes, profile=stream),
-            profile=profile,
-        )
+            compute=profile,
+        ).run()
         if baseline_time is None:
             baseline_time = result.virtual_time_s
         print(

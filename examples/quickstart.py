@@ -47,7 +47,7 @@ def main() -> None:
     def node(i):
         def proc():
             results[i] = yield from ring_exchange(
-                comm.endpoints[i], locals_[i], num_workers
+                comm.endpoints[i], locals_[i], range(num_workers)
             )
 
         return proc

@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.network import DEFAULT_BANDWIDTH_BPS, RetransmitPolicy, parse_tenants
 from repro.perfmodel.exchange import EXCHANGE_TRAIN_PACKETS
-from repro.transport import ClusterConfig
 
 
 def _load_floats(path: Path) -> np.ndarray:
@@ -102,11 +101,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _stream_for(args: argparse.Namespace):
-    """Resolve --codec (or the --compress shorthand) into a StreamProfile."""
-    from repro.core import inceptionn_profile, profile_for
+    """Resolve --codec into a StreamProfile (``None`` is raw)."""
+    from repro.core import profile_for
 
-    if getattr(args, "codec", None) is None:
-        return inceptionn_profile() if getattr(args, "compress", False) else None
+    if args.codec is None:
+        return None
     try:
         return profile_for(args.codec)
     except KeyError as exc:
@@ -251,38 +250,28 @@ def _strategy_options(args: argparse.Namespace) -> Dict[str, Any]:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from repro.distributed import available_strategies, get_strategy, run_strategy
-    from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
+    from repro.distributed import Scenario
 
-    try:
-        strategy = get_strategy(args.strategy)
-    except ValueError:
-        known = ", ".join(available_strategies())
-        raise SystemExit(
-            f"--strategy: unknown strategy {args.strategy!r} ({known})"
-        )
-    stream = _stream_for(args)
+    _stream_for(args)  # an unknown --codec exits before the run
     tracer = _tracer_for(args)
-    num_nodes = args.workers + strategy.extra_nodes
+    scenario = Scenario(
+        strategy=args.strategy,
+        workers=args.workers,
+        iterations=args.iterations,
+        seed=args.seed,
+        codec=args.codec,
+        train_size=600,
+        test_size=150,
+        batch_size=args.batch_size,
+        cluster=_cluster_fields(args),
+        options={"sync_period": args.sync_period, **_strategy_options(args)},
+        lr=args.lr,
+    )
     try:
-        result = run_strategy(
-            strategy,
-            build_net=lambda s: build_hdc(seed=s),
-            make_optimizer=lambda: SGD(LRSchedule(args.lr), momentum=0.9),
-            dataset=hdc_dataset(train_size=600, test_size=150, seed=args.seed),
-            num_workers=args.workers,
-            iterations=args.iterations,
-            batch_size=args.batch_size,
-            cluster=ClusterConfig(
-                num_nodes=num_nodes, profile=stream, **_cluster_fields(args)
-            ),
-            tracer=tracer,
-            seed=args.seed,
-            options={"sync_period": args.sync_period, **_strategy_options(args)},
-        )
+        result = scenario.run(tracer=tracer)
     except ValueError as exc:
         raise SystemExit(str(exc))
-    tag = f"+{args.codec}" if args.codec else ("+C" if args.compress else "")
+    tag = f"+{args.codec}" if args.codec else ""
     extras = result.extras
     notes = ""
     if extras.get("staleness"):
@@ -304,7 +293,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         algorithm=result.algorithm,
         workers=args.workers,
         iterations=args.iterations,
-        codec=args.codec or ("inceptionn" if args.compress else None),
+        codec=args.codec,
         virtual_time_s=result.virtual_time_s,
     )
     return 0
@@ -590,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=40)
     p.add_argument("--batch-size", type=int, default=25)
     p.add_argument("--lr", type=float, default=0.02)
-    p.add_argument("--compress", action="store_true")
     p.add_argument(
         "--codec", default=None, metavar="NAME",
         help="registered codec for the gradient stream (see `repro codecs`)",

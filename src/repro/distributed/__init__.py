@@ -14,6 +14,7 @@ from .strategy import (
     GradientStrategy,
     NodeContext,
     STRATEGIES,
+    Scenario,
     StrategyRun,
     StrategyUpdate,
     available_strategies,
@@ -39,6 +40,7 @@ __all__ = [
     "get_strategy",
     "register_strategy",
     "run_strategy",
+    "Scenario",
     "DistributedRunResult",
     "RingStrategy",
     "WorkerAggregatorStrategy",

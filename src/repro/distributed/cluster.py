@@ -48,7 +48,7 @@ class RingStrategy(GradientStrategy):
         self, node: NodeContext, iteration: int, gradient: np.ndarray
     ) -> Generator[Event, Any, StrategyUpdate]:
         aggregate = yield from ring_exchange(
-            node.endpoint, gradient, node.run.num_workers
+            node.endpoint, gradient, range(node.run.num_workers)
         )
         return StrategyUpdate(gradient=aggregate)
 

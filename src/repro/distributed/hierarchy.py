@@ -14,15 +14,14 @@ plugin (``"hierarchy"``, configured through ``options={"layout": ...}``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, List, Sequence
+from typing import Any, Generator
 
 import numpy as np
 
-from repro.core import StreamProfile
 from repro.network import Event
 from repro.obs import CAT_HIER
 from repro.transport.endpoint import ClusterComm
-from repro.transport.wire import Payload, WireMessage
+from repro.transport.wire import Payload
 
 from .ring import ring_exchange
 from .strategy import (
@@ -70,49 +69,6 @@ class GroupLayout:
         raise ValueError(f"node {node} not in any group")
 
 
-class _ScopedEndpoint:
-    """Endpoint view that renumbers a node subset as a 0..k-1 ring.
-
-    ``ring_exchange`` expects ring-local ranks; this adapter maps them
-    onto the global node ids of a group (or the leader set).
-    """
-
-    def __init__(self, comm: ClusterComm, members: Sequence[int], node: int):
-        self._inner = comm.endpoints[node]
-        self._members = list(members)
-        self.comm = comm
-        self.node_id = self._members.index(node)
-        #: Cluster-global id, so trace events keep stable node labels.
-        self.global_node = node
-
-    def isend(
-        self,
-        dst: int,
-        payload: Payload,
-        profile: "StreamProfile | None" = None,
-    ) -> Event:
-        return self._inner.isend(
-            self._members[dst], payload, profile=profile
-        )
-
-    def forward(
-        self,
-        dst: int,
-        msg: WireMessage,
-        payload: Payload,
-        profile: "StreamProfile | None" = None,
-    ) -> Event:
-        return self._inner.forward(
-            self._members[dst], msg, payload, profile=profile
-        )
-
-    def recv(self, src: int) -> Event:
-        return self._inner.recv(self._members[src])
-
-    def recv_message(self, src: int) -> Event:
-        return self._inner.recv_message(self._members[src])
-
-
 def hierarchical_exchange(
     comm: ClusterComm,
     node: int,
@@ -132,10 +88,10 @@ def hierarchical_exchange(
     group = layout.group_of(node)
     leader = group[0]
     tracer = comm.tracer
+    ep = comm.endpoints[node]
 
     level1_start = comm.sim.now
-    group_ep = _ScopedEndpoint(comm, group, node)
-    group_sum = yield from ring_exchange(group_ep, vector, len(group))
+    group_sum = yield from ring_exchange(ep, vector, group)
     if tracer is not None:
         tracer.span(
             "hier.group_ring",
@@ -146,15 +102,13 @@ def hierarchical_exchange(
             group_size=len(group),
         )
 
-    leaders: List[int] = list(layout.leaders)
+    leaders = layout.leaders
     if len(leaders) == 1:
         return group_sum
 
-    ep = comm.endpoints[node]
     if node == leader:
         level2_start = comm.sim.now
-        leader_ep = _ScopedEndpoint(comm, leaders, node)
-        global_sum = yield from ring_exchange(leader_ep, group_sum, len(leaders))
+        global_sum = yield from ring_exchange(ep, group_sum, leaders)
         if tracer is not None:
             tracer.span(
                 "hier.leader_ring",

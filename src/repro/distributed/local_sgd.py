@@ -82,7 +82,7 @@ class LocalSGDStrategy(GradientStrategy):
         sync_start = comm.sim.now
         delta = (trainer.net.parameter_vector() - anchor).astype(np.float32)
         total_delta = yield from ring_exchange(
-            node.endpoint, delta, node.run.num_workers
+            node.endpoint, delta, range(node.run.num_workers)
         )
         new_weights = (anchor + total_delta).astype(np.float32)
         self._anchors[node.node_id] = new_weights

@@ -24,7 +24,7 @@ every hop.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Tuple, TypeVar
+from typing import Any, Generator, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -54,13 +54,14 @@ def ring_step_blocks(
 def ring_exchange(
     ep: Endpoint,
     vector: Payload,
-    num_workers: int,
+    members: Sequence[int],
 ) -> Generator[Event, Any, Payload]:
     """Run Algorithm 1's gradient exchange for one node; returns the
     fully aggregated gradient vector.
 
-    A generator to be driven as a simulation process — all ``num_workers``
-    nodes must run it concurrently with consistent arguments.  Every hop
+    A generator to be driven as a simulation process — every node of
+    ``members`` (cluster node ids in ring order; ``ep`` is one of them)
+    must run it concurrently with the same list.  Every hop
     rides the cluster's gradient stream (``ep.comm.config.profile``).
     Each P1 sum is spent at this node at the cluster's ``compute`` rate;
     cluster node 0 records its own.
@@ -78,12 +79,11 @@ def ring_exchange(
     the messages, sums and spans are the functional run's, and the
     returned aggregate is the input.
     """
-    n = num_workers
-    i = ep.node_id
-    # The cluster-wide id (a scoped sub-ring renumbers ``node_id``).
-    node = getattr(ep, "global_node", i)
-    if not 0 <= i < n:
-        raise ValueError(f"node {i} outside the {n}-worker ring")
+    n = len(members)
+    node = ep.node_id
+    if node not in members:
+        raise ValueError(f"node {node} outside the ring {list(members)}")
+    i = members.index(node)
     aggregate = vector
     if not isinstance(vector, SizedPayload):
         aggregate = np.array(vector, dtype=np.float32).reshape(-1)
@@ -91,8 +91,8 @@ def ring_exchange(
         return aggregate
 
     blocks = partition_blocks(aggregate, n)
-    successor = (i + 1) % n
-    predecessor = (i - 1) % n
+    successor = members[(i + 1) % n]
+    predecessor = members[(i - 1) % n]
 
     stream = ep.comm.config.profile
     compute = ep.comm.compute

@@ -43,13 +43,20 @@ from typing import (
 
 import numpy as np
 
-from repro.core import StreamProfile
-from repro.dnn.data import Dataset
-from repro.dnn.metrics import top1_accuracy, top5_accuracy
-from repro.dnn.network import Sequential
-from repro.dnn.optim import Optimizer
-from repro.dnn.training import LocalTrainer
-from repro.network import Event
+from repro.core import StreamProfile, profile_for
+from repro.dnn import (
+    SGD,
+    Dataset,
+    LocalTrainer,
+    LRSchedule,
+    Optimizer,
+    Sequential,
+    build_hdc,
+    hdc_dataset,
+    top1_accuracy,
+    top5_accuracy,
+)
+from repro.network import Event, TieBreak
 from repro.obs import (
     CAT_STRATEGY, ZERO_COMPUTE, ComputeProfile, PhaseTimes, Tracer,
 )
@@ -493,3 +500,62 @@ def run_strategy(
         extras=dict(run.extras),
         loss_order=list(run.loss_order),
     )
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One HDC proxy run: replicas of ``build_hdc`` trained under a strategy.
+
+    The run the paper's accuracy and time claims rest on, as data: SGD
+    with momentum 0.9 at rate ``lr``, on an ``hdc_dataset`` of
+    ``train_size``/``test_size`` samples, over a cluster of ``workers``
+    plus the strategy's service nodes.  ``cluster`` holds the
+    :class:`~repro.transport.ClusterConfig` fields (``loss_rate``,
+    ``topology``, ``agg_site`` ...) beyond node count, stream and
+    tie-break, which the scenario sets itself; ``options`` is
+    :func:`run_strategy`'s.
+    """
+
+    strategy: str = "ring"
+    workers: int = 4
+    iterations: int = 2
+    seed: int = 0
+    codec: Optional[str] = None
+    train_size: int = 120
+    test_size: int = 40
+    batch_size: int = 10
+    cluster: Mapping[str, Any] = field(default_factory=dict)
+    options: Mapping[str, Any] = field(default_factory=dict)
+    lr: float = 0.02
+    compute: ComputeProfile = ZERO_COMPUTE
+
+    def run(
+        self,
+        tracer: Optional[Tracer] = None,
+        tie_break: Optional[TieBreak] = None,
+    ) -> DistributedRunResult:
+        """Build a fresh simulation from the seeds and train on it."""
+        strategy = get_strategy(self.strategy)
+        return run_strategy(
+            strategy,
+            build_net=lambda s: build_hdc(seed=s),
+            make_optimizer=lambda: SGD(LRSchedule(self.lr), momentum=0.9),
+            dataset=hdc_dataset(
+                train_size=self.train_size,
+                test_size=self.test_size,
+                seed=self.seed,
+            ),
+            num_workers=self.workers,
+            iterations=self.iterations,
+            batch_size=self.batch_size,
+            cluster=ClusterConfig(
+                num_nodes=self.workers + strategy.extra_nodes,
+                profile=profile_for(self.codec) if self.codec else None,
+                tie_break=tie_break,
+                **self.cluster,
+            ),
+            profile=self.compute,
+            tracer=tracer,
+            seed=self.seed,
+            options=self.options,
+        )

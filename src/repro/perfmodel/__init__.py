@@ -25,7 +25,6 @@ from .estimator import (
 )
 from .exchange import (
     ExchangeResult,
-    measure_compression_ratio,
     simulate_exchange,
     simulate_ring_exchange,
     simulate_wa_exchange,
@@ -51,7 +50,6 @@ __all__ = [
     "estimate_iteration_time",
     "fig12_estimates",
     "ExchangeResult",
-    "measure_compression_ratio",
     "simulate_exchange",
     "simulate_ring_exchange",
     "simulate_wa_exchange",

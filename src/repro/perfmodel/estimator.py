@@ -11,17 +11,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.core import inceptionn_profile
 from repro.dnn.models import PAPER_MODELS
 from repro.network import DEFAULT_BANDWIDTH_BPS
+from repro.transport.wire import measure_stream_ratio
 
 from .calibration import FIG13_EPOCHS, compute_profile_for, iterations_per_epoch
-from .exchange import measure_compression_ratio, simulate_exchange
+from .exchange import simulate_exchange
 
 #: The four system configurations of Fig 12.
 CONFIGURATIONS = ("WA", "WA+C", "INC", "INC+C")
 #: Iterations simulated per estimate (the per-iteration time is their mean).
 SIM_ITERATIONS = 3
+#: Synthetic gradient values the compressed configurations' ratio is
+#: measured on; large enough for the ratio to be stable to three digits.
+MODEL_RATIO_SAMPLE = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,12 @@ def estimate_iteration_time(
     stream = ratio = None
     if configuration.endswith("+C"):
         stream = inceptionn_profile()
-        ratio = measure_compression_ratio(spec)
+        ratio = measure_stream_ratio(
+            stream,
+            sample=spec.synthetic_gradients(
+                np.random.default_rng(0), size=MODEL_RATIO_SAMPLE
+            ),
+        )
     result = simulate_exchange(
         "wa" if configuration.startswith("WA") else "ring",
         num_workers=num_workers,

@@ -19,10 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-import numpy as np
-
-from repro.core import ErrorBound, StreamProfile, compression_ratio
-from repro.core.bounds import DEFAULT_BOUND
+from repro.core import StreamProfile
 from repro.distributed.strategy import (
     GradientStrategy,
     StrategyRun,
@@ -30,7 +27,6 @@ from repro.distributed.strategy import (
     _drive,
     get_strategy,
 )
-from repro.dnn.models import ModelSpec
 from repro.obs import (
     ZERO_COMPUTE, ComputeProfile, PhaseLedger, PhaseTimes, Tracer,
 )
@@ -39,19 +35,6 @@ from repro.transport.endpoint import ClusterComm, ClusterConfig, TransferSummary
 from repro.transport.wire import SizedPayload, measure_stream_ratio
 
 from .flowsim import flow_ring_exchange, flow_wa_exchange
-
-#: Sample size for measuring a model's compression ratio; large enough
-#: for the ratio to be stable to three digits.
-RATIO_SAMPLE_VALUES = 1 << 18
-
-
-def measure_compression_ratio(
-    spec: ModelSpec, bound: ErrorBound = DEFAULT_BOUND, seed: int = 0
-) -> float:
-    """Compression ratio of the model's (synthetic) gradients."""
-    rng = np.random.default_rng(seed)
-    sample = spec.synthetic_gradients(rng, size=RATIO_SAMPLE_VALUES)
-    return compression_ratio(sample, bound)
 
 
 @dataclass

@@ -29,17 +29,18 @@ two runs part ways.
 
 ``repro sanitize`` (see :mod:`repro.cli`) drives this over the strategy
 scenarios; tests inject synthetic racy scenarios through the same
-:class:`Scenario` interface.
+:class:`Sanitizable` interface.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.distributed import Scenario
 from repro.network import SeededTieBreak, TieBreak
 from repro.obs import TraceDiff, Tracer, diff_traces, trace_fingerprint
 
@@ -87,7 +88,7 @@ def outcome_fingerprint(*parts: object) -> str:
     return digest.hexdigest()
 
 
-class Scenario:
+class Sanitizable:
     """One sanitizable workload: run it under a given tie-break policy.
 
     Subclasses implement :meth:`execute`; every call must build a fresh
@@ -103,28 +104,13 @@ class Scenario:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class StrategyScenario(Scenario):
-    """A small simulated-cluster training run under any registered strategy.
+class StrategyScenario(Scenario, Sanitizable):
+    """A :class:`~repro.distributed.Scenario` the sanitizer can execute.
 
     The semantic outcome is the final parameter vector (bit-exact), the
     per-iteration loss trajectory, and the simulated duration — exactly
     the quantities the parity suites pin.
     """
-
-    strategy: str = "ring"
-    workers: int = 4
-    iterations: int = 2
-    seed: int = 0
-    codec: Optional[str] = None
-    train_size: int = 120
-    test_size: int = 40
-    batch_size: int = 10
-    #: :class:`~repro.transport.ClusterConfig` fields (``loss_rate``,
-    #: ``topology``, ``agg_site`` ...) beyond node count, stream and
-    #: tie-break, which the scenario sets itself.
-    cluster: Mapping[str, Any] = field(default_factory=dict)
-    options: Mapping[str, Any] = field(default_factory=dict)
 
     @property
     def name(self) -> str:
@@ -144,36 +130,7 @@ class StrategyScenario(Scenario):
     def execute(
         self, tie_break: Optional[TieBreak], tracer: Optional[Tracer]
     ) -> ScenarioOutcome:
-        from repro.core import profile_for
-        from repro.distributed import get_strategy, run_strategy
-        from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
-        from repro.transport import ClusterConfig
-
-        strategy = get_strategy(self.strategy)
-        stream = profile_for(self.codec) if self.codec else None
-        num_nodes = self.workers + strategy.extra_nodes
-        result = run_strategy(
-            strategy,
-            build_net=lambda s: build_hdc(seed=s),
-            make_optimizer=lambda: SGD(LRSchedule(0.02), momentum=0.9),
-            dataset=hdc_dataset(
-                train_size=self.train_size,
-                test_size=self.test_size,
-                seed=self.seed,
-            ),
-            num_workers=self.workers,
-            iterations=self.iterations,
-            batch_size=self.batch_size,
-            cluster=ClusterConfig(
-                num_nodes=num_nodes,
-                profile=stream,
-                tie_break=tie_break,
-                **self.cluster,
-            ),
-            tracer=tracer,
-            seed=self.seed,
-            options=self.options,
-        )
+        result = self.run(tracer=tracer, tie_break=tie_break)
         losses = [round(loss, 12) for loss in result.losses]
         details: Dict[str, object] = {
             "weights_sha256": outcome_fingerprint(result.final_weights),
@@ -297,7 +254,7 @@ class SanitizeReport:
 
 
 def sanitize(
-    scenario: Scenario,
+    scenario: Sanitizable,
     perturb_seeds: Sequence[int] = DEFAULT_PERTURB_SEEDS,
     context: int = 3,
 ) -> SanitizeReport:

@@ -91,7 +91,7 @@ def ring_exchange(
                 cat=CAT_RING,
                 ts=step_start,
                 dur=ep.comm.sim.now - step_start,
-                node=getattr(ep, "global_node", ep.node_id),
+                node=ep.node_id,
                 step=step,
                 ring_phase="P1" if step < n else "P2",
                 send_block=send_idx,

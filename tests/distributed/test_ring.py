@@ -28,7 +28,7 @@ def _run_ring(vectors, compression=False, bound=ErrorBound(10), profile=ZERO_COM
             out = yield from ring_exchange(
                 comm.endpoints[i],
                 vectors[i],
-                n,
+                range(n),
             )
             results[i] = out
 
@@ -80,7 +80,7 @@ def test_single_node_ring_is_identity():
     results = {}
 
     def proc():
-        out = yield from ring_exchange(comm.endpoints[0], vec, 1)
+        out = yield from ring_exchange(comm.endpoints[0], vec, range(1))
         results[0] = out
 
     comm.sim.process(proc())
@@ -92,7 +92,7 @@ def test_node_outside_ring_rejected():
     comm = ClusterComm(ClusterConfig(num_nodes=4))
 
     def proc():
-        yield from ring_exchange(comm.endpoints[3], np.zeros(8), 2)
+        yield from ring_exchange(comm.endpoints[3], np.zeros(8), range(2))
 
     comm.sim.process(proc())
     with pytest.raises(ValueError):

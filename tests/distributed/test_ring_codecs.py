@@ -26,7 +26,7 @@ def _run_ring(vectors, stream):
     def node(i):
         def proc():
             out = yield from ring_exchange(
-                comm.endpoints[i], vectors[i], n
+                comm.endpoints[i], vectors[i], range(n)
             )
             results[i] = out
 

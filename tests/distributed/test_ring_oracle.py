@@ -69,7 +69,10 @@ def test_in_place_ring_matches_copying_oracle(n, size, compress, loss_rate, monk
     originals = [v.copy() for v in vectors]
     stream = inceptionn_profile() if compress else None
 
-    got = _run(ring_exchange, vectors, stream, loss_rate, monkeypatch)
+    def ring(ep, vector, n):
+        return ring_exchange(ep, vector, range(n))
+
+    got = _run(ring, vectors, stream, loss_rate, monkeypatch)
     want = _run(reference_ring.ring_exchange, vectors, stream, loss_rate, monkeypatch)
 
     results, delivered, log, elapsed = got

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core import ErrorBound, inceptionn_profile
@@ -14,7 +15,6 @@ from repro.perfmodel import (
     equal_accuracy_speedup,
     estimate_iteration_time,
     fig12_estimates,
-    measure_compression_ratio,
     paper_breakdown,
     ring_exchange_time,
     simulate_ring_exchange,
@@ -23,6 +23,8 @@ from repro.perfmodel import (
     wa_exchange_time,
 )
 from repro.dnn.models import PAPER_MODELS
+from repro.perfmodel.estimator import MODEL_RATIO_SAMPLE
+from repro.transport.wire import measure_stream_ratio
 
 MB = 2**20
 
@@ -174,5 +176,10 @@ class TestEstimator:
     def test_measured_ratio_band(self):
         for model in ("AlexNet", "VGG-16"):
             spec = PAPER_MODELS[model]
-            ratio = measure_compression_ratio(spec, ErrorBound(10))
+            sample = spec.synthetic_gradients(
+                np.random.default_rng(0), size=MODEL_RATIO_SAMPLE
+            )
+            ratio = measure_stream_ratio(
+                inceptionn_profile(ErrorBound(10)), sample=sample
+            )
             assert 2.0 < ratio <= 16.0

@@ -1,16 +1,18 @@
 """Exchange-simulation detail tests."""
 
+import numpy as np
 import pytest
 
 from repro.core import inceptionn_profile
 from repro.distributed import ZERO_COMPUTE, ComputeProfile
 from repro.perfmodel import (
     compute_profile_for,
-    measure_compression_ratio,
     simulate_ring_exchange,
     simulate_wa_exchange,
 )
+from repro.perfmodel.estimator import MODEL_RATIO_SAMPLE
 from repro.dnn.models import PAPER_MODELS
+from repro.transport.wire import measure_stream_ratio
 
 MB = 2**20
 
@@ -86,12 +88,15 @@ def test_ring_compression_needs_engines_to_matter():
 
 def test_measured_ratio_is_deterministic():
     spec = PAPER_MODELS["ResNet-50"]
-    assert measure_compression_ratio(spec, seed=1) == measure_compression_ratio(
-        spec, seed=1
-    )
-    assert measure_compression_ratio(spec, seed=1) != measure_compression_ratio(
-        spec, seed=2
-    )
+
+    def measure(seed):
+        sample = spec.synthetic_gradients(
+            np.random.default_rng(seed), size=MODEL_RATIO_SAMPLE
+        )
+        return measure_stream_ratio(inceptionn_profile(), sample=sample)
+
+    assert measure(1) == measure(1)
+    assert measure(1) != measure(2)
 
 
 @pytest.mark.parametrize("simulate", [simulate_wa_exchange, simulate_ring_exchange])

@@ -157,7 +157,7 @@ def test_train_with_trace_writes_valid_file(tmp_path, capsys):
 
     out = tmp_path / "trace.json"
     assert main([
-        "train", "--workers", "4", "--compress", "--iterations", "2",
+        "train", "--workers", "4", "--codec", "inceptionn", "--iterations", "2",
         "--trace", str(out),
     ]) == 0
     doc = load_trace(out)
@@ -287,11 +287,11 @@ CLI_DEFAULTS = {
     },
     ("train",): {
         "--strategy": "ring", "--workers": 4, "--iterations": 40,
-        "--batch-size": 25, "--lr": 0.02, "--compress": False,
-        "--codec": None, "--sync-period": 4, "--staleness": None,
-        "--group-size": 2, "--seed": 0, "--topology": None,
-        "--agg-site": "endpoint", "--loss-rate": 0.0, "--retransmit": None,
-        "--trace": None, "--trace-chrome": None,
+        "--batch-size": 25, "--lr": 0.02, "--codec": None,
+        "--sync-period": 4, "--staleness": None, "--group-size": 2,
+        "--seed": 0, "--topology": None, "--agg-site": "endpoint",
+        "--loss-rate": 0.0, "--retransmit": None, "--trace": None,
+        "--trace-chrome": None,
     },
     ("strategies",): {"--workers": 4},
     ("exchange",): {

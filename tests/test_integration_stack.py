@@ -91,7 +91,7 @@ def test_ring_aggregate_from_training_gradients():
     def node(i):
         def proc():
             results[i] = yield from ring_exchange(
-                comm.endpoints[i], grads[i], 4
+                comm.endpoints[i], grads[i], range(4)
             )
 
         return proc

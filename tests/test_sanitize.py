@@ -8,7 +8,7 @@ import pytest
 from repro.network import SeededTieBreak, Simulation
 from repro.obs import Tracer, diff_traces, trace_fingerprint
 from repro.sanitize import (
-    Scenario,
+    Sanitizable,
     ScenarioOutcome,
     StrategyScenario,
     outcome_fingerprint,
@@ -16,7 +16,7 @@ from repro.sanitize import (
 )
 
 
-class RacyScenario(Scenario):
+class RacyScenario(Sanitizable):
     """Deliberate equal-timestamp race: outcome = callback arrival order.
 
     Several processes append their id at the same simulated instant;
@@ -97,7 +97,7 @@ class TestInjectedRace:
         assert report.passed
 
 
-class NonReplayableScenario(Scenario):
+class NonReplayableScenario(Sanitizable):
     """Replay nondeterminism: carries state across execute() calls."""
 
     name = "impure"
@@ -125,7 +125,7 @@ def test_replay_nondeterminism_detected():
     assert "NONDETERMINISTIC" in report.render()
 
 
-class ObservedScenario(Scenario):
+class ObservedScenario(Sanitizable):
     """An observer effect: the outcome depends on whether a tracer is on.
 
     ``shift`` is added to the simulated duration, or ``weight`` to the

@@ -71,7 +71,7 @@ def _run_functional_ring(stream):
     results = {}
 
     def proc(i):
-        agg = yield from ring_exchange(comm.endpoints[i], vectors[i], 4)
+        agg = yield from ring_exchange(comm.endpoints[i], vectors[i], range(4))
         results[i] = agg
 
     for i in range(4):

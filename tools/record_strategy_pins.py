@@ -16,16 +16,12 @@ import platform
 
 import numpy as np
 
-from repro.core import inceptionn_profile
 from repro.distributed import (
     ComputeProfile,
     DistributedRunResult,
     GroupLayout,
-    get_strategy,
-    run_strategy,
+    Scenario,
 )
-from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
-from repro.transport import ClusterConfig
 
 PROFILE = ComputeProfile(
     forward_s=1e-4,
@@ -37,7 +33,7 @@ PROFILE = ComputeProfile(
 ITERATIONS = 8
 WORKERS = 4
 
-#: strategy -> ``run_strategy`` options.
+#: strategy -> ``Scenario.options``.
 SCENARIOS = {
     "ring": {},
     "wa": {},
@@ -49,22 +45,17 @@ SCENARIOS = {
 
 def run_scenario(strategy: str, compressed: bool) -> DistributedRunResult:
     """The pinned scenario — the parity test runs exactly this."""
-    stream = inceptionn_profile() if compressed else None
-    options = SCENARIOS[strategy]
-    extra_nodes = get_strategy(strategy).extra_nodes
-    return run_strategy(
-        strategy,
-        build_net=lambda s: build_hdc(seed=s),
-        make_optimizer=lambda: SGD(LRSchedule(0.02), momentum=0.9),
-        dataset=hdc_dataset(train_size=400, test_size=100, seed=0),
-        num_workers=WORKERS,
+    return Scenario(
+        strategy=strategy,
+        workers=WORKERS,
         iterations=ITERATIONS,
+        codec="inceptionn" if compressed else None,
+        train_size=400,
+        test_size=100,
         batch_size=16,
-        cluster=ClusterConfig(num_nodes=WORKERS + extra_nodes, profile=stream),
-        profile=PROFILE,
-        seed=0,
-        options=options,
-    )
+        options=SCENARIOS[strategy],
+        compute=PROFILE,
+    ).run()
 
 
 def final_loss(strategy: str, result: DistributedRunResult) -> float:
