@@ -501,6 +501,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
                 f"--strategy: unknown strategy {name!r} "
                 f"({', '.join(known)})"
             )
+    _stream_for(args)  # an unknown --codec exits before the runs
 
     failed = False
     for index, name in enumerate(strategies):

@@ -34,7 +34,9 @@ not: a resource whose transfer nobody awaits reports the landing time
 (:meth:`Simulation.extend_horizon`) instead of queueing an event without
 waiters, and ``run()`` returns the later of last entry and horizon.
 Lazily evaluated work (express message runs) is settled through
-:meth:`Simulation.at_pause` when ``run(until=...)`` stops short.
+:meth:`Simulation.at_pause` when ``run(until=...)`` stops short, and
+withdraws an entry it queued ahead (:meth:`Simulation.cancel`) when its
+plan changes, so a plan given up never moves the clock.
 
 Invariants: the clock only moves forward, and only between instants;
 simulated time is the sole time source (no wall-clock reads); all
@@ -241,6 +243,20 @@ class Simulation:
         self._seq = seq + 1
         order = seq if self._fifo else (self.tie_break.key(seq), seq)
         heapq.heappush(self._heap, (time, order, fn, arg))
+
+    def cancel(self, time: float, fn: Callable[[Any], Any], arg: Any) -> None:
+        """Withdraw the entry :meth:`schedule` queued for a later ``time``
+        as ``fn(arg)``: it neither runs nor moves the clock.  For lazily
+        evaluated work whose plan changed before it was due."""
+        heap = self._heap
+        for index, entry in enumerate(heap):
+            if entry[0] == time and entry[2] == fn and entry[3] == arg:
+                last = heap.pop()
+                if index < len(heap):
+                    heap[index] = last
+                    heapq.heapify(heap)
+                return
+        raise ValueError(f"no entry queued for {time} to withdraw")
 
     def call_at(self, time: float, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` to run at absolute simulated ``time``."""

@@ -25,9 +25,9 @@ bit-exact (:class:`~repro.network.priority.PriorityLink` honors it);
 cut-through hand-off exposes head arrival without ever letting a train
 overtake itself; all timing derives from simulated time
 (``Simulation.now``), never the host clock; a resource held by an
-express run of a message group (:mod:`repro.network.simulator`) is
-settled before any request stages on it, so every request meets the
-state the per-train kernel would have left.
+express run of a message group (:mod:`repro.network.simulator`) takes a
+request into the run's plan, or is settled before the request stages,
+so every request meets the state the per-train kernel would have left.
 """
 
 from __future__ import annotations
@@ -213,12 +213,13 @@ class Link:
     ) -> None:
         """Stage a checked request; it is granted when the instant drains.
 
-        An express run holding this resource is settled to this instant
-        first, so the request meets the state the per-train kernel
+        An express run holding this resource first admits the request
+        (it is planned with the run from now on) or is settled to this
+        instant, so the request meets the state the per-train kernel
         would have left.
         """
-        if self._run is not None:
-            self._run.contact(self)
+        if self._run is not None and self._run.contact(self, arg):
+            return
         sim = self.sim
         self._pending.append(
             (key, nbytes, serialization_s, head_s, delay, fn, arg, sim.now)

@@ -93,7 +93,9 @@ class PriorityLink(Link):
         """Admit this instant's requests in (priority, key) order, then serve.
 
         The port wakes at ``_free_at`` only while a train waits behind
-        the one on the wire; a later arrival finds it idle.
+        the one on the wire; a later arrival finds it idle.  A wake-up
+        may find nothing to serve: an express plan took the waiting
+        trains into its own (:mod:`repro.network.simulator`).
         """
         queue = self._queue
         for request in self._take_pending():
@@ -101,7 +103,7 @@ class PriorityLink(Link):
             heapq.heappush(queue, (request[0][0], self._admitted, request))
         if len(queue) > self.max_queue_depth:
             self.max_queue_depth = len(queue)
-        if not self.sim.now < self._free_at:
+        if queue and not self.sim.now < self._free_at:
             # The port is idle, so the reservation starts now.
             self._grant((heapq.heappop(queue)[2],))
         if queue and not self._waking:

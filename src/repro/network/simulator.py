@@ -10,10 +10,12 @@ and pipelining across hops all emerge from the event kernel.
 Untraced, the lossless messages of more than one train sent in one
 arbitration round are planned before its first grant: those whose
 chains share a resource are one *group*, which runs *express*
-(:class:`_Run`) if its resources are quiet — every train's grant on
-every stage computed in one pass, the landings its only queue entries —
-until the first request that reaches one of its resources turns the
-trains not yet through back into :class:`_Train` objects.
+(:class:`_Run`) — every train's grant on every stage computed in one
+pass, the landings its only queue entries.  What the group's resources
+already carry joins the plan: the trains a live run still has to
+grant, and the trains waiting in a port's queue or staged this instant.
+A request that later reaches a live run's resource is admitted the same
+way: the run is re-planned from that instant with the newcomer.
 
 The NIC compression engines influence timing in two ways, mirroring the
 hardware integration of Sec. VI-A:
@@ -51,7 +53,7 @@ import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs import CAT_MESSAGE, Tracer
@@ -79,6 +81,17 @@ _Segment = Tuple[int, Tuple[int, int, int], List[_Stage]]
 #: index, then the message number, which orders tied ``arb_base``s in
 #: the per-train kernel (a group with a tie is refused a plan).
 _member_key = attrgetter("arb_base", "msg_id")
+#: A member of an express run before it is planned: ``(message, lo, hi,
+#: fixed, requested)``.  It holds trains ``lo`` to ``hi - 1`` of
+#: ``message``; ``fixed[s]`` lists, in index order, the known request
+#: instants of those whose next request is stage ``s``.  ``requested``
+#: is ``False`` for a message not started yet, ``True`` for a train whose
+#: request is made already (waiting in a port's queue, staged this
+#: instant, or the one reaching the run), ``None`` for trains one run
+#: hands to the next.
+_Spec = Tuple["_Message", int, int, List[List[float]], Optional[bool]]
+#: Distinct messages whose segments :meth:`Network.segments` keeps.
+SEGMENT_CACHE = 256
 
 
 @dataclass(frozen=True)
@@ -185,6 +198,10 @@ class Network:
         #: This round's express candidates, planned before its first
         #: arbitration (:meth:`_plan_round`).
         self._round: List[_Message] = []
+        #: :meth:`_shape` by ``(route, nbytes, wire_payload, engines)``,
+        #: cleared at :data:`SEGMENT_CACHE` entries: a compressed
+        #: message's wire payload is its own, so a long run has many.
+        self._shapes: Dict[Tuple, Tuple[List[_Segment], float]] = {}
         sim.at_pause(self._settle_runs)
         # Per-(src, dst) message sequence numbers feed link arbitration
         # keys.  Unlike the global ``messages_sent`` counter, these only
@@ -361,14 +378,15 @@ class Network:
             self._pair_seq[pair] = pair_seq + 1
             arb_base = (src, dst, pair_seq)
 
-        segments = self.segments(
+        segments, lag = self._shape(
             route, nbytes, wire_payload, tx_engine_node, rx_engine_node
         )
         message = _Message(self.sim)
         message.net, message.receipt, message.payload = self, receipt, payload
         message.msg_id, message.on_retransmit = msg_id, on_retransmit
         message.segments, message.arb_base, message.cls = segments, arb_base, cls
-        message.left = sum(count for count, _, _ in segments)
+        message.lag = lag
+        message.trains = message.left = sum(count for count, _, _ in segments)
         lossless = not any(stage[6] for stage in segments[-1][2])
         if tracer is None and lossless and message.left > 1 and self.sim.first_round():
             if not self._round:
@@ -389,17 +407,45 @@ class Network:
         """A message's trains on ``route`` — both exchange evaluators read
         them — as runs of one shape, each with its stage chain; the last
         train, whose landing is awaited, is a run of its own."""
+        return self._shape(
+            route, nbytes, wire_payload, tx_engine_node, rx_engine_node
+        )[0]
+
+    def _shape(
+        self,
+        route: Route,
+        nbytes: int,
+        wire_payload: int,
+        tx_engine_node: Optional[int],
+        rx_engine_node: Optional[int],
+    ) -> Tuple[List[_Segment], float]:
+        """:meth:`segments`, and the shortest lag from a grant to its
+        hand-off they have (what an express run's zero-lag check reads).
+        Equal messages share one list, which nobody changes."""
         tx_engine = self._tx_engines.get(tx_engine_node)
         rx_engine = self._rx_engines.get(rx_engine_node)
+        key = (route, nbytes, wire_payload, tx_engine, rx_engine)
+        known = self._shapes.get(key)
+        if known is not None:
+            return known
         runs = train_runs(
             packet_count(nbytes), wire_payload, nbytes, self.train_packets
         )
-        return [
+        segments = [
             (count, shape, self._stage_chain(
                 route, shape, tx_engine, rx_engine, index == len(runs) - 1
             ))
             for index, (count, shape) in enumerate(runs)
         ]
+        lag = min(
+            max(head_s, resource.latency_s, delay)
+            for _, _, chain in segments
+            for resource, _, _, head_s, delay, *_ in chain
+        )
+        if len(self._shapes) >= SEGMENT_CACHE:
+            self._shapes.clear()
+        self._shapes[key] = (segments, lag)
+        return segments, lag
 
     def _start_trains(self, message: _Message) -> None:
         """Start every train of ``message`` at its first stage, now."""
@@ -412,8 +458,8 @@ class Network:
 
     def _plan_round(self) -> None:
         """Plan the round's candidates in key order, each set whose
-        chains share a resource as one group (:class:`_Run`); a refused
-        group starts per train, still in this round."""
+        chains share a resource as one group (:meth:`_admit`); a group
+        the planner gives up starts per train, still in this round."""
         groups: List[Tuple[List[_Message], Set[Link]]] = []
         for message in sorted(self._round, key=_member_key):
             members = [message]
@@ -424,10 +470,125 @@ class Network:
                 resources |= group[1]
             groups.append((sorted(members, key=_member_key), resources))
         self._round = []
+        now = self.sim.now
         for members, _ in sorted(groups, key=lambda g: _member_key(g[0][0])):
-            if not _Run(self, members).start():
+            specs: List[_Spec] = [
+                (m, 0, m.trains, [[now] * m.trains] + [[] for _ in m.segments[0][2][1:]], False)
+                for m in members
+            ]
+            if not self._admit(specs):
                 for message in members:
                     self._start_trains(message)
+
+    def _admit(self, specs: List[_Spec]) -> bool:
+        """Plan ``specs`` from now, in the instant's first round, with
+        everything their resources carry, as one run.
+
+        The union grows until it is closed: a live run still to grant
+        on one of its resources joins with every train it has not put
+        through (:meth:`_Run.settle`), and a train waiting in a port's
+        queue or staged this instant joins for its whole remaining chain
+        (adopting it for one hop would give the plan up again at its
+        next).  Returns whether the union was planned.  If not, nothing
+        changed when a request that cannot be planned (a lossy train's,
+        one that is not a train's, or a queue not admitted in instant,
+        class and key order) was met; when the plan itself is given up,
+        the runs taken in are per train again and the adopted requests
+        are back where they were.
+        """
+        runs: Dict[_Run, None] = {}
+        adopted: List[Tuple[Link, Tuple, Tuple]] = []  # resource, entry, request
+        seen: Set[Link] = set()
+        work = [
+            stage[0]
+            for message, _, _, fixed, _ in specs
+            for stage in message.segments[-1][2][_first(fixed):]
+        ]
+        while work:
+            resource = work.pop()
+            if resource in seen:
+                continue
+            seen.add(resource)
+            holder = resource._run
+            if holder in runs:
+                continue
+            if holder is not None and not holder.release(resource):
+                runs[holder] = None
+                work += [r for r in holder.resources if r._run is holder]
+                continue
+            if not (resource._queue or resource._pending):
+                continue
+            queue = sorted(resource._queue)  # (class, admission, request)
+            if queue != sorted(queue, key=lambda e: (e[0], e[2][7], e[2][0])):
+                return False  # not admitted in (instant, class, key) order
+            entries = [(entry, entry[2]) for entry in queue]
+            entries += [(request, request) for request in resource._pending]
+            for entry, request in entries:
+                train = request[6]
+                if type(train) is not _Train or any(s[6] for s in train.chain):
+                    return False
+                adopted.append((resource, entry, request))
+                work += [stage[0] for stage in train.chain[train.stage :]]
+        now = self.sim.now
+        handed: List[_Spec] = []
+        for run in runs:
+            handed += run.settle(now, False)
+        for resource, _, _ in adopted:
+            del resource._pending[:]
+            if resource._queue:
+                del resource._queue[:]
+        joined = list(specs)
+        for _, _, request in adopted:
+            train = request[6]
+            fixed = [[] for _ in train.chain]
+            fixed[train.stage - 1].append(request[7])
+            index = train.keys[0][3]
+            joined.append((train.message, index, index + 1, fixed, True))
+        if _Run(self, joined + handed).start():
+            for message, _, hi, fixed, requested in joined:
+                if requested is False:
+                    message.left = 1  # the landing
+                elif hi < message.trains and not fixed[-1]:
+                    message.left -= 1  # no longer goes in by itself
+            return True
+        for resource, entry, request in adopted:
+            if entry is request:
+                resource._pending.append(entry)
+            else:
+                heapq.heappush(resource._queue, entry)
+        self._resume(handed, False)
+        return False
+
+    def _resume(self, specs: List[_Spec], late: bool) -> None:
+        """Turn ``specs`` into trains: each scheduled at its next request
+        or, at a priority port it reached by now (at ``now`` only
+        ``late``), in the port's queue, in admission order."""
+        sim = self.sim
+        now = sim.now
+        waiting: List[Tuple[Tuple[float, Tuple], _Train, _Stage]] = []
+        for message, lo, hi, fixed, _ in specs:
+            index, last = lo, len(fixed) - 1
+            for s in range(last, -1, -1):
+                for arrival in fixed[s]:
+                    train, stage = _train_at(message, index, s)
+                    queued = stage[5] and (arrival < now or late and arrival == now)
+                    if index < message.trains - 1 and not (queued and s == last):
+                        message.left += 1  # it has yet to request its final stage
+                    if queued:
+                        waiting.append(((arrival, train.keys[1]), train, stage))
+                    else:
+                        sim.schedule(arrival, _Train.advance, train)
+                    index += 1
+        waiting.sort(key=itemgetter(0))
+        for (arrival, keys), train, stage in waiting:
+            port, nbytes, wire_s, head_s, delay, _, _, fn = stage
+            train.stage += 1
+            port._admitted += 1
+            request = (keys, nbytes, wire_s, head_s, delay, fn, train, arrival)
+            heapq.heappush(port._queue, (keys[0], port._admitted, request))
+            if not port._waking:
+                port._waking = True
+                sim.call_at(port._free_at, port._finish_service)
 
     @staticmethod
     def _stage_chain(
@@ -481,7 +642,7 @@ class _Message(Event):
 
     __slots__ = (
         "net", "receipt", "payload", "msg_id", "on_retransmit", "segments",
-        "arb_base", "cls", "left",
+        "arb_base", "cls", "lag", "trains", "left",
     )
     net: Network
     receipt: MessageReceipt
@@ -491,7 +652,11 @@ class _Message(Event):
     segments: List[_Segment]
     arb_base: Tuple[int, int, int]  # the trains' keys' first fields
     cls: int  # the trains' class on priority ports
-    left: int  # trains still in flight
+    lag: float  # the shortest lag from a grant to its hand-off
+    trains: int
+    #: Landings to come: the last train's, and one per other train that
+    #: goes by itself and has yet to request its final stage.
+    left: int
 
     def train_landed(self) -> None:
         """Count a train in; the last one stamps the receipt and fires."""
@@ -605,10 +770,14 @@ def _peak_depth(
 ) -> int:
     """A priority port's ``max_queue_depth`` after ``admitted`` arrivals.
 
+    ``arrivals`` is in admission order and ``starts`` in grant order.
     The port measures its queue when it admits a round's arrivals,
-    before it serves: train ``i`` then finds every earlier train that
-    has not started before it arrived (``start >= arrival``).
+    before it serves: train ``i`` then finds every train admitted up to
+    it but the ones that started before it arrived (those arrived
+    earlier still, so they are among the first ``i``).
     """
+    if admitted and admitted == len(starts) and arrivals == starts:
+        return depth or 1  # every train started as it arrived
     first = 0
     for index in range(admitted):
         arrival = arrivals[index]
@@ -619,213 +788,288 @@ def _peak_depth(
     return depth
 
 
+def _first(fixed: List[List[float]]) -> int:
+    """The first stage a member's trains still have to request."""
+    for stage, arrivals in enumerate(fixed):
+        if arrivals:
+            return stage
+    raise ValueError("a member without trains")
+
+
+def _train_at(message: _Message, index: int, stage: int) -> Tuple[_Train, _Stage]:
+    """Train ``index`` of ``message``, about to request ``stage``."""
+    done = 0
+    for trains, shape, chain in message.segments:
+        if index < done + trains:
+            break
+        done += trains
+    train = _Train(message, chain, shape, index)
+    train.stage = stage
+    return train, chain[stage]
+
+
+def _walk(
+    arrivals: List[float],
+    spans: List[Tuple[int, _Stage]],
+    free_at: float,
+    busy: float,
+) -> Tuple[List[float], float, float]:
+    """The grants ``Link._grant`` makes to one member's requests at one
+    stage (``arrivals``, of the shapes ``spans``): their starts, then
+    ``free_at`` and ``busy_time``.  :meth:`_Run.start` walks a resource
+    one member crosses here, not by :meth:`_Run._serve`: its requests are
+    in grant order already, and skipping the merge keeps the per-train
+    cost down (one walk for every resource measured a sixth more kernel
+    time)."""
+    starts: List[float] = []
+    push, done = starts.append, 0
+    for take, stage in spans:
+        serialization = stage[2]
+        for arrival in arrivals[done : done + take]:
+            start = free_at if free_at > arrival else arrival
+            free_at = start + serialization
+            busy += serialization
+            push(start)
+        done += take
+    return starts, free_at, busy
+
+
+def _handoffs(
+    spans: List[Tuple[int, _Stage]], starts: List[float], latency: float
+) -> List[float]:
+    """The hand-off instant of every train granted at ``starts``."""
+    handoffs: List[float] = []
+    done = 0
+    for take, stage in spans:
+        head_s, delay = stage[3], stage[4]
+        handoffs += [
+            start + head_s + latency + delay for start in starts[done : done + take]
+        ]
+        done += take
+    return handoffs
+
+
+def _bytes(spans: List[Tuple[int, _Stage]], count: int) -> int:
+    """Bytes the first ``count`` trains of ``spans`` carry."""
+    total = 0
+    for take, stage in spans:
+        take = min(take, count)
+        total += take * stage[1]
+        count -= take
+    return total
+
+
 def _topological(chains: List[List[Link]]) -> Optional[List[Link]]:
     """The resources of ``chains`` in an order every chain follows, or
     ``None`` if their union has a cycle (a chain crossing a resource
     twice makes one)."""
     if len(chains) == 1:
         return chains[0] if len(set(chains[0])) == len(chains[0]) else None
-    edges = dict.fromkeys(
-        (a, b) for chain in chains for a, b in zip(chain, chain[1:])
-    )
-    indegree = dict.fromkeys((r for chain in chains for r in chain), 0)
-    for _, b in edges:
-        indegree[b] += 1
+    successors: Dict[Link, Dict[Link, None]] = {
+        resource: {} for chain in chains for resource in chain
+    }
+    for chain in chains:
+        for a, b in zip(chain, chain[1:]):
+            successors[a][b] = None
+    indegree = dict.fromkeys(successors, 0)
+    for after in successors.values():
+        for b in after:
+            indegree[b] += 1
     order = [resource for resource, degree in indegree.items() if not degree]
     for resource in order:
-        for a, b in edges:
-            if a is resource:
-                indegree[b] -= 1
-                if not indegree[b]:
-                    order.append(b)
+        for b in successors[resource]:
+            indegree[b] -= 1
+            if not indegree[b]:
+                order.append(b)
     return order if len(order) == len(indegree) else None
 
 
 class _Run:
-    """A group's trains, reserved in one pass: an express run.
+    """Trains reserved in one pass: an express run.
 
-    The members are messages of one round whose chains share a resource
-    (a message alone is a group of one), in key order.  :meth:`start`
-    walks the resources in a topological order of the union of the
-    chains.  On each it merges the members' requests in the kernel's
-    arbitration order — instant, then key (members crossing a priority
-    port have one class) — and grants them with ``Link._grant``'s own
-    arithmetic: ``start = max(free_at, arrival)``, ``free_at = start +
-    wire time``, hand-off at ``start + head + latency + delay``.  It
-    writes each resource's final counters at once and queues each
+    A member is a contiguous range of one message's trains, each at its
+    own position: a message not started yet is all its trains at stage
+    0; a run re-planned hands on the trains it has not put through; an
+    adopted train is one train at the stage it requested (see
+    :data:`_Spec`).  Members are in key order — ``(arb_base, message
+    number, first train)`` — and one message's trains reach each stage in
+    index order at non-decreasing instants.
+
+    :meth:`start` walks the resources in a topological order of the
+    union of the members' remaining chains.  On each it merges the
+    requests in the kernel's arbitration order — instant, then key — and
+    grants them with ``Link._grant``'s own arithmetic: ``start =
+    max(free_at, arrival)``, ``free_at = start + wire time``, hand-off at
+    ``start + head + latency + delay``.  A priority port whose requests
+    are in several classes serves them as the port does (:meth:`_strict`).
+    It writes each resource's final counters at once and queues each
     member's landing now (the per-train kernel queued it at the last
-    grant, so landings at one float may fire in another order).
-    Nothing else may touch the group's resources while it is live, so
-    the values are the per-train kernel's bit for bit.
+    grant, so landings at one float may fire in another order).  Nothing
+    else touches the run's resources while it is live, so the values are
+    the per-train kernel's bit for bit.
 
-    When a request reaches a resource the group holds, :meth:`contact`
-    either lets go of it (every grant there has happened) or
-    :meth:`dissolve` settles the group to that instant: each resource
-    is reset to its snapshot and replays, in merged order, the grants
-    the per-train kernel would have made by then, and every other train
-    becomes a :class:`_Train` at its position — scheduled at its next
-    request, or waiting in a priority port's queue with the port's
-    wake-up.
+    When a request reaches a resource the run holds, :meth:`contact`
+    lets go of it (every grant there has happened), admits the request
+    (:meth:`Network._admit`: the run is settled to that instant and
+    planned again with it), or — for a request that cannot be planned,
+    and at a ``run(until=...)`` stop — :meth:`dissolve` turns the run
+    back into trains.  :meth:`settle` resets each resource to its
+    snapshot and replays, in grant order, the grants the per-train
+    kernel would have made by then; what it hands on is every train not
+    through, at its position, and those members withdraw their landing
+    entries (a plan made again can land them earlier: a train the
+    newcomer delays upstream may no longer queue ahead).  A resource
+    reports its run horizon only once it is let go, at its final state.
     """
 
     __slots__ = (
-        "net", "members", "resources", "users", "arrivals", "grants",
-        "snapshots", "stale", "left",
+        "net", "members", "hi", "resources", "users", "arrivals", "grants",
+        "snapshots", "landings", "left",
     )
 
-    def __init__(self, net: Network, members: List[_Message]) -> None:
-        self.net, self.members = net, members
+    def __init__(self, net: Network, specs: List[_Spec]) -> None:
+        specs = sorted(specs, key=lambda spec: (*_member_key(spec[0]), spec[1]))
+        self.net = net
+        self.members = [spec[0] for spec in specs]
+        #: Per member: one past its last train.
+        self.hi = [spec[2] for spec in specs]
         self.resources: List[Link] = []
         #: Per resource: the ``(member, stage)`` pairs crossing it.
         self.users: List[List[Tuple[int, int]]] = []
-        #: Per member and stage: every train's request instant, and the
-        #: instant the kernel grants it (the request on a link, the
-        #: start on a priority port, which grants at its wake-up).
-        self.arrivals: List[List[List[float]]] = []
+        #: Per member and stage: the request instant of every train it
+        #: still requests there (the last ones of the member, in index
+        #: order), and the instant the kernel grants it (the request on
+        #: a link, the start on a priority port, which grants at its
+        #: wake-up).
+        self.arrivals = [list(spec[3]) for spec in specs]
         self.grants: List[List[List[float]]] = []
         #: Per resource: ``(free_at, busy_time, bytes_carried,
-        #: max_queue_depth, admitted)`` before the group.
-        self.snapshots: List[Tuple] = []
-        #: Per member: whether its landing entry lost its last train to
-        #: a dissolution.
-        self.stale = [False] * len(members)
-        self.left = len(members)  # landings to come
+        #: max_queue_depth)`` before the run.
+        self.snapshots: List[Tuple[float, float, int, int]] = []
+        #: Per member: the instant its landing entry is queued for.
+        self.landings: List[float] = []
+        self.left = len(specs)  # landings to come
 
     def start(self) -> bool:
-        """Reserve every train if the group's resources are quiet — no
-        live run, no request staged this instant, no train in a port's
-        queue — and its plan has no cycle, shared key, port shared by
-        two classes or zero-lag hand-off (one at its grant's own
-        instant: the next request would join a later round).  Returns
-        whether it started; if not, nothing changed."""
+        """Plan every member from its position, unless the plan has a
+        cycle, two messages under one key base or a zero-lag hand-off
+        (one at its grant's own instant: the next request would join a
+        later round).  Returns whether it started; if not, nothing
+        changed."""
         members, sim = self.members, self.net.sim
         chains = [[stage[0] for stage in m.segments[-1][2]] for m in members]
-        for chain in chains:
-            for resource in chain:
-                holder = resource._run
-                if resource.tracer is not None or resource._arbitrating:
-                    return False
-                if resource._queue or (
-                    holder is not None and not holder.release(resource)
-                ):
-                    return False
-        order = _topological(chains)
-        if order is None or len({m.arb_base for m in members}) < len(members):
+        firsts = [_first(arrivals) for arrivals in self.arrivals]
+        bases: Dict[Tuple[int, int, int], _Message] = {}
+        for member in members:
+            if bases.setdefault(member.arb_base, member) is not member:
+                return False
+        order = _topological([chain[f:] for chain, f in zip(chains, firsts)])
+        if order is None:
             return False
         position = {resource: r for r, resource in enumerate(order)}
         users: List[List[Tuple[int, int]]] = [[] for _ in order]
-        for m, chain in enumerate(chains):
-            for s, resource in enumerate(chain):
-                users[position[resource]].append((m, s))
-        for resource, crossing in zip(order, users):
-            if resource.honors_priority and len(crossing) > 1:
-                if len({members[m].cls for m, _ in crossing}) > 1:
-                    return False
+        for m, (chain, f) in enumerate(zip(chains, firsts)):
+            for s in range(f, len(chain)):
+                users[position[chain[s]]].append((m, s))
         self.resources, self.users = order, users
-        for member, chain in zip(members, chains):
-            self.arrivals.append([[sim.now] * member.left] + [[] for _ in chain[1:]])
-            self.grants.append([[] for _ in chain])
-        finals: List[Tuple[float, float, int, int, int]] = []
+        self.grants = [[[] for _ in chain] for chain in chains]
+        finals: List[Tuple[float, float, int, int]] = []
         landings = [0.0] * len(members)
         for r, resource in enumerate(order):
             crossing = users[r]
-            merged: Optional[List[Tuple[float, int, int]]] = None
+            spans = [self._spans(m, s) for m, s in crossing]
+            port = resource.honors_priority  # grants at the start
+            latency = resource.latency_s
             if len(crossing) == 1:
                 ((m, s),) = crossing
-                starts, free_at, busy = self._walk(
-                    m, s, resource._free_at, resource.busy_time, members[m].left
+                arrivals = self.arrivals[m][s]
+                starts, free_at, busy = _walk(
+                    arrivals, spans[0], resource._free_at, resource.busy_time
                 )
                 served = [starts]
+                queue = (arrivals, starts)
             else:
-                merged = self._order(r)
-                served, free_at, busy = self._serve(
-                    crossing, merged, resource._free_at, resource.busy_time
-                )
-            port = isinstance(resource, PriorityLink)  # grants at the start
+                if port and len({members[m].cls for m, _ in crossing}) > 1:
+                    served, free_at, busy, queue, _ = self._strict(
+                        r, spans, resource._free_at, resource.busy_time
+                    )
+                else:
+                    merged = self._order(r)
+                    served, free_at, busy = self._serve(
+                        crossing, spans, merged, resource._free_at, resource.busy_time
+                    )
+                    queue = None  # gathered below if needed
             trains = carried = 0
-            for (m, s), starts in zip(crossing, served):
+            for (m, s), starts, runs in zip(crossing, served, spans):
                 trains += len(starts)
-                carried += self._bytes(m, s, len(starts))
+                carried += _bytes(runs, len(starts))
                 self.grants[m][s] = starts if port else self.arrivals[m][s]
-                if s + 1 < len(chains[m]):
-                    self.arrivals[m][s + 1] = self._handoffs(
-                        m, s, starts, resource.latency_s
+                if s + 1 < len(chains[m]):  # a new list: the spec's stays as it was
+                    self.arrivals[m][s + 1] = self.arrivals[m][s + 1] + _handoffs(
+                        runs, starts, latency
                     )
                 else:  # the last train lands last
-                    _, _, _, head_s, delay, *_ = members[m].segments[-1][2][s]
-                    landings[m] = starts[-1] + head_s + resource.latency_s + delay
+                    stage = runs[-1][1]
+                    landings[m] = starts[-1] + stage[3] + latency + stage[4]
             depth = 0
             if port:
-                depth = _peak_depth(
-                    *self._queue_view(r, merged), trains, resource.max_queue_depth
-                )
-            finals.append((free_at, busy, depth, trains, carried))
+                depth = resource.max_queue_depth
+                if trains > depth:  # no queue it measures is longer
+                    if queue is None:
+                        queue = self._queue_view(r, merged)
+                    depth = _peak_depth(*queue, trains, depth)
+            finals.append((free_at, busy, depth, carried))
         latest = max(landings)
-        for member in members:
-            for _, _, chain in member.segments:
-                for resource, _, _, head_s, delay, *_ in chain:
-                    lag = max(head_s, resource.latency_s, delay)
-                    if not latest + 0.5 * lag > latest:  # not > ulp(latest)
-                        return False
-        for resource, (free_at, busy, depth, trains, carried) in zip(order, finals):
-            queue_state = (0, 0)
-            if isinstance(resource, PriorityLink):
-                queue_state = (resource.max_queue_depth, resource._admitted)
-                resource.max_queue_depth = depth
-                resource._admitted += trains
+        lag = min(member.lag for member in members)
+        if not latest + 0.5 * lag > latest:  # not > ulp(latest)
+            return False
+        for resource, (free_at, busy, depth, carried) in zip(order, finals):
             self.snapshots.append(
                 (resource._free_at, resource.busy_time, resource.bytes_carried,
-                 *queue_state)
+                 resource.max_queue_depth if resource.honors_priority else 0)
             )
+            if resource.honors_priority:
+                resource.max_queue_depth = depth
             resource._free_at, resource.busy_time = free_at, busy
             resource.bytes_carried += carried
             resource._run = self
-            sim.extend_horizon(free_at + resource.latency_s)
         self.net._runs[self] = None
-        for m, member in enumerate(members):
-            member.left = 1  # the landing
-            sim.schedule(landings[m], self.land, m)
+        self.landings = landings
+        for m, landing in enumerate(landings):
+            sim.schedule(landing, self.land, m)
         return True
 
-    def _walk(
-        self, m: int, s: int, free_at: float, busy: float, count: int
-    ) -> Tuple[List[float], float, float]:
-        """Member ``m``'s first ``count`` grants at its stage ``s``, as
-        ``Link._grant`` makes them: their starts, then ``free_at`` and
-        ``busy_time``.  :meth:`start` walks a resource one member crosses
-        here, not by :meth:`_serve`: its requests are in grant order
-        already, and skipping the merge keeps the per-train cost down (one
-        walk for every resource measured a sixth more kernel time)."""
-        arrivals, starts, done = self.arrivals[m][s], [], 0
-        push = starts.append
-        for trains, _, chain in self.members[m].segments:
-            take = min(trains, count - done)
-            if take <= 0:
+    def _spans(self, m: int, s: int) -> List[Tuple[int, _Stage]]:
+        """``(trains, stage)`` of each shape among the trains member
+        ``m`` requests stage ``s`` with, in index order."""
+        member, hi = self.members[m], self.hi[m]
+        first = hi - len(self.arrivals[m][s])
+        if not first and hi == member.trains:
+            return [(trains, chain[s]) for trains, _, chain in member.segments]
+        spans: List[Tuple[int, _Stage]] = []
+        done = 0
+        for trains, _, chain in member.segments:
+            end = done + trains
+            take = min(hi, end) - max(first, done)
+            if take > 0:
+                spans.append((take, chain[s]))
+            if end >= hi:
                 break
-            serialization = chain[s][2]
-            for arrival in arrivals[done : done + take]:
-                start = free_at if free_at > arrival else arrival
-                free_at = start + serialization
-                busy += serialization
-                push(start)
-            done += take
-        return starts, free_at, busy
+            done = end
+        return spans
 
     def _serve(
         self,
         crossing: List[Tuple[int, int]],
+        spans: List[List[Tuple[int, _Stage]]],
         merged: List[Tuple[float, int, int]],
         free_at: float,
         busy: float,
     ) -> Tuple[List[List[float]], float, float]:
-        """:meth:`_walk` over the requests ``merged`` in grant order: each
+        """:func:`_walk` over the requests ``merged`` in grant order: each
         crossing member's starts, then ``free_at`` and ``busy_time``."""
-        wire: List[List[float]] = [[] for _ in self.members]
-        starts: List[List[float]] = [[] for _ in self.members]
-        for m, s in crossing:  # every train's wire time, a segment at a time
-            for trains, _, chain in self.members[m].segments:
-                wire[m] += [chain[s][2]] * trains
-            starts[m] = [0.0] * len(wire[m])
+        wire = self._wire(crossing, spans)
+        starts = [[0.0] * len(times) for times in wire]
         for arrival, m, index in merged:
             start = free_at if free_at > arrival else arrival
             serialization = wire[m][index]
@@ -834,34 +1078,72 @@ class _Run:
             starts[m][index] = start
         return [starts[m] for m, _ in crossing], free_at, busy
 
-    def _handoffs(
-        self, m: int, s: int, starts: List[float], latency: float
-    ) -> List[float]:
-        """Every train's hand-off instant from member ``m``'s stage ``s``."""
-        handoffs: List[float] = []
-        done = 0
-        for trains, _, chain in self.members[m].segments:
-            head_s, delay = chain[s][3], chain[s][4]
-            handoffs += [
-                start + head_s + latency + delay
-                for start in starts[done : done + trains]
-            ]
-            done += trains
-        return handoffs
+    def _wire(
+        self, crossing: List[Tuple[int, int]], spans: List[List[Tuple[int, _Stage]]]
+    ) -> List[List[float]]:
+        """Per member: the wire time of each train it requests its
+        crossing stage with (empty for a member not crossing)."""
+        wire: List[List[float]] = [[] for _ in self.members]
+        for (m, _), runs in zip(crossing, spans):
+            for take, stage in runs:
+                wire[m] += [stage[2]] * take
+        return wire
 
-    def _bytes(self, m: int, s: int, count: int) -> int:
-        """Bytes member ``m``'s first ``count`` trains carry over stage ``s``."""
-        total = done = 0
-        for trains, _, chain in self.members[m].segments:
-            take = max(0, min(trains, count - done))
-            total += take * chain[s][1]
-            done += trains
-        return total
+    def _strict(
+        self,
+        r: int,
+        spans: List[List[Tuple[int, _Stage]]],
+        free_at: float,
+        busy: float,
+    ) -> Tuple[
+        List[List[float]], float, float, Tuple[List[float], List[float]],
+        List[Tuple[float, int, int]],
+    ]:
+        """A priority port reached in several classes, served as the
+        port serves (``PriorityLink._grant_pending``): each time it is
+        free — at ``free_at``, or at the next arrival if none waits — it
+        admits what has arrived by then and starts the waiting train of
+        the lowest class, first admitted first; an instant's arrivals
+        are admitted in ``(class, key)`` order.  Returns the crossing
+        members' starts, ``free_at``, ``busy_time``, the arrivals in
+        admission order with the starts in grant order, and the
+        ``(arrival, member, train)`` in grant order."""
+        crossing, members = self.users[r], self.members
+        admitted: List[Tuple[float, int, int, int]] = []
+        for m, s in crossing:
+            arrivals = self.arrivals[m][s]
+            admitted += zip(
+                arrivals, repeat(members[m].cls), repeat(m), range(len(arrivals))
+            )
+        admitted.sort()
+        wire = self._wire(crossing, spans)
+        starts = [[0.0] * len(times) for times in wire]
+        waiting: List[Tuple[int, int]] = []
+        granted: List[float] = []
+        order: List[Tuple[float, int, int]] = []
+        now, k = free_at, 0
+        while k < len(admitted) or waiting:
+            if not waiting and now < admitted[k][0]:
+                now = admitted[k][0]  # idle until then
+            while k < len(admitted) and admitted[k][0] <= now:
+                heapq.heappush(waiting, (admitted[k][1], k))
+                k += 1
+            arrival, _, m, index = admitted[heapq.heappop(waiting)[1]]
+            order.append((arrival, m, index))
+            start = free_at if free_at > now else now
+            serialization = wire[m][index]
+            now = free_at = start + serialization
+            busy += serialization
+            starts[m][index] = start
+            granted.append(start)
+        queue = ([arrival for arrival, *_ in admitted], granted)
+        return [starts[m] for m, _ in crossing], free_at, busy, queue, order
 
     def _order(self, r: int) -> List[Tuple[float, int, int]]:
-        """Resource ``r``'s ``(arrival, member, train)`` in grant order:
-        instant, then key (members are in key order).  Rebuilt when
-        needed rather than kept: a plan is live for many events."""
+        """Resource ``r``'s ``(arrival, member, train)`` in grant order
+        where it is FIFO: instant, then key (members are in key order).
+        Rebuilt when needed rather than kept: a plan is live for many
+        events."""
         merged: List[Tuple[float, int, int]] = []
         for m, s in self.users[r]:
             arrivals = self.arrivals[m][s]
@@ -870,13 +1152,10 @@ class _Run:
         return merged
 
     def _queue_view(
-        self, r: int, merged: Optional[List[Tuple[float, int, int]]]
+        self, r: int, merged: List[Tuple[float, int, int]]
     ) -> Tuple[List[float], List[float]]:
         """Resource ``r``'s arrivals and grant instants, in the grant
-        order ``merged`` (``None`` where one member crosses it)."""
-        if merged is None:
-            ((m, s),) = self.users[r]
-            return self.arrivals[m][s], self.grants[m][s]
+        order ``merged`` of a port reached in one class."""
         stage = dict(self.users[r])
         return (
             [arrival for arrival, _, _ in merged],
@@ -889,94 +1168,113 @@ class _Run:
         users = self.users[self.resources.index(resource)]
         last = max(self.grants[m][s][-1] for m, s in users)
         if last < sim.now or (last == sim.now and not sim.first_round()):
-            resource._run = None
+            self._let_go(resource)
             return True
         return False
 
-    def contact(self, resource: Link) -> None:
-        """A request is about to stage on ``resource``: settle to now."""
-        if not self.release(resource):
-            sim = self.net.sim
-            self.dissolve(sim.now, not sim.first_round())
+    def _let_go(self, resource: Link) -> None:
+        """Release ``resource`` at its final state: the run ends no
+        earlier than its last transfer there lands (the run horizon)."""
+        resource._run = None
+        self.net.sim.extend_horizon(resource._free_at + resource.latency_s)
 
-    def dissolve(self, now: float, late: bool) -> None:
-        """Turn the group back into trains, as the kernel has them at ``now``.
+    def contact(self, resource: Link, train: object) -> bool:
+        """``train`` is about to request ``resource``: admit it, or
+        settle the run to now.  Returns whether the run took the
+        request over."""
+        if self.release(resource):
+            return False
+        net, sim = self.net, self.net.sim
+        if (
+            sim.first_round()
+            and type(train) is _Train
+            and not any(stage[6] for stage in train.chain)
+        ):
+            fixed: List[List[float]] = [[] for _ in train.chain]
+            fixed[train.stage - 1].append(sim.now)
+            index = train.keys[0][3]
+            if net._admit([(train.message, index, index + 1, fixed, True)]):
+                return True
+        if resource._run is self:
+            self.dissolve(sim.now, not sim.first_round())
+        return False
+
+    def settle(self, now: float, late: bool) -> List[_Spec]:
+        """Bring the run's resources to ``now`` and let go of them; return
+        every train not through, at its position.
 
         A request at ``now`` itself counts as granted only ``late``,
         once the instant's first arbitration round has run; otherwise
-        it rejoins this round's arbitration.
+        it rejoins this round's arbitration.  A member with a train not
+        through withdraws its landing entry.
         """
-        sim, members = self.net.sim, self.members
         cut = bisect_right if late else bisect_left
         granted = [[cut(grants, now) for grants in stages] for stages in self.grants]
-        left = [1] * len(members)
         del self.net._runs[self]
         for r, resource in enumerate(self.resources):
+            if resource._run is not self:  # released: its grants are final
+                continue
             users = self.users[r]
-            port = resource if isinstance(resource, PriorityLink) else None
-            done = sum(granted[m][s] for m, s in users)
-            free_at, busy, carried, depth, seq = self.snapshots[r]
-            merged = self._order(r)
-            if resource._run is self:  # not released: replay the prefix
-                resource._run = None
-                _, free_at, busy = self._serve(users, merged[:done], free_at, busy)
-                resource._free_at, resource.busy_time = free_at, busy
-                resource.bytes_carried = carried + sum(
-                    self._bytes(m, s, granted[m][s]) for m, s in users
+            done = [granted[m][s] for m, s in users]
+            if all(d == len(self.grants[m][s]) for d, (m, s) in zip(done, users)):
+                self._let_go(resource)  # every grant has happened
+                continue
+            free_at, busy, carried, depth = self.snapshots[r]
+            spans = [self._spans(m, s) for m, s in users]
+            port = resource.honors_priority
+            if len(users) == 1:  # the prefix of one member's walk
+                ((m, s),) = users
+                arrivals = self.arrivals[m][s]
+                _, free_at, busy = _walk(arrivals[: done[0]], spans[0], free_at, busy)
+                queue = (arrivals, self.grants[m][s]) if port else None
+            else:
+                if port and len({self.members[m].cls for m, _ in users}) > 1:
+                    *_, queue, merged = self._strict(r, spans, free_at, busy)
+                else:
+                    merged = self._order(r)
+                    queue = None
+                _, free_at, busy = self._serve(  # the grants so far, in grant order
+                    users, spans, merged[: sum(done)], free_at, busy
                 )
-                if port is not None:
-                    admitted = sum(cut(self.arrivals[m][s], now) for m, s in users)
-                    port.max_queue_depth = _peak_depth(
-                        *self._queue_view(r, merged), admitted, depth
-                    )
-                    port._admitted = seq + admitted
-            stage = dict(users)
-            for arrival, m, index in merged[done:]:
-                s = stage[m]
-                if s and index >= granted[m][s - 1]:
-                    continue  # not through the stage before yet
-                train, step = self._train(m, index, s)
-                queued = arrival < now or late and arrival == now
-                if index == len(self.arrivals[m][0]) - 1:
-                    self.stale[m] = True  # it lands by itself
-                elif s < len(self.grants[m]) - 1 or port is None or not queued:
-                    left[m] += 1  # it has yet to request its final stage
-                if port is None or not queued:
-                    sim.schedule(arrival, _Train.advance, train)
-                    continue
-                train.stage += 1
-                _, nbytes, wire_s, head_s, delay, _, _, fn = step
-                seq += 1
-                request = (
-                    train.keys[1], nbytes, wire_s, head_s, delay, fn, train, arrival
-                )
-                heapq.heappush(port._queue, (members[m].cls, seq, request))
-                if not port._waking:
-                    port._waking = True
-                    sim.call_at(port._free_at, port._finish_service)
-        for member, trains in zip(members, left):
-            member.left = trains
+            resource._free_at, resource.busy_time = free_at, busy
+            resource.bytes_carried = carried + sum(
+                _bytes(runs, count) for runs, count in zip(spans, done)
+            )
+            if port:
+                admitted = sum(cut(self.arrivals[m][s], now) for m, s in users)
+                if queue is None:  # one class: admission order is grant order
+                    queue = self._queue_view(r, merged[:admitted])
+                resource.max_queue_depth = _peak_depth(*queue, admitted, depth)
+            self._let_go(resource)
+        handed: List[_Spec] = []
+        for m, (arrivals, done) in enumerate(zip(self.arrivals, granted)):
+            counts = [len(stage) for stage in arrivals]
+            if done[-1] == counts[-1]:
+                continue  # every train is through: its landing stands
+            self.left -= 1
+            self.net.sim.cancel(self.landings[m], self.land, m)
+            fixed = [arrivals[0][done[0]:]] + [
+                arrivals[s][done[s] : counts[s] - counts[s - 1] + done[s - 1]]
+                for s in range(1, len(arrivals))
+            ]
+            hi = self.hi[m]
+            handed.append((self.members[m], hi - counts[-1] + done[-1], hi, fixed, None))
+        return handed
 
-    def _train(self, m: int, index: int, stage: int) -> Tuple["_Train", _Stage]:
-        """Train ``index`` of member ``m``, about to request ``stage``."""
-        member, done = self.members[m], 0
-        for trains, shape, chain in member.segments:
-            if index < done + trains:
-                break
-            done += trains
-        train = _Train(member, chain, shape, index)
-        train.stage = stage
-        return train, chain[stage]
+    def dissolve(self, now: float, late: bool) -> None:
+        """Turn the run back into trains, as the kernel has them at ``now``."""
+        self.net._resume(self.settle(now, late), late)
 
     def land(self, m: int) -> None:
-        """Member ``m``'s last train landed: deliver it; the group's last
-        landing also releases what is held."""
-        if self.stale[m]:  # the last train is a :class:`_Train` now
-            return
+        """Member ``m``'s last train landed: deliver the message if that
+        was its last; the run's last landing also releases what is
+        held."""
         self.left -= 1
         if not self.left:
             self.net._runs.pop(self, None)
             for resource in self.resources:
                 if resource._run is self:
-                    resource._run = None
-        self.members[m].train_landed()
+                    self._let_go(resource)
+        member = self.members[m]
+        if self.hi[m] == member.trains:
+            member.train_landed()

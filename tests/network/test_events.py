@@ -24,6 +24,19 @@ def test_timeout_ordering():
     assert order == ["a", "b", "c"]
 
 
+def test_a_withdrawn_entry_neither_runs_nor_moves_the_clock():
+    sim = Simulation()
+    ran = []
+    for time, tag in ((1.0, "a"), (3.0, "b"), (3.0, "c"), (2.0, "d")):
+        sim.schedule(time, ran.append, tag)
+    sim.cancel(3.0, ran.append, "b")
+    sim.cancel(3.0, ran.append, "c")
+    assert sim.run() == 2.0
+    assert ran == ["a", "d"]
+    with pytest.raises(ValueError):
+        sim.cancel(4.0, ran.append, "e")
+
+
 def test_same_time_fifo():
     sim = Simulation()
     order = []

@@ -30,11 +30,14 @@ from .test_train_oracle import (
     FAN_OUT_QUEUED,
     GROUP_AND_TRAIN,
     GROUP_UNTIL,
+    HELD,
     INCAST,
     MIXED_CLASSES,
     QUEUED_AT_PORT,
+    QUEUED_TRAIN,
     SAME_INSTANT,
     SAME_LANDING,
+    TRAIN_REACHES_RUN,
     execute,
 )
 
@@ -242,24 +245,29 @@ def test_one_queue_entry_per_train_per_stage(
     assert _count_entries(fabric, 100, loss, tracer) == (entries, resent, delivered_at)
 
 
-def test_the_oracle_examples_dissolve_express_runs_as_described(monkeypatch):
+def test_the_oracle_examples_are_planned_as_described(monkeypatch):
     # The untraced oracle's pinned examples reach the express lane's
-    # delicate cases: same-instant messages into one resource planned
-    # as one group, a request in a group's own first arbitration round,
-    # trains handed to a priority port's queue, and an ``until`` stop.
+    # delicate cases: same-instant messages into one resource planned as
+    # one group, a port reached in two classes, requests staged in a
+    # plan's own round, a run with trains waiting at a priority port
+    # when traffic joins it, a per-train request reaching a run, and an
+    # ``until`` stop.  A ``("plan", instant, members, trains)`` is a
+    # started plan; a ``("settle", instant, late, trains)`` a run settled
+    # with the trains it hands on: to the next plan, or at the stop to
+    # per-train trains.
     log = []
-    start, dissolve = _Run.start, _Run.dissolve
+    start, settle = _Run.start, _Run.settle
 
     def spy_start(run):
         started = start(run)
-        log.append(("start", len(run.members), started))
+        trains = sum(len(stages[-1]) for stages in run.arrivals) if started else None
+        log.append(("plan", run.net.sim.now, len(run.members), trains))
         return started
 
-    def spy_dissolve(run, now, late):
-        waiting = sum(len(resource._queue) for resource in run.resources)
-        dissolve(run, now, late)
-        handed = sum(len(resource._queue) for resource in run.resources) - waiting
-        log.append(("dissolve", now, late, handed))
+    def spy_settle(run, now, late):
+        handed = settle(run, now, late)
+        log.append(("settle", now, late, sum(hi - lo for _, lo, hi, _, _ in handed)))
+        return handed
 
     def observed(scenario):
         log.clear()
@@ -267,28 +275,48 @@ def test_the_oracle_examples_dissolve_express_runs_as_described(monkeypatch):
         return list(log)
 
     monkeypatch.setattr(_Run, "start", spy_start)
-    monkeypatch.setattr(_Run, "dissolve", spy_dissolve)
-    assert observed(SAME_INSTANT) == [("start", 2, True)]
-    assert observed(INCAST) == [("start", 3, True)]
-    assert observed(FAN_OUT) == [("start", 3, True)]
-    assert observed(MIXED_CLASSES) == [("start", 2, False)]
-    assert observed(SAME_LANDING) == [("start", 1, False), ("start", 2, True)]
-    assert observed(GROUP_UNTIL) == [("start", 3, True), ("dissolve", 1.2e-5, True, 0)]
+    monkeypatch.setattr(_Run, "settle", spy_settle)
+    assert observed(SAME_INSTANT) == [("plan", 0.0, 2, 10)]
+    assert observed(INCAST) == [("plan", 0.0, 3, 17)]
+    assert observed(FAN_OUT) == [("plan", 0.0, 3, 15)]
+    assert observed(MIXED_CLASSES) == [("plan", 0.0, 2, 10)]
+    # Message 3's plan takes in the three one-train messages staged at
+    # host 0's uplink in its round.
+    assert observed(SAME_LANDING) == [("plan", 0.0, 4, 5), ("plan", 0.0, 2, 4)]
+    assert observed(GROUP_UNTIL) == [
+        ("plan", 0.0, 3, 15), ("settle", 1.2e-5, True, 12)
+    ]
     # The one-train message reaches host 2's downlink as its head arrives.
     assert observed(GROUP_AND_TRAIN) == [
-        ("start", 2, True), ("dissolve", 3.8432e-6, False, 0)
+        ("plan", 0.0, 2, 10),
+        ("settle", 3.8432e-6, False, 10),
+        ("plan", 3.8432e-6, 3, 11),
     ]
-    # The second message's first request, at its send instant; the
-    # scavenger's first at host 1's downlink.
-    for scenario, members, now, handed in (
-        (QUEUED_AT_PORT, 1, 5e-6, 12),
-        (FAN_OUT_QUEUED, 3, 2.6056000000000003e-05, 34),
+    # The second message's plan, at its send instant, takes in the run
+    # whose trains wait at host 0's uplink (host 1's downlink on
+    # ``HELD``); one of them is through.
+    for scenario, members, trains in (
+        (QUEUED_AT_PORT, 1, 14), (HELD, 1, 14), (FAN_OUT_QUEUED, 3, 42)
     ):
         assert observed(scenario) == [
-            ("start", members, True),
-            ("start", 1, False),
-            ("dissolve", now, False, handed),
+            ("plan", 0.0, members, trains),
+            ("settle", 5e-6, False, trains - 1),
+            ("plan", 5e-6, members + 1, trains + 4),
         ]
+    # The queued third train is adopted at 1 us; the first two join the
+    # plan as they reach it.
+    assert observed(QUEUED_TRAIN) == [
+        ("plan", 1e-6, 2, 6),
+        ("settle", 3.8432e-6, False, 6),
+        ("plan", 3.8432e-6, 3, 7),
+        ("settle", 4.6864e-6, False, 6),
+        ("plan", 4.6864e-6, 3, 7),
+    ]
+    assert observed(TRAIN_REACHES_RUN) == [
+        ("plan", 0.0, 1, 14),
+        ("settle", 8.8432e-6, False, 14),
+        ("plan", 8.8432e-6, 2, 15),
+    ]
 
 
 def _one_round(order):

@@ -26,8 +26,8 @@ Sends are issued from event callbacks at generated instants, the way
 every sender in the package runs (a process resumed by an event).
 
 Untraced, the kernel reserves the trains of the messages one instant
-sends into shared resources in one pass (an express group) and turns
-them back into trains when other traffic reaches their path; the
+sends into shared resources in one pass (an express group) and plans
+them again with the other traffic that reaches their path; the
 reference never does.  So a third property runs the lossless mixes
 untraced, half of them built around a same-instant burst (a fan-out
 from one host or an incast into one): it compares deliveries, every
@@ -41,6 +41,7 @@ are compared in time-then-index order there (the race check of
 
 from dataclasses import asdict
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -270,9 +271,9 @@ SAME_INSTANT = _untraced(
     ("raw", 0.0, 0, 1, 20_000, 1.0, TOS_DEFAULT, 1),
 )
 # A scavenger-class run's trains wait at host 0's priority uplink when a
-# high-class message from the same host reaches it: the new message is
-# refused a plan, and its first request hands them to the port's queue,
-# where the new trains overtake them.
+# high-class message from the same host reaches it: the run is settled
+# to that instant and planned again with the new message, whose trains
+# overtake the waiting ones under strict priority.
 QUEUED_AT_PORT = _untraced(
     "fat-tree",
     {TOS_COMPRESS: 0, TOS_SCAVENGER: 7},
@@ -299,8 +300,8 @@ FAN_OUT = _untraced(
     ("raw", 0.0, 0, 3, 9_000, 1.0, TOS_DEFAULT, 1),
 )
 # The fan-out on the fat-tree: a scavenger message from host 4 reaches
-# host 1's downlink mid-flight and dissolves the group, whose trains
-# still waiting at host 0's priority uplink are handed to its queue.
+# host 1's downlink mid-flight; the group, some of its trains still
+# waiting at host 0's priority uplink, is planned again with it.
 FAN_OUT_QUEUED = _untraced(
     "fat-tree",
     {TOS_COMPRESS: 0, TOS_SCAVENGER: 7},
@@ -309,8 +310,8 @@ FAN_OUT_QUEUED = _untraced(
     ("raw", 0.0, 0, 3, 60_000, 1.0, TOS_COMPRESS, 1),
     ("raw", 5e-6, 4, 13, 20_000, 1.0, TOS_SCAVENGER, 1),
 )
-# A fan-out in two classes: strict priority serves host 0's uplink out
-# of arrival-then-key order, so these two are not planned as a group.
+# A fan-out in two classes: one group, whose plan serves host 0's uplink
+# as the port does, by strict priority, not in arrival-then-key order.
 MIXED_CLASSES = _untraced(
     "fat-tree",
     {TOS_COMPRESS: 0, TOS_SCAVENGER: 7},
@@ -321,7 +322,7 @@ MIXED_CLASSES = _untraced(
 GROUP_UNTIL = {**FAN_OUT, "until": 1.2e-5}
 # One round holds a group (host 0 to 2 and 3) and a one-train message,
 # which goes per train, from host 1 to 2: it reaches host 2's downlink
-# while the group holds it and dissolves it in that instant's first
+# while the group holds it and is admitted in that instant's first
 # round.
 GROUP_AND_TRAIN = _untraced(
     "star",
@@ -331,17 +332,78 @@ GROUP_AND_TRAIN = _untraced(
     ("raw", 0.0, 1, 1, 1_000, 1.0, TOS_DEFAULT, 1),
 )
 
+# The four ways other traffic meets a plan, each admitted into it:
+# Three one-train messages from host 0 go per train at t = 0; the third
+# still waits in host 0's uplink queue when a five-train message from
+# host 0 is planned at 1 us, which adopts it for its whole chain (the
+# other two join as they reach the plan's next links).
+QUEUED_TRAIN = _untraced(
+    "fat-tree",
+    None,
+    ("raw", 0.0, 0, 1, 1_000, 1.0, TOS_DEFAULT, 1),
+    ("raw", 0.0, 0, 1, 1_000, 1.0, TOS_DEFAULT, 1),
+    ("raw", 0.0, 0, 1, 1_000, 1.0, TOS_DEFAULT, 1),
+    ("raw", 1e-6, 0, 2, 20_000, 1.0, TOS_DEFAULT, 1),
+)
+# Host 2's message to host 1 is planned at 5 us while a run from host 0
+# still has grants to come on host 1's downlink: the run is settled to
+# that instant and both are planned as one.
+HELD = _untraced(
+    "fat-tree",
+    None,
+    ("raw", 0.0, 0, 1, 60_000, 1.0, TOS_DEFAULT, 1),
+    ("raw", 5e-6, 2, 15, 20_000, 1.0, TOS_DEFAULT, 1),
+)
+# A one-train message from host 1 goes per train and reaches host 2's
+# downlink while a run from host 0 holds it: its request is admitted.
+TRAIN_REACHES_RUN = _untraced(
+    "fat-tree",
+    None,
+    ("raw", 0.0, 0, 2, 60_000, 1.0, TOS_DEFAULT, 1),
+    ("raw", 5e-6, 1, 1, 1_000, 1.0, TOS_DEFAULT, 1),
+)
+# An incast into host 2 in two classes at t = 0, one group: the
+# scavenger trains from host 0 queue at host 2's downlink, and the
+# high-class ones from host 4, on a longer path, overtake them there.
+TWO_CLASSES = _untraced(
+    "fat-tree",
+    {TOS_COMPRESS: 0, TOS_SCAVENGER: 7},
+    ("raw", 0.0, 0, 2, 60_000, 1.0, TOS_SCAVENGER, 1),
+    ("raw", 0.0, 4, 14, 60_000, 1.0, TOS_COMPRESS, 1),
+)
+# Message 8 (host 1 to 2, at 1 us) joins the run that holds message 7
+# (host 0 to 3, three trains); planned again with it, message 7 lands
+# earlier than its first plan said, so that plan's landing entry and
+# horizon must not count.
+EARLIER_LANDING = {
+    **_untraced(
+        "fat-tree",
+        None,
+        *[("raw", 0.0, 0, 1, 0, 1.0, TOS_DEFAULT, 1)] * 5,
+        ("route", 0.0, 1, 2, 3_000, 1.0, TOS_DEFAULT, 2),
+        ("raw", 0.0, 0, 1, 0, 1.0, TOS_DEFAULT, 1),
+        ("raw", 0.0, 0, 3, 3_000, 1.0, TOS_DEFAULT, 1),
+        ("raw", 1e-6, 1, 1, 3_000, 1.0, TOS_DEFAULT, 1),
+    ),
+    "train_packets": 1,
+}
+ADMISSIONS = {
+    "queued-train": QUEUED_TRAIN,
+    "held": HELD,
+    "train-reaches-run": TRAIN_REACHES_RUN,
+    "two-classes": TWO_CLASSES,
+}
+
 
 def _by_instant(delivered):
     """Deliveries in time order, same-instant ones by message index."""
     return sorted(delivered, key=lambda entry: (float.fromhex(entry[1]), entry[0]))
 
 
-# One train a packet.  The three empty messages from host 0 hold its
-# uplink, so message 3 (host 0 to 2, two trains) is refused a plan and
-# goes per train; messages 4 and 5 (host 1 to 3) are one group.  Message
-# 4 lands at the float instant message 3 does: the group queued that
-# landing when it was planned, so it is delivered first.
+# One train a packet.  The three empty messages from host 0 are staged
+# at its uplink when message 3 (host 0 to 2, two trains) is planned, so
+# they join its plan; messages 4 and 5 (host 1 to 3) are one group.
+# Message 4 lands at the float instant message 3 does.
 SAME_LANDING = {
     **_untraced(
         "fat-tree",
@@ -389,10 +451,16 @@ def test_callback_trains_match_generator_trains(scenario):
 @example(scenario=MIXED_CLASSES)
 @example(scenario=GROUP_UNTIL)
 @example(scenario=GROUP_AND_TRAIN)
+@example(scenario=EARLIER_LANDING)
 @given(scenario=st.one_of(UNTRACED, bursts()))
 @settings(max_examples=400, deadline=None)
 def test_untraced_trains_match_generator_trains(scenario):
     _same_run(scenario)
+
+
+@pytest.mark.parametrize("name", sorted(ADMISSIONS))
+def test_traffic_a_plan_admits_matches_generator_trains(name):
+    _same_run(ADMISSIONS[name])
 
 
 @given(scenario=LOSSY_STAR)

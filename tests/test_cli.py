@@ -355,6 +355,17 @@ def test_exchange_names_the_flag_a_bad_value_came_from(argv, message):
         main(["exchange", "--mbytes", "1", *argv])
 
 
+@pytest.mark.parametrize("command", [
+    ["train", "--iterations", "1"],
+    ["exchange", "--mbytes", "1"],
+    ["sanitize", "--iterations", "1"],
+])
+def test_an_unknown_codec_exits_with_one_line(command):
+    # sanitize used to die with a KeyError traceback from get_codec.
+    with pytest.raises(SystemExit, match="^--codec: unknown codec 'bogus'"):
+        main([*command, "--codec", "bogus"])
+
+
 @pytest.mark.parametrize("strategy,option", [
     ("async_ps", "max_staleness"), ("stale_async", "staleness_bound"),
 ])
