@@ -82,8 +82,6 @@ class PriorityLink(Link):
         self._admitted = 0
         #: Whether a ``_finish_service`` wake-up is scheduled.
         self._waking = False
-        #: Peak queue length observed (for reports and tests).
-        self.max_queue_depth = 0
 
     def _arb_key(self, key: Optional[Tuple], priority: Optional[int]) -> Tuple:
         """Sort key ``(priority class, key)``."""
@@ -101,8 +99,6 @@ class PriorityLink(Link):
         for request in self._take_pending():
             self._admitted += 1
             heapq.heappush(queue, (request[0][0], self._admitted, request))
-        if len(queue) > self.max_queue_depth:
-            self.max_queue_depth = len(queue)
         if queue and not self.sim.now < self._free_at:
             # The port is idle, so the reservation starts now.
             self._grant((heapq.heappop(queue)[2],))

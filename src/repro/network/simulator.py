@@ -43,8 +43,9 @@ simulated time and the only randomness is the seeded loss model; an
 express run's values equal the per-train kernel's bit for bit — on
 each resource it makes ``Link._grant``'s float operations on the same
 operands in the kernel's arbitration order, nothing else touches its
-resources while it is live, and settling replays a snapshot instead of
-subtracting; a plan never depends on the round's dispatch order.
+resources while it is live, and settling replays a prefix of the
+run's recorded grant order from a snapshot instead of subtracting; a
+plan never depends on the round's dispatch order.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .events import Event, Simulation
 from .link import Link
 from .loss import DeliveryFailure, LossModel, RetransmitPolicy
 from .packet import DEFAULT_MSS, HEADER_BYTES, TOS_DEFAULT, packet_count, train_runs
-from .priority import PriorityLink, priority_class
+from .priority import priority_class
 from .topology import Route, Topology
 
 if TYPE_CHECKING:
@@ -81,15 +82,15 @@ _Segment = Tuple[int, Tuple[int, int, int], List[_Stage]]
 #: index, then the message number, which orders tied ``arb_base``s in
 #: the per-train kernel (a group with a tie is refused a plan).
 _member_key = attrgetter("arb_base", "msg_id")
-#: A member of an express run before it is planned: ``(message, lo, hi,
-#: fixed, requested)``.  It holds trains ``lo`` to ``hi - 1`` of
-#: ``message``; ``fixed[s]`` lists, in index order, the known request
-#: instants of those whose next request is stage ``s``.  ``requested``
-#: is ``False`` for a message not started yet, ``True`` for a train whose
-#: request is made already (waiting in a port's queue, staged this
-#: instant, or the one reaching the run), ``None`` for trains one run
-#: hands to the next.
-_Spec = Tuple["_Message", int, int, List[List[float]], Optional[bool]]
+#: Trains of one message at their positions: ``(message, lo, hi,
+#: fixed)``.  It holds trains ``lo`` to ``hi - 1`` of ``message``;
+#: ``fixed[s]`` lists, in index order, the known request instants of
+#: those whose next request is stage ``s``.  A message not started yet
+#: (:func:`_fresh`), a train whose request is made already
+#: (:func:`_requested`) and the trains a run hands on are all specs: an
+#: express run is planned from them, and :meth:`Network._resume` turns
+#: them into trains.
+_Spec = Tuple["_Message", int, int, List[List[float]]]
 #: Distinct messages whose segments :meth:`Network.segments` keeps.
 SEGMENT_CACHE = 256
 
@@ -228,8 +229,6 @@ class Network:
         that builds a :class:`~repro.transport.wire.WireMessage` (sent
         with :meth:`send_wire`).
         """
-        if nbytes < 0:
-            raise ValueError("nbytes cannot be negative")
         route = self.topology.route(src, dst, tos=tos)
         return self.send_route(route, src, dst, nbytes, nbytes, tos, payload)
 
@@ -244,21 +243,19 @@ class Network:
         NIC's engine dispatch, the one compression decision: a
         compressed message crosses both endpoints' engine stages.
         Returns an event firing at delivery with value
-        ``(msg, receipt)``.  ``on_retransmit`` fires once per resent
-        train with its packet and payload counts — the hook that lets
-        functional NIC counters see every wire traversal.
+        ``(msg, receipt)``.
         """
-        return self._dispatch(
+        return self.send_route(
             self.topology.route(msg.src, msg.dst, tos=msg.tos),
             msg.src,
             msg.dst,
             msg.nbytes,
             msg.wire_payload_nbytes,
             msg.tos,
+            msg,
             msg.src if msg.compressed else None,
             msg.dst if msg.compressed else None,
-            msg,
-            on_retransmit,
+            on_retransmit=on_retransmit,
         )
 
     def send_route(
@@ -273,64 +270,33 @@ class Network:
         tx_engine_node: Optional[int] = None,
         rx_engine_node: Optional[int] = None,
         arb_base: Optional[Tuple[int, int, int]] = None,
-    ) -> Event:
-        """Send over an explicit partial route (reduction-tree segments).
-
-        The in-network aggregation runtime moves payloads between hosts
-        and reduction points along route *segments* rather than full
-        host-to-host routes, with engine stages only where hardware sits:
-        ``tx_engine_node``/``rx_engine_node`` name the endpoint whose
-        compression engines bracket this segment (``None`` for
-        switch-to-switch segments; nodes without engines are skipped).
-        ``arb_base`` must be a deterministic identity for the segment —
-        the reduction plan assigns one per edge — so same-instant link
-        arbitration never depends on callback order.  Returns an event
-        firing at segment delivery with value ``(payload, receipt)``.
-        """
-        return self._dispatch(
-            route,
-            src,
-            dst,
-            nbytes,
-            wire_payload,
-            tos,
-            tx_engine_node,
-            rx_engine_node,
-            payload,
-            None,
-            arb_base,
-        )
-
-    # -- internals --------------------------------------------------------------
-
-    def _settle_runs(self) -> None:
-        """``run(until=...)`` stopped: turn live express runs into trains."""
-        for run in list(self._runs):
-            run.dissolve(self.sim.now, True)
-
-    def _dispatch(
-        self,
-        route: Route,
-        src: int,
-        dst: int,
-        nbytes: int,
-        wire_payload: int,
-        tos: int,
-        tx_engine_node: Optional[int],
-        rx_engine_node: Optional[int],
-        payload: object,
+        *,
         on_retransmit: Optional[RetransmitHook] = None,
-        arb_base: Optional[Tuple[int, int, int]] = None,
     ) -> Event:
-        """The one send path: trace, segment into trains, start them.
+        """Send over ``route``, the one send path: :meth:`send` and
+        :meth:`send_wire` resolve a host-to-host route, the reduction
+        tree passes its segments.  Returns an event firing at delivery
+        with value ``(payload, receipt)``.
+
+        ``tx_engine_node``/``rx_engine_node`` name the endpoints whose
+        compression engines bracket ``route`` (``None``, or a node
+        without engines: no engine stage on that side, as on a
+        switch-to-switch segment).  ``arb_base`` must be a deterministic
+        identity for the message — the reduction plan assigns one per
+        edge; by default it is the flow's ``(src, dst, seq)`` — so
+        same-instant arbitration never depends on callback order.
+        ``on_retransmit`` fires once per resent train with its packet
+        and payload counts — the hook that lets functional NIC counters
+        see every wire traversal.
 
         Untraced, a lossless message of more than one train sent in the
         instant's first round waits for :meth:`_plan_round`; any other
         starts its trains each on its own.
-        The engine nodes name the endpoints whose compression engines
-        bracket ``route`` (``None``, or a node without engines: no
-        engine stage on that side).
         """
+        if nbytes < 0:
+            raise ValueError("nbytes cannot be negative")
+        if wire_payload < 0:
+            raise ValueError("wire_payload cannot be negative")
         cls = priority_class(  # the trains' class on priority ports
             None if self.tos_priority is None else self.tos_priority.get(tos)
         )
@@ -385,16 +351,23 @@ class Network:
         message.net, message.receipt, message.payload = self, receipt, payload
         message.msg_id, message.on_retransmit = msg_id, on_retransmit
         message.segments, message.arb_base, message.cls = segments, arb_base, cls
-        message.lag = lag
-        message.trains = message.left = sum(count for count, _, _ in segments)
-        lossless = not any(stage[6] for stage in segments[-1][2])
-        if tracer is None and lossless and message.left > 1 and self.sim.first_round():
+        message.lag, message.left = lag, 1  # the landing
+        message.trains = sum(count for count, _, _ in segments)
+        express = tracer is None and not any(stage[6] for stage in segments[-1][2])
+        if express and message.trains > 1 and self.sim.first_round():
             if not self._round:
                 self.sim.before_arbitration(self._plan_round)
             self._round.append(message)
         else:
-            self._start_trains(message)
+            self._resume([_fresh(message, self.sim.now)], False)
         return message
+
+    # -- internals --------------------------------------------------------------
+
+    def _settle_runs(self) -> None:
+        """``run(until=...)`` stopped: turn live express runs into trains."""
+        for run in list(self._runs):
+            run.dissolve(self.sim.now, True)
 
     def segments(
         self,
@@ -447,15 +420,6 @@ class Network:
         self._shapes[key] = (segments, lag)
         return segments, lag
 
-    def _start_trains(self, message: _Message) -> None:
-        """Start every train of ``message`` at its first stage, now."""
-        sim, index = self.sim, 0
-        for count, shape, chain in message.segments:
-            for _ in range(count):
-                train = _Train(message, chain, shape, index)
-                sim.schedule(sim.now, _Train.advance, train)
-                index += 1
-
     def _plan_round(self) -> None:
         """Plan the round's candidates in key order, each set whose
         chains share a resource as one group (:meth:`_admit`); a group
@@ -472,13 +436,9 @@ class Network:
         self._round = []
         now = self.sim.now
         for members, _ in sorted(groups, key=lambda g: _member_key(g[0][0])):
-            specs: List[_Spec] = [
-                (m, 0, m.trains, [[now] * m.trains] + [[] for _ in m.segments[0][2][1:]], False)
-                for m in members
-            ]
+            specs = [_fresh(message, now) for message in members]
             if not self._admit(specs):
-                for message in members:
-                    self._start_trains(message)
+                self._resume(specs, False)
 
     def _admit(self, specs: List[_Spec]) -> bool:
         """Plan ``specs`` from now, in the instant's first round, with
@@ -501,7 +461,7 @@ class Network:
         seen: Set[Link] = set()
         work = [
             stage[0]
-            for message, _, _, fixed, _ in specs
+            for message, _, _, fixed in specs
             for stage in message.segments[-1][2][_first(fixed):]
         ]
         while work:
@@ -537,18 +497,10 @@ class Network:
             del resource._pending[:]
             if resource._queue:
                 del resource._queue[:]
-        joined = list(specs)
-        for _, _, request in adopted:
-            train = request[6]
-            fixed = [[] for _ in train.chain]
-            fixed[train.stage - 1].append(request[7])
-            index = train.keys[0][3]
-            joined.append((train.message, index, index + 1, fixed, True))
+        joined = specs + [_requested(req[6], req[7]) for _, _, req in adopted]
         if _Run(self, joined + handed).start():
-            for message, _, hi, fixed, requested in joined:
-                if requested is False:
-                    message.left = 1  # the landing
-                elif hi < message.trains and not fixed[-1]:
+            for message, _, hi, fixed in joined:
+                if hi < message.trains and not fixed[-1]:
                     message.left -= 1  # no longer goes in by itself
             return True
         for resource, entry, request in adopted:
@@ -560,13 +512,16 @@ class Network:
         return False
 
     def _resume(self, specs: List[_Spec], late: bool) -> None:
-        """Turn ``specs`` into trains: each scheduled at its next request
-        or, at a priority port it reached by now (at ``now`` only
-        ``late``), in the port's queue, in admission order."""
+        """Turn ``specs`` into trains, the one place trains start: each
+        scheduled at its next request or, at a priority port it reached
+        by now (at ``now`` only ``late``), in the port's queue, in
+        admission order.  A message's ``left`` counts its landing; each
+        train that goes by itself adds one until it requests its final
+        stage."""
         sim = self.sim
         now = sim.now
         waiting: List[Tuple[Tuple[float, Tuple], _Train, _Stage]] = []
-        for message, lo, hi, fixed, _ in specs:
+        for message, lo, _, fixed in specs:
             index, last = lo, len(fixed) - 1
             for s in range(last, -1, -1):
                 for arrival in fixed[s]:
@@ -765,35 +720,27 @@ class _Train:
         self.stage, self.attempts, self.lost = 0, attempts + 1, False
 
 
-def _peak_depth(
-    arrivals: List[float], starts: List[float], admitted: int, depth: int
-) -> int:
-    """A priority port's ``max_queue_depth`` after ``admitted`` arrivals.
-
-    ``arrivals`` is in admission order and ``starts`` in grant order.
-    The port measures its queue when it admits a round's arrivals,
-    before it serves: train ``i`` then finds every train admitted up to
-    it but the ones that started before it arrived (those arrived
-    earlier still, so they are among the first ``i``).
-    """
-    if admitted and admitted == len(starts) and arrivals == starts:
-        return depth or 1  # every train started as it arrived
-    first = 0
-    for index in range(admitted):
-        arrival = arrivals[index]
-        while starts[first] < arrival:  # stops at ``index`` at the latest
-            first += 1
-        if index - first >= depth:
-            depth = index - first + 1
-    return depth
-
-
 def _first(fixed: List[List[float]]) -> int:
     """The first stage a member's trains still have to request."""
     for stage, arrivals in enumerate(fixed):
         if arrivals:
             return stage
     raise ValueError("a member without trains")
+
+
+def _fresh(message: _Message, now: float) -> _Spec:
+    """The spec of ``message`` not started yet: every train at stage 0."""
+    fixed = [[now] * message.trains] + [[] for _ in message.segments[0][2][1:]]
+    return (message, 0, message.trains, fixed)
+
+
+def _requested(train: _Train, at: float) -> _Spec:
+    """The spec of ``train``, whose request for its current stage was
+    made at ``at``."""
+    fixed: List[List[float]] = [[] for _ in train.chain]
+    fixed[train.stage - 1].append(at)
+    index = train.keys[0][3]
+    return (train.message, index, index + 1, fixed)
 
 
 def _train_at(message: _Message, index: int, stage: int) -> Tuple[_Train, _Stage]:
@@ -902,11 +849,11 @@ class _Run:
     max(free_at, arrival)``, ``free_at = start + wire time``, hand-off at
     ``start + head + latency + delay``.  A priority port whose requests
     are in several classes serves them as the port does (:meth:`_strict`).
-    It writes each resource's final counters at once and queues each
-    member's landing now (the per-train kernel queued it at the last
-    grant, so landings at one float may fire in another order).  Nothing
-    else touches the run's resources while it is live, so the values are
-    the per-train kernel's bit for bit.
+    It keeps each resource's grant order, writes its final counters at
+    once and queues each member's landing now (the per-train kernel
+    queued it at the last grant, so landings at one float may fire in
+    another order).  Nothing else touches the run's resources while it
+    is live, so the values are the per-train kernel's bit for bit.
 
     When a request reaches a resource the run holds, :meth:`contact`
     lets go of it (every grant there has happened), admits the request
@@ -914,17 +861,18 @@ class _Run:
     planned again with it), or — for a request that cannot be planned,
     and at a ``run(until=...)`` stop — :meth:`dissolve` turns the run
     back into trains.  :meth:`settle` resets each resource to its
-    snapshot and replays, in grant order, the grants the per-train
-    kernel would have made by then; what it hands on is every train not
-    through, at its position, and those members withdraw their landing
-    entries (a plan made again can land them earlier: a train the
-    newcomer delays upstream may no longer queue ahead).  A resource
-    reports its run horizon only once it is let go, at its final state.
+    snapshot and replays the prefix of its grant order (or of its one
+    member's walk) the per-train kernel would have granted by then; what
+    it hands on is every train not through, at its position, and those
+    members withdraw their landing entries (a plan made again can land
+    them earlier: a train the newcomer delays upstream may no longer
+    queue ahead).  A resource reports its run horizon only once it is
+    let go, at its final state.
     """
 
     __slots__ = (
         "net", "members", "hi", "resources", "users", "arrivals", "grants",
-        "snapshots", "landings", "left",
+        "orders", "snapshots", "landings", "left",
     )
 
     def __init__(self, net: Network, specs: List[_Spec]) -> None:
@@ -943,9 +891,13 @@ class _Run:
         #: wake-up).
         self.arrivals = [list(spec[3]) for spec in specs]
         self.grants: List[List[List[float]]] = []
-        #: Per resource: ``(free_at, busy_time, bytes_carried,
-        #: max_queue_depth)`` before the run.
-        self.snapshots: List[Tuple[float, float, int, int]] = []
+        #: Per resource: the member of each grant, in grant order (a
+        #: member's own trains go in index order), ``None`` where one
+        #: member crosses it: what :meth:`settle` replays a prefix of.
+        self.orders: List[Optional[List[int]]] = []
+        #: Per resource: ``(free_at, busy_time, bytes_carried)`` before
+        #: the run.
+        self.snapshots: List[Tuple[float, float, int]] = []
         #: Per member: the instant its landing entry is queued for.
         self.landings: List[float] = []
         self.left = len(specs)  # landings to come
@@ -973,35 +925,30 @@ class _Run:
                 users[position[chain[s]]].append((m, s))
         self.resources, self.users = order, users
         self.grants = [[[] for _ in chain] for chain in chains]
-        finals: List[Tuple[float, float, int, int]] = []
+        finals: List[Tuple[float, float, int]] = []
         landings = [0.0] * len(members)
         for r, resource in enumerate(order):
             crossing = users[r]
             spans = [self._spans(m, s) for m, s in crossing]
             port = resource.honors_priority  # grants at the start
             latency = resource.latency_s
+            free_at, busy = resource._free_at, resource.busy_time
             if len(crossing) == 1:
                 ((m, s),) = crossing
                 arrivals = self.arrivals[m][s]
-                starts, free_at, busy = _walk(
-                    arrivals, spans[0], resource._free_at, resource.busy_time
-                )
+                starts, free_at, busy = _walk(arrivals, spans[0], free_at, busy)
                 served = [starts]
-                queue = (arrivals, starts)
+                self.orders.append(None)
             else:
+                merged = self._order(r)
                 if port and len({members[m].cls for m, _ in crossing}) > 1:
-                    served, free_at, busy, queue, _ = self._strict(
-                        r, spans, resource._free_at, resource.busy_time
-                    )
-                else:
-                    merged = self._order(r)
-                    served, free_at, busy = self._serve(
-                        crossing, spans, merged, resource._free_at, resource.busy_time
-                    )
-                    queue = None  # gathered below if needed
-            trains = carried = 0
+                    merged = self._strict(r, spans, merged, free_at)
+                served, free_at, busy = self._serve(
+                    crossing, spans, merged, free_at, busy
+                )
+                self.orders.append([m for _, m, _ in merged])
+            carried = 0
             for (m, s), starts, runs in zip(crossing, served, spans):
-                trains += len(starts)
                 carried += _bytes(runs, len(starts))
                 self.grants[m][s] = starts if port else self.arrivals[m][s]
                 if s + 1 < len(chains[m]):  # a new list: the spec's stays as it was
@@ -1011,25 +958,15 @@ class _Run:
                 else:  # the last train lands last
                     stage = runs[-1][1]
                     landings[m] = starts[-1] + stage[3] + latency + stage[4]
-            depth = 0
-            if port:
-                depth = resource.max_queue_depth
-                if trains > depth:  # no queue it measures is longer
-                    if queue is None:
-                        queue = self._queue_view(r, merged)
-                    depth = _peak_depth(*queue, trains, depth)
-            finals.append((free_at, busy, depth, carried))
+            finals.append((free_at, busy, carried))
         latest = max(landings)
         lag = min(member.lag for member in members)
         if not latest + 0.5 * lag > latest:  # not > ulp(latest)
             return False
-        for resource, (free_at, busy, depth, carried) in zip(order, finals):
+        for resource, (free_at, busy, carried) in zip(order, finals):
             self.snapshots.append(
-                (resource._free_at, resource.busy_time, resource.bytes_carried,
-                 resource.max_queue_depth if resource.honors_priority else 0)
+                (resource._free_at, resource.busy_time, resource.bytes_carried)
             )
-            if resource.honors_priority:
-                resource.max_queue_depth = depth
             resource._free_at, resource.busy_time = free_at, busy
             resource.bytes_carried += carried
             resource._run = self
@@ -1089,61 +1026,9 @@ class _Run:
                 wire[m] += [stage[2]] * take
         return wire
 
-    def _strict(
-        self,
-        r: int,
-        spans: List[List[Tuple[int, _Stage]]],
-        free_at: float,
-        busy: float,
-    ) -> Tuple[
-        List[List[float]], float, float, Tuple[List[float], List[float]],
-        List[Tuple[float, int, int]],
-    ]:
-        """A priority port reached in several classes, served as the
-        port serves (``PriorityLink._grant_pending``): each time it is
-        free — at ``free_at``, or at the next arrival if none waits — it
-        admits what has arrived by then and starts the waiting train of
-        the lowest class, first admitted first; an instant's arrivals
-        are admitted in ``(class, key)`` order.  Returns the crossing
-        members' starts, ``free_at``, ``busy_time``, the arrivals in
-        admission order with the starts in grant order, and the
-        ``(arrival, member, train)`` in grant order."""
-        crossing, members = self.users[r], self.members
-        admitted: List[Tuple[float, int, int, int]] = []
-        for m, s in crossing:
-            arrivals = self.arrivals[m][s]
-            admitted += zip(
-                arrivals, repeat(members[m].cls), repeat(m), range(len(arrivals))
-            )
-        admitted.sort()
-        wire = self._wire(crossing, spans)
-        starts = [[0.0] * len(times) for times in wire]
-        waiting: List[Tuple[int, int]] = []
-        granted: List[float] = []
-        order: List[Tuple[float, int, int]] = []
-        now, k = free_at, 0
-        while k < len(admitted) or waiting:
-            if not waiting and now < admitted[k][0]:
-                now = admitted[k][0]  # idle until then
-            while k < len(admitted) and admitted[k][0] <= now:
-                heapq.heappush(waiting, (admitted[k][1], k))
-                k += 1
-            arrival, _, m, index = admitted[heapq.heappop(waiting)[1]]
-            order.append((arrival, m, index))
-            start = free_at if free_at > now else now
-            serialization = wire[m][index]
-            now = free_at = start + serialization
-            busy += serialization
-            starts[m][index] = start
-            granted.append(start)
-        queue = ([arrival for arrival, *_ in admitted], granted)
-        return [starts[m] for m, _ in crossing], free_at, busy, queue, order
-
     def _order(self, r: int) -> List[Tuple[float, int, int]]:
         """Resource ``r``'s ``(arrival, member, train)`` in grant order
-        where it is FIFO: instant, then key (members are in key order).
-        Rebuilt when needed rather than kept: a plan is live for many
-        events."""
+        where it is FIFO: instant, then key (members are in key order)."""
         merged: List[Tuple[float, int, int]] = []
         for m, s in self.users[r]:
             arrivals = self.arrivals[m][s]
@@ -1151,16 +1036,35 @@ class _Run:
         merged.sort()
         return merged
 
-    def _queue_view(
-        self, r: int, merged: List[Tuple[float, int, int]]
-    ) -> Tuple[List[float], List[float]]:
-        """Resource ``r``'s arrivals and grant instants, in the grant
-        order ``merged`` of a port reached in one class."""
-        stage = dict(self.users[r])
-        return (
-            [arrival for arrival, _, _ in merged],
-            [self.grants[m][stage[m]][index] for _, m, index in merged],
-        )
+    def _strict(
+        self,
+        r: int,
+        spans: List[List[Tuple[int, _Stage]]],
+        merged: List[Tuple[float, int, int]],
+        free_at: float,
+    ) -> List[Tuple[float, int, int]]:
+        """The grant order of a priority port reached in several
+        classes, served as the port serves (``PriorityLink._grant_pending``):
+        each time it is free — at ``free_at``, or at the next arrival if
+        none waits — it admits what has arrived by then and starts the
+        waiting train of the lowest class, first admitted first.
+        ``merged`` is the FIFO order (:meth:`_order`); within a class it
+        is the port's admission order, ``(instant, class, key)``."""
+        classes = [member.cls for member in self.members]
+        wire = self._wire(self.users[r], spans)
+        waiting: List[Tuple[int, int]] = []
+        order: List[Tuple[float, int, int]] = []
+        now, k = free_at, 0
+        while k < len(merged) or waiting:
+            if not waiting and now < merged[k][0]:
+                now = merged[k][0]  # idle until then
+            while k < len(merged) and merged[k][0] <= now:
+                heapq.heappush(waiting, (classes[merged[k][1]], k))
+                k += 1
+            request = merged[heapq.heappop(waiting)[1]]
+            order.append(request)
+            now += wire[request[1]][request[2]]  # it starts at ``now``
+        return order
 
     def release(self, resource: Link) -> bool:
         """Let go of ``resource`` if all its grants have happened by now."""
@@ -1189,12 +1093,9 @@ class _Run:
             sim.first_round()
             and type(train) is _Train
             and not any(stage[6] for stage in train.chain)
+            and net._admit([_requested(train, sim.now)])
         ):
-            fixed: List[List[float]] = [[] for _ in train.chain]
-            fixed[train.stage - 1].append(sim.now)
-            index = train.keys[0][3]
-            if net._admit([(train.message, index, index + 1, fixed, True)]):
-                return True
+            return True
         if resource._run is self:
             self.dissolve(sim.now, not sim.first_round())
         return False
@@ -1219,32 +1120,25 @@ class _Run:
             if all(d == len(self.grants[m][s]) for d, (m, s) in zip(done, users)):
                 self._let_go(resource)  # every grant has happened
                 continue
-            free_at, busy, carried, depth = self.snapshots[r]
+            free_at, busy, carried = self.snapshots[r]
             spans = [self._spans(m, s) for m, s in users]
-            port = resource.honors_priority
-            if len(users) == 1:  # the prefix of one member's walk
+            granted_to = self.orders[r]
+            if granted_to is None:  # the prefix of one member's walk
                 ((m, s),) = users
-                arrivals = self.arrivals[m][s]
-                _, free_at, busy = _walk(arrivals[: done[0]], spans[0], free_at, busy)
-                queue = (arrivals, self.grants[m][s]) if port else None
-            else:
-                if port and len({self.members[m].cls for m, _ in users}) > 1:
-                    *_, queue, merged = self._strict(r, spans, free_at, busy)
-                else:
-                    merged = self._order(r)
-                    queue = None
-                _, free_at, busy = self._serve(  # the grants so far, in grant order
-                    users, spans, merged[: sum(done)], free_at, busy
-                )
+                arrivals = self.arrivals[m][s][: done[0]]
+                _, free_at, busy = _walk(arrivals, spans[0], free_at, busy)
+            else:  # the prefix of the grant order
+                stage, taken = dict(users), [0] * len(self.members)
+                merged = []
+                for m in granted_to[: sum(done)]:
+                    index = taken[m]
+                    merged.append((self.arrivals[m][stage[m]][index], m, index))
+                    taken[m] = index + 1
+                _, free_at, busy = self._serve(users, spans, merged, free_at, busy)
             resource._free_at, resource.busy_time = free_at, busy
             resource.bytes_carried = carried + sum(
                 _bytes(runs, count) for runs, count in zip(spans, done)
             )
-            if port:
-                admitted = sum(cut(self.arrivals[m][s], now) for m, s in users)
-                if queue is None:  # one class: admission order is grant order
-                    queue = self._queue_view(r, merged[:admitted])
-                resource.max_queue_depth = _peak_depth(*queue, admitted, depth)
             self._let_go(resource)
         handed: List[_Spec] = []
         for m, (arrivals, done) in enumerate(zip(self.arrivals, granted)):
@@ -1258,7 +1152,7 @@ class _Run:
                 for s in range(1, len(arrivals))
             ]
             hi = self.hi[m]
-            handed.append((self.members[m], hi - counts[-1] + done[-1], hi, fixed, None))
+            handed.append((self.members[m], hi - counts[-1] + done[-1], hi, fixed))
         return handed
 
     def dissolve(self, now: float, late: bool) -> None:

@@ -1,6 +1,6 @@
 """The per-train generator process, kept verbatim as the test-side oracle.
 
-This is ``Network._dispatch`` and ``Network._train_process`` as they
+This is ``Network.send_route`` and ``Network._train_process`` as they
 stood before trains became callback objects: every train is a
 :class:`~repro.network.events.Process` that yields one
 ``Link.request`` event per stage, and a message completes through
@@ -20,7 +20,7 @@ from typing import Any, Generator, List, Optional, Tuple
 from repro.network import Link, Network
 from repro.network.events import Event
 from repro.network.loss import DeliveryFailure
-from repro.network.packet import DEFAULT_MSS, HEADER_BYTES, packet_count
+from repro.network.packet import DEFAULT_MSS, HEADER_BYTES, TOS_DEFAULT, packet_count
 from repro.network.priority import PRIORITY_DEFAULT
 from repro.network.simulator import MessageReceipt, RetransmitHook
 from repro.network.topology import Route
@@ -59,19 +59,20 @@ def split_trains(
 class ReferenceNetwork(Network):
     """:class:`~repro.network.Network` with the generator train path."""
 
-    def _dispatch(
+    def send_route(
         self,
         route: Route,
         src: int,
         dst: int,
         nbytes: int,
         wire_payload: int,
-        tos: int,
-        tx_engine_node: Optional[int],
-        rx_engine_node: Optional[int],
-        payload: object,
-        on_retransmit: Optional[RetransmitHook] = None,
+        tos: int = TOS_DEFAULT,
+        payload: object = None,
+        tx_engine_node: Optional[int] = None,
+        rx_engine_node: Optional[int] = None,
         arb_base: Optional[Tuple[int, int, int]] = None,
+        *,
+        on_retransmit: Optional[RetransmitHook] = None,
     ) -> Event:
         """The one send path: trace, segment into trains, spawn processes.
 

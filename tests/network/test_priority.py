@@ -115,11 +115,13 @@ def test_all_default_priority_matches_plain_fifo_order():
 
 def test_accounting_and_queue_depth():
     sim, link = _link()
+    tracer = Tracer()
+    link.attach_tracer(tracer)
     for i in range(3):
         _track(sim, link, 100_000, PRIORITY_DEFAULT, key=(i,))
     sim.run()
     assert link.bytes_carried == 300_000
-    assert link.max_queue_depth >= 2
+    assert max(e.args["queue_depth"] for e in tracer.events) >= 2
 
 
 def test_stage_requests_are_admitted_in_priority_then_key_order():
@@ -214,8 +216,6 @@ class ServeThenFinishPort(PriorityLink):
         for request in self._take_pending():
             self._admitted += 1
             heapq.heappush(self._queue, (request[0][0], self._admitted, request))
-        if len(self._queue) > self.max_queue_depth:
-            self.max_queue_depth = len(self._queue)
         self._maybe_start()
 
     def _maybe_start(self) -> None:
@@ -236,7 +236,7 @@ class ServeThenFinishPort(PriorityLink):
 
 
 def _serve(port_cls, arrivals):
-    """Feed ``arrivals`` to one port; grant order, start times and depth.
+    """Feed ``arrivals`` to one port; grant order and traced starts.
 
     Dyadic sizes and times make service ends and arrivals coincide
     exactly, the case where both disciplines must admit the arrival
@@ -260,7 +260,7 @@ def _serve(port_cls, arrivals):
     starts = [
         (e.ts.hex(), e.args["nbytes"], e.args["queue_depth"]) for e in tracer.events
     ]
-    return granted, starts, port.max_queue_depth, port.busy_time.hex(), end.hex()
+    return granted, starts, port.busy_time.hex(), end.hex()
 
 
 ARRIVALS = st.lists(
@@ -292,11 +292,10 @@ def test_arrival_at_the_service_end_instant():
     ]
     new = _serve(PriorityLink, arrivals)
     assert new == _serve(ServeThenFinishPort, arrivals)
-    granted, starts, depth, _, _ = new
+    granted, starts, _, _ = new
     # High beats the queued default train; the lone arrival starts at once.
     assert [key for key, _ in granted] == [0, 3, 1, 2, 4]
     assert [ts for ts, _, _ in starts][-1] == (6 * 2.0**-21).hex()
-    assert depth == 3
 
 
 def test_uncontended_port_schedules_no_service_end():
@@ -314,4 +313,3 @@ def test_uncontended_port_schedules_no_service_end():
     # Per train: its arrival, its hand-off and its waiter (serve-then-
     # finish added a service end each: 12).
     assert len(scheduled) == 9
-    assert link.max_queue_depth == 1

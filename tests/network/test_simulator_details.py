@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.core import inceptionn_profile
 from repro.network import (
     HEADER_BYTES,
+    TOS_DEFAULT,
     FatTree,
     Link,
     LossModel,
@@ -22,7 +23,7 @@ from repro.network import simulator
 from repro.network.packet import train_runs
 from repro.network.simulator import _Run
 from repro.obs import Tracer
-from repro.transport.wire import build_wire_message
+from repro.transport.wire import WireMessage, build_wire_message
 
 from .reference_train import ReferenceNetwork
 from .test_train_oracle import (
@@ -67,6 +68,16 @@ def test_negative_sizes_rejected():
     # Compressed sizes come from the sender NIC's build, which checks them.
     with pytest.raises(ValueError):
         build_wire_message(0, 1, stream=inceptionn_profile(), nbytes=-5)
+    # Every send path meets the check: send_route is the one entry.
+    route = net.topology.route(0, 1)
+    with pytest.raises(ValueError, match="nbytes"):
+        net.send_route(route, 0, 1, -5, -5)
+    with pytest.raises(ValueError, match="wire_payload"):
+        net.send_route(route, 0, 1, 1000, -300)
+    forged = WireMessage(0, 1, TOS_DEFAULT, None, 1000, -300, 1, True, True)
+    with pytest.raises(ValueError, match="wire_payload"):
+        net.send_wire(forged)
+    assert net.messages_sent == 0
 
 
 def test_invalid_constructor_args():
@@ -266,7 +277,7 @@ def test_the_oracle_examples_are_planned_as_described(monkeypatch):
 
     def spy_settle(run, now, late):
         handed = settle(run, now, late)
-        log.append(("settle", now, late, sum(hi - lo for _, lo, hi, _, _ in handed)))
+        log.append(("settle", now, late, sum(hi - lo for _, lo, hi, _ in handed)))
         return handed
 
     def observed(scenario):

@@ -31,7 +31,8 @@ them again with the other traffic that reaches their path; the
 reference never does.  So a third property runs the lossless mixes
 untraced, half of them built around a same-instant burst (a fan-out
 from one host or an incast into one): it compares deliveries, every
-resource counter, the end time and the retransmit counters.
+resource counter, the end time and the retransmit counters.  A fourth
+draws busier untraced mixes (9 to 14 messages over 8 instants).
 Hypothesis also draws an optional ``run(until=...)`` stop, where every
 property compares the deliveries and counters again.  A group queues
 its landings when it is planned, so deliveries at one float instant
@@ -54,7 +55,6 @@ from repro.network import (
     LossModel,
     Network,
     NicTimingModel,
-    PriorityLink,
     RetransmitPolicy,
     Route,
     Simulation,
@@ -75,16 +75,23 @@ PRIORITY_MAPS = [None, {TOS_COMPRESS: 0, TOS_SCAVENGER: 7}, {TOS_DEFAULT: 7}]
 # A few instants, so sends collide with each other and with hand-offs.
 SEND_TIMES = st.sampled_from([0.0, 0.0, 1e-6, 5e-6, 2.4e-5])
 
-MESSAGE = st.tuples(
-    st.sampled_from(["raw", "wire", "route"]),
-    SEND_TIMES,
-    st.integers(0, 15),  # src, folded onto the fabric's hosts
-    st.integers(1, 15),  # dst offset from src
-    st.integers(0, 60_000),  # application bytes
-    st.sampled_from([1.0, 0.5, 0.07]),  # wire payload fraction
-    st.sampled_from([TOS_DEFAULT, TOS_COMPRESS, TOS_SCAVENGER]),
-    st.integers(1, 3),  # route segment length
-)
+
+def _message(send_times):
+    """One send: ``(kind, instant, src, dst offset, nbytes, wire payload
+    fraction, tos, route segment length)``."""
+    return st.tuples(
+        st.sampled_from(["raw", "wire", "route"]),
+        send_times,
+        st.integers(0, 15),  # src, folded onto the fabric's hosts
+        st.integers(1, 15),  # dst offset from src
+        st.integers(0, 60_000),  # application bytes
+        st.sampled_from([1.0, 0.5, 0.07]),  # wire payload fraction
+        st.sampled_from([TOS_DEFAULT, TOS_COMPRESS, TOS_SCAVENGER]),
+        st.integers(1, 3),  # route segment length
+    )
+
+
+MESSAGE = _message(SEND_TIMES)
 MESSAGES = st.lists(MESSAGE, min_size=1, max_size=8)
 
 # A stop that falls amid the generated traffic, or none.
@@ -102,6 +109,16 @@ LOSSLESS = {
 }
 SCENARIOS = st.fixed_dictionaries(LOSSLESS)
 UNTRACED = st.fixed_dictionaries({**LOSSLESS, "traced": st.just(False)})
+# Busier untraced mixes: more messages over more instants, so plans are
+# settled and planned again several times, in one class and in two.
+WIDE_SEND_TIMES = st.sampled_from([0.0, 0.0, 1e-6, 2e-6, 5e-6, 8e-6, 1.2e-5, 2.4e-5])
+WIDE = st.fixed_dictionaries(
+    {
+        **LOSSLESS,
+        "messages": st.lists(_message(WIDE_SEND_TIMES), min_size=9, max_size=14),
+        "traced": st.just(False),
+    }
+)
 HOSTS = {"star": 4, "fat-tree": 16, "leaf-spine": 4}
 
 
@@ -211,7 +228,7 @@ def execute(network_cls, scenario):
                 link.busy_time.hex(),
                 link.packets_dropped,
                 link.trains_dropped,
-                link.max_queue_depth if isinstance(link, PriorityLink) else None,
+                link._free_at.hex(),
             )
             for link in resources
         ]
@@ -455,6 +472,12 @@ def test_callback_trains_match_generator_trains(scenario):
 @given(scenario=st.one_of(UNTRACED, bursts()))
 @settings(max_examples=400, deadline=None)
 def test_untraced_trains_match_generator_trains(scenario):
+    _same_run(scenario)
+
+
+@given(scenario=WIDE)
+@settings(max_examples=300, deadline=None)
+def test_wide_untraced_mixes_match_generator_trains(scenario):
     _same_run(scenario)
 
 
