@@ -22,7 +22,7 @@ over each retired code.
 * :mod:`repro.analysis.rules` — the seven rules; each is a
   :class:`Rule` subclass with ``visit_*`` hooks.
 
-Run it as ``repro lint [paths]`` or ``python -m repro.analysis``.
+Run it as ``repro lint [paths]``.
 """
 
 from .engine import Finding, LintRun, lint_paths

@@ -1,10 +1,9 @@
-"""CLI plumbing shared by ``repro lint`` and ``python -m repro.analysis``."""
+"""CLI plumbing of ``repro lint``."""
 
 from __future__ import annotations
 
 import argparse
 from pathlib import Path
-from typing import List, Optional
 
 from .engine import lint_paths
 from .output import format_human, format_json
@@ -62,13 +61,3 @@ def run_lint(args: argparse.Namespace) -> int:
     formatter = format_json if args.format == "json" else format_human
     print(formatter(findings, files_checked))
     return 1 if findings else 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description="repo-aware static analysis for the INCEPTIONN "
-        "reproduction",
-    )
-    add_lint_arguments(parser)
-    return run_lint(parser.parse_args(argv))

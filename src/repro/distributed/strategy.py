@@ -99,8 +99,8 @@ class DistributedRunResult:
     #: was spent (Communicate is the residual of ``virtual_time_s``).
     phases: PhaseTimes
     eval_top1: List[float] = field(default_factory=list)
-    #: Wire-level accounting folded from the cluster's transfer log
-    #: (every message of the run went through one WireMessage build).
+    #: The cluster's transfer ledger: every message of the run, each
+    #: added where it was sent (one WireMessage build per message).
     transfers: Optional[TransferSummary] = None
     #: Node 0's final parameter vector — the replicated model state the
     #: strategy-parity and replay checks compare.
@@ -495,7 +495,7 @@ def run_strategy(
         virtual_time_s=total_time,
         phases=comm.ledger.close(total_time),
         eval_top1=run.eval_top1,
-        transfers=comm.transfer_summary(),
+        transfers=comm.transfers,
         final_weights=net.parameter_vector(),
         extras=dict(run.extras),
         loss_order=list(run.loss_order),

@@ -49,8 +49,8 @@ class ExchangeResult:
     #: Table II attribution of ``total_s`` at either fidelity: what node
     #: 0 waited on (its own spends; under WA also the aggregator's).
     phases: PhaseTimes
-    #: Bytes sent, on the wire and hop-weighted (the link-level load), from
-    #: the cluster's transfer log — the WireMessage pipeline's accounting.
+    #: Bytes sent, on the wire and hop-weighted (the link-level load): the
+    #: cluster's transfer ledger, which both fidelities add to.
     transfers: TransferSummary
     #: Trains resent due to simulated loss (0 on a lossless fabric).
     trains_retransmitted: int = 0
@@ -194,7 +194,7 @@ def _packet_exchange(
         "switch_reductions": gather.switch_reductions if gather else 0,
         "extras": dict(run.extras),
     }
-    return (total_s, comm.ledger, comm.transfer_summary()), counters
+    return (total_s, comm.ledger, comm.transfers), counters
 
 
 #: Packets per train on the exchange simulators' cluster — the one

@@ -232,16 +232,15 @@ def _deliver_floats(
 
 
 def _summarize(legs: Sequence[Tuple[Leg, Sequence[int]]]) -> TransferSummary:
-    """The transfer log's fold over ``(leg, times each message is sent)``."""
-    messages = nbytes = wire_payload = compressed = link_payload = 0
+    """The transfer ledger over ``(leg, times each message is sent)``."""
+    summary = TransferSummary()
     for leg, counts in legs:
+        hops = len(leg.route.links)
         for msg, count in zip(leg.messages, counts):
-            messages += count
-            nbytes += msg.nbytes * count
-            wire_payload += msg.wire_payload_nbytes * count
-            compressed += count if msg.compressed else 0
-            link_payload += msg.wire_payload_nbytes * count * len(leg.route.links)
-    return TransferSummary(messages, nbytes, wire_payload, compressed, link_payload)
+            summary = summary.add(
+                msg.nbytes, msg.wire_payload_nbytes, msg.compressed, hops, count
+            )
+    return summary
 
 
 def _shift_runs(

@@ -14,9 +14,7 @@ from .endpoint import (
     ClusterComm,
     ClusterConfig,
     Endpoint,
-    TransferLog,
     TransferSummary,
-    summarize_transfers,
 )
 from .wire import (
     SizedPayload,
@@ -37,9 +35,7 @@ __all__ = [
     "ClusterComm",
     "ClusterConfig",
     "Endpoint",
-    "TransferLog",
     "TransferSummary",
-    "summarize_transfers",
     "SizedPayload",
     "WireMessage",
     "build_wire_message",

@@ -326,10 +326,6 @@ class SwitchGather:
         self, inp: ReduceInput, part: GatherPart, round_no: int
     ) -> Event:
         """Move one part along its tree edge; deliver into its store."""
-        # Deferred import: endpoint.py imports this module for the
-        # agg_site knob, so the log row type resolves at call time.
-        from .endpoint import TransferLog
-
         route = self.fabric.segment_route(inp.vertices)
         src = inp.host if inp.host is not None else self.root
         arb_base = (
@@ -350,17 +346,8 @@ class SwitchGather:
             rx_engine_node=self.root if into_root else None,
             arb_base=arb_base,
         )
-        self.comm.transfers.append(
-            TransferLog(
-                src=src,
-                dst=self.root,
-                nbytes=part.raw_nbytes,
-                wire_payload_nbytes=part.payload_nbytes,
-                compressed=True,
-                sent_at=self.comm.sim.now,
-                codec=self.stream.codec,
-                hops=len(route.links),
-            )
+        self.comm.transfers = self.comm.transfers.add(
+            part.raw_nbytes, part.payload_nbytes, True, len(route.links)
         )
         store = self._stores[inp.segment]
         event.add_callback(lambda _ev: store.put(part))

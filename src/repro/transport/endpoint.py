@@ -56,27 +56,14 @@ from .wire import (
 )
 
 
-@dataclass
-class TransferLog:
-    """Per-message record kept by the cluster for experiment reporting."""
-
-    src: int
-    dst: int
-    nbytes: int
-    wire_payload_nbytes: int
-    compressed: bool
-    sent_at: float
-    #: Name of the codec that processed the stream (None for raw).
-    codec: Optional[str] = None
-    #: Links this message's route traverses (1 for a direct hop).  Route
-    #: *segments* from the switch aggregation site log their own hop
-    #: counts, which is what makes in-network fan-in reduction visible.
-    hops: int = 1
-
-
 @dataclass(frozen=True)
 class TransferSummary:
-    """Aggregate wire statistics over a set of :class:`TransferLog` rows."""
+    """A run's wire statistics: what every message sent so far adds up to.
+
+    The one transfer ledger.  Each send adds itself with :meth:`add` —
+    the endpoint, the switch-site gather and the flow evaluator alike —
+    so the packet and flow evaluators report one definition.
+    """
 
     messages: int = 0
     nbytes: int = 0
@@ -99,28 +86,26 @@ class TransferSummary:
         """
         return payload_ratio(self.nbytes, self.wire_payload_nbytes)
 
+    def add(
+        self,
+        nbytes: int,
+        wire_payload: int,
+        compressed: bool,
+        hops: int,
+        count: int = 1,
+    ) -> TransferSummary:
+        """This summary plus ``count`` sends of one message.
 
-def summarize_transfers(transfers: Sequence[TransferLog]) -> TransferSummary:
-    """Fold a transfer log into one :class:`TransferSummary`."""
-    messages = 0
-    nbytes = 0
-    wire_payload = 0
-    compressed = 0
-    link_payload = 0
-    for log in transfers:
-        messages += 1
-        nbytes += log.nbytes
-        wire_payload += log.wire_payload_nbytes
-        link_payload += log.wire_payload_nbytes * log.hops
-        if log.compressed:
-            compressed += 1
-    return TransferSummary(
-        messages=messages,
-        nbytes=nbytes,
-        wire_payload_nbytes=wire_payload,
-        compressed_messages=compressed,
-        link_payload_nbytes=link_payload,
-    )
+        The message carries ``nbytes`` application bytes as
+        ``wire_payload`` bytes over a route of ``hops`` links.
+        """
+        return TransferSummary(
+            self.messages + count,
+            self.nbytes + nbytes * count,
+            self.wire_payload_nbytes + wire_payload * count,
+            self.compressed_messages + (count if compressed else 0),
+            self.link_payload_nbytes + wire_payload * count * hops,
+        )
 
 
 @dataclass
@@ -170,6 +155,9 @@ class ClusterConfig:
 
     def __post_init__(self) -> None:
         validate_agg_site(self.agg_site)
+        # The loss model's own range check: a negative or NaN rate is an
+        # error, not a lossless run.
+        LossModel(self.loss_rate, seed=self.loss_seed)
 
     def build_nic(self, node: int) -> InceptionnNic:
         """One node's functional NIC — the engine dispatch every
@@ -247,7 +235,8 @@ class ClusterComm:
         self.endpoints: List[Endpoint] = [
             Endpoint(self, node) for node in range(config.num_nodes)
         ]
-        self.transfers: List[TransferLog] = []
+        #: Wire statistics of every message sent so far.
+        self.transfers = TransferSummary()
         #: The run's Table II rows, fed only by :meth:`spend`/:meth:`spend_local`.
         self.ledger = PhaseLedger(tracer)
 
@@ -307,10 +296,6 @@ class ClusterComm:
             yield self.sim.timeout(dt)
         if record:
             self.ledger.add_local_compute(self.compute, start, node, scale)
-
-    def transfer_summary(self) -> TransferSummary:
-        """Aggregate wire statistics of every message sent so far."""
-        return summarize_transfers(self.transfers)
 
     def run(self, foreground: Sequence[Event] = ()) -> float:
         """Drive the simulation; returns when the ``foreground`` finished.
@@ -467,7 +452,7 @@ class Endpoint:
     def isend_message(self, msg: WireMessage) -> Event:
         """Send a built :class:`WireMessage`; returns the delivery event.
 
-        The one send path: the trace span, the transfer log, the timing
+        The one send path: the trace span, the transfer ledger, the timing
         simulation and the receiver-side Tag-Decoder delivery all read
         from the same message object.  Retransmitted trains tick the
         sender NIC's counters once per extra wire traversal.
@@ -488,17 +473,8 @@ class Endpoint:
         route = self.comm.network.topology.route(
             msg.src, msg.dst, tos=msg.tos
         )
-        self.comm.transfers.append(
-            TransferLog(
-                src=msg.src,
-                dst=msg.dst,
-                nbytes=msg.nbytes,
-                wire_payload_nbytes=msg.wire_payload_nbytes,
-                compressed=msg.compressed,
-                sent_at=self.comm.sim.now,
-                codec=msg.codec,
-                hops=len(route.links),
-            )
+        self.comm.transfers = self.comm.transfers.add(
+            msg.nbytes, msg.wire_payload_nbytes, msg.compressed, len(route.links)
         )
         tx_nic = self.comm.nics[msg.src]
 
@@ -549,7 +525,7 @@ class Endpoint:
         advertises :data:`~repro.core.CAP_FIXED_POINT`, re-encoding the
         received reconstruction would give the same values and wire
         size, so a compressed functional ``msg`` is re-addressed and
-        sent as it is: the transfer log, trace instant, timing, TX and
+        sent as it is: the transfer ledger, trace instant, timing, TX and
         RX counters are those the re-encoding send gives (the modelled
         NIC still compresses the hop).  Any other message — raw,
         size-only, or under a codec without the capability — goes out as

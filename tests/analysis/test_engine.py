@@ -5,11 +5,11 @@ import json
 import pytest
 
 from repro.analysis import format_human, format_json, lint_paths
-from repro.analysis.cli import main
 from repro.analysis.engine import SYNTAX_ERROR_CODE, module_name, package_of
 from repro.analysis.output import JSON_SCHEMA_VERSION
 from repro.analysis.rules import ALL_RULES, RETIRED, rules_by_code, select_rules
 from repro.analysis.rules.dtype import DtypeDisciplineRule
+from repro.cli import main
 
 
 class TestSuppressions:
@@ -141,7 +141,7 @@ class TestRuleSelection:
             select_rules([code.lower()])
         assert excinfo.value.args[0] == f"{code} was retired: {RETIRED[code]}"
         with pytest.raises(SystemExit) as exit_info:
-            main(["--select", code])
+            main(["lint", "--select", code])
         assert exit_info.value.code == f"--select: {code} was retired: {RETIRED[code]}"
 
     def test_retired_codes_are_never_reused(self):
@@ -186,7 +186,7 @@ class TestCli:
             "def f(x: int) -> int:\n"
             "    return x\n"
         )
-        assert main([str(tmp_path)]) == 0
+        assert main(["lint", str(tmp_path)]) == 0
         assert "0 findings" in capsys.readouterr().out
 
     def test_findings_exit_one_and_json(self, tmp_path, capsys):
@@ -195,7 +195,7 @@ class TestCli:
         (target / "bad.py").write_text(
             "import numpy as np\ng = np.zeros(3)\n"
         )
-        assert main([str(tmp_path), "--format", "json"]) == 1
+        assert main(["lint", str(tmp_path), "--format", "json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["counts"].get("R1") == 1
 
@@ -207,12 +207,12 @@ class TestCli:
             "def f(x):\n"
             "    return x\n"
         )
-        assert main([str(tmp_path), "--select", "R5"]) == 1
+        assert main(["lint", str(tmp_path), "--select", "R5"]) == 1
         out = capsys.readouterr().out
         assert "R5" in out and "R1" not in out
 
     def test_list_rules(self, capsys):
-        assert main(["--list-rules"]) == 0
+        assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         lines = out.splitlines()
         assert [line.split()[0] for line in lines] == [
@@ -222,10 +222,8 @@ class TestCli:
         assert {line.index(line.split()[1]) for line in lines} == {5}
 
     def test_repro_cli_exposes_lint(self, tmp_path, capsys):
-        from repro.cli import main as repro_main
-
         target = tmp_path / "repro" / "core"
         target.mkdir(parents=True)
         (target / "ok.py").write_text("X: int = 1\n")
-        assert repro_main(["lint", str(tmp_path)]) == 0
+        assert main(["lint", str(tmp_path)]) == 0
         assert "0 findings" in capsys.readouterr().out

@@ -110,4 +110,4 @@ def test_hierarchy_times_the_same_on_sizes():
     total_s = comm.run([comm.sim.process(node(i)) for i in range(WORKERS)])
     assert trained.virtual_time_s.hex() == total_s.hex()
     assert _hex_phases(trained.phases) == _hex_phases(comm.ledger.close(total_s))
-    assert trained.transfers == comm.transfer_summary()
+    assert trained.transfers == comm.transfers

@@ -1,8 +1,8 @@
 """Baseline codecs running end-to-end through the ring exchange.
 
 The acceptance contract of the codec registry: any registered codec can
-replace the INCEPTIONN engine on the gradient stream, with
-``TransferLog.wire_payload_nbytes`` reflecting the codec's measured
+replace the INCEPTIONN engine on the gradient stream, with each sent
+``WireMessage.wire_payload_nbytes`` reflecting the codec's measured
 sizes and receivers observing the codec's reconstructions.
 """
 
@@ -16,6 +16,20 @@ from repro.distributed import GroupLayout, ring_exchange, run_strategy
 from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
 from repro.obs import CAT_CODEC, Tracer
 from repro.transport import ClusterComm, ClusterConfig
+from repro.transport.endpoint import Endpoint
+
+
+def _spy_sends(monkeypatch):
+    """Every WireMessage an endpoint sends, in send order."""
+    sent = []
+    send = Endpoint.isend_message
+
+    def recorded(ep, msg):
+        sent.append(msg)
+        return send(ep, msg)
+
+    monkeypatch.setattr(Endpoint, "isend_message", recorded)
+    return sent
 
 
 def _run_ring(vectors, stream):
@@ -57,20 +71,22 @@ def _expected_wire(codec_name, nbytes):
 
 
 @pytest.mark.parametrize("name", ["truncation", "quantization"])
-def test_baseline_codec_rides_the_ring(name):
+def test_baseline_codec_rides_the_ring(name, monkeypatch):
     n = 4
     stream = profile_for(name)
     vectors = _vectors(n=n)
+    sent = _spy_sends(monkeypatch)
     results, transfers = _run_ring(vectors, stream)
 
     # Every hop of the exchange traveled on the codec's stream with the
     # codec's measured (here size-deterministic) wire payload.
-    assert len(transfers) == n * (2 * n - 2)
-    for log in transfers:
-        assert log.compressed
-        assert log.codec == name
-        assert log.wire_payload_nbytes == _expected_wire(name, log.nbytes)
-        assert log.wire_payload_nbytes < log.nbytes
+    assert len(sent) == transfers.messages == n * (2 * n - 2)
+    for msg in sent:
+        assert msg.compressed
+        assert msg.codec == name
+        assert msg.wire_payload_nbytes == _expected_wire(name, msg.nbytes)
+        assert msg.wire_payload_nbytes < msg.nbytes
+    assert transfers.compressed_messages == transfers.messages
 
     # The aggregate is a lossy sum: each of the ~2N compressing hops may
     # add one declared bound of error to a partial sum.
@@ -103,11 +119,13 @@ def test_receiver_observes_codec_reconstruction(name):
     expected = stream.compress(vec)
     np.testing.assert_array_equal(got["values"], expected.values)
     assert not np.array_equal(got["values"], vec)  # genuinely lossy
-    assert comm.transfers[0].wire_payload_nbytes == expected.payload_nbytes
+    assert comm.transfers.messages == 1
+    assert comm.transfers.wire_payload_nbytes == expected.payload_nbytes
 
 
-def test_identity_codec_delivers_bit_exact():
+def test_identity_codec_delivers_bit_exact(monkeypatch):
     stream = profile_for("identity")
+    sent = _spy_sends(monkeypatch)
     comm = ClusterComm(ClusterConfig(num_nodes=2, profile=stream))
     vec = _vectors(n=1, size=64)[0]
     got = {}
@@ -123,8 +141,9 @@ def test_identity_codec_delivers_bit_exact():
     comm.run()
 
     np.testing.assert_array_equal(got["values"], vec)
-    assert comm.transfers[0].wire_payload_nbytes == vec.nbytes
-    assert comm.transfers[0].codec == "identity"
+    (msg,) = sent
+    assert msg.wire_payload_nbytes == comm.transfers.wire_payload_nbytes == vec.nbytes
+    assert msg.codec == "identity"
 
 
 # -- a block is compressed once: P2 forwards reuse codec fixed points ---------
@@ -150,7 +169,7 @@ def test_ring_forwards_fixed_points_without_re_encoding(name, encodes, monkeypat
     # rounding moves a reconstruction again).
     calls = _count_compress(monkeypatch)
     _, transfers = _run_ring(_vectors(), profile_for(name))
-    assert len(transfers) == 24
+    assert transfers.messages == 24
     assert calls == [name] * encodes
 
 

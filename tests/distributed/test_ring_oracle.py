@@ -4,9 +4,10 @@
 reference on raw streams; ``reference_ring.ring_exchange`` never writes
 a block it has sent.  Over ring sizes 2..9, vector sizes the ring does
 not divide, raw and INCEPTIONN streams and a lossy link that
-retransmits, every node's result, every delivered payload, the transfer
-log and the simulated clock must be identical — and each payload must
-arrive with the bytes it had when it was sent.
+retransmits, every node's result, every delivered payload, every send
+(with its wire size and instant) and the simulated clock must be
+identical — and each payload must arrive with the bytes it had when it
+was sent.
 """
 
 import numpy as np
@@ -22,17 +23,19 @@ from . import reference_ring
 
 
 def _run(exchange, vectors, stream, loss_rate, monkeypatch):
-    """Results, deliveries (in delivery order), transfer log and clock."""
+    """Results, deliveries (in delivery order), sends and clock."""
     n = len(vectors)
     comm = ClusterComm(
         ClusterConfig(num_nodes=n, profile=stream, loss_rate=loss_rate, loss_seed=3)
     )
     in_flight = {}
     delivered = []
+    log = []
     send, deliver = Endpoint.isend_message, WireMessage.deliver
 
     def snapshot_send(ep, msg):
         in_flight[id(msg)] = (msg, msg.values.tobytes())
+        log.append((msg.src, msg.dst, msg.nbytes, msg.wire_payload_nbytes, comm.sim.now))
         return send(ep, msg)
 
     def check_delivery(msg, nic=None):
@@ -54,7 +57,6 @@ def _run(exchange, vectors, stream, loss_rate, monkeypatch):
     elapsed = comm.run()
     monkeypatch.undo()
     assert not in_flight
-    log = [(t.src, t.dst, t.nbytes, t.wire_payload_nbytes, t.sent_at) for t in comm.transfers]
     return results, delivered, log, elapsed
 
 

@@ -38,6 +38,22 @@ def _both(simulate, workers, nbytes, **kwargs):
 
 
 class TestFlowPacketParity:
+    @pytest.mark.parametrize("algorithm", ["ring", "wa"])
+    @pytest.mark.parametrize("compress", [False, True], ids=["raw", "inc"])
+    @pytest.mark.parametrize(
+        "workers, nbytes", [(5, 4_000_004), (8, 1_000_000)], ids=["uneven", "even"]
+    )
+    def test_flow_and_packet_keep_one_ledger(self, algorithm, compress, workers, nbytes):
+        # Both evaluators add each send to one TransferSummary with the same
+        # ``add``, so every field of the ledger is equal, not just close.
+        kwargs = {"stream": inceptionn_profile(), "gradient_ratio": 6.0} if compress else {}
+        packet = simulate_exchange(algorithm, workers, nbytes, iterations=2, **kwargs)
+        flow = simulate_exchange(
+            algorithm, workers, nbytes, iterations=2, fidelity="flow", **kwargs
+        )
+        assert packet.transfers.messages > 0
+        assert flow.transfers == packet.transfers
+
     @pytest.mark.parametrize("simulate", SIMULATORS)
     @pytest.mark.parametrize("workers", [2, 3, 5])
     @pytest.mark.parametrize("compress", [False, True])

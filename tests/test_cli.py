@@ -375,3 +375,11 @@ def test_train_rejects_a_negative_staleness(strategy, option):
     with pytest.raises(SystemExit, match=option):
         main(["train", "--strategy", strategy, "--staleness", "-1",
               "--iterations", "2", "--workers", "2"])
+
+
+def test_exchange_rejects_a_negative_loss_rate():
+    # A negative or NaN rate used to run silently as a lossless fabric.
+    with pytest.raises(
+        SystemExit, match=r"^drop probability must be in \[0, 1\), got -0.1$"
+    ):
+        main(["exchange", "--workers", "4", "--loss-rate", "-0.1"])

@@ -14,13 +14,7 @@ from repro.distributed import DistributedRunResult
 from repro.obs import PhaseTimes
 from repro.hardware import NicCounters
 from repro.network.packet import payload_ratio
-from repro.transport import (
-    ClusterComm,
-    ClusterConfig,
-    TransferSummary,
-    summarize_transfers,
-)
-from repro.transport.endpoint import TransferLog
+from repro.transport import ClusterComm, ClusterConfig, TransferSummary
 
 
 def _zero_run():
@@ -49,20 +43,14 @@ class TestZeroTotals:
 
 class TestZeroByteWireAccounting:
     def test_empty_summary_is_ratio_one(self):
-        summary = summarize_transfers([])
+        summary = TransferSummary()
         assert summary == TransferSummary(0, 0, 0, 0)
         assert summary.wire_ratio == 1.0
 
     def test_zero_byte_transfer_is_ratio_one_not_inf(self):
-        log = TransferLog(
-            src=0,
-            dst=1,
-            nbytes=0,
-            wire_payload_nbytes=0,
-            compressed=False,
-            sent_at=0.0,
-        )
-        assert summarize_transfers([log]).wire_ratio == 1.0
+        summary = TransferSummary().add(0, 0, compressed=False, hops=1)
+        assert summary.messages == 1
+        assert summary.wire_ratio == 1.0
 
     def test_zero_byte_send_flows_through_pipeline(self):
         comm = ClusterComm(ClusterConfig(num_nodes=2))
@@ -80,7 +68,7 @@ class TestZeroByteWireAccounting:
         comm.run()
         (received,) = got
         assert received.size == 0
-        summary = comm.transfer_summary()
+        summary = comm.transfers
         assert summary.messages == 1
         assert summary.nbytes == 0
         assert summary.wire_ratio == 1.0
@@ -88,15 +76,8 @@ class TestZeroByteWireAccounting:
     def test_nonzero_payload_of_zero_wire_is_infinite_ratio(self):
         # The inverse corner: bytes sent but nothing on the wire is an
         # infinite ratio, never a silent 1.0.
-        log = TransferLog(
-            src=0,
-            dst=1,
-            nbytes=100,
-            wire_payload_nbytes=0,
-            compressed=True,
-            sent_at=0.0,
-        )
-        assert summarize_transfers([log]).wire_ratio == float("inf")
+        summary = TransferSummary().add(100, 0, compressed=True, hops=1)
+        assert summary.wire_ratio == float("inf")
 
 
 class TestOneRatioRule:

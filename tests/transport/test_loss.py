@@ -16,6 +16,14 @@ from repro.network.packet import packet_count
 from repro.transport import ClusterComm, ClusterConfig
 
 
+@pytest.mark.parametrize("loss_rate", [-0.1, float("nan"), 1.0])
+def test_config_rejects_a_rate_outside_the_unit_interval(loss_rate):
+    # ClusterComm builds a LossModel only for a positive rate, so a
+    # negative or NaN one used to run as a lossless fabric.
+    with pytest.raises(ValueError, match=r"drop probability must be in \[0, 1\)"):
+        ClusterConfig(num_nodes=2, loss_rate=loss_rate)
+
+
 def _lossy_comm(loss_rate, seed=0, retransmit=RetransmitPolicy(), stream=None):
     return ClusterComm(
         ClusterConfig(

@@ -89,10 +89,7 @@ class TestFunctionalRingParity:
 
         assert total == pytest.approx(pins["total_s"], rel=REL)
         assert comm.network.total_wire_bytes == pins["wire_bytes"]
-        assert (
-            sum(t.wire_payload_nbytes for t in comm.transfers)
-            == pins["payload_bytes"]
-        )
+        assert comm.transfers.wire_payload_nbytes == pins["payload_bytes"]
         spans = sum(
             e.dur for e in tracer.events if e.name == "ring.step"
         )

@@ -59,7 +59,7 @@ class TestSizedRatioValidation:
         comm.sim.process(sender())
         comm.sim.process(receiver())
         comm.run()
-        assert comm.transfers[0].wire_payload_nbytes == 1000
+        assert comm.transfers.wire_payload_nbytes == 1000
 
     def test_ratio_exactly_one_accepted(self):
         stream = inceptionn_profile()
