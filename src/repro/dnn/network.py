@@ -122,8 +122,3 @@ class Sequential:
         if not self._has_gradient:
             raise RuntimeError("no gradient yet; call backward() first")
         return self.grad_arena
-
-    def set_gradient_vector(self, vec: np.ndarray) -> None:
-        """Overwrite every gradient from a flat vector."""
-        self.grad_arena[...] = self.check_vector(vec)
-        self._has_gradient = True

@@ -7,13 +7,13 @@ everything else bypasses.  Receive side mirrors this with the paired
 Decompression Engine.
 
 Only the INCEPTIONN pair does byte work on packets, a whole packet
-train per engine call (a single packet is a train of one).  At message
-granularity every stream that names a codec is engine-eligible on an
-enabled NIC (the codec registry is the one table of such ToS bytes),
-and its own codec transforms it in :mod:`repro.transport.wire`.
+train per engine call (a single packet is a train of one).
 
 This is the *functional* model — it transforms real packet bytes
-bit-exactly; the simulator's engine timing is ``ClusterConfig.nic_timing``.
+bit-exactly, standalone (the Fig 8–10 datapath, the examples).  A
+simulated cluster builds no such NIC: each stream's own codec
+transforms its messages in :mod:`repro.transport.wire`, and the
+simulator's engine timing is ``ClusterConfig.nic_timing``.
 """
 
 from __future__ import annotations
@@ -106,34 +106,6 @@ class InceptionnNic:
         self.decompressor = DecompressionEngine(bound, num_blocks)
         self.counters = NicCounters()
 
-    # -- aggregate accounting (WireMessage pipeline) -----------------------------
-
-    def account_tx(
-        self,
-        packets: int,
-        engine_packets: int,
-        payload_bytes_in: int,
-        payload_bytes_out: int,
-    ) -> None:
-        """Tick TX counters for one wire traversal of a packet train.
-
-        Equivalent to running :meth:`transmit` over the train, but
-        at message granularity so size-only (paper-scale) sends never
-        walk per-packet objects.  Payload bytes count only the
-        engine-processed stream, matching the per-packet path.
-        """
-        self.counters.tx_packets += packets
-        self.counters.tx_compressed += engine_packets
-        self.counters.tx_bypassed += packets - engine_packets
-        self.counters.tx_payload_bytes_in += payload_bytes_in
-        self.counters.tx_payload_bytes_out += payload_bytes_out
-
-    def account_rx(self, packets: int, engine_packets: int) -> None:
-        """Tick RX counters for one delivered packet train."""
-        self.counters.rx_packets += packets
-        self.counters.rx_decompressed += engine_packets
-        self.counters.rx_bypassed += packets - engine_packets
-
     # -- bit-exact datapath ------------------------------------------------------
 
     def _engages(self, packet: Packet) -> bool:
@@ -189,12 +161,14 @@ class InceptionnNic:
             )
             if self.tracer is not None:
                 self._trace_engine_call("nic.compress", pkt, len(stream))
-        self.account_tx(
-            len(packets),
-            len(engaged),
-            sum(packets[slot].payload_nbytes for slot in engaged),
-            sum(map(len, streams)),
+        counters = self.counters
+        counters.tx_packets += len(packets)
+        counters.tx_compressed += len(engaged)
+        counters.tx_bypassed += len(packets) - len(engaged)
+        counters.tx_payload_bytes_in += sum(
+            packets[slot].payload_nbytes for slot in engaged
         )
+        counters.tx_payload_bytes_out += sum(map(len, streams))
         return out
 
     def receive(self, packets: List[Packet]) -> List[Packet]:
@@ -224,7 +198,10 @@ class InceptionnNic:
             )
             if self.tracer is not None:
                 self._trace_engine_call("nic.decompress", pkt, len(payload))
-        self.account_rx(len(packets), len(engaged))
+        counters = self.counters
+        counters.rx_packets += len(packets)
+        counters.rx_decompressed += len(engaged)
+        counters.rx_bypassed += len(packets) - len(engaged)
         return out
 
     # -- message-level convenience -------------------------------------------------

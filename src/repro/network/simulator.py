@@ -20,7 +20,7 @@ way: the run is re-planned from that instant with the newcomer.
 The NIC compression engines influence timing in two ways, mirroring the
 hardware integration of Sec. VI-A:
 
-* compressed payload shrinks on the wire (the sender NIC's
+* compressed payload shrinks on the wire (the sending endpoint's
   ``WireMessage`` carries the codec's measured size), while the *packet
   count does not change* — the engine compresses payloads in place, so
   per-packet header bytes survive compression.  This reproduces the
@@ -68,10 +68,6 @@ from .topology import Route, Topology
 
 if TYPE_CHECKING:
     from repro.transport.wire import WireMessage
-
-#: Retransmission hook: ``(packets, wire_payload, raw_payload)`` of the
-#: train being resent (payload bytes, headers excluded).
-RetransmitHook = Callable[[int, int, int], None]
 
 #: ``(resource, bytes, wire time, wire time awaited before hand-off,
 #: hand-off delay, honors priority, can drop, hand-off continuation)``.
@@ -225,23 +221,19 @@ class Network:
 
         Returns an event firing at delivery with value
         ``(payload, receipt)``.  The bytes bypass the engines whatever
-        ``tos`` says: compression is decided once, by the sender NIC
-        that builds a :class:`~repro.transport.wire.WireMessage` (sent
-        with :meth:`send_wire`).
+        ``tos`` says: compression is decided once, by the sending
+        endpoint that builds a :class:`~repro.transport.wire.WireMessage`
+        (sent with :meth:`send_wire`).
         """
         route = self.topology.route(src, dst, tos=tos)
         return self.send_route(route, src, dst, nbytes, nbytes, tos, payload)
 
-    def send_wire(
-        self,
-        msg: "WireMessage",
-        on_retransmit: Optional[RetransmitHook] = None,
-    ) -> Event:
+    def send_wire(self, msg: "WireMessage") -> Event:
         """Send a built :class:`~repro.transport.wire.WireMessage`.
 
-        The message's wire sizes and ``compressed`` flag are the sender
-        NIC's engine dispatch, the one compression decision: a
-        compressed message crosses both endpoints' engine stages.
+        The message's wire sizes and ``compressed`` flag are the sending
+        endpoint's one compression decision: a compressed message
+        crosses both endpoints' engine stages.
         Returns an event firing at delivery with value
         ``(msg, receipt)``.
         """
@@ -255,7 +247,6 @@ class Network:
             msg,
             msg.src if msg.compressed else None,
             msg.dst if msg.compressed else None,
-            on_retransmit=on_retransmit,
         )
 
     def send_route(
@@ -270,8 +261,6 @@ class Network:
         tx_engine_node: Optional[int] = None,
         rx_engine_node: Optional[int] = None,
         arb_base: Optional[Tuple[int, int, int]] = None,
-        *,
-        on_retransmit: Optional[RetransmitHook] = None,
     ) -> Event:
         """Send over ``route``, the one send path: :meth:`send` and
         :meth:`send_wire` resolve a host-to-host route, the reduction
@@ -285,9 +274,6 @@ class Network:
         identity for the message — the reduction plan assigns one per
         edge; by default it is the flow's ``(src, dst, seq)`` — so
         same-instant arbitration never depends on callback order.
-        ``on_retransmit`` fires once per resent train with its packet
-        and payload counts — the hook that lets functional NIC counters
-        see every wire traversal.
 
         Untraced, a lossless message of more than one train sent in the
         instant's first round waits for :meth:`_plan_round`; any other
@@ -349,7 +335,7 @@ class Network:
         )
         message = _Message(self.sim)
         message.net, message.receipt, message.payload = self, receipt, payload
-        message.msg_id, message.on_retransmit = msg_id, on_retransmit
+        message.msg_id = msg_id
         message.segments, message.arb_base, message.cls = segments, arb_base, cls
         message.lag, message.left = lag, 1  # the landing
         message.trains = sum(count for count, _, _ in segments)
@@ -596,14 +582,13 @@ class _Message(Event):
     """A message's delivery event; its trains count down to it."""
 
     __slots__ = (
-        "net", "receipt", "payload", "msg_id", "on_retransmit", "segments",
-        "arb_base", "cls", "lag", "trains", "left",
+        "net", "receipt", "payload", "msg_id", "segments", "arb_base", "cls",
+        "lag", "trains", "left",
     )
     net: Network
     receipt: MessageReceipt
     payload: object
     msg_id: int
-    on_retransmit: Optional[RetransmitHook]
     segments: List[_Segment]
     arb_base: Tuple[int, int, int]  # the trains' keys' first fields
     cls: int  # the trains' class on priority ports
@@ -695,13 +680,10 @@ class _Train:
 
     def _resend(self, net: Network) -> None:
         """Book the retransmission; the train restarts at its first stage."""
-        (packets, wire, raw), attempts = self.shape, self.attempts
+        attempts = self.attempts
         src, dst = self.message.receipt.src, self.message.receipt.dst
         net.trains_retransmitted += 1
-        net.packets_retransmitted += packets
-        if self.message.on_retransmit is not None:
-            headers = packets * HEADER_BYTES
-            self.message.on_retransmit(packets, wire - headers, raw - headers)
+        net.packets_retransmitted += self.shape[0]
         if net.tracer is not None:
             net.tracer.instant(
                 "train.retransmit",

@@ -163,9 +163,3 @@ class Tracer:
                 continue
             totals[event.name] = totals.get(event.name, 0.0) + event.dur
         return totals
-
-    def span_total(self, cat: str, name: Optional[str] = None) -> float:
-        """Summed duration of every span in ``cat`` (optionally by name)."""
-        return sum(
-            e.dur for e in self.events_in(cat, name) if e.ph == PH_SPAN
-        )

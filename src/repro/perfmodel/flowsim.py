@@ -10,8 +10,8 @@ consecutive blocks whose whole state is equal (an evenly divided ring
 is one run, stepped in floats) — O(steps x runs) of host time.
 
 A send is built as the packet path builds it (:class:`Star`): the
-sender NIC's ``WireMessage``, then the event kernel's trains and stage
-chains, which give every stage time.  The ring's block schedule is
+sending endpoint's ``WireMessage``, then the event kernel's trains and
+stage chains, which give every stage time.  The ring's block schedule is
 ``ring_step_blocks``, read in the frame of the block a message carries.
 Decided here: the per-node FIFO a stage occupies and how a batch is
 served — cut-through chaining and FIFO reservation per resource, with
@@ -98,10 +98,10 @@ class Leg:
 
 class Star:
     """The job's switched star: a two-host star of its own config builds
-    each distinct message as a send does (the sender NIC's message, then
-    ``Network.segments``); this adds one FIFO per node for each resource
-    of a chain — the sender's up to the route's first link, the
-    receiver's after it."""
+    each distinct message as a send does (the sending endpoint's
+    message, then ``Network.segments``); this adds one FIFO per node for
+    each resource of a chain — the sender's up to the route's first
+    link, the receiver's after it."""
 
     def __init__(self, config: ClusterConfig, nodes: Optional[int] = None) -> None:
         self.comm = ClusterComm(replace(config, num_nodes=2))

@@ -22,10 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.core import CAP_FIXED_POINT, StreamProfile, get_codec
-from repro.core.bounds import DEFAULT_BOUND
-from repro.core.registry import InceptionnCodec
 from repro.hardware.engine import BurstEngine
-from repro.hardware.nic import InceptionnNic
 from repro.network import (
     BackgroundTraffic,
     Event,
@@ -51,7 +48,6 @@ from .wire import (
     Payload,
     SizedPayload,
     WireMessage,
-    account_tx_traversal,
     build_wire_message,
 )
 
@@ -159,27 +155,9 @@ class ClusterConfig:
         # error, not a lossless run.
         LossModel(self.loss_rate, seed=self.loss_seed)
 
-    def build_nic(self, node: int) -> InceptionnNic:
-        """One node's functional NIC — the engine dispatch every
-        WireMessage is built through (paper Fig 8's comparator).
-
-        Engines are present exactly when a profile is configured.  The
-        INCEPTIONN pair runs at an INCEPTIONN stream's own bound; other
-        codecs' ToS never engages it, so it keeps the default there.
-        """
-        profile = self.profile
-        bound = DEFAULT_BOUND
-        if profile is not None and profile.codec == InceptionnCodec.name:
-            bound = InceptionnCodec.bound_of(profile.params)
-        return InceptionnNic(
-            node,
-            bound,
-            enabled=profile is not None,
-            num_blocks=self.engine_blocks,
-        )
-
     def nic_timing(self) -> NicTimingModel:
-        """The timing view of those NICs: engine rate and fill latency.
+        """The timing view of every node's NIC engines: engine rate and
+        fill latency.
 
         The one engine-to-timing conversion: the event kernel's engine
         stages read it, and the flow evaluator reads their chains.
@@ -228,10 +206,6 @@ class ClusterComm:
         )
         #: The tenants' traffic once :meth:`run` launched it (else None).
         self.background: Optional[BackgroundTraffic] = None
-        #: Functional NICs, one per node.
-        self.nics: List[InceptionnNic] = [
-            config.build_nic(node) for node in range(config.num_nodes)
-        ]
         self.endpoints: List[Endpoint] = [
             Endpoint(self, node) for node in range(config.num_nodes)
         ]
@@ -430,32 +404,30 @@ class Endpoint:
     ) -> WireMessage:
         """Build this node's wire representation of one send.
 
-        Runs the stream's codec exactly once through the sender NIC's
-        engine dispatch (see :func:`repro.transport.wire.build_wire_message`).
+        The one compression decision: ``profile``'s codec runs exactly
+        once (see :func:`repro.transport.wire.build_wire_message`) when
+        the cluster's NICs have engines — a configured
+        ``ClusterConfig.profile`` — and the message ships raw otherwise.
         Functional sends pass an array; paper-scale timing sends pass a
         :class:`~repro.transport.wire.SizedPayload`.
         """
-        nic = self.comm.nics[self.node_id]
+        stream = None if self.comm.config.profile is None else profile
         if isinstance(payload, SizedPayload):
             return build_wire_message(
                 self.node_id,
                 dst,
-                stream=profile,
+                stream=stream,
                 nbytes=payload.nbytes,
-                nic=nic,
                 ratio=payload.ratio,
             )
-        return build_wire_message(
-            self.node_id, dst, stream=profile, array=payload, nic=nic
-        )
+        return build_wire_message(self.node_id, dst, stream=stream, array=payload)
 
     def isend_message(self, msg: WireMessage) -> Event:
         """Send a built :class:`WireMessage`; returns the delivery event.
 
         The one send path: the trace span, the transfer ledger, the timing
-        simulation and the receiver-side Tag-Decoder delivery all read
-        from the same message object.  Retransmitted trains tick the
-        sender NIC's counters once per extra wire traversal.
+        simulation and the receiver-side delivery all read from the same
+        message object.
         """
         if msg.src != self.node_id:
             raise ValueError(
@@ -476,22 +448,11 @@ class Endpoint:
         self.comm.transfers = self.comm.transfers.add(
             msg.nbytes, msg.wire_payload_nbytes, msg.compressed, len(route.links)
         )
-        tx_nic = self.comm.nics[msg.src]
-
-        def retransmitted(packets: int, wire: int, raw: int) -> None:
-            account_tx_traversal(tx_nic, msg, packets, raw, wire)
-
-        event = self.comm.network.send_wire(msg, on_retransmit=retransmitted)
+        event = self.comm.network.send_wire(msg)
         receiver = self.comm.endpoints[msg.dst]
-        rx_nic = self.comm.nics[msg.dst]
         seq = self._send_seq.get(msg.dst, 0)
         self._send_seq[msg.dst] = seq + 1
-
-        def delivered(ev: Event) -> None:
-            msg.deliver(rx_nic)
-            receiver._deliver_ordered(msg.src, seq, msg)
-
-        event.add_callback(delivered)
+        event.add_callback(lambda _: receiver._deliver_ordered(msg.src, seq, msg))
         return event
 
     def isend(
@@ -525,10 +486,10 @@ class Endpoint:
         advertises :data:`~repro.core.CAP_FIXED_POINT`, re-encoding the
         received reconstruction would give the same values and wire
         size, so a compressed functional ``msg`` is re-addressed and
-        sent as it is: the transfer ledger, trace instant, timing, TX and
-        RX counters are those the re-encoding send gives (the modelled
-        NIC still compresses the hop).  Any other message — raw,
-        size-only, or under a codec without the capability — goes out as
+        sent as it is: the transfer ledger, trace instant and timing are
+        those the re-encoding send gives (the modelled NIC still
+        compresses the hop).  Any other message — raw, size-only, or
+        under a codec without the capability — goes out as
         :meth:`isend` sends ``payload``.
         """
         codec = msg.codec  # set exactly when the message is compressed
@@ -537,15 +498,7 @@ class Endpoint:
             and not msg.size_only
             and CAP_FIXED_POINT in get_codec(codec).capabilities()
         ):
-            out = replace(msg, src=self.node_id, dst=dst)
-            account_tx_traversal(
-                self.comm.nics[self.node_id],
-                out,
-                out.num_packets,
-                out.nbytes,
-                out.wire_payload_nbytes,
-            )
-            return self.isend_message(out)
+            return self.isend_message(replace(msg, src=self.node_id, dst=dst))
         return self.isend(dst, payload, profile=profile)
 
     def recv(self, src: int) -> Event:

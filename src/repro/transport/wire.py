@@ -1,16 +1,18 @@
 """One message, one wire representation (paper Figs 8–11).
 
 A :class:`WireMessage` is the single artifact every send produces: the
-stream's codec runs **at most once per block** through the sender NIC's
-engine dispatch, yielding the message's wire size, its ToS tag, its
-packet count and the receiver's reconstruction.  Every consumer then
-reads from that one object:
+stream's codec runs **at most once per block**, yielding the message's
+wire size, its ToS tag, its packet count and the receiver's
+reconstruction.  A message is compressed exactly when it has a stream;
+whether the cluster has engines to compress it is the sending
+endpoint's one decision (:meth:`repro.transport.Endpoint.build_message`).
+Every consumer then reads from that one object:
 
 * the network simulator clocks ``wire_nbytes`` (timing domain),
-* the receiver endpoint hands it to the destination NIC's Tag-Decoder
-  path via :meth:`WireMessage.deliver` (functional domain),
-* :class:`repro.hardware.nic.NicCounters` and the obs codec spans are
-  fed from the same build, not from parallel call sites.
+* the receiver endpoint observes :attr:`WireMessage.payload`
+  (functional domain),
+* the run's transfer ledger and the obs codec spans are fed from the
+  same build, not from parallel call sites.
 
 Two build modes share the pipeline: *functional* (``array=``) runs the
 real codec and carries the lossy reconstruction; *size-only*
@@ -37,15 +39,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.core import StreamProfile
 from repro.network.packet import HEADER_BYTES, TOS_DEFAULT, packet_count, payload_ratio
-
-if TYPE_CHECKING:
-    from repro.hardware.nic import InceptionnNic
 
 #: Sample size for measuring a stream's compression ratio.  Small enough
 #: for the bit-serial Python codecs (sz_like, snappy_like) to stay fast.
@@ -126,21 +125,6 @@ class WireMessage:
         or (size-only) their size as a raw :class:`SizedPayload`."""
         return SizedPayload(self.nbytes) if self.size_only else self.values
 
-    def deliver(self, nic: Optional["InceptionnNic"] = None) -> object:
-        """What the destination host observes after the RX pipeline.
-
-        Models the paper's Fig 10 receive path: the train lands in the
-        Burst Buffer, the Tag Decoder walks it packet by packet, and the
-        host sees the reconstructed values (or, size-only, their
-        :class:`SizedPayload`).  ``nic`` is the destination's functional NIC; its RX
-        counters tick once per successful delivery regardless of how
-        many wire traversals retransmissions needed.
-        """
-        if nic is not None:
-            engine_packets = self.num_packets if self.compressed else 0
-            nic.account_rx(self.num_packets, engine_packets)
-        return self.payload
-
 
 def build_wire_message(
     src: int,
@@ -149,21 +133,18 @@ def build_wire_message(
     stream: Optional[StreamProfile] = None,
     array: Optional[np.ndarray] = None,
     nbytes: Optional[int] = None,
-    nic: Optional["InceptionnNic"] = None,
     ratio: Optional[float] = None,
 ) -> WireMessage:
     """Build the single wire representation of one send.
 
     Exactly one of ``array`` (functional mode: the codec runs on the
     real values) or ``nbytes`` (size-only mode: the wire size comes
-    from ``ratio``) must be given.  ``stream=None`` is a raw send.
-    ``nic`` is the *sender's* functional NIC: a stream is compressed,
-    under its codec's ToS, exactly when that NIC is enabled, and its TX
-    counters tick for the built train.
+    from ``ratio``) must be given.  ``stream=None`` is a raw send; any
+    other stream is compressed under its codec's ToS.
 
     ``nbytes`` and ``ratio`` are checked as a :class:`SizedPayload`
-    before the compression check — a bad ratio is a caller bug no
-    matter what engines are present.
+    even on a raw send — a bad ratio is a caller bug whatever the
+    stream.
     """
     if (array is None) == (nbytes is None):
         raise ValueError("pass exactly one of array= or nbytes=")
@@ -173,15 +154,12 @@ def build_wire_message(
             "sends measure their ratio by running the codec"
         )
     sized = None if nbytes is None else SizedPayload(int(nbytes), ratio)
-    compressed = stream is not None and nic is not None and nic.enabled
-    tos = stream.tos if compressed else TOS_DEFAULT
-    codec_name = stream.codec if compressed else None
     values: Optional[np.ndarray] = None
 
     if array is not None:
         arr = np.ascontiguousarray(array, dtype=np.float32)
         raw_nbytes = arr.nbytes
-        if compressed:
+        if stream is not None:
             result = stream.compress(arr.reshape(-1))
             wire_payload = result.payload_nbytes
             values = result.values.reshape(arr.shape)
@@ -191,44 +169,21 @@ def build_wire_message(
         size_only = False
     else:
         raw_nbytes = sized.nbytes
-        wire_payload = sized.compressed_nbytes if compressed else raw_nbytes
+        wire_payload = raw_nbytes if stream is None else sized.compressed_nbytes
         size_only = True
 
-    num_packets = packet_count(raw_nbytes)
-    msg = WireMessage(
+    return WireMessage(
         src=src,
         dst=dst,
-        tos=tos,
-        codec=codec_name,
+        tos=TOS_DEFAULT if stream is None else stream.tos,
+        codec=None if stream is None else stream.codec,
         nbytes=raw_nbytes,
         wire_payload_nbytes=wire_payload,
-        num_packets=num_packets,
-        compressed=compressed,
+        num_packets=packet_count(raw_nbytes),
+        compressed=stream is not None,
         size_only=size_only,
         values=values,
     )
-    if nic is not None:
-        account_tx_traversal(nic, msg, num_packets, raw_nbytes, wire_payload)
-    return msg
-
-
-def account_tx_traversal(
-    nic: "InceptionnNic",
-    msg: WireMessage,
-    packets: int,
-    raw_nbytes: int,
-    wire_nbytes: int,
-) -> None:
-    """Tick a sender NIC's TX counters for one wire traversal.
-
-    Called once at build time and once more per retransmission — the
-    counters see every traversal of the wire, while RX counters (in
-    :meth:`WireMessage.deliver`) see only the successful one.
-    """
-    if msg.compressed:
-        nic.account_tx(packets, packets, raw_nbytes, wire_nbytes)
-    else:
-        nic.account_tx(packets, 0, 0, 0)
 
 
 def measure_stream_ratio(
@@ -260,7 +215,6 @@ __all__ = [
     "Payload",
     "SizedPayload",
     "WireMessage",
-    "account_tx_traversal",
     "build_wire_message",
     "measure_stream_ratio",
 ]

@@ -24,7 +24,6 @@ from repro.core import (
     quantize,
 )
 from repro.core.registry import register_codec
-from repro.hardware import InceptionnNic
 from repro.network import TOS_COMPRESS, TOS_DEFAULT
 from repro.transport.wire import build_wire_message
 
@@ -249,9 +248,8 @@ def test_unknown_profile_raises_too():
 
 
 def test_raw_stream_is_not_compressing():
-    # Raw is ``None``: even an enabled NIC sends it as is, under ToS 0x00.
-    nic = InceptionnNic(0, DEFAULT_BOUND)
-    msg = build_wire_message(0, 1, stream=None, array=_sample(), nic=nic)
+    # Raw is ``None``: it is sent as is, under ToS 0x00.
+    msg = build_wire_message(0, 1, stream=None, array=_sample())
     assert not msg.compressed and msg.codec is None
     assert msg.tos == TOS_DEFAULT
 

@@ -9,7 +9,6 @@ sizes and receivers observing the codec's reconstructions.
 import numpy as np
 import pytest
 
-import repro.distributed.strategy as strategy_module
 from repro.core import CAP_FIXED_POINT, StreamProfile, inceptionn_profile, profile_for
 from repro.core.registry import InceptionnCodec
 from repro.distributed import GroupLayout, ring_exchange, run_strategy
@@ -183,15 +182,7 @@ _REUSE_SCENARIOS = {
 
 
 def _observed_run(strategy, monkeypatch):
-    """What a compressed run shows: weights, wire, NICs and codec trace."""
-    comms = []
-
-    class Recorded(ClusterComm):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            comms.append(self)
-
-    monkeypatch.setattr(strategy_module, "ClusterComm", Recorded)
+    """What a compressed run shows: weights, wire and codec trace."""
     calls = _count_compress(monkeypatch)
     tracer = Tracer()
     result = run_strategy(
@@ -208,12 +199,10 @@ def _observed_run(strategy, monkeypatch):
         tracer=tracer,
         options=_REUSE_SCENARIOS[strategy],
     )
-    (comm,) = comms
     observed = (
         result.final_weights.view(np.uint32).tolist(),
         result.virtual_time_s,
         result.transfers,
-        [nic.counters for nic in comm.nics],
         list(tracer.events_in(CAT_CODEC, "codec.compress")),
     )
     return observed, len(calls)

@@ -17,7 +17,6 @@ from repro.core import inceptionn_profile
 from repro.distributed import ring_exchange
 from repro.transport import ClusterComm, ClusterConfig
 from repro.transport.endpoint import Endpoint
-from repro.transport.wire import WireMessage
 
 from . import reference_ring
 
@@ -31,22 +30,21 @@ def _run(exchange, vectors, stream, loss_rate, monkeypatch):
     in_flight = {}
     delivered = []
     log = []
-    send, deliver = Endpoint.isend_message, WireMessage.deliver
+    send, deliver = Endpoint.isend_message, Endpoint._deliver_ordered
 
     def snapshot_send(ep, msg):
         in_flight[id(msg)] = (msg, msg.values.tobytes())
         log.append((msg.src, msg.dst, msg.nbytes, msg.wire_payload_nbytes, comm.sim.now))
         return send(ep, msg)
 
-    def check_delivery(msg, nic=None):
-        values = deliver(msg, nic)
+    def check_delivery(ep, src, seq, msg):
         _, sent_bytes = in_flight.pop(id(msg))
-        assert values.tobytes() == sent_bytes, "a sent block changed in flight"
+        assert msg.payload.tobytes() == sent_bytes, "a sent block changed in flight"
         delivered.append((msg.src, msg.dst, sent_bytes))
-        return values
+        return deliver(ep, src, seq, msg)
 
     monkeypatch.setattr(Endpoint, "isend_message", snapshot_send)
-    monkeypatch.setattr(WireMessage, "deliver", check_delivery)
+    monkeypatch.setattr(Endpoint, "_deliver_ordered", check_delivery)
     results = {}
 
     def node(i):

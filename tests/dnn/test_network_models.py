@@ -34,12 +34,18 @@ class TestSequentialVectors:
         np.testing.assert_allclose(net.parameter_vector(), vec * 2.0)
 
     def test_gradient_vector_roundtrip(self):
+        # The vector is every layer's gradient, flattened in parameter order.
         net = build_hdc(seed=2)
-        grad = np.random.default_rng(0).standard_normal(
-            net.num_parameters
-        ).astype(np.float32)
-        net.set_gradient_vector(grad)
-        np.testing.assert_array_equal(net.gradient_vector(), grad)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((4, 784)).astype(np.float32)
+        net.compute_loss(x, rng.integers(0, 10, 4))
+        net.backward()
+        grads = [
+            layer.grads[name].reshape(-1)
+            for layer in net.layers
+            for name in sorted(layer.params)
+        ]
+        np.testing.assert_array_equal(net.gradient_vector(), np.concatenate(grads))
 
     def test_gradient_vector_before_backward_raises(self):
         net = build_hdc(seed=3)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import DEFAULT_BOUND, ErrorBound, inceptionn_profile, profile_for
-from repro.hardware import InceptionnNic
+from repro.core.registry import InceptionnCodec
+from repro.hardware import CompressionEngine, InceptionnNic
 from repro.network import TOS_COMPRESS, TOS_DEFAULT, Packet
 from repro.transport import ClusterComm, ClusterConfig
 
@@ -107,7 +108,7 @@ def test_context_preserved_through_compression():
 @pytest.mark.parametrize("blocks", [1, 2, 8, 16])
 @pytest.mark.parametrize("codec", [None, "inceptionn"])
 def test_cluster_config_timing_equals_the_functional_nics(blocks, codec):
-    # nic_timing() is the one engine-to-timing conversion: it equals the
+    # nic_timing() is the one engine-to-timing conversion: it equals a
     # functional NIC's engine and is what every engine stage runs at.
     config = ClusterConfig(
         num_nodes=3,
@@ -115,7 +116,7 @@ def test_cluster_config_timing_equals_the_functional_nics(blocks, codec):
         profile=profile_for(codec) if codec else None,
     )
     timing = config.nic_timing()
-    engine = config.build_nic(0).compressor
+    engine = CompressionEngine(BOUND, blocks)
     assert timing.engine_throughput_bps == engine.throughput_bps()
     assert timing.engine_latency_s == engine.latency_s()
     # 32-byte bursts at 100 MHz, one per ceil(8 / blocks) cycles; a
@@ -138,11 +139,13 @@ def test_cluster_config_timing_equals_the_functional_nics(blocks, codec):
     assert narrow.nic_timing().engine_throughput_bps == pytest.approx(0.8e9)
 
 
-def test_cluster_nics_run_at_the_stream_bound():
-    six = ClusterConfig(num_nodes=2, profile=inceptionn_profile(ErrorBound(6)))
-    assert six.build_nic(0).bound == ErrorBound(6)
-    spelled = ClusterConfig(num_nodes=2, profile=profile_for("inceptionn", bound=6))
-    assert spelled.build_nic(1).bound == ErrorBound(6)
-    # Other codecs' ToS never engages the INCEPTIONN pair.
-    other = ClusterConfig(num_nodes=2, profile=profile_for("truncation"))
-    assert other.build_nic(0).bound == DEFAULT_BOUND
+def test_a_stream_names_the_bound_of_its_nic_pair():
+    # A byte-true NIC pair for a stream runs at the stream's own bound.
+    six = inceptionn_profile(ErrorBound(6))
+    assert InceptionnCodec.bound_of(six.params) == ErrorBound(6)
+    spelled = profile_for("inceptionn", bound=6)
+    nic = InceptionnNic(1, InceptionnCodec.bound_of(spelled.params))
+    assert nic.bound == ErrorBound(6)
+    # Other codecs name no bound: their ToS never engages the pair.
+    other = profile_for("truncation")
+    assert InceptionnCodec.bound_of(other.params) == DEFAULT_BOUND

@@ -1,9 +1,9 @@
 """NIC dispatch: the codec registry is the one table of engine-eligible ToS.
 
-At message granularity an enabled NIC compresses every stream that
-names a codec, under that codec's registered byte; the per-packet
-datapath engages only the INCEPTIONN pair at ``0x28`` and bypasses
-every other byte, registered or not.
+At message granularity every stream that names a codec is compressed
+under that codec's registered byte; the per-packet datapath engages
+only the INCEPTIONN pair at ``0x28`` and bypasses every other byte,
+registered or not.
 """
 
 import numpy as np
@@ -31,14 +31,14 @@ def _assert_bypasses(nic, tos):
     assert after == (before[0] + 1, before[1] + 1)
 
 
-def _build(nic, stream):
+def _build(stream):
     values = np.linspace(-1.0, 1.0, 256, dtype=np.float32)
-    return build_wire_message(0, 1, stream=stream, array=values, nic=nic)
+    return build_wire_message(0, 1, stream=stream, array=values)
 
 
 def test_inceptionn_engine_preinstalled_at_0x28():
-    assert _build(_nic(), profile_for("inceptionn")).tos == TOS_COMPRESS
-    assert _build(_nic(), None).tos == TOS_DEFAULT
+    assert _build(profile_for("inceptionn")).tos == TOS_COMPRESS
+    assert _build(None).tos == TOS_DEFAULT
     nic = _nic()
     pkt = Packet(src=0, dst=1, seq=0, tos=TOS_COMPRESS, payload=b"\x00" * 64)
     assert nic.transmit([pkt])[0] is not pkt
@@ -47,15 +47,16 @@ def test_inceptionn_engine_preinstalled_at_0x28():
 
 def test_registered_codec_tos_dispatches_at_message_granularity():
     assert SNAPPY_TOS != TOS_COMPRESS
-    msg = _build(_nic(), SNAPPY)
+    msg = _build(SNAPPY)
     assert msg.compressed and msg.tos == SNAPPY_TOS
 
 
 def test_disabled_nic_dispatches_nothing():
     nic = _nic(enabled=False)
     for stream in (profile_for("inceptionn"), SNAPPY):
-        msg = _build(nic, stream)
-        assert not msg.compressed and msg.tos == TOS_DEFAULT
+        pkt = Packet(src=0, dst=1, seq=0, tos=stream.tos, payload=b"\x00" * 64)
+        assert nic.transmit([pkt])[0] is pkt
+    assert nic.counters.tx_compressed == 0
 
 
 def test_unregistered_tos_bypasses_identically():

@@ -22,7 +22,7 @@ from repro.network.events import Event
 from repro.network.loss import DeliveryFailure
 from repro.network.packet import DEFAULT_MSS, HEADER_BYTES, TOS_DEFAULT, packet_count
 from repro.network.priority import PRIORITY_DEFAULT
-from repro.network.simulator import MessageReceipt, RetransmitHook
+from repro.network.simulator import MessageReceipt
 from repro.network.topology import Route
 from repro.obs import CAT_MESSAGE
 
@@ -71,8 +71,6 @@ class ReferenceNetwork(Network):
         tx_engine_node: Optional[int] = None,
         rx_engine_node: Optional[int] = None,
         arb_base: Optional[Tuple[int, int, int]] = None,
-        *,
-        on_retransmit: Optional[RetransmitHook] = None,
     ) -> Event:
         """The one send path: trace, segment into trains, spawn processes.
 
@@ -139,7 +137,6 @@ class ReferenceNetwork(Network):
                     rx_engine,
                     src,
                     dst,
-                    on_retransmit,
                     arb_key=(*arb_base, index),
                     priority=priority,
                 )
@@ -186,7 +183,6 @@ class ReferenceNetwork(Network):
         rx_engine: Optional[Link],
         src: int,
         dst: int,
-        on_retransmit: Optional[RetransmitHook] = None,
         arb_key: Optional[Tuple[int, int, int, int]] = None,
         priority: Optional[int] = None,
     ) -> Generator[Event, Any, None]:
@@ -245,12 +241,6 @@ class ReferenceNetwork(Network):
                 return
             self.trains_retransmitted += 1
             self.packets_retransmitted += packets
-            if on_retransmit is not None:
-                on_retransmit(
-                    packets,
-                    wire_bytes - packets * HEADER_BYTES,
-                    raw_bytes - packets * HEADER_BYTES,
-                )
             if self.tracer is not None:
                 self.tracer.instant(
                     "train.retransmit",

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core import ErrorBound, inceptionn_profile
-from repro.hardware import InceptionnNic
+from repro.core import inceptionn_profile
 from repro.network import (
     HEADER_BYTES,
     DirectRing,
@@ -21,11 +20,10 @@ ENGINE = ClusterConfig(num_nodes=2).nic_timing()
 
 
 def _compressed(nbytes, ratio, engines=True):
-    """A sized gradient message as the sender NIC's dispatch builds it."""
-    nic = InceptionnNic(0, ErrorBound(10), enabled=engines)
-    return build_wire_message(
-        0, 1, stream=inceptionn_profile(), nbytes=nbytes, nic=nic, ratio=ratio
-    )
+    """A sized gradient message as the sending endpoint builds it: a
+    node without engines sends the stream raw."""
+    stream = inceptionn_profile() if engines else None
+    return build_wire_message(0, 1, stream=stream, nbytes=nbytes, ratio=ratio)
 
 
 def _star(num_nodes=4, **net_kwargs):
@@ -124,7 +122,7 @@ def test_unbounded_engine_exposes_full_compression_gain():
 def test_compression_ignored_without_engines():
     nbytes = 2**20
     sim, net = _star()  # no engines
-    # The sender NIC without engines never dispatches the stream.
+    # A sender without engines never compresses the stream.
     ev = net.send_wire(_compressed(nbytes, 10.0, engines=False))
     sim.run()
     _, receipt = ev.value

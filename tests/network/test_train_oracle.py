@@ -173,7 +173,6 @@ def execute(network_cls, scenario):
     )
     hosts = topology.num_nodes
     delivered = []
-    resent = []
 
     def send(index, kind, src, dst, nbytes, wire, tos, hops):
         if kind == "raw":
@@ -183,9 +182,7 @@ def execute(network_cls, scenario):
                 src, dst, tos, None, nbytes, wire, -(-max(nbytes, 1) // 1460),
                 True, True,
             )
-            done = net.send_wire(
-                msg, on_retransmit=lambda *counts: resent.append((index, counts))
-            )
+            done = net.send_wire(msg)
         else:
             route = topology.route(src, dst, tos=tos)
             segment = Route(route.links[:hops], route.forwarding_delay_s)
@@ -247,7 +244,6 @@ def execute(network_cls, scenario):
         "paused": paused,
         "failure": failure,
         "delivered": delivered,
-        "resent": resent,
         "retransmitted": (net.trains_retransmitted, net.packets_retransmitted),
         "counters": counters(),
     }
@@ -507,7 +503,7 @@ def test_retransmit_limit_failure_matches():
         ],
     }
     observed = execute(Network, scenario)
-    assert observed["failure"] is not None and observed["resent"]
+    assert observed["failure"] is not None and observed["retransmitted"][0]
     _same_run(scenario)
 
 

@@ -74,13 +74,6 @@ def test_phase_totals_ignores_other_categories_and_instants():
     assert tracer.phase_totals() == {}
 
 
-def test_span_total():
-    tracer = Tracer()
-    tracer.span("ring.step", cat=CAT_RING, ts=0.0, dur=1.0)
-    tracer.span("ring.step", cat=CAT_RING, ts=1.0, dur=2.0)
-    assert tracer.span_total(CAT_RING, "ring.step") == 3.0
-
-
 def test_len_counts_events():
     tracer = Tracer()
     assert len(tracer) == 0

@@ -84,6 +84,27 @@ def test_inline_code_span_flags_validated(tmp_path):
     assert "--warp-speed" in errors[0]
 
 
+def test_retired_flags_pass_only_in_the_experiment_records(tmp_path):
+    # A record says what was run; the live docs say what runs.
+    live = set().union(*_table().values())
+    assert not live & set(check_cli_docs.RETIRED_FLAGS)
+    text = (
+        "Ran `repro train --workers 4 --compress` and `--compress`.\n\n"
+        "```\nrepro train --iterations 4 --compress\n```\n"
+    )
+    for name in check_cli_docs.RECORD_DOCS:
+        record = tmp_path / name
+        record.write_text(text + "`--warp-speed`\n", encoding="utf-8")
+        (error,) = check_cli_docs.check_document(record, _table())
+        assert "--warp-speed" in error
+    for name in ("README.md", "DESIGN.md"):
+        doc = tmp_path / name
+        doc.write_text(text, encoding="utf-8")
+        errors = check_cli_docs.check_document(doc, _table())
+        assert len(errors) == 3
+        assert all("--compress" in error for error in errors)
+
+
 def test_lint_rule_codes_match_docs():
     """DESIGN.md's rule table and README's ``--list-rules`` comment list
     exactly the codes in ``ALL_RULES`` (the table once lost R12)."""

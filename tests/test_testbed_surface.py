@@ -188,6 +188,14 @@ REMOVED_NAMES = [
     ("repro.network.packet", "", "is_compressible_tos"),
     ("repro.network.packet", "", "register_compressible_tos"),
     ("repro.hardware.nic", "InceptionnNic", "dispatches"),
+    ("repro.hardware.nic", "InceptionnNic", "account_tx"),
+    ("repro.hardware.nic", "InceptionnNic", "account_rx"),
+    ("repro.transport.endpoint", "ClusterConfig", "build_nic"),
+    ("repro.transport.wire", "", "account_tx_traversal"),
+    ("repro.transport.wire", "WireMessage", "deliver"),
+    ("repro.network.simulator", "", "RetransmitHook"),
+    ("repro.obs.tracer", "Tracer", "span_total"),
+    ("repro.dnn.network", "Sequential", "set_gradient_vector"),
     ("repro.transport.endpoint", "ClusterConfig", "default_profile"),
     ("repro.distributed.strategy", "StrategyUpdate", "sync_optimizer_iteration"),
     ("repro.baselines.sz_like", "", "compression_ratio"),
@@ -217,6 +225,8 @@ def test_removed_stream_names_are_gone(module, owner, name):
 def test_removed_instance_names_are_gone():
     with pytest.raises(AttributeError):
         ClusterComm(ClusterConfig(2)).default_profile
+    with pytest.raises(AttributeError):
+        ClusterComm(ClusterConfig(2)).nics
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.core.reference")
 
@@ -228,20 +238,19 @@ def test_a_stream_carries_its_codecs_registered_tos(name):
 
 @pytest.mark.parametrize("name", available_codecs())
 def test_only_an_enabled_nic_compresses_and_only_a_named_codec(name):
+    # A message is compressed exactly when it names a stream; per
+    # packet, a disabled NIC passes even the stream's ToS through.
     stream = profile_for(name)
     values = np.linspace(-0.01, 0.01, 64, dtype=np.float32)
     for payload in ({"array": values}, {"nbytes": values.nbytes}):
-        on = build_wire_message(
-            0, 1, stream=stream, nic=InceptionnNic(0, BOUND), **payload
-        )
+        on = build_wire_message(0, 1, stream=stream, **payload)
         assert on.compressed and on.tos == codec_tos(name) and on.codec == name
-        for nic in (InceptionnNic(0, BOUND, enabled=False), None):
-            off = build_wire_message(0, 1, stream=stream, nic=nic, **payload)
-            assert not off.compressed and off.tos == TOS_DEFAULT
-        raw = build_wire_message(
-            0, 1, stream=None, nic=InceptionnNic(0, BOUND), **payload
-        )
+        raw = build_wire_message(0, 1, stream=None, **payload)
         assert not raw.compressed and raw.tos == TOS_DEFAULT and raw.codec is None
+    nic = InceptionnNic(0, BOUND, enabled=False)
+    pkt = Packet(0, 1, tos=codec_tos(name), payload=values.tobytes())
+    assert nic.transmit([pkt])[0] is pkt
+    assert nic.counters.tx_compressed == 0
 
 
 # -- one spelling of a run's gradient stream ----------------------------------

@@ -31,14 +31,12 @@ class TestBuilderValidation:
             )
 
     def test_ratio_rejected_with_array(self):
-        comm = _comm(profile=inceptionn_profile())
         with pytest.raises(ValueError):
             build_wire_message(
                 0,
                 1,
                 stream=inceptionn_profile(),
                 array=np.zeros(4, dtype=np.float32),
-                nic=comm.nics[0],
                 ratio=2.0,
             )
 
@@ -144,13 +142,10 @@ class TestFunctionalBuild:
             container.CompressedGradients, "__post_init__", no_container
         )
         stream = inceptionn_profile()
-        comm = _comm(profile=stream)
         values = (
             np.random.default_rng(7).standard_normal(4099) * 0.004
         ).astype(np.float32)
-        msg = build_wire_message(
-            0, 1, stream=stream, array=values, nic=comm.nics[0]
-        )
+        msg = build_wire_message(0, 1, stream=stream, array=values)
         assert calls == [values.size]
         assert msg.compressed
         nbits, reconstruction = codec.quantize(values, stream.params["bound"])
@@ -173,15 +168,25 @@ class TestFunctionalBuild:
         assert not msg.compressed
         assert msg.wire_payload_nbytes == 3000
 
-
-class TestCounters:
-    def test_tx_and_rx_tick_once_per_delivery(self):
+    def test_standalone_builder_compresses_a_stream(self):
+        # A stream is the one compression decision: no NIC is consulted.
         stream = inceptionn_profile()
-        comm = _comm(profile=stream)
-        values = np.zeros(2000, dtype=np.float32)
+        msg = build_wire_message(0, 1, stream=stream, nbytes=4000, ratio=4.0)
+        assert msg.compressed and msg.tos == stream.tos
+        assert msg.codec == stream.codec
+        assert msg.wire_payload_nbytes == SizedPayload(4000, 4.0).compressed_nbytes
+        assert msg.wire_payload_nbytes < msg.nbytes
+
+    @pytest.mark.parametrize(
+        "payload", [np.ones(2000, dtype=np.float32), SizedPayload(8000, 4.0)]
+    )
+    def test_cluster_without_engines_ships_a_stream_raw(self, payload):
+        # No ClusterConfig.profile, no engines: the endpoint sends raw
+        # whatever stream the caller names.
+        comm = _comm(profile=None)
 
         def sender():
-            yield comm.endpoints[0].isend(1, values, profile=stream)
+            yield comm.endpoints[0].isend(1, payload, profile=inceptionn_profile())
 
         def receiver():
             yield comm.endpoints[1].recv(0)
@@ -189,12 +194,6 @@ class TestCounters:
         comm.sim.process(sender())
         comm.sim.process(receiver())
         comm.run()
-        tx = comm.nics[0].counters
-        rx = comm.nics[1].counters
-        expected = packet_count(values.nbytes)
-        assert tx.tx_packets == expected
-        assert tx.tx_compressed == expected
-        assert tx.tx_payload_bytes_in == values.nbytes
-        assert 0 < tx.tx_payload_bytes_out < values.nbytes
-        assert rx.rx_packets == expected
-        assert rx.rx_decompressed == expected
+        assert comm.transfers.messages == 1
+        assert comm.transfers.compressed_messages == 0
+        assert comm.transfers.wire_payload_nbytes == comm.transfers.nbytes == 8000
